@@ -5,7 +5,7 @@ bicomodule algebra over the twisted tensor-square bases.
 
 from __future__ import annotations
 
-from .errors import AntipodeRequired, ShapeMismatch, WitnessNotNormalized
+from .errors import AntipodeRequired, QuasiHopfError, ShapeMismatch, WitnessNotNormalized
 from .hopf import (GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra,
                    drinfeld_twist, gauge_twist, op_tensor, tensor_op, variant)
 from .report import CheckReport, run_indexed
@@ -704,7 +704,7 @@ def _search_witness(A: BicomoduleAlgebra, first, second, HopH):
     def is_witness(t, inv=None):
         try:
             w = TwistWitness(first, t, inv)
-        except Exception:
+        except QuasiHopfError:
             return None
         twisted = twist_comodule_algebra(first, w)
         if any(twisted.coaction.column((i,)) != second.coaction.column((i,))
@@ -760,7 +760,7 @@ def _search_witness(A: BicomoduleAlgebra, first, second, HopH):
         t = Tensor.from_flat(field, (alg.dim, HopH.dim), vec)
         try:
             w = is_witness(t)
-        except Exception:
+        except QuasiHopfError:
             w = None
         if w is not None:
             report.add("witness-found", True)
@@ -863,7 +863,7 @@ class InternalCoalgebra:
         try:
             invert_element((H.alg, B, H.alg), unit_image)
             report.add("comult-of-unit-invertible", True)
-        except Exception:
+        except QuasiHopfError:
             report.add("comult-of-unit-invertible", False)
 
         counit_unit = Tensor(field, (B.dim,))

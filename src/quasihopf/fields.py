@@ -133,6 +133,14 @@ class Rationals:
         except ValueError as exc:
             raise FieldError("bad rational literal %r" % text) from exc
 
+    def raw(self, value: Fraction) -> Fraction:
+        """The plain scalar that kernels do their arithmetic on."""
+        return value
+
+    def from_raw(self, total: Fraction) -> Fraction:
+        """Field value of a sum of raw scalars."""
+        return total
+
     def fmt(self, value: Fraction) -> str:
         if value.denominator == 1:
             return str(value.numerator)
@@ -188,6 +196,14 @@ class PrimeField:
             return FpElement(int(text), self.p)
         except ValueError as exc:
             raise FieldError("bad F_%d literal %r" % (self.p, text)) from exc
+
+    def raw(self, value: FpElement) -> int:
+        """The plain scalar that kernels do their arithmetic on: the residue."""
+        return value.r
+
+    def from_raw(self, total: int) -> FpElement:
+        """Field value of a sum of raw scalars, reduced mod p once."""
+        return FpElement(total, self.p)
 
     def fmt(self, value: FpElement) -> str:
         return str(value.r)

@@ -156,7 +156,6 @@ def _algebra_map_records(report, H: QuasiBialgebra, fn, unit_image, tag, jobs=1)
     def check(pair):
         i, j = pair
         image_of_product = fn(alg.basis_product(i, j))
-        product_of_images = None
         xi, xj = fn(Tensor.basis(alg.field, (alg.dim,), (i,))), fn(
             Tensor.basis(alg.field, (alg.dim,), (j,)))
         return pair, image_of_product, xi, xj
@@ -194,11 +193,15 @@ def verify_quasi_bialgebra(H: QuasiBialgebra, jobs: int = 1) -> CheckReport:
                    phi.mul(phi_inv).t + phi_inv.mul(phi).t,
                    unit3.t + unit3.t)
 
-    # comultiplication is coassociative after conjugating by the reassociator
+    # comultiplication is coassociative after conjugating by the reassociator:
+    # (id x Delta)Delta(h) = Phi (Delta x id)Delta(h) Phi^-1, checked multiplied
+    # through by Phi on the right.  The two forms agree for every h because
+    # Phi^-1 is a two-sided inverse, which "reassoc-invertible" checks, and a
+    # report passes only if every fatal check does.
     def coassoc(i):
         h2 = H.basis_el(i).map(H.comult, 0)
-        lhs = h2.map(H.comult, 1)                       # (id x Delta) Delta
-        rhs = phi.mul(h2.map(H.comult, 0)).mul(phi_inv)  # Phi (Delta x id) Delta Phi^-1
+        lhs = h2.map(H.comult, 1).mul(phi)              # (id x Delta) Delta Phi
+        rhs = phi.mul(h2.map(H.comult, 0))              # Phi (Delta x id) Delta
         return i, lhs.t, rhs.t
 
     for i, lhs, rhs in run_indexed(range(alg.dim), coassoc, jobs):

@@ -440,7 +440,7 @@ class FinAlgebra:
     carriers are legitimately non-associative).
     """
 
-    __slots__ = ("field", "dim", "mult", "unit", "name")
+    __slots__ = ("field", "dim", "mult", "rows", "unit", "name")
 
     def __init__(self, field, dim, mult: LinMap, unit: Tensor, name="", validate=True):
         if dim <= 0:
@@ -452,6 +452,10 @@ class FinAlgebra:
         if unit.dims != (dim,):
             raise ShapeMismatch("unit has dims %r" % (unit.dims,))
         self.mult = mult.rebind((self,))
+        # rows[i][j]: the ((k,), w) terms of e_i e_j, w a raw scalar (see multiply)
+        raw = field.raw
+        self.rows = [[tuple((k, raw(w)) for k, w in self.mult.cols.get((i, j), {}).items())
+                      for j in range(dim)] for i in range(dim)]
         self.unit = unit
         self.name = name
         if validate:
@@ -564,30 +568,55 @@ def embed_legs(spaces, x: Tensor, positions) -> Tensor:
 
 
 def multiply(spaces, x: Tensor, y: Tensor) -> Tensor:
-    """Componentwise product of two tensors over per-leg algebras."""
+    """Componentwise product of two tensors over per-leg algebras.
+
+    The arithmetic runs on raw scalars (residues over F_p, Fractions over
+    Q): the products are summed per output index, and each sum is turned
+    back into a field value, reduced mod p once, at the end.  The entries
+    of ``y`` are walked as a prefix tree, one leg at a time, so the work
+    of a leg is shared by all entries of ``y`` that agree on the legs
+    before it.
+    """
     if x.dims != y.dims:
         raise ShapeMismatch("dims %r vs %r" % (x.dims, y.dims))
     if tuple(s.dim for s in spaces) != x.dims:
         raise ShapeMismatch("spaces do not match tensor dims")
+    _check_same_field(x, y)
+    for s in spaces:
+        _check_same_field(x, s)
     field = x.field
-    out = Tensor(field, x.dims)
-    data = out.data
+    if not spaces:
+        return Tensor.scalar(field, x.get(()) * y.get(()))
+    raw = field.raw
+    # y as nested dicts j_0 -> j_1 -> ... -> raw scalar
+    tree = {}
+    for iy, vy in y.data.items():
+        node = tree
+        for j in iy[:-1]:
+            node = node.setdefault(j, {})
+        node[iy[-1]] = raw(vy)
+    rows = [s.rows for s in spaces]
+    last = len(spaces) - 1
+    acc = {}
+    get = acc.get
     for ix, vx in x.data.items():
-        for iy, vy in y.data.items():
-            # expand the per-leg structure constants for this pair
-            terms = [((), vx * vy)]
-            for leg, space in enumerate(spaces):
-                col = space.mult.cols.get((ix[leg], iy[leg]))
-                if not col:
-                    terms = []
-                    break
-                terms = [(idx + k, v * w) for idx, v in terms for k, w in col.items()]
-            for idx, v in terms:
-                s = data.get(idx, field.zero) + v
-                if s:
-                    data[idx] = s
-                else:
-                    data.pop(idx, None)
+        level = [((), raw(vx), tree)]
+        for leg in range(last):
+            row = rows[leg][ix[leg]]
+            level = [(idx + k, v * w, child) for idx, v, node in level
+                     for j, child in node.items() for k, w in row[j]]
+        row = rows[last][ix[last]]
+        for idx, v, node in level:
+            for j, vy in node.items():
+                for k, w in row[j]:
+                    key = idx + k
+                    acc[key] = get(key, 0) + v * w * vy
+    out = Tensor(field, x.dims)
+    from_raw = field.from_raw
+    for key, total in acc.items():
+        value = from_raw(total)
+        if value:
+            out.data[key] = value
     return out
 
 
@@ -697,7 +726,6 @@ class El:
     def drop_scalar_legs(self) -> "El":
         """Remove legs of dimension 1 created by counit-style maps."""
         keep = [i for i, s in enumerate(self.spaces) if s.dim > 1]
-        groups = [[i] for i in keep]
         if not keep:
             return El((), self.t.fuse([list(range(self.t.arity))]) if self.t.arity else self.t)
         raise ShapeMismatch("drop_scalar_legs is only for fully scalar results")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from quasihopf import comodule
 from quasihopf.comodule import (BicomoduleAlgebra, ComoduleAlgebra,
                                 TwistWitness, bicomodule_to_left_tensor_op,
                                 bicomodule_to_right_op_tensor,
@@ -351,3 +352,22 @@ def test_internal_coalgebra_right_side_reflected(field):
     internal = internal_coalgebra(X)
     report = internal.verify()
     assert report.passed, report.render()
+
+
+def _raise_type_error(*args, **kwargs):
+    raise TypeError("injected kernel fault")
+
+
+def test_witness_search_propagates_non_package_errors(field, monkeypatch):
+    # only package errors mean "not a witness"; anything else is a fault
+    A = hh_bicomodule(field)
+    monkeypatch.setattr(comodule, "TwistWitness", _raise_type_error)
+    with pytest.raises(TypeError, match="injected"):
+        bicomodule_to_right_op_tensor(A)
+
+
+def test_internal_coalgebra_verify_propagates_non_package_errors(field, monkeypatch):
+    internal = internal_coalgebra(regular_comodule_algebra(h2(field), "left"))
+    monkeypatch.setattr(comodule, "invert_element", _raise_type_error)
+    with pytest.raises(TypeError, match="injected"):
+        internal.verify()

@@ -3,15 +3,15 @@ import random
 import pytest
 
 from quasihopf import linalg
-from quasihopf.errors import GaugeNotNormalized
+from quasihopf.errors import GaugeNotNormalized, NotInvertible
 from quasihopf.fields import QQ
 from quasihopf.fixtures import h2, kz2
-from quasihopf.hopf import (El, GaugeTransformation, QuasiHopfAlgebra,
+from quasihopf.hopf import (El, GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra,
                             drinfeld_twist, gauge_product, gauge_twist,
                             normalize_antipode, op_tensor, tensor_op,
                             variant, verify_quasi_bialgebra,
                             verify_quasi_hopf)
-from quasihopf.tensor import (LinMap, Tensor, all_indices, apply_linear_map,
+from quasihopf.tensor import (FinAlgebra, LinMap, Tensor, all_indices, apply_linear_map,
                               invert_element, multiply, switch_legs,
                               unit_tensor)
 
@@ -404,3 +404,77 @@ def test_reports_deterministic_across_jobs(field):
     four = verify_quasi_hopf(H, jobs=4)
     assert [r.check_id for r in one.records] == [r.check_id for r in four.records]
     assert [r.passed for r in one.records] == [r.passed for r in four.records]
+
+
+# -- quasi-coassociativity on a non-cocommutative base -------------------------
+
+def sweedler(field):
+    """Sweedler's 4-dim Hopf algebra, basis 1, g, x, gx: g^2 = 1, x^2 = 0,
+    xg = -gx, Delta(x) = x (x) 1 + g (x) x, S(x) = -gx; Phi = 1 (x) 1 (x) 1.
+    Neither commutative nor cocommutative."""
+    one, neg = field.one, -field.one
+    table = {
+        (0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one}, (0, 3): {3: one},
+        (1, 0): {1: one}, (1, 1): {0: one}, (1, 2): {3: one}, (1, 3): {2: one},
+        (2, 0): {2: one}, (2, 1): {3: neg},
+        (3, 0): {3: one}, (3, 1): {2: neg},
+    }
+    alg = FinAlgebra.from_table(field, 4, table, [one, 0, 0, 0])
+    comult = LinMap(field, (4,), (4, 4), {
+        (0,): {(0, 0): one}, (1,): {(1, 1): one},
+        (2,): {(2, 0): one, (1, 2): one}, (3,): {(3, 1): one, (0, 3): one}})
+    counit = LinMap(field, (4,), (), {(0,): {(): one}, (1,): {(): one}})
+    antipode = LinMap(field, (4,), (4,), {
+        (0,): {(0,): one}, (1,): {(1,): one}, (2,): {(3,): neg}, (3,): {(2,): one}})
+    unit3 = unit_tensor((alg,) * 3)
+    return QuasiHopfAlgebra(alg, comult, counit, unit3, antipode, alg.unit, alg.unit,
+                            reassoc_inv=unit3, name="sweedler")
+
+
+def seeded_gauge(H, seed):
+    """F = 1 (x) 1 + sum c_ij u_i (x) u_j over u_i = e_i - eps(e_i) 1, which
+    is counit-normalized; draws that are not invertible are skipped."""
+    field, rng = H.field, random.Random(seed)
+    kernel = [Tensor(field, (H.dim,), {(i,): field.one, (0,): -H.counit_scalar(i)})
+              for i in range(1, H.dim)]
+    while True:
+        t = unit_tensor(H.spaces(2))
+        for ui in kernel:
+            for uj in kernel:
+                t = t + ui.outer(uj).scale(field.random(rng))
+        try:
+            return GaugeTransformation(H, t)
+        except NotInvertible:
+            continue
+
+
+def conjugated_coassoc_witness(H):
+    """First basis index where (id x Delta)Delta(h) differs from
+    Phi (Delta x id)Delta(h) Phi^-1, or None."""
+    phi, phi_inv = H.el(H.reassoc), H.el(H.reassoc_inv)
+    for i in range(H.dim):
+        h2 = H.basis_el(i).map(H.comult, 0)
+        if h2.map(H.comult, 1) != phi.mul(h2.map(H.comult, 0)).mul(phi_inv):
+            return (i,)
+    return None
+
+
+def test_quasi_coassoc_oracle_on_twisted_sweedler(field):
+    H = sweedler(field)
+    twisted = gauge_twist(H, seeded_gauge(H, 7))
+    report = verify_quasi_hopf(twisted)
+    assert report.passed, report.render()
+    assert conjugated_coassoc_witness(twisted) is None
+
+    # the twisted, non-coassociative Delta with the trivial reassociator
+    unit3 = unit_tensor(H.spaces(3))
+    broken = QuasiBialgebra(twisted.alg, twisted.comult, twisted.counit, unit3, unit3)
+    records = {r.check_id: r for r in verify_quasi_bialgebra(broken).records}
+    assert records["reassoc-invertible"].passed
+    record = records["quasi-coassoc"]
+    assert not record.passed
+    assert record.witness == conjugated_coassoc_witness(broken)
+    # a failure shows the two multiplied-through sides
+    h2 = broken.basis_el(record.witness[0]).map(broken.comult, 0)
+    assert record.lhs == h2.map(broken.comult, 1).t
+    assert record.rhs == h2.map(broken.comult, 0).t

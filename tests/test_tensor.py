@@ -5,12 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasihopf.errors import NotInvertible, ShapeMismatch
-from quasihopf.fields import QQ
+from quasihopf.fields import QQ, FpElement, PrimeField
 from quasihopf.fixtures import h2, kz2
 from quasihopf.tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
                               apply_linear_map, build_tensor_algebra,
                               embed_legs, invert_element, multiply,
                               switch_legs, unit_tensor)
+
+from tensor_case import naive_multiply
+
+FP = PrimeField(10007)
 
 
 def z2_algebra(field):
@@ -19,6 +23,24 @@ def z2_algebra(field):
              (1, 0): {1: one}, (1, 1): {0: one}}
     return FinAlgebra.from_table(field, 2, table, [one, field.zero])
 
+
+def triangular_algebra(field):
+    """Upper triangular 2x2 matrices, basis e11, e12, e22: not commutative
+    (e11 e12 = e12, e12 e11 = 0), and its unit is not a basis vector."""
+    one = field.one
+    table = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 2): {1: one}, (2, 2): {2: one}}
+    return FinAlgebra.from_table(field, 3, table, [one, field.zero, one])
+
+
+def quadratic_algebra(field):
+    """k[t]/(t^2 - 3), basis 1, t: a structure constant other than 1."""
+    one = field.one
+    table = {(0, 0): {0: one}, (0, 1): {1: one},
+             (1, 0): {1: one}, (1, 1): {0: field.from_int(3)}}
+    return FinAlgebra.from_table(field, 2, table, [one, field.zero])
+
+
+LEG_ALGEBRAS = (z2_algebra, triangular_algebra, quadratic_algebra)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -232,3 +254,95 @@ def test_serialization_rows_roundtrip_any_tensor(x):
     assert rows == sorted(rows)
     back = _tensor_from_rows(QQ, x.dims, rows, "test")
     assert back == x
+
+
+# -- the multiply kernel against the plain pair loop ---------------------------
+
+def field_tensors(field, dims):
+    """Sparse tensors with small coefficients num/den; -1 and 1/3 give
+    residues near p over F_p, so residue sums pass p and must reduce."""
+    keys = all_indices(dims)
+    coeff = st.tuples(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3]),
+                      st.sampled_from([1, 1, 3]))
+    return st.lists(coeff, min_size=len(keys), max_size=len(keys)).map(
+        lambda cs: Tensor(field, dims, {k: field.div_int(n, d)
+                                        for k, (n, d) in zip(keys, cs)}))
+
+
+@st.composite
+def multiply_cases(draw):
+    field = draw(st.sampled_from([QQ, FP]))
+    makers = draw(st.lists(st.sampled_from(LEG_ALGEBRAS), min_size=1, max_size=4))
+    spaces = tuple(make(field) for make in makers)
+    dims = tuple(s.dim for s in spaces)
+    return spaces, draw(field_tensors(field, dims)), draw(field_tensors(field, dims))
+
+
+def assert_clean(field, t):
+    """No stored zeros, and every value is a scalar of ``field``."""
+    for value in t.data.values():
+        assert value
+        if field == QQ:
+            assert type(value) is Fraction
+        else:
+            assert type(value) is FpElement and value.p == field.p
+            assert 0 < value.r < field.p
+
+
+@settings(max_examples=80, deadline=None)
+@given(multiply_cases())
+def test_multiply_matches_pair_loop(case):
+    spaces, x, y = case
+    out = multiply(spaces, x, y)
+    assert out == naive_multiply(spaces, x, y)
+    assert_clean(x.field, out)
+
+
+# (algebra, a, b) with a b = 0 although the terms a_i b_j are not all zero
+ANNIHILATING = (
+    (z2_algebra, {(0,): 1, (1,): 1}, {(0,): 1, (1,): -1}),
+    (triangular_algebra, {(0,): 1, (1,): 1}, {(1,): 1, (2,): -1}),
+)
+
+
+@st.composite
+def cancelling_cases(draw):
+    """Products whose every entry cancels; over F_p the residue sums are
+    nonzero multiples of p."""
+    spaces, x, y = draw(multiply_cases())
+    field = x.field
+    make, a, b = draw(st.sampled_from(ANNIHILATING))
+    first = make(field)
+    scale = draw(st.sampled_from([1, -1, 5]))
+    a = Tensor(field, (first.dim,), {k: field.from_int(scale * v) for k, v in a.items()})
+    b = Tensor(field, (first.dim,), {k: field.from_int(v) for k, v in b.items()})
+    return (first,) + spaces, a.outer(x), b.outer(y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cancelling_cases())
+def test_multiply_sums_cancel_to_zero(case):
+    spaces, x, y = case
+    assert not naive_multiply(spaces, x, y).data
+    out = multiply(spaces, x, y)
+    assert out.data == {}
+
+
+def test_multiply_noncommutative_leg(field):
+    T = triangular_algebra(field)
+    e11 = Tensor.basis(field, (3,), (0,))
+    e12 = Tensor.basis(field, (3,), (1,))
+    assert multiply((T,), e11, e12) == e12
+    assert multiply((T,), e12, e11).data == {}
+
+
+def test_multiply_rejects_mixed_fields():
+    other = PrimeField(10009)
+    A, B = z2_algebra(FP), z2_algebra(other)
+    x = Tensor.basis(FP, (2,), (1,))
+    with pytest.raises(ShapeMismatch):
+        multiply((A,), x, Tensor.basis(other, (2,), (1,)))
+    with pytest.raises(ShapeMismatch):
+        multiply((A,), x, Tensor.basis(QQ, (2,), (1,)))
+    with pytest.raises(ShapeMismatch):
+        multiply((B,), x, x)
