@@ -31,7 +31,8 @@ from .report import CheckReport
 from .smash import (ProductAlgebra, check_prop_3_10, diagonal_crossed_product,
                     generalized_smash, koppinen_smash, phi_isomorphism,
                     right_generalized_smash, verify_product_algebra)
-from .tensor import LinMap, multiply, unit_tensor
+from .tensor import (LinMap, all_indices, apply_linear_map, multiply, switch_legs,
+                     unit_tensor)
 from .yd import (YetterDrinfeldContext, doihopf_to_yd, induce_yd, verify_yd,
                  yd_to_doihopf)
 
@@ -45,14 +46,15 @@ def _field_from_flag(flag: str):
         raise UsageError(str(exc)) from exc
 
 
-def _jobs(args) -> int:
+def _check_jobs_env():
+    """``--jobs`` and ``QHA_JOBS`` are accepted for compatibility and have
+    no effect; a non-integer ``QHA_JOBS`` is still a usage error."""
     env = os.environ.get("QHA_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             raise UsageError("QHA_JOBS must be an integer")
-    return max(1, args.jobs)
 
 
 def _report_json(reports):
@@ -92,17 +94,17 @@ def _finish(args, reports, emitted=()):
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _verify_any(value, jobs):
+def _verify_any(value):
     if isinstance(value, QuasiHopfAlgebra):
-        return verify_quasi_hopf(value, jobs=jobs)
+        return verify_quasi_hopf(value)
     if isinstance(value, BicomoduleAlgebra):
-        return verify_bicomodule_algebra(value, jobs=jobs)
+        return verify_bicomodule_algebra(value)
     if isinstance(value, ComoduleAlgebra):
-        return verify_comodule_algebra(value, jobs=jobs)
+        return verify_comodule_algebra(value)
     if isinstance(value, ModuleCoalgebra):
-        return verify_module_coalgebra(value, jobs=jobs)
+        return verify_module_coalgebra(value)
     if isinstance(value, ProductAlgebra):
-        return verify_product_algebra(value, jobs=jobs)
+        return verify_product_algebra(value)
     if isinstance(value, GaugeTransformation):
         rep = CheckReport("gauge transformation")
         spaces = value.H.spaces(2)
@@ -116,7 +118,7 @@ def _verify_any(value, jobs):
 
 def cmd_check(args):
     value = io.parse(args.file)
-    return _finish(args, [_verify_any(value, _jobs(args))])
+    return _finish(args, [_verify_any(value)])
 
 
 def cmd_fixture(args):
@@ -156,18 +158,17 @@ def cmd_twist(args):
     gauge = io.parse(args.gauge)
     if not isinstance(gauge, GaugeTransformation):
         raise UsageError("--gauge must point at a gauge file")
-    jobs = _jobs(args)
     emitted = []
     if isinstance(value, QuasiHopfAlgebra):
         twisted = gauge_twist(value, gauge)
-        report = verify_quasi_hopf(twisted, jobs=jobs)
+        report = verify_quasi_hopf(twisted)
         if args.out:
             io.emit_value(twisted, args.out)
             emitted.append(args.out)
     elif isinstance(value, ComoduleAlgebra) and value.side == "right":
         from .comodule import gauge_twist_comodule_algebra
         twisted, base = gauge_twist_comodule_algebra(value, gauge)
-        report = verify_comodule_algebra(twisted, jobs=jobs)
+        report = verify_comodule_algebra(twisted)
         if args.out:
             base_out = os.path.splitext(args.out)[0] + "-base" + io.SUFFIX
             io.emit_value(base, base_out)
@@ -175,7 +176,7 @@ def cmd_twist(args):
             emitted += [base_out, args.out]
     elif isinstance(value, ModuleCoalgebra) and value.side == "left":
         twisted, base = gauge_twist_module_coalgebra(value, gauge)
-        report = verify_module_coalgebra(twisted, jobs=jobs)
+        report = verify_module_coalgebra(twisted)
         if args.out:
             base_out = os.path.splitext(args.out)[0] + "-base" + io.SUFFIX
             io.emit_value(base, base_out)
@@ -197,20 +198,17 @@ def cmd_dtwist(args):
                    multiply(spaces, twist.t, twist.inv) +
                    multiply(spaces, twist.inv, twist.t),
                    unit_tensor(spaces) + unit_tensor(spaces))
-    from .tensor import Tensor, apply_linear_map, switch_legs
-    ok = True
-    for i in range(value.dim):
-        s_h = apply_linear_map(value.antipode,
-                               Tensor.basis(value.field, (value.dim,), (i,)), (0,))
+
+    # Delta(S(h)) conjugated by the twist is (S x S)(flip Delta(h))
+    def conjugates(idx):
+        s_h = apply_linear_map(value.antipode, value.basis_el(idx[0]).t, (0,))
         lhs = multiply(spaces, twist.t, multiply(
             spaces, apply_linear_map(value.comult, s_h, (0,)), twist.inv))
-        flipped = switch_legs(value.comult.column((i,)), (1, 0))
-        rhs = apply_linear_map(value.antipode,
-                               apply_linear_map(value.antipode, flipped, (0,)), (1,))
-        if lhs != rhs:
-            ok = False
-            break
-    report.add("conjugates-antipode", ok)
+        flipped = switch_legs(value.comult.column(idx), (1, 0))
+        return lhs, apply_linear_map(value.antipode,
+                                     apply_linear_map(value.antipode, flipped, (0,)), (1,))
+
+    report.sweep("conjugates-antipode", all_indices((value.dim,)), conjugates)
     emitted = []
     if args.out:
         io.emit_value(twist, args.out, base_path=args.file)
@@ -233,7 +231,6 @@ def _load_bicomodule(path) -> BicomoduleAlgebra:
 
 
 def cmd_build(args):
-    jobs = _jobs(args)
     emitted = []
     if args.what == "smash":
         C = _load_coalgebra(args.coalgebra)
@@ -265,7 +262,7 @@ def cmd_build(args):
         return _build_coring(args)
     else:
         raise UsageError("unknown build %r" % (args.what,))
-    report = verify_product_algebra(product, jobs=jobs)
+    report = verify_product_algebra(product)
     if args.out:
         io.emit_value(product, args.out)
         emitted.append(args.out)
@@ -273,7 +270,6 @@ def cmd_build(args):
 
 
 def _build_coring(args):
-    jobs = _jobs(args)
     kind = args.kind
     if kind == "BC":
         C = _load_coalgebra(args.coalgebra)
@@ -293,23 +289,22 @@ def _build_coring(args):
         coring = build_coring("YD", A=A, C=C)
     else:
         raise UsageError("coring kind must be BC, CA or YD")
-    return _finish(args, [verify_coring(coring, jobs=jobs)])
+    return _finish(args, [verify_coring(coring)])
 
 
 def cmd_convert(args):
-    jobs = _jobs(args)
     emitted = []
     if args.what == "variant":
         value = io.parse(args.input)
         if isinstance(value, QuasiHopfAlgebra):
             out = variant(value, args.kind)
-            report = verify_quasi_hopf(out, jobs=jobs)
+            report = verify_quasi_hopf(out)
             if args.out:
                 io.emit_value(out, args.out)
                 emitted.append(args.out)
         elif isinstance(value, ComoduleAlgebra):
             out = comodule_variant(value, args.kind)
-            report = verify_comodule_algebra(out, jobs=jobs)
+            report = verify_comodule_algebra(out)
             if args.out:
                 base_out = os.path.splitext(args.out)[0] + "-base" + io.SUFFIX
                 io.emit_value(out.H, base_out)
@@ -322,7 +317,7 @@ def cmd_convert(args):
                 out = value.as_right_over_op()
             else:
                 raise UsageError("module-coalgebra variants: cop, as-right")
-            report = verify_module_coalgebra(out, jobs=jobs)
+            report = verify_module_coalgebra(out)
             if args.out:
                 base_out = os.path.splitext(args.out)[0] + "-base" + io.SUFFIX
                 io.emit_value(out.H, base_out)
@@ -334,8 +329,8 @@ def cmd_convert(args):
     if args.what == "bicomodule-r1r2":
         A = _load_bicomodule(args.input)
         first, second, base, witness, search = bicomodule_to_right_op_tensor(A)
-        reports = [verify_comodule_algebra(first, jobs=jobs),
-                   verify_comodule_algebra(second, jobs=jobs), search]
+        reports = [verify_comodule_algebra(first),
+                   verify_comodule_algebra(second), search]
         if args.out:
             base_out = os.path.splitext(args.out)[0] + "-base" + io.SUFFIX
             io.emit_value(base, base_out)
@@ -355,28 +350,27 @@ def cmd_convert(args):
         M = induce_yd(seed, ctx)
         if args.what == "yd2dh":
             out = yd_to_doihopf(M, ctx)
-            report = verify_doi_hopf(out, ctx.doihopf, jobs=jobs)
+            report = verify_doi_hopf(out, ctx.doihopf)
         else:
             dh = induce_doi_hopf(seed, ctx.doihopf)
             out = doihopf_to_yd(dh, ctx)
-            report = verify_yd(out, ctx, jobs=jobs)
+            report = verify_yd(out, ctx)
         return _finish(args, [report])
     raise UsageError("unknown conversion %r" % (args.what,))
 
 
 def cmd_verify(args):
-    jobs = _jobs(args)
     suite = args.suite
     if suite == "iso-2.9":
         C = _load_coalgebra(args.C)
         _, _, source, target, report = phi_isomorphism(C)
-        reports = [report, verify_product_algebra(source, jobs=jobs),
-                   verify_product_algebra(target, jobs=jobs)]
+        reports = [report, verify_product_algebra(source),
+                   verify_product_algebra(target)]
         return _finish(args, reports)
     if suite == "prop-3.10":
         A = _load_bicomodule(args.A)
         C = _load_coalgebra(args.C)
-        return _finish(args, [check_prop_3_10(A, C, jobs=jobs)])
+        return _finish(args, [check_prop_3_10(A, C)])
     if suite == "roundtrip-3.8":
         A = _load_bicomodule(args.A)
         C = _load_coalgebra(args.C)
@@ -388,8 +382,8 @@ def cmd_verify(args):
         forward = yd_to_doihopf(M, ctx)
         back = doihopf_to_yd(forward, ctx)
         report = CheckReport("comparison functors are inverse")
-        report.extend(verify_yd(M, ctx, jobs=jobs))
-        report.extend(verify_doi_hopf(forward, ctx.doihopf, jobs=jobs),
+        report.extend(verify_yd(M, ctx))
+        report.extend(verify_doi_hopf(forward, ctx.doihopf),
                       prefix="image:")
         ok = all(back.coaction.column((i,)) == M.coaction.column((i,))
                  for i in range(M.dim))
@@ -428,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact verification toolkit for quasi-Hopf structure constants")
     parser.add_argument("--report", help="write a JSON report to this path")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count for basis sweeps (QHA_JOBS overrides)")
+                        help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="parse a structure file and run its verifier")
@@ -491,6 +485,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_jobs_env()
         return args.fn(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

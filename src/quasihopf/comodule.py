@@ -8,10 +8,10 @@ from __future__ import annotations
 from .errors import AntipodeRequired, QuasiHopfError, ShapeMismatch, WitnessNotNormalized
 from .hopf import (GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra,
                    drinfeld_twist, gauge_twist, op_tensor, tensor_op, variant)
-from .report import CheckReport, run_indexed
-from .tensor import (El, FinAlgebra, LinMap, Tensor, apply_linear_map,
-                     embed_legs, invert_element, multiply, switch_legs,
-                     unit_tensor)
+from .report import CheckReport
+from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
+                     apply_linear_map, embed_legs, invert_element, multiply,
+                     switch_legs, unit_tensor)
 from . import linalg
 
 
@@ -94,25 +94,21 @@ class TwistWitness:
         return TwistWitness(self.X, self.inv, self.t)
 
 
-def verify_comodule_algebra(X: ComoduleAlgebra, jobs: int = 1) -> CheckReport:
+def verify_comodule_algebra(X: ComoduleAlgebra) -> CheckReport:
     """All comodule-algebra axioms for the given side, exhaustively."""
     report = CheckReport("%s comodule algebra %s" % (X.side, X.name or ""))
     H, alg = X.H, X.alg
     sp = X.reassoc_spaces()
+    basis = all_indices((alg.dim,))
 
-    witness = None
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            img = apply_linear_map(X.coaction, alg.basis_product(i, j), (0,))
-            pi = X.coaction.column((i,))
-            pj = X.coaction.column((j,))
-            prod = multiply(X.coaction.dst_spaces, pi, pj)
-            if img != prod:
-                witness = (i, j)
-                break
-        if witness:
-            break
-    report.add("coaction-multiplicative", witness is None, witness=witness)
+    def multiplicative(pair):
+        i, j = pair
+        return (apply_linear_map(X.coaction, alg.basis_product(i, j), (0,)),
+                multiply(X.coaction.dst_spaces, X.coaction.column((i,)),
+                         X.coaction.column((j,))))
+
+    report.sweep("coaction-multiplicative", all_indices((alg.dim, alg.dim)),
+                 multiplicative)
     report.compare("coaction-unital",
                    apply_linear_map(X.coaction, alg.unit, (0,)),
                    unit_tensor(X.coaction.dst_spaces))
@@ -122,32 +118,19 @@ def verify_comodule_algebra(X: ComoduleAlgebra, jobs: int = 1) -> CheckReport:
     report.compare("reassoc-invertible",
                    re.mul(re_inv).t + re_inv.mul(re).t, unit3.t + unit3.t)
 
-    def coassoc(i):
-        c = X.basis_el(i).map(X.coaction, 0)
+    def coassoc(idx):
+        c = El.basis((alg,), idx).map(X.coaction, 0)
         if X.side == "right":
-            lhs = re.mul(c.map(X.coaction, 0))
-            rhs = c.map(H.comult, 1).mul(re)
-        else:
-            lhs = c.map(X.coaction, 1).mul(re)
-            rhs = re.mul(c.map(H.comult, 0))
-        return i, lhs.t, rhs.t
+            return re.mul(c.map(X.coaction, 0)).t, c.map(H.comult, 1).mul(re).t
+        return c.map(X.coaction, 1).mul(re).t, re.mul(c.map(H.comult, 0)).t
 
-    for i, lhs, rhs in run_indexed(range(alg.dim), coassoc, jobs):
-        if lhs != rhs:
-            report.add("coaction-quasi-coassoc", False, witness=(i,), lhs=lhs, rhs=rhs)
-            break
-    else:
-        report.add("coaction-quasi-coassoc", True)
+    report.sweep("coaction-quasi-coassoc", basis, coassoc)
 
     counit_leg = 1 if X.side == "right" else 0
-    witness = None
-    for i in range(alg.dim):
-        img = X.coaction.column((i,))
-        back = apply_linear_map(H.counit, img, (counit_leg,))
-        if back != Tensor.basis(X.field, (alg.dim,), (i,)):
-            witness = (i,)
-            break
-    report.add("coaction-counit", witness is None, witness=witness)
+    report.sweep("coaction-counit", basis,
+                 lambda idx: (apply_linear_map(H.counit, X.coaction.column(idx),
+                                               (counit_leg,)),
+                              Tensor.basis(X.field, (alg.dim,), idx)))
 
     sp4 = sp + (H.alg,) if X.side == "right" else (H.alg,) + sp
     if X.side == "right":
@@ -301,7 +284,7 @@ class CanonicalElements:
         self.report = report
 
 
-def canonical_elements(X, jobs: int = 1, verify: bool = True) -> CanonicalElements:
+def canonical_elements(X, verify: bool = True) -> CanonicalElements:
     """Construct the comparison elements; with ``verify`` the defining
     identities are checked exhaustively and recorded in the report."""
     if isinstance(X, BicomoduleAlgebra):
@@ -332,24 +315,21 @@ def canonical_elements(X, jobs: int = 1, verify: bool = True) -> CanonicalElemen
         sp2 = (H.alg, alg)
         unit2 = unit_tensor(sp2)
 
-        def pq_identity(i):
-            b3 = El.basis((alg,), (i,)).map(lam, 0).map(lam, 1)   # b-1, b0-1, b00
-            lhs1 = b3.times(p).merge(1, 3).merge(2, 3).map(S_inv, 0).merge(1, 0)
-            rhs1 = p.times(El.basis((alg,), (i,))).merge(1, 2)
-            lhs2 = b3.times(q).map(S, 0).merge(3, 1).merge(0, 2).merge(2, 1)
-            rhs2 = q.times(El.basis((alg,), (i,))).perm((0, 2, 1)).merge(1, 2)
-            return i, lhs1.t, rhs1.t, lhs2.t, rhs2.t
+        def slides_p(idx):
+            b = El.basis((alg,), idx)
+            b3 = b.map(lam, 0).map(lam, 1)                     # b-1, b0-1, b00
+            return (b3.times(p).merge(1, 3).merge(2, 3).map(S_inv, 0).merge(1, 0).t,
+                    p.times(b).merge(1, 2).t)
 
-        for i, l1, r1, l2, r2 in run_indexed(range(alg.dim), pq_identity, jobs):
-            if l1 != r1:
-                report.add("coaction-slides-through-p", False, witness=(i,), lhs=l1, rhs=r1)
-                break
-            if l2 != r2:
-                report.add("coaction-slides-through-q", False, witness=(i,), lhs=l2, rhs=r2)
-                break
-        else:
-            report.add("coaction-slides-through-p", True)
-            report.add("coaction-slides-through-q", True)
+        def slides_q(idx):
+            b = El.basis((alg,), idx)
+            b3 = b.map(lam, 0).map(lam, 1)
+            return (b3.times(q).map(S, 0).merge(3, 1).merge(0, 2).merge(2, 1).t,
+                    q.times(b).perm((0, 2, 1)).merge(1, 2).t)
+
+        basis = all_indices((alg.dim,))
+        report.sweep("coaction-slides-through-p", basis, slides_p)
+        report.sweep("coaction-slides-through-q", basis, slides_q)
 
         e = q.map(lam, 1).times(p).merge(1, 3).merge(2, 3).map(S_inv, 0).merge(1, 0)
         report.compare("q-then-p-cancels", e.t, unit2)
@@ -460,10 +440,10 @@ class BicomoduleAlgebra:
             self.alg.dim, ", %r" % self.name if self.name else "")
 
 
-def verify_bicomodule_algebra(A: BicomoduleAlgebra, jobs: int = 1) -> CheckReport:
+def verify_bicomodule_algebra(A: BicomoduleAlgebra) -> CheckReport:
     report = CheckReport("bicomodule algebra %s" % (A.name or ""))
-    report.extend(verify_comodule_algebra(A.left(), jobs=jobs), prefix="left:")
-    report.extend(verify_comodule_algebra(A.right(), jobs=jobs), prefix="right:")
+    report.extend(verify_comodule_algebra(A.left()), prefix="left:")
+    report.extend(verify_comodule_algebra(A.right()), prefix="right:")
     H, alg = A.H, A.alg
     sp = A.mixed_spaces()
     mixed, mixed_inv = A.mixed_el(), A.mixed_inv_el()
@@ -472,18 +452,12 @@ def verify_bicomodule_algebra(A: BicomoduleAlgebra, jobs: int = 1) -> CheckRepor
                    mixed.mul(mixed_inv).t + mixed_inv.mul(mixed).t,
                    unit3.t + unit3.t)
 
-    def intertwine(i):
-        u = El.basis((alg,), (i,))
-        lhs = mixed.mul(u.map(A.right_coaction, 0).map(A.left_coaction, 0))
-        rhs = u.map(A.left_coaction, 0).map(A.right_coaction, 1).mul(mixed)
-        return i, lhs.t, rhs.t
+    def intertwine(idx):
+        u = El.basis((alg,), idx)
+        return (mixed.mul(u.map(A.right_coaction, 0).map(A.left_coaction, 0)).t,
+                u.map(A.left_coaction, 0).map(A.right_coaction, 1).mul(mixed).t)
 
-    for i, lhs, rhs in run_indexed(range(alg.dim), intertwine, jobs):
-        if lhs != rhs:
-            report.add("mixed-intertwine", False, witness=(i,), lhs=lhs, rhs=rhs)
-            break
-    else:
-        report.add("mixed-intertwine", True)
+    report.sweep("mixed-intertwine", all_indices((alg.dim,)), intertwine)
 
     left_el = El((H.alg, H.alg, alg), A.reassoc_left)
     right_el = El((alg, H.alg, H.alg), A.reassoc_right)
@@ -733,7 +707,7 @@ def _search_witness(A: BicomoduleAlgebra, first, second, HopH):
             rows.append([field.zero] * n)
             rhs.append(field.zero)
         base_row = len(rows) - n
-        for j, idx in enumerate(_basis_indices(spaces)):
+        for j, idx in enumerate(all_indices((alg.dim, HopH.dim))):
             vbasis = Tensor.basis(field, (alg.dim, HopH.dim), idx)
             diff = multiply(spaces, r2, vbasis) - multiply(spaces, vbasis, r1)
             for out_idx, v in diff.data.items():
@@ -741,7 +715,7 @@ def _search_witness(A: BicomoduleAlgebra, first, second, HopH):
                 rows[base_row + flat][j] = v
     for a_i in range(alg.dim):
         row = [field.zero] * n
-        for j, idx in enumerate(_basis_indices(spaces)):
+        for j, idx in enumerate(all_indices((alg.dim, HopH.dim))):
             eps = HopH.counit_scalar(idx[1])
             if idx[0] == a_i and eps:
                 row[j] = eps
@@ -768,13 +742,6 @@ def _search_witness(A: BicomoduleAlgebra, first, second, HopH):
             return w, report
     report.add("witness-found", False)
     return None, report
-
-
-def _basis_indices(spaces):
-    out = [()]
-    for s in spaces:
-        out = [idx + (i,) for idx in out for i in range(s.dim)]
-    return out
 
 
 class InternalCoalgebra:

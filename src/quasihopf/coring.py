@@ -15,7 +15,7 @@ from .comodule import BicomoduleAlgebra, ComoduleAlgebra
 from .hopf import QuasiHopfAlgebra, drinfeld_twist
 from .modcoalg import ModuleCoalgebra
 from .report import CheckReport
-from .tensor import El, FinAlgebra, LinMap, Tensor, apply_linear_map
+from .tensor import El, FinAlgebra, LinMap, Tensor, all_indices, apply_linear_map
 
 
 class Coring:
@@ -71,7 +71,7 @@ class Coring:
                         y = Tensor.basis(self.field, (self.dim,), (right,))
                         moved = self.act_right(x, r).outer(y) - \
                             x.outer(self.act_left(r, y))
-                        for rest in _rest_indices(self.dim, arity - 2):
+                        for rest in all_indices((self.dim,) * (arity - 2)):
                             vec = _place_pair(self.field, dims, moved, gap, rest)
                             rows.append(vec.to_flat())
         reducer = linalg.SpanReducer(self.field, rows, total)
@@ -84,13 +84,6 @@ class Coring:
     def __repr__(self):
         return "Coring(dim=%d over dim=%d%s)" % (
             self.dim, self.R.dim, ", %r" % self.name if self.name else "")
-
-
-def _rest_indices(dim, count):
-    out = [()]
-    for _ in range(count):
-        out = [idx + (i,) for idx in out for i in range(dim)]
-    return out
 
 
 def _place_pair(field, dims, pair: Tensor, gap: int, rest) -> Tensor:
@@ -113,85 +106,66 @@ def _place_pair(field, dims, pair: Tensor, gap: int, rest) -> Tensor:
     return out
 
 
-def verify_coring(X: Coring, jobs: int = 1) -> CheckReport:
+def verify_coring(X: Coring) -> CheckReport:
     report = CheckReport("coring %s" % (X.name or ""))
     field = X.field
     red2 = X.balancing_reducer(2)
 
-    witness = None
-    for r in range(X.R.dim):
-        for c in range(X.dim):
-            base = X.comult.column((c,))
-            lhs = apply_linear_map(
-                X.comult, X.act_left(r, Tensor.basis(field, (X.dim,), (c,))), (0,))
-            rhs = X.act_left(r, base, leg=0)
-            if red2.reduce(lhs.to_flat()) != red2.reduce(rhs.to_flat()):
-                witness = ("left", r, c)
-                break
-            lhs = apply_linear_map(
-                X.comult, X.act_right(Tensor.basis(field, (X.dim,), (c,)), r), (0,))
-            rhs = X.act_right(base, r, leg=1)
-            if red2.reduce(lhs.to_flat()) != red2.reduce(rhs.to_flat()):
-                witness = ("right", r, c)
-                break
-        if witness:
-            break
-    report.add("comult-bilinear", witness is None, witness=witness)
+    def basis(c):
+        return Tensor.basis(field, (X.dim,), (c,))
 
-    witness = None
-    for r in range(X.R.dim):
-        for c in range(X.dim):
-            e_c = Tensor.basis(field, (X.dim,), (c,))
-            lhs = apply_linear_map(X.counit, X.act_left(r, e_c), (0,))
-            rhs = X.R.product(Tensor.basis(field, (X.R.dim,), (r,)),
-                              X.counit.column((c,)))
-            if lhs != rhs:
-                witness = ("left", r, c)
-                break
-            lhs = apply_linear_map(X.counit, X.act_right(e_c, r), (0,))
-            rhs = X.R.product(X.counit.column((c,)),
-                              Tensor.basis(field, (X.R.dim,), (r,)))
-            if lhs != rhs:
-                witness = ("right", r, c)
-                break
-        if witness:
-            break
-    report.add("counit-bilinear", witness is None, witness=witness)
+    def r_basis(r):
+        return Tensor.basis(field, (X.R.dim,), (r,))
+
+    sided = [(side, r, c) for r in range(X.R.dim) for c in range(X.dim)
+             for side in ("left", "right")]
+
+    def comult_bilinear(item):
+        side, r, c = item
+        if side == "left":
+            lhs = apply_linear_map(X.comult, X.act_left(r, basis(c)), (0,))
+            rhs = X.act_left(r, X.comult.column((c,)), leg=0)
+        else:
+            lhs = apply_linear_map(X.comult, X.act_right(basis(c), r), (0,))
+            rhs = X.act_right(X.comult.column((c,)), r, leg=1)
+        return red2.reduce(lhs.to_flat()), red2.reduce(rhs.to_flat())
+
+    report.sweep("comult-bilinear", sided, comult_bilinear)
+
+    def counit_bilinear(item):
+        side, r, c = item
+        if side == "left":
+            return (apply_linear_map(X.counit, X.act_left(r, basis(c)), (0,)),
+                    X.R.product(r_basis(r), X.counit.column((c,))))
+        return (apply_linear_map(X.counit, X.act_right(basis(c), r), (0,)),
+                X.R.product(X.counit.column((c,)), r_basis(r)))
+
+    report.sweep("counit-bilinear", sided, counit_bilinear)
 
     red3 = X.balancing_reducer(3)
-    witness = None
-    for c in range(X.dim):
-        two = X.comult.column((c,))
-        left = apply_linear_map(X.comult, two, (0,))
-        right = apply_linear_map(X.comult, two, (1,))
-        if red3.reduce(left.to_flat()) != red3.reduce(right.to_flat()):
-            witness = (c,)
-            break
-    report.add("coassociative", witness is None, witness=witness)
 
-    witness = None
-    for c in range(X.dim):
-        two = X.comult.column((c,))
-        e_c = Tensor.basis(field, (X.dim,), (c,))
-        # (counit (x) id): r . y summed
-        acc_left = Tensor(field, (X.dim,))
-        acc_right = Tensor(field, (X.dim,))
-        for (a, b), v in two.data.items():
-            eps_a = X.counit.column((a,))
-            for (r,), w in eps_a.data.items():
-                acc_left = acc_left + X.act_left(
-                    r, Tensor.basis(field, (X.dim,), (b,))).scale(v * w)
-            eps_b = X.counit.column((b,))
-            for (r,), w in eps_b.data.items():
-                acc_right = acc_right + X.act_right(
-                    Tensor.basis(field, (X.dim,), (a,)), r).scale(v * w)
-        if acc_left != e_c:
-            witness = ("left", c)
-            break
-        if acc_right != e_c:
-            witness = ("right", c)
-            break
-    report.add("counit-law", witness is None, witness=witness)
+    def coassociative(idx):
+        two = X.comult.column(idx)
+        return (red3.reduce(apply_linear_map(X.comult, two, (0,)).to_flat()),
+                red3.reduce(apply_linear_map(X.comult, two, (1,)).to_flat()))
+
+    report.sweep("coassociative", all_indices((X.dim,)), coassociative)
+
+    # (counit x id) and (id x counit) of the comultiplication, through the actions
+    def counit_law(item):
+        side, c = item
+        acc = Tensor(field, (X.dim,))
+        for (a, b), v in X.comult.column((c,)).data.items():
+            if side == "left":
+                for (r,), w in X.counit.column((a,)).data.items():
+                    acc = acc + X.act_left(r, basis(b)).scale(v * w)
+            else:
+                for (r,), w in X.counit.column((b,)).data.items():
+                    acc = acc + X.act_right(basis(a), r).scale(v * w)
+        return acc, basis(c)
+
+    report.sweep("counit-law", [(side, c) for c in range(X.dim)
+                                for side in ("left", "right")], counit_law)
     return report
 
 

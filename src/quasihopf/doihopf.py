@@ -12,9 +12,9 @@ from .comodule import ComoduleAlgebra, TwistWitness, comodule_variant
 from .coring import Coring, build_coring
 from .errors import NotRational, ShapeMismatch, VariantMismatch
 from .modcoalg import ModuleCoalgebra, dualize
-from .report import CheckReport, run_indexed
+from .report import CheckReport
 from .smash import ProductAlgebra, generalized_smash
-from .tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace,
+from .tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace, all_indices,
                      apply_linear_map, switch_legs)
 
 DOI_HOPF_VARIANTS = ("right-left", "left-right", "right-right", "left-left")
@@ -111,43 +111,33 @@ def verify_module_law(M: FiniteModule, report=None, subject="") -> CheckReport:
     alg = _carrier_alg(M.over)
     field = M.field
 
-    witness = None
-    for i in range(M.dim):
-        e = Tensor.basis(field, (M.dim,), (i,))
+    def act_by(x: Tensor, e: Tensor) -> Tensor:
         acc = Tensor(field, (M.dim,))
-        for (u,), v in alg.unit.data.items():
-            acc = acc + M.act(u, e).scale(v)
-        if acc != e:
-            witness = (i,)
-            break
-    report.add("action-unital", witness is None, witness=witness)
+        for (k,), v in x.data.items():
+            acc = acc + M.act(k, e).scale(v)
+        return acc
 
-    witness = None
-    for a in range(alg.dim):
-        for b in range(alg.dim):
-            prod = alg.basis_product(a, b)
-            for i in range(M.dim):
-                e = Tensor.basis(field, (M.dim,), (i,))
-                via_prod = Tensor(field, (M.dim,))
-                for (k,), v in prod.data.items():
-                    via_prod = via_prod + M.act(k, e).scale(v)
-                if M.action_side == "left":
-                    stepwise = M.act(a, M.act(b, e))
-                else:
-                    stepwise = M.act(b, M.act(a, e))
-                if via_prod != stepwise:
-                    witness = (a, b, i)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.add("action-associative", witness is None, witness=witness)
+    def unital(idx):
+        e = Tensor.basis(field, (M.dim,), idx)
+        return act_by(alg.unit, e), e
+
+    report.sweep("action-unital", all_indices((M.dim,)), unital)
+
+    def associative(item):
+        a, b, i = item
+        e = Tensor.basis(field, (M.dim,), (i,))
+        if M.action_side == "left":
+            stepwise = M.act(a, M.act(b, e))
+        else:
+            stepwise = M.act(b, M.act(a, e))
+        return act_by(alg.basis_product(a, b), e), stepwise
+
+    report.sweep("action-associative", all_indices((alg.dim, alg.dim, M.dim)),
+                 associative)
     return report
 
 
-def verify_doi_hopf(M: FiniteModule, context: DoiHopfContext,
-                    jobs: int = 1) -> CheckReport:
+def verify_doi_hopf(M: FiniteModule, context: DoiHopfContext) -> CheckReport:
     """The three module-comodule compatibility axioms of the stated
     variant, checked on every basis element, plus the module law."""
     variant = context.variant
@@ -186,8 +176,8 @@ def verify_doi_hopf(M: FiniteModule, context: DoiHopfContext,
             out = out + term.scale(v)
         return out
 
-    def coassoc(i):
-        m = Tensor.basis(field, (M.dim,), (i,))
+    def coassoc(idx):
+        m = Tensor.basis(field, (M.dim,), idx)
         one = apply_linear_map(M.coaction, m, (0,))
         if variant == "right-left":
             # (comult x id) lam(m) vs ((id x lam) lam(m)) . re
@@ -207,64 +197,47 @@ def verify_doi_hopf(M: FiniteModule, context: DoiHopfContext,
             lhs = apply_linear_map(C.comult, one, (0,))
             lhs = act_pair(lhs, (cspace, cspace, mspace), A.reassoc, "left")
             rhs = apply_linear_map(M.coaction, one, (1,), at=1)
-        return i, lhs, rhs
+        return lhs, rhs
 
-    for i, lhs, rhs in run_indexed(range(M.dim), coassoc, jobs):
-        if lhs != rhs:
-            report.add("coassoc-upto-reassoc", False, witness=(i,), lhs=lhs, rhs=rhs)
-            break
-    else:
-        report.add("coassoc-upto-reassoc", True)
+    basis = all_indices((M.dim,))
+    report.sweep("coassoc-upto-reassoc", basis, coassoc)
 
-    witness = None
-    for i in range(M.dim):
-        m = Tensor.basis(field, (M.dim,), (i,))
-        one = apply_linear_map(M.coaction, m, (0,))
-        leg = 0 if M.coaction_side == "left" else 1
+    cleg = 0 if M.coaction_side == "left" else 1
+    mleg = 1 - cleg
+
+    def counit_law(idx):
         counited = Tensor(field, (M.dim,))
-        for idx, v in one.data.items():
-            c = idx[leg]
-            rest = idx[1 - leg]
-            eps = C.counit.column((c,)).get(())
+        for legs, v in M.coaction.column(idx).data.items():
+            eps = C.counit.column((legs[cleg],)).get(())
             if eps:
-                counited = counited + Tensor(
-                    field, (M.dim,), {(rest,): v * eps})
-        if counited != m:
-            witness = (i,)
-            break
-    report.add("coaction-counit", witness is None, witness=witness)
+                counited = counited + Tensor(field, (M.dim,), {(legs[mleg],): v * eps})
+        return counited, Tensor.basis(field, (M.dim,), idx)
 
-    witness = None
-    for i in range(M.dim):
-        for a in range(A.alg.dim):
-            m = Tensor.basis(field, (M.dim,), (i,))
-            lhs = apply_linear_map(M.coaction, M.act(a, m), (0,))
-            coacted = A.coaction.column((a,))
-            one = apply_linear_map(M.coaction, m, (0,))
-            rhs = Tensor(field, lhs.dims)
-            for aidx, av in coacted.data.items():
-                if A.side == "left":
-                    h_part, alg_part = aidx
-                else:
-                    alg_part, h_part = aidx
-                term = one
-                cleg = 0 if M.coaction_side == "left" else 1
-                mleg = 1 - cleg
-                basis_h = Tensor.basis(field, (H.dim,), (h_part,))
-                if C.side == "right":
-                    term = apply_linear_map(C.right_action, term.outer(basis_h),
-                                            (cleg, term.arity), at=cleg)
-                else:
-                    term = apply_linear_map(C.left_action, basis_h.outer(term),
-                                            (0, cleg + 1), at=cleg)
-                term = _act_module_leg(M, A, alg_part, term, mleg)
-                rhs = rhs + term.scale(av)
-            if lhs != rhs:
-                witness = (i, a)
-                break
-        if witness:
-            break
-    report.add("action-coaction-compat", witness is None, witness=witness)
+    report.sweep("coaction-counit", basis, counit_law)
+
+    def compat(item):
+        i, a = item
+        m = Tensor.basis(field, (M.dim,), (i,))
+        lhs = apply_linear_map(M.coaction, M.act(a, m), (0,))
+        one = apply_linear_map(M.coaction, m, (0,))
+        rhs = Tensor(field, lhs.dims)
+        for aidx, av in A.coaction.column((a,)).data.items():
+            if A.side == "left":
+                h_part, alg_part = aidx
+            else:
+                alg_part, h_part = aidx
+            basis_h = Tensor.basis(field, (H.dim,), (h_part,))
+            if C.side == "right":
+                term = apply_linear_map(C.right_action, one.outer(basis_h),
+                                        (cleg, one.arity), at=cleg)
+            else:
+                term = apply_linear_map(C.left_action, basis_h.outer(one),
+                                        (0, cleg + 1), at=cleg)
+            term = _act_module_leg(M, A, alg_part, term, mleg)
+            rhs = rhs + term.scale(av)
+        return lhs, rhs
+
+    report.sweep("action-coaction-compat", all_indices((M.dim, A.alg.dim)), compat)
     return report
 
 
@@ -594,32 +567,24 @@ def rational_check(M: FiniteModule, context: DoiHopfContext,
     coaction = LinMap.from_function(field, (M.dim,), (dC, M.dim), coact_fn)
 
     report = CheckReport("rationality %s" % (M.name or ""))
-    witness = None
-    for m in range(M.dim):
-        lam = coaction.column((m,))
-        for f in range(dC):
-            for b in range(dB):
-                direct = M.act(pair(f, b), Tensor.basis(field, (M.dim,), (m,)))
-                viaco = Tensor(field, (M.dim,))
-                for (c, m0), v in lam.data.items():
-                    if c != f:
-                        continue
-                    for e in range(dC):
-                        if not eps_vec[e]:
-                            continue
-                        viaco = viaco + M.act(
-                            pair(e, b),
-                            Tensor.basis(field, (M.dim,), (m0,))).scale(v * eps_vec[e])
-                if direct != viaco:
-                    witness = (m, f, b)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.add("rational", witness is None, witness=witness)
-    if witness is not None:
-        raise NotRational("module fails the rationality law at %r" % (witness,))
+
+    def rational(item):
+        m, f, b = item
+        direct = M.act(pair(f, b), Tensor.basis(field, (M.dim,), (m,)))
+        viaco = Tensor(field, (M.dim,))
+        for (c, m0), v in coaction.column((m,)).data.items():
+            if c != f:
+                continue
+            for e in range(dC):
+                if eps_vec[e]:
+                    viaco = viaco + M.act(
+                        pair(e, b),
+                        Tensor.basis(field, (M.dim,), (m0,))).scale(v * eps_vec[e])
+        return direct, viaco
+
+    record = report.sweep("rational", all_indices((M.dim, dC, dB)), rational)
+    if not record.passed:
+        raise NotRational("module fails the rationality law at %r" % (record.witness,))
 
     def b_act_fn(idx):
         m, b = idx
@@ -687,15 +652,9 @@ def compute_rat(M: FiniteModule, context: DoiHopfContext,
                lhs=len(basis), rhs=M.dim)
     # closure under the smash action
     span_rows = [b.to_flat() for b in basis]
-    witness = None
-    for b in basis:
-        for n in range(smash.carrier.dim):
-            img = M.act(n, b)
-            if not linalg.in_span(field, span_rows, img.to_flat()):
-                witness = (n,)
-                break
-        if witness:
-            break
+    witness = next(((n,) for b in basis for n in range(smash.carrier.dim)
+                    if not linalg.in_span(field, span_rows, M.act(n, b).to_flat())),
+                   None)
     report.add("closed-under-action", witness is None, witness=witness)
     return basis, report
 
@@ -749,20 +708,15 @@ def adjunction_maps(M: FiniteModule, N: FiniteModule, context: DoiHopfContext,
         test_morphism = endos[0] if endos else None
     if test_morphism is not None and hom_b:
         theta = test_morphism
-        natural = True
-        for mat in hom_b:
-            left = xi(linalg.mat_mul(field, theta, mat))
-            right = linalg.zeros(field, C.dim * N.dim, M.dim)
+
+        def theta_after_xi(mat):
+            # theta applied to each coalgebra block of xi(mat)
             step = xi(mat)
-            for c in range(C.dim):
-                block = [step[c * N.dim + j] for j in range(N.dim)]
-                moved = linalg.mat_mul(field, theta, block)
-                for j in range(N.dim):
-                    right[c * N.dim + j] = moved[j]
-            if left != right:
-                natural = False
-                break
-        report.add("naturality", natural)
+            return [row for c in range(C.dim) for row in linalg.mat_mul(
+                field, theta, step[c * N.dim:(c + 1) * N.dim])]
+
+        report.add("naturality", all(xi(linalg.mat_mul(field, theta, mat)) ==
+                                     theta_after_xi(mat) for mat in hom_b))
 
     # second adjunction, with the induced module as the two-structure
     # target: Hom(C x M, N') vs Hom(M, Hom(C x B, N'))
@@ -849,15 +803,10 @@ def adjunction_maps(M: FiniteModule, N: FiniteModule, context: DoiHopfContext,
                             row[h * M.dim + m] = row[h * M.dim + m] - w
                     rows.append(row)
         inner_hom_basis = linalg.nullspace(field, rows) if rows else []
-        ok = True
-        for vec in inner_hom_basis:
-            coords = [[vec[k * M.dim + m] for k in range(k_inner)]
-                      for m in range(M.dim)]
-            back = xi_prime(zeta_prime(coords))
-            if back != coords:
-                ok = False
-                break
-        report.add("second-counit-roundtrip", ok)
+        coords = ([[vec[k * M.dim + m] for k in range(k_inner)] for m in range(M.dim)]
+                  for vec in inner_hom_basis)
+        report.add("second-counit-roundtrip",
+                   all(xi_prime(zeta_prime(c)) == c for c in coords))
     else:
         report.add("second-unit-roundtrip", True)
         report.add("second-counit-roundtrip", True)
@@ -996,7 +945,7 @@ class CoringComodule:
         return apply_linear_map(self.action, vec.outer(basis), (leg, vec.arity), at=leg)
 
 
-def verify_coring_comodule(M: CoringComodule, jobs: int = 1) -> CheckReport:
+def verify_coring_comodule(M: CoringComodule) -> CheckReport:
     report = CheckReport("coring comodule %s" % (M.name or ""))
     X = M.coring
     field = M.field
@@ -1013,18 +962,14 @@ def verify_coring_comodule(M: CoringComodule, jobs: int = 1) -> CheckReport:
                 rows.append(vec.to_flat())
     red = linalg.SpanReducer(field, rows, M.dim * X.dim)
 
-    witness = None
-    for m in range(M.dim):
-        for r in range(X.R.dim):
-            lhs = apply_linear_map(
-                M.coaction, M.act(r, Tensor.basis(field, (M.dim,), (m,))), (0,))
-            rhs = X.act_right(M.coaction.column((m,)), r, leg=1)
-            if red.reduce(lhs.to_flat()) != red.reduce(rhs.to_flat()):
-                witness = (m, r)
-                break
-        if witness:
-            break
-    report.add("coaction-linear", witness is None, witness=witness)
+    def linear(item):
+        m, r = item
+        lhs = apply_linear_map(
+            M.coaction, M.act(r, Tensor.basis(field, (M.dim,), (m,))), (0,))
+        rhs = X.act_right(M.coaction.column((m,)), r, leg=1)
+        return red.reduce(lhs.to_flat()), red.reduce(rhs.to_flat())
+
+    report.sweep("coaction-linear", all_indices((M.dim, X.R.dim)), linear)
 
     # coassociativity in M (x) C (x) C modulo both balancing families
     rows3 = []
@@ -1047,28 +992,23 @@ def verify_coring_comodule(M: CoringComodule, jobs: int = 1) -> CheckReport:
                         X.act_left(r, Tensor.basis(field, (X.dim,), (c2,))))
                     rows3.append(vec.to_flat())
     red3 = linalg.SpanReducer(field, rows3, M.dim * X.dim * X.dim)
-    witness = None
-    for m in range(M.dim):
-        one = M.coaction.column((m,))
-        lhs = apply_linear_map(M.coaction, one, (0,))
-        rhs = apply_linear_map(X.comult, one, (1,), at=1)
-        if red3.reduce(lhs.to_flat()) != red3.reduce(rhs.to_flat()):
-            witness = (m,)
-            break
-    report.add("coassociative", witness is None, witness=witness)
+    basis = all_indices((M.dim,))
 
-    witness = None
-    for m in range(M.dim):
-        one = M.coaction.column((m,))
+    def coassociative(idx):
+        one = M.coaction.column(idx)
+        return (red3.reduce(apply_linear_map(M.coaction, one, (0,)).to_flat()),
+                red3.reduce(apply_linear_map(X.comult, one, (1,), at=1).to_flat()))
+
+    report.sweep("coassociative", basis, coassociative)
+
+    def counit_law(idx):
         acc = Tensor(field, (M.dim,))
-        for (m0, c), v in one.data.items():
-            eps_c = X.counit.column((c,))
-            for (r,), w in eps_c.data.items():
+        for (m0, c), v in M.coaction.column(idx).data.items():
+            for (r,), w in X.counit.column((c,)).data.items():
                 acc = acc + M.act(r, Tensor.basis(field, (M.dim,), (m0,))).scale(v * w)
-        if acc != Tensor.basis(field, (M.dim,), (m,)):
-            witness = (m,)
-            break
-    report.add("counit-law", witness is None, witness=witness)
+        return acc, Tensor.basis(field, (M.dim,), idx)
+
+    report.sweep("counit-law", basis, counit_law)
     return report
 
 

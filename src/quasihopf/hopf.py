@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from .errors import (AntipodeNotInvertible, GaugeNotNormalized, NotInvertible,
                      ShapeMismatch)
-from .report import CheckReport, run_indexed
-from .tensor import (El, FinAlgebra, LinMap, Tensor, apply_linear_map,
-                     build_tensor_algebra, embed_legs, invert_element,
-                     multiply, switch_legs, unit_tensor)
+from .report import CheckReport
+from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
+                     apply_linear_map, build_tensor_algebra, embed_legs,
+                     invert_element, multiply, switch_legs, unit_tensor)
 
 
 class QuasiBialgebra:
@@ -142,49 +142,42 @@ def H_el(H: QuasiBialgebra, t: Tensor) -> El:
 
 def verify_fin_algebra(alg: FinAlgebra, subject="algebra", report=None) -> CheckReport:
     report = report or CheckReport(subject)
-    report.add("mult-associative", alg.associativity_witness() is None,
-               witness=alg.associativity_witness())
-    report.add("unit-two-sided", alg.unit_witness() is None, witness=alg.unit_witness())
+    witness = alg.associativity_witness()
+    report.add("mult-associative", witness is None, witness=witness)
+    witness = alg.unit_witness()
+    report.add("unit-two-sided", witness is None, witness=witness)
     return report
 
 
-def _algebra_map_records(report, H: QuasiBialgebra, fn, unit_image, tag, jobs=1):
+def _algebra_map_records(report, H: QuasiBialgebra, fn, unit_image, tag):
     """Check that basis-wise fn respects products and the unit."""
     alg = H.alg
-    pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
 
-    def check(pair):
+    def image(i):
+        return fn(Tensor.basis(alg.field, (alg.dim,), (i,)))
+
+    def multiplicative(pair):
         i, j = pair
-        image_of_product = fn(alg.basis_product(i, j))
-        xi, xj = fn(Tensor.basis(alg.field, (alg.dim,), (i,))), fn(
-            Tensor.basis(alg.field, (alg.dim,), (j,)))
-        return pair, image_of_product, xi, xj
+        img = fn(alg.basis_product(i, j))
+        if img.arity:
+            return img, multiply([alg] * img.arity, image(i), image(j))
+        return img.get(()), image(i).get(()) * image(j).get(())
 
-    witness = None
-    for pair, img, xi, xj in run_indexed(pairs, check, jobs):
-        if isinstance(img, Tensor) and img.arity:
-            prod = multiply([alg] * img.arity, xi, xj)
-        else:
-            prod = xi.get(()) * xj.get(())
-            img = img.get(())
-        if img != prod:
-            witness = pair
-            break
-    report.add(tag + "-multiplicative", witness is None, witness=witness)
-    unit_ok = fn(alg.unit) == unit_image
-    report.add(tag + "-unital", unit_ok)
+    report.sweep(tag + "-multiplicative", all_indices((alg.dim, alg.dim)),
+                 multiplicative)
+    report.add(tag + "-unital", fn(alg.unit) == unit_image)
 
 
-def verify_quasi_bialgebra(H: QuasiBialgebra, jobs: int = 1) -> CheckReport:
+def verify_quasi_bialgebra(H: QuasiBialgebra) -> CheckReport:
     """Exhaustive check of the quasi-bialgebra axioms over the basis."""
     report = CheckReport("quasi-bialgebra %s" % (H.name or ""))
     alg = H.alg
     verify_fin_algebra(alg, report=report)
 
     _algebra_map_records(report, H, lambda x: apply_linear_map(H.comult, x, (0,)),
-                         unit_tensor(H.spaces(2)), "comult", jobs)
+                         unit_tensor(H.spaces(2)), "comult")
     _algebra_map_records(report, H, lambda x: apply_linear_map(H.counit, x, (0,)),
-                         Tensor.scalar(H.field, H.field.one), "counit", jobs)
+                         Tensor.scalar(H.field, H.field.one), "counit")
 
     phi = H.el(H.reassoc)
     phi_inv = H.el(H.reassoc_inv)
@@ -198,34 +191,23 @@ def verify_quasi_bialgebra(H: QuasiBialgebra, jobs: int = 1) -> CheckReport:
     # through by Phi on the right.  The two forms agree for every h because
     # Phi^-1 is a two-sided inverse, which "reassoc-invertible" checks, and a
     # report passes only if every fatal check does.
-    def coassoc(i):
-        h2 = H.basis_el(i).map(H.comult, 0)
-        lhs = h2.map(H.comult, 1).mul(phi)              # (id x Delta) Delta Phi
-        rhs = phi.mul(h2.map(H.comult, 0))              # Phi (Delta x id) Delta
-        return i, lhs.t, rhs.t
+    basis = all_indices((alg.dim,))
 
-    for i, lhs, rhs in run_indexed(range(alg.dim), coassoc, jobs):
-        if lhs != rhs:
-            report.add("quasi-coassoc", False, witness=(i,), lhs=lhs, rhs=rhs)
-            break
-    else:
-        report.add("quasi-coassoc", True)
+    def coassoc(idx):
+        h2 = H.basis_el(idx[0]).map(H.comult, 0)
+        return (h2.map(H.comult, 1).mul(phi).t,        # (id x Delta) Delta Phi
+                phi.mul(h2.map(H.comult, 0)).t)        # Phi (Delta x id) Delta
+
+    report.sweep("quasi-coassoc", basis, coassoc)
 
     # the counit kills either comultiplication leg
-    def counit_law(i):
-        h2 = H.basis_el(i).map(H.comult, 0)
+    def counit_law(idx):
+        h2 = H.basis_el(idx[0]).map(H.comult, 0)
         left = h2.map(H.counit, (0,)).t
-        right = h2.map(H.counit, (1,)).t
-        want = H.basis_el(i).t
-        return i, left, right, want
+        want = H.basis_el(idx[0]).t
+        return left if left != want else h2.map(H.counit, (1,)).t, want
 
-    for i, left, right, want in run_indexed(range(alg.dim), counit_law, jobs):
-        if left != want or right != want:
-            report.add("counit-comult", False, witness=(i,),
-                       lhs=left if left != want else right, rhs=want)
-            break
-    else:
-        report.add("counit-comult", True)
+    report.sweep("counit-comult", basis, counit_law)
 
     # the reassociator is a normalized 3-cocycle
     lhs = H.el(embed_legs(H.spaces(4), H.reassoc, (1, 2, 3)))
@@ -241,46 +223,36 @@ def verify_quasi_bialgebra(H: QuasiBialgebra, jobs: int = 1) -> CheckReport:
     return report
 
 
-def verify_quasi_hopf(H: QuasiHopfAlgebra, jobs: int = 1) -> CheckReport:
+def verify_quasi_hopf(H: QuasiHopfAlgebra) -> CheckReport:
     """Quasi-bialgebra axioms plus the antipode axioms."""
-    report = verify_quasi_bialgebra(H, jobs=jobs)
+    report = verify_quasi_bialgebra(H)
     report.subject = "quasi-hopf %s" % (H.name or "")
     alg, S = H.alg, H.antipode
 
-    witness = None
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            lhs = apply_linear_map(S, alg.basis_product(i, j), (0,))
-            rhs = alg.product(S.column((j,)), S.column((i,)))
-            if lhs != rhs:
-                witness = (i, j)
-                break
-        if witness:
-            break
-    report.add("antipode-antimultiplicative", witness is None, witness=witness)
+    def antimultiplicative(pair):
+        i, j = pair
+        return (apply_linear_map(S, alg.basis_product(i, j), (0,)),
+                alg.product(S.column((j,)), S.column((i,))))
+
+    report.sweep("antipode-antimultiplicative", all_indices((alg.dim, alg.dim)),
+                 antimultiplicative)
     report.compare("antipode-unital", apply_linear_map(S, alg.unit, (0,)), alg.unit)
     report.add("antipode-invertible", S.is_invertible())
 
     alpha_el = El((alg,), H.alpha)
     beta_el = El((alg,), H.beta)
 
-    def cancel(i):
-        h2 = H.basis_el(i).map(H.comult, 0)
-        left = h2.map(S, 0).times(alpha_el).merge(0, 2).merge(0, 1).t
-        right = h2.map(S, 1).times(beta_el).merge(0, 2).merge(0, 1).t
-        eps_h = H.counit_scalar(i)
-        return i, left, right, H.alpha.scale(eps_h), H.beta.scale(eps_h)
+    # S(h1) alpha h2 = eps(h) alpha and h1 beta S(h2) = eps(h) beta
+    def cancel(leg, factor):
+        def law(idx):
+            h2 = H.basis_el(idx[0]).map(H.comult, 0)
+            return (h2.map(S, leg).times(factor).merge(0, 2).merge(0, 1).t,
+                    factor.t.scale(H.counit_scalar(idx[0])))
+        return law
 
-    for i, left, right, want_a, want_b in run_indexed(range(alg.dim), cancel, jobs):
-        if left != want_a:
-            report.add("antipode-cancel-left", False, witness=(i,), lhs=left, rhs=want_a)
-            break
-        if right != want_b:
-            report.add("antipode-cancel-right", False, witness=(i,), lhs=right, rhs=want_b)
-            break
-    else:
-        report.add("antipode-cancel-left", True)
-        report.add("antipode-cancel-right", True)
+    basis = all_indices((alg.dim,))
+    report.sweep("antipode-cancel-left", basis, cancel(0, alpha_el))
+    report.sweep("antipode-cancel-right", basis, cancel(1, beta_el))
 
     phi = H.el(H.reassoc)
     zig = phi.map(S, 1).times(beta_el).merge(0, 3).merge(0, 1)
@@ -370,48 +342,31 @@ def variant(H, kind: str):
     flip = LinMap.from_function(
         H.field, (d,), (d, d),
         lambda idx: switch_legs(H.comult.column(idx), (1, 0)))
-
+    rev = (2, 1, 0)
+    if kind == "op":
+        new_alg, comult = alg.opposite(), LinMap(H.field, (d,), (d, d), H.comult.cols)
+        reassoc, reassoc_inv = H.reassoc_inv, H.reassoc
+    elif kind == "cop":
+        new_alg, comult = alg, flip
+        reassoc = switch_legs(H.reassoc_inv, rev)
+        reassoc_inv = switch_legs(H.reassoc, rev)
+    else:
+        new_alg, comult = alg.opposite(), flip
+        reassoc = switch_legs(H.reassoc, rev)
+        reassoc_inv = switch_legs(H.reassoc_inv, rev)
+    name = (H.name + "^" + kind) if H.name else ""
     if not isinstance(H, QuasiHopfAlgebra):
-        if kind == "op":
-            new_alg, comult = alg.opposite(), LinMap(H.field, (d,), (d, d), H.comult.cols)
-            reassoc, reassoc_inv = H.reassoc_inv, H.reassoc
-        elif kind == "cop":
-            new_alg, comult = alg, flip
-            reassoc = switch_legs(H.reassoc_inv, (2, 1, 0))
-            reassoc_inv = switch_legs(H.reassoc, (2, 1, 0))
-        else:
-            new_alg, comult = alg.opposite(), flip
-            reassoc = switch_legs(H.reassoc, (2, 1, 0))
-            reassoc_inv = switch_legs(H.reassoc_inv, (2, 1, 0))
-        name = (H.name + "^" + kind) if H.name else ""
         return QuasiBialgebra(new_alg, comult, H.counit, reassoc,
                               reassoc_inv=reassoc_inv, name=name)
 
-    def sinv_of(t):
-        return apply_linear_map(H.antipode_inv, t, (0,))
-
-    if kind == "op":
-        new_alg = alg.opposite()
-        comult = LinMap(H.field, (d,), (d, d), H.comult.cols)
-        reassoc, reassoc_inv = H.reassoc_inv, H.reassoc
-        S = H.antipode_inv
-        alpha, beta = sinv_of(H.beta), sinv_of(H.alpha)
-    elif kind == "cop":
-        new_alg = alg
-        comult = flip
-        reassoc = switch_legs(H.reassoc_inv, (2, 1, 0))
-        reassoc_inv = switch_legs(H.reassoc, (2, 1, 0))
-        S = H.antipode_inv
-        alpha, beta = sinv_of(H.alpha), sinv_of(H.beta)
-    else:
-        new_alg = alg.opposite()
-        comult = flip
-        reassoc = switch_legs(H.reassoc, (2, 1, 0))
-        reassoc_inv = switch_legs(H.reassoc_inv, (2, 1, 0))
+    # antipode data: S^-1 for op and cop, S itself for opcop
+    if kind == "opcop":
         S = LinMap(H.field, (d,), (d,), H.antipode.cols)
         alpha, beta = H.beta, H.alpha
-
-    name = (H.name + "^" + kind) if H.name else ""
+    else:
+        S = H.antipode_inv
+        alpha, beta = (H.beta, H.alpha) if kind == "op" else (H.alpha, H.beta)
+        alpha, beta = (apply_linear_map(S, t, (0,)) for t in (alpha, beta))
     return QuasiHopfAlgebra(new_alg, comult, H.counit, reassoc, S, alpha, beta,
                             reassoc_inv=reassoc_inv, name=name)
 

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from .errors import ShapeMismatch
 from .hopf import GaugeTransformation, QuasiBialgebra, gauge_twist, op_tensor
-from .report import CheckReport, run_indexed
-from .tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace,
+from .report import CheckReport
+from .tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace, all_indices,
                      apply_linear_map, switch_legs)
 
 SIDES = ("left", "right", "bi")
@@ -121,155 +121,127 @@ class ModuleAlgebra:
             self.side, self.alg.dim, ", %r" % self.name if self.name else "")
 
 
-def _check_module_law(report, H, dim, action, side, jobs=1, tag=""):
+def _check_module_law(report, H, dim, action, side):
     """Unital associative action of the base on a space."""
     field = H.field
-    tag = tag or (side + "-action")
+    tag = side + "-action"
 
-    unital = None
-    for c in range(dim):
+    def act_by(x: Tensor, c: int) -> Tensor:
         acc = Tensor(field, (dim,))
-        for (h,), v in H.alg.unit.data.items():
-            idx = (h, c) if side == "left" else (c, h)
-            acc = acc + action.column(idx).scale(v)
-        if acc != Tensor.basis(field, (dim,), (c,)):
-            unital = (c,)
-            break
-    report.add(tag + "-unital", unital is None, witness=unital)
+        for (h,), v in x.data.items():
+            acc = acc + action.column((h, c) if side == "left" else (c, h)).scale(v)
+        return acc
 
-    witness = None
-    for i in range(H.dim):
-        for j in range(H.dim):
-            prod = H.alg.basis_product(i, j)
-            for c in range(dim):
-                via_product = Tensor(field, (dim,))
-                for (k,), v in prod.data.items():
-                    idx = (k, c) if side == "left" else (c, k)
-                    via_product = via_product + action.column(idx).scale(v)
-                if side == "left":
-                    inner = action.column((j, c))
-                    stepwise = apply_linear_map(
-                        action, Tensor.basis(field, (H.dim,), (i,)).outer(inner), (0, 1))
-                else:
-                    inner = action.column((c, i))
-                    stepwise = apply_linear_map(
-                        action, inner.outer(Tensor.basis(field, (H.dim,), (j,))), (0, 1))
-                if via_product != stepwise:
-                    witness = (i, j, c)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.add(tag + "-associative", witness is None, witness=witness)
+    report.sweep(tag + "-unital", all_indices((dim,)),
+                 lambda idx: (act_by(H.alg.unit, idx[0]),
+                              Tensor.basis(field, (dim,), idx)))
+
+    def associative(item):
+        i, j, c = item
+        if side == "left":
+            stepwise = apply_linear_map(
+                action, Tensor.basis(field, (H.dim,), (i,)).outer(
+                    action.column((j, c))), (0, 1))
+        else:
+            stepwise = apply_linear_map(
+                action, action.column((c, i)).outer(
+                    Tensor.basis(field, (H.dim,), (j,))), (0, 1))
+        return act_by(H.alg.basis_product(i, j), c), stepwise
+
+    report.sweep(tag + "-associative", all_indices((H.dim, H.dim, dim)), associative)
 
 
-def verify_module_coalgebra(C: ModuleCoalgebra, jobs: int = 1) -> CheckReport:
+def _check_actions_commute(report, H, dim, left_action, right_action):
+    """(h . c) . h2 = h . (c . h2) on every basis triple."""
+    field = H.field
+
+    def commute(item):
+        h, c, h2 = item
+        return (apply_linear_map(right_action, left_action.column((h, c)).outer(
+                    Tensor.basis(field, (H.dim,), (h2,))), (0, 1)),
+                apply_linear_map(left_action, Tensor.basis(field, (H.dim,), (h,)).outer(
+                    right_action.column((c, h2))), (0, 1)))
+
+    report.sweep("actions-commute", all_indices((H.dim, dim, H.dim)), commute)
+
+
+def _actions(X):
+    """The (side, action) pairs a module coalgebra or algebra carries."""
+    return [(side, action) for side, action in (("left", X.left_action),
+                                                ("right", X.right_action))
+            if action is not None]
+
+
+def verify_module_coalgebra(C: ModuleCoalgebra) -> CheckReport:
     report = CheckReport("%s module coalgebra %s" % (C.side, C.name or ""))
     H = C.H
-    field = C.field
-    sp = C.space
+    basis = all_indices((C.dim,))
 
     # counit laws of the underlying coalgebra
-    witness = None
-    for i in range(C.dim):
-        two = C.comult_el(i)
-        want = C.basis_el(i).t
-        if two.map(C.counit, (0,)).t != want or two.map(C.counit, (1,)).t != want:
-            witness = (i,)
-            break
-    report.add("counit-comult", witness is None, witness=witness)
+    def counit_law(idx):
+        two = C.comult_el(idx[0])
+        want = C.basis_el(idx[0]).t
+        left = two.map(C.counit, (0,)).t
+        return left if left != want else two.map(C.counit, (1,)).t, want
 
-    if C.left_action is not None:
-        _check_module_law(report, H, C.dim, C.left_action, "left", jobs)
-    if C.right_action is not None:
-        _check_module_law(report, H, C.dim, C.right_action, "right", jobs)
+    report.sweep("counit-comult", basis, counit_law)
 
+    for side, action in _actions(C):
+        _check_module_law(report, H, C.dim, action, side)
     if C.side == "bi":
-        witness = None
-        for h in range(H.dim):
-            for c in range(C.dim):
-                for h2 in range(H.dim):
-                    left_first = apply_linear_map(
-                        C.right_action,
-                        C.left_action.column((h, c)).outer(
-                            Tensor.basis(field, (H.dim,), (h2,))), (0, 1))
-                    right_first = apply_linear_map(
-                        C.left_action,
-                        Tensor.basis(field, (H.dim,), (h,)).outer(
-                            C.right_action.column((c, h2))), (0, 1))
-                    if left_first != right_first:
-                        witness = (h, c, h2)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        report.add("actions-commute", witness is None, witness=witness)
+        _check_actions_commute(report, H, C.dim, C.left_action, C.right_action)
 
     # coassociativity up to the reassociator acting through the actions
-    def coassoc(i):
-        two = C.comult_el(i)
+    def coassoc(idx):
+        two = C.comult_el(idx[0])
         left_assoc = two.map(C.comult, 0)     # (comult x id)
         right_assoc = two.map(C.comult, 1)    # (id x comult)
         if C.side == "left":
             lhs = _act_many(C, H.reassoc, left_assoc, "left")
-            rhs = right_assoc
         elif C.side == "right":
             lhs = _act_many(C, H.reassoc_inv, left_assoc, "right")
-            rhs = right_assoc
         else:
             lhs = _act_many(C, H.reassoc_inv,
                             _act_many(C, H.reassoc, left_assoc, "left"), "right")
-            rhs = right_assoc
-        return i, lhs.t, rhs.t
+        return lhs.t, right_assoc.t
 
-    for i, lhs, rhs in run_indexed(range(C.dim), coassoc, jobs):
-        if lhs != rhs:
-            report.add("coassoc-upto-reassoc", False, witness=(i,), lhs=lhs, rhs=rhs)
-            break
-    else:
-        report.add("coassoc-upto-reassoc", True)
+    report.sweep("coassoc-upto-reassoc", basis, coassoc)
 
-    # comultiplication and counit respect the actions
-    def compat(i):
-        records = []
-        for side, action in (("left", C.left_action), ("right", C.right_action)):
-            if action is None:
-                continue
-            for h in range(H.dim):
-                idx = (h, i) if side == "left" else (i, h)
-                acted = action.column(idx)
-                lhs = apply_linear_map(C.comult, acted, (0,))
-                hh = El.basis((H.alg,), (h,)).map(H.comult, 0)
-                cc = C.comult_el(i)
-                pair = hh.times(cc)
-                if side == "left":
-                    rhs = pair.map(C.left_action, (0, 2), at=0).map(
-                        C.left_action, (1, 2), at=1)
-                else:
-                    rhs = pair.map(C.right_action, (2, 0), at=0).map(
-                        C.right_action, (2, 1), at=1)
-                records.append(("comult-action-compat-" + side,
-                                lhs == rhs.t, (h, i) if side == "left" else (i, h)))
-                eps_acted = apply_linear_map(C.counit, acted, (0,)).get(())
-                eps_split = H.counit_scalar(h) * C.counit.column((i,)).get(())
-                records.append(("counit-action-compat-" + side,
-                                eps_acted == eps_split,
-                                (h, i) if side == "left" else (i, h)))
-        return records
-
-    seen = {}
-    for records in run_indexed(range(C.dim), compat, jobs):
-        for check_id, ok, witness in records:
-            if check_id not in seen:
-                seen[check_id] = (True, None)
-            if not ok and seen[check_id][0]:
-                seen[check_id] = (False, witness)
-    for check_id in sorted(seen):
-        ok, witness = seen[check_id]
-        report.add(check_id, ok, witness=witness)
+    # comultiplication and counit respect the actions; witnesses are the
+    # action's source index, swept with the coalgebra index outermost
+    actions = _actions(C)
+    for law in ("comult", "counit"):
+        for side, action in actions:
+            if side == "left":
+                items = [(h, i) for i in range(C.dim) for h in range(H.dim)]
+            else:
+                items = all_indices((C.dim, H.dim))
+            report.sweep("%s-action-compat-%s" % (law, side), items,
+                         _action_compat(C, law, side, action))
     return report
+
+
+def _action_compat(C: ModuleCoalgebra, law: str, side: str, action: LinMap):
+    """The (lhs, rhs) of the comult or counit compatibility law at an
+    action source index."""
+    H = C.H
+
+    def comult_law(idx):
+        h, i = idx if side == "left" else idx[::-1]
+        lhs = apply_linear_map(C.comult, action.column(idx), (0,))
+        pair = El.basis((H.alg,), (h,)).map(H.comult, 0).times(C.comult_el(i))
+        if side == "left":
+            rhs = pair.map(action, (0, 2), at=0).map(action, (1, 2), at=1)
+        else:
+            rhs = pair.map(action, (2, 0), at=0).map(action, (2, 1), at=1)
+        return lhs, rhs.t
+
+    def counit_law(idx):
+        h, i = idx if side == "left" else idx[::-1]
+        return (apply_linear_map(C.counit, action.column(idx), (0,)).get(()),
+                H.counit_scalar(h) * C.counit.column((i,)).get(()))
+
+    return comult_law if law == "comult" else counit_law
 
 
 def _act_many(C: ModuleCoalgebra, element: Tensor, target: El, side: str) -> El:
@@ -295,36 +267,18 @@ def _act_many(C: ModuleCoalgebra, element: Tensor, target: El, side: str) -> El:
     return El(target.spaces, out)
 
 
-def verify_module_algebra(A: ModuleAlgebra, jobs: int = 1) -> CheckReport:
+def verify_module_algebra(A: ModuleAlgebra) -> CheckReport:
     report = CheckReport("%s module algebra %s" % (A.side, A.name or ""))
     H, alg = A.H, A.alg
     field = A.field
-    report.add("unit-two-sided", alg.unit_witness() is None, witness=alg.unit_witness())
+    witness = alg.unit_witness()
+    report.add("unit-two-sided", witness is None, witness=witness)
 
-    if A.left_action is not None:
-        _check_module_law(report, H, alg.dim, A.left_action, "left", jobs)
-    if A.right_action is not None:
-        _check_module_law(report, H, alg.dim, A.right_action, "right", jobs)
-
+    actions = _actions(A)
+    for side, action in actions:
+        _check_module_law(report, H, alg.dim, action, side)
     if A.side == "bi":
-        witness = None
-        for h in range(H.dim):
-            for c in range(alg.dim):
-                for h2 in range(H.dim):
-                    one = apply_linear_map(
-                        A.right_action, A.left_action.column((h, c)).outer(
-                            Tensor.basis(field, (H.dim,), (h2,))), (0, 1))
-                    other = apply_linear_map(
-                        A.left_action, Tensor.basis(field, (H.dim,), (h,)).outer(
-                            A.right_action.column((c, h2))), (0, 1))
-                    if one != other:
-                        witness = (h, c, h2)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        report.add("actions-commute", witness is None, witness=witness)
+        _check_actions_commute(report, H, alg.dim, A.left_action, A.right_action)
 
     # associativity up to the reassociator through the actions
     def reassoc_assoc(triple):
@@ -338,75 +292,43 @@ def verify_module_algebra(A: ModuleAlgebra, jobs: int = 1) -> CheckReport:
             xb = _act_single(A, idx[1], b)
             xc = _act_single(A, idx[2], c)
             acc = acc + alg.product(xa, alg.product(xb, xc)).scale(v)
-        return triple, plain_left, acc
+        return plain_left, acc
 
-    triples = [(i, j, k) for i in range(alg.dim)
-               for j in range(alg.dim) for k in range(alg.dim)]
-    witness = None
-    for triple, lhs, rhs in run_indexed(triples, reassoc_assoc, jobs):
-        if lhs != rhs:
-            witness = triple
-            break
-    report.add("assoc-upto-reassoc", witness is None, witness=witness)
+    report.sweep("assoc-upto-reassoc", all_indices((alg.dim,) * 3), reassoc_assoc)
 
     # the action distributes over the product via the comultiplication
-    def distributes(h):
-        for side, action in (("left", A.left_action), ("right", A.right_action)):
-            if action is None:
-                continue
+    def distributes(side, action):
+        def law(item):
+            h, i, j = item
+            h_basis = Tensor.basis(field, (H.dim,), (h,))
             hh = El.basis((H.alg,), (h,)).map(H.comult, 0)
-            for i in range(alg.dim):
-                for j in range(alg.dim):
-                    prod = alg.basis_product(i, j)
-                    if side == "left":
-                        acted = apply_linear_map(
-                            action, Tensor.basis(field, (H.dim,), (h,)).outer(prod),
-                            (0, 1))
-                        split = hh.times(El.basis((alg,), (i,))).times(
-                            El.basis((alg,), (j,)))
-                        split = split.map(action, (0, 2), at=0)
-                        split = split.map(action, (1, 2), at=1)
-                    else:
-                        acted = apply_linear_map(
-                            action, prod.outer(Tensor.basis(field, (H.dim,), (h,))),
-                            (0, 1))
-                        split = El.basis((alg,), (i,)).times(
-                            El.basis((alg,), (j,))).times(hh)
-                        split = split.map(action, (0, 2), at=0)
-                        split = split.map(action, (1, 2), at=1)
-                    got = split.merge(0, 1).t
-                    if acted != got:
-                        return ("action-distributive-" + side, False, (h, i, j))
-        return None
+            prod = alg.basis_product(i, j)
+            e_i, e_j = El.basis((alg,), (i,)), El.basis((alg,), (j,))
+            if side == "left":
+                acted = apply_linear_map(action, h_basis.outer(prod), (0, 1))
+                split = hh.times(e_i).times(e_j)
+            else:
+                acted = apply_linear_map(action, prod.outer(h_basis), (0, 1))
+                split = e_i.times(e_j).times(hh)
+            split = split.map(action, (0, 2), at=0).map(action, (1, 2), at=1)
+            return acted, split.merge(0, 1).t
+        return law
 
-    failure = None
-    for result in run_indexed(range(H.dim), distributes, jobs):
-        if result is not None:
-            failure = result
-            break
-    if failure:
-        report.add(failure[0], False, witness=failure[2])
-    else:
-        for side, action in (("left", A.left_action), ("right", A.right_action)):
-            if action is not None:
-                report.add("action-distributive-" + side, True)
+    for side, action in actions:
+        report.sweep("action-distributive-" + side,
+                     all_indices((H.dim, alg.dim, alg.dim)), distributes(side, action))
 
     # the unit absorbs the action through the counit
-    witness = None
-    for h in range(H.dim):
-        for side, action in (("left", A.left_action), ("right", A.right_action)):
-            if action is None:
-                continue
-            acc = Tensor(field, (alg.dim,))
-            for (u,), v in alg.unit.data.items():
-                idx = (h, u) if side == "left" else (u, h)
-                acc = acc + action.column(idx).scale(v)
-            if acc != alg.unit.scale(H.counit_scalar(h)):
-                witness = (h, side)
-                break
-        if witness:
-            break
-    report.add("action-counit-unit", witness is None, witness=witness)
+    def counit_unit(item):
+        h, side = item
+        action = dict(actions)[side]
+        acc = Tensor(field, (alg.dim,))
+        for (u,), v in alg.unit.data.items():
+            acc = acc + action.column((h, u) if side == "left" else (u, h)).scale(v)
+        return acc, alg.unit.scale(H.counit_scalar(h))
+
+    report.sweep("action-counit-unit",
+                 [(h, side) for h in range(H.dim) for side, _ in actions], counit_unit)
     return report
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,6 +47,19 @@ class CheckReport:
                 where = lhs.first_difference(rhs)
             self.add(check_id, False, witness=where, lhs=lhs, rhs=rhs, fatal=fatal)
 
+    def sweep(self, check_id, items, fn, fatal=True) -> CheckRecord:
+        """Record whether ``fn(item)`` returns an equal ``(lhs, rhs)`` pair
+        for every item, in order.  The first item whose sides differ stops
+        the sweep and is recorded as the witness, with both sides."""
+        for item in items:
+            lhs, rhs = fn(item)
+            if lhs != rhs:
+                self.add(check_id, False, item, lhs, rhs, fatal)
+                break
+        else:
+            self.add(check_id, True, fatal=fatal)
+        return self.records[-1]
+
     def extend(self, other: "CheckReport", prefix: str = ""):
         for r in other.records:
             self.records.append(CheckRecord(
@@ -69,16 +81,3 @@ class CheckReport:
         return "CheckReport(%r, passed=%r, %d records)" % (
             self.subject, self.passed, len(self.records))
 
-
-def run_indexed(items, fn, jobs: int = 1):
-    """Evaluate ``fn(item)`` for every item, preserving input order.
-
-    With ``jobs > 1`` the work is spread over a thread pool; the results
-    are reassembled in input order, so reports are deterministic no
-    matter the worker count.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))

@@ -16,9 +16,10 @@ from .errors import AntipodeRequired, MixedBase, ShapeMismatch
 from .hopf import QuasiHopfAlgebra, drinfeld_twist, op_tensor
 from .modcoalg import (ModuleAlgebra, ModuleCoalgebra,
                        bimodule_to_op_tensor_module_coalgebra, dualize)
-from .report import CheckReport, run_indexed
-from .tensor import (El, FinAlgebra, LinMap, Tensor, apply_linear_map,
-                     embed_legs, invert_element, multiply, switch_legs)
+from .report import CheckReport
+from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
+                     apply_linear_map, embed_legs, invert_element, multiply,
+                     switch_legs)
 
 
 class ProductAlgebra:
@@ -45,58 +46,38 @@ class ProductAlgebra:
         return "ProductAlgebra(%s, dim=%d)" % (self.provenance, self.carrier.dim)
 
 
-def verify_product_algebra(P: ProductAlgebra, jobs: int = 1) -> CheckReport:
+def verify_product_algebra(P: ProductAlgebra) -> CheckReport:
     """Associativity and unit laws over every basis triple, plus the
     multiplicativity of the declared subalgebra embedding."""
     report = CheckReport("product algebra %s" % P.provenance)
     alg = P.carrier
     field = P.field
 
-    triples = [(i, j, k) for i in range(alg.dim)
-               for j in range(alg.dim) for k in range(alg.dim)]
-
-    def assoc(triple):
-        i, j, k = triple
-        left = alg.product(alg.basis_product(i, j),
-                           Tensor.basis(field, (alg.dim,), (k,)))
-        right = alg.product(Tensor.basis(field, (alg.dim,), (i,)),
-                            alg.basis_product(j, k))
-        return triple, left == right
-
-    witness = None
-    for triple, ok in run_indexed(triples, assoc, jobs):
-        if not ok:
-            witness = triple
-            break
+    witness = alg.associativity_witness()
     report.add("associative", witness is None, witness=witness)
 
-    witness = None
-    for i in range(alg.dim):
+    def unit_law(item):
+        side, i = item
         e = Tensor.basis(field, (alg.dim,), (i,))
-        if alg.product(alg.unit, e) != e:
-            witness = ("left", i)
-            break
-        if alg.product(e, alg.unit) != e:
-            witness = ("right", i)
-            break
-    report.add("unit-two-sided", witness is None, witness=witness)
+        if side == "left":
+            return alg.product(alg.unit, e), e
+        return alg.product(e, alg.unit), e
+
+    report.sweep("unit-two-sided", [(side, i) for i in range(alg.dim)
+                                    for side in ("left", "right")], unit_law)
 
     if P.sub_embedding is not None and P.sub_alg is not None:
-        sub = P.sub_alg
-        witness = None
-        for i in range(sub.dim):
-            for j in range(sub.dim):
-                direct = apply_linear_map(P.sub_embedding, sub.basis_product(i, j), (0,))
-                through = alg.product(P.sub_embedding.column((i,)),
-                                      P.sub_embedding.column((j,)))
-                if direct != through:
-                    witness = (i, j)
-                    break
-            if witness:
-                break
-        unit_ok = apply_linear_map(P.sub_embedding, sub.unit, (0,)) == alg.unit
-        report.add("subalgebra-multiplicative", witness is None, witness=witness)
-        report.add("subalgebra-unital", unit_ok)
+        sub, emb = P.sub_alg, P.sub_embedding
+
+        def multiplicative(pair):
+            i, j = pair
+            return (apply_linear_map(emb, sub.basis_product(i, j), (0,)),
+                    alg.product(emb.column((i,)), emb.column((j,))))
+
+        report.sweep("subalgebra-multiplicative", all_indices((sub.dim, sub.dim)),
+                     multiplicative)
+        report.add("subalgebra-unital",
+                   apply_linear_map(emb, sub.unit, (0,)) == alg.unit)
     return report
 
 
@@ -324,15 +305,9 @@ def alpha_morphism(C: ModuleCoalgebra, B: ComoduleAlgebra):
     morphism = LinMap.identity(field, (dim,))
 
     report = CheckReport("alpha comparison (%s,%s)" % (C.name or "C", B.name or "B"))
-    witness = None
-    for i in range(dim):
-        for j in range(dim):
-            if smash.carrier.basis_product(i, j) != kop.carrier.basis_product(i, j):
-                witness = (i, j)
-                break
-        if witness:
-            break
-    report.add("multiplicative", witness is None, witness=witness)
+    report.sweep("multiplicative", all_indices((dim, dim)),
+                 lambda ij: (smash.carrier.basis_product(*ij),
+                             kop.carrier.basis_product(*ij)))
     report.compare("unit-preserving", smash.carrier.unit, kop.carrier.unit)
     from . import linalg
     report.add("bijective", linalg.rank(field, morphism.to_matrix()) == dim,
@@ -429,17 +404,13 @@ def phi_isomorphism(C: ModuleCoalgebra):
                       for i in range(dC) for j in range(dH)})
 
     report = CheckReport("smash comparison iso %s" % (C.name or "C"))
-    witness = None
-    for i in range(dim):
-        for j in range(dim):
-            through = apply_linear_map(phi, source.carrier.basis_product(i, j), (0,))
-            separate = target.carrier.product(phi.column((i,)), phi.column((j,)))
-            if through != separate:
-                witness = (i, j)
-                break
-        if witness:
-            break
-    report.add("multiplicative", witness is None, witness=witness)
+
+    def multiplicative(pair):
+        i, j = pair
+        return (apply_linear_map(phi, source.carrier.basis_product(i, j), (0,)),
+                target.carrier.product(phi.column((i,)), phi.column((j,))))
+
+    report.sweep("multiplicative", all_indices((dim, dim)), multiplicative)
     report.compare("unit-preserving",
                    apply_linear_map(phi, source.carrier.unit, (0,)),
                    target.carrier.unit)
@@ -601,8 +572,7 @@ def diagonal_crossed_product(A: BicomoduleAlgebra, M: ModuleAlgebra,
                                sub_embedding=emb, sub_alg=A.alg)
 
 
-def check_prop_3_10(A: BicomoduleAlgebra, C: ModuleCoalgebra,
-                    jobs: int = 1) -> CheckReport:
+def check_prop_3_10(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> CheckReport:
     """Compare the two smash-against-the-dual algebras over the twisted
     tensor square with the two right diagonal crossed products, built by
     independent code paths, entrywise on all product pairs."""
@@ -627,19 +597,9 @@ def check_prop_3_10(A: BicomoduleAlgebra, C: ModuleCoalgebra,
     for tag, lhs, rhs in (("first", side1_smash, side1_diag),
                           ("second", side2_smash, side2_diag)):
         dim = lhs.carrier.dim
-        pairs = [(i, j) for i in range(dim) for j in range(dim)]
-
-        def compare(pair, lhs=lhs, rhs=rhs):
-            i, j = pair
-            return pair, lhs.carrier.basis_product(i, j) == \
-                rhs.carrier.basis_product(i, j)
-
-        witness_pair = None
-        for pair, ok in run_indexed(pairs, compare, jobs):
-            if not ok:
-                witness_pair = pair
-                break
-        report.add("tables-equal-" + tag, witness_pair is None, witness=witness_pair)
+        report.sweep("tables-equal-" + tag, all_indices((dim, dim)),
+                     lambda ij: (lhs.carrier.basis_product(*ij),
+                                 rhs.carrier.basis_product(*ij)))
         report.compare("units-equal-" + tag, lhs.carrier.unit, rhs.carrier.unit)
 
     # the documented reshuffle: the one-sided reassociators are the

@@ -13,8 +13,8 @@ from .doihopf import (DoiHopfContext, FiniteModule, _module_hom_basis,
 from .errors import AntipodeRequired, VariantMismatch
 from .hopf import QuasiHopfAlgebra, drinfeld_twist, op_tensor
 from .modcoalg import ModuleCoalgebra, bimodule_to_op_tensor_module_coalgebra
-from .report import CheckReport, run_indexed
-from .tensor import El, LinMap, Tensor, apply_linear_map
+from .report import CheckReport
+from .tensor import El, LinMap, Tensor, all_indices, apply_linear_map
 
 
 class YetterDrinfeldContext:
@@ -44,8 +44,7 @@ class YetterDrinfeldContext:
         self.doihopf_first = DoiHopfContext("left-right", first, self.over_square)
 
 
-def verify_yd(M: FiniteModule, context: YetterDrinfeldContext,
-              jobs: int = 1) -> CheckReport:
+def verify_yd(M: FiniteModule, context: YetterDrinfeldContext) -> CheckReport:
     """Counit law, the mixed coassociativity law, and the crossed
     compatibility, on every basis element."""
     A, C = context.A, context.C
@@ -56,18 +55,17 @@ def verify_yd(M: FiniteModule, context: YetterDrinfeldContext,
         raise VariantMismatch("expects a left action and a right coaction")
     verify_module_law(M, report=report)
 
-    witness = None
-    for i in range(M.dim):
-        one = M.coaction.column((i,))     # M x C
+    basis = all_indices((M.dim,))
+
+    def counit_law(idx):
         acc = Tensor(field, (M.dim,))
-        for (m0, c), v in one.data.items():
+        for (m0, c), v in M.coaction.column(idx).data.items():     # M x C
             eps = C.counit.column((c,)).get(())
             if eps:
                 acc = acc + Tensor(field, (M.dim,), {(m0,): v * eps})
-        if acc != Tensor.basis(field, (M.dim,), (i,)):
-            witness = (i,)
-            break
-    report.add("coaction-counit", witness is None, witness=witness)
+        return acc, Tensor.basis(field, (M.dim,), idx)
+
+    report.sweep("coaction-counit", basis, counit_law)
 
     mixed_inv = A.reassoc_mixed_inv      # H x A x H
     re_r_inv = A.reassoc_right_inv       # A x H x H
@@ -85,8 +83,8 @@ def verify_yd(M: FiniteModule, context: YetterDrinfeldContext,
         basis = Tensor.basis(field, (H.dim,), (h_idx,))
         return apply_linear_map(C.right_action, t.outer(basis), (leg, t.arity), at=leg)
 
-    def mixed_coassoc(i):
-        m = Tensor.basis(field, (M.dim,), (i,))
+    def mixed_coassoc(idx):
+        m = Tensor.basis(field, (M.dim,), idx)
         # left side: expand the inverse mixed reassociator
         lhs = Tensor(field, (M.dim, C.dim, C.dim))
         for (t1, t2, t3), v in mixed_inv.data.items():
@@ -109,40 +107,26 @@ def verify_yd(M: FiniteModule, context: YetterDrinfeldContext,
                 term = act_C_left(y3, term, 2)
                 term = act_C_right(term, x2, 2)
                 rhs = rhs + term.scale(vr * vl)
-        return i, lhs, rhs
+        return lhs, rhs
 
-    for i, lhs, rhs in run_indexed(range(M.dim), mixed_coassoc, jobs):
-        if lhs != rhs:
-            report.add("mixed-coassoc", False, witness=(i,), lhs=lhs, rhs=rhs)
-            break
-    else:
-        report.add("mixed-coassoc", True)
+    report.sweep("mixed-coassoc", basis, mixed_coassoc)
 
-    witness = None
-    for i in range(M.dim):
-        for a in range(A.alg.dim):
-            m = Tensor.basis(field, (M.dim,), (i,))
-            # u_<0> . m_(0) x u_<1> . m_(1)
-            lhs = Tensor(field, (M.dim, C.dim))
-            rho_a = A.right_coaction.column((a,))
-            one = apply_linear_map(M.coaction, m, (0,))
-            for (a0, h), v in rho_a.data.items():
-                term = act_M(a0, one, 0)
-                term = act_C_left(h, term, 1)
-                lhs = lhs + term.scale(v)
-            # (u_[0] . m)_(0) x (u_[0] . m)_(1) . u_[-1]
-            rhs = Tensor(field, (M.dim, C.dim))
-            lam_a = A.left_coaction.column((a,))
-            for (h, a0), v in lam_a.data.items():
-                term = apply_linear_map(M.coaction, act_M(a0, m, 0), (0,))
-                term = act_C_right(term, h, 1)
-                rhs = rhs + term.scale(v)
-            if lhs != rhs:
-                witness = (i, a)
-                break
-        if witness:
-            break
-    report.add("crossed-compat", witness is None, witness=witness)
+    def crossed(item):
+        i, a = item
+        m = Tensor.basis(field, (M.dim,), (i,))
+        # u_<0> . m_(0) x u_<1> . m_(1)
+        lhs = Tensor(field, (M.dim, C.dim))
+        one = apply_linear_map(M.coaction, m, (0,))
+        for (a0, h), v in A.right_coaction.column((a,)).data.items():
+            lhs = lhs + act_C_left(h, act_M(a0, one, 0), 1).scale(v)
+        # (u_[0] . m)_(0) x (u_[0] . m)_(1) . u_[-1]
+        rhs = Tensor(field, (M.dim, C.dim))
+        for (h, a0), v in A.left_coaction.column((a,)).data.items():
+            term = apply_linear_map(M.coaction, act_M(a0, m, 0), (0,))
+            rhs = rhs + act_C_right(term, h, 1).scale(v)
+        return lhs, rhs
+
+    report.sweep("crossed-compat", all_indices((M.dim, A.alg.dim)), crossed)
     return report
 
 

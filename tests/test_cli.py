@@ -110,6 +110,21 @@ def test_report_determinism_env_override(tmp_path, monkeypatch):
     assert open(r1, "rb").read() == open(r2, "rb").read()
 
 
+@pytest.mark.parametrize("command", [
+    ["fixture", "emit", "h2"],
+    ["check", "h2.qha.json"],
+    ["dtwist", "h2.qha.json"],
+    ["twist", "h2.qha.json", "--gauge", "h2.qha.json"],
+    ["verify", "rat-2.5", "--C", "c2.qha.json"],
+])
+def test_bad_jobs_env_is_a_usage_error_for_every_command(tmp_path, monkeypatch,
+                                                          command):
+    monkeypatch.chdir(tmp_path)
+    assert run(["fixture", "emit", "c2"]) == 0
+    monkeypatch.setenv("QHA_JOBS", "abc")
+    assert run(command) == 2
+
+
 def test_dtwist_and_twist_pipeline(tmp_path):
     base = str(tmp_path / ("h2" + io.SUFFIX))
     io.emit_value(h2(QQ), base)

@@ -398,12 +398,25 @@ def _mutate(H, table, rng, delta):
                             reassoc_inv=H.reassoc_inv)
 
 
-def test_reports_deterministic_across_jobs(field):
+def test_both_antipode_cancel_failures_are_recorded(field):
+    # S(g) = g + 3: S(h1) alpha h2 = alpha and h1 beta S(h2) = beta both fail
+    # at g; each law keeps its own record, witness and sides
     H = h2(field)
-    one = verify_quasi_hopf(H, jobs=1)
-    four = verify_quasi_hopf(H, jobs=4)
-    assert [r.check_id for r in one.records] == [r.check_id for r in four.records]
-    assert [r.passed for r in one.records] == [r.passed for r in four.records]
+    cols = {k: dict(v) for k, v in H.antipode.cols.items()}
+    cols[(1,)][(0,)] = field.one * 3
+    antipode = LinMap(field, (2,), (2,), cols)
+    bad = QuasiHopfAlgebra(H.alg, H.comult, H.counit, H.reassoc, antipode,
+                           H.alpha, H.beta, reassoc_inv=H.reassoc_inv)
+    report = verify_quasi_hopf(bad)
+    assert [r.check_id for r in report.records] == \
+        [r.check_id for r in verify_quasi_hopf(H).records]
+    left, right = (next(r for r in report.records if r.check_id == "antipode-cancel-" + s)
+                   for s in ("left", "right"))
+    assert not left.passed and not right.passed
+    assert left.witness == right.witness == (1,)
+    assert left.rhs == H.alpha and right.rhs == H.beta
+    assert left.lhs == H.alpha + Tensor.basis(field, (2,), (0,)).scale(field.one * 3)
+    assert right.lhs == H.beta + Tensor.basis(field, (2,), (1,)).scale(field.one * 3)
 
 
 # -- quasi-coassociativity on a non-cocommutative base -------------------------
