@@ -70,8 +70,8 @@ def _report_json(reports):
                 "advisory": not rec.fatal,
             }
             if not rec.passed and rec.lhs is not None:
-                entry["lhs"] = repr(rec.lhs)
-                entry["rhs"] = repr(rec.rhs)
+                entry["lhs"] = io.side_rows(rec.lhs)
+                entry["rhs"] = io.side_rows(rec.rhs)
             checks.append(entry)
         subjects.append({"subject": rep.subject, "passed": rep.passed,
                          "checks": checks})

@@ -5,7 +5,8 @@ bicomodule algebra over the twisted tensor-square bases.
 
 from __future__ import annotations
 
-from .errors import AntipodeRequired, QuasiHopfError, ShapeMismatch, WitnessNotNormalized
+from .errors import (AntipodeRequired, NotInvertible, QuasiHopfError, ShapeMismatch,
+                     WitnessNotNormalized)
 from .hopf import (GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra,
                    drinfeld_twist, gauge_twist, op_tensor, tensor_op, variant)
 from .report import CheckReport
@@ -235,14 +236,20 @@ def comodule_variant(X: ComoduleAlgebra, kind: str) -> ComoduleAlgebra:
             return e.map(S_inv, 0).perm((1, 0)).t
 
         coaction = LinMap.from_function(field, (alg.dim,), (alg.dim, Hq.dim), rho)
-        e = X.re_inv_el().times(El(Hq.spaces(2), twist.t))
-        e = e.merge(4, 1).merge(2, 0)            # f2 x2 ; f1 x1
-        e = e.map(S_inv, 1).map(S_inv, 2)
-        re = e.perm((0, 2, 1)).t                 # xB, S^-1(f2 x2), S^-1(f1 x1)
+
+        def reassoc(phi_inv, f):
+            e = El(X.reassoc_spaces(), phi_inv).times(El(Hq.spaces(2), f))
+            e = e.merge(4, 1).merge(2, 0)        # f2 x2 ; f1 x1
+            e = e.map(S_inv, 1).map(S_inv, 2)
+            return e.perm((0, 2, 1)).t           # xB, S^-1(f2 x2), S^-1(f1 x1)
+
         H_out = variant(Hq, "op")
-        out = ComoduleAlgebra(H_out, "right", alg, coaction, re,
-                              name=(X.name + "^Sflip") if X.name else "")
-        return out
+        spaces = (alg, H_out.alg, H_out.alg)
+        re, re_inv = _reassoc_pair(
+            spaces, reassoc, (X.reassoc_inv, twist.t), (X.reassoc, twist.inv),
+            (X.reassoc_spaces(), Hq.spaces(2)), (1, 0))
+        return ComoduleAlgebra(H_out, "right", alg, coaction, re, re_inv,
+                               name=(X.name + "^Sflip") if X.name else "")
 
     if kind == "op":
         H_out = variant(H, "op")
@@ -520,6 +527,40 @@ def bicomodule_variant(A: BicomoduleAlgebra, kind: str) -> BicomoduleAlgebra:
     raise ShapeMismatch("unknown bicomodule variant %r" % (kind,))
 
 
+def _reassoc_pair(spaces, pipeline, factors, inverses, unit_spaces, order):
+    """A reassociator built by ``pipeline`` from invertible factors, with
+    its inverse in closed form.
+
+    ``pipeline`` is linear in each argument; with every argument but the
+    k-th at its unit it is an algebra map T_k into ``spaces`` (each
+    antipode inverse it applies lands on an opposite leg).  ``order`` is
+    the order in which every output leg multiplies the factors (read
+    backwards on opposite legs), so ``pipeline(*factors)`` is the product
+    of T_k(factors[k]) over k in ``order``, and its inverse the product
+    of T_k(inverses[k]) in the reversed order: no linear solve.  When
+    the stated ``inverses`` do not invert the ``factors`` (an inconsistent
+    input file), the product is no inverse and NotInvertible is raised.
+    Returns (reassociator, inverse).
+    """
+    units = [unit_tensor(sp) for sp in unit_spaces]
+
+    def factor(k, x):
+        args = list(units)
+        args[k] = x
+        return pipeline(*args)
+
+    inv = None
+    for k in reversed(order):
+        t = factor(k, inverses[k])
+        inv = t if inv is None else multiply(spaces, inv, t)
+    re = pipeline(*factors)
+    # a one-sided inverse is two-sided in a finite-dimensional algebra
+    if multiply(spaces, re, inv) != unit_tensor(spaces):
+        raise NotInvertible("the stated inverses of the factors do not invert "
+                            "the reassociator")
+    return re, inv
+
+
 def _fused_coaction(A, pipeline, base_alg, side):
     """Build a coaction into a fused tensor-square base from a per-basis
     three-leg pipeline."""
@@ -550,7 +591,6 @@ def bicomodule_to_left_tensor_op(A: BicomoduleAlgebra, base=None):
     alg = A.alg
     S_inv = H.antipode_inv
     twist = drinfeld_twist(H)
-    g_el = El(H.spaces(2), twist.inv)
 
     def lam1(idx):
         e = El.basis((alg,), idx).map(A.right_coaction, 0).map(A.left_coaction, 0)
@@ -563,34 +603,50 @@ def bicomodule_to_left_tensor_op(A: BicomoduleAlgebra, base=None):
     co1 = _fused_coaction(A, lam1, HHop.alg, "left")
     co2 = _fused_coaction(A, lam2, HHop.alg, "left")
 
-    # first reassociator
-    e = A.mixed_el().times(El((H.alg, H.alg, alg), A.reassoc_left))
-    e = e.times(El((alg, H.alg, H.alg), A.reassoc_right_inv)).times(g_el)
-    e = e.map(A.left_coaction, 1)         # Theta2 -> [-1],[0]
-    e = e.map(A.left_coaction, 7)         # x_rho^1 -> [-1],[0]
-    e = e.map(H.comult, 7)
-    e = e.merge(0, 4).merge(0, 6)         # Theta1 X1 xA-1
-    e = e.merge(9, 11).map(S_inv, 9)      # S^-1(x3 g2)
-    e = e.merge(1, 4).merge(1, 5)         # Theta2- X2 xA-2
-    e = e.merge(3, 6).merge(3, 7).map(S_inv, 3)   # S^-1(Theta3 x2 g1)
-    e = e.merge(2, 4).merge(2, 4)         # Theta20 XB xA0
-    re1 = e.perm((0, 4, 1, 3, 2)).t.fuse([[0, 1], [2, 3], [4]])
+    sp_l, sp_r, sp_m = (H.alg, H.alg, alg), (alg, H.alg, H.alg), A.mixed_spaces()
 
-    # second reassociator
-    e = El((H.alg, H.alg, alg), A.reassoc_left).times(A.mixed_inv_el())
-    e = e.times(El((alg, H.alg, H.alg), A.reassoc_right_inv)).times(g_el)
-    e = e.map(A.right_coaction, 2)        # Y3 -> <0>,<1>
-    e = e.map(H.comult, 3)
-    e = e.map(A.right_coaction, 6)        # theta2 -> <0>,<1>
-    e = e.merge(8, 11).merge(8, 4).merge(7, 11).map(S_inv, 7)
-    e = e.merge(4, 1)
-    e = e.merge(5, 8).merge(5, 2).merge(4, 7).map(S_inv, 4)
-    e = e.merge(3, 6).merge(3, 1)
-    re2 = e.perm((0, 4, 1, 3, 2)).t.fuse([[0, 1], [2, 3], [4]])
+    def reassoc1(theta, phi_l, phi_r_inv, g):
+        e = El(sp_m, theta).times(El(sp_l, phi_l))
+        e = e.times(El(sp_r, phi_r_inv)).times(El(H.spaces(2), g))
+        e = e.map(A.left_coaction, 1)         # Theta2 -> [-1],[0]
+        e = e.map(A.left_coaction, 7)         # x_rho^1 -> [-1],[0]
+        e = e.map(H.comult, 7)
+        e = e.merge(0, 4).merge(0, 6)         # Theta1 X1 xA-1
+        e = e.merge(9, 11).map(S_inv, 9)      # S^-1(x3 g2)
+        e = e.merge(1, 4).merge(1, 5)         # Theta2- X2 xA-2
+        e = e.merge(3, 6).merge(3, 7).map(S_inv, 3)   # S^-1(Theta3 x2 g1)
+        e = e.merge(2, 4).merge(2, 4)         # Theta20 XB xA0
+        return e.perm((0, 4, 1, 3, 2)).t.fuse([[0, 1], [2, 3], [4]])
 
-    first = ComoduleAlgebra(HHop, "left", alg, co1, re1,
+    def reassoc2(phi_l, theta_inv, phi_r_inv, g):
+        e = El(sp_l, phi_l).times(El(sp_m, theta_inv))
+        e = e.times(El(sp_r, phi_r_inv)).times(El(H.spaces(2), g))
+        e = e.map(A.right_coaction, 2)        # Y3 -> <0>,<1>
+        e = e.map(H.comult, 3)
+        e = e.map(A.right_coaction, 6)        # theta2 -> <0>,<1>
+        e = e.merge(8, 11).merge(8, 4).merge(7, 11).map(S_inv, 7)
+        e = e.merge(4, 1)
+        e = e.merge(5, 8).merge(5, 2).merge(4, 7).map(S_inv, 4)
+        e = e.merge(3, 6).merge(3, 1)
+        return e.perm((0, 4, 1, 3, 2)).t.fuse([[0, 1], [2, 3], [4]])
+
+    spaces = (HHop.alg, HHop.alg, alg)
+    units = (sp_m, sp_l, sp_r, H.spaces(2))
+    re1, re1_inv = _reassoc_pair(
+        spaces, reassoc1,
+        (A.reassoc_mixed, A.reassoc_left, A.reassoc_right_inv, twist.inv),
+        (A.reassoc_mixed_inv, A.reassoc_left_inv, A.reassoc_right, twist.t),
+        units, (0, 1, 2, 3))
+    units = (sp_l, sp_m, sp_r, H.spaces(2))
+    re2, re2_inv = _reassoc_pair(
+        spaces, reassoc2,
+        (A.reassoc_left, A.reassoc_mixed_inv, A.reassoc_right_inv, twist.inv),
+        (A.reassoc_left_inv, A.reassoc_mixed, A.reassoc_right, twist.t),
+        units, (1, 2, 0, 3))
+
+    first = ComoduleAlgebra(HHop, "left", alg, co1, re1, re1_inv,
                             name=(A.name + ":lam1") if A.name else "")
-    second = ComoduleAlgebra(HHop, "left", alg, co2, re2,
+    second = ComoduleAlgebra(HHop, "left", alg, co2, re2, re2_inv,
                              name=(A.name + ":lam2") if A.name else "")
     return first, second, HHop
 
@@ -606,7 +662,6 @@ def bicomodule_to_right_op_tensor(A: BicomoduleAlgebra, base=None):
     alg = A.alg
     S_inv = H.antipode_inv
     twist = drinfeld_twist(H)
-    f_el = El(H.spaces(2), twist.t)
 
     def rho1(idx):
         e = El.basis((alg,), idx).map(A.right_coaction, 0).map(A.left_coaction, 0)
@@ -619,36 +674,50 @@ def bicomodule_to_right_op_tensor(A: BicomoduleAlgebra, base=None):
     co1 = _fused_coaction(A, rho1, HopH.alg, "right")
     co2 = _fused_coaction(A, rho2, HopH.alg, "right")
 
-    # first reassociator
-    e = El((alg, H.alg, H.alg), A.reassoc_right)
-    e = e.times(El((H.alg, H.alg, alg), A.reassoc_left_inv))
-    e = e.times(A.mixed_inv_el()).times(f_el)
-    e = e.map(A.left_coaction, 0)
-    e = e.map(H.comult, 0)
-    e = e.map(A.left_coaction, 9)
-    e = e.merge(2, 7).merge(2, 9)
-    e = e.merge(11, 1).merge(10, 5).merge(9, 6).map(S_inv, 8)
-    e = e.merge(2, 6)
-    e = e.merge(6, 0).merge(5, 3).merge(4, 3).map(S_inv, 3)
-    re1 = e.perm((0, 4, 1, 3, 2)).t.fuse([[0], [1, 2], [3, 4]])
+    sp_l, sp_r, sp_m = (H.alg, H.alg, alg), (alg, H.alg, H.alg), A.mixed_spaces()
 
-    # second reassociator
-    e = El((H.alg, H.alg, alg), A.reassoc_left_inv)
-    e = e.times(El((alg, H.alg, H.alg), A.reassoc_right))
-    e = e.times(A.mixed_el()).times(f_el)
-    e = e.map(A.right_coaction, 2)
-    e = e.map(H.comult, 3)
-    e = e.map(A.right_coaction, 9)
-    e = e.merge(2, 5).merge(2, 8)
-    e = e.merge(11, 1).merge(10, 6).map(S_inv, 9)
-    e = e.merge(2, 4).merge(2, 5)
-    e = e.merge(6, 0).map(S_inv, 5)
-    e = e.merge(2, 3).merge(2, 3)
-    re2 = e.perm((0, 4, 1, 3, 2)).t.fuse([[0], [1, 2], [3, 4]])
+    def reassoc1(phi_r, phi_l_inv, theta_inv, f):
+        e = El(sp_r, phi_r).times(El(sp_l, phi_l_inv))
+        e = e.times(El(sp_m, theta_inv)).times(El(H.spaces(2), f))
+        e = e.map(A.left_coaction, 0)
+        e = e.map(H.comult, 0)
+        e = e.map(A.left_coaction, 9)
+        e = e.merge(2, 7).merge(2, 9)
+        e = e.merge(11, 1).merge(10, 5).merge(9, 6).map(S_inv, 8)
+        e = e.merge(2, 6)
+        e = e.merge(6, 0).merge(5, 3).merge(4, 3).map(S_inv, 3)
+        return e.perm((0, 4, 1, 3, 2)).t.fuse([[0], [1, 2], [3, 4]])
 
-    first = ComoduleAlgebra(HopH, "right", alg, co1, re1,
+    def reassoc2(phi_l_inv, phi_r, theta, f):
+        e = El(sp_l, phi_l_inv).times(El(sp_r, phi_r))
+        e = e.times(El(sp_m, theta)).times(El(H.spaces(2), f))
+        e = e.map(A.right_coaction, 2)
+        e = e.map(H.comult, 3)
+        e = e.map(A.right_coaction, 9)
+        e = e.merge(2, 5).merge(2, 8)
+        e = e.merge(11, 1).merge(10, 6).map(S_inv, 9)
+        e = e.merge(2, 4).merge(2, 5)
+        e = e.merge(6, 0).map(S_inv, 5)
+        e = e.merge(2, 3).merge(2, 3)
+        return e.perm((0, 4, 1, 3, 2)).t.fuse([[0], [1, 2], [3, 4]])
+
+    spaces = (alg, HopH.alg, HopH.alg)
+    units = (sp_r, sp_l, sp_m, H.spaces(2))
+    re1, re1_inv = _reassoc_pair(
+        spaces, reassoc1,
+        (A.reassoc_right, A.reassoc_left_inv, A.reassoc_mixed_inv, twist.t),
+        (A.reassoc_right_inv, A.reassoc_left, A.reassoc_mixed, twist.inv),
+        units, (3, 0, 1, 2))
+    units = (sp_l, sp_r, sp_m, H.spaces(2))
+    re2, re2_inv = _reassoc_pair(
+        spaces, reassoc2,
+        (A.reassoc_left_inv, A.reassoc_right, A.reassoc_mixed, twist.t),
+        (A.reassoc_left, A.reassoc_right_inv, A.reassoc_mixed_inv, twist.inv),
+        units, (3, 0, 1, 2))
+
+    first = ComoduleAlgebra(HopH, "right", alg, co1, re1, re1_inv,
                             name=(A.name + ":rho1") if A.name else "")
-    second = ComoduleAlgebra(HopH, "right", alg, co2, re2,
+    second = ComoduleAlgebra(HopH, "right", alg, co2, re2, re2_inv,
                              name=(A.name + ":rho2") if A.name else "")
     witness, report = _search_witness(A, first, second, HopH)
     return first, second, HopH, witness, report

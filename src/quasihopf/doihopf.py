@@ -949,6 +949,22 @@ def verify_coring_comodule(M: CoringComodule) -> CheckReport:
     report = CheckReport("coring comodule %s" % (M.name or ""))
     X = M.coring
     field = M.field
+
+    def vec(m):
+        return Tensor.basis(field, (M.dim,), (m,))
+
+    # M is a unital right module over the base ring
+    def associative(item):
+        m, r, s = item
+        return (apply_linear_map(M.action, vec(m).outer(X.R.basis_product(r, s)), (0, 1)),
+                M.act(s, M.act(r, vec(m))))
+
+    report.sweep("action-associative", all_indices((M.dim, X.R.dim, X.R.dim)),
+                 associative)
+    report.sweep("action-unital", all_indices((M.dim,)),
+                 lambda idx: (apply_linear_map(M.action, vec(idx[0]).outer(X.R.unit),
+                                               (0, 1)), vec(idx[0])))
+
     # balancing reducer for M (x) C
     rows = []
     dims = (M.dim, X.dim)

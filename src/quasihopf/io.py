@@ -12,10 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from fractions import Fraction
 
 from .comodule import BicomoduleAlgebra, ComoduleAlgebra
 from .errors import HashMismatch, ParseError
-from .fields import FieldError, field_from_tag
+from .fields import QQ, FieldError, FpElement, PrimeField, field_from_tag
 from .hopf import GaugeTransformation, QuasiHopfAlgebra
 from .modcoalg import ModuleCoalgebra
 from .smash import ProductAlgebra
@@ -41,6 +42,21 @@ def _field_tag(field):
 
 def _tensor_rows(field, t: Tensor):
     return [list(idx) + [field.fmt(v)] for idx, v in t.entries()]
+
+
+def side_rows(value):
+    """One side of a failed check in the coefficient syntax of the files:
+    the rows of a tensor, the coefficients of a flat vector, or a single
+    coefficient; a plain integer (a rank, a count) stays a number."""
+    if isinstance(value, Tensor):
+        return _tensor_rows(value.field, value)
+    if isinstance(value, (list, tuple)):
+        return [side_rows(v) for v in value]
+    if isinstance(value, FpElement):
+        return PrimeField(value.p).fmt(value)
+    if isinstance(value, Fraction):
+        return QQ.fmt(value)
+    return value
 
 
 def _tensor_from_rows(field, dims, rows, where):

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from .comodule import (BicomoduleAlgebra, ComoduleAlgebra,
                        bicomodule_to_right_op_tensor, canonical_elements)
-from .errors import AntipodeRequired, MixedBase, ShapeMismatch
+from .errors import AntipodeRequired, MixedBase, NotInvertible, ShapeMismatch
 from .hopf import QuasiHopfAlgebra, drinfeld_twist, op_tensor
 from .modcoalg import (ModuleAlgebra, ModuleCoalgebra,
                        bimodule_to_op_tensor_module_coalgebra, dualize)
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
-                     apply_linear_map, embed_legs, invert_element, multiply,
-                     switch_legs)
+                     apply_linear_map, embed_legs, multiply, switch_legs,
+                     unit_tensor)
 
 
 class ProductAlgebra:
@@ -423,18 +423,21 @@ def phi_isomorphism(C: ModuleCoalgebra):
 class OmegaData:
     """The exchange data of a diagonal crossed product: the composite
     two-sided coaction, its five-leg coherence element with inverse, and
-    the two antipode-corrected variants used by the left/right products."""
+    the two antipode-corrected variants used by the left/right products.
 
-    def __init__(self, kind, delta, psi, psi_inv, omega_left, omega_right):
+    ``omega_right_inv`` inverts ``omega_right`` with legs 0 and 1 in the
+    opposite algebra, where the reshuffle into the one-sided realizations
+    puts them (on a commutative base this is the plain inverse)."""
+
+    def __init__(self, kind, delta, psi, psi_inv, omega_left, omega_right,
+                 omega_right_inv):
         self.kind = kind
         self.delta = delta
         self.psi = psi
         self.psi_inv = psi_inv
         self.omega_left = omega_left
         self.omega_right = omega_right
-
-    def omega_right_inv(self, spaces):
-        return invert_element(spaces, self.omega_right)
+        self.omega_right_inv = omega_right_inv
 
 
 def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
@@ -450,33 +453,45 @@ def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
     twist = drinfeld_twist(H)
     S_inv = H.antipode_inv
 
+    # psi is a product of three invertible factors; psi_inv multiplies
+    # their inverses in the reversed order (the coactions are algebra maps)
     if kind == "l":
         def delta_fn(idx):
             return El.basis((alg,), idx).map(
                 A.right_coaction, 0).map(A.left_coaction, 0).t
 
-        mixed = A.mixed_el()              # H A H
-        e = mixed.times(El.unit((H.alg,)))            # Theta x 1
-        inner = El((alg, H.alg, H.alg), A.reassoc_right_inv).map(A.left_coaction, 0)
-        e = e.mul(inner)                  # product in H A H H
-        e = e.map(A.left_coaction, 1)     # H H A H H
-        e = e.mul(El(sp5, embed_legs(sp5, A.reassoc_left, (0, 1, 2))))
-        psi = e.t
+        def exchange(theta, phi_right, phi_left, reverse):
+            e = El(A.mixed_spaces(), theta).times(El.unit((H.alg,)))  # Theta x 1
+            inner = El((alg, H.alg, H.alg), phi_right).map(A.left_coaction, 0)
+            e = inner.mul(e) if reverse else e.mul(inner)  # product in H A H H
+            e = e.map(A.left_coaction, 1)                 # H H A H H
+            outer = El(sp5, embed_legs(sp5, phi_left, (0, 1, 2)))
+            return (outer.mul(e) if reverse else e.mul(outer)).t
+
+        psi = exchange(A.reassoc_mixed, A.reassoc_right_inv, A.reassoc_left, False)
+        psi_inv = exchange(A.reassoc_mixed_inv, A.reassoc_right, A.reassoc_left_inv, True)
     else:
         def delta_fn(idx):
             return El.basis((alg,), idx).map(
                 A.left_coaction, 0).map(A.right_coaction, 1).t
 
-        e = El.unit((H.alg,)).times(A.mixed_inv_el())  # 1 x theta: H H A H
-        inner = El((H.alg, H.alg, alg), A.reassoc_left).map(A.right_coaction, 2)
-        e = e.mul(inner)
-        e = e.map(A.right_coaction, 2)    # H H A H H
-        e = e.mul(El(sp5, embed_legs(sp5, A.reassoc_right_inv, (2, 3, 4))))
-        psi = e.t
+        def exchange(theta_inv, phi_left, phi_right_inv, reverse):
+            e = El.unit((H.alg,)).times(El(A.mixed_spaces(), theta_inv))  # H H A H
+            inner = El((H.alg, H.alg, alg), phi_left).map(A.right_coaction, 2)
+            e = inner.mul(e) if reverse else e.mul(inner)
+            e = e.map(A.right_coaction, 2)                # H H A H H
+            outer = El(sp5, embed_legs(sp5, phi_right_inv, (2, 3, 4)))
+            return (outer.mul(e) if reverse else e.mul(outer)).t
 
+        psi = exchange(A.reassoc_mixed_inv, A.reassoc_left, A.reassoc_right_inv, False)
+        psi_inv = exchange(A.reassoc_mixed, A.reassoc_left_inv, A.reassoc_right, True)
+
+    # an inconsistent input (a stated inverse that is none) shows here
+    if multiply(sp5, psi, psi_inv) != unit_tensor(sp5):
+        raise NotInvertible("the stated reassociator inverses do not invert "
+                            "the exchange element")
     delta = LinMap.from_function(field, (alg.dim,), (H.dim, alg.dim, H.dim),
                                  delta_fn, dst_spaces=(H.alg, alg, H.alg))
-    psi_inv = invert_element(sp5, psi)
 
     e = El(sp5, psi_inv).map(S_inv, 3, at=3).map(S_inv, 4, at=4)
     f_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, twist.t, (0,)), (1,))
@@ -485,8 +500,13 @@ def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
     e = El(sp5, psi).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
     g_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, twist.inv, (0,)), (1,))
     omega_right = multiply(sp5, embed_legs(sp5, g_corr, (0, 1)), e.t)
+    # S^-1 on legs 0 and 1 is an algebra map onto H^op there, and
+    # (S^-1 x S^-1)(f) inverts g_corr in H^op x H^op
+    e = El(sp5, psi_inv).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
+    omega_right_inv = multiply(sp5, e.t, embed_legs(sp5, f_corr, (0, 1)))
 
-    return OmegaData(kind, delta, psi, psi_inv, omega_left, omega_right)
+    return OmegaData(kind, delta, psi, psi_inv, omega_left, omega_right,
+                     omega_right_inv)
 
 
 DIAGONAL_KINDS = ("left-l", "left-r", "right-l", "right-r")
@@ -604,10 +624,8 @@ def check_prop_3_10(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> CheckReport:
 
     # the documented reshuffle: the one-sided reassociators are the
     # inverted exchange elements re-fused into the square base
-    sp5 = (H.alg, H.alg, A.alg, H.alg, H.alg)
     for tag, one_sided, order in (("first", first, "l"), ("second", second, "r")):
-        data = build_omega(A, order)
-        tilde = data.omega_right_inv(sp5)
+        tilde = build_omega(A, order).omega_right_inv
         reshuffled = switch_legs(tilde, (2, 1, 3, 0, 4)).fuse([[0], [1, 2], [3, 4]])
         report.compare("reassoc-reshuffle-" + tag, one_sided.reassoc, reshuffled)
     return report

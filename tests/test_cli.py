@@ -1,13 +1,16 @@
 import json
 import os
+import sys
 
 import pytest
 
-from quasihopf import io
+from quasihopf import io, tensor
 from quasihopf.cli import main
 from quasihopf.errors import HashMismatch, ParseError
 from quasihopf.fields import QQ, PrimeField
 from quasihopf.fixtures import FIXTURE_NAMES, h2, kz2
+from quasihopf.hopf import verify_quasi_hopf
+from quasihopf.tensor import Tensor
 
 
 def run(argv):
@@ -197,3 +200,81 @@ def test_rsmash_second_realization(tmp_path):
     bmc = os.path.join(d, "h2-bimodule-coalgebra" + io.SUFFIX)
     assert run(["build", "rsmash", "--bicomodule", hhf, "--coalgebra", bmc,
                 "--realization", "2"]) == 0
+
+
+def test_failing_report_sides_use_coefficient_syntax(tmp_path, field):
+    # alpha = 1/2: the zigzag laws fail with tensor sides, and the advisory
+    # normalization eps(alpha) eps(beta) = 1 fails with scalar sides
+    path = str(tmp_path / ("h2" + io.SUFFIX))
+    io.emit_value(h2(field), path)
+    payload = json.load(open(path))
+    payload["alpha"] = [[0, "1/2"]]
+    open(path, "w").write(io.canonical_dumps(payload))
+    report_path = str(tmp_path / "report.json")
+    assert run(["--report", report_path, "check", path]) == 1
+    text = open(report_path, encoding="utf-8").read()
+    for word in ("FpElement", "Fraction", "Tensor"):
+        assert word not in text
+    checks = {c["id"]: c for c in json.loads(text)["subjects"][0]["checks"]}
+    records = {r.check_id: r for r in verify_quasi_hopf(io.parse(path)).records}
+
+    norm = checks["alpha-beta-normalized"]
+    assert (norm["lhs"], norm["rhs"]) == (field.fmt(field.div_int(1, 2)), "1")
+    zigzag = checks["zigzag-forward"]
+    assert not zigzag["passed"]
+    for side in ("lhs", "rhs"):
+        rows = zigzag[side]
+        assert rows == sorted(rows)
+        assert all(isinstance(i, int) for row in rows for i in row[:-1])
+        parsed = Tensor(field, (2,), {tuple(row[:-1]): field.parse(row[-1]) for row in rows})
+        assert parsed == getattr(records["zigzag-forward"], side)
+
+
+def test_side_rows_of_scalars_and_flat_vectors(field):
+    half = field.div_int(1, 2)
+    assert io.side_rows(half) == field.fmt(half)
+    assert io.side_rows((field.one, field.zero, half)) == ["1", "0", field.fmt(half)]
+    assert io.side_rows(3) == 3
+    t = Tensor(field, (2, 2), {(1, 0): half, (0, 1): field.one})
+    assert io.side_rows(t) == [[0, 1, "1"], [1, 0, field.fmt(half)]]
+
+
+def readme_commands():
+    """The ``qha`` commands of the README's command-line section, with
+    continuation lines joined and comments dropped."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    text = open(readme, encoding="utf-8").read()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    commands = []
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip().rstrip("\\").strip()
+        if line.startswith("qha "):
+            commands.append(line.split()[1:])
+        elif line:
+            commands[-1] += line.split()
+    return commands
+
+
+@pytest.mark.parametrize("field_tag", ["q", "fp:10007"])
+def test_readme_pipeline_makes_no_dense_inverse(tmp_path, monkeypatch, field_tag):
+    # every reassociator inverse on the README pipeline has a closed form:
+    # no command may fall back to the linear solve of invert_element
+    original = tensor.invert_element
+    calls = []
+
+    def counted(spaces, x):
+        calls.append(x.dims)
+        return original(spaces, x)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quasihopf" and \
+                getattr(module, "invert_element", None) is original:
+            monkeypatch.setattr(module, "invert_element", counted)
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 20
+    for argv in commands:
+        if argv[:2] == ["fixture", "emit"]:
+            argv = argv + ["--field", field_tag]
+        assert run(argv) == 0, argv
+        assert calls == [], argv

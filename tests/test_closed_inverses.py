@@ -1,0 +1,158 @@
+"""Differential tests of the closed-form reassociator inverses: the
+realizations of a bicomodule algebra, the antipode side flip and the
+exchange element of the diagonal crossed products.
+
+Each closed form must be a two-sided inverse; where the algebra has at
+most 32 basis elements it must also equal the exact linear solve.  The
+bases are h2 and one-term gauge twists of Sweedler's algebra, which is
+neither commutative nor cocommutative, so a wrong factor order fails.
+"""
+
+import pytest
+
+from quasihopf.comodule import (BicomoduleAlgebra, bicomodule_to_left_tensor_op,
+                                bicomodule_to_right_op_tensor, comodule_variant)
+from quasihopf.errors import NotInvertible
+from quasihopf.fields import QQ, PrimeField
+from quasihopf.fixtures import h2_bimodule_coalgebra, hh_bicomodule
+from quasihopf.hopf import GaugeTransformation, gauge_twist, op_tensor
+from quasihopf.smash import build_omega, check_prop_3_10
+from quasihopf.tensor import (Tensor, embed_legs, invert_element, multiply,
+                              switch_legs, unit_tensor)
+
+from test_hopf import sweedler
+
+F = PrimeField(10007)
+
+
+def xx_gauge(H, c, second=2):
+    """F = 1 (x) 1 + c x (x) y with inverse 1 (x) 1 - c x (x) y, where y is
+    x or gx (basis 2 or 3): the square of x (x) y is 0."""
+    unit = unit_tensor(H.spaces(2))
+    xy = Tensor(H.field, (H.dim, H.dim), {(2, second): H.field.from_int(c)})
+    return GaugeTransformation(H, unit + xy, unit - xy)
+
+
+def twisted_sweedler(c, second=2):
+    H = sweedler(F)
+    return gauge_twist(H, xx_gauge(H, c, second))
+
+
+def transported(H, G):
+    """The regular bicomodule algebra of H moved onto the base twisted by
+    G: coactions kept, the one-sided reassociators gauged, so the three
+    reassociators are pairwise different."""
+    sp = H.spaces(3)
+    left = multiply(sp, H.reassoc, embed_legs(sp, G.inv, (0, 1)))
+    left_inv = multiply(sp, embed_legs(sp, G.t, (0, 1)), H.reassoc_inv)
+    right = multiply(sp, embed_legs(sp, G.t, (1, 2)), H.reassoc)
+    right_inv = multiply(sp, H.reassoc_inv, embed_legs(sp, G.inv, (1, 2)))
+    return BicomoduleAlgebra(gauge_twist(H, G), H.alg, H.comult, H.comult,
+                             left, right, H.reassoc, left_inv, right_inv,
+                             H.reassoc_inv, name="transported")
+
+
+CASES = {
+    "h2-rationals": lambda: hh_bicomodule(QQ),
+    "h2-fp10007": lambda: hh_bicomodule(F),
+    "sweedler-xx3": lambda: hh_bicomodule(F, twisted_sweedler(3)),
+    "sweedler-xx5": lambda: hh_bicomodule(F, twisted_sweedler(5)),
+    "sweedler-xx-2": lambda: hh_bicomodule(F, twisted_sweedler(-2)),
+    "sweedler-xgx4": lambda: hh_bicomodule(F, twisted_sweedler(4, second=3)),
+    "sweedler-transported": lambda: transported(twisted_sweedler(3),
+                                                xx_gauge(twisted_sweedler(3), 5)),
+}
+
+
+@pytest.fixture(params=sorted(CASES), scope="module")
+def bicomodule(request):
+    return CASES[request.param]()
+
+
+def size(spaces):
+    n = 1
+    for s in spaces:
+        n *= s.dim
+    return n
+
+
+def assert_inverse_pair(spaces, x, x_inv):
+    unit = unit_tensor(spaces)
+    assert multiply(spaces, x, x_inv) == unit
+    assert multiply(spaces, x_inv, x) == unit
+    if size(spaces) <= 32:
+        assert x_inv == invert_element(spaces, x)
+
+
+def realizations(A):
+    first, second, _, _, _ = bicomodule_to_right_op_tensor(A)
+    left_first, left_second, _ = bicomodule_to_left_tensor_op(A)
+    return {"rho1": first, "rho2": second, "lam1": left_first, "lam2": left_second,
+            "sflip": comodule_variant(A.left(), "op-antipode")}
+
+
+@pytest.mark.parametrize("which", ["rho1", "rho2", "lam1", "lam2", "sflip"])
+def test_realization_reassociator_inverse(bicomodule, which):
+    X = realizations(bicomodule)[which]
+    assert_inverse_pair(X.reassoc_spaces(), X.reassoc, X.reassoc_inv)
+
+
+@pytest.mark.parametrize("kind", ["l", "r"])
+def test_exchange_element_inverse(bicomodule, kind):
+    A = bicomodule
+    H = A.H
+    op = H.alg.opposite()
+    data = build_omega(A, kind)
+    assert_inverse_pair((H.alg, H.alg, A.alg, H.alg, H.alg), data.psi, data.psi_inv)
+    # omega_right is inverted with legs 0 and 1 in the opposite algebra
+    assert_inverse_pair((op, op, A.alg, H.alg, H.alg),
+                        data.omega_right, data.omega_right_inv)
+
+
+def test_reshuffle_into_realizations(bicomodule):
+    # the identity behind prop 3.10's reassoc-reshuffle records
+    A = bicomodule
+    first, second, _, _, _ = bicomodule_to_right_op_tensor(A, base=op_tensor(A.H))
+    for one_sided, kind in ((first, "l"), (second, "r")):
+        tilde = build_omega(A, kind).omega_right_inv
+        assert switch_legs(tilde, (2, 1, 3, 0, 4)).fuse([[0], [1, 2], [3, 4]]) \
+            == one_sided.reassoc
+
+
+@pytest.mark.parametrize("kind", ["l", "r"])
+def test_omega_right_is_not_inverted_in_the_plain_algebra(kind):
+    # on a non-commutative base the opposite legs matter: the inverse in
+    # H x H x A x H x H is a different element, and its reshuffle is not
+    # the realization's reassociator
+    A = CASES["sweedler-xx3"]()
+    H = A.H
+    sp5 = (H.alg, H.alg, A.alg, H.alg, H.alg)
+    data = build_omega(A, kind)
+    assert multiply(sp5, data.omega_right, data.omega_right_inv) != unit_tensor(sp5)
+
+
+def test_prop_3_10_passes_on_twisted_sweedler():
+    A = CASES["sweedler-xx3"]()
+    C = h2_bimodule_coalgebra(F, A.H)
+    report = check_prop_3_10(A, C)
+    assert report.passed, report.render()
+
+
+@pytest.mark.parametrize("table", ["reassoc_left", "reassoc_right", "reassoc_mixed"])
+def test_stale_stated_inverse_is_rejected(table):
+    # a reassociator whose stated inverse no longer inverts it: the closed
+    # forms would be no inverses, so every construction refuses the input
+    A = hh_bicomodule(F)
+    bumped = getattr(A, table) + Tensor(F, (2, 2, 2), {(0, 0, 0): F.from_int(3)})
+    tables = {name: getattr(A, name) for name in (
+        "reassoc_left", "reassoc_right", "reassoc_mixed", "reassoc_left_inv",
+        "reassoc_right_inv", "reassoc_mixed_inv")}
+    tables[table] = bumped
+    stale = BicomoduleAlgebra(A.H, A.alg, A.left_coaction, A.right_coaction, **tables)
+    for build in (bicomodule_to_right_op_tensor, bicomodule_to_left_tensor_op,
+                  lambda X: build_omega(X, "l"), lambda X: build_omega(X, "r")):
+        with pytest.raises(NotInvertible):
+            build(stale)
+    if table == "reassoc_left":
+        with pytest.raises(NotInvertible):
+            comodule_variant(stale.left(), "op-antipode")

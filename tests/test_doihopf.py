@@ -1,8 +1,9 @@
 import pytest
 
 from quasihopf.coring import verify_coring
-from quasihopf.doihopf import (DoiHopfContext, FiniteModule, adjunction_maps,
-                               compute_rat, coring_comodule_to_doihopf,
+from quasihopf.doihopf import (CoringComodule, DoiHopfContext, FiniteModule,
+                               adjunction_maps, compute_rat,
+                               coring_comodule_to_doihopf,
                                doihopf_to_coring_comodule, induce_doi_hopf,
                                rational_check, to_smash_module,
                                transport_twist, translate_variant,
@@ -388,3 +389,36 @@ def test_cyclic_submodule_is_rational(field):
             for c in range(dC):
                 slice_vec = [tagged.get((c, m)) for m in range(M.dim)]
                 assert linalg.in_span(field, span, slice_vec)
+
+
+def test_coring_comodule_action_must_be_a_module(field):
+    # m.(g g) = (m.g).g fails once one entry of the action is bumped
+    ctx = right_left_context(field)
+    M = induce_doi_hopf(trivial_module(ctx), ctx)
+    comodule, coring = doihopf_to_coring_comodule(M, ctx)
+    cols = {src: dict(img) for src, img in comodule.action.cols.items()}
+    cols.setdefault((1, 1), {})
+    cols[(1, 1)][(1,)] = cols[(1, 1)].get((1,), field.zero) + field.from_int(5)
+    action = LinMap(field, comodule.action.src, comodule.action.dst, cols)
+    bad = CoringComodule(coring, comodule.dim, action, comodule.coaction)
+    report = verify_coring_comodule(bad)
+    assert not report.passed
+    record = next(r for r in report.records if not r.passed)
+    assert record.check_id == "action-associative"
+    assert record.witness == (0, 1, 1)
+    ids = [r.check_id for r in verify_coring_comodule(comodule).records]
+    assert ids[:2] == ["action-associative", "action-unital"]
+
+
+def test_coring_comodule_action_must_be_unital(field):
+    ctx = right_left_context(field)
+    M = induce_doi_hopf(trivial_module(ctx), ctx)
+    comodule, coring = doihopf_to_coring_comodule(M, ctx)
+    # the unit of the base ring acts by 2
+    action = LinMap(field, comodule.action.src, comodule.action.dst,
+                    {src: {dst: v * (2 if src[1] == 0 else 1) for dst, v in img.items()}
+                     for src, img in comodule.action.cols.items()})
+    report = verify_coring_comodule(CoringComodule(coring, comodule.dim, action,
+                                                   comodule.coaction))
+    records = {r.check_id: r for r in report.records}
+    assert not records["action-unital"].passed
