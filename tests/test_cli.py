@@ -207,12 +207,15 @@ def test_failing_report_sides_use_coefficient_syntax(tmp_path, field):
     # normalization eps(alpha) eps(beta) = 1 fails with scalar sides
     path = str(tmp_path / ("h2" + io.SUFFIX))
     io.emit_value(h2(field), path)
-    payload = json.load(open(path))
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
     payload["alpha"] = [[0, "1/2"]]
-    open(path, "w").write(io.canonical_dumps(payload))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(io.canonical_dumps(payload))
     report_path = str(tmp_path / "report.json")
     assert run(["--report", report_path, "check", path]) == 1
-    text = open(report_path, encoding="utf-8").read()
+    with open(report_path, encoding="utf-8") as fh:
+        text = fh.read()
     for word in ("FpElement", "Fraction", "Tensor"):
         assert word not in text
     checks = {c["id"]: c for c in json.loads(text)["subjects"][0]["checks"]}
@@ -243,7 +246,8 @@ def readme_commands():
     """The ``qha`` commands of the README's command-line section, with
     continuation lines joined and comments dropped."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    text = open(readme, encoding="utf-8").read()
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
     block = text.split("## Command line", 1)[1].split("```")[1]
     commands = []
     for line in block.splitlines():
