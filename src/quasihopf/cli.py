@@ -15,7 +15,8 @@ import sys
 from . import fixtures, io
 from .comodule import (BicomoduleAlgebra, ComoduleAlgebra,
                        bicomodule_to_right_op_tensor, comodule_variant,
-                       verify_bicomodule_algebra, verify_comodule_algebra)
+                       realization_twist_witness, verify_bicomodule_algebra,
+                       verify_comodule_algebra)
 from .coring import build_coring, verify_coring
 from .doihopf import (DoiHopfContext, adjunction_maps, compute_rat,
                       induce_doi_hopf, rational_check, to_smash_module,
@@ -245,7 +246,7 @@ def cmd_build(args):
         from .hopf import op_tensor
         from .modcoalg import bimodule_to_op_tensor_module_coalgebra
         square = op_tensor(A.H)
-        first, second, _, _, _ = bicomodule_to_right_op_tensor(A, base=square)
+        first, second, _ = bicomodule_to_right_op_tensor(A, base=square)
         over = bimodule_to_op_tensor_module_coalgebra(C, base=square)
         chosen = first if args.realization == 1 else second
         product = right_generalized_smash(chosen, dualize(over))
@@ -328,7 +329,8 @@ def cmd_convert(args):
         return _finish(args, [report], emitted)
     if args.what == "bicomodule-r1r2":
         A = _load_bicomodule(args.input)
-        first, second, base, witness, search = bicomodule_to_right_op_tensor(A)
+        first, second, base = bicomodule_to_right_op_tensor(A)
+        _, search = realization_twist_witness(A, first, second)
         reports = [verify_comodule_algebra(first),
                    verify_comodule_algebra(second), search]
         if args.out:

@@ -13,7 +13,6 @@ from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
                      apply_linear_map, embed_legs, invert_element, multiply,
                      switch_legs, unit_tensor)
-from . import linalg
 
 
 def _require_antipode(H):
@@ -528,8 +527,8 @@ def bicomodule_variant(A: BicomoduleAlgebra, kind: str) -> BicomoduleAlgebra:
 
 
 def _reassoc_pair(spaces, pipeline, factors, inverses, unit_spaces, order):
-    """A reassociator built by ``pipeline`` from invertible factors, with
-    its inverse in closed form.
+    """A reassociator and its inverse, both as products of closed-form
+    factors.
 
     ``pipeline`` is linear in each argument; with every argument but the
     k-th at its unit it is an algebra map T_k into ``spaces`` (each
@@ -537,23 +536,24 @@ def _reassoc_pair(spaces, pipeline, factors, inverses, unit_spaces, order):
     the order in which every output leg multiplies the factors (read
     backwards on opposite legs), so ``pipeline(*factors)`` is the product
     of T_k(factors[k]) over k in ``order``, and its inverse the product
-    of T_k(inverses[k]) in the reversed order: no linear solve.  When
-    the stated ``inverses`` do not invert the ``factors`` (an inconsistent
-    input file), the product is no inverse and NotInvertible is raised.
-    Returns (reassociator, inverse).
+    of T_k(inverses[k]) in the reversed order.  Neither the outer product
+    of all the factors nor a linear solve is formed.  When the stated
+    ``inverses`` do not invert the ``factors`` (an inconsistent input
+    file), the two products are no inverse pair and NotInvertible is
+    raised.  Returns (reassociator, inverse).
     """
     units = [unit_tensor(sp) for sp in unit_spaces]
 
-    def factor(k, x):
-        args = list(units)
-        args[k] = x
-        return pipeline(*args)
+    def product(ks, xs):
+        out = unit_tensor(spaces)
+        for k in ks:
+            args = list(units)
+            args[k] = xs[k]
+            out = multiply(spaces, out, pipeline(*args))
+        return out
 
-    inv = None
-    for k in reversed(order):
-        t = factor(k, inverses[k])
-        inv = t if inv is None else multiply(spaces, inv, t)
-    re = pipeline(*factors)
+    re = product(order, factors)
+    inv = product(reversed(order), inverses)
     # a one-sided inverse is two-sided in a finite-dimensional algebra
     if multiply(spaces, re, inv) != unit_tensor(spaces):
         raise NotInvertible("the stated inverses of the factors do not invert "
@@ -652,10 +652,11 @@ def bicomodule_to_left_tensor_op(A: BicomoduleAlgebra, base=None):
 
 
 def bicomodule_to_right_op_tensor(A: BicomoduleAlgebra, base=None):
-    """The two right comodule-algebra realizations over the opposite
-    base tensored with the base, plus a twist witness relating them.
+    """The two right comodule-algebra realizations of a bicomodule algebra
+    over the opposite base tensored with the base.
 
-    Returns (first, second, base, witness_or_None, report).
+    Returns (first, second, base) where both comodule algebras share the
+    carrier and the base is the materialized twisted tensor square.
     """
     H = _require_antipode(A.H)
     HopH = base if base is not None else op_tensor(H)
@@ -719,98 +720,42 @@ def bicomodule_to_right_op_tensor(A: BicomoduleAlgebra, base=None):
                             name=(A.name + ":rho1") if A.name else "")
     second = ComoduleAlgebra(HopH, "right", alg, co2, re2, re2_inv,
                              name=(A.name + ":rho2") if A.name else "")
-    witness, report = _search_witness(A, first, second, HopH)
-    return first, second, HopH, witness, report
+    return first, second, HopH
 
 
-def _sigma_mixed(A: BicomoduleAlgebra, t: Tensor, HopH) -> Tensor:
+def _sigma_mixed(A: BicomoduleAlgebra, t: Tensor) -> Tensor:
     """Reshuffle an element of H x A x H into A x (H^op x H) with the
     antipode inverse on the first leg."""
-    H = A.H
-    e = El(A.mixed_spaces(), t).map(H.antipode_inv, 0).perm((1, 0, 2))
+    e = El(A.mixed_spaces(), t).map(A.H.antipode_inv, 0).perm((1, 0, 2))
     return e.t.fuse([[0], [1, 2]])
 
 
-def _search_witness(A: BicomoduleAlgebra, first, second, HopH):
-    """Find an invertible normalized intertwiner between the two right
-    realizations satisfying the reassociator transport law.
+def realization_twist_witness(A: BicomoduleAlgebra, first: ComoduleAlgebra,
+                              second: ComoduleAlgebra):
+    """The twist witness carrying the first right realization of a
+    bicomodule algebra onto the second.
 
-    The mixed reassociator, reshuffled into the fused base, is tried
-    first; if it fails, the affine space of normalized intertwiners is
-    scanned.  Returns (TwistWitness or None, CheckReport).
+    It is the mixed reassociator reshuffled into A x (H^op x H), with the
+    reshuffled inverse as its inverse; the check is that twisting
+    ``first`` by it gives the coaction and the reassociator of
+    ``second``.  Returns (TwistWitness or None, CheckReport).
     """
     report = CheckReport("twist witness search %s" % (A.name or ""))
-    field = A.field
-    alg = A.alg
-    spaces = (alg, HopH.alg)
-
-    def is_witness(t, inv=None):
-        try:
-            w = TwistWitness(first, t, inv)
-        except QuasiHopfError:
-            return None
+    candidate = _sigma_mixed(A, A.reassoc_mixed)
+    candidate_inv = _sigma_mixed(A, A.reassoc_mixed_inv)
+    try:
+        w = TwistWitness(first, candidate, candidate_inv)
+    except WitnessNotNormalized:
+        w = None
+    if w is not None:
         twisted = twist_comodule_algebra(first, w)
         if any(twisted.coaction.column((i,)) != second.coaction.column((i,))
-               for i in range(alg.dim)):
-            return None
-        if twisted.reassoc != second.reassoc:
-            return None
-        return w
-
-    candidate = _sigma_mixed(A, A.reassoc_mixed, HopH)
-    candidate_inv = _sigma_mixed(A, A.reassoc_mixed_inv, HopH)
-    w = is_witness(candidate, candidate_inv)
-    if w is not None:
-        report.add("witness-found", True)
-        report.add("witness-is-reshuffled-mixed-reassoc", True)
-        return w, report
-
-    # affine solve: intertwiner + counit normalization, then scan
-    n = alg.dim * HopH.dim
-    rows, rhs = [], []
-    for i in range(alg.dim):
-        r1 = first.coaction.column((i,))
-        r2 = second.coaction.column((i,))
-        # second(u) * V - V * first(u) = 0, linear in V
-        for out_idx_flat in range(n):
-            rows.append([field.zero] * n)
-            rhs.append(field.zero)
-        base_row = len(rows) - n
-        for j, idx in enumerate(all_indices((alg.dim, HopH.dim))):
-            vbasis = Tensor.basis(field, (alg.dim, HopH.dim), idx)
-            diff = multiply(spaces, r2, vbasis) - multiply(spaces, vbasis, r1)
-            for out_idx, v in diff.data.items():
-                flat = out_idx[0] * HopH.dim + out_idx[1]
-                rows[base_row + flat][j] = v
-    for a_i in range(alg.dim):
-        row = [field.zero] * n
-        for j, idx in enumerate(all_indices((alg.dim, HopH.dim))):
-            eps = HopH.counit_scalar(idx[1])
-            if idx[0] == a_i and eps:
-                row[j] = eps
-        rows.append(row)
-        rhs.append(alg.unit.get((a_i,)))
-    try:
-        particular = linalg.solve(field, rows, rhs)
-    except linalg.NotInvertible:
-        report.add("witness-found", False)
-        return None, report
-    homogeneous = linalg.nullspace(field, rows)
-    trials = [particular]
-    for vec in homogeneous[:24]:
-        trials.append([a + b for a, b in zip(particular, vec)])
-    for vec in trials:
-        t = Tensor.from_flat(field, (alg.dim, HopH.dim), vec)
-        try:
-            w = is_witness(t)
-        except QuasiHopfError:
+               for i in range(A.alg.dim)) or twisted.reassoc != second.reassoc:
             w = None
-        if w is not None:
-            report.add("witness-found", True)
-            report.add("witness-is-reshuffled-mixed-reassoc", False, fatal=False)
-            return w, report
-    report.add("witness-found", False)
-    return None, report
+    report.add("witness-found", w is not None)
+    if w is not None:
+        report.add("witness-is-reshuffled-mixed-reassoc", True)
+    return w, report
 
 
 class InternalCoalgebra:

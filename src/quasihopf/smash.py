@@ -523,9 +523,16 @@ def diagonal_crossed_product(A: BicomoduleAlgebra, M: ModuleAlgebra,
     H = _check_base(A, M)
     if not isinstance(H, QuasiHopfAlgebra):
         raise AntipodeRequired("diagonal crossed products need antipode data")
-    field = A.field
     side, order = kind.split("-")
-    data = build_omega(A, order)
+    return _diagonal_product(A, M, side, build_omega(A, order))
+
+
+def _diagonal_product(A: BicomoduleAlgebra, M: ModuleAlgebra, side: str,
+                      data: OmegaData) -> ProductAlgebra:
+    """The diagonal crossed product on ``side`` ("left" or "right") from
+    exchange data already built for its coaction order."""
+    H, field = A.H, A.field
+    order = data.kind
     S_inv = H.antipode_inv
     omega = data.omega_left if side == "left" else data.omega_right
     om = El((H.alg, H.alg, A.alg, H.alg, H.alg), omega)
@@ -587,8 +594,8 @@ def diagonal_crossed_product(A: BicomoduleAlgebra, M: ModuleAlgebra,
                          ).fuse([[0, 1]]))
 
     return _product_from_pairs(field, carrier_dims[0], carrier_dims[1], mult_fn,
-                               unit, "diagonal-%s(%s,%s)" % (
-                                   kind, A.name or "A", M.name or "M"),
+                               unit, "diagonal-%s-%s(%s,%s)" % (
+                                   side, order, A.name or "A", M.name or "M"),
                                sub_embedding=emb, sub_alg=A.alg)
 
 
@@ -603,7 +610,7 @@ def check_prop_3_10(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> CheckReport:
 
     # path one: one-sided realizations over the twisted tensor square
     square = op_tensor(H)
-    first, second, HopH, witness, _ = bicomodule_to_right_op_tensor(A, base=square)
+    first, second, _ = bicomodule_to_right_op_tensor(A, base=square)
     over_square = bimodule_to_op_tensor_module_coalgebra(C, base=square)
     dual_over_square = dualize(over_square)
     side1_smash = right_generalized_smash(first, dual_over_square)
@@ -611,8 +618,9 @@ def check_prop_3_10(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> CheckReport:
 
     # path two: diagonal crossed products straight from the exchange data
     dual_bi = dualize(C)
-    side1_diag = diagonal_crossed_product(A, dual_bi, "right-l")
-    side2_diag = diagonal_crossed_product(A, dual_bi, "right-r")
+    data_l, data_r = build_omega(A, "l"), build_omega(A, "r")
+    side1_diag = _diagonal_product(A, dual_bi, "right", data_l)
+    side2_diag = _diagonal_product(A, dual_bi, "right", data_r)
 
     for tag, lhs, rhs in (("first", side1_smash, side1_diag),
                           ("second", side2_smash, side2_diag)):
@@ -624,8 +632,8 @@ def check_prop_3_10(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> CheckReport:
 
     # the documented reshuffle: the one-sided reassociators are the
     # inverted exchange elements re-fused into the square base
-    for tag, one_sided, order in (("first", first, "l"), ("second", second, "r")):
-        tilde = build_omega(A, order).omega_right_inv
-        reshuffled = switch_legs(tilde, (2, 1, 3, 0, 4)).fuse([[0], [1, 2], [3, 4]])
+    for tag, one_sided, data in (("first", first, data_l), ("second", second, data_r)):
+        reshuffled = switch_legs(data.omega_right_inv, (2, 1, 3, 0, 4)).fuse(
+            [[0], [1, 2], [3, 4]])
         report.compare("reassoc-reshuffle-" + tag, one_sided.reassoc, reshuffled)
     return report

@@ -730,9 +730,6 @@ class El:
             return El((), self.t.fuse([list(range(self.t.arity))]) if self.t.arity else self.t)
         raise ShapeMismatch("drop_scalar_legs is only for fully scalar results")
 
-    def inverse(self) -> "El":
-        return El(self.spaces, invert_element(self.spaces, self.t))
-
     def __eq__(self, other):
         if not isinstance(other, El):
             return NotImplemented

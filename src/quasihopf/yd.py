@@ -33,15 +33,10 @@ class YetterDrinfeldContext:
         self.H = A.H
         self.field = A.field
         self.square = square if square is not None else op_tensor(self.H)
-        first, second, _, witness, search = bicomodule_to_right_op_tensor(
+        self.first, self.second, _ = bicomodule_to_right_op_tensor(
             A, base=self.square)
-        self.first = first
-        self.second = second
-        self.witness = witness
-        self.witness_report = search
         self.over_square = bimodule_to_op_tensor_module_coalgebra(C, base=self.square)
-        self.doihopf = DoiHopfContext("left-right", second, self.over_square)
-        self.doihopf_first = DoiHopfContext("left-right", first, self.over_square)
+        self.doihopf = DoiHopfContext("left-right", self.second, self.over_square)
 
 
 def verify_yd(M: FiniteModule, context: YetterDrinfeldContext) -> CheckReport:

@@ -1,21 +1,28 @@
-"""Differential tests of the closed-form reassociator inverses: the
-realizations of a bicomodule algebra, the antipode side flip and the
-exchange element of the diagonal crossed products.
+"""Differential tests of the closed-form reassociators and their
+inverses: the realizations of a bicomodule algebra, the antipode side
+flip, the exchange element of the diagonal crossed products, and the
+twist witness between the two right realizations.
 
 Each closed form must be a two-sided inverse; where the algebra has at
-most 32 basis elements it must also equal the exact linear solve.  The
+most 32 basis elements it must also equal the exact linear solve.  Each
+forward reassociator, a product of factors in a stated order, must equal
+the pipeline evaluated on the outer product of all its factors.  The
 bases are h2 and one-term gauge twists of Sweedler's algebra, which is
 neither commutative nor cocommutative, so a wrong factor order fails.
 """
 
+import sys
+
 import pytest
 
+from quasihopf import comodule, linalg, tensor
 from quasihopf.comodule import (BicomoduleAlgebra, bicomodule_to_left_tensor_op,
-                                bicomodule_to_right_op_tensor, comodule_variant)
+                                bicomodule_to_right_op_tensor, comodule_variant,
+                                realization_twist_witness, verify_comodule_algebra)
 from quasihopf.errors import NotInvertible
 from quasihopf.fields import QQ, PrimeField
-from quasihopf.fixtures import h2_bimodule_coalgebra, hh_bicomodule
-from quasihopf.hopf import GaugeTransformation, gauge_twist, op_tensor
+from quasihopf.fixtures import h2, h2_bimodule_coalgebra, hh_bicomodule
+from quasihopf.hopf import GaugeTransformation, gauge_twist, op_tensor, tensor_qha
 from quasihopf.smash import build_omega, check_prop_3_10
 from quasihopf.tensor import (Tensor, embed_legs, invert_element, multiply,
                               switch_legs, unit_tensor)
@@ -85,7 +92,7 @@ def assert_inverse_pair(spaces, x, x_inv):
 
 
 def realizations(A):
-    first, second, _, _, _ = bicomodule_to_right_op_tensor(A)
+    first, second, _ = bicomodule_to_right_op_tensor(A)
     left_first, left_second, _ = bicomodule_to_left_tensor_op(A)
     return {"rho1": first, "rho2": second, "lam1": left_first, "lam2": left_second,
             "sflip": comodule_variant(A.left(), "op-antipode")}
@@ -112,7 +119,7 @@ def test_exchange_element_inverse(bicomodule, kind):
 def test_reshuffle_into_realizations(bicomodule):
     # the identity behind prop 3.10's reassoc-reshuffle records
     A = bicomodule
-    first, second, _, _, _ = bicomodule_to_right_op_tensor(A, base=op_tensor(A.H))
+    first, second, _ = bicomodule_to_right_op_tensor(A, base=op_tensor(A.H))
     for one_sided, kind in ((first, "l"), (second, "r")):
         tilde = build_omega(A, kind).omega_right_inv
         assert switch_legs(tilde, (2, 1, 3, 0, 4)).fuse([[0], [1, 2], [3, 4]]) \
@@ -156,3 +163,88 @@ def test_stale_stated_inverse_is_rejected(table):
     if table == "reassoc_left":
         with pytest.raises(NotInvertible):
             comodule_variant(stale.left(), "op-antipode")
+
+
+@pytest.fixture
+def reassoc_pairs(monkeypatch):
+    """Spy on every reassociator the realizations build: the pipeline,
+    its factors and the returned pair, in call order."""
+    calls = []
+    original = comodule._reassoc_pair
+
+    def spy(spaces, pipeline, factors, *rest):
+        pair = original(spaces, pipeline, factors, *rest)
+        calls.append((pipeline, factors, pair[0]))
+        return pair
+
+    monkeypatch.setattr(comodule, "_reassoc_pair", spy)
+    return calls
+
+
+def test_forward_reassociator_is_the_dense_pipeline(bicomodule, reassoc_pairs):
+    # ``order`` decides the forward reassociator: the product of the
+    # factors in that order must equal the pipeline evaluated on the outer
+    # product of all of them, which is kept here only as the reference
+    built = realizations(bicomodule)
+    assert len(reassoc_pairs) == len(built) == 5
+    for name, (pipeline, factors, forward) in zip(
+            ("rho1", "rho2", "lam1", "lam2", "sflip"), reassoc_pairs):
+        assert forward == pipeline(*factors), name
+        assert forward == built[name].reassoc, name
+    for name, X in built.items():
+        report = verify_comodule_algebra(X)
+        assert report.passed, (name, report.render())
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a dense linear solve was called")
+
+
+def _forbid_solves(monkeypatch):
+    monkeypatch.setattr(linalg, "solve", _refuse)
+    monkeypatch.setattr(linalg, "nullspace", _refuse)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quasihopf" and \
+                getattr(module, "invert_element", None) is tensor.invert_element:
+            monkeypatch.setattr(module, "invert_element", _refuse)
+
+
+def assert_realizations_without_solves(A, monkeypatch):
+    _forbid_solves(monkeypatch)
+    first, second, _ = bicomodule_to_right_op_tensor(A)
+    bicomodule_to_left_tensor_op(A)
+    witness, report = realization_twist_witness(A, first, second)
+    assert witness is not None, report.render()
+    assert [(r.check_id, r.passed) for r in report.records] == [
+        ("witness-found", True), ("witness-is-reshuffled-mixed-reassoc", True)]
+
+
+def test_realizations_and_witness_make_no_solve(bicomodule, monkeypatch):
+    assert_realizations_without_solves(bicomodule, monkeypatch)
+
+
+def test_realizations_over_a_dim_4_base(monkeypatch):
+    # over h2 (x) h2 each reassociator has 64 entries; the realizations
+    # and the witness come from closed forms, without forming the outer
+    # product of all the factors and without a linear solve
+    A = hh_bicomodule(F, tensor_qha(h2(F), h2(F)))
+    assert_realizations_without_solves(A, monkeypatch)
+
+
+@pytest.mark.parametrize("bump", [
+    {(0, 0, 0): 3},                 # the candidate is not counit-normalized
+    {(0, 0, 0): 3, (1, 0, 1): -3},  # normalized, but does not twist rho1 to rho2
+], ids=["one-entry", "balanced-pair"])
+def test_witness_fails_on_a_bumped_mixed_reassociator(bump):
+    # the inverse is recomputed, so the realizations still build
+    A = hh_bicomodule(F)
+    bumped = A.reassoc_mixed + Tensor(F, (2, 2, 2), {
+        idx: F.from_int(c) for idx, c in bump.items()})
+    B = BicomoduleAlgebra(A.H, A.alg, A.left_coaction, A.right_coaction,
+                          A.reassoc_left, A.reassoc_right, bumped,
+                          A.reassoc_left_inv, A.reassoc_right_inv)
+    first, second, _ = bicomodule_to_right_op_tensor(B)
+    witness, report = realization_twist_witness(B, first, second)
+    assert witness is None
+    assert [(r.check_id, r.passed) for r in report.records] == [
+        ("witness-found", False)]

@@ -8,7 +8,8 @@ from quasihopf.comodule import (BicomoduleAlgebra, ComoduleAlgebra,
                                 bicomodule_to_right_op_tensor,
                                 bicomodule_variant, canonical_elements,
                                 comodule_variant, gauge_twist_comodule_algebra,
-                                internal_coalgebra, twist_comodule_algebra,
+                                internal_coalgebra, realization_twist_witness,
+                                twist_comodule_algebra,
                                 verify_bicomodule_algebra,
                                 verify_comodule_algebra)
 from quasihopf.errors import WitnessNotNormalized
@@ -285,10 +286,11 @@ def test_left_realizations_unital_coaction(field):
 
 def test_right_realizations_pass_and_witness_found(field):
     A = hh_bicomodule(field)
-    first, second, base, witness, report = bicomodule_to_right_op_tensor(A)
+    first, second, base = bicomodule_to_right_op_tensor(A)
     for X in (first, second):
         rep = verify_comodule_algebra(X)
         assert rep.passed, rep.render()
+    witness, report = realization_twist_witness(A, first, second)
     assert witness is not None, report.render()
     assert report.passed, report.render()
 
@@ -297,7 +299,7 @@ def test_right_realizations_hopf_collapse(field):
     # in the ordinary Hopf case both reassociators collapse to the unit
     H = kz2(field)
     A = hh_bicomodule(field, H)
-    first, second, base, witness, report = bicomodule_to_right_op_tensor(A)
+    first, second, base = bicomodule_to_right_op_tensor(A)
     assert first.reassoc == unit_tensor(first.reassoc_spaces())
     assert second.reassoc == unit_tensor(second.reassoc_spaces())
     # the second coaction pairs the antipode-flipped left leg with the
@@ -361,9 +363,10 @@ def _raise_type_error(*args, **kwargs):
 def test_witness_search_propagates_non_package_errors(field, monkeypatch):
     # only package errors mean "not a witness"; anything else is a fault
     A = hh_bicomodule(field)
+    first, second, _ = bicomodule_to_right_op_tensor(A)
     monkeypatch.setattr(comodule, "TwistWitness", _raise_type_error)
     with pytest.raises(TypeError, match="injected"):
-        bicomodule_to_right_op_tensor(A)
+        realization_twist_witness(A, first, second)
 
 
 def test_internal_coalgebra_verify_propagates_non_package_errors(field, monkeypatch):

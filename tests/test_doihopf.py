@@ -309,13 +309,15 @@ def test_induce_reflected_variants(field, variant):
 
 
 def test_transport_twist_roundtrip(field):
-    from quasihopf.comodule import bicomodule_to_right_op_tensor
+    from quasihopf.comodule import (bicomodule_to_right_op_tensor,
+                                    realization_twist_witness)
     from quasihopf.modcoalg import bimodule_to_op_tensor_module_coalgebra
     from quasihopf.hopf import op_tensor
     H = h2(field)
     A = hh_bicomodule(field, H)
     square = op_tensor(H)
-    first, second, _, witness, _ = bicomodule_to_right_op_tensor(A, base=square)
+    first, second, _ = bicomodule_to_right_op_tensor(A, base=square)
+    witness, _ = realization_twist_witness(A, first, second)
     assert witness is not None
     C = bimodule_to_op_tensor_module_coalgebra(
         h2_bimodule_coalgebra(field, H), base=square)

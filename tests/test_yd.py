@@ -1,5 +1,6 @@
 import pytest
 
+from quasihopf.comodule import realization_twist_witness
 from quasihopf.doihopf import FiniteModule, induce_doi_hopf, verify_doi_hopf
 from quasihopf.fixtures import h2, h2_bimodule_coalgebra, hh_bicomodule, kz2
 from quasihopf.tensor import LinMap, Tensor, apply_linear_map
@@ -147,8 +148,9 @@ def test_module_coalgebra_special_case_reduces_to_doihopf(field):
 
 def test_witness_relates_realizations(field):
     ctx = make_context(field)
-    assert ctx.witness is not None
-    assert ctx.witness_report.passed
+    witness, report = realization_twist_witness(ctx.A, ctx.first, ctx.second)
+    assert witness is not None
+    assert report.passed
 
 
 def test_yd_adjunction_roundtrips(field):
