@@ -15,7 +15,8 @@ from .comodule import BicomoduleAlgebra, ComoduleAlgebra
 from .hopf import QuasiHopfAlgebra, drinfeld_twist
 from .modcoalg import ModuleCoalgebra
 from .report import CheckReport
-from .tensor import El, FinAlgebra, LinMap, Tensor, all_indices, apply_linear_map
+from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
+                     apply_linear_map, switch_legs)
 
 
 class Coring:
@@ -364,52 +365,17 @@ def _coring_yd(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> Coring:
 
     right = LinMap.from_function(field, (N, dA), (N,), right_fn)
 
+    # the legs (R2, V, W) = (S^-1(X1 g1), X2 g2, XB)
+    e = El((H.alg, H.alg, A.alg), A.reassoc_left).times(g_el)
+    e = e.merge(0, 3).merge(1, 3).map(S_inv, 0)
+    parts = _yd_structure(A, C, e)
+
+    # (o2 (x) 1) (x) (o1 (x) A a)
     def comult_rep(idx):
         c, a = divmod(idx[0], dA)
-        e = A.mixed_inv_el()              # t1 t2 t3 : H A H
-        e = e.times(El((A.alg, H.alg, H.alg), A.reassoc_right_inv))   # yA y2 y3
-        e = e.times(El((H.alg, H.alg, A.alg), A.reassoc_left))        # X1 X2 XB
-        e = e.times(g_el)                 # g1 g2
-        e = e.times(El.basis((C.space,), (c,))).times(El.basis((A.alg,), (a,)))
-        # legs: t1(0) t2(1,A) t3(2) yA(3,A) y2(4) y3(5) X1(6) X2(7) XB(8,A)
-        #       g1(9) g2(10) c(11,C) a(12,A)
-        e = e.map(A.right_coaction, 8)    # XB -> XB0(8,A) XB1(9,H)
-        e = e.map(H.comult, 9)            # XB11(9) XB12(10); g1(11) g2(12) c(13) a(14)
-        e = e.map(A.right_coaction, 1)    # t2 -> t20(1,A) t21(2,H); rest shifts
-        # legs: t1(0) t20(1) t21(2) t3(3) yA(4) y2(5) y3(6) X1(7) X2(8)
-        #       XB0(9) XB11(10) XB12(11) g1(12) g2(13) c(14) a(15)
-        e = e.map(C.comult, 14)           # c1(14) c2(15) a(16)
-        # first coalgebra output: (t3 y3 XB12) . c2 . S^-1(X1 g1)
-        e = e.merge(3, 6)                 # t3 y3
-        e = e.merge(3, 10)                # . XB12
-        e = e.map(C.left_action, (3, 13), at=12)
-        e = e.merge(5, 9)                 # X1 g1
-        e = e.map(S_inv, 5)
-        e = e.map(C.right_action, (11, 5), at=10)
-        # legs: t1(0) t20(1) t21(2) yA(3) y2(4) X2(5) XB0(6) XB11(7) g2(8)
-        #       c1(9) OUT1(10,C) a(11)
-        # second coalgebra output: (t21 y2 XB11) . c1 . S^-1(t1 X2 g2)
-        e = e.merge(2, 4)                 # t21 y2
-        e = e.merge(2, 6)                 # . XB11
-        e = e.map(C.left_action, (2, 7), at=6)
-        e = e.merge(0, 3)                 # t1 X2
-        e = e.merge(0, 4)                 # . g2
-        e = e.map(S_inv, 0)
-        e = e.map(C.right_action, (4, 0), at=3)
-        # legs: t20(0) yA(1) XB0(2) OUT2(3,C) OUT1(4,C) a(5)
-        # base-ring output: t20 yA XB0 a
-        e = e.merge(0, 1).merge(0, 1).merge(0, 3)
-        # legs: OUTA(0,A) OUT2(1,C) OUT1(2,C)
-        out = Tensor(field, (N, N))
-        for (aa, cc2, cc1), v in e.t.data.items():
-            for (u,), w in A.alg.unit.data.items():
-                key = (pair(cc1, u), pair(cc2, aa))
-                cur = out.data.get(key, field.zero) + v * w
-                if cur:
-                    out.data[key] = cur
-                else:
-                    out.data.pop(key, None)
-        return out
+        t = parts[c].outer(Tensor.basis(field, (dA,), (a,)))   # A o1 o2 a
+        t = apply_linear_map(A.alg.mult, t, (0, 3)).outer(A.alg.unit)
+        return switch_legs(t, (2, 3, 1, 0)).fuse([[0, 1], [2, 3]])
 
     comult = LinMap.from_function(field, (N,), (N, N), comult_rep)
 
@@ -421,3 +387,30 @@ def _coring_yd(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> Coring:
     counit = LinMap.from_function(field, (N,), (dA,), counit_fn)
     return Coring(A.alg, N, left, right, comult, counit,
                   name="YD(%s,%s)" % (A.name or "A", C.name or "C"))
+
+
+def _yd_structure(A: BicomoduleAlgebra, C: ModuleCoalgebra, legs: El) -> list:
+    """The structure element of the YD coaction, contracted with the
+    comultiplication of each basis element of C.
+
+    ``legs`` carries (R2, V, W) in H x H x A.  The correction factor
+    (t1, t20 yA, t21 y2, t3 y3), from the inverse mixed and right
+    reassociators, is built on its own and contracted into the legs as
+    it goes, giving the coalgebra-free element (R2, R1, A, L1, L2) with
+    R1 = S^-1(t1 V), A = t20 yA W0, L1 = t21 y2 W11, L2 = t3 y3 W12.
+    Entry c of the result has legs (A, L1 . c1 . R1, L2 . c2 . R2)."""
+    H = A.H
+    p = A.mixed_inv_el().map(A.right_coaction, 1)   # t1 t20 t21 t3
+    p = p.times(El((A.alg, H.alg, H.alg), A.reassoc_right_inv))
+    p = p.merge(1, 4).merge(2, 4).merge(3, 4)       # t1 t20yA t21y2 t3y3
+    e = legs.times(p).merge(3, 1).map(H.antipode_inv, 2)   # R2 W R1 PA PL1 PL2
+    e = e.map(A.right_coaction, 1).map(H.comult, 2)    # R2 w0 w11 w12 R1 ...
+    e = e.merge(5, 1).merge(5, 1).merge(5, 1)          # R2 R1 A L1 L2
+    parts = []
+    for c in range(C.dim):
+        t = e.t.outer(C.comult.column((c,)))                 # R2 R1 A L1 L2 c1 c2
+        t = apply_linear_map(C.left_action, t, (3, 5), at=3)   # R2 R1 A c1 L2 c2
+        t = apply_linear_map(C.right_action, t, (3, 1), at=2)  # R2 A o1 L2 c2
+        t = apply_linear_map(C.left_action, t, (3, 4))         # R2 A o1 c2
+        parts.append(apply_linear_map(C.right_action, t, (3, 0), at=2))  # A o1 o2
+    return parts

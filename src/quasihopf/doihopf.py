@@ -142,7 +142,6 @@ def verify_doi_hopf(M: FiniteModule, context: DoiHopfContext) -> CheckReport:
     variant, checked on every basis element, plus the module law."""
     variant = context.variant
     A, C = context.comodule, context.coalgebra
-    H = context.H
     field = context.field
     report = CheckReport("doi-hopf %s %s" % (variant, M.name or ""))
     want_action = "right" if variant.startswith("right") else "left"
@@ -151,31 +150,6 @@ def verify_doi_hopf(M: FiniteModule, context: DoiHopfContext) -> CheckReport:
         raise VariantMismatch("module sides do not match variant %s" % variant)
     verify_module_law(M, report=report)
 
-    mspace = M.space
-    cspace = C.space
-
-    def act_pair(tensor, spaces, base_element, coalg_action_side):
-        """Multiply legwise: coalgebra legs through the coalgebra action,
-        module leg through the comodule-algebra action on the module."""
-        out = Tensor(field, tensor.dims)
-        for idx, v in base_element.data.items():
-            term = tensor
-            for leg, x in enumerate(idx):
-                if spaces[leg] is cspace:
-                    basis_h = Tensor.basis(field, (H.dim,), (x,))
-                    action = C.left_action if coalg_action_side == "left" \
-                        else C.right_action
-                    if coalg_action_side == "left":
-                        term = apply_linear_map(action, basis_h.outer(term),
-                                                (0, leg + 1), at=leg)
-                    else:
-                        term = apply_linear_map(action, term.outer(basis_h),
-                                                (leg, term.arity), at=leg)
-                else:
-                    term = _act_module_leg(M, A, x, term, leg)
-            out = out + term.scale(v)
-        return out
-
     def coassoc(idx):
         m = Tensor.basis(field, (M.dim,), idx)
         one = apply_linear_map(M.coaction, m, (0,))
@@ -183,19 +157,19 @@ def verify_doi_hopf(M: FiniteModule, context: DoiHopfContext) -> CheckReport:
             # (comult x id) lam(m) vs ((id x lam) lam(m)) . re
             lhs = apply_linear_map(C.comult, one, (0,))
             rhs = apply_linear_map(M.coaction, one, (1,), at=1)
-            rhs = act_pair(rhs, (cspace, cspace, mspace), A.reassoc, "right")
+            rhs = _act_legwise(M, C, A.reassoc, rhs, 2, "right")
         elif variant == "left-right":
             lhs = apply_linear_map(C.comult, one, (1,), at=1)
             rhs = apply_linear_map(M.coaction, one, (0,), at=0)
-            rhs = act_pair(rhs, (mspace, cspace, cspace), A.reassoc, "left")
+            rhs = _act_legwise(M, C, A.reassoc, rhs, 0, "left")
             lhs, rhs = rhs, lhs
         elif variant == "right-right":
             lhs = apply_linear_map(M.coaction, one, (0,), at=0)
             rhs = apply_linear_map(C.comult, one, (1,), at=1)
-            rhs = act_pair(rhs, (mspace, cspace, cspace), A.reassoc, "right")
+            rhs = _act_legwise(M, C, A.reassoc, rhs, 0, "right")
         else:
             lhs = apply_linear_map(C.comult, one, (0,))
-            lhs = act_pair(lhs, (cspace, cspace, mspace), A.reassoc, "left")
+            lhs = _act_legwise(M, C, A.reassoc, lhs, 2, "left")
             rhs = apply_linear_map(M.coaction, one, (1,), at=1)
         return lhs, rhs
 
@@ -206,12 +180,8 @@ def verify_doi_hopf(M: FiniteModule, context: DoiHopfContext) -> CheckReport:
     mleg = 1 - cleg
 
     def counit_law(idx):
-        counited = Tensor(field, (M.dim,))
-        for legs, v in M.coaction.column(idx).data.items():
-            eps = C.counit.column((legs[cleg],)).get(())
-            if eps:
-                counited = counited + Tensor(field, (M.dim,), {(legs[mleg],): v * eps})
-        return counited, Tensor.basis(field, (M.dim,), idx)
+        return (apply_linear_map(C.counit, M.coaction.column(idx), (cleg,)),
+                Tensor.basis(field, (M.dim,), idx))
 
     report.sweep("coaction-counit", basis, counit_law)
 
@@ -219,34 +189,29 @@ def verify_doi_hopf(M: FiniteModule, context: DoiHopfContext) -> CheckReport:
         i, a = item
         m = Tensor.basis(field, (M.dim,), (i,))
         lhs = apply_linear_map(M.coaction, M.act(a, m), (0,))
-        one = apply_linear_map(M.coaction, m, (0,))
-        rhs = Tensor(field, lhs.dims)
-        for aidx, av in A.coaction.column((a,)).data.items():
-            if A.side == "left":
-                h_part, alg_part = aidx
-            else:
-                alg_part, h_part = aidx
-            basis_h = Tensor.basis(field, (H.dim,), (h_part,))
-            if C.side == "right":
-                term = apply_linear_map(C.right_action, one.outer(basis_h),
-                                        (cleg, one.arity), at=cleg)
-            else:
-                term = apply_linear_map(C.left_action, basis_h.outer(one),
-                                        (0, cleg + 1), at=cleg)
-            term = _act_module_leg(M, A, alg_part, term, mleg)
-            rhs = rhs + term.scale(av)
+        rhs = _act_legwise(M, C, A.coaction.column((a,)),
+                           apply_linear_map(M.coaction, m, (0,)), mleg, C.side)
         return lhs, rhs
 
     report.sweep("action-coaction-compat", all_indices((M.dim, A.alg.dim)), compat)
     return report
 
 
-def _act_module_leg(M: FiniteModule, A, alg_idx: int, tensor: Tensor,
-                    leg: int) -> Tensor:
-    basis = Tensor.basis(M.field, (A.alg.dim,), (alg_idx,))
-    if M.action_side == "left":
-        return apply_linear_map(M.action, basis.outer(tensor), (0, leg + 1), at=leg)
-    return apply_linear_map(M.action, tensor.outer(basis), (leg, tensor.arity), at=leg)
+def _act_legwise(M: FiniteModule, C: ModuleCoalgebra, element: Tensor,
+                 target: Tensor, mleg: int, side: str) -> Tensor:
+    """Act by ``element`` on ``target`` leg by leg: leg ``mleg`` through
+    the action of M, every other leg through the ``side`` action of C.
+    The outer product is formed once, then each leg is one contraction."""
+    n = target.arity
+    out = element.outer(target)
+    for leg in range(n):
+        if leg == mleg:
+            action, left = M.action, M.action_side == "left"
+        else:
+            action = C.left_action if side == "left" else C.right_action
+            left = side == "left"
+        out = apply_linear_map(action, out, (0, n) if left else (n, 0), at=n - 1)
+    return out
 
 
 def trivial_module(context: DoiHopfContext) -> FiniteModule:
@@ -912,15 +877,7 @@ def transport_twist(M: FiniteModule, V: TwistWitness,
     field = context_from.field
 
     def coact_fn(idx):
-        base = M.coaction.column(idx)
-        out = Tensor(field, base.dims)
-        for (a, h), v in V.t.data.items():
-            term = apply_linear_map(
-                C.left_action,
-                Tensor.basis(field, (C.H.dim,), (h,)).outer(base), (0, 2), at=1)
-            term = _act_module_leg(M, context_from.comodule, a, term, 0)
-            out = out + term.scale(v)
-        return out
+        return _act_legwise(M, C, V.t, M.coaction.column(idx), 0, "left")
 
     coaction = LinMap.from_function(field, (M.dim,), M.coaction.dst, coact_fn)
     return FiniteModule(M.dim, context_to.comodule.alg, M.action, "left",

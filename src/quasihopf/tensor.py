@@ -723,13 +723,6 @@ class El:
     def sub(self, other: "El") -> "El":
         return El(self.spaces, self.t - other.t)
 
-    def drop_scalar_legs(self) -> "El":
-        """Remove legs of dimension 1 created by counit-style maps."""
-        keep = [i for i, s in enumerate(self.spaces) if s.dim > 1]
-        if not keep:
-            return El((), self.t.fuse([list(range(self.t.arity))]) if self.t.arity else self.t)
-        raise ShapeMismatch("drop_scalar_legs is only for fully scalar results")
-
     def __eq__(self, other):
         if not isinstance(other, El):
             return NotImplemented

@@ -8,8 +8,9 @@ from __future__ import annotations
 from . import linalg
 from .comodule import (BicomoduleAlgebra, bicomodule_to_right_op_tensor,
                        canonical_elements)
-from .doihopf import (DoiHopfContext, FiniteModule, _module_hom_basis,
-                      verify_module_law)
+from .coring import _yd_structure
+from .doihopf import (DoiHopfContext, FiniteModule, _act_legwise,
+                      _module_hom_basis, verify_module_law)
 from .errors import AntipodeRequired, VariantMismatch
 from .hopf import QuasiHopfAlgebra, drinfeld_twist, op_tensor
 from .modcoalg import ModuleCoalgebra, bimodule_to_op_tensor_module_coalgebra
@@ -43,7 +44,6 @@ def verify_yd(M: FiniteModule, context: YetterDrinfeldContext) -> CheckReport:
     """Counit law, the mixed coassociativity law, and the crossed
     compatibility, on every basis element."""
     A, C = context.A, context.C
-    H = context.H
     field = context.field
     report = CheckReport("yetter-drinfeld %s" % (M.name or ""))
     if M.action_side != "left" or M.coaction_side != "right":
@@ -53,76 +53,66 @@ def verify_yd(M: FiniteModule, context: YetterDrinfeldContext) -> CheckReport:
     basis = all_indices((M.dim,))
 
     def counit_law(idx):
-        acc = Tensor(field, (M.dim,))
-        for (m0, c), v in M.coaction.column(idx).data.items():     # M x C
-            eps = C.counit.column((c,)).get(())
-            if eps:
-                acc = acc + Tensor(field, (M.dim,), {(m0,): v * eps})
-        return acc, Tensor.basis(field, (M.dim,), idx)
+        return (apply_linear_map(C.counit, M.coaction.column(idx), (1,)),
+                Tensor.basis(field, (M.dim,), idx))
 
     report.sweep("coaction-counit", basis, counit_law)
 
-    mixed_inv = A.reassoc_mixed_inv      # H x A x H
-    re_r_inv = A.reassoc_right_inv       # A x H x H
-    re_l_inv = A.reassoc_left_inv        # H x H x A
-
-    def act_M(a_idx, t, leg):
-        basis = Tensor.basis(field, (A.alg.dim,), (a_idx,))
-        return apply_linear_map(M.action, basis.outer(t), (0, leg + 1), at=leg)
-
-    def act_C_left(h_idx, t, leg):
-        basis = Tensor.basis(field, (H.dim,), (h_idx,))
-        return apply_linear_map(C.left_action, basis.outer(t), (0, leg + 1), at=leg)
-
-    def act_C_right(t, h_idx, leg):
-        basis = Tensor.basis(field, (H.dim,), (h_idx,))
-        return apply_linear_map(C.right_action, t.outer(basis), (leg, t.arity), at=leg)
-
     def mixed_coassoc(idx):
-        m = Tensor.basis(field, (M.dim,), idx)
-        # left side: expand the inverse mixed reassociator
-        lhs = Tensor(field, (M.dim, C.dim, C.dim))
-        for (t1, t2, t3), v in mixed_inv.data.items():
-            term = act_M(t2, apply_linear_map(M.coaction, m, (0,)), 0)
-            term = apply_linear_map(M.coaction, term, (0,), at=0)
-            # legs now (module, fresh coaction leg, old coaction leg)
-            term = act_C_right(term, t1, 1)
-            term = act_C_left(t3, term, 2)
-            lhs = lhs + term.scale(v)
-        # right side: both one-sided inverse reassociators
-        rhs = Tensor(field, (M.dim, C.dim, C.dim))
-        for (yA, y2, y3), vr in re_r_inv.data.items():
-            for (x1, x2, xB), vl in re_l_inv.data.items():
-                term = act_M(xB, m, 0)
-                term = apply_linear_map(M.coaction, term, (0,), at=0)  # M C
-                term = apply_linear_map(C.comult, term, (1,), at=1)    # M C C
-                term = act_M(yA, term, 0)
-                term = act_C_left(y2, term, 1)
-                term = act_C_right(term, x1, 1)
-                term = act_C_left(y3, term, 2)
-                term = act_C_right(term, x2, 2)
-                rhs = rhs + term.scale(vr * vl)
+        # left side: t2 acts on the module before the second coaction,
+        # t1 and t3 on the fresh and the old coaction leg
+        lhs = A.reassoc_mixed_inv.outer(M.coaction.column(idx))  # t1 t2 t3 m c
+        lhs = apply_linear_map(M.action, lhs, (1, 3), at=0)      # m t1 t3 c
+        lhs = apply_linear_map(M.coaction, lhs, (0,))            # m0 c' t1 t3 c
+        lhs = apply_linear_map(C.right_action, lhs, (1, 2), at=1)  # m0 c'.t1 t3 c
+        lhs = apply_linear_map(C.left_action, lhs, (2, 3))       # m0 c'.t1 t3.c
+        # right side: xB acts before the coaction, yA after it; on each
+        # coalgebra leg y acts from the left before x from the right
+        rhs = A.reassoc_left_inv.outer(Tensor.basis(field, (M.dim,), idx))
+        rhs = apply_linear_map(M.action, rhs, (2, 3))           # x1 x2 m
+        rhs = apply_linear_map(M.coaction, rhs, (2,))           # x1 x2 m0 c
+        rhs = apply_linear_map(C.comult, rhs, (3,))             # x1 x2 m0 c1 c2
+        rhs = A.reassoc_right_inv.outer(rhs)     # yA y2 y3 x1 x2 m0 c1 c2
+        rhs = apply_linear_map(M.action, rhs, (0, 5), at=4)     # y2 y3 x1 x2 m c1 c2
+        rhs = apply_linear_map(C.left_action, rhs, (0, 5), at=4)   # y3 x1 x2 m c1 c2
+        rhs = apply_linear_map(C.right_action, rhs, (4, 1), at=3)  # y3 x2 m c1 c2
+        rhs = apply_linear_map(C.left_action, rhs, (0, 4), at=3)   # x2 m c1 c2
+        rhs = apply_linear_map(C.right_action, rhs, (3, 0))        # m c1 c2
         return lhs, rhs
 
     report.sweep("mixed-coassoc", basis, mixed_coassoc)
 
     def crossed(item):
         i, a = item
-        m = Tensor.basis(field, (M.dim,), (i,))
         # u_<0> . m_(0) x u_<1> . m_(1)
-        lhs = Tensor(field, (M.dim, C.dim))
-        one = apply_linear_map(M.coaction, m, (0,))
-        for (a0, h), v in A.right_coaction.column((a,)).data.items():
-            lhs = lhs + act_C_left(h, act_M(a0, one, 0), 1).scale(v)
+        lhs = _act_legwise(M, C, A.right_coaction.column((a,)),
+                           M.coaction.column((i,)), 0, "left")
         # (u_[0] . m)_(0) x (u_[0] . m)_(1) . u_[-1]
-        rhs = Tensor(field, (M.dim, C.dim))
-        for (h, a0), v in A.left_coaction.column((a,)).data.items():
-            term = apply_linear_map(M.coaction, act_M(a0, m, 0), (0,))
-            rhs = rhs + act_C_right(term, h, 1).scale(v)
+        rhs = _coact_acted(M, C, A.left_coaction.column((a,)), i)
         return lhs, rhs
 
     report.sweep("crossed-compat", all_indices((M.dim, A.alg.dim)), crossed)
     return report
+
+
+def _coact_acted(M: FiniteModule, C: ModuleCoalgebra, x: Tensor, i: int) -> Tensor:
+    """(x_A . m)_(0) (x) (x_A . m)_(1) . x_H for an element x of H (x) A
+    and the basis element m = e_i of M."""
+    t = x.outer(Tensor.basis(M.field, (M.dim,), (i,)))    # h a m
+    t = apply_linear_map(M.action, t, (1, 2))            # h m
+    t = apply_linear_map(M.coaction, t, (1,))            # h m0 c
+    return apply_linear_map(C.right_action, t, (2, 0), at=1)
+
+
+def _act_sandwich(action: LinMap, C: ModuleCoalgebra, x: Tensor,
+                  target: Tensor) -> Tensor:
+    """Act by an element x of H (x) A (x) H on a tensor of carrier (x) C:
+    x_A on the carrier through ``action``, then (x_3 . c) . x_1 on the
+    coalgebra leg."""
+    t = x.outer(target)                                  # r a l m c
+    t = apply_linear_map(action, t, (1, 3), at=0)        # m r l c
+    t = apply_linear_map(C.left_action, t, (2, 3))       # m r l.c
+    return apply_linear_map(C.right_action, t, (2, 1))   # m (l.c).r
 
 
 def yd_to_doihopf(M: FiniteModule, context: YetterDrinfeldContext) -> FiniteModule:
@@ -130,24 +120,10 @@ def yd_to_doihopf(M: FiniteModule, context: YetterDrinfeldContext) -> FiniteModu
     comparison element; lands in the square-base Doi-Hopf context."""
     A = context.A
     field = context.field
-    elements = canonical_elements(A.left())
-    p = elements.p.t                      # H x A
+    p = canonical_elements(A.left()).p.t      # H x A
 
-    def coact_fn(idx):
-        m = Tensor.basis(field, (M.dim,), idx)
-        out = Tensor(field, (M.dim, context.C.dim))
-        for (h, a), v in p.data.items():
-            acted = apply_linear_map(
-                M.action, Tensor.basis(field, (A.alg.dim,), (a,)).outer(m), (0, 1))
-            term = apply_linear_map(M.coaction, acted, (0,))
-            term = apply_linear_map(
-                context.C.right_action,
-                term.outer(Tensor.basis(field, (context.H.dim,), (h,))),
-                (1, 2), at=1)
-            out = out + term.scale(v)
-        return out
-
-    coaction = LinMap.from_function(field, (M.dim,), (M.dim, context.C.dim), coact_fn)
+    coaction = LinMap.from_function(field, (M.dim,), (M.dim, context.C.dim),
+                                    lambda idx: _coact_acted(M, context.C, p, idx[0]))
     return FiniteModule(M.dim, A.alg, M.action, "left", coaction, "right",
                         name=(M.name or "M"))
 
@@ -157,33 +133,12 @@ def doihopf_to_yd(M: FiniteModule, context: YetterDrinfeldContext) -> FiniteModu
     the right coaction of the carrier."""
     A, C, H = context.A, context.C, context.H
     field = context.field
-    elements = canonical_elements(A.left())
-    q = elements.q.t                      # H x A
-    S_inv = H.antipode_inv
+    q = El((H.alg, A.alg), canonical_elements(A.left()).q.t)
+    q = q.map(H.antipode_inv, 0).map(A.right_coaction, 1)   # S^-1(q1) qA0 qA1
 
-    def coact_fn(idx):
-        m = Tensor.basis(field, (M.dim,), idx)
-        out = Tensor(field, (M.dim, C.dim))
-        for (h, a), v in q.data.items():
-            rho_a = A.right_coaction.column((a,))
-            s_h = apply_linear_map(S_inv, Tensor.basis(field, (H.dim,), (h,)), (0,))
-            for (a0, a1), w in rho_a.data.items():
-                term = apply_linear_map(M.coaction, m, (0,))
-                term = apply_linear_map(
-                    M.action,
-                    Tensor.basis(field, (A.alg.dim,), (a0,)).outer(term), (0, 1))
-                term = apply_linear_map(
-                    C.left_action,
-                    Tensor.basis(field, (H.dim,), (a1,)).outer(term), (0, 2), at=1)
-                for (sh,), sv in s_h.data.items():
-                    moved = apply_linear_map(
-                        C.right_action,
-                        term.outer(Tensor.basis(field, (H.dim,), (sh,))),
-                        (1, 2), at=1)
-                    out = out + moved.scale(v * w * sv)
-        return out
-
-    coaction = LinMap.from_function(field, (M.dim,), (M.dim, C.dim), coact_fn)
+    coaction = LinMap.from_function(
+        field, (M.dim,), (M.dim, C.dim),
+        lambda idx: _act_sandwich(M.action, C, q.t, M.coaction.column(idx)))
     return FiniteModule(M.dim, A.alg, M.action, "left", coaction, "right",
                         name=(M.name or "M"))
 
@@ -197,86 +152,30 @@ def induce_yd(N: FiniteModule, context: YetterDrinfeldContext) -> FiniteModule:
     dC, dN = C.dim, N.dim
     dim = dN * dC
     S_inv = H.antipode_inv
-    twist = drinfeld_twist(H)
-    g_el = El(H.spaces(2), twist.inv)
-    elements = canonical_elements(A.left())
-    q = El((H.alg, A.alg), elements.q.t)
 
     def act_fn(idx):
         a, n = idx
-        m, c = divmod(n, dC)
         e = El.basis((A.alg,), (a,)).map(A.left_coaction, 0)
-        e = e.map(A.right_coaction, 1)    # a-1 a00 a01
-        out = Tensor(field, (dN, dC))
-        for (h_left, a0, h_right), v in e.t.data.items():
-            m_new = N.act(a0, Tensor.basis(field, (dN,), (m,)))
-            c_new = apply_linear_map(
-                C.left_action,
-                Tensor.basis(field, (H.dim,), (h_right,)).outer(
-                    Tensor.basis(field, (dC,), (c,))), (0, 1))
-            c_new = apply_linear_map(
-                C.right_action,
-                c_new.outer(apply_linear_map(
-                    S_inv, Tensor.basis(field, (H.dim,), (h_left,)), (0,))), (0, 1))
-            out = out + m_new.outer(c_new).scale(v)
-        return out.fuse([[0, 1]])
+        e = e.map(A.right_coaction, 1).map(S_inv, 0)   # S^-1(a-1) a00 a01
+        target = Tensor.basis(field, (dN, dC), divmod(n, dC))
+        return _act_sandwich(N.action, C, e.t, target).fuse([[0, 1]])
 
     action = LinMap.from_function(field, (A.alg.dim, dim), (dim,), act_fn)
 
-    # the coalgebra-free structure element, built once with small
-    # intermediates; output legs (R2, R1, A, L1, L2) feed the coaction
-    # via L1 . c1 . R1 and L2 . c2 . R2 with A acting on the module
-    e = q.times(El((H.alg, H.alg, A.alg), A.reassoc_left)).times(g_el)
-    # legs: q1(0) qA(1,A) X1(2) X2(3) XB(4,A) g1(5) g2(6)
-    e = e.map(A.left_coaction, 1)         # qA-1(1,H) qA0(2,A)
-    e = e.merge(2, 5)                     # W = qA0 XB
-    e = e.merge(0, 3).merge(0, 4)         # q1 X1 g1
-    e = e.map(S_inv, 0)                   # R2
-    # legs: R2(0) qA-1(1) W(2,A) X2(3) g2(4)
-    e = e.merge(1, 3).merge(1, 3)         # V = qA-1 X2 g2
-    e = e.map(A.right_coaction, 2)        # W -> w0(2,A) w1(3,H)
-    e = e.map(H.comult, 3)                # w11(3) w12(4)
-    e = e.times(context.A.mixed_inv_el())  # t1(5) t2(6,A) t3(7)
-    e = e.map(A.right_coaction, 6)        # t20(6,A) t21(7,H) t3(8)
-    e = e.times(El((A.alg, H.alg, H.alg), A.reassoc_right_inv))
-    # legs: R2(0) V(1) w0(2) w11(3) w12(4) t1(5) t20(6) t21(7) t3(8)
-    #       yA(9,A) y2(10) y3(11)
-    e = e.merge(5, 1).map(S_inv, 4)       # R1 = S^-1(t1 V) at 4
-    # legs: R2(0) w0(1) w11(2) w12(3) R1(4) t20(5) t21(6) t3(7) yA(8)
-    #       y2(9) y3(10)
-    e = e.merge(5, 8).merge(5, 1)         # module factor t20 yA w0
-    # legs: R2(0) w11(1) w12(2) R1(3) A(4) t21(5) t3(6) y2(7) y3(8)
-    e = e.merge(5, 7).merge(5, 1)         # L1 = t21 y2 w11
-    # legs: R2(0) w12(1) R1(2) A(3) L1(4) t3(5) y3(6)
-    e = e.merge(5, 6).merge(5, 1)         # L2 = t3 y3 w12
-    # legs: R2(0) R1(1) A(2) L1(3) L2(4)
-    structure = e.t
-
-    act_cache = {}
-
-    def sandwich(left_idx, c_idx, right_idx):
-        key = (left_idx, c_idx, right_idx)
-        if key not in act_cache:
-            moved = C.left_action.column((left_idx, c_idx))
-            moved = apply_linear_map(
-                C.right_action,
-                moved.outer(Tensor.basis(field, (H.dim,), (right_idx,))), (0, 1))
-            act_cache[key] = moved
-        return act_cache[key]
+    # the legs (R2, V, W) = (S^-1(q1 X1 g1), qA-1 X2 g2, qA0 XB)
+    e = El((H.alg, A.alg), canonical_elements(A.left()).q.t)
+    e = e.map(A.left_coaction, 1)                 # q1 qA-1 qA0
+    e = e.times(El((H.alg, H.alg, A.alg), A.reassoc_left))
+    e = e.merge(2, 5)                             # W = qA0 XB
+    e = e.merge(0, 3).merge(1, 3)                 # q1 X1, qA-1 X2
+    e = e.times(El(H.spaces(2), drinfeld_twist(H).inv))
+    e = e.merge(0, 3).merge(1, 3).map(S_inv, 0)   # R2 V W
+    parts = _yd_structure(A, C, e)
 
     def coact_fn(idx):
         m, c = divmod(idx[0], dC)
-        two = C.comult.column((c,))
-        out = Tensor(field, (dN, dC, dC))
-        for (r2, r1, aa, l1, l2), v in structure.data.items():
-            m_new = N.act(aa, Tensor.basis(field, (dN,), (m,)))
-            if m_new.is_zero():
-                continue
-            for (c1i, c2i), w in two.data.items():
-                o1 = sandwich(l1, c1i, r1)
-                o2 = sandwich(l2, c2i, r2)
-                out = out + m_new.outer(o1).outer(o2).scale(v * w)
-        return out.fuse([[0, 1], [2]])
+        t = parts[c].outer(Tensor.basis(field, (dN,), (m,)))    # A o1 o2 m
+        return apply_linear_map(N.action, t, (0, 3)).fuse([[0, 1], [2]])
 
     coaction = LinMap.from_function(field, (dim,), (dim, dC), coact_fn)
     return FiniteModule(dim, A.alg, action, "left", coaction, "right",
