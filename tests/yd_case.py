@@ -1,12 +1,12 @@
 """Independent references for the Yetter-Drinfeld layer.
 
-These are the per-entry loops the library used before every element
-acted as tensor legs: each reassociator or coaction image is expanded
-entry by entry, and each entry acts through its own basis-element
-action.  ``reference_verify_yd`` is the whole Yetter-Drinfeld check,
-and ``reference_yd_comult`` is the comultiplication representative of
-the YD coring, built per basis element from the outer product of all
-its factors.  The YD tests compare the library against them.
+Each reassociator or coaction image is expanded entry by entry, and
+each entry acts through its own basis-element action, where the library
+contracts whole elements leg by leg.  ``reference_verify_yd`` is the
+whole Yetter-Drinfeld check, and ``reference_yd_comult`` is the
+comultiplication representative of the YD coring, built per basis
+element from the outer product of all its factors.  The YD tests
+compare the library against them.
 """
 
 from quasihopf.doihopf import verify_module_law
