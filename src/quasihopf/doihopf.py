@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from . import linalg
 from .comodule import ComoduleAlgebra, TwistWitness, comodule_variant
-from .coring import Coring, build_coring
+from .coring import Coring, _normal_form, build_coring
 from .errors import NotRational, ShapeMismatch, VariantMismatch
 from .modcoalg import ModuleCoalgebra, dualize
 from .report import CheckReport
@@ -243,7 +243,7 @@ def induce_doi_hopf(N: FiniteModule, context: DoiHopfContext) -> FiniteModule:
                 c_new = apply_linear_map(
                     C.right_action,
                     Tensor.basis(field, (dC,), (c,)).outer(
-                        Tensor.basis(field, (field_dim(C.H),), (h,))), (0, 1))
+                        Tensor.basis(field, (C.H.dim,), (h,))), (0, 1))
                 m_new = N.act(b0, Tensor.basis(field, (dN,), (m,)))
                 out = out + c_new.outer(m_new).scale(v)
             return out.fuse([[0, 1]])
@@ -280,7 +280,7 @@ def induce_doi_hopf(N: FiniteModule, context: DoiHopfContext) -> FiniteModule:
                 m_new = N.act(a0, Tensor.basis(field, (dN,), (m,)))
                 c_new = apply_linear_map(
                     C.left_action,
-                    Tensor.basis(field, (field_dim(C.H),), (h,)).outer(
+                    Tensor.basis(field, (C.H.dim,), (h,)).outer(
                         Tensor.basis(field, (dC,), (c,))), (0, 1))
                 out = out + m_new.outer(c_new).scale(v)
             return out.fuse([[0, 1]])
@@ -314,10 +314,6 @@ def induce_doi_hopf(N: FiniteModule, context: DoiHopfContext) -> FiniteModule:
                        "right", name=N.name)
     induced = induce_doi_hopf(N_c, canonical_ctx)
     return from_canonical(induced)
-
-
-def field_dim(H):
-    return H.dim
 
 
 def _flip_action(N: FiniteModule) -> LinMap:
@@ -637,7 +633,7 @@ def adjunction_maps(M: FiniteModule, N: FiniteModule, context: DoiHopfContext,
     induced_N = induce_doi_hopf(N, context)
 
     hom_b = _module_hom_basis(M, N, A.alg)
-    hom_c = _comodule_hom_basis(M, induced_N, A.alg, C)
+    hom_c = _module_hom_basis(M, induced_N, A.alg, colinear=True)
 
     def xi(mat):
         # m maps to m_(-1) x f(m_(0))
@@ -687,9 +683,9 @@ def adjunction_maps(M: FiniteModule, N: FiniteModule, context: DoiHopfContext,
     # target: Hom(C x M, N') vs Hom(M, Hom(C x B, N'))
     induced_M = induce_doi_hopf(M_as_plain(M, A), context)
     target = induced_N
-    hom_cm_n = _comodule_hom_basis_from(induced_M, target, A.alg, C)
+    hom_cm_n = _module_hom_basis(induced_M, target, A.alg, colinear=True)
     induced_B = induce_doi_hopf(trivial_module(context), context)
-    hom_cb_n = _comodule_hom_basis_from(induced_B, target, A.alg, C)
+    hom_cb_n = _module_hom_basis(induced_B, target, A.alg, colinear=True)
 
     # right action of the comodule algebra on the inner hom space,
     # expressed on the computed hom basis
@@ -796,12 +792,15 @@ def _expand_in_basis(field, basis_flat, vec):
     return linalg.solve(field, system, list(vec))
 
 
-def _module_hom_basis(M: FiniteModule, N: FiniteModule, alg: FinAlgebra):
-    """Basis of right-module maps M -> N as matrices."""
+def _module_hom_basis(M: FiniteModule, N: FiniteModule, alg: FinAlgebra,
+                      colinear: bool = False):
+    """Basis of module maps M -> N as matrices; with ``colinear`` they
+    also intertwine the coactions, on the side where M coacts."""
     field = M.field
     n_vars = N.dim * M.dim
     rows = []
     for b in range(alg.dim):
+        acted_n = [N.act(b, Tensor.basis(field, (N.dim,), (k,))) for k in range(N.dim)]
         for m in range(M.dim):
             acted_m = M.act(b, Tensor.basis(field, (M.dim,), (m,)))
             for j in range(N.dim):
@@ -810,58 +809,33 @@ def _module_hom_basis(M: FiniteModule, N: FiniteModule, alg: FinAlgebra):
                 for (m2,), v in acted_m.data.items():
                     row[j * M.dim + m2] = row[j * M.dim + m2] + v
                 for k in range(N.dim):
-                    acted_n = N.act(b, Tensor.basis(field, (N.dim,), (k,)))
-                    w = acted_n.get((j,))
+                    w = acted_n[k].get((j,))
                     if w:
                         row[k * M.dim + m] = row[k * M.dim + m] - w
                 rows.append(row)
+    if colinear:
+        # coaction_N(f(m)) = (id x f)(coaction_M(m)), coalgebra leg c
+        left = M.coaction_side == "left"
+        for m in range(M.dim):
+            coact_m = M.coaction.column((m,))
+            for c in range(M.coaction.dst[0 if left else 1]):
+                for j in range(N.dim):
+                    row = [field.zero] * n_vars
+                    for k in range(N.dim):
+                        v = N.coaction.column((k,)).get((c, j) if left else (j, c))
+                        if v:
+                            row[k * M.dim + m] = row[k * M.dim + m] + v
+                    for key, v in coact_m.data.items():
+                        c2, m2 = key if left else key[::-1]
+                        if c2 == c:
+                            row[j * M.dim + m2] = row[j * M.dim + m2] - v
+                    rows.append(row)
     basis = linalg.nullspace(field, rows) if rows else []
     return [_unflatten_matrix(field, vec, N.dim, M.dim) for vec in basis]
 
 
 def _unflatten_matrix(field, vec, rows, cols):
     return [[vec[r * cols + c] for c in range(cols)] for r in range(rows)]
-
-
-def _comodule_hom_basis(M: FiniteModule, target: FiniteModule, alg, C):
-    """Basis of module maps M -> target that also intertwine the left
-    coactions."""
-    return _comodule_hom_basis_from(M, target, alg, C)
-
-
-def _comodule_hom_basis_from(M: FiniteModule, N: FiniteModule, alg, C):
-    field = M.field
-    n_vars = N.dim * M.dim
-    rows = []
-    for b in range(alg.dim):
-        for m in range(M.dim):
-            acted_m = M.act(b, Tensor.basis(field, (M.dim,), (m,)))
-            for j in range(N.dim):
-                row = [field.zero] * n_vars
-                for (m2,), v in acted_m.data.items():
-                    row[j * M.dim + m2] = row[j * M.dim + m2] + v
-                for k in range(N.dim):
-                    acted_n = N.act(b, Tensor.basis(field, (N.dim,), (k,)))
-                    w = acted_n.get((j,))
-                    if w:
-                        row[k * M.dim + m] = row[k * M.dim + m] - w
-                rows.append(row)
-    # colinearity: coaction_N(f(m)) = (id x f)(coaction_M(m))
-    for m in range(M.dim):
-        lam_m = M.coaction.column((m,))
-        for c in range(C.dim):
-            for j in range(N.dim):
-                row = [field.zero] * n_vars
-                for k in range(N.dim):
-                    v = N.coaction.column((k,)).get((c, j))
-                    if v:
-                        row[k * M.dim + m] = row[k * M.dim + m] + v
-                for (c2, m2), v in lam_m.data.items():
-                    if c2 == c:
-                        row[j * M.dim + m2] = row[j * M.dim + m2] - v
-                rows.append(row)
-    basis = linalg.nullspace(field, rows) if rows else []
-    return [_unflatten_matrix(field, vec, N.dim, M.dim) for vec in basis]
 
 
 def transport_twist(M: FiniteModule, V: TwistWitness,
@@ -886,7 +860,8 @@ def transport_twist(M: FiniteModule, V: TwistWitness,
 
 class CoringComodule:
     """Right comodule over a coring: a right module over the base ring
-    with a coaction representative into the plain tensor product."""
+    with a coaction representative into the plain tensor product.  The
+    coring must be free on the left, so that M (x)_R X = M (x) C."""
 
     def __init__(self, coring: Coring, dim: int, action: LinMap, coaction: LinMap,
                  name=""):
@@ -903,8 +878,10 @@ class CoringComodule:
 
 
 def verify_coring_comodule(M: CoringComodule) -> CheckReport:
-    report = CheckReport("coring comodule %s" % (M.name or ""))
     X = M.coring
+    if "left" not in X._free:
+        raise ShapeMismatch("a right comodule needs a coring free on the left")
+    report = CheckReport("coring comodule %s" % (M.name or ""))
     field = M.field
 
     def vec(m):
@@ -922,55 +899,22 @@ def verify_coring_comodule(M: CoringComodule) -> CheckReport:
                  lambda idx: (apply_linear_map(M.action, vec(idx[0]).outer(X.R.unit),
                                                (0, 1)), vec(idx[0])))
 
-    # balancing reducer for M (x) C
-    rows = []
-    dims = (M.dim, X.dim)
-    for r in range(X.R.dim):
-        for m in range(M.dim):
-            for c in range(X.dim):
-                vec = M.act(r, Tensor.basis(field, (M.dim,), (m,))).outer(
-                    Tensor.basis(field, (X.dim,), (c,)))
-                vec = vec - Tensor.basis(field, (M.dim,), (m,)).outer(
-                    X.act_left(r, Tensor.basis(field, (X.dim,), (c,))))
-                rows.append(vec.to_flat())
-    red = linalg.SpanReducer(field, rows, M.dim * X.dim)
+    def normal_forms(lhs, rhs):
+        return (_normal_form(X, lhs, "left", M.action),
+                _normal_form(X, rhs, "left", M.action))
 
     def linear(item):
         m, r = item
-        lhs = apply_linear_map(
-            M.coaction, M.act(r, Tensor.basis(field, (M.dim,), (m,))), (0,))
-        rhs = X.act_right(M.coaction.column((m,)), r, leg=1)
-        return red.reduce(lhs.to_flat()), red.reduce(rhs.to_flat())
+        return normal_forms(apply_linear_map(M.coaction, M.act(r, vec(m)), (0,)),
+                            X.act_right(M.coaction.column((m,)), r, leg=1))
 
     report.sweep("coaction-linear", all_indices((M.dim, X.R.dim)), linear)
-
-    # coassociativity in M (x) C (x) C modulo both balancing families
-    rows3 = []
-    for r in range(X.R.dim):
-        for m in range(M.dim):
-            for c in range(X.dim):
-                for c2 in range(X.dim):
-                    vec = M.act(r, Tensor.basis(field, (M.dim,), (m,))).outer(
-                        Tensor.basis(field, (X.dim,), (c,))).outer(
-                        Tensor.basis(field, (X.dim,), (c2,)))
-                    vec = vec - Tensor.basis(field, (M.dim,), (m,)).outer(
-                        X.act_left(r, Tensor.basis(field, (X.dim,), (c,)))).outer(
-                        Tensor.basis(field, (X.dim,), (c2,)))
-                    rows3.append(vec.to_flat())
-                    vec = Tensor.basis(field, (M.dim,), (m,)).outer(
-                        X.act_right(Tensor.basis(field, (X.dim,), (c,)), r)).outer(
-                        Tensor.basis(field, (X.dim,), (c2,)))
-                    vec = vec - Tensor.basis(field, (M.dim,), (m,)).outer(
-                        Tensor.basis(field, (X.dim,), (c,))).outer(
-                        X.act_left(r, Tensor.basis(field, (X.dim,), (c2,))))
-                    rows3.append(vec.to_flat())
-    red3 = linalg.SpanReducer(field, rows3, M.dim * X.dim * X.dim)
     basis = all_indices((M.dim,))
 
     def coassociative(idx):
         one = M.coaction.column(idx)
-        return (red3.reduce(apply_linear_map(M.coaction, one, (0,)).to_flat()),
-                red3.reduce(apply_linear_map(X.comult, one, (1,), at=1).to_flat()))
+        return normal_forms(apply_linear_map(M.coaction, one, (0,)),
+                            apply_linear_map(X.comult, one, (1,), at=1))
 
     report.sweep("coassociative", basis, coassociative)
 
@@ -978,8 +922,8 @@ def verify_coring_comodule(M: CoringComodule) -> CheckReport:
         acc = Tensor(field, (M.dim,))
         for (m0, c), v in M.coaction.column(idx).data.items():
             for (r,), w in X.counit.column((c,)).data.items():
-                acc = acc + M.act(r, Tensor.basis(field, (M.dim,), (m0,))).scale(v * w)
-        return acc, Tensor.basis(field, (M.dim,), idx)
+                acc = acc + M.act(r, vec(m0)).scale(v * w)
+        return acc, vec(idx[0])
 
     report.sweep("counit-law", basis, counit_law)
     return report

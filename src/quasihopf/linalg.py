@@ -140,34 +140,3 @@ def in_span(field, basis_rows, vector) -> bool:
             v = [a - f * b for a, b in zip(v, row)]
     return not any(v)
 
-
-class SpanReducer:
-    """Row span with a canonical reduction map, for quotient-space work.
-
-    Reduces any vector modulo the span; two vectors are congruent modulo
-    the span iff their reductions are equal.  Used to decide equality in
-    tensor products over a base ring presented by relations.
-    """
-
-    def __init__(self, field, relation_rows, dim: int):
-        self.field = field
-        self.dim = dim
-        if relation_rows:
-            self.rows, self.pivots = rref(field, relation_rows)
-        else:
-            self.rows, self.pivots = [], []
-
-    def reduce(self, vector):
-        v = list(vector)
-        for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                f = v[c]
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
-
-    def contains(self, vector) -> bool:
-        return not any(self.reduce(vector))
-
-    @property
-    def quotient_dim(self) -> int:
-        return self.dim - len(self.rows)

@@ -336,8 +336,8 @@ def phi_isomorphism(C: ModuleCoalgebra):
 
     twist = drinfeld_twist(H)
     g_el = El(H.spaces(2), twist.inv)
-    elements_left = canonical_elements(left_reg)
-    elements_right = canonical_elements(right_reg)
+    elements_left = canonical_elements(left_reg, verify=False)
+    elements_right = canonical_elements(right_reg, verify=False)
     q_lambda = El(H.spaces(2), elements_left.q.t)
     q_rho = El(H.spaces(2), elements_right.q_right.t)
     S, S_inv = H.antipode, H.antipode_inv

@@ -1,6 +1,8 @@
 import pytest
 
 from quasihopf.coring import Coring, build_coring, trivial_coring, verify_coring
+from quasihopf.doihopf import CoringComodule, verify_coring_comodule
+from quasihopf.errors import ShapeMismatch
 from quasihopf.fields import QQ
 from quasihopf.fixtures import (c2, h2, h2_bimodule_coalgebra, hh_bicomodule,
                                 kz2, regular_comodule_algebra)
@@ -87,3 +89,27 @@ def test_perturbed_comultiplication_fails():
     assert failed & {"coassociative", "comult-bilinear", "counit-law"}
     rec = report.first_failure()
     assert rec is not None and rec.witness is not None
+
+
+def test_carrier_free_on_neither_side_is_rejected(field):
+    # the base ring acting through its counit on both sides of k^2: the
+    # carrier is free over h2 on neither side
+    H = h2(field)
+    X = trivial_coring(H.alg)
+    counit_action = {(r, c): {(c,): H.counit_scalar(r)} for r in range(2) for c in range(2)}
+    left = LinMap(field, (2, 2), (2,), counit_action)
+    right = LinMap(field, (2, 2), (2,), {(c, r): img for (r, c), img in counit_action.items()})
+    with pytest.raises(ShapeMismatch):
+        Coring(X.R, 2, left, right, X.comult, X.counit)
+    # one free side is enough
+    Coring(X.R, 2, left, X.right_action, X.comult, X.counit)
+    Coring(X.R, 2, X.left_action, right, X.comult, X.counit)
+
+
+def test_coring_comodule_needs_a_left_free_coring(field):
+    # the CA coring is free on the right only, so it has no right comodules
+    H = h2(field)
+    X = build_coring("CA", A=regular_comodule_algebra(H, "right"),
+                     C=left_trivial_coalgebra(field, H))
+    with pytest.raises(ShapeMismatch):
+        verify_coring_comodule(CoringComodule(X, X.dim, X.right_action, X.comult))

@@ -87,11 +87,13 @@ def test_yd_coring_comult_matches_the_reference(name):
 def test_yd_coring_and_induction_over_a_dim_4_base_under_1_gb():
     # the coring's comultiplication and the induced coaction are built
     # from one structure element, never from the outer product of all
-    # the reassociators, so they fit in a 1 GB address space
+    # the reassociators, and the coring is verified by normal forms, not
+    # by a row reduction of its balancing relations, so all of it fits in
+    # a 1 GB address space
     code = textwrap.dedent("""
         import resource
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-        from quasihopf.coring import build_coring
+        from quasihopf.coring import build_coring, verify_coring
         from quasihopf.doihopf import FiniteModule
         from quasihopf.fields import PrimeField
         from quasihopf.fixtures import h2, h2_bimodule_coalgebra, hh_bicomodule
@@ -106,11 +108,11 @@ def test_yd_coring_and_induction_over_a_dim_4_base_under_1_gb():
         action = LinMap(F, (4, 4), (4,), A.alg.mult.cols)
         M = induce_yd(FiniteModule(4, A.alg, action, "left"),
                       YetterDrinfeldContext(A, C))
-        print(X.dim, M.dim)
+        print(X.dim, M.dim, verify_coring(X).passed)
     """)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.split() == ["16", "16"]
+    assert done.stdout.split() == ["16", "16", "True"]
