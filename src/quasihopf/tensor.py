@@ -20,7 +20,7 @@ from .errors import NotInvertible, ShapeMismatch
 
 
 def _check_same_field(a, b):
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise ShapeMismatch("mixed scalar fields %r and %r" % (a.field, b.field))
 
 
@@ -237,7 +237,7 @@ class LinMap:
     expression pipelines can track spaces through coproducts and actions.
     """
 
-    __slots__ = ("field", "src", "dst", "cols", "dst_spaces")
+    __slots__ = ("field", "src", "dst", "cols", "dst_spaces", "_raw")
 
     def __init__(self, field, src, dst, cols=None, dst_spaces=None):
         self.field = field
@@ -250,6 +250,17 @@ class LinMap:
                 if clean:
                     self.cols[tuple(idx)] = clean
         self.dst_spaces = tuple(dst_spaces) if dst_spaces is not None else None
+        self._raw = None
+
+    def _raw_columns(self):
+        """``cols`` as tuples of (target index, raw scalar) terms, the form
+        ``apply_linear_map`` works on; built on first use, as ``cols`` is
+        never changed after construction."""
+        if self._raw is None:
+            raw = self.field.raw
+            self._raw = {idx: tuple((j, raw(v)) for j, v in img.items())
+                         for idx, img in self.cols.items()}
+        return self._raw
 
     @classmethod
     def from_function(cls, field, src, dst, fn, dst_spaces=None):
@@ -379,7 +390,9 @@ def apply_linear_map(m: LinMap, x: Tensor, legs, at=None) -> Tensor:
 
     The target legs of ``m`` are inserted at slot ``at`` of the remaining
     legs; by default at the slot where the first listed leg sat.  The
-    result is linear in ``x`` and functorial under composition.
+    result is linear in ``x`` and functorial under composition.  As in
+    ``multiply``, the arithmetic runs on raw scalars, and each output sum
+    becomes a field value once, at the end.
     """
     legs = tuple(legs)
     if len(set(legs)) != len(legs):
@@ -387,31 +400,39 @@ def apply_linear_map(m: LinMap, x: Tensor, legs, at=None) -> Tensor:
     for l in legs:
         if not 0 <= l < x.arity:
             raise ShapeMismatch("leg %d out of range" % l)
-    src_dims = tuple(x.dims[l] for l in legs)
+    src_dims = tuple([x.dims[l] for l in legs])
     if src_dims != m.src:
         raise ShapeMismatch("legs %r have dims %r but map wants %r" % (legs, src_dims, m.src))
+    _check_same_field(x, m)
     remaining = [l for l in range(x.arity) if l not in legs]
     if at is None:
-        at = sum(1 for l in remaining if l < legs[0])
+        at = len([l for l in remaining if l < legs[0]])
     if not 0 <= at <= len(remaining):
         raise ShapeMismatch("bad insertion slot %d" % at)
-    out_dims = tuple(x.dims[l] for l in remaining[:at]) + m.dst \
-        + tuple(x.dims[l] for l in remaining[at:])
-    out = Tensor(x.field, out_dims)
-    data = out.data
+    lead, trail = remaining[:at], remaining[at:]
+    field = x.field
+    raw = field.raw
+    cols = m._raw_columns()
+    acc = {}
+    get = acc.get
     for idx, value in x.data.items():
-        col = m.cols.get(tuple(idx[l] for l in legs))
-        if not col:
+        col = cols.get(tuple([idx[l] for l in legs]))
+        if col is None:
             continue
-        head = tuple(idx[l] for l in remaining[:at])
-        tail = tuple(idx[l] for l in remaining[at:])
-        for img_idx, w in col.items():
-            full = head + img_idx + tail
-            s = data.get(full, x.field.zero) + value * w
-            if s:
-                data[full] = s
-            else:
-                data.pop(full, None)
+        head = tuple([idx[l] for l in lead])
+        tail = tuple([idx[l] for l in trail])
+        v = raw(value)
+        for img_idx, w in col:
+            key = head + img_idx + tail
+            acc[key] = get(key, 0) + v * w
+    out = Tensor(field, tuple([x.dims[l] for l in lead]) + m.dst
+                 + tuple([x.dims[l] for l in trail]))
+    from_raw = field.from_raw
+    data = out.data
+    for key, total in acc.items():
+        value = from_raw(total)
+        if value:
+            data[key] = value
     return out
 
 
@@ -452,9 +473,9 @@ class FinAlgebra:
         if unit.dims != (dim,):
             raise ShapeMismatch("unit has dims %r" % (unit.dims,))
         self.mult = mult.rebind((self,))
-        # rows[i][j]: the ((k,), w) terms of e_i e_j, w a raw scalar (see multiply)
+        # rows[i][j]: the (k, w) terms of e_i e_j, w a raw scalar (see multiply)
         raw = field.raw
-        self.rows = [[tuple((k, raw(w)) for k, w in self.mult.cols.get((i, j), {}).items())
+        self.rows = [[tuple((k, raw(w)) for (k,), w in self.mult.cols.get((i, j), {}).items())
                       for j in range(dim)] for i in range(dim)]
         self.unit = unit
         self.name = name
@@ -485,14 +506,20 @@ class FinAlgebra:
         return self.mult.column((i, j))
 
     def associativity_witness(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.basis_product(i, j)
+        """First basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
+        in row-major order, or None; summed on the raw ``rows``."""
+        rows, from_raw = self.rows, self.field.from_raw
+        for i, row_i in enumerate(rows):
+            for j, ij in enumerate(row_i):
                 for k in range(self.dim):
-                    left = apply_linear_map(self.mult, ij.outer(Tensor.basis(self.field, (self.dim,), (k,))), (0, 1))
-                    right = self.product(Tensor.basis(self.field, (self.dim,), (i,)),
-                                         self.basis_product(j, k))
-                    if left != right:
+                    diff = {}
+                    for m, v in ij:
+                        for n, w in rows[m][k]:
+                            diff[n] = diff.get(n, 0) + v * w
+                    for m, v in rows[j][k]:
+                        for n, w in row_i[m]:
+                            diff[n] = diff.get(n, 0) - v * w
+                    if any(from_raw(total) for total in diff.values()):
                         return (i, j, k)
         return None
 
@@ -575,19 +602,21 @@ def multiply(spaces, x: Tensor, y: Tensor) -> Tensor:
     back into a field value, reduced mod p once, at the end.  The entries
     of ``y`` are walked as a prefix tree, one leg at a time, so the work
     of a leg is shared by all entries of ``y`` that agree on the legs
-    before it.
+    before it.  Output indices are built as flat row-major ints and
+    unflattened once per output entry.
     """
     if x.dims != y.dims:
         raise ShapeMismatch("dims %r vs %r" % (x.dims, y.dims))
-    if tuple(s.dim for s in spaces) != x.dims:
+    dims = x.dims
+    if tuple(s.dim for s in spaces) != dims:
         raise ShapeMismatch("spaces do not match tensor dims")
     _check_same_field(x, y)
     for s in spaces:
         _check_same_field(x, s)
     field = x.field
+    raw, from_raw = field.raw, field.from_raw
     if not spaces:
-        return Tensor.scalar(field, x.get(()) * y.get(()))
-    raw = field.raw
+        return Tensor.scalar(field, from_raw(raw(x.get(())) * raw(y.get(()))))
     # y as nested dicts j_0 -> j_1 -> ... -> raw scalar
     tree = {}
     for iy, vy in y.data.items():
@@ -597,26 +626,29 @@ def multiply(spaces, x: Tensor, y: Tensor) -> Tensor:
         node[iy[-1]] = raw(vy)
     rows = [s.rows for s in spaces]
     last = len(spaces) - 1
+    dim_last = dims[last]
     acc = {}
     get = acc.get
     for ix, vx in x.data.items():
-        level = [((), raw(vx), tree)]
+        level = [(0, raw(vx), tree)]
         for leg in range(last):
             row = rows[leg][ix[leg]]
-            level = [(idx + k, v * w, child) for idx, v, node in level
+            d = dims[leg]
+            level = [(flat * d + k, v * w, child) for flat, v, node in level
                      for j, child in node.items() for k, w in row[j]]
         row = rows[last][ix[last]]
-        for idx, v, node in level:
+        for flat, v, node in level:
+            flat *= dim_last
             for j, vy in node.items():
                 for k, w in row[j]:
-                    key = idx + k
+                    key = flat + k
                     acc[key] = get(key, 0) + v * w * vy
-    out = Tensor(field, x.dims)
-    from_raw = field.from_raw
+    out = Tensor(field, dims)
+    data = out.data
     for key, total in acc.items():
         value = from_raw(total)
         if value:
-            out.data[key] = value
+            data[_unflatten(key, dims)] = value
     return out
 
 

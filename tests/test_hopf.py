@@ -444,6 +444,25 @@ def sweedler(field):
                             reassoc_inv=unit3, name="sweedler")
 
 
+def test_reassoc_invertible_takes_one_product(field):
+    # Phi = 1 x 1 x g with the stated inverse Psi = Phi + 3 (1 x 1 x x):
+    # Phi Psi and Psi Phi are 1 + 3 (1 x 1 x gx) and 1 - 3 (1 x 1 x gx),
+    # whose sum is 2, so only the one-sided product exposes Psi
+    H = sweedler(field)
+    one_one = unit_tensor(H.spaces(2))
+    phi = one_one.outer(Tensor.basis(field, (4,), (1,)))
+    psi = phi + one_one.outer(Tensor.basis(field, (4,), (2,))).scale(field.from_int(3))
+    spaces, unit3 = H.spaces(3), unit_tensor(H.spaces(3))
+    assert multiply(spaces, phi, psi) + multiply(spaces, psi, phi) == unit3 + unit3
+    bad = QuasiBialgebra(H.alg, H.comult, H.counit, phi, psi)
+    record = {r.check_id: r for r in verify_quasi_bialgebra(bad).records}[
+        "reassoc-invertible"]
+    assert not record.passed
+    gx = one_one.outer(Tensor.basis(field, (4,), (3,)))
+    assert record.lhs == unit3 + gx.scale(field.from_int(3))
+    assert record.witness == (0, 0, 3)
+
+
 def seeded_gauge(H, seed):
     """F = 1 (x) 1 + sum c_ij u_i (x) u_j over u_i = e_i - eps(e_i) 1, which
     is counit-normalized; draws that are not invertible are skipped."""

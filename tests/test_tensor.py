@@ -12,7 +12,7 @@ from quasihopf.tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
                               embed_legs, invert_element, multiply,
                               switch_legs, unit_tensor)
 
-from tensor_case import naive_multiply
+from tensor_case import naive_apply_linear_map, naive_multiply
 
 FP = PrimeField(10007)
 
@@ -125,6 +125,32 @@ def test_build_tensor_algebra_is_associative(field):
     prod = build_tensor_algebra(H.alg, H.alg.opposite())
     assert prod.associativity_witness() is None
     assert prod.unit_witness() is None
+
+
+@st.composite
+def structure_tables(draw):
+    """Random structure constants on 1 to 3 basis vectors, mostly not
+    associative; over F_p the entries -1 and 1/3 have residues near p."""
+    field = draw(st.sampled_from([QQ, FP]))
+    dim = draw(st.integers(1, 3))
+    table = {ij: draw(field_tensors(field, (dim,))).data for ij in all_indices((dim, dim))}
+    mult = LinMap(field, (dim, dim), (dim,), table)
+    unit = Tensor.basis(field, (dim,), (0,))
+    return FinAlgebra(field, dim, mult, unit, validate=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structure_tables())
+def test_associativity_witness_is_first_failing_triple(alg):
+    def basis(i):
+        return Tensor.basis(alg.field, (alg.dim,), (i,))
+    first = None
+    for i, j, k in all_indices((alg.dim,) * 3):
+        left = alg.product(alg.product(basis(i), basis(j)), basis(k))
+        if left != alg.product(basis(i), alg.product(basis(j), basis(k))):
+            first = (i, j, k)
+            break
+    assert alg.associativity_witness() == first
 
 
 def test_multiply_by_unit_is_identity(field):
@@ -346,3 +372,93 @@ def test_multiply_rejects_mixed_fields():
         multiply((A,), x, Tensor.basis(QQ, (2,), (1,)))
     with pytest.raises(ShapeMismatch):
         multiply((B,), x, x)
+
+
+def test_apply_linear_map_rejects_mixed_fields():
+    # raw residues of two fields must never be summed together
+    x = Tensor.basis(FP, (2,), (1,))
+    for other in (QQ, PrimeField(10009)):
+        with pytest.raises(ShapeMismatch):
+            apply_linear_map(LinMap.identity(other, (2,)), x, (0,))
+
+
+# -- the leg-map kernel against the per-entry loop ------------------------------
+
+@st.composite
+def map_cases(draw):
+    """A map on a random subset of legs, listed in random order, with up
+    to two target legs, and a tensor to apply it to."""
+    field = draw(st.sampled_from([QQ, FP]))
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    order = draw(st.permutations(range(len(dims))))
+    legs = tuple(order[:draw(st.integers(1, len(dims)))])
+    src = tuple(dims[l] for l in legs)
+    dst = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    cols = {idx: draw(field_tensors(field, dst)).data for idx in all_indices(src)}
+    return LinMap(field, src, dst, cols), draw(field_tensors(field, dims)), legs
+
+
+def check_every_slot(m, x, legs):
+    for at in [None] + list(range(x.arity - len(legs) + 1)):
+        out = apply_linear_map(m, x, legs, at=at)
+        assert out == naive_apply_linear_map(m, x, legs, at)
+        assert_clean(x.field, out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(map_cases())
+def test_apply_linear_map_matches_entry_loop(case):
+    check_every_slot(*case)
+
+
+@st.composite
+def cancelling_map_cases(draw):
+    """x gets an extra leg u = c (e_0 + e_1) at a random position, and the
+    map reads it as one more source leg, sending (s, 0) to m(s) and (s, 1)
+    to -m(s): every output sum cancels; over F_p the residue sums are
+    nonzero multiples of p."""
+    m, x, legs = draw(map_cases())
+    field = x.field
+    c = field.from_int(draw(st.sampled_from([1, -1, 5])))
+    pos = draw(st.integers(0, x.arity))
+    order = list(range(x.arity))
+    order.insert(pos, x.arity)
+    x = switch_legs(x.outer(Tensor(field, (2,), {(0,): c, (1,): c})), order)
+    legs = tuple(l if l < pos else l + 1 for l in legs)
+    k = draw(st.integers(0, len(legs)))
+    legs = legs[:k] + (pos,) + legs[k:]
+    cols = {}
+    for idx in all_indices(m.src[:k] + (2,) + m.src[k:]):
+        img = m.cols.get(idx[:k] + idx[k + 1:], {})
+        cols[idx] = {j: -v if idx[k] else v for j, v in img.items()}
+    return LinMap(field, m.src[:k] + (2,) + m.src[k:], m.dst, cols), x, legs
+
+
+@settings(max_examples=40, deadline=None)
+@given(cancelling_map_cases())
+def test_apply_linear_map_sums_cancel_to_zero(case):
+    m, x, legs = case
+    assert not naive_apply_linear_map(m, x, legs).data
+    check_every_slot(m, x, legs)
+
+
+def test_kernels_do_no_fp_element_arithmetic(monkeypatch):
+    # both kernels sum raw residues and build each output value once
+    H = h2(FP)
+    spaces = H.spaces(3)
+    x = H.reassoc + H.reassoc_inv.scale(FP.from_int(-3))
+    y = embed_legs(spaces, H.comult.column((1,)), (2, 0))
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def counted(self, other, original=getattr(FpElement, name)):
+            calls.append(other)
+            return original(self, other)
+        monkeypatch.setattr(FpElement, name, counted)
+    assert multiply(spaces, x, y).data
+    assert multiply(spaces, x, x).data
+    assert multiply((), Tensor.scalar(FP, FP.from_int(2)),
+                    Tensor.scalar(FP, FP.from_int(3))).get(()) == 6
+    assert apply_linear_map(H.comult, x, (1,), at=0).data
+    assert apply_linear_map(H.counit, x, (2,)).data
+    assert apply_linear_map(H.alg.mult, x, (2, 0)).data
+    assert calls == []
