@@ -21,7 +21,7 @@ from .coring import build_coring, verify_coring
 from .doihopf import (DoiHopfContext, adjunction_maps, compute_rat,
                       induce_doi_hopf, rational_check, to_smash_module,
                       trivial_module, verify_doi_hopf)
-from .errors import ParseError, QuasiHopfError, UsageError
+from .errors import ParseError, QuasiHopfError, ShapeMismatch, UsageError
 from .fields import FieldError, field_from_tag
 from .fixtures import regular_comodule_algebra
 from .hopf import (GaugeTransformation, QuasiHopfAlgebra, drinfeld_twist,
@@ -32,8 +32,7 @@ from .report import CheckReport
 from .smash import (ProductAlgebra, check_prop_3_10, diagonal_crossed_product,
                     generalized_smash, koppinen_smash, phi_isomorphism,
                     right_generalized_smash, verify_product_algebra)
-from .tensor import (LinMap, all_indices, apply_linear_map, multiply, switch_legs,
-                     unit_tensor)
+from .tensor import all_indices, apply_linear_map, multiply, unit_tensor
 from .yd import (YetterDrinfeldContext, doihopf_to_yd, induce_yd, verify_yd,
                  yd_to_doihopf)
 
@@ -108,13 +107,17 @@ def _verify_any(value):
         return verify_product_algebra(value)
     if isinstance(value, GaugeTransformation):
         rep = CheckReport("gauge transformation")
-        spaces = value.H.spaces(2)
-        rep.compare("two-sided-inverse",
-                    multiply(spaces, value.t, value.inv) +
-                    multiply(spaces, value.inv, value.t),
-                    unit_tensor(spaces) + unit_tensor(spaces))
+        _two_sided_inverse(rep, value.H.spaces(2), value)
         return rep
     raise UsageError("no verifier for %r" % (value,))
+
+
+def _two_sided_inverse(report, spaces, gauge):
+    """Record t t^-1 = 1 and t^-1 t = 1 as one check."""
+    one = unit_tensor(spaces)
+    report.compare_all("two-sided-inverse",
+                       ((multiply(spaces, gauge.t, gauge.inv), one),
+                        (multiply(spaces, gauge.inv, gauge.t), one)))
 
 
 def cmd_check(args):
@@ -195,17 +198,15 @@ def cmd_dtwist(args):
     twist = drinfeld_twist(value)
     report = CheckReport("canonical gauge of %s" % (value.name or args.file))
     spaces = value.spaces(2)
-    report.compare("two-sided-inverse",
-                   multiply(spaces, twist.t, twist.inv) +
-                   multiply(spaces, twist.inv, twist.t),
-                   unit_tensor(spaces) + unit_tensor(spaces))
+    _two_sided_inverse(report, spaces, twist)
+    flip = value.comult.permute(dst=(1, 0))
 
     # Delta(S(h)) conjugated by the twist is (S x S)(flip Delta(h))
     def conjugates(idx):
         s_h = apply_linear_map(value.antipode, value.basis_el(idx[0]).t, (0,))
         lhs = multiply(spaces, twist.t, multiply(
             spaces, apply_linear_map(value.comult, s_h, (0,)), twist.inv))
-        flipped = switch_legs(value.comult.column(idx), (1, 0))
+        flipped = flip.column(idx)
         return lhs, apply_linear_map(value.antipode,
                                      apply_linear_map(value.antipode, flipped, (0,)), (1,))
 
@@ -312,12 +313,11 @@ def cmd_convert(args):
                 io.emit_value(out, args.out, base_path=base_out)
                 emitted += [base_out, args.out]
         elif isinstance(value, ModuleCoalgebra):
-            if args.kind == "cop":
-                out = value.cop()
-            elif args.kind == "as-right":
-                out = value.as_right_over_op()
-            else:
+            if args.kind not in ("cop", "as-right"):
                 raise UsageError("module-coalgebra variants: cop, as-right")
+            if args.kind == "as-right" and value.side != "left":
+                raise ShapeMismatch("the reinterpretation starts from a left structure")
+            out = value.reflect("cop" if args.kind == "cop" else "op")
             report = verify_module_coalgebra(out)
             if args.out:
                 base_out = os.path.splitext(args.out)[0] + "-base" + io.SUFFIX
@@ -346,9 +346,7 @@ def cmd_convert(args):
         A = _load_bicomodule(args.bicomodule)
         C = _load_coalgebra(args.coalgebra)
         ctx = YetterDrinfeldContext(A, C)
-        action = LinMap(A.field, (A.alg.dim, A.alg.dim), (A.alg.dim,),
-                        A.alg.mult.cols)
-        seed = FiniteModule(A.alg.dim, A.alg, action, "left", name="regular")
+        seed = FiniteModule(A.alg.dim, A.alg, A.alg.mult, "left", name="regular")
         M = induce_yd(seed, ctx)
         if args.what == "yd2dh":
             out = yd_to_doihopf(M, ctx)
@@ -377,9 +375,7 @@ def cmd_verify(args):
         A = _load_bicomodule(args.A)
         C = _load_coalgebra(args.C)
         ctx = YetterDrinfeldContext(A, C)
-        action = LinMap(A.field, (A.alg.dim, A.alg.dim), (A.alg.dim,),
-                        A.alg.mult.cols)
-        seed = FiniteModule(A.alg.dim, A.alg, action, "left", name="regular")
+        seed = FiniteModule(A.alg.dim, A.alg, A.alg.mult, "left", name="regular")
         M = induce_yd(seed, ctx)
         forward = yd_to_doihopf(M, ctx)
         back = doihopf_to_yd(forward, ctx)
@@ -405,7 +401,7 @@ def cmd_verify(args):
         ok = all(recovered.coaction.column((i,)) == M.coaction.column((i,))
                  for i in range(M.dim))
         report.add("coaction-recovered", ok)
-        basis, rat_report = compute_rat(collapsed, ctx, smash)
+        _, rat_report = compute_rat(collapsed, ctx, smash)
         report.extend(rat_report, prefix="rat:")
         return _finish(args, [report])
     if suite == "adjunction-2.2":

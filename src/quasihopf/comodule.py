@@ -115,8 +115,9 @@ def verify_comodule_algebra(X: ComoduleAlgebra) -> CheckReport:
 
     re, re_inv = X.re_el(), X.re_inv_el()
     unit3 = El.unit(sp)
-    report.compare("reassoc-invertible",
-                   re.mul(re_inv).t + re_inv.mul(re).t, unit3.t + unit3.t)
+    # both products: the associativity of A is not a record of this report
+    report.compare_all("reassoc-invertible", ((re.mul(re_inv).t, unit3.t),
+                                              (re_inv.mul(re).t, unit3.t)))
 
     def coassoc(idx):
         c = El.basis((alg,), idx).map(X.coaction, 0)
@@ -217,12 +218,6 @@ def comodule_variant(X: ComoduleAlgebra, kind: str) -> ComoduleAlgebra:
     field = X.field
     rev = (2, 1, 0)
 
-    def flipped_coaction():
-        return LinMap.from_function(
-            field, (alg.dim,),
-            (alg.dim, H.dim) if X.side == "left" else (H.dim, alg.dim),
-            lambda idx: switch_legs(X.coaction.column(idx), (1, 0)))
-
     if kind == "op-antipode":
         if X.side != "left":
             raise ShapeMismatch("the antipode flip takes a left comodule algebra")
@@ -251,24 +246,19 @@ def comodule_variant(X: ComoduleAlgebra, kind: str) -> ComoduleAlgebra:
                                name=(X.name + "^Sflip") if X.name else "")
 
     if kind == "op":
-        H_out = variant(H, "op")
-        new_alg = alg.opposite()
-        coaction = LinMap(field, (alg.dim,), X.coaction.dst, X.coaction.cols)
-        return ComoduleAlgebra(H_out, X.side, new_alg, coaction,
+        return ComoduleAlgebra(variant(H, "op"), X.side, alg.opposite(), X.coaction,
                                X.reassoc_inv, X.reassoc,
                                name=(X.name + "^op") if X.name else "")
 
+    flipped = X.coaction.permute(dst=(1, 0))
+    new_side = "right" if X.side == "left" else "left"
     if kind == "cop":
-        H_out = variant(H, "cop")
-        new_side = "right" if X.side == "left" else "left"
-        return ComoduleAlgebra(H_out, new_side, alg, flipped_coaction(),
+        return ComoduleAlgebra(variant(H, "cop"), new_side, alg, flipped,
                                switch_legs(X.reassoc_inv, rev),
                                switch_legs(X.reassoc, rev),
                                name=(X.name + "^cop") if X.name else "")
 
-    H_out = variant(H, "opcop")
-    new_side = "right" if X.side == "left" else "left"
-    return ComoduleAlgebra(H_out, new_side, alg.opposite(), flipped_coaction(),
+    return ComoduleAlgebra(variant(H, "opcop"), new_side, alg.opposite(), flipped,
                            switch_legs(X.reassoc, rev),
                            switch_legs(X.reassoc_inv, rev),
                            name=(X.name + "^opcop") if X.name else "")
@@ -454,9 +444,8 @@ def verify_bicomodule_algebra(A: BicomoduleAlgebra) -> CheckReport:
     sp = A.mixed_spaces()
     mixed, mixed_inv = A.mixed_el(), A.mixed_inv_el()
     unit3 = El.unit(sp)
-    report.compare("mixed-invertible",
-                   mixed.mul(mixed_inv).t + mixed_inv.mul(mixed).t,
-                   unit3.t + unit3.t)
+    report.compare_all("mixed-invertible", ((mixed.mul(mixed_inv).t, unit3.t),
+                                            (mixed_inv.mul(mixed).t, unit3.t)))
 
     def intertwine(idx):
         u = El.basis((alg,), idx)
@@ -492,16 +481,15 @@ def verify_bicomodule_algebra(A: BicomoduleAlgebra) -> CheckReport:
 def bicomodule_variant(A: BicomoduleAlgebra, kind: str) -> BicomoduleAlgebra:
     """The cop / opcop / op reflections of a bicomodule algebra."""
     H, alg = A.H, A.alg
-    field = A.field
     rev = (2, 1, 0)
-
-    def flip(m: LinMap, dst):
-        return LinMap.from_function(field, (alg.dim,), dst,
-                                    lambda idx: switch_legs(m.column(idx), (1, 0)))
-
-    lam_flip = flip(A.right_coaction, (H.dim, alg.dim))
-    rho_flip = flip(A.left_coaction, (alg.dim, H.dim))
     name = (A.name + "^" + kind) if A.name else ""
+    if kind == "op":
+        return BicomoduleAlgebra(
+            variant(H, "op"), alg.opposite(), A.left_coaction, A.right_coaction,
+            A.reassoc_left_inv, A.reassoc_right_inv, A.reassoc_mixed_inv,
+            A.reassoc_left, A.reassoc_right, A.reassoc_mixed, name=name)
+    lam_flip = A.right_coaction.permute(dst=(1, 0))
+    rho_flip = A.left_coaction.permute(dst=(1, 0))
     if kind == "cop":
         return BicomoduleAlgebra(
             variant(H, "cop"), alg, lam_flip, rho_flip,
@@ -516,13 +504,6 @@ def bicomodule_variant(A: BicomoduleAlgebra, kind: str) -> BicomoduleAlgebra:
             switch_legs(A.reassoc_mixed, rev),
             switch_legs(A.reassoc_right_inv, rev), switch_legs(A.reassoc_left_inv, rev),
             switch_legs(A.reassoc_mixed_inv, rev), name=name)
-    if kind == "op":
-        return BicomoduleAlgebra(
-            variant(H, "op"), alg.opposite(),
-            LinMap(field, (alg.dim,), (H.dim, alg.dim), A.left_coaction.cols),
-            LinMap(field, (alg.dim,), (alg.dim, H.dim), A.right_coaction.cols),
-            A.reassoc_left_inv, A.reassoc_right_inv, A.reassoc_mixed_inv,
-            A.reassoc_left, A.reassoc_right, A.reassoc_mixed, name=name)
     raise ShapeMismatch("unknown bicomodule variant %r" % (kind,))
 
 

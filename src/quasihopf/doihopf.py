@@ -15,27 +15,23 @@ from .modcoalg import ModuleCoalgebra, dualize
 from .report import CheckReport
 from .smash import ProductAlgebra, generalized_smash
 from .tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace, all_indices,
-                     apply_linear_map, switch_legs)
+                     apply_linear_map)
 
 DOI_HOPF_VARIANTS = ("right-left", "left-right", "right-right", "left-left")
 
 
 class DoiHopfContext:
     """A base, a comodule algebra and a module coalgebra whose sides
-    match one of the four module variants."""
-
-    _REQUIRED = {
-        "right-left": ("left", "right"),
-        "left-right": ("right", "left"),
-        "right-right": ("right", "right"),
-        "left-left": ("left", "left"),
-    }
+    match one of the four module variants.  A variant is named
+    "<action side>-<coaction side>" of its modules: the coalgebra is
+    acted on from the action side and the comodule algebra coacts from
+    the coaction side."""
 
     def __init__(self, variant: str, comodule: ComoduleAlgebra,
                  coalgebra: ModuleCoalgebra):
         if variant not in DOI_HOPF_VARIANTS:
             raise VariantMismatch("unknown variant %r" % (variant,))
-        want_com, want_coalg = self._REQUIRED[variant]
+        want_coalg, want_com = variant.split("-")
         if comodule.side != want_com:
             raise VariantMismatch(
                 "variant %s needs a %s comodule algebra, got %s"
@@ -144,8 +140,7 @@ def verify_doi_hopf(M: FiniteModule, context: DoiHopfContext) -> CheckReport:
     A, C = context.comodule, context.coalgebra
     field = context.field
     report = CheckReport("doi-hopf %s %s" % (variant, M.name or ""))
-    want_action = "right" if variant.startswith("right") else "left"
-    want_coaction = "left" if variant.endswith("left") else "right"
+    want_action, want_coaction = variant.split("-")
     if M.action_side != want_action or M.coaction_side != want_coaction:
         raise VariantMismatch("module sides do not match variant %s" % variant)
     verify_module_law(M, report=report)
@@ -217,9 +212,8 @@ def _act_legwise(M: FiniteModule, C: ModuleCoalgebra, element: Tensor,
 def trivial_module(context: DoiHopfContext) -> FiniteModule:
     """The comodule algebra itself as a plain module via multiplication."""
     A = context.comodule
-    side = "right" if context.variant.startswith("right") else "left"
-    action = LinMap(A.field, (A.alg.dim, A.alg.dim), (A.alg.dim,), A.alg.mult.cols)
-    return FiniteModule(A.alg.dim, A.alg, action, side, name="regular")
+    side = context.variant.split("-")[0]
+    return FiniteModule(A.alg.dim, A.alg, A.alg.mult, side, name="regular")
 
 
 def induce_doi_hopf(N: FiniteModule, context: DoiHopfContext) -> FiniteModule:
@@ -306,164 +300,53 @@ def induce_doi_hopf(N: FiniteModule, context: DoiHopfContext) -> FiniteModule:
         return FiniteModule(dim, A.alg, action, "left", coaction, "right",
                             name="induced(%s)" % (N.name or "N"))
 
-    # the reflected variants: translate the context to its canonical
-    # form, induce there, and translate the result back
-    canonical_ctx, to_canonical, from_canonical = _context_to_right_left(context)
-    N_c = FiniteModule(N.dim, canonical_ctx.comodule.alg,
-                       _flip_action(N) if N.action_side == "left" else N.action,
-                       "right", name=N.name)
-    induced = induce_doi_hopf(N_c, canonical_ctx)
-    return from_canonical(induced)
+    # the reflected variants: induce in the right-left reflection
+    canonical = _reflect_context(context, "right-left")
+    induced = induce_doi_hopf(_reflect_module(N, canonical), canonical)
+    return _reflect_module(induced, context)
 
 
-def _flip_action(N: FiniteModule) -> LinMap:
-    field = N.field
-    src = (N.action.src[1], N.action.src[0])
-    return LinMap.from_function(
-        field, src, (N.dim,),
-        lambda idx: N.action.column((idx[1], idx[0])))
+# the base reflection between right-left and each other variant; every
+# reflection is an involution, so one table serves both directions
+_REFLECTION = {"left-right": "opcop", "right-right": "cop", "left-left": "op"}
 
 
-def _context_to_right_left(context: DoiHopfContext):
-    """The canonical reflection of a non-canonical context, together
-    with module translators in both directions."""
-    A, C = context.comodule, context.coalgebra
-    field = context.field
-    variant = context.variant
-
-    if variant == "left-right":
-        new_com = comodule_variant(A, "opcop")      # left over opcop base
-        new_coalg = _coalgebra_opcop(C)             # right over opcop base
-        ctx = DoiHopfContext("right-left", new_com, new_coalg)
-
-        def to_canonical(M: FiniteModule) -> FiniteModule:
-            return FiniteModule(M.dim, new_com.alg, _flip_action(M), "right",
-                                _flip_coaction(M), "left", name=M.name)
-
-        def from_canonical(M: FiniteModule) -> FiniteModule:
-            return FiniteModule(M.dim, A.alg, _flip_action(M), "left",
-                                _flip_coaction(M), "right", name=M.name)
-
-        return ctx, to_canonical, from_canonical
-
-    if variant == "right-right":
-        new_com = comodule_variant(A, "cop")        # left over cop base
-        new_coalg = C.cop()                         # right over cop base
-        ctx = DoiHopfContext("right-left", new_com, new_coalg)
-
-        def to_canonical(M: FiniteModule) -> FiniteModule:
-            return FiniteModule(M.dim, new_com.alg, M.action, "right",
-                                _flip_coaction(M), "left", name=M.name)
-
-        def from_canonical(M: FiniteModule) -> FiniteModule:
-            return FiniteModule(M.dim, A.alg, M.action, "right",
-                                _flip_coaction(M), "right", name=M.name)
-
-        return ctx, to_canonical, from_canonical
-
-    if variant == "left-left":
-        new_com = comodule_variant(A, "op")         # left over op base
-        new_coalg = C.as_right_over_op()
-        ctx = DoiHopfContext("right-left", new_com, new_coalg)
-
-        def to_canonical(M: FiniteModule) -> FiniteModule:
-            return FiniteModule(M.dim, new_com.alg, _flip_action(M), "right",
-                                M.coaction, "left", name=M.name)
-
-        def from_canonical(M: FiniteModule) -> FiniteModule:
-            return FiniteModule(M.dim, A.alg, _flip_action(M), "left",
-                                M.coaction, "left", name=M.name)
-
-        return ctx, to_canonical, from_canonical
-
-    raise VariantMismatch("context is already canonical")
+def _reflect_context(context: DoiHopfContext, variant: str) -> DoiHopfContext:
+    """The context in ``variant`` reflected from ``context``; one of the
+    two variants is right-left."""
+    kind = _REFLECTION[variant if context.variant == "right-left" else context.variant]
+    return DoiHopfContext(variant, comodule_variant(context.comodule, kind),
+                          context.coalgebra.reflect(kind))
 
 
-def _coalgebra_opcop(C: ModuleCoalgebra) -> ModuleCoalgebra:
-    """Left module coalgebra to right module coalgebra over the op-cop
-    base: flip the comultiplication and transpose the action."""
-    from .hopf import variant as base_variant
-    if C.side != "left":
-        raise VariantMismatch("expects a left module coalgebra")
-    field = C.field
-    flipped = LinMap.from_function(
-        field, (C.dim,), (C.dim, C.dim),
-        lambda idx: switch_legs(C.comult.column(idx), (1, 0)))
-    action = LinMap.from_function(
-        field, (C.dim, C.H.dim), (C.dim,),
-        lambda idx: C.left_action.column((idx[1], idx[0])))
-    return ModuleCoalgebra(base_variant(C.H, "opcop"), "right", C.dim, flipped,
-                           C.counit, right_action=action,
-                           name=(C.name + "^opcop") if C.name else "")
-
-
-def _flip_coaction(M: FiniteModule) -> LinMap:
-    field = M.field
-    return LinMap.from_function(
-        field, (M.dim,), tuple(reversed(M.coaction.dst)),
-        lambda idx: switch_legs(M.coaction.column(idx), (1, 0)))
+def _reflect_module(M: FiniteModule, context: DoiHopfContext) -> FiniteModule:
+    """M as a module of the reflected ``context``: the action and the
+    coaction are transposed wherever the variant moves them to the other
+    side."""
+    action_side, coaction_side = context.variant.split("-")
+    action, coaction = M.action, M.coaction
+    if M.action_side != action_side:
+        action = action.permute(src=(1, 0))
+    if coaction is not None and M.coaction_side != coaction_side:
+        coaction = coaction.permute(dst=(1, 0))
+    return FiniteModule(M.dim, context.comodule.alg, action, action_side,
+                        coaction, coaction_side, name=M.name)
 
 
 def translate_variant(M: FiniteModule, context: DoiHopfContext,
                       to_variant: str):
     """Carry a module across the documented category identifications;
-    returns (module, context).  Translating back is inverse on the nose."""
+    returns (module, context).  Translating back is inverse on the nose.
+    The way leads through right-left unless one end is right-left, and
+    then it is a single reflection."""
     if context.variant == to_variant:
         return M, context
-    if to_variant == "right-left":
-        ctx, to_canonical, _ = _context_to_right_left(context)
-        return to_canonical(M), ctx
-    if context.variant == "right-left":
-        # reflect through the inverse of the canonical translation
-        fake = _reverse_context(context, to_variant)
-        ctx, to_canonical, from_canonical = _context_to_right_left(fake)
-        return from_canonical(M), fake
-    first, ctx1 = translate_variant(M, context, "right-left")
-    return translate_variant(first, ctx1, to_variant)
-
-
-def _reverse_context(context: DoiHopfContext, variant: str) -> DoiHopfContext:
-    """Rebuild the non-canonical context whose canonical reflection is
-    the given right-left context (double reflection is the identity)."""
-    A, C = context.comodule, context.coalgebra
-    if variant == "left-right":
-        com = comodule_variant(A, "opcop")
-        coalg = _coalgebra_opcop_right(C)
-        return DoiHopfContext("left-right", com, coalg)
-    if variant == "right-right":
-        com = comodule_variant(A, "cop")
-        coalg = C.cop()
-        return DoiHopfContext("right-right", com, coalg)
-    if variant == "left-left":
-        com = comodule_variant(A, "op")
-        coalg = _right_as_left_over_op(C)
-        return DoiHopfContext("left-left", com, coalg)
-    raise VariantMismatch("unknown variant %r" % (variant,))
-
-
-def _coalgebra_opcop_right(C: ModuleCoalgebra) -> ModuleCoalgebra:
-    from .hopf import variant as base_variant
-    field = C.field
-    flipped = LinMap.from_function(
-        field, (C.dim,), (C.dim, C.dim),
-        lambda idx: switch_legs(C.comult.column(idx), (1, 0)))
-    action = LinMap.from_function(
-        field, (C.H.dim, C.dim), (C.dim,),
-        lambda idx: C.right_action.column((idx[1], idx[0])))
-    return ModuleCoalgebra(base_variant(C.H, "opcop"), "left", C.dim, flipped,
-                           C.counit, left_action=action,
-                           name=(C.name + "^opcop") if C.name else "")
-
-
-def _right_as_left_over_op(C: ModuleCoalgebra) -> ModuleCoalgebra:
-    from .hopf import variant as base_variant
-    field = C.field
-    action = LinMap.from_function(
-        field, (C.H.dim, C.dim), (C.dim,),
-        lambda idx: C.right_action.column((idx[1], idx[0])))
-    return ModuleCoalgebra(base_variant(C.H, "op"), "left", C.dim, C.comult,
-                           C.counit, left_action=action,
-                           name=(C.name + "-as-left") if C.name else "")
+    if to_variant not in DOI_HOPF_VARIANTS:
+        raise VariantMismatch("unknown variant %r" % (to_variant,))
+    if "right-left" not in (context.variant, to_variant):
+        M, context = translate_variant(M, context, "right-left")
+    reflected = _reflect_context(context, to_variant)
+    return _reflect_module(M, reflected), reflected
 
 
 def to_smash_module(M: FiniteModule, context: DoiHopfContext,
@@ -479,7 +362,7 @@ def to_smash_module(M: FiniteModule, context: DoiHopfContext,
     field = context.field
     if smash is None:
         smash = generalized_smash(dualize(C), A)
-    dC, dB = C.dim, A.alg.dim
+    dB = A.alg.dim
 
     def act_fn(idx):
         m, n = idx
@@ -605,7 +488,7 @@ def compute_rat(M: FiniteModule, context: DoiHopfContext,
     aug = [mu[r] + [-x for x in nu[r]] for r in range(rows)]
     kernel = linalg.nullspace(field, aug)
     v_parts = [vec[:M.dim] for vec in kernel]
-    reduced, pivots = linalg.rref(field, v_parts) if v_parts else ([], [])
+    reduced = linalg.rref(field, v_parts)[0] if v_parts else []
     basis = [Tensor.from_flat(field, (M.dim,), row) for row in reduced]
 
     report = CheckReport("maximal rational submodule %s" % (M.name or ""))
@@ -940,7 +823,7 @@ def doihopf_to_coring_comodule(M: FiniteModule, context: DoiHopfContext,
     field = context.field
     if coring is None:
         coring = build_coring("BC", B=A, C=C)
-    dB, dC = A.alg.dim, C.dim
+    dC = C.dim
 
     def coact_fn(idx):
         lam = M.coaction.column(idx)      # C x M
@@ -965,7 +848,7 @@ def coring_comodule_to_doihopf(M: CoringComodule, context: DoiHopfContext) -> Fi
     is trivial, then flip into a coalgebra-first coaction."""
     A, C = context.comodule, context.coalgebra
     field = context.field
-    dB, dC = A.alg.dim, C.dim
+    dC = C.dim
 
     def coact_fn(idx):
         rep = M.coaction.column(idx)      # M x (B x C)

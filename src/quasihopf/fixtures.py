@@ -131,13 +131,8 @@ def h2_bimodule_coalgebra(field=QQ, H: QuasiHopfAlgebra = None) -> ModuleCoalgeb
     actions."""
     if H is None:
         H = h2(field)
-    field = H.field
-    d = H.dim
-
-    left = LinMap(field, (d, d), (d,), H.alg.mult.cols)
-    right = LinMap(field, (d, d), (d,), H.alg.mult.cols)
-    return ModuleCoalgebra(H, side="bi", dim=d, comult=H.comult, counit=H.counit,
-                           left_action=left, right_action=right,
+    return ModuleCoalgebra(H, side="bi", dim=H.dim, comult=H.comult, counit=H.counit,
+                           left_action=H.alg.mult, right_action=H.alg.mult,
                            name=(H.name or "H") + "-bimodule-coalgebra")
 
 

@@ -129,16 +129,6 @@ class GaugeTransformation:
             inv = invert_element(H.spaces(2), t)
         self.inv = inv
 
-    def el(self) -> El:
-        return H_el(self.H, self.t)
-
-    def inv_el(self) -> El:
-        return H_el(self.H, self.inv)
-
-
-def H_el(H: QuasiBialgebra, t: Tensor) -> El:
-    return El(H.spaces(t.arity), t)
-
 
 def verify_fin_algebra(alg: FinAlgebra, subject="algebra", report=None) -> CheckReport:
     report = report or CheckReport(subject)
@@ -337,21 +327,15 @@ def variant(H, kind: str):
     """
     if kind not in VARIANT_KINDS:
         raise ShapeMismatch("unknown variant %r" % (kind,))
-    alg = H.alg
-    d = alg.dim
-    flip = LinMap.from_function(
-        H.field, (d,), (d, d),
-        lambda idx: switch_legs(H.comult.column(idx), (1, 0)))
+    new_alg = H.alg if kind == "cop" else H.alg.opposite()
+    comult = H.comult if kind == "op" else H.comult.permute(dst=(1, 0))
     rev = (2, 1, 0)
     if kind == "op":
-        new_alg, comult = alg.opposite(), LinMap(H.field, (d,), (d, d), H.comult.cols)
         reassoc, reassoc_inv = H.reassoc_inv, H.reassoc
     elif kind == "cop":
-        new_alg, comult = alg, flip
         reassoc = switch_legs(H.reassoc_inv, rev)
         reassoc_inv = switch_legs(H.reassoc, rev)
     else:
-        new_alg, comult = alg.opposite(), flip
         reassoc = switch_legs(H.reassoc, rev)
         reassoc_inv = switch_legs(H.reassoc_inv, rev)
     name = (H.name + "^" + kind) if H.name else ""
@@ -361,7 +345,7 @@ def variant(H, kind: str):
 
     # antipode data: S^-1 for op and cop, S itself for opcop
     if kind == "opcop":
-        S = LinMap(H.field, (d,), (d,), H.antipode.cols)
+        S = H.antipode
         alpha, beta = H.beta, H.alpha
     else:
         S = H.antipode_inv
@@ -432,7 +416,7 @@ def tensor_qha(H1: QuasiHopfAlgebra, H2: QuasiHopfAlgebra, name="") -> QuasiHopf
     flip, antipode and alpha/beta are componentwise.
     """
     alg = build_tensor_algebra(H1.alg, H2.alg, name=name)
-    d1, d2 = H1.dim, H2.dim
+    d2 = H2.dim
     field = H1.field
 
     def pair(i, j):

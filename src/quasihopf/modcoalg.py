@@ -6,10 +6,10 @@ twisted tensor square, and gauge transport of coalgebra structures.
 from __future__ import annotations
 
 from .errors import ShapeMismatch
-from .hopf import GaugeTransformation, QuasiBialgebra, gauge_twist, op_tensor
+from .hopf import GaugeTransformation, QuasiBialgebra, gauge_twist, op_tensor, variant
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace, all_indices,
-                     apply_linear_map, switch_legs)
+                     apply_linear_map)
 
 SIDES = ("left", "right", "bi")
 
@@ -58,30 +58,27 @@ class ModuleCoalgebra:
     def comult_el(self, i: int) -> El:
         return self.basis_el(i).map(self.comult, 0)
 
-    def as_right_over_op(self) -> "ModuleCoalgebra":
-        """Reinterpret a left module coalgebra as a right one over the
-        opposite base (a view with transposed action legs)."""
-        from .hopf import variant
-        if self.side != "left":
-            raise ShapeMismatch("the reinterpretation starts from a left structure")
-        H_op = variant(self.H, "op")
-        action = LinMap.from_function(
-            self.field, (self.dim, self.H.dim), (self.dim,),
-            lambda idx: self.left_action.column((idx[1], idx[0])))
-        return ModuleCoalgebra(H_op, "right", self.dim, self.comult, self.counit,
-                               right_action=action,
-                               name=(self.name + "-as-right") if self.name else "")
-
-    def cop(self) -> "ModuleCoalgebra":
-        """Opposite comultiplication over the cop variant of the base."""
-        from .hopf import variant
-        flipped = LinMap.from_function(
-            self.field, (self.dim,), (self.dim, self.dim),
-            lambda idx: switch_legs(self.comult.column(idx), (1, 0)))
-        return ModuleCoalgebra(variant(self.H, "cop"), self.side, self.dim,
-                               flipped, self.counit, self.left_action,
-                               self.right_action,
-                               name=(self.name + "^cop") if self.name else "")
+    def reflect(self, kind: str) -> "ModuleCoalgebra":
+        """The same carrier over ``variant(H, kind)``: "cop" flips the
+        comultiplication, "op" moves each action to the other side with
+        its legs transposed (left and right swap, bi stays bi), and
+        "opcop" does both.  Each reflection is an involution."""
+        H = variant(self.H, kind)
+        comult, side = self.comult, self.side
+        left, right = self.left_action, self.right_action
+        if kind != "op":
+            comult = comult.permute(dst=(1, 0))
+        if kind != "cop":
+            def moved(action):
+                return None if action is None else action.permute(src=(1, 0))
+            left, right = moved(self.right_action), moved(self.left_action)
+            side = {"left": "right", "right": "left", "bi": "bi"}[side]
+        if kind == "op":
+            suffix = {"left": "-as-right", "right": "-as-left", "bi": "^op"}[self.side]
+        else:
+            suffix = "^" + kind
+        return ModuleCoalgebra(H, side, self.dim, comult, self.counit, left, right,
+                               name=(self.name + suffix) if self.name else "")
 
     def __repr__(self):
         return "ModuleCoalgebra(%s, dim=%d%s)" % (
@@ -474,7 +471,6 @@ def gauge_twist_module_coalgebra(C: ModuleCoalgebra, F: GaugeTransformation):
         return out
 
     comult = LinMap.from_function(C.field, (C.dim,), (C.dim, C.dim), comult_fn)
-    action = LinMap(C.field, (H.dim, C.dim), (C.dim,), C.left_action.cols)
-    out = ModuleCoalgebra(H_f, "left", C.dim, comult, C.counit, left_action=action,
+    out = ModuleCoalgebra(H_f, "left", C.dim, comult, C.counit, left_action=C.left_action,
                           name=(C.name + "_twisted") if C.name else "")
     return out, H_f

@@ -119,7 +119,7 @@ def generalized_smash(A: ModuleAlgebra, B: ComoduleAlgebra) -> ProductAlgebra:
     reassociator."""
     if A.side != "left" or B.side != "left":
         raise ShapeMismatch("needs a left module algebra and a left comodule algebra")
-    H = _check_base(A, B)
+    _check_base(A, B)
     field = A.field
     act = A.left_action
 
@@ -153,7 +153,7 @@ def right_generalized_smash(A: ComoduleAlgebra, P: ModuleAlgebra) -> ProductAlge
     through the module action."""
     if A.side != "right" or P.side != "right":
         raise ShapeMismatch("needs a right comodule algebra and a right module algebra")
-    H = _check_base(A, P)
+    _check_base(A, P)
     field = A.field
     act = P.right_action
 
@@ -182,52 +182,16 @@ def right_generalized_smash(A: ComoduleAlgebra, P: ModuleAlgebra) -> ProductAlge
                                sub_embedding=emb, sub_alg=A.alg)
 
 
-def _dual_convolution_flipped(C: ModuleCoalgebra) -> FinAlgebra:
-    """Convolution algebra of the dual against the flipped
-    comultiplication."""
-    field = C.field
-    d = C.dim
-    table = {}
-    for i in range(d):
-        for j in range(d):
-            img = {}
-            for c in range(d):
-                v = C.comult.column((c,)).get((j, i))
-                if v:
-                    img[c] = v
-            table[(i, j)] = img
-    unit_vec = [C.counit.column((c,)).get(()) for c in range(d)]
-    return FinAlgebra.from_table(field, d, table, unit_vec,
-                                 name=(C.name or "C") + "*cop", validate=False)
-
-
-def _dual_left_action(C: ModuleCoalgebra, dual: FinAlgebra) -> LinMap:
-    """(h . f)(c) = f(c . h) as a map H x C* -> C*."""
-    field = C.field
-    d = C.dim
-
-    def fn(idx):
-        h, f = idx
-        img = {}
-        for c in range(d):
-            v = C.right_action.column((c, h)).get((f,))
-            if v:
-                img[(c,)] = v
-        return img
-
-    return LinMap.from_function(field, (C.H.dim, d), (d,), fn, dst_spaces=(dual,))
-
-
 def stgsm_product(A: ComoduleAlgebra, C: ModuleCoalgebra) -> ProductAlgebra:
     """The opposite-composed smash on the dual carrier: functionals with
     the flipped convolution against a right comodule algebra, the
     reassociator itself (not its inverse) steering the product."""
     if A.side != "right" or C.side != "right":
         raise ShapeMismatch("needs a right comodule algebra and a right module coalgebra")
-    H = _check_base(A, C)
+    _check_base(A, C)
     field = A.field
-    dual = _dual_convolution_flipped(C)
-    act = _dual_left_action(C, dual)
+    D = dualize(C.reflect("cop"))         # the flipped convolution
+    dual, act = D.alg, D.left_action
 
     def mult_fn(x, y):
         f, i = x
@@ -244,11 +208,8 @@ def stgsm_product(A: ComoduleAlgebra, C: ModuleCoalgebra) -> ProductAlgebra:
         e = e.merge(0, 2)                 # . u
         return e.perm((1, 0)).t
 
-    unit = Tensor(field, (C.dim,),
-                  {(c,): C.counit.column((c,)).get(()) for c in range(C.dim)})
-    unit = Tensor(field, (C.dim,), {k: v for k, v in unit.data.items() if v})
-    full_unit = unit.outer(A.alg.unit)
-    return _product_from_pairs(field, C.dim, A.alg.dim, mult_fn, full_unit,
+    return _product_from_pairs(field, C.dim, A.alg.dim, mult_fn,
+                               dual.unit.outer(A.alg.unit),
                                "stgsm(%s,%s)" % (A.name or "A", C.name or "C"))
 
 
@@ -257,7 +218,7 @@ def koppinen_smash(C: ModuleCoalgebra, B: ComoduleAlgebra) -> ProductAlgebra:
     comodule algebra, represented on the dual-basis carrier."""
     if C.side != "right" or B.side != "left":
         raise ShapeMismatch("needs a right module coalgebra and a left comodule algebra")
-    H = _check_base(C, B)
+    _check_base(C, B)
     field = C.field
     dC, dB = C.dim, B.alg.dim
 
@@ -286,7 +247,6 @@ def koppinen_smash(C: ModuleCoalgebra, B: ComoduleAlgebra) -> ProductAlgebra:
 
     unit = Tensor(field, (dC,),
                   {(c,): C.counit.column((c,)).get(()) for c in range(dC)})
-    unit = Tensor(field, (dC,), {k: v for k, v in unit.data.items() if v})
     full_unit = unit.outer(B.alg.unit)
     return _product_from_pairs(field, dC, dB, mult_fn, full_unit,
                                "koppinen(%s,%s)" % (C.name or "C", B.name or "B"))
@@ -297,7 +257,7 @@ def alpha_morphism(C: ModuleCoalgebra, B: ComoduleAlgebra):
     convolution-carrier smash: on the dual-basis representation it is the
     identity matrix, so the content is that the two full multiplication
     tables agree.  Returns (map, report)."""
-    H = _check_base(C, B)
+    _check_base(C, B)
     field = C.field
     smash = generalized_smash(dualize(C), B)
     kop = koppinen_smash(C, B)
@@ -331,7 +291,8 @@ def phi_isomorphism(C: ModuleCoalgebra):
     field = C.field
     left_reg = regular_comodule_algebra(H, "left")
     right_reg = regular_comodule_algebra(H, "right")
-    source = generalized_smash(dualize(C), left_reg)
+    dual = dualize(C)
+    source = generalized_smash(dual, left_reg)
     target = stgsm_product(right_reg, C)
 
     twist = drinfeld_twist(H)
@@ -343,16 +304,9 @@ def phi_isomorphism(C: ModuleCoalgebra):
     S, S_inv = H.antipode, H.antipode_inv
     dC, dH = C.dim, H.dim
 
-    dual_act_cols = {}
-    for h in range(dH):
-        for f in range(dC):
-            img = {}
-            for c in range(dC):
-                v = C.right_action.column((c, h)).get((f,))
-                if v:
-                    img[(c,)] = v
-            dual_act_cols[(h, f)] = img
-    dual_act = LinMap(field, (dH, dC), (dC,), dual_act_cols)
+    def act_on_dual(e, f):
+        # the first leg of e acts on the dual basis vector e^f
+        return e.times(El.basis((dual.alg,), (f,))).map(dual.left_action, (0, 2))
 
     def phi_fn(idx):
         f, h = idx
@@ -362,15 +316,7 @@ def phi_isomorphism(C: ModuleCoalgebra):
         e = e.map(S_inv, 0)
         e = e.merge(1, 3).merge(1, 2)     # q2 h2 g2
         e = e.map(S_inv, 1)
-        out = Tensor(field, (dC, dH))
-        for (a, b), v in e.t.data.items():
-            for (c,), w in dual_act_cols.get((a, f), {}).items():
-                cur = out.data.get((c, b), field.zero) + v * w
-                if cur:
-                    out.data[(c, b)] = cur
-                else:
-                    out.data.pop((c, b), None)
-        return out.fuse([[0, 1]])
+        return act_on_dual(e, f).t.fuse([[0, 1]])
 
     def phi_inv_fn(idx):
         f, h = idx
@@ -382,15 +328,7 @@ def phi_isomorphism(C: ModuleCoalgebra):
         e = e.merge(2, 3)                 # qa h1
         e = e.map(S, 2)
         e = e.merge(1, 2)                 # g2 S(qa h1)
-        out = Tensor(field, (dC, dH))
-        for (a, b), v in e.t.data.items():
-            for (c,), w in dual_act_cols.get((a, f), {}).items():
-                cur = out.data.get((c, b), field.zero) + v * w
-                if cur:
-                    out.data[(c, b)] = cur
-                else:
-                    out.data.pop((c, b), None)
-        return out.fuse([[0, 1]])
+        return act_on_dual(e, f).t.fuse([[0, 1]])
 
     dim = dC * dH
     src_dims = (dC, dH)

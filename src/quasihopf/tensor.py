@@ -214,15 +214,20 @@ def _unflatten(flat, dims):
     return tuple(idx)
 
 
+def _check_perm(perm, arity):
+    perm = tuple(perm)
+    if sorted(perm) != list(range(arity)):
+        raise ShapeMismatch("bad permutation %r for arity %d" % (perm, arity))
+    return perm
+
+
 def switch_legs(x: Tensor, perm) -> Tensor:
     """Re-index legs: new leg i is old leg perm[i].
 
     The common superscript notation "reversed legs" for a 3-tensor is
     ``switch_legs(x, (2, 1, 0))``: the entry at (i, j, k) moves to (k, j, i).
     """
-    perm = tuple(perm)
-    if sorted(perm) != list(range(x.arity)):
-        raise ShapeMismatch("bad permutation %r for arity %d" % (perm, x.arity))
+    perm = _check_perm(perm, x.arity)
     out = Tensor(x.field, tuple(x.dims[p] for p in perm))
     for idx, value in x.data.items():
         out.data[tuple(idx[p] for p in perm)] = value
@@ -281,6 +286,23 @@ class LinMap:
         """Copy with fresh target-space metadata; structure constructors
         use this so shared maps are never mutated across structures."""
         return LinMap(self.field, self.src, self.dst, self.cols, dst_spaces)
+
+    def permute(self, src=None, dst=None) -> "LinMap":
+        """Re-index the source and/or target legs, each by a permutation
+        in the convention of ``switch_legs`` (new leg i is old leg
+        perm[i]), so that ``m.permute(dst=p)(x) == switch_legs(m(x), p)``
+        and ``m.permute(src=p)(switch_legs(x, p)) == m(x)``."""
+        src = _check_perm(range(len(self.src)) if src is None else src, len(self.src))
+        dst = _check_perm(range(len(self.dst)) if dst is None else dst, len(self.dst))
+
+        def move(idx, perm):
+            return tuple([idx[p] for p in perm])
+
+        cols = {move(idx, src): {move(j, dst): v for j, v in img.items()}
+                for idx, img in self.cols.items()}
+        dst_spaces = None if self.dst_spaces is None else move(self.dst_spaces, dst)
+        return LinMap(self.field, move(self.src, src), move(self.dst, dst), cols,
+                      dst_spaces)
 
     def __call__(self, x: Tensor) -> Tensor:
         return apply_linear_map(self, x, tuple(range(x.arity)))
@@ -531,12 +553,7 @@ class FinAlgebra:
         return None
 
     def opposite(self) -> "FinAlgebra":
-        cols = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                cols[(i, j)] = dict(self.mult.cols.get((j, i), {}))
-        mult = LinMap(self.field, (self.dim, self.dim), (self.dim,), cols)
-        return FinAlgebra(self.field, self.dim, mult, self.unit,
+        return FinAlgebra(self.field, self.dim, self.mult.permute(src=(1, 0)), self.unit,
                           name=self.name + "^op" if self.name else "", validate=False)
 
     def __repr__(self):

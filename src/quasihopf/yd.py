@@ -227,9 +227,7 @@ def yd_adjunction_maps(M: FiniteModule, N: FiniteModule,
     # second adjunction through the induced carrier: evaluate at the
     # unit against precomposition with the carrier action
     induced_A = induce_yd(
-        FiniteModule(A.alg.dim, A.alg,
-                     LinMap(field, (A.alg.dim, A.alg.dim), (A.alg.dim,),
-                            A.alg.mult.cols), "left"), context)
+        FiniteModule(A.alg.dim, A.alg, A.alg.mult, "left"), context)
     induced_M = induce_yd(
         FiniteModule(M.dim, A.alg, M.action, "left"), context)
     hom_cm = _module_hom_basis(induced_M, induced_N, A.alg, colinear=True)

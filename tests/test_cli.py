@@ -9,8 +9,10 @@ from quasihopf.cli import main
 from quasihopf.errors import HashMismatch, ParseError
 from quasihopf.fields import QQ, PrimeField
 from quasihopf.fixtures import FIXTURE_NAMES, h2, kz2
-from quasihopf.hopf import verify_quasi_hopf
-from quasihopf.tensor import Tensor
+from quasihopf.hopf import GaugeTransformation, verify_quasi_hopf
+from quasihopf.tensor import Tensor, multiply, unit_tensor
+
+from test_hopf import sweedler
 
 
 def run(argv):
@@ -231,6 +233,34 @@ def test_failing_report_sides_use_coefficient_syntax(tmp_path, field):
         assert all(isinstance(i, int) for row in rows for i in row[:-1])
         parsed = Tensor(field, (2,), {tuple(row[:-1]): field.parse(row[-1]) for row in rows})
         assert parsed == getattr(records["zigzag-forward"], side)
+
+
+def test_gauge_check_takes_each_product(tmp_path, field):
+    # over Sweedler's algebra, with e = (1 - g)/2 and E = e x e, the gauge
+    # t = 1 - 2E is its own inverse; the stated inverse s = t + N, with
+    # N = E (x x 1)(1 - E), gives t s = 1 - N and s t = 1 + N, whose sum
+    # is 2, so only products compared with 1 one at a time expose s
+    H = sweedler(field)
+    sp = H.spaces(2)
+    one = unit_tensor(sp)
+    half = field.div_int(1, 2)
+    e = Tensor(field, (4,), {(0,): half, (1,): -half})
+    E = e.outer(e)
+    N = multiply(sp, multiply(sp, E, Tensor.basis(field, (4,), (2,)).outer(H.alg.unit)),
+                 one - E)
+    t = one - E.scale(field.from_int(2))
+    s = t + N
+    assert multiply(sp, t, s) + multiply(sp, s, t) == one + one
+    base = str(tmp_path / ("sweedler" + io.SUFFIX))
+    path = str(tmp_path / ("gauge" + io.SUFFIX))
+    io.emit_value(H, base)
+    io.emit_value(GaugeTransformation(H, t, s), path, base_path=base)
+    report_path = str(tmp_path / "report.json")
+    assert run(["--report", report_path, "check", path]) == 1
+    with open(report_path, encoding="utf-8") as fh:
+        check = json.load(fh)["subjects"][0]["checks"][0]
+    assert check["id"] == "two-sided-inverse" and not check["passed"]
+    assert (check["lhs"], check["rhs"]) == (io.side_rows(one - N), io.side_rows(one))
 
 
 def test_side_rows_of_scalars_and_flat_vectors(field):

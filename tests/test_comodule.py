@@ -17,7 +17,9 @@ from quasihopf.fields import QQ
 from quasihopf.fixtures import h2, hh_bicomodule, kz2, regular_comodule_algebra
 from quasihopf.hopf import drinfeld_twist
 from quasihopf.tensor import (LinMap, Tensor, all_indices, apply_linear_map,
-                              invert_element, switch_legs, unit_tensor)
+                              invert_element, multiply, switch_legs, unit_tensor)
+
+from test_hopf import sweedler
 
 
 def test_regular_right_comodule_algebra_passes(field):
@@ -374,3 +376,42 @@ def test_internal_coalgebra_verify_propagates_non_package_errors(field, monkeypa
     monkeypatch.setattr(comodule, "invert_element", _raise_type_error)
     with pytest.raises(TypeError, match="injected"):
         internal.verify()
+
+
+# -- invertibility checks that a wrong inverse cannot pass ---------------------
+
+def fooling_pair(H):
+    """Over Sweedler's algebra, Phi = 1 x 1 x g and Psi = Phi + 3 (1 x 1 x x):
+    Phi Psi = 1 + 3 (1 x 1 x gx) and Psi Phi = 1 - 3 (1 x 1 x gx) sum to 2,
+    so only products compared with 1 one at a time expose Psi.  Returns
+    (Phi, Psi, Phi Psi)."""
+    field = H.field
+    one_one = unit_tensor(H.spaces(2))
+    phi = one_one.outer(Tensor.basis(field, (4,), (1,)))
+    psi = phi + one_one.outer(Tensor.basis(field, (4,), (2,))).scale(field.from_int(3))
+    gx = one_one.outer(Tensor.basis(field, (4,), (3,)))
+    unit3 = unit_tensor(H.spaces(3))
+    assert multiply(H.spaces(3), phi, psi) + multiply(H.spaces(3), psi, phi) == unit3 + unit3
+    return phi, psi, unit3 + gx.scale(field.from_int(3))
+
+
+def test_reassoc_invertible_takes_each_product(field):
+    H = sweedler(field)
+    phi, psi, phi_psi = fooling_pair(H)
+    X = ComoduleAlgebra(H, "right", H.alg, H.comult, phi, psi)
+    record = {r.check_id: r for r in verify_comodule_algebra(X).records}[
+        "reassoc-invertible"]
+    assert not record.passed
+    assert (record.lhs, record.rhs) == (phi_psi, unit_tensor(H.spaces(3)))
+
+
+def test_mixed_invertible_takes_each_product(field):
+    H = sweedler(field)
+    phi, psi, phi_psi = fooling_pair(H)
+    unit3 = unit_tensor(H.spaces(3))
+    A = BicomoduleAlgebra(H, H.alg, H.comult, H.comult, unit3, unit3, phi,
+                          unit3, unit3, psi)
+    record = {r.check_id: r for r in verify_bicomodule_algebra(A).records}[
+        "mixed-invertible"]
+    assert not record.passed
+    assert (record.lhs, record.rhs) == (phi_psi, unit3)

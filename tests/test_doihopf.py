@@ -15,6 +15,9 @@ from quasihopf.fixtures import (c2, h2, h2_bimodule_coalgebra, hh_bicomodule,
 from quasihopf.modcoalg import ModuleCoalgebra
 from quasihopf.tensor import LinMap, Tensor
 
+from test_hopf import sweedler
+from test_modcoalg import regular_module_coalgebra
+
 
 def right_left_context(field, make=h2):
     H = make(field)
@@ -170,8 +173,6 @@ def _counit_of_smash(smash, ctx, n):
     for c in range(C.dim):
         if c == f:
             weight = weight + C.counit.column((c,)).get(())
-    hmm = weight
-    del hmm
     eps_b = _algebra_counit(ctx, b)
     return weight * eps_b
 
@@ -234,29 +235,30 @@ def test_adjunction_roundtrips(field):
 
 
 def test_adjunction_unit_formula(field):
-    # the unit map tags a module morphism with the coaction leg
-    ctx = right_left_context(field)
-    N = trivial_module(ctx)
-    M = induce_doi_hopf(N, ctx)
+    # the unit map tags a module morphism f with the coaction leg,
+    # xi(f)(m) = m_(-1) x f(m_(0)); each xi(f) is a morphism of Doi-Hopf
+    # modules into the induced module, and a one-entry change is not
+    from quasihopf import linalg
     from quasihopf.doihopf import _module_hom_basis
-    homs = _module_hom_basis(M, N, ctx.comodule.alg)
-    assert homs, "expected a nonzero morphism space"
-    mat = homs[0]
-    for m in range(M.dim):
-        lam = M.coaction.column((m,))
-        expect = Tensor(field, (ctx.coalgebra.dim, N.dim))
-        for (c, m0), v in lam.data.items():
-            for j in range(N.dim):
-                if mat[j][m0]:
-                    expect = expect + Tensor(field, expect.dims,
-                                             {(c, j): v * mat[j][m0]})
-        # evaluate xi through the same formula used by the checker
-        got = Tensor(field, expect.dims)
-        for (c, m0), v in lam.data.items():
-            for j in range(N.dim):
-                if mat[j][m0]:
-                    got = got + Tensor(field, expect.dims, {(c, j): v * mat[j][m0]})
-        assert got == expect
+    for make in (kz2, h2):
+        ctx = right_left_context(field, make)
+        N = trivial_module(ctx)
+        M = induce_doi_hopf(N, ctx)
+        homs = _module_hom_basis(M, N, ctx.comodule.alg)
+        assert homs, "expected a nonzero morphism space"
+        span = [[v for row in h for v in row]
+                for h in _module_hom_basis(M, induce_doi_hopf(N, ctx), ctx.comodule.alg,
+                                           colinear=True)]
+        for mat in homs:
+            xi = [[field.zero] * M.dim for _ in range(ctx.coalgebra.dim * N.dim)]
+            for m in range(M.dim):
+                for (c, m0), v in M.coaction.column((m,)).data.items():
+                    for j in range(N.dim):
+                        xi[c * N.dim + j][m] += v * mat[j][m0]
+            flat = [v for row in xi for v in row]
+            assert linalg.in_span(field, span, flat)
+            flat[0] += field.one
+            assert not linalg.in_span(field, span, flat)
 
 
 @pytest.mark.parametrize("make", [kz2, h2])
@@ -424,3 +426,35 @@ def test_coring_comodule_action_must_be_unital(field):
                                                    comodule.coaction))
     records = {r.check_id: r for r in report.records}
     assert not records["action-unital"].passed
+
+
+# -- the four variants over a base that is neither commutative nor cocommutative
+
+VARIANTS = ["right-left", "left-right", "right-right", "left-left"]
+
+
+def sweedler_context(field, variant):
+    """Sweedler's algebra as a comodule algebra and as a module coalgebra
+    over itself, on the sides the variant names (action side first)."""
+    H = sweedler(field)
+    action_side, coaction_side = variant.split("-")
+    return DoiHopfContext(variant, regular_comodule_algebra(H, coaction_side),
+                          regular_module_coalgebra(H, action_side))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_reflections_over_sweedler(field, variant):
+    ctx = sweedler_context(field, variant)
+    M = induce_doi_hopf(trivial_module(ctx), ctx)
+    report = verify_doi_hopf(M, ctx)
+    assert report.passed, report.render()
+    for other in VARIANTS:
+        if other == variant:
+            continue
+        moved, ctx2 = translate_variant(M, ctx, other)
+        assert ctx2.variant == other
+        report = verify_doi_hopf(moved, ctx2)
+        assert report.passed, report.render()
+        back, ctx3 = translate_variant(moved, ctx2, variant)
+        assert ctx3.variant == variant
+        assert back.action == M.action and back.coaction == M.coaction

@@ -1,3 +1,5 @@
+import pytest
+
 from quasihopf.fields import QQ
 from quasihopf.fixtures import c2, h2, h2_bimodule_coalgebra, kz2
 from quasihopf.hopf import drinfeld_twist
@@ -6,6 +8,8 @@ from quasihopf.modcoalg import (ModuleCoalgebra,
                                 dualize, gauge_twist_module_coalgebra,
                                 verify_module_algebra, verify_module_coalgebra)
 from quasihopf.tensor import LinMap, Tensor, unit_tensor
+
+from test_hopf import sweedler
 
 
 def test_trivial_action_coalgebra_passes(field):
@@ -49,7 +53,7 @@ def test_left_module_coalgebra_as_right_over_op(field):
         lambda idx: {(idx[1],): H.counit_scalar(idx[0])})
     C_left = ModuleCoalgebra(H, "left", 2, C0.comult, C0.counit, left_action=left)
     assert verify_module_coalgebra(C_left).passed
-    flipped = C_left.as_right_over_op()
+    flipped = C_left.reflect("op")
     assert flipped.side == "right"
     assert flipped.comult == C_left.comult
     report = verify_module_coalgebra(flipped)
@@ -218,3 +222,29 @@ def test_square_view_verdict_tracks_original():
         over = bimodule_to_op_tensor_module_coalgebra(case)
         square = verify_module_coalgebra(over).passed
         assert direct == square
+
+
+# -- reflections over a base that is neither commutative nor cocommutative -----
+
+def regular_module_coalgebra(H, side):
+    """H as a module coalgebra over itself by multiplication on the given
+    side (both sides for "bi"); valid since Phi = 1 on Sweedler's algebra."""
+    return ModuleCoalgebra(H, side, H.dim, H.comult, H.counit, H.alg.mult, H.alg.mult,
+                           name="sweedler-" + side)
+
+
+@pytest.mark.parametrize("kind", ["op", "cop", "opcop"])
+@pytest.mark.parametrize("side", ["left", "right", "bi"])
+def test_reflect_over_sweedler(field, side, kind):
+    C = regular_module_coalgebra(sweedler(field), side)
+    assert verify_module_coalgebra(C).passed
+    R = C.reflect(kind)
+    report = verify_module_coalgebra(R)
+    assert report.passed, report.render()
+    assert R.side == (side if kind == "cop" else {"left": "right", "right": "left",
+                                                   "bi": "bi"}[side])
+    again = R.reflect(kind)
+    assert again.side == C.side
+    assert again.comult == C.comult
+    assert again.left_action == C.left_action
+    assert again.right_action == C.right_action

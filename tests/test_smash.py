@@ -102,7 +102,7 @@ def test_stgsm_matches_op_side_construction(field):
     direct = stgsm_product(A, C)
 
     A_under = comodule_variant(A, "cop")          # left over H^cop
-    C_cop = C.cop()                               # right over H^cop
+    C_cop = C.reflect("cop")                      # right over H^cop
     other = generalized_smash(dualize(C_cop), A_under)
     # same carrier order (dual leg, carrier leg); compare opposite products
     for i in range(direct.carrier.dim):

@@ -382,6 +382,49 @@ def test_apply_linear_map_rejects_mixed_fields():
             apply_linear_map(LinMap.identity(other, (2,)), x, (0,))
 
 
+# -- leg permutations of a linear map -------------------------------------------
+
+@st.composite
+def permuted_maps(draw):
+    """A map between random tensor powers, with a permutation of its
+    source legs and one of its target legs."""
+    field = draw(st.sampled_from([QQ, FP]))
+    src = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    dst = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    cols = {idx: draw(field_tensors(field, dst)).data for idx in all_indices(src)}
+    return (LinMap(field, src, dst, cols), tuple(draw(st.permutations(range(len(src))))),
+            tuple(draw(st.permutations(range(len(dst))))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_maps())
+def test_permute_agrees_with_switch_legs(case):
+    # column by column: a source permutation moves the column's index, a
+    # target permutation switches the legs of the column itself
+    m, p, q = case
+    by_src, by_dst, both = m.permute(src=p), m.permute(dst=q), m.permute(src=p, dst=q)
+    assert by_src.src == tuple(m.src[k] for k in p) and by_src.dst == m.dst
+    assert by_dst.dst == tuple(m.dst[k] for k in q) and by_dst.src == m.src
+    for idx in all_indices(m.src):
+        moved = tuple(idx[k] for k in p)
+        assert by_src.column(moved) == m.column(idx)
+        assert by_dst.column(idx) == switch_legs(m.column(idx), q)
+        assert both.column(moved) == switch_legs(m.column(idx), q)
+
+
+def test_permute_moves_target_spaces_and_rejects_bad_permutations():
+    A, B = z2_algebra(QQ), triangular_algebra(QQ)
+    m = LinMap(QQ, (2, 3), (2, 3), {(1, 2): {(0, 1): QQ.one}}, dst_spaces=(A, B))
+    assert m.permute(dst=(1, 0)).dst_spaces == (B, A)
+    assert m.permute(src=(1, 0)).dst_spaces == (A, B)
+    assert m.permute(src=(1, 0), dst=(1, 0)).cols == {(2, 1): {(1, 0): QQ.one}}
+    for bad in [(0,), (0, 0), (1, 2), (0, 1, 2)]:
+        with pytest.raises(ShapeMismatch):
+            m.permute(src=bad)
+        with pytest.raises(ShapeMismatch):
+            m.permute(dst=bad)
+
+
 # -- the leg-map kernel against the per-entry loop ------------------------------
 
 @st.composite
