@@ -1,8 +1,8 @@
 import pytest
 
 from quasihopf.coring import verify_coring
-from quasihopf.doihopf import (CoringComodule, DoiHopfContext, FiniteModule,
-                               adjunction_maps, compute_rat,
+from quasihopf.doihopf import (DOI_HOPF_VARIANTS, CoringComodule, DoiHopfContext,
+                               FiniteModule, adjunction_maps, compute_rat,
                                coring_comodule_to_doihopf,
                                doihopf_to_coring_comodule, induce_doi_hopf,
                                rational_check, to_smash_module,
@@ -246,9 +246,10 @@ def test_adjunction_unit_formula(field):
         M = induce_doi_hopf(N, ctx)
         homs = _module_hom_basis(M, N, ctx.comodule.alg)
         assert homs, "expected a nonzero morphism space"
+        # M is the induced module of N, so these maps M -> M are the
+        # Doi-Hopf morphisms into the induced module
         span = [[v for row in h for v in row]
-                for h in _module_hom_basis(M, induce_doi_hopf(N, ctx), ctx.comodule.alg,
-                                           colinear=True)]
+                for h in _module_hom_basis(M, M, ctx.comodule.alg, colinear=True)]
         for mat in homs:
             xi = [[field.zero] * M.dim for _ in range(ctx.coalgebra.dim * N.dim)]
             for m in range(M.dim):
@@ -430,8 +431,6 @@ def test_coring_comodule_action_must_be_unital(field):
 
 # -- the four variants over a base that is neither commutative nor cocommutative
 
-VARIANTS = ["right-left", "left-right", "right-right", "left-left"]
-
 
 def sweedler_context(field, variant):
     """Sweedler's algebra as a comodule algebra and as a module coalgebra
@@ -442,13 +441,13 @@ def sweedler_context(field, variant):
                           regular_module_coalgebra(H, action_side))
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", DOI_HOPF_VARIANTS)
 def test_reflections_over_sweedler(field, variant):
     ctx = sweedler_context(field, variant)
     M = induce_doi_hopf(trivial_module(ctx), ctx)
     report = verify_doi_hopf(M, ctx)
     assert report.passed, report.render()
-    for other in VARIANTS:
+    for other in DOI_HOPF_VARIANTS:
         if other == variant:
             continue
         moved, ctx2 = translate_variant(M, ctx, other)
