@@ -47,14 +47,14 @@ class CheckReport:
                 where = lhs.first_difference(rhs)
             self.add(check_id, False, witness=where, lhs=lhs, rhs=rhs, fatal=fatal)
 
-    def compare_all(self, check_id, pairs, fatal=True):
+    def compare_all(self, check_id, pairs):
         """One record for several tensor equalities, checked in order: the
         first pair whose sides differ is recorded as ``compare`` records
         it, so no pair can make up for another."""
         for lhs, rhs in pairs:
             if lhs != rhs:
                 break
-        self.compare(check_id, lhs, rhs, fatal=fatal)
+        self.compare(check_id, lhs, rhs)
 
     def sweep(self, check_id, items, fn, fatal=True) -> CheckRecord:
         """Record whether ``fn(item)`` returns an equal ``(lhs, rhs)`` pair

@@ -190,8 +190,8 @@ def stgsm_product(A: ComoduleAlgebra, C: ModuleCoalgebra) -> ProductAlgebra:
         raise ShapeMismatch("needs a right comodule algebra and a right module coalgebra")
     _check_base(A, C)
     field = A.field
-    D = dualize(C.reflect("cop"))         # the flipped convolution
-    dual, act = D.alg, D.left_action
+    D = dualize(C)
+    dual, act = D.alg.opposite(), D.left_action    # the flipped convolution
 
     def mult_fn(x, y):
         f, i = x

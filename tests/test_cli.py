@@ -10,6 +10,7 @@ from quasihopf.errors import HashMismatch, ParseError
 from quasihopf.fields import QQ, PrimeField
 from quasihopf.fixtures import FIXTURE_NAMES, h2, kz2
 from quasihopf.hopf import GaugeTransformation, verify_quasi_hopf
+from quasihopf.modcoalg import ModuleCoalgebra
 from quasihopf.tensor import Tensor, multiply, unit_tensor
 
 from test_hopf import sweedler
@@ -192,6 +193,31 @@ def test_convert_commands_through_cli(tmp_path):
     assert run(["convert", "bicomodule-r1r2", "--input", hhf]) == 0
     assert run(["convert", "yd2dh", "--bicomodule", hhf, "--coalgebra", bmc]) == 0
     assert run(["convert", "dh2yd", "--bicomodule", hhf, "--coalgebra", bmc]) == 0
+
+
+def test_convert_variant_as_right_needs_a_left_coalgebra(tmp_path, capsys):
+    d = str(tmp_path)
+    run(["fixture", "emit", "c2", "--dir", d])
+    run(["fixture", "emit", "h2-bimodule-coalgebra", "--dir", d])
+    for name in ("c2", "h2-bimodule-coalgebra"):           # right, bi
+        path = os.path.join(d, name + io.SUFFIX)
+        capsys.readouterr()
+        assert run(["convert", "variant", "--input", path, "--kind", "as-right"]) == 1
+        assert "starts from a left structure" in capsys.readouterr().err
+    # Sweedler's algebra over itself by left multiplication (Phi = 1)
+    H = sweedler(QQ)
+    C = ModuleCoalgebra(H, "left", H.dim, H.comult, H.counit, left_action=H.alg.mult,
+                        name="sweedler-left")
+    base = os.path.join(d, "sweedler" + io.SUFFIX)
+    path = os.path.join(d, "left" + io.SUFFIX)
+    out = os.path.join(d, "as-right" + io.SUFFIX)
+    io.emit_value(H, base)
+    io.emit_value(C, path, base_path=base)
+    assert run(["convert", "variant", "--input", path, "--kind", "as-right",
+                "--out", out]) == 0
+    R = io.parse(out)
+    assert (R.side, R.name) == ("right", "sweedler-left-as-right")
+    assert R.right_action == C.left_action.permute(src=(1, 0))
 
 
 def test_rsmash_second_realization(tmp_path):

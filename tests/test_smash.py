@@ -1,8 +1,9 @@
 import pytest
 
 from quasihopf.comodule import comodule_variant
-from quasihopf.errors import MixedBase
+from quasihopf.errors import AntipodeNotInvertible, MixedBase
 from quasihopf.fields import QQ
+from quasihopf.hopf import QuasiHopfAlgebra
 from quasihopf.fixtures import (c2, h2, h2_bimodule_coalgebra, hh_bicomodule,
                                 kz2, regular_comodule_algebra)
 from quasihopf.modcoalg import dualize
@@ -11,7 +12,7 @@ from quasihopf.smash import (alpha_morphism, build_omega, check_prop_3_10,
                              koppinen_smash, phi_isomorphism,
                              right_generalized_smash, stgsm_product,
                              verify_product_algebra)
-from quasihopf.tensor import Tensor, apply_linear_map, unit_tensor
+from quasihopf.tensor import LinMap, Tensor, apply_linear_map, unit_tensor
 
 
 def smash_inputs(field, make):
@@ -109,6 +110,23 @@ def test_stgsm_matches_op_side_construction(field):
         for j in range(direct.carrier.dim):
             assert direct.carrier.basis_product(i, j) == \
                 other.carrier.basis_product(j, i)
+
+
+def test_stgsm_reads_no_antipode(field):
+    # the product uses only the comultiplication and the right action of
+    # C: over a copy of the base whose antipode is singular (so S^-1
+    # cannot be formed) it is built, and agrees with the one over h2
+    H = h2(field)
+    singular = QuasiHopfAlgebra(H.alg, H.comult, H.counit, H.reassoc,
+                                LinMap(field, (H.dim,), (H.dim,)), H.alpha, H.beta,
+                                reassoc_inv=H.reassoc_inv, name="h2-singular-S")
+    with pytest.raises(AntipodeNotInvertible):
+        singular.antipode_inv
+    expect = stgsm_product(regular_comodule_algebra(H, "right"), c2(field, H))
+    got = stgsm_product(regular_comodule_algebra(singular, "right"), c2(field, singular))
+    for i in range(got.carrier.dim):
+        for j in range(got.carrier.dim):
+            assert got.carrier.basis_product(i, j) == expect.carrier.basis_product(i, j)
 
 
 @pytest.mark.parametrize("make", [kz2, h2])
