@@ -1,6 +1,9 @@
+import contextlib
+import hashlib
 import json
 import os
 import sys
+from io import StringIO
 
 import pytest
 
@@ -315,6 +318,56 @@ def readme_commands():
     return commands
 
 
+README_DIGESTS = os.path.join(os.path.dirname(__file__), "readme_digests.json")
+FIELD_TAGS = ("q", "fp:10007")
+
+
+def readme_digests(workdir, field_tag):
+    """Run the README commands with ``--report`` in ``workdir``, the
+    fixtures emitted over ``field_tag``; one sha256 per command over its
+    exit code, its stdout, the report bytes and the bytes of every file
+    it wrote, in name order.  Returns a list of (command, digest)."""
+    def snapshot():
+        return {name: open(os.path.join(workdir, name), "rb").read()
+                for name in sorted(os.listdir(workdir))}
+
+    out = []
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for argv in readme_commands():
+            if argv[:2] == ["fixture", "emit"]:
+                argv = argv + ["--field", field_tag]
+            before = snapshot()
+            stdout = StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = run(["--report", "report.json"] + argv)
+            with open("report.json", "rb") as fh:
+                report = fh.read()
+            os.remove("report.json")
+            written = [(name, data) for name, data in snapshot().items()
+                       if before.get(name) != data]
+            payload = repr((code, stdout.getvalue(), report, written))
+            out.append([" ".join(argv),
+                        hashlib.sha256(payload.encode()).hexdigest()])
+    finally:
+        os.chdir(cwd)
+    return out
+
+
+@pytest.mark.parametrize("field_tag", FIELD_TAGS)
+def test_readme_pipeline_bytes_are_pinned(tmp_path, field_tag):
+    # exit codes, stdout, reports and emitted files of the README pipeline
+    # are pinned; regenerate with `python tests/test_cli.py` only for a
+    # change meant to alter them
+    with open(README_DIGESTS, encoding="utf-8") as fh:
+        want = json.load(fh)[field_tag]
+    got = readme_digests(str(tmp_path), field_tag)
+    assert len(got) == 20
+    assert [cmd for cmd, digest in got if [cmd, digest] not in want] == []
+    assert got == want
+
+
 @pytest.mark.parametrize("field_tag", ["q", "fp:10007"])
 def test_readme_pipeline_makes_no_dense_inverse(tmp_path, monkeypatch, field_tag):
     # every reassociator inverse on the README pipeline has a closed form:
@@ -338,3 +391,16 @@ def test_readme_pipeline_makes_no_dense_inverse(tmp_path, monkeypatch, field_tag
             argv = argv + ["--field", field_tag]
         assert run(argv) == 0, argv
         assert calls == [], argv
+
+
+if __name__ == "__main__":
+    import tempfile
+    digests = {}
+    for tag in FIELD_TAGS:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests[tag] = readme_digests(tmp, tag)
+    with open(README_DIGESTS, "w", encoding="utf-8") as fh:
+        fh.write("{\n%s\n}\n" % ",\n".join(
+            "%s: [\n%s\n]" % (json.dumps(tag), ",\n".join(
+                "  " + json.dumps(pair) for pair in pairs))
+            for tag, pairs in digests.items()))
