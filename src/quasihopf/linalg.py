@@ -94,13 +94,10 @@ def solve(field, matrix, rhs):
     return x
 
 
-def nullspace(field, matrix, cols=None):
+def nullspace(field, matrix):
     """Basis of the right nullspace, one flat vector per basis element."""
     if not matrix:
-        return [] if not cols else [
-            [field.one if i == j else field.zero for i in range(cols)]
-            for j in range(cols)
-        ]
+        return []
     cols = len(matrix[0])
     red, pivots = rref(field, matrix)
     pivot_set = set(pivots)

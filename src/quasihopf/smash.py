@@ -10,6 +10,7 @@ content of the corresponding structure theorems.
 
 from __future__ import annotations
 
+from . import linalg
 from .comodule import (BicomoduleAlgebra, ComoduleAlgebra,
                        bicomodule_to_right_op_tensor, canonical_elements)
 from .errors import AntipodeRequired, MixedBase, NotInvertible, ShapeMismatch
@@ -269,9 +270,8 @@ def alpha_morphism(C: ModuleCoalgebra, B: ComoduleAlgebra):
                  lambda ij: (smash.carrier.basis_product(*ij),
                              kop.carrier.basis_product(*ij)))
     report.compare("unit-preserving", smash.carrier.unit, kop.carrier.unit)
-    from . import linalg
-    report.add("bijective", linalg.rank(field, morphism.to_matrix()) == dim,
-               lhs=linalg.rank(field, morphism.to_matrix()), rhs=dim)
+    rank = linalg.rank(field, morphism.to_matrix())
+    report.add("bijective", rank == dim, lhs=rank, rhs=dim)
     return morphism, report
 
 

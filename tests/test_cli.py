@@ -358,8 +358,8 @@ def readme_digests(workdir, field_tag):
 @pytest.mark.parametrize("field_tag", FIELD_TAGS)
 def test_readme_pipeline_bytes_are_pinned(tmp_path, field_tag):
     # exit codes, stdout, reports and emitted files of the README pipeline
-    # are pinned; regenerate with `python tests/test_cli.py` only for a
-    # change meant to alter them
+    # are pinned; regenerate with `PYTHONPATH=src python tests/test_cli.py`
+    # only for a change meant to alter them
     with open(README_DIGESTS, encoding="utf-8") as fh:
         want = json.load(fh)[field_tag]
     got = readme_digests(str(tmp_path), field_tag)

@@ -26,16 +26,29 @@ def right_left_context(field, make=h2):
     return DoiHopfContext("right-left", B, C)
 
 
-def left_right_context(field, make=h2):
-    H = make(field)
-    A = regular_comodule_algebra(H, "right")
+def c2_left(field, H):
+    """c2 as a left module coalgebra, H acting through its counit."""
     base = c2(field, H)
     action = LinMap.from_function(
         field, (H.dim, 2), (2,),
         lambda idx: {(idx[1],): H.counit_scalar(idx[0])})
-    C = ModuleCoalgebra(H, "left", 2, base.comult, base.counit,
-                        left_action=action, name="c2-left")
-    return DoiHopfContext("left-right", A, C)
+    return ModuleCoalgebra(H, "left", 2, base.comult, base.counit,
+                           left_action=action, name="c2-left")
+
+
+def left_right_context(field, make=h2):
+    H = make(field)
+    return DoiHopfContext("left-right", regular_comodule_algebra(H, "right"),
+                          c2_left(field, H))
+
+
+def variant_context(field, variant):
+    """A context over h2 in ``variant``: the regular comodule algebra on
+    the coaction side and c2 on the action side."""
+    H = h2(field)
+    B = regular_comodule_algebra(H, variant.split("-")[1])
+    C = c2(field, H) if variant.startswith("right") else c2_left(field, H)
+    return DoiHopfContext(variant, B, C)
 
 
 @pytest.mark.parametrize("make", [kz2, h2])
@@ -234,6 +247,47 @@ def test_adjunction_roundtrips(field):
     assert report.passed, report.render()
 
 
+ADJUNCTION_CHECKS = ["unit-roundtrip", "counit-roundtrip", "naturality",
+                     "second-unit-roundtrip", "second-counit-roundtrip"]
+
+
+@pytest.mark.parametrize("variant", DOI_HOPF_VARIANTS)
+def test_adjunction_in_every_variant(field, variant):
+    ctx = variant_context(field, variant)
+    N = trivial_module(ctx)
+    report = adjunction_maps(induce_doi_hopf(N, ctx), N, ctx)
+    assert report.passed, report.render()
+    assert [r.check_id for r in report.records] == ADJUNCTION_CHECKS
+
+
+def doubled_coaction(M):
+    """M with its coaction scaled by 2, which breaks the counit law."""
+    two = M.field.one + M.field.one
+    coaction = LinMap(M.field, M.coaction.src, M.coaction.dst,
+                      {idx: {j: two * v for j, v in img.items()}
+                       for idx, img in M.coaction.cols.items()})
+    return FiniteModule(M.dim, M.over, M.action, M.action_side, coaction,
+                        M.coaction_side, name=M.name)
+
+
+def assert_only_unit_roundtrip_fails(report):
+    # with the coaction doubled zeta(xi(f)) = 2f: the unit round trip fails
+    # at the first basis map with both sides recorded, every other
+    # record holds
+    assert [r.check_id for r in report.records] == ADJUNCTION_CHECKS
+    assert [r.check_id for r in report.records if not r.passed] == ["unit-roundtrip"]
+    record = report.first_failure()
+    assert record.witness == (0,)
+    assert record.lhs == [[v + v for v in row] for row in record.rhs]
+
+
+def test_adjunction_fails_on_a_broken_counit_law(field):
+    ctx = right_left_context(field)
+    N = trivial_module(ctx)
+    report = adjunction_maps(doubled_coaction(induce_doi_hopf(N, ctx)), N, ctx)
+    assert_only_unit_roundtrip_fails(report)
+
+
 def test_adjunction_unit_formula(field):
     # the unit map tags a module morphism f with the coaction leg,
     # xi(f)(m) = m_(-1) x f(m_(0)); each xi(f) is a morphism of Doi-Hopf
@@ -293,19 +347,7 @@ def test_translate_left_right_to_canonical_and_back(field):
 
 @pytest.mark.parametrize("variant", ["right-right", "left-left"])
 def test_induce_reflected_variants(field, variant):
-    H = h2(field)
-    base = c2(field, H)
-    if variant == "right-right":
-        A = regular_comodule_algebra(H, "right")
-        ctx = DoiHopfContext(variant, A, base)
-    else:
-        B = regular_comodule_algebra(H, "left")
-        action = LinMap.from_function(
-            field, (H.dim, 2), (2,),
-            lambda idx: {(idx[1],): H.counit_scalar(idx[0])})
-        C = ModuleCoalgebra(H, "left", 2, base.comult, base.counit,
-                            left_action=action)
-        ctx = DoiHopfContext(variant, B, C)
+    ctx = variant_context(field, variant)
     M = induce_doi_hopf(trivial_module(ctx), ctx)
     report = verify_doi_hopf(M, ctx)
     assert report.passed, report.render()

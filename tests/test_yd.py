@@ -5,7 +5,10 @@ from quasihopf.doihopf import FiniteModule, induce_doi_hopf, verify_doi_hopf
 from quasihopf.fixtures import h2, h2_bimodule_coalgebra, hh_bicomodule, kz2
 from quasihopf.tensor import LinMap, Tensor, apply_linear_map
 from quasihopf.yd import (YetterDrinfeldContext, doihopf_to_yd, induce_yd,
-                          verify_yd, yd_to_doihopf)
+                          verify_yd, yd_adjunction_maps, yd_to_doihopf)
+
+from test_doihopf import (ADJUNCTION_CHECKS, assert_only_unit_roundtrip_fails,
+                          doubled_coaction)
 
 
 def make_context(field, make=h2):
@@ -154,9 +157,22 @@ def test_witness_relates_realizations(field):
 
 
 def test_yd_adjunction_roundtrips(field):
-    from quasihopf.yd import yd_adjunction_maps
     ctx = make_context(field)
     N = regular_carrier_module(ctx)
     M = induce_yd(N, ctx)
     report = yd_adjunction_maps(M, N, ctx)
     assert report.passed, report.render()
+
+
+def test_yd_adjunction_records_every_check(field):
+    ctx = make_context(field, kz2)
+    N = regular_carrier_module(ctx)
+    report = yd_adjunction_maps(induce_yd(N, ctx), N, ctx)
+    assert [r.check_id for r in report.records] == ADJUNCTION_CHECKS
+
+
+def test_yd_adjunction_fails_on_a_broken_counit_law(field):
+    ctx = make_context(field)
+    N = regular_carrier_module(ctx)
+    report = yd_adjunction_maps(doubled_coaction(induce_yd(N, ctx)), N, ctx)
+    assert_only_unit_roundtrip_fails(report)
