@@ -321,12 +321,29 @@ def readme_commands():
 README_DIGESTS = os.path.join(os.path.dirname(__file__), "readme_digests.json")
 FIELD_TAGS = ("q", "fp:10007")
 
+# commands off the README pipeline whose bytes are pinned as well: the
+# other YD conversion, the second right realization, the BC coring and
+# the emitting forms of the realization and module-coalgebra conversions
+EXTRA_DIGESTS = os.path.join(os.path.dirname(__file__), "extra_digests.json")
+EXTRA_COMMANDS = [line.split() for line in (
+    "fixture emit c2",
+    "fixture emit hh-bicomodule",
+    "fixture emit h2-bimodule-coalgebra",
+    "convert dh2yd --bicomodule hh-bicomodule.qha.json"
+    " --coalgebra h2-bimodule-coalgebra.qha.json",
+    "build rsmash --bicomodule hh-bicomodule.qha.json"
+    " --coalgebra h2-bimodule-coalgebra.qha.json --realization 2 --out rs2.qha.json",
+    "build coring --kind BC --coalgebra c2.qha.json",
+    "convert bicomodule-r1r2 --input hh-bicomodule.qha.json --out r.qha.json",
+    "convert variant --kind cop --input c2.qha.json --out c2cop.qha.json",
+)]
 
-def readme_digests(workdir, field_tag):
-    """Run the README commands with ``--report`` in ``workdir``, the
-    fixtures emitted over ``field_tag``; one sha256 per command over its
-    exit code, its stdout, the report bytes and the bytes of every file
-    it wrote, in name order.  Returns a list of (command, digest)."""
+
+def command_digests(workdir, field_tag, commands):
+    """Run ``commands`` with ``--report`` in ``workdir``, the fixtures
+    emitted over ``field_tag``; one sha256 per command over its exit
+    code, its stdout, the report bytes and the bytes of every file it
+    wrote, in name order.  Returns a list of (command, digest)."""
     def snapshot():
         return {name: open(os.path.join(workdir, name), "rb").read()
                 for name in sorted(os.listdir(workdir))}
@@ -335,7 +352,7 @@ def readme_digests(workdir, field_tag):
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        for argv in readme_commands():
+        for argv in commands:
             if argv[:2] == ["fixture", "emit"]:
                 argv = argv + ["--field", field_tag]
             before = snapshot()
@@ -362,8 +379,18 @@ def test_readme_pipeline_bytes_are_pinned(tmp_path, field_tag):
     # only for a change meant to alter them
     with open(README_DIGESTS, encoding="utf-8") as fh:
         want = json.load(fh)[field_tag]
-    got = readme_digests(str(tmp_path), field_tag)
+    got = command_digests(str(tmp_path), field_tag, readme_commands())
     assert len(got) == 20
+    assert [cmd for cmd, digest in got if [cmd, digest] not in want] == []
+    assert got == want
+
+
+@pytest.mark.parametrize("field_tag", FIELD_TAGS)
+def test_extra_command_bytes_are_pinned(tmp_path, field_tag):
+    # the same pin for the commands of EXTRA_COMMANDS
+    with open(EXTRA_DIGESTS, encoding="utf-8") as fh:
+        want = json.load(fh)[field_tag]
+    got = command_digests(str(tmp_path), field_tag, EXTRA_COMMANDS)
     assert [cmd for cmd, digest in got if [cmd, digest] not in want] == []
     assert got == want
 
@@ -395,12 +422,14 @@ def test_readme_pipeline_makes_no_dense_inverse(tmp_path, monkeypatch, field_tag
 
 if __name__ == "__main__":
     import tempfile
-    digests = {}
-    for tag in FIELD_TAGS:
-        with tempfile.TemporaryDirectory() as tmp:
-            digests[tag] = readme_digests(tmp, tag)
-    with open(README_DIGESTS, "w", encoding="utf-8") as fh:
-        fh.write("{\n%s\n}\n" % ",\n".join(
-            "%s: [\n%s\n]" % (json.dumps(tag), ",\n".join(
-                "  " + json.dumps(pair) for pair in pairs))
-            for tag, pairs in digests.items()))
+    for path, commands in ((README_DIGESTS, readme_commands()),
+                           (EXTRA_DIGESTS, EXTRA_COMMANDS)):
+        digests = {}
+        for tag in FIELD_TAGS:
+            with tempfile.TemporaryDirectory() as tmp:
+                digests[tag] = command_digests(tmp, tag, commands)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("{\n%s\n}\n" % ",\n".join(
+                "%s: [\n%s\n]" % (json.dumps(tag), ",\n".join(
+                    "  " + json.dumps(pair) for pair in pairs))
+                for tag, pairs in digests.items()))

@@ -4,7 +4,9 @@ On every base of ``test_closed_inverses.CASES`` the library's
 ``verify_yd`` must give the same records (verdict, witness and both
 sides) as ``yd_case.reference_verify_yd``, on the induced module and on
 12 seeded single-entry mutants of its coaction, each of which fails.
-The YD coring's comultiplication must equal the per-basis reference.
+On those bases and on kz2 over both fields, the YD coring's left action
+and comultiplication and the induced Yetter-Drinfeld module must equal
+the direct formulas of ``yd_case``.
 """
 
 import os
@@ -16,28 +18,36 @@ import textwrap
 import pytest
 
 from quasihopf.coring import build_coring
-from quasihopf.doihopf import FiniteModule
-from quasihopf.fixtures import h2_bimodule_coalgebra
+from quasihopf.doihopf import (DOI_HOPF_VARIANTS, FiniteModule, induce_doi_hopf,
+                               translate_variant, trivial_module, verify_doi_hopf)
+from quasihopf.fields import QQ
+from quasihopf.fixtures import h2_bimodule_coalgebra, hh_bicomodule, kz2
 from quasihopf.tensor import LinMap
 from quasihopf.yd import YetterDrinfeldContext, induce_yd, verify_yd
 
-from test_closed_inverses import CASES
-from yd_case import reference_verify_yd, reference_yd_comult
+from test_closed_inverses import CASES, F
+from yd_case import (reference_induce_yd, reference_verify_yd,
+                     reference_yd_comult, reference_yd_left_action)
 
 NAMES = sorted(CASES)
+BASES = dict(CASES, **{"kz2-rationals": lambda: hh_bicomodule(QQ, kz2(QQ)),
+                       "kz2-fp10007": lambda: hh_bicomodule(F, kz2(F))})
 
 
 def context(name):
-    A = CASES[name]()
+    A = BASES[name]()
     return YetterDrinfeldContext(A, h2_bimodule_coalgebra(A.field, A.H))
 
 
-def induced(ctx):
+def induced_seed(ctx):
     A = ctx.A
     action = LinMap(ctx.field, (A.alg.dim, A.alg.dim), (A.alg.dim,),
                     A.alg.mult.cols)
-    return induce_yd(FiniteModule(A.alg.dim, A.alg, action, "left",
-                                  name="regular"), ctx)
+    return FiniteModule(A.alg.dim, A.alg, action, "left", name="regular")
+
+
+def induced(ctx):
+    return induce_yd(induced_seed(ctx), ctx)
 
 
 def coaction_mutants(M, seed, count=12):
@@ -75,26 +85,51 @@ def test_verify_yd_matches_the_reference(name):
         assert records(report) == records(reference_verify_yd(X, ctx)), (name, k)
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", sorted(BASES))
 def test_yd_coring_comult_matches_the_reference(name):
     ctx = context(name)
     X = build_coring("YD", A=ctx.A, C=ctx.C)
+    assert X.name == "YD(%s,%s)" % (ctx.A.name or "A", ctx.C.name or "C")
+    assert X.left_action == reference_yd_left_action(ctx.A, ctx.C)
     for idx in sorted(X.comult.cols):
         assert X.comult.column(idx) == reference_yd_comult(ctx.A, ctx.C, idx), idx
     assert len(X.comult.cols) == X.dim
 
 
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_induce_yd_matches_the_direct_formulas(name):
+    ctx = context(name)
+    M = induced(ctx)
+    want = reference_induce_yd(induced_seed(ctx), ctx)
+    assert (M.name, M.action, M.coaction) == (want.name, want.action, want.coaction)
+
+
+@pytest.mark.parametrize("variant", DOI_HOPF_VARIANTS)
+@pytest.mark.parametrize("name", NAMES)
+def test_square_base_induction_in_every_variant(name, variant):
+    # over a twisted Sweedler base the square-base reassociator is not its
+    # own inverse, so an induced coaction acted on by the wrong one fails
+    ctx = context(name)
+    seed = trivial_module(ctx.doihopf)
+    other = translate_variant(induce_doi_hopf(seed, ctx.doihopf), ctx.doihopf,
+                              variant)[1]
+    M = induce_doi_hopf(trivial_module(other), other)
+    report = verify_doi_hopf(M, other)
+    assert report.passed, report.render()
+
+
 def test_yd_coring_and_induction_over_a_dim_4_base_under_1_gb():
     # the coring's comultiplication and the induced coaction are built
-    # from one structure element, never from the outer product of all
-    # the reassociators, and the coring is verified by normal forms, not
-    # by a row reduction of its balancing relations, so all of it fits in
-    # a 1 GB address space
+    # from the closed-form reassociator of the second right realization,
+    # never from the outer product of all the reassociators, and the
+    # coring is verified by normal forms, not by a row reduction of its
+    # balancing relations, so all of it fits in a 1 GB address space
     code = textwrap.dedent("""
         import resource
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
         from quasihopf.coring import build_coring, verify_coring
-        from quasihopf.doihopf import FiniteModule
+        from quasihopf.doihopf import (DOI_HOPF_VARIANTS, FiniteModule, induce_doi_hopf,
+                               translate_variant, trivial_module, verify_doi_hopf)
         from quasihopf.fields import PrimeField
         from quasihopf.fixtures import h2, h2_bimodule_coalgebra, hh_bicomodule
         from quasihopf.hopf import tensor_qha

@@ -5,14 +5,19 @@ each entry acts through its own basis-element action, where the library
 contracts whole elements leg by leg.  ``reference_verify_yd`` is the
 whole Yetter-Drinfeld check, and ``reference_yd_comult`` is the
 comultiplication representative of the YD coring, built per basis
-element from the outer product of all its factors.  The YD tests
-compare the library against them.
+element from the outer product of all its factors.
+``reference_yd_left_action`` and ``reference_induce_yd`` are the YD
+coring's left action and the Yetter-Drinfeld induction written out
+directly from the bicomodule data, where the library reaches both
+through the second right realization over the square base.  The YD
+tests compare the library against them.
 """
 
-from quasihopf.doihopf import verify_module_law
+from quasihopf.comodule import canonical_elements
+from quasihopf.doihopf import FiniteModule, verify_module_law
 from quasihopf.hopf import drinfeld_twist
 from quasihopf.report import CheckReport
-from quasihopf.tensor import El, Tensor, all_indices, apply_linear_map
+from quasihopf.tensor import El, LinMap, Tensor, all_indices, apply_linear_map
 
 
 def _act_left(action, dim, idx, t, leg):
@@ -148,3 +153,92 @@ def reference_yd_comult(A, C, idx):
             else:
                 out.data.pop(key, None)
     return out
+
+
+def reference_yd_left_action(A, C):
+    """The YD coring's left action on C x A:
+    r . (c, a) = (r01 . c . S^-1(r-1), r00 a)."""
+    field = A.field
+    dA = A.alg.dim
+    S_inv = A.H.antipode_inv
+
+    def left_fn(idx):
+        r, n = idx
+        c, a = divmod(n, dA)
+        e = El.basis((A.alg,), (r,)).map(A.left_coaction, 0)
+        e = e.map(A.right_coaction, 1)    # r-1 r00 r01
+        e = e.times(El.basis((C.space,), (c,))).times(El.basis((A.alg,), (a,)))
+        e = e.map(C.left_action, (2, 3), at=2)    # r-1 r00 (r01.c) a
+        e = e.map(S_inv, 0)
+        e = e.map(C.right_action, (2, 0), at=1)   # r00 c' a
+        e = e.merge(0, 2)                 # r00 a
+        return e.perm((1, 0)).t.fuse([[0, 1]])
+
+    return LinMap.from_function(field, (dA, C.dim * dA), (C.dim * dA,), left_fn)
+
+
+def _yd_structure(A, C, legs):
+    """The structure element of the YD coaction, contracted with the
+    comultiplication of each basis element of C.
+
+    ``legs`` carries (R2, V, W) in H x H x A.  The correction factor
+    (t1, t20 yA, t21 y2, t3 y3), from the inverse mixed and right
+    reassociators, is contracted into the legs, giving the
+    coalgebra-free element (R2, R1, A, L1, L2) with R1 = S^-1(t1 V),
+    A = t20 yA W0, L1 = t21 y2 W11, L2 = t3 y3 W12.  Entry c of the
+    result has legs (A, L1 . c1 . R1, L2 . c2 . R2)."""
+    H = A.H
+    p = A.mixed_inv_el().map(A.right_coaction, 1)   # t1 t20 t21 t3
+    p = p.times(El((A.alg, H.alg, H.alg), A.reassoc_right_inv))
+    p = p.merge(1, 4).merge(2, 4).merge(3, 4)       # t1 t20yA t21y2 t3y3
+    e = legs.times(p).merge(3, 1).map(H.antipode_inv, 2)   # R2 W R1 PA PL1 PL2
+    e = e.map(A.right_coaction, 1).map(H.comult, 2)    # R2 w0 w11 w12 R1 ...
+    e = e.merge(5, 1).merge(5, 1).merge(5, 1)          # R2 R1 A L1 L2
+    parts = []
+    for c in range(C.dim):
+        t = e.t.outer(C.comult.column((c,)))                 # R2 R1 A L1 L2 c1 c2
+        t = apply_linear_map(C.left_action, t, (3, 5), at=3)   # R2 R1 A c1 L2 c2
+        t = apply_linear_map(C.right_action, t, (3, 1), at=2)  # R2 A o1 L2 c2
+        t = apply_linear_map(C.left_action, t, (3, 4))         # R2 A o1 c2
+        parts.append(apply_linear_map(C.right_action, t, (3, 0), at=2))  # A o1 o2
+    return parts
+
+
+def reference_induce_yd(N, context):
+    """N (x) C with a . (n, c) = (a00 . n, a01 . c . S^-1(a-1)) and the
+    coaction read off the structure element of ``_yd_structure``."""
+    A, C, H = context.A, context.C, context.H
+    field = context.field
+    dC, dN = C.dim, N.dim
+    dim = dN * dC
+    S_inv = H.antipode_inv
+
+    def act_fn(idx):
+        a, n = idx
+        e = El.basis((A.alg,), (a,)).map(A.left_coaction, 0)
+        e = e.map(A.right_coaction, 1).map(S_inv, 0)   # S^-1(a-1) a00 a01
+        t = e.t.outer(Tensor.basis(field, (dN, dC), divmod(n, dC)))   # r a l m c
+        t = apply_linear_map(N.action, t, (1, 3), at=0)               # m r l c
+        t = apply_linear_map(C.left_action, t, (2, 3))                # m r l.c
+        return apply_linear_map(C.right_action, t, (2, 1)).fuse([[0, 1]])
+
+    action = LinMap.from_function(field, (A.alg.dim, dim), (dim,), act_fn)
+
+    # the legs (R2, V, W) = (S^-1(q1 X1 g1), qA-1 X2 g2, qA0 XB)
+    e = El((H.alg, A.alg), canonical_elements(A.left(), verify=False).q.t)
+    e = e.map(A.left_coaction, 1)                 # q1 qA-1 qA0
+    e = e.times(El((H.alg, H.alg, A.alg), A.reassoc_left))
+    e = e.merge(2, 5)                             # W = qA0 XB
+    e = e.merge(0, 3).merge(1, 3)                 # q1 X1, qA-1 X2
+    e = e.times(El(H.spaces(2), drinfeld_twist(H).inv))
+    e = e.merge(0, 3).merge(1, 3).map(S_inv, 0)   # R2 V W
+    parts = _yd_structure(A, C, e)
+
+    def coact_fn(idx):
+        m, c = divmod(idx[0], dC)
+        t = parts[c].outer(Tensor.basis(field, (dN,), (m,)))    # A o1 o2 m
+        return apply_linear_map(N.action, t, (0, 3)).fuse([[0, 1], [2]])
+
+    coaction = LinMap.from_function(field, (dim,), (dim, dC), coact_fn)
+    return FiniteModule(dim, A.alg, action, "left", coaction, "right",
+                        name="induced-yd(%s)" % (N.name or "N"))
