@@ -22,7 +22,8 @@ from .comodule import (BicomoduleAlgebra, CanonicalElements, ComoduleAlgebra,
                        bicomodule_to_right_op_tensor, bicomodule_variant,
                        canonical_elements, comodule_variant,
                        gauge_twist_comodule_algebra, internal_coalgebra,
-                       realization_twist_witness, twist_comodule_algebra,
+                       realization_twist_witness, right_realization,
+                       twist_comodule_algebra,
                        verify_bicomodule_algebra, verify_comodule_algebra)
 from .modcoalg import (ModuleAlgebra, ModuleCoalgebra,
                        bimodule_to_op_tensor_module_coalgebra, dualize,

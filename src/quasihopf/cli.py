@@ -15,8 +15,8 @@ import sys
 from . import fixtures, io
 from .comodule import (BicomoduleAlgebra, ComoduleAlgebra,
                        bicomodule_to_right_op_tensor, comodule_variant,
-                       realization_twist_witness, verify_bicomodule_algebra,
-                       verify_comodule_algebra)
+                       realization_twist_witness, right_realization,
+                       verify_bicomodule_algebra, verify_comodule_algebra)
 from .coring import build_coring, verify_coring
 from .doihopf import (DoiHopfContext, adjunction_maps, compute_rat,
                       induce_doi_hopf, rational_check, to_smash_module,
@@ -25,8 +25,9 @@ from .errors import ParseError, QuasiHopfError, ShapeMismatch, UsageError
 from .fields import FieldError, field_from_tag
 from .fixtures import regular_comodule_algebra
 from .hopf import (GaugeTransformation, QuasiHopfAlgebra, drinfeld_twist,
-                   gauge_twist, variant, verify_quasi_hopf)
-from .modcoalg import (ModuleCoalgebra, dualize, gauge_twist_module_coalgebra,
+                   gauge_twist, op_tensor, variant, verify_quasi_hopf)
+from .modcoalg import (ModuleCoalgebra, bimodule_to_op_tensor_module_coalgebra,
+                       dualize, gauge_twist_module_coalgebra,
                        verify_module_coalgebra)
 from .report import CheckReport
 from .smash import (ProductAlgebra, check_prop_3_10, diagonal_crossed_product,
@@ -157,6 +158,17 @@ def cmd_fixture(args):
     return _finish(args, [rep], emitted)
 
 
+def _emit_over_base(base, out, values):
+    """Write ``base`` next to ``out`` as <out stem>-base.qha.json, then
+    each (path, value) of ``values`` with a companion link to it; returns
+    the written paths in order."""
+    base_out = os.path.splitext(out)[0] + "-base" + io.SUFFIX
+    io.emit_value(base, base_out)
+    for path, value in values:
+        io.emit_value(value, path, base_path=base_out)
+    return [base_out] + [path for path, _ in values]
+
+
 def cmd_twist(args):
     value = io.parse(args.file)
     gauge = io.parse(args.gauge)
@@ -174,18 +186,12 @@ def cmd_twist(args):
         twisted, base = gauge_twist_comodule_algebra(value, gauge)
         report = verify_comodule_algebra(twisted)
         if args.out:
-            base_out = os.path.splitext(args.out)[0] + "-base" + io.SUFFIX
-            io.emit_value(base, base_out)
-            io.emit_value(twisted, args.out, base_path=base_out)
-            emitted += [base_out, args.out]
+            emitted += _emit_over_base(base, args.out, [(args.out, twisted)])
     elif isinstance(value, ModuleCoalgebra) and value.side == "left":
         twisted, base = gauge_twist_module_coalgebra(value, gauge)
         report = verify_module_coalgebra(twisted)
         if args.out:
-            base_out = os.path.splitext(args.out)[0] + "-base" + io.SUFFIX
-            io.emit_value(base, base_out)
-            io.emit_value(twisted, args.out, base_path=base_out)
-            emitted += [base_out, args.out]
+            emitted += _emit_over_base(base, args.out, [(args.out, twisted)])
     else:
         raise UsageError("cannot gauge-twist %r" % (value,))
     return _finish(args, [report], emitted)
@@ -244,12 +250,9 @@ def cmd_build(args):
     elif args.what == "rsmash":
         A = _load_bicomodule(args.bicomodule)
         C = _load_coalgebra(args.coalgebra)
-        from .hopf import op_tensor
-        from .modcoalg import bimodule_to_op_tensor_module_coalgebra
         square = op_tensor(A.H)
-        first, second, _ = bicomodule_to_right_op_tensor(A, base=square)
+        chosen = right_realization(A, args.realization, square)
         over = bimodule_to_op_tensor_module_coalgebra(C, base=square)
-        chosen = first if args.realization == 1 else second
         product = right_generalized_smash(chosen, dualize(over))
     elif args.what == "koppinen":
         C = _load_coalgebra(args.coalgebra)
@@ -308,10 +311,7 @@ def cmd_convert(args):
             out = comodule_variant(value, args.kind)
             report = verify_comodule_algebra(out)
             if args.out:
-                base_out = os.path.splitext(args.out)[0] + "-base" + io.SUFFIX
-                io.emit_value(out.H, base_out)
-                io.emit_value(out, args.out, base_path=base_out)
-                emitted += [base_out, args.out]
+                emitted += _emit_over_base(out.H, args.out, [(args.out, out)])
         elif isinstance(value, ModuleCoalgebra):
             if args.kind not in ("cop", "as-right"):
                 raise UsageError("module-coalgebra variants: cop, as-right")
@@ -320,10 +320,7 @@ def cmd_convert(args):
             out = value.reflect("cop" if args.kind == "cop" else "op")
             report = verify_module_coalgebra(out)
             if args.out:
-                base_out = os.path.splitext(args.out)[0] + "-base" + io.SUFFIX
-                io.emit_value(out.H, base_out)
-                io.emit_value(out, args.out, base_path=base_out)
-                emitted += [base_out, args.out]
+                emitted += _emit_over_base(out.H, args.out, [(args.out, out)])
         else:
             raise UsageError("cannot take a variant of %r" % (value,))
         return _finish(args, [report], emitted)
@@ -334,26 +331,21 @@ def cmd_convert(args):
         reports = [verify_comodule_algebra(first),
                    verify_comodule_algebra(second), search]
         if args.out:
-            base_out = os.path.splitext(args.out)[0] + "-base" + io.SUFFIX
-            io.emit_value(base, base_out)
-            first_out = os.path.splitext(args.out)[0] + "-r1" + io.SUFFIX
-            second_out = os.path.splitext(args.out)[0] + "-r2" + io.SUFFIX
-            io.emit_value(first, first_out, base_path=base_out)
-            io.emit_value(second, second_out, base_path=base_out)
-            emitted += [base_out, first_out, second_out]
+            stem = os.path.splitext(args.out)[0]
+            emitted += _emit_over_base(base, args.out,
+                                       [(stem + "-r1" + io.SUFFIX, first),
+                                        (stem + "-r2" + io.SUFFIX, second)])
         return _finish(args, reports, emitted)
     if args.what in ("yd2dh", "dh2yd"):
         A = _load_bicomodule(args.bicomodule)
         C = _load_coalgebra(args.coalgebra)
         ctx = YetterDrinfeldContext(A, C)
         seed = FiniteModule(A.alg.dim, A.alg, A.alg.mult, "left", name="regular")
-        M = induce_yd(seed, ctx)
         if args.what == "yd2dh":
-            out = yd_to_doihopf(M, ctx)
+            out = yd_to_doihopf(induce_yd(seed, ctx), ctx)
             report = verify_doi_hopf(out, ctx.doihopf)
         else:
-            dh = induce_doi_hopf(seed, ctx.doihopf)
-            out = doihopf_to_yd(dh, ctx)
+            out = doihopf_to_yd(induce_doi_hopf(seed, ctx.doihopf), ctx)
             report = verify_yd(out, ctx)
         return _finish(args, [report])
     raise UsageError("unknown conversion %r" % (args.what,))

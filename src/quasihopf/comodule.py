@@ -639,69 +639,70 @@ def bicomodule_to_right_op_tensor(A: BicomoduleAlgebra, base=None):
     Returns (first, second, base) where both comodule algebras share the
     carrier and the base is the materialized twisted tensor square.
     """
+    HopH = base if base is not None else op_tensor(_require_antipode(A.H))
+    return right_realization(A, 1, HopH), right_realization(A, 2, HopH), HopH
+
+
+def right_realization(A: BicomoduleAlgebra, k: int, base=None) -> ComoduleAlgebra:
+    """The k-th right comodule-algebra realization (k = 1 or 2) of a
+    bicomodule algebra over the opposite base tensored with the base,
+    the materialized twisted tensor square unless ``base`` is given."""
     H = _require_antipode(A.H)
     HopH = base if base is not None else op_tensor(H)
     alg = A.alg
     S_inv = H.antipode_inv
     twist = drinfeld_twist(H)
-
-    def rho1(idx):
-        e = El.basis((alg,), idx).map(A.right_coaction, 0).map(A.left_coaction, 0)
-        return e.map(S_inv, 0).perm((1, 0, 2))
-
-    def rho2(idx):
-        e = El.basis((alg,), idx).map(A.left_coaction, 0).map(A.right_coaction, 1)
-        return e.map(S_inv, 0).perm((1, 0, 2))
-
-    co1 = _fused_coaction(A, rho1, HopH.alg, "right")
-    co2 = _fused_coaction(A, rho2, HopH.alg, "right")
-
     sp_l, sp_r, sp_m = (H.alg, H.alg, alg), (alg, H.alg, H.alg), A.mixed_spaces()
 
-    def reassoc1(phi_r, phi_l_inv, theta_inv, f):
-        e = El(sp_r, phi_r).times(El(sp_l, phi_l_inv))
-        e = e.times(El(sp_m, theta_inv)).times(El(H.spaces(2), f))
-        e = e.map(A.left_coaction, 0)
-        e = e.map(H.comult, 0)
-        e = e.map(A.left_coaction, 9)
-        e = e.merge(2, 7).merge(2, 9)
-        e = e.merge(11, 1).merge(10, 5).merge(9, 6).map(S_inv, 8)
-        e = e.merge(2, 6)
-        e = e.merge(6, 0).merge(5, 3).merge(4, 3).map(S_inv, 3)
-        return e.perm((0, 4, 1, 3, 2)).t.fuse([[0], [1, 2], [3, 4]])
+    if k == 1:
+        def coact(idx):
+            e = El.basis((alg,), idx).map(A.right_coaction, 0).map(A.left_coaction, 0)
+            return e.map(S_inv, 0).perm((1, 0, 2))
 
-    def reassoc2(phi_l_inv, phi_r, theta, f):
-        e = El(sp_l, phi_l_inv).times(El(sp_r, phi_r))
-        e = e.times(El(sp_m, theta)).times(El(H.spaces(2), f))
-        e = e.map(A.right_coaction, 2)
-        e = e.map(H.comult, 3)
-        e = e.map(A.right_coaction, 9)
-        e = e.merge(2, 5).merge(2, 8)
-        e = e.merge(11, 1).merge(10, 6).map(S_inv, 9)
-        e = e.merge(2, 4).merge(2, 5)
-        e = e.merge(6, 0).map(S_inv, 5)
-        e = e.merge(2, 3).merge(2, 3)
-        return e.perm((0, 4, 1, 3, 2)).t.fuse([[0], [1, 2], [3, 4]])
+        def reassoc(phi_r, phi_l_inv, theta_inv, f):
+            e = El(sp_r, phi_r).times(El(sp_l, phi_l_inv))
+            e = e.times(El(sp_m, theta_inv)).times(El(H.spaces(2), f))
+            e = e.map(A.left_coaction, 0)
+            e = e.map(H.comult, 0)
+            e = e.map(A.left_coaction, 9)
+            e = e.merge(2, 7).merge(2, 9)
+            e = e.merge(11, 1).merge(10, 5).merge(9, 6).map(S_inv, 8)
+            e = e.merge(2, 6)
+            e = e.merge(6, 0).merge(5, 3).merge(4, 3).map(S_inv, 3)
+            return e.perm((0, 4, 1, 3, 2)).t.fuse([[0], [1, 2], [3, 4]])
 
-    spaces = (alg, HopH.alg, HopH.alg)
-    units = (sp_r, sp_l, sp_m, H.spaces(2))
-    re1, re1_inv = _reassoc_pair(
-        spaces, reassoc1,
-        (A.reassoc_right, A.reassoc_left_inv, A.reassoc_mixed_inv, twist.t),
-        (A.reassoc_right_inv, A.reassoc_left, A.reassoc_mixed, twist.inv),
-        units, (3, 0, 1, 2))
-    units = (sp_l, sp_r, sp_m, H.spaces(2))
-    re2, re2_inv = _reassoc_pair(
-        spaces, reassoc2,
-        (A.reassoc_left_inv, A.reassoc_right, A.reassoc_mixed, twist.t),
-        (A.reassoc_left, A.reassoc_right_inv, A.reassoc_mixed_inv, twist.inv),
-        units, (3, 0, 1, 2))
+        units = (sp_r, sp_l, sp_m, H.spaces(2))
+        factors = (A.reassoc_right, A.reassoc_left_inv, A.reassoc_mixed_inv, twist.t)
+        inverses = (A.reassoc_right_inv, A.reassoc_left, A.reassoc_mixed, twist.inv)
+    elif k == 2:
+        def coact(idx):
+            e = El.basis((alg,), idx).map(A.left_coaction, 0).map(A.right_coaction, 1)
+            return e.map(S_inv, 0).perm((1, 0, 2))
 
-    first = ComoduleAlgebra(HopH, "right", alg, co1, re1, re1_inv,
-                            name=(A.name + ":rho1") if A.name else "")
-    second = ComoduleAlgebra(HopH, "right", alg, co2, re2, re2_inv,
-                             name=(A.name + ":rho2") if A.name else "")
-    return first, second, HopH
+        def reassoc(phi_l_inv, phi_r, theta, f):
+            e = El(sp_l, phi_l_inv).times(El(sp_r, phi_r))
+            e = e.times(El(sp_m, theta)).times(El(H.spaces(2), f))
+            e = e.map(A.right_coaction, 2)
+            e = e.map(H.comult, 3)
+            e = e.map(A.right_coaction, 9)
+            e = e.merge(2, 5).merge(2, 8)
+            e = e.merge(11, 1).merge(10, 6).map(S_inv, 9)
+            e = e.merge(2, 4).merge(2, 5)
+            e = e.merge(6, 0).map(S_inv, 5)
+            e = e.merge(2, 3).merge(2, 3)
+            return e.perm((0, 4, 1, 3, 2)).t.fuse([[0], [1, 2], [3, 4]])
+
+        units = (sp_l, sp_r, sp_m, H.spaces(2))
+        factors = (A.reassoc_left_inv, A.reassoc_right, A.reassoc_mixed, twist.t)
+        inverses = (A.reassoc_left, A.reassoc_right_inv, A.reassoc_mixed_inv, twist.inv)
+    else:
+        raise ShapeMismatch("the right realizations are numbered 1 and 2, not %r" % (k,))
+
+    re, re_inv = _reassoc_pair((alg, HopH.alg, HopH.alg), reassoc, factors,
+                               inverses, units, (3, 0, 1, 2))
+    return ComoduleAlgebra(HopH, "right", alg,
+                           _fused_coaction(A, coact, HopH.alg, "right"), re, re_inv,
+                           name=(A.name + ":rho%d" % k) if A.name else "")
 
 
 def _sigma_mixed(A: BicomoduleAlgebra, t: Tensor) -> Tensor:

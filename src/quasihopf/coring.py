@@ -9,17 +9,23 @@ X (x)_R Y = C (x) Y, so each R-leg moves across the tensor sign into the
 next factor by its left action; over a left-free one, into the factor
 before it by its right action.  Equal normal forms are equal over R, so
 coassociativity over the base ring is a finite, checkable statement.
+
+The derived corings are those of Doi-Hopf data: BC over a left comodule
+algebra with a right module coalgebra, CA over a right comodule algebra
+with a left module coalgebra.  The YD coring of a bicomodule algebra and
+a bimodule coalgebra is not built on its own: it is the CA coring of the
+second right realization over H^op (x) H, whose comodules are the
+Yetter-Drinfeld modules seen as square-base Doi-Hopf modules.
 """
 
 from __future__ import annotations
 
 from .errors import AntipodeRequired, ShapeMismatch
-from .comodule import BicomoduleAlgebra, ComoduleAlgebra
-from .hopf import QuasiHopfAlgebra, drinfeld_twist
-from .modcoalg import ModuleCoalgebra
+from .comodule import BicomoduleAlgebra, ComoduleAlgebra, right_realization
+from .hopf import QuasiHopfAlgebra, op_tensor
+from .modcoalg import ModuleCoalgebra, bimodule_to_op_tensor_module_coalgebra
 from .report import CheckReport
-from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
-                     apply_linear_map, switch_legs)
+from .tensor import El, FinAlgebra, LinMap, Tensor, all_indices, apply_linear_map
 
 
 class Coring:
@@ -195,7 +201,7 @@ def build_coring(kind: str, **inputs) -> Coring:
     """The three derived corings: over a left comodule algebra with a
     right module coalgebra ("BC"), over a right comodule algebra with a
     left module coalgebra ("CA"), and over a bicomodule algebra with a
-    bimodule coalgebra ("YD")."""
+    bimodule coalgebra ("YD", the CA coring over the square base)."""
     if kind == "BC":
         return _coring_bc(inputs["B"], inputs["C"])
     if kind == "CA":
@@ -268,7 +274,7 @@ def _coring_bc(B: ComoduleAlgebra, C: ModuleCoalgebra) -> Coring:
                   name="BC(%s,%s)" % (B.name or "B", C.name or "C"))
 
 
-def _coring_ca(A: ComoduleAlgebra, C: ModuleCoalgebra) -> Coring:
+def _coring_ca(A: ComoduleAlgebra, C: ModuleCoalgebra, name=None) -> Coring:
     if A.side != "right" or C.side != "left":
         raise ShapeMismatch("needs a right comodule algebra and left module coalgebra")
     field = A.field
@@ -327,95 +333,15 @@ def _coring_ca(A: ComoduleAlgebra, C: ModuleCoalgebra) -> Coring:
 
     counit = LinMap.from_function(field, (N,), (dA,), counit_fn)
     return Coring(A.alg, N, left, right, comult, counit,
-                  name="CA(%s,%s)" % (A.name or "A", C.name or "C"))
+                  name=name or "CA(%s,%s)" % (A.name or "A", C.name or "C"))
 
 
 def _coring_yd(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> Coring:
-    if C.side != "bi":
-        raise ShapeMismatch("needs a bimodule coalgebra")
-    H = A.H
-    if not isinstance(H, QuasiHopfAlgebra):
+    """The CA coring of the second right realization of A and of C, both
+    over the twisted tensor square H^op (x) H."""
+    if not isinstance(A.H, QuasiHopfAlgebra):
         raise AntipodeRequired("this coring needs antipode data")
-    field = A.field
-    dA, dC = A.alg.dim, C.dim
-    N = dC * dA
-    S_inv = H.antipode_inv
-    twist = drinfeld_twist(H)
-    g_el = El(H.spaces(2), twist.inv)
-
-    def pair(c, a):
-        return c * dA + a
-
-    def left_fn(idx):
-        r, n = idx
-        c, a = divmod(n, dA)
-        e = El.basis((A.alg,), (r,)).map(A.left_coaction, 0)
-        e = e.map(A.right_coaction, 1)    # r-1 r00 r01
-        e = e.times(El.basis((C.space,), (c,))).times(El.basis((A.alg,), (a,)))
-        e = e.map(C.left_action, (2, 3), at=2)    # r-1 r00 (r01.c) a
-        e = e.map(S_inv, 0)
-        e = e.map(C.right_action, (2, 0), at=1)   # r00 c' a
-        e = e.merge(0, 2)                 # r00 a
-        return e.perm((1, 0)).t.fuse([[0, 1]])
-
-    left = LinMap.from_function(field, (dA, N), (N,), left_fn)
-
-    def right_fn(idx):
-        n, r = idx
-        c, a = divmod(n, dA)
-        out = {}
-        for (k,), v in A.alg.basis_product(a, r).data.items():
-            out[(pair(c, k),)] = v
-        return out
-
-    right = LinMap.from_function(field, (N, dA), (N,), right_fn)
-
-    # the legs (R2, V, W) = (S^-1(X1 g1), X2 g2, XB)
-    e = El((H.alg, H.alg, A.alg), A.reassoc_left).times(g_el)
-    e = e.merge(0, 3).merge(1, 3).map(S_inv, 0)
-    parts = _yd_structure(A, C, e)
-
-    # (o2 (x) 1) (x) (o1 (x) A a)
-    def comult_rep(idx):
-        c, a = divmod(idx[0], dA)
-        t = parts[c].outer(Tensor.basis(field, (dA,), (a,)))   # A o1 o2 a
-        t = apply_linear_map(A.alg.mult, t, (0, 3)).outer(A.alg.unit)
-        return switch_legs(t, (2, 3, 1, 0)).fuse([[0, 1], [2, 3]])
-
-    comult = LinMap.from_function(field, (N,), (N, N), comult_rep)
-
-    def counit_fn(idx):
-        c, a = divmod(idx[0], dA)
-        eps = C.counit.column((c,)).get(())
-        return {(a,): eps} if eps else {}
-
-    counit = LinMap.from_function(field, (N,), (dA,), counit_fn)
-    return Coring(A.alg, N, left, right, comult, counit,
-                  name="YD(%s,%s)" % (A.name or "A", C.name or "C"))
-
-
-def _yd_structure(A: BicomoduleAlgebra, C: ModuleCoalgebra, legs: El) -> list:
-    """The structure element of the YD coaction, contracted with the
-    comultiplication of each basis element of C.
-
-    ``legs`` carries (R2, V, W) in H x H x A.  The correction factor
-    (t1, t20 yA, t21 y2, t3 y3), from the inverse mixed and right
-    reassociators, is built on its own and contracted into the legs as
-    it goes, giving the coalgebra-free element (R2, R1, A, L1, L2) with
-    R1 = S^-1(t1 V), A = t20 yA W0, L1 = t21 y2 W11, L2 = t3 y3 W12.
-    Entry c of the result has legs (A, L1 . c1 . R1, L2 . c2 . R2)."""
-    H = A.H
-    p = A.mixed_inv_el().map(A.right_coaction, 1)   # t1 t20 t21 t3
-    p = p.times(El((A.alg, H.alg, H.alg), A.reassoc_right_inv))
-    p = p.merge(1, 4).merge(2, 4).merge(3, 4)       # t1 t20yA t21y2 t3y3
-    e = legs.times(p).merge(3, 1).map(H.antipode_inv, 2)   # R2 W R1 PA PL1 PL2
-    e = e.map(A.right_coaction, 1).map(H.comult, 2)    # R2 w0 w11 w12 R1 ...
-    e = e.merge(5, 1).merge(5, 1).merge(5, 1)          # R2 R1 A L1 L2
-    parts = []
-    for c in range(C.dim):
-        t = e.t.outer(C.comult.column((c,)))                 # R2 R1 A L1 L2 c1 c2
-        t = apply_linear_map(C.left_action, t, (3, 5), at=3)   # R2 R1 A c1 L2 c2
-        t = apply_linear_map(C.right_action, t, (3, 1), at=2)  # R2 A o1 L2 c2
-        t = apply_linear_map(C.left_action, t, (3, 4))         # R2 A o1 c2
-        parts.append(apply_linear_map(C.right_action, t, (3, 0), at=2))  # A o1 o2
-    return parts
+    square = op_tensor(A.H)
+    over_square = bimodule_to_op_tensor_module_coalgebra(C, base=square)
+    return _coring_ca(right_realization(A, 2, square), over_square,
+                      name="YD(%s,%s)" % (A.name or "A", C.name or "C"))

@@ -14,7 +14,7 @@ from .errors import NotRational, ShapeMismatch, VariantMismatch
 from .modcoalg import ModuleCoalgebra, dualize
 from .report import CheckReport
 from .smash import ProductAlgebra, generalized_smash
-from .tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace, all_indices,
+from .tensor import (FinAlgebra, LinMap, Tensor, VectorSpace, all_indices,
                      apply_linear_map, switch_legs)
 
 DOI_HOPF_VARIANTS = ("right-left", "left-right", "right-right", "left-left")
@@ -219,91 +219,46 @@ def trivial_module(context: DoiHopfContext) -> FiniteModule:
 def induce_doi_hopf(N: FiniteModule, context: DoiHopfContext) -> FiniteModule:
     """The induction functor pairing a plain module with the coalgebra;
     the two canonical variants are built natively, the other two through
-    their reflections."""
+    their reflections.  The carrier is C x N in the right-left variant
+    and N x C in the left-right one: an element acts by its coaction
+    image leg by leg, and the coaction is the comultiplication of C
+    acted on by the inverse reassociator."""
     variant = context.variant
+    if variant not in ("right-left", "left-right"):
+        canonical = _reflect_context(context, "right-left")
+        induced = induce_doi_hopf(_reflect_module(N, canonical), canonical)
+        return _reflect_module(induced, context)
     A, C = context.comodule, context.coalgebra
     field = context.field
-    dC, dN = C.dim, N.dim
+    dC, dN, dB = C.dim, N.dim, A.alg.dim
+    dim = dC * dN
+    action_side, coaction_side = variant.split("-")
+    right = action_side == "right"
+    pair = (dC, dN) if right else (dN, dC)
 
-    if variant == "right-left":
-        dim = dC * dN
+    def act_fn(idx):
+        n, b = idx if right else idx[::-1]
+        target = Tensor.basis(field, pair, divmod(n, pair[1]))
+        return _act_legwise(N, C, A.coaction.column((b,)), target,
+                            1 if right else 0, C.side).fuse([[0, 1]])
 
-        def act_fn(idx):
-            n, b = idx
-            c, m = divmod(n, dN)
-            e = El.basis((A.alg,), (b,)).map(A.coaction, 0)   # b-1 b0
-            out = Tensor(field, (dC, dN))
-            for (h, b0), v in e.t.data.items():
-                c_new = apply_linear_map(
-                    C.right_action,
-                    Tensor.basis(field, (dC,), (c,)).outer(
-                        Tensor.basis(field, (C.H.dim,), (h,))), (0, 1))
-                m_new = N.act(b0, Tensor.basis(field, (dN,), (m,)))
-                out = out + c_new.outer(m_new).scale(v)
-            return out.fuse([[0, 1]])
+    action = LinMap.from_function(field, (dim, dB) if right else (dB, dim),
+                                  (dim,), act_fn)
 
-        action = LinMap.from_function(field, (dim, A.alg.dim), (dim,), act_fn)
+    def coact_fn(idx):
+        c, m = divmod(idx[0], dN) if right else divmod(idx[0], dC)[::-1]
+        e_m = Tensor.basis(field, (dN,), (m,))
+        comult = C.comult.column((c,))
+        if right:   # c1 c2 m
+            t = _act_legwise(N, C, A.reassoc_inv, comult.outer(e_m), 2, C.side)
+            return t.fuse([[0], [1, 2]])
+        t = _act_legwise(N, C, A.reassoc_inv, e_m.outer(comult), 0, C.side)
+        return t.fuse([[0, 1], [2]])   # m c1 c2
 
-        def coact_fn(idx):
-            c, m = divmod(idx[0], dN)
-            e = A.re_inv_el()             # x1 x2 xB
-            e = e.times(El.basis((C.space,), (c,)))
-            e = e.map(C.comult, 3)        # x1 x2 xB c1 c2
-            e = e.map(C.right_action, (3, 0), at=2)   # x2 xB c1x1 c2
-            e = e.map(C.right_action, (3, 0), at=2)   # xB c1x1 c2x2
-            out = Tensor(field, (dC, dC, dN))
-            for (b0, c1, c2), v in e.t.data.items():
-                m_new = N.act(b0, Tensor.basis(field, (dN,), (m,)))
-                out = out + Tensor.basis(field, (dC,), (c1,)).outer(
-                    Tensor.basis(field, (dC,), (c2,))).outer(m_new).scale(v)
-            return out.fuse([[0], [1, 2]])
-
-        coaction = LinMap.from_function(field, (dim,), (dC, dim), coact_fn)
-        return FiniteModule(dim, A.alg, action, "right", coaction, "left",
-                            name="induced(%s)" % (N.name or "N"))
-
-    if variant == "left-right":
-        dim = dN * dC
-
-        def act_fn(idx):
-            a, n = idx
-            m, c = divmod(n, dC)
-            e = El.basis((A.alg,), (a,)).map(A.coaction, 0)   # a0 a1
-            out = Tensor(field, (dN, dC))
-            for (a0, h), v in e.t.data.items():
-                m_new = N.act(a0, Tensor.basis(field, (dN,), (m,)))
-                c_new = apply_linear_map(
-                    C.left_action,
-                    Tensor.basis(field, (C.H.dim,), (h,)).outer(
-                        Tensor.basis(field, (dC,), (c,))), (0, 1))
-                out = out + m_new.outer(c_new).scale(v)
-            return out.fuse([[0, 1]])
-
-        action = LinMap.from_function(field, (A.alg.dim, dim), (dim,), act_fn)
-
-        def coact_fn(idx):
-            m, c = divmod(idx[0], dC)
-            e = A.re_inv_el()             # xA x2 x3
-            e = e.times(El.basis((C.space,), (c,)))
-            e = e.map(C.comult, 3)        # xA x2 x3 c1 c2
-            e = e.map(C.left_action, (1, 3), at=1)    # xA x2c1 x3 c2
-            e = e.map(C.left_action, (2, 3), at=2)    # xA x2c1 x3c2
-            out = Tensor(field, (dN, dC, dC))
-            for (a0, c1, c2), v in e.t.data.items():
-                m_new = N.act(a0, Tensor.basis(field, (dN,), (m,)))
-                out = out + m_new.outer(
-                    Tensor.basis(field, (dC,), (c1,))).outer(
-                    Tensor.basis(field, (dC,), (c2,))).scale(v)
-            return out.fuse([[0, 1], [2]])
-
-        coaction = LinMap.from_function(field, (dim,), (dim, dC), coact_fn)
-        return FiniteModule(dim, A.alg, action, "left", coaction, "right",
-                            name="induced(%s)" % (N.name or "N"))
-
-    # the reflected variants: induce in the right-left reflection
-    canonical = _reflect_context(context, "right-left")
-    induced = induce_doi_hopf(_reflect_module(N, canonical), canonical)
-    return _reflect_module(induced, context)
+    coaction = LinMap.from_function(field, (dim,), (dC, dim) if right else (dim, dC),
+                                    coact_fn)
+    return FiniteModule(dim, A.alg, action, action_side, coaction, coaction_side,
+                        name="induced(%s)" % (N.name or "N"))
 
 
 # the base reflection between right-left and each other variant; every
@@ -503,16 +458,15 @@ def compute_rat(M: FiniteModule, context: DoiHopfContext,
     return basis, report
 
 
-def adjunction_maps(M: FiniteModule, N: FiniteModule, context: DoiHopfContext,
-                    test_morphism=None) -> CheckReport:
+def adjunction_maps(M: FiniteModule, N: FiniteModule,
+                    context: DoiHopfContext) -> CheckReport:
     """The unit/counit bijections of the two induction adjunctions,
     verified on full bases of the morphism spaces.  The data is stated in
     the right-left variant; the other variants reach it by reflection."""
     if context.variant != "right-left":
         canonical = _reflect_context(context, "right-left")
         return adjunction_maps(_reflect_module(M, canonical),
-                               _reflect_module(N, canonical), canonical,
-                               test_morphism)
+                               _reflect_module(N, canonical), canonical)
     A, C = context.comodule, context.coalgebra
     field = context.field
     report = CheckReport("adjunction data")
@@ -544,13 +498,11 @@ def adjunction_maps(M: FiniteModule, N: FiniteModule, context: DoiHopfContext,
     roundtrip("unit-roundtrip", hom_b, xi, zeta)
     roundtrip("counit-roundtrip",
               _module_hom_basis(M, induced_N, A.alg, colinear=True), zeta, xi)
-    # naturality square for a supplied (or first available) endomorphism:
+    # naturality square for the first endomorphism of the module basis:
     # xi(theta f) is theta applied to each coalgebra block of xi(f)
-    if test_morphism is None:
-        endos = _module_hom_basis(N, N, A.alg)
-        test_morphism = endos[0] if endos else None
-    if test_morphism is not None and hom_b:
-        theta = test_morphism
+    endos = _module_hom_basis(N, N, A.alg)
+    if endos and hom_b:
+        theta = endos[0]
 
         def natural(k):
             f = hom_b[k[0]]

@@ -15,7 +15,7 @@ import os
 from fractions import Fraction
 
 from .comodule import BicomoduleAlgebra, ComoduleAlgebra
-from .errors import HashMismatch, ParseError
+from .errors import HashMismatch, ParseError, ShapeMismatch
 from .fields import QQ, FieldError, FpElement, PrimeField, field_from_tag
 from .hopf import GaugeTransformation, QuasiHopfAlgebra
 from .modcoalg import ModuleCoalgebra
@@ -59,17 +59,27 @@ def side_rows(value):
     return value
 
 
-def _tensor_from_rows(field, dims, rows, where):
-    data = {}
+def _parse_row(field, row, dims, where):
+    """The index tuple and the coefficient of one row, the index checked
+    against ``dims``."""
     try:
-        for row in rows:
-            idx = tuple(int(i) for i in row[:-1])
-            data[idx] = field.parse(str(row[-1]))
-    except (FieldError, ValueError, TypeError) as exc:
+        idx = tuple(int(i) for i in row[:-1])
+        value = field.parse(str(row[-1]))
+    except (FieldError, ValueError, TypeError, IndexError) as exc:
         raise ParseError(str(exc), where=where) from exc
+    if len(idx) != len(dims):
+        raise ParseError("row %r has wrong index count" % (row,), where=where)
+    if not all(0 <= i < n for i, n in zip(idx, dims)):
+        raise ParseError("row %r has an index out of range for %r" % (row, dims),
+                         where=where)
+    return idx, value
+
+
+def _tensor_from_rows(field, dims, rows, where):
+    data = dict(_parse_row(field, row, dims, where) for row in rows)
     try:
         return Tensor(field, dims, data)
-    except Exception as exc:
+    except ShapeMismatch as exc:
         raise ParseError(str(exc), where=where) from exc
 
 
@@ -83,16 +93,9 @@ def _linmap_rows(field, m: LinMap):
 
 def _linmap_from_rows(field, src, dst, rows, where):
     cols = {}
-    try:
-        for row in rows:
-            nums = [int(i) for i in row[:-1]]
-            s = tuple(nums[:len(src)])
-            d = tuple(nums[len(src):])
-            if len(d) != len(dst):
-                raise ParseError("row %r has wrong index count" % (row,), where=where)
-            cols.setdefault(s, {})[d] = field.parse(str(row[-1]))
-    except (FieldError, ValueError, TypeError) as exc:
-        raise ParseError(str(exc), where=where) from exc
+    for row in rows:
+        idx, value = _parse_row(field, row, src + dst, where)
+        cols.setdefault(idx[:len(src)], {})[idx[len(src):]] = value
     return LinMap(field, src, dst, cols)
 
 

@@ -5,13 +5,11 @@ Doi-Hopf modules over the twisted tensor square.
 
 from __future__ import annotations
 
-from .comodule import (BicomoduleAlgebra, bicomodule_to_right_op_tensor,
-                       canonical_elements)
-from .coring import _yd_structure
+from .comodule import BicomoduleAlgebra, canonical_elements, right_realization
 from .doihopf import (DoiHopfContext, FiniteModule, _act_legwise,
-                      adjunction_maps, verify_module_law)
+                      adjunction_maps, induce_doi_hopf, verify_module_law)
 from .errors import AntipodeRequired, VariantMismatch
-from .hopf import QuasiHopfAlgebra, drinfeld_twist, op_tensor
+from .hopf import QuasiHopfAlgebra, op_tensor
 from .modcoalg import ModuleCoalgebra, bimodule_to_op_tensor_module_coalgebra
 from .report import CheckReport
 from .tensor import El, LinMap, Tensor, all_indices, apply_linear_map
@@ -19,7 +17,9 @@ from .tensor import El, LinMap, Tensor, all_indices, apply_linear_map
 
 class YetterDrinfeldContext:
     """A bicomodule algebra and a bimodule coalgebra over one quasi-Hopf
-    base, together with the materialized square-base Doi-Hopf context."""
+    base, together with the materialized square-base Doi-Hopf context:
+    the second right realization of A and C as a left module coalgebra,
+    both over H^op (x) H."""
 
     def __init__(self, A: BicomoduleAlgebra, C: ModuleCoalgebra, square=None):
         if C.side != "bi":
@@ -33,8 +33,7 @@ class YetterDrinfeldContext:
         self.H = A.H
         self.field = A.field
         self.square = square if square is not None else op_tensor(self.H)
-        self.first, self.second, _ = bicomodule_to_right_op_tensor(
-            A, base=self.square)
+        self.second = right_realization(A, 2, self.square)
         self.over_square = bimodule_to_op_tensor_module_coalgebra(C, base=self.square)
         self.doihopf = DoiHopfContext("left-right", self.second, self.over_square)
 
@@ -143,41 +142,11 @@ def doihopf_to_yd(M: FiniteModule, context: YetterDrinfeldContext) -> FiniteModu
 
 
 def induce_yd(N: FiniteModule, context: YetterDrinfeldContext) -> FiniteModule:
-    """Pair a plain module over the carrier with the coalgebra; the
-    displayed structure maps compose the square-base induction with the
-    inverse comparison functor."""
-    A, C, H = context.A, context.C, context.H
-    field = context.field
-    dC, dN = C.dim, N.dim
-    dim = dN * dC
-    S_inv = H.antipode_inv
-
-    def act_fn(idx):
-        a, n = idx
-        e = El.basis((A.alg,), (a,)).map(A.left_coaction, 0)
-        e = e.map(A.right_coaction, 1).map(S_inv, 0)   # S^-1(a-1) a00 a01
-        target = Tensor.basis(field, (dN, dC), divmod(n, dC))
-        return _act_sandwich(N.action, C, e.t, target).fuse([[0, 1]])
-
-    action = LinMap.from_function(field, (A.alg.dim, dim), (dim,), act_fn)
-
-    # the legs (R2, V, W) = (S^-1(q1 X1 g1), qA-1 X2 g2, qA0 XB)
-    e = El((H.alg, A.alg), canonical_elements(A.left(), verify=False).q.t)
-    e = e.map(A.left_coaction, 1)                 # q1 qA-1 qA0
-    e = e.times(El((H.alg, H.alg, A.alg), A.reassoc_left))
-    e = e.merge(2, 5)                             # W = qA0 XB
-    e = e.merge(0, 3).merge(1, 3)                 # q1 X1, qA-1 X2
-    e = e.times(El(H.spaces(2), drinfeld_twist(H).inv))
-    e = e.merge(0, 3).merge(1, 3).map(S_inv, 0)   # R2 V W
-    parts = _yd_structure(A, C, e)
-
-    def coact_fn(idx):
-        m, c = divmod(idx[0], dC)
-        t = parts[c].outer(Tensor.basis(field, (dN,), (m,)))    # A o1 o2 m
-        return apply_linear_map(N.action, t, (0, 3)).fuse([[0, 1], [2]])
-
-    coaction = LinMap.from_function(field, (dim,), (dim, dC), coact_fn)
-    return FiniteModule(dim, A.alg, action, "left", coaction, "right",
+    """Pair a plain module over the carrier with the coalgebra: the
+    square-base Doi-Hopf induction carried across the inverse comparison
+    functor."""
+    M = doihopf_to_yd(induce_doi_hopf(N, context.doihopf), context)
+    return FiniteModule(M.dim, M.over, M.action, "left", M.coaction, "right",
                         name="induced-yd(%s)" % (N.name or "N"))
 
 

@@ -72,6 +72,36 @@ def test_zero_denominator_rejected(tmp_path):
         io.parse(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ([1, 1, 5, "1"], "row [1, 1, 5, '1'] has an index out of range for (2, 2, 2)"),
+    ([1, 5, "1"], "row [1, 5, '1'] has wrong index count"),
+    ([], "list index out of range"),
+])
+def test_malformed_linear_map_row_is_a_parse_error(tmp_path, capsys, row, message):
+    assert run(["fixture", "emit", "c2", "--dir", str(tmp_path)]) == 0
+    path = str(tmp_path / ("c2" + io.SUFFIX))
+    payload = json.load(open(path))
+    payload["right_action"].append(row)
+    open(path, "w").write(io.canonical_dumps(payload))
+    capsys.readouterr()
+    assert run(["check", path]) == 2
+    assert capsys.readouterr().err == "parse error: [module-coalgebra] %s\n" % message
+
+
+@pytest.mark.parametrize("coefficient", ["1", "0"])
+def test_out_of_range_tensor_row_is_a_parse_error(tmp_path, capsys, coefficient):
+    path = str(tmp_path / ("h2" + io.SUFFIX))
+    io.emit_value(h2(QQ), path)
+    payload = json.load(open(path))
+    payload["reassoc"].append([0, 0, 7, coefficient])
+    open(path, "w").write(io.canonical_dumps(payload))
+    capsys.readouterr()
+    assert run(["check", path]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: [quasi-hopf] row [0, 0, 7, '%s'] has an index out of range"
+        " for (2, 2, 2)\n" % coefficient)
+
+
 def test_stale_companion_hash_rejected(tmp_path):
     assert run(["fixture", "emit", "c2", "--dir", str(tmp_path)]) == 0
     base = tmp_path / ("h2" + io.SUFFIX)

@@ -1,6 +1,6 @@
 import pytest
 
-from quasihopf.comodule import realization_twist_witness
+from quasihopf.comodule import realization_twist_witness, right_realization
 from quasihopf.doihopf import FiniteModule, induce_doi_hopf, verify_doi_hopf
 from quasihopf.fixtures import h2, h2_bimodule_coalgebra, hh_bicomodule, kz2
 from quasihopf.tensor import LinMap, Tensor, apply_linear_map
@@ -151,7 +151,8 @@ def test_module_coalgebra_special_case_reduces_to_doihopf(field):
 
 def test_witness_relates_realizations(field):
     ctx = make_context(field)
-    witness, report = realization_twist_witness(ctx.A, ctx.first, ctx.second)
+    first = right_realization(ctx.A, 1, ctx.square)
+    witness, report = realization_twist_witness(ctx.A, first, ctx.second)
     assert witness is not None
     assert report.passed
 
