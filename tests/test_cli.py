@@ -8,13 +8,16 @@ from io import StringIO
 import pytest
 
 from quasihopf import io, tensor
-from quasihopf.cli import main
-from quasihopf.errors import HashMismatch, ParseError
-from quasihopf.fields import QQ, PrimeField
-from quasihopf.fixtures import FIXTURE_NAMES, h2, kz2
+from quasihopf.cli import _report_json, main
+from quasihopf.coring import build_coring, verify_coring
+from quasihopf.errors import HashMismatch, ParseError, QuasiHopfError
+from quasihopf.fields import QQ, PrimeField, field_from_tag
+from quasihopf.fixtures import (FIXTURE_NAMES, c2, h2, h2_bimodule_coalgebra, kz2,
+                                regular_comodule_algebra)
 from quasihopf.hopf import GaugeTransformation, verify_quasi_hopf
-from quasihopf.modcoalg import ModuleCoalgebra
-from quasihopf.tensor import Tensor, multiply, unit_tensor
+from quasihopf.modcoalg import (ModuleCoalgebra, dualize, verify_module_algebra,
+                                verify_module_coalgebra)
+from quasihopf.tensor import LinMap, Tensor, all_indices, multiply, unit_tensor
 
 from test_hopf import sweedler
 
@@ -425,6 +428,71 @@ def test_extra_command_bytes_are_pinned(tmp_path, field_tag):
     assert got == want
 
 
+# the failing reports of single-entry mutants are pinned as well: every
+# entry of every map of c2 and of h2-bimodule-coalgebra, bumped by 3
+MUTANT_DIGESTS = os.path.join(os.path.dirname(__file__), "mutant_digests.json")
+MUTANT_MAPS = ("comult", "counit", "left_action", "right_action")
+
+
+def coalgebra_mutants(field):
+    """(label, mutant) for every single-entry bump of c2 and of
+    h2-bimodule-coalgebra, the entry at each source and target index of
+    each of their maps, zero entries included."""
+    delta = field.from_int(3)
+    for C in (c2(field), h2_bimodule_coalgebra(field)):
+        for attr in MUTANT_MAPS:
+            m = getattr(C, attr)
+            if m is None:
+                continue
+            for src in all_indices(m.src):
+                for dst in all_indices(m.dst):
+                    cols = {k: dict(v) for k, v in m.cols.items()}
+                    img = cols.setdefault(src, {})
+                    img[dst] = img.get(dst, field.zero) + delta
+                    maps = {a: getattr(C, a) for a in MUTANT_MAPS}
+                    maps[attr] = LinMap(field, m.src, m.dst, cols)
+                    yield ("%s %s %r %r" % (C.name, attr, src, dst),
+                           ModuleCoalgebra(C.H, C.side, C.dim, maps["comult"],
+                                           maps["counit"], maps["left_action"],
+                                           maps["right_action"], name=C.name))
+
+
+def _report_digest(build):
+    """sha256 of the canonical JSON report of ``build()``, or the class
+    and message of the typed error it raises."""
+    try:
+        report = build()
+    except QuasiHopfError as exc:
+        return [type(exc).__name__, str(exc)]
+    payload = io.canonical_dumps(_report_json([report]))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def mutant_digests(field_tag):
+    field = field_from_tag(field_tag)
+    out = {}
+    for label, C in coalgebra_mutants(field):
+        entry = {"module-coalgebra": _report_digest(lambda: verify_module_coalgebra(C)),
+                 "module-algebra": _report_digest(
+                     lambda: verify_module_algebra(dualize(C)))}
+        if C.side == "right":
+            entry["coring-BC"] = _report_digest(lambda: verify_coring(build_coring(
+                "BC", B=regular_comodule_algebra(C.H, "left"), C=C)))
+        out[label] = entry
+    return out
+
+
+@pytest.mark.parametrize("field_tag", FIELD_TAGS)
+def test_mutant_report_bytes_are_pinned(field_tag):
+    # the lhs and rhs of failing records, not only verdicts, stay fixed
+    with open(MUTANT_DIGESTS, encoding="utf-8") as fh:
+        want = json.load(fh)[field_tag]
+    got = mutant_digests(field_tag)
+    assert len(got) == 44
+    assert [label for label in got if got[label] != want.get(label)] == []
+    assert got == want
+
+
 @pytest.mark.parametrize("field_tag", ["q", "fp:10007"])
 def test_readme_pipeline_makes_no_dense_inverse(tmp_path, monkeypatch, field_tag):
     # every reassociator inverse on the README pipeline has a closed form:
@@ -463,3 +531,9 @@ if __name__ == "__main__":
                 "%s: [\n%s\n]" % (json.dumps(tag), ",\n".join(
                     "  " + json.dumps(pair) for pair in pairs))
                 for tag, pairs in digests.items()))
+    with open(MUTANT_DIGESTS, "w", encoding="utf-8") as fh:
+        fh.write("{\n%s\n}\n" % ",\n".join(
+            "%s: {\n%s\n}" % (json.dumps(tag), ",\n".join(
+                "  %s: %s" % (json.dumps(label), json.dumps(entry, sort_keys=True))
+                for label, entry in mutant_digests(tag).items()))
+            for tag in FIELD_TAGS))
