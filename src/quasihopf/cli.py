@@ -37,8 +37,6 @@ from .tensor import all_indices, apply_linear_map, multiply, unit_tensor
 from .yd import (YetterDrinfeldContext, doihopf_to_yd, induce_yd, verify_yd,
                  yd_to_doihopf)
 
-from .doihopf import FiniteModule
-
 
 def _field_from_flag(flag: str):
     try:
@@ -340,7 +338,7 @@ def cmd_convert(args):
         A = _load_bicomodule(args.bicomodule)
         C = _load_coalgebra(args.coalgebra)
         ctx = YetterDrinfeldContext(A, C)
-        seed = FiniteModule(A.alg.dim, A.alg, A.alg.mult, "left", name="regular")
+        seed = trivial_module(ctx.doihopf)
         if args.what == "yd2dh":
             out = yd_to_doihopf(induce_yd(seed, ctx), ctx)
             report = verify_doi_hopf(out, ctx.doihopf)
@@ -367,7 +365,7 @@ def cmd_verify(args):
         A = _load_bicomodule(args.A)
         C = _load_coalgebra(args.C)
         ctx = YetterDrinfeldContext(A, C)
-        seed = FiniteModule(A.alg.dim, A.alg, A.alg.mult, "left", name="regular")
+        seed = trivial_module(ctx.doihopf)
         M = induce_yd(seed, ctx)
         forward = yd_to_doihopf(M, ctx)
         back = doihopf_to_yd(forward, ctx)

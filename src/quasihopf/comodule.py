@@ -798,28 +798,21 @@ class InternalCoalgebra:
         """Recover the coaction and reassociator from the emitted data."""
         H, B = self.source.H, self.source.alg
         field = self.source.field
+        unit = B.unit.outer(H.alg.unit)
 
         def coaction_fn(idx):
             # act on the unit of the carrier, then flip
-            acc = Tensor(field, (B.dim, H.dim))
-            for (b2,), v in B.unit.data.items():
-                for (h,), w in H.alg.unit.data.items():
-                    col = self.left_action.column((idx[0], b2, h))
-                    acc = acc + col.scale(v * w)
-            return switch_legs(acc, (1, 0))
+            acted = apply_linear_map(self.left_action,
+                                     Tensor.basis(field, (B.dim,), idx).outer(unit), (0, 1, 2))
+            return switch_legs(acted, (1, 0))
 
         coaction = LinMap.from_function(field, (B.dim,), (H.dim, B.dim), coaction_fn)
-        unit_image = Tensor(field, (H.dim, B.dim, H.dim))
-        for (b,), v in B.unit.data.items():
-            for (h,), w in H.alg.unit.data.items():
-                unit_image = unit_image + self.comult.column((b, h)).scale(v * w)
-        reassoc = switch_legs(unit_image, (0, 2, 1))
+        reassoc = switch_legs(apply_linear_map(self.comult, unit, (0, 1)), (0, 2, 1))
         return coaction, reassoc
 
     def verify(self) -> CheckReport:
         report = CheckReport("internal coalgebra %s" % (self.source.name or ""))
         H, B = self.source.H, self.source.alg
-        field = self.source.field
         coaction, reassoc = self.extract()
 
         unit_image = switch_legs(reassoc, (0, 2, 1))
@@ -829,10 +822,7 @@ class InternalCoalgebra:
         except QuasiHopfError:
             report.add("comult-of-unit-invertible", False)
 
-        counit_unit = Tensor(field, (B.dim,))
-        for (b,), v in B.unit.data.items():
-            for (h,), w in H.alg.unit.data.items():
-                counit_unit = counit_unit + self.counit.column((b, h)).scale(v * w)
+        counit_unit = apply_linear_map(self.counit, B.unit.outer(H.alg.unit), (0, 1))
         report.compare("counit-of-unit", counit_unit, B.unit)
 
         same_coaction = all(coaction.column((i,)) == self.source.coaction.column((i,))

@@ -25,7 +25,8 @@ from .comodule import BicomoduleAlgebra, ComoduleAlgebra, right_realization
 from .hopf import QuasiHopfAlgebra, op_tensor
 from .modcoalg import ModuleCoalgebra, bimodule_to_op_tensor_module_coalgebra
 from .report import CheckReport
-from .tensor import El, FinAlgebra, LinMap, Tensor, all_indices, apply_linear_map
+from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices, apply_linear_map,
+                     switch_legs)
 
 
 class Coring:
@@ -166,15 +167,11 @@ def verify_coring(X: Coring) -> CheckReport:
     # (counit x id) and (id x counit) of the comultiplication, through the actions
     def counit_law(item):
         side, c = item
-        acc = Tensor(field, (X.dim,))
-        for (a, b), v in X.comult.column((c,)).data.items():
-            if side == "left":
-                for (r,), w in X.counit.column((a,)).data.items():
-                    acc = acc + X.act_left(r, basis(b)).scale(v * w)
-            else:
-                for (r,), w in X.counit.column((b,)).data.items():
-                    acc = acc + X.act_right(basis(a), r).scale(v * w)
-        return acc, basis(c)
+        left = side == "left"
+        # r b on the left, a r on the right
+        acted = apply_linear_map(X.counit, X.comult.column((c,)), (0,) if left else (1,))
+        action = X.left_action if left else X.right_action
+        return apply_linear_map(action, acted, (0, 1)), basis(c)
 
     report.sweep("counit-law", [(side, c) for c in range(X.dim)
                                 for side in ("left", "right")], counit_law)
@@ -218,16 +215,11 @@ def _coring_bc(B: ComoduleAlgebra, C: ModuleCoalgebra) -> Coring:
     dB, dC = B.alg.dim, C.dim
     N = dB * dC
 
-    def pair(b, c):
-        return b * dC + c
-
     def left_fn(idx):
         r, n = idx
         b, c = divmod(n, dC)
-        out = {}
-        for (k,), v in B.alg.basis_product(r, b).data.items():
-            out[(pair(k, c),)] = v
-        return out
+        return B.alg.basis_product(r, b).outer(
+            Tensor.basis(field, (dC,), (c,))).fuse([[0, 1]])
 
     left = LinMap.from_function(field, (dB, N), (N,), left_fn)
 
@@ -251,16 +243,8 @@ def _coring_bc(B: ComoduleAlgebra, C: ModuleCoalgebra) -> Coring:
         e = e.merge(3, 2)                 # b . x3 -> x1 x2 bx3 c1 c2
         e = e.map(C.right_action, (4, 1), at=3)  # c2 . x2 -> x1 bx3 c1 c2x2
         e = e.map(C.right_action, (2, 0), at=1)  # c1 . x1 -> bx3 c1x1 c2x2
-        out = Tensor(field, (N, N))
-        for (bb, c1, c2), v in e.t.data.items():
-            for (u,), w in B.alg.unit.data.items():
-                key = (pair(bb, c2), pair(u, c1))
-                cur = out.data.get(key, field.zero) + v * w
-                if cur:
-                    out.data[key] = cur
-                else:
-                    out.data.pop(key, None)
-        return out
+        # bx3 c2x2 (x) 1 c1x1
+        return switch_legs(e.t.outer(B.alg.unit), (0, 2, 3, 1)).fuse([[0, 1], [2, 3]])
 
     comult = LinMap.from_function(field, (N,), (N, N), comult_rep)
 
@@ -281,9 +265,6 @@ def _coring_ca(A: ComoduleAlgebra, C: ModuleCoalgebra, name=None) -> Coring:
     dA, dC = A.alg.dim, C.dim
     N = dC * dA
 
-    def pair(c, a):
-        return c * dA + a
-
     def left_fn(idx):
         r, n = idx
         c, a = divmod(n, dA)
@@ -298,10 +279,8 @@ def _coring_ca(A: ComoduleAlgebra, C: ModuleCoalgebra, name=None) -> Coring:
     def right_fn(idx):
         n, r = idx
         c, a = divmod(n, dA)
-        out = {}
-        for (k,), v in A.alg.basis_product(a, r).data.items():
-            out[(pair(c, k),)] = v
-        return out
+        return Tensor.basis(field, (dC,), (c,)).outer(
+            A.alg.basis_product(a, r)).fuse([[0, 1]])
 
     right = LinMap.from_function(field, (N, dA), (N,), right_fn)
 
@@ -313,16 +292,8 @@ def _coring_ca(A: ComoduleAlgebra, C: ModuleCoalgebra, name=None) -> Coring:
         e = e.map(C.left_action, (2, 4), at=2)   # x3 . c2 -> xA x2 c2' c1 a
         e = e.map(C.left_action, (1, 3), at=1)   # x2 . c1 -> xA c1' c2' a
         e = e.merge(0, 3)                 # xA a
-        out = Tensor(field, (N, N))
-        for (aa, c1, c2), v in e.t.data.items():
-            for (u,), w in A.alg.unit.data.items():
-                key = (pair(c2, u), pair(c1, aa))
-                cur = out.data.get(key, field.zero) + v * w
-                if cur:
-                    out.data[key] = cur
-                else:
-                    out.data.pop(key, None)
-        return out
+        # c2' (x) 1 c1' xA a
+        return switch_legs(e.t.outer(A.alg.unit), (2, 3, 1, 0)).fuse([[0, 1], [2, 3]])
 
     comult = LinMap.from_function(field, (N,), (N, N), comult_rep)
 

@@ -11,11 +11,11 @@ from . import linalg
 from .comodule import ComoduleAlgebra, TwistWitness, comodule_variant
 from .coring import Coring, _normal_form, build_coring
 from .errors import NotRational, ShapeMismatch, VariantMismatch
-from .modcoalg import ModuleCoalgebra, dualize
+from .modcoalg import ModuleCoalgebra, _check_module_law, dualize
 from .report import CheckReport
 from .smash import ProductAlgebra, generalized_smash
-from .tensor import (FinAlgebra, LinMap, Tensor, VectorSpace, all_indices,
-                     apply_linear_map, switch_legs)
+from .tensor import (FinAlgebra, LinMap, Tensor, VectorSpace, act_legwise,
+                     all_indices, apply_linear_map, switch_legs)
 
 DOI_HOPF_VARIANTS = ("right-left", "left-right", "right-right", "left-left")
 
@@ -104,32 +104,8 @@ def _carrier_alg(over) -> FinAlgebra:
 
 def verify_module_law(M: FiniteModule, report=None, subject="") -> CheckReport:
     report = report or CheckReport(subject or "module %s" % (M.name or ""))
-    alg = _carrier_alg(M.over)
-    field = M.field
-
-    def act_by(x: Tensor, e: Tensor) -> Tensor:
-        acc = Tensor(field, (M.dim,))
-        for (k,), v in x.data.items():
-            acc = acc + M.act(k, e).scale(v)
-        return acc
-
-    def unital(idx):
-        e = Tensor.basis(field, (M.dim,), idx)
-        return act_by(alg.unit, e), e
-
-    report.sweep("action-unital", all_indices((M.dim,)), unital)
-
-    def associative(item):
-        a, b, i = item
-        e = Tensor.basis(field, (M.dim,), (i,))
-        if M.action_side == "left":
-            stepwise = M.act(a, M.act(b, e))
-        else:
-            stepwise = M.act(b, M.act(a, e))
-        return act_by(alg.basis_product(a, b), e), stepwise
-
-    report.sweep("action-associative", all_indices((alg.dim, alg.dim, M.dim)),
-                 associative)
+    _check_module_law(report, _carrier_alg(M.over), M.dim, M.action, M.action_side,
+                      "action")
     return report
 
 
@@ -194,19 +170,12 @@ def verify_doi_hopf(M: FiniteModule, context: DoiHopfContext) -> CheckReport:
 
 def _act_legwise(M: FiniteModule, C: ModuleCoalgebra, element: Tensor,
                  target: Tensor, mleg: int, side: str) -> Tensor:
-    """Act by ``element`` on ``target`` leg by leg: leg ``mleg`` through
-    the action of M, every other leg through the ``side`` action of C.
-    The outer product is formed once, then each leg is one contraction."""
-    n = target.arity
-    out = element.outer(target)
-    for leg in range(n):
-        if leg == mleg:
-            action, left = M.action, M.action_side == "left"
-        else:
-            action = C.left_action if side == "left" else C.right_action
-            left = side == "left"
-        out = apply_linear_map(action, out, (0, n) if left else (n, 0), at=n - 1)
-    return out
+    """``act_legwise`` with leg ``mleg`` acted on through M and every
+    other leg through the ``side`` action of C."""
+    coalg = (C.left_action if side == "left" else C.right_action, side == "left")
+    return act_legwise(element, target, [
+        (M.action, M.action_side == "left") if leg == mleg else coalg
+        for leg in range(target.arity)])
 
 
 def trivial_module(context: DoiHopfContext) -> FiniteModule:
@@ -314,25 +283,59 @@ def to_smash_module(M: FiniteModule, context: DoiHopfContext,
     if context.variant != "right-left":
         raise VariantMismatch("the smash collapse starts from the right-left variant")
     A, C = context.comodule, context.coalgebra
-    field = context.field
     if smash is None:
         smash = generalized_smash(dualize(C), A)
-    dB = A.alg.dim
+    out = FiniteModule(M.dim, smash, _smash_action(M.coaction, M.action, A.alg.dim),
+                       "right", name=M.name)
+    return out, smash
+
+
+def _smash_action(coaction: LinMap, action: LinMap, dB: int) -> LinMap:
+    """The right action m.(f # b) = f(m_(-1)) m_(0).b of the smash
+    product C* # B, made of a left C-coaction and a right B-action."""
+    field = action.field
+    dC, dM = coaction.dst
+    pairing = LinMap(field, (dC, dC), (), {(c, c): {(): field.one} for c in range(dC)})
 
     def act_fn(idx):
         m, n = idx
-        f, b = divmod(n, dB)
-        one = apply_linear_map(M.coaction, Tensor.basis(field, (M.dim,), (m,)), (0,))
-        out = Tensor(field, (M.dim,))
-        for (c, m0), v in one.data.items():
-            if c != f:
-                continue
-            out = out + M.act(b, Tensor.basis(field, (M.dim,), (m0,))).scale(v)
-        return out
+        t = coaction.column((m,)).outer(Tensor.basis(field, (dC, dB), divmod(n, dB)))
+        t = apply_linear_map(pairing, t, (0, 2))        # m0 b
+        return apply_linear_map(action, t, (0, 1))
 
-    action = LinMap.from_function(field, (M.dim, smash.carrier.dim), (M.dim,), act_fn)
-    out = FiniteModule(M.dim, smash, action, "right", name=M.name)
-    return out, smash
+    return LinMap.from_function(field, (dM, dC * dB), (dM,), act_fn)
+
+
+def _counit_action(M: FiniteModule, context: DoiHopfContext) -> LinMap:
+    """The right action m.b = m.(eps # b) of B on a module over C* # B."""
+    C, dB = context.coalgebra, context.comodule.alg.dim
+    field = context.field
+    eps = Tensor(field, (C.dim,), {c: img[()] for c, img in C.counit.cols.items()})
+
+    def act_fn(idx):
+        m, b = idx
+        eps_b = eps.outer(Tensor.basis(field, (dB,), (b,))).fuse([[0, 1]])
+        return act_legwise(eps_b, Tensor.basis(field, (M.dim,), (m,)), [(M.action, False)])
+
+    return LinMap.from_function(field, (M.dim, dB), (M.dim,), act_fn)
+
+
+def _curried(action: LinMap, x: Tensor) -> LinMap:
+    """m -> x_(1) (x) m.x_(2), for a right action and a two-leg x whose
+    second leg lies in the acting algebra."""
+    field = action.field
+    dM = action.dst[0]
+
+    def fn(idx):
+        return apply_linear_map(action, x.outer(Tensor.basis(field, (dM,), idx)), (2, 1),
+                                at=1)
+
+    return LinMap.from_function(field, (dM,), (x.dims[0], dM), fn)
+
+
+def _identity(field, d: int) -> Tensor:
+    """The sum of e_i (x) e_i over a basis of a d-dimensional space."""
+    return Tensor(field, (d, d), {(i, i): field.one for i in range(d)})
 
 
 def rational_check(M: FiniteModule, context: DoiHopfContext,
@@ -347,54 +350,22 @@ def rational_check(M: FiniteModule, context: DoiHopfContext,
     field = context.field
     dC, dB = C.dim, A.alg.dim
 
-    def pair(f, b):
-        return f * dB + b
-
-    unit_b = A.alg.unit
-    eps_vec = [C.counit.column((c,)).get(()) for c in range(dC)]
-
-    def coact_fn(idx):
-        m = Tensor.basis(field, (M.dim,), idx)
-        out = Tensor(field, (dC, M.dim))
-        for i in range(dC):
-            acted = Tensor(field, (M.dim,))
-            for (u,), w in unit_b.data.items():
-                acted = acted + M.act(pair(i, u), m).scale(w)
-            out = out + Tensor.basis(field, (dC,), (i,)).outer(acted)
-        return out
-
-    coaction = LinMap.from_function(field, (M.dim,), (dC, M.dim), coact_fn)
+    # m -> e_i (x) m.(e^i # 1), summed over the dual basis
+    coaction = _curried(M.action, _identity(field, dC).outer(A.alg.unit).fuse([[0], [1, 2]]))
+    b_action = _counit_action(M, context)
+    via_coaction = _smash_action(coaction, b_action, dB)
 
     report = CheckReport("rationality %s" % (M.name or ""))
 
     def rational(item):
         m, f, b = item
-        direct = M.act(pair(f, b), Tensor.basis(field, (M.dim,), (m,)))
-        viaco = Tensor(field, (M.dim,))
-        for (c, m0), v in coaction.column((m,)).data.items():
-            if c != f:
-                continue
-            for e in range(dC):
-                if eps_vec[e]:
-                    viaco = viaco + M.act(
-                        pair(e, b),
-                        Tensor.basis(field, (M.dim,), (m0,))).scale(v * eps_vec[e])
-        return direct, viaco
+        n = f * dB + b
+        return M.action.column((m, n)), via_coaction.column((m, n))
 
     record = report.sweep("rational", all_indices((M.dim, dC, dB)), rational)
     if not record.passed:
         raise NotRational("module fails the rationality law at %r" % (record.witness,))
 
-    def b_act_fn(idx):
-        m, b = idx
-        out = Tensor(field, (M.dim,))
-        for e in range(dC):
-            if eps_vec[e]:
-                out = out + M.act(pair(e, b),
-                                  Tensor.basis(field, (M.dim,), (m,))).scale(eps_vec[e])
-        return out
-
-    b_action = LinMap.from_function(field, (M.dim, dB), (M.dim,), b_act_fn)
     recovered = FiniteModule(M.dim, A.alg, b_action, "right", coaction, "left",
                              name=(M.name or "M") + "-recovered")
     report.extend(verify_doi_hopf(recovered, context))
@@ -411,36 +382,21 @@ def compute_rat(M: FiniteModule, context: DoiHopfContext,
     A, C = context.comodule, context.coalgebra
     field = context.field
     dC, dB = C.dim, A.alg.dim
-    eps_vec = [C.counit.column((c,)).get(()) for c in range(dC)]
+    dS = smash.carrier.dim
 
-    def pair(f, b):
-        return f * dB + b
+    # mu: M -> Hom(C* x B, M), m -> (n -> m.n); nu: C x M -> Hom(C* x B, M),
+    # c x m -> (f # b -> f(c) m.(eps # b)); Hom(C* x B, M) = (C x B) x M
+    mu = _curried(M.action, _identity(field, dS)).to_matrix()
+    eps_b = _curried(_counit_action(M, context), _identity(field, dB))
 
-    # mu: M -> Hom(C* x B, M); nu: C x M -> Hom(C* x B, M)
-    rows = dC * dB * M.dim
-    mu = linalg.zeros(field, rows, M.dim)
-    for i in range(M.dim):
-        for f in range(dC):
-            for b in range(dB):
-                img = M.act(pair(f, b), Tensor.basis(field, (M.dim,), (i,)))
-                for (j,), v in img.data.items():
-                    mu[(f * dB + b) * M.dim + j][i] = v
-    nu = linalg.zeros(field, rows, dC * M.dim)
-    for c in range(dC):
-        for i in range(M.dim):
-            col = c * M.dim + i
-            for b in range(dB):
-                acted = Tensor(field, (M.dim,))
-                for e in range(dC):
-                    if eps_vec[e]:
-                        acted = acted + M.act(
-                            pair(e, b), Tensor.basis(field, (M.dim,), (i,))
-                        ).scale(eps_vec[e])
-                for (j,), v in acted.data.items():
-                    nu[(c * dB + b) * M.dim + j][col] = v
+    def nu_fn(idx):
+        return apply_linear_map(eps_b, Tensor.basis(field, (dC, M.dim), idx), (1,)).fuse(
+            [[0, 1], [2]])
+
+    nu = LinMap.from_function(field, (dC, M.dim), (dS, M.dim), nu_fn).to_matrix()
 
     # solve mu v = nu w: nullspace of [mu | -nu], keep the v-part
-    aug = [mu[r] + [-x for x in nu[r]] for r in range(rows)]
+    aug = [row + [-x for x in nrow] for row, nrow in zip(mu, nu)]
     kernel = linalg.nullspace(field, aug)
     v_parts = [vec[:M.dim] for vec in kernel]
     reduced = linalg.rref(field, v_parts)[0] if v_parts else []
@@ -693,11 +649,9 @@ def verify_coring_comodule(M: CoringComodule) -> CheckReport:
     report.sweep("coassociative", basis, coassociative)
 
     def counit_law(idx):
-        acc = Tensor(field, (M.dim,))
-        for (m0, c), v in M.coaction.column(idx).data.items():
-            for (r,), w in X.counit.column((c,)).data.items():
-                acc = acc + M.act(r, vec(m0)).scale(v * w)
-        return acc, vec(idx[0])
+        return (apply_linear_map(M.action, apply_linear_map(
+                    X.counit, M.coaction.column(idx), (1,)), (0, 1)),
+                vec(idx[0]))
 
     report.sweep("counit-law", basis, counit_law)
     return report

@@ -417,48 +417,22 @@ def tensor_qha(H1: QuasiHopfAlgebra, H2: QuasiHopfAlgebra, name="") -> QuasiHopf
     """
     alg = build_tensor_algebra(H1.alg, H2.alg, name=name)
     d2 = H2.dim
-    field = H1.field
 
-    def pair(i, j):
-        return i * d2 + j
+    def paired(m1: LinMap, m2: LinMap, dst_spaces) -> LinMap:
+        # the image of (i, j) -> i * d2 + j is the interleaved pair of images
+        def fn(idx):
+            i, j = divmod(idx[0], d2)
+            return interleave(m1.column((i,)), m2.column((j,)), d2)
+        return LinMap.from_function(H1.field, (alg.dim,), (alg.dim,) * len(m1.dst), fn,
+                                    dst_spaces=dst_spaces)
 
-    def comult_fn(idx):
-        i, j = divmod(idx[0], d2)
-        c1 = H1.comult.column((i,))
-        c2 = H2.comult.column((j,))
-        out = {}
-        for (a1, b1), v1 in c1.data.items():
-            for (a2, b2), v2 in c2.data.items():
-                out[(pair(a1, a2), pair(b1, b2))] = v1 * v2
-        return out
-
-    comult = LinMap.from_function(field, (alg.dim,), (alg.dim, alg.dim), comult_fn,
-                                  dst_spaces=(alg, alg))
-
-    def counit_fn(idx):
-        i, j = divmod(idx[0], d2)
-        v = H1.counit_scalar(i) * H2.counit_scalar(j)
-        return {(): v} if v else {}
-
-    counit = LinMap.from_function(field, (alg.dim,), (), counit_fn, dst_spaces=())
-
+    comult = paired(H1.comult, H2.comult, (alg, alg))
+    counit = paired(H1.counit, H2.counit, ())
+    antipode = paired(H1.antipode, H2.antipode, (alg,))
     reassoc = interleave(H1.reassoc, H2.reassoc, d2)
     reassoc_inv = interleave(H1.reassoc_inv, H2.reassoc_inv, d2)
-
-    def antipode_fn(idx):
-        i, j = divmod(idx[0], d2)
-        s1 = H1.antipode.column((i,))
-        s2 = H2.antipode.column((j,))
-        out = {}
-        for (a,), v1 in s1.data.items():
-            for (b,), v2 in s2.data.items():
-                out[(pair(a, b),)] = v1 * v2
-        return out
-
-    antipode = LinMap.from_function(field, (alg.dim,), (alg.dim,), antipode_fn,
-                                    dst_spaces=(alg,))
-    alpha = H1.alpha.outer(H2.alpha).fuse([[0, 1]])
-    beta = H1.beta.outer(H2.beta).fuse([[0, 1]])
+    alpha = interleave(H1.alpha, H2.alpha, d2)
+    beta = interleave(H1.beta, H2.beta, d2)
     return QuasiHopfAlgebra(alg, comult, counit, reassoc, antipode, alpha, beta,
                             reassoc_inv=reassoc_inv, name=name)
 

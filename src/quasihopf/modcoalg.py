@@ -8,8 +8,8 @@ from __future__ import annotations
 from .errors import ShapeMismatch
 from .hopf import GaugeTransformation, QuasiBialgebra, gauge_twist, op_tensor, variant
 from .report import CheckReport
-from .tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace, all_indices,
-                     apply_linear_map)
+from .tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace, act_legwise,
+                     all_indices, apply_linear_map)
 
 SIDES = ("left", "right", "bi")
 
@@ -118,34 +118,31 @@ class ModuleAlgebra:
             self.side, self.alg.dim, ", %r" % self.name if self.name else "")
 
 
-def _check_module_law(report, H, dim, action, side):
-    """Unital associative action of the base on a space."""
-    field = H.field
-    tag = side + "-action"
+def _check_module_law(report, alg, dim, action, side, prefix):
+    """Unital associative ``side`` action of ``alg`` on a space of
+    dimension ``dim``: "<prefix>-unital" over every basis vector m and
+    "<prefix>-associative" over every (a, b, m)."""
+    field = alg.field
+    acts = [(action, side == "left")]
 
-    def act_by(x: Tensor, c: int) -> Tensor:
-        acc = Tensor(field, (dim,))
-        for (h,), v in x.data.items():
-            acc = acc + action.column((h, c) if side == "left" else (c, h)).scale(v)
-        return acc
+    def basis(d, i):
+        return Tensor.basis(field, (d,), (i,))
 
-    report.sweep(tag + "-unital", all_indices((dim,)),
-                 lambda idx: (act_by(H.alg.unit, idx[0]),
-                              Tensor.basis(field, (dim,), idx)))
+    def act(x, m):
+        return act_legwise(x, m, acts)
+
+    report.sweep(prefix + "-unital", all_indices((dim,)),
+                 lambda idx: (act(alg.unit, basis(dim, idx[0])), basis(dim, idx[0])))
 
     def associative(item):
-        i, j, c = item
-        if side == "left":
-            stepwise = apply_linear_map(
-                action, Tensor.basis(field, (H.dim,), (i,)).outer(
-                    action.column((j, c))), (0, 1))
-        else:
-            stepwise = apply_linear_map(
-                action, action.column((c, i)).outer(
-                    Tensor.basis(field, (H.dim,), (j,))), (0, 1))
-        return act_by(H.alg.basis_product(i, j), c), stepwise
+        a, b, m = item
+        first, second = (b, a) if side == "left" else (a, b)
+        e = basis(dim, m)
+        return (act(alg.basis_product(a, b), e),
+                act(basis(alg.dim, second), act(basis(alg.dim, first), e)))
 
-    report.sweep(tag + "-associative", all_indices((H.dim, H.dim, dim)), associative)
+    report.sweep(prefix + "-associative", all_indices((alg.dim, alg.dim, dim)),
+                 associative)
 
 
 def _check_actions_commute(report, H, dim, left_action, right_action):
@@ -184,23 +181,15 @@ def verify_module_coalgebra(C: ModuleCoalgebra) -> CheckReport:
     report.sweep("counit-comult", basis, counit_law)
 
     for side, action in _actions(C):
-        _check_module_law(report, H, C.dim, action, side)
+        _check_module_law(report, H.alg, C.dim, action, side, side + "-action")
     if C.side == "bi":
         _check_actions_commute(report, H, C.dim, C.left_action, C.right_action)
 
     # coassociativity up to the reassociator acting through the actions
     def coassoc(idx):
         two = C.comult_el(idx[0])
-        left_assoc = two.map(C.comult, 0)     # (comult x id)
-        right_assoc = two.map(C.comult, 1)    # (id x comult)
-        if C.side == "left":
-            lhs = _act_many(C, H.reassoc, left_assoc, "left")
-        elif C.side == "right":
-            lhs = _act_many(C, H.reassoc_inv, left_assoc, "right")
-        else:
-            lhs = _act_many(C, H.reassoc_inv,
-                            _act_many(C, H.reassoc, left_assoc, "left"), "right")
-        return lhs.t, right_assoc.t
+        return (_reassociate(C, two.map(C.comult, 0).t),    # (comult x id)
+                two.map(C.comult, 1).t)                     # (id x comult)
 
     report.sweep("coassoc-upto-reassoc", basis, coassoc)
 
@@ -241,27 +230,17 @@ def _action_compat(C: ModuleCoalgebra, law: str, side: str, action: LinMap):
     return comult_law if law == "comult" else counit_law
 
 
-def _act_many(C: ModuleCoalgebra, element: Tensor, target: El, side: str) -> El:
-    """Act legwise by a three-leg base element on a three-leg coalgebra
-    element, from the stated side."""
-    field = C.field
-    out = Tensor(field, target.t.dims)
-    action = C.left_action if side == "left" else C.right_action
-    for idx, v in element.data.items():
-        term = target.t
-        for leg in range(3):
-            h = idx[leg]
-            basis_h = Tensor.basis(field, (C.H.dim,), (h,))
-            if side == "left":
-                term = apply_linear_map(
-                    action, basis_h.outer(term),
-                    (0, leg + 1), at=leg)
-            else:
-                term = apply_linear_map(
-                    action, term.outer(basis_h),
-                    (leg, 3), at=leg)
-        out = out + term.scale(v)
-    return El(target.spaces, out)
+def _reassociate(X, t: Tensor) -> Tensor:
+    """The reassociator acting on a three-leg tensor through the actions
+    of a module coalgebra or algebra: from the left through a left
+    action, its inverse from the right through a right action, left
+    first on the bi side."""
+    H = X.H
+    if X.left_action is not None:
+        t = act_legwise(H.reassoc, t, [(X.left_action, True)] * 3)
+    if X.right_action is not None:
+        t = act_legwise(H.reassoc_inv, t, [(X.right_action, False)] * 3)
+    return t
 
 
 def verify_module_algebra(A: ModuleAlgebra) -> CheckReport:
@@ -273,7 +252,7 @@ def verify_module_algebra(A: ModuleAlgebra) -> CheckReport:
 
     actions = _actions(A)
     for side, action in actions:
-        _check_module_law(report, H, alg.dim, action, side)
+        _check_module_law(report, H.alg, alg.dim, action, side, side + "-action")
     if A.side == "bi":
         _check_actions_commute(report, H, alg.dim, A.left_action, A.right_action)
 
@@ -282,14 +261,9 @@ def verify_module_algebra(A: ModuleAlgebra) -> CheckReport:
         i, j, k = triple
         plain_left = alg.product(alg.basis_product(i, j),
                                  Tensor.basis(field, (alg.dim,), (k,)))
-        a, b, c = (Tensor.basis(field, (alg.dim,), (t,)) for t in (i, j, k))
-        acc = Tensor(field, (alg.dim,))
-        for idx, v in _assoc_weights(A):
-            xa = _act_single(A, idx[0], a)
-            xb = _act_single(A, idx[1], b)
-            xc = _act_single(A, idx[2], c)
-            acc = acc + alg.product(xa, alg.product(xb, xc)).scale(v)
-        return plain_left, acc
+        acted = _reassociate(A, Tensor.basis(field, (alg.dim,) * 3, triple))
+        return plain_left, apply_linear_map(
+            alg.mult, apply_linear_map(alg.mult, acted, (1, 2)), (0, 1))
 
     report.sweep("assoc-upto-reassoc", all_indices((alg.dim,) * 3), reassoc_assoc)
 
@@ -318,49 +292,13 @@ def verify_module_algebra(A: ModuleAlgebra) -> CheckReport:
     # the unit absorbs the action through the counit
     def counit_unit(item):
         h, side = item
-        action = dict(actions)[side]
-        acc = Tensor(field, (alg.dim,))
-        for (u,), v in alg.unit.data.items():
-            acc = acc + action.column((h, u) if side == "left" else (u, h)).scale(v)
-        return acc, alg.unit.scale(H.counit_scalar(h))
+        acted = act_legwise(Tensor.basis(field, (H.dim,), (h,)), alg.unit,
+                            [(dict(actions)[side], side == "left")])
+        return acted, alg.unit.scale(H.counit_scalar(h))
 
     report.sweep("action-counit-unit",
                  [(h, side) for h in range(H.dim) for side, _ in actions], counit_unit)
     return report
-
-
-def _assoc_weights(A: ModuleAlgebra):
-    """The reassociator data that the associativity law routes through
-    the actions: (per-leg index triple, coefficient) pairs; for the bi
-    side each leg index is a (left, right) pair."""
-    H = A.H
-    if A.side == "left":
-        return list(H.reassoc.data.items())
-    if A.side == "right":
-        return list(H.reassoc_inv.data.items())
-    pairs = []
-    for li, lv in H.reassoc.data.items():
-        for ri, rv in H.reassoc_inv.data.items():
-            legs = tuple((li[k], ri[k]) for k in range(3))
-            pairs.append((legs, lv * rv))
-    return pairs
-
-
-def _act_single(A: ModuleAlgebra, h_idx, vec: Tensor) -> Tensor:
-    """Act by basis elements on an algebra vector; for the bi side the
-    index is a pair (left index, right index)."""
-    field = A.field
-    if A.side == "left":
-        return apply_linear_map(
-            A.left_action, Tensor.basis(field, (A.H.dim,), (h_idx,)).outer(vec), (0, 1))
-    if A.side == "right":
-        return apply_linear_map(
-            A.right_action, vec.outer(Tensor.basis(field, (A.H.dim,), (h_idx,))), (0, 1))
-    li, ri = h_idx
-    out = apply_linear_map(
-        A.left_action, Tensor.basis(field, (A.H.dim,), (li,)).outer(vec), (0, 1))
-    return apply_linear_map(
-        A.right_action, out.outer(Tensor.basis(field, (A.H.dim,), (ri,))), (0, 1))
 
 
 def dualize(C: ModuleCoalgebra, name="") -> ModuleAlgebra:
@@ -457,18 +395,7 @@ def gauge_twist_module_coalgebra(C: ModuleCoalgebra, F: GaugeTransformation):
     H_f = gauge_twist(H, F)
 
     def comult_fn(idx):
-        two = C.comult_el(idx[0])
-        out = Tensor(C.field, (C.dim, C.dim))
-        for (h1, h2), v in F.t.data.items():
-            term = two.t
-            term = apply_linear_map(
-                C.left_action,
-                Tensor.basis(C.field, (H.dim,), (h1,)).outer(term), (0, 1), at=0)
-            term = apply_linear_map(
-                C.left_action,
-                Tensor.basis(C.field, (H.dim,), (h2,)).outer(term), (0, 2), at=1)
-            out = out + term.scale(v)
-        return out
+        return act_legwise(F.t, C.comult.column(idx), [(C.left_action, True)] * 2)
 
     comult = LinMap.from_function(C.field, (C.dim,), (C.dim, C.dim), comult_fn)
     out = ModuleCoalgebra(H_f, "left", C.dim, comult, C.counit, left_action=C.left_action,

@@ -95,23 +95,24 @@ def _product_from_pairs(field, d1, d2, mult_fn, unit: Tensor, provenance,
     """Assemble the fused product algebra from a pairwise multiplier
     returning two-leg tensors (first factor leg, second factor leg)."""
     dim = d1 * d2
-    table = {}
-    for i1 in range(d1):
-        for j1 in range(d2):
-            for i2 in range(d1):
-                for j2 in range(d2):
-                    out = mult_fn((i1, j1), (i2, j2))
-                    img = {}
-                    for (a, b), v in out.data.items():
-                        img[a * d2 + b] = v
-                    table[(i1 * d2 + j1, i2 * d2 + j2)] = img
-    unit_vec = [field.zero] * dim
-    for (a, b), v in unit.data.items():
-        unit_vec[a * d2 + b] = v
-    carrier = FinAlgebra.from_table(field, dim, table, unit_vec,
-                                    name=provenance, validate=False)
+    cols = {(i1 * d2 + j1, i2 * d2 + j2): mult_fn((i1, j1), (i2, j2)).fuse([[0, 1]]).data
+            for i1, j1, i2, j2 in all_indices((d1, d2, d1, d2))}
+    carrier = FinAlgebra(field, dim, LinMap(field, (dim, dim), (dim,), cols),
+                         unit.fuse([[0, 1]]), name=provenance, validate=False)
     return ProductAlgebra(carrier, (d1, d2), provenance,
                           sub_embedding=sub_embedding, sub_alg=sub_alg)
+
+
+def _unit_embedding(sub: FinAlgebra, other: FinAlgebra, first: bool) -> LinMap:
+    """The embedding b -> b (x) 1 (``first``) or 1 (x) b of a factor
+    algebra into the fused pair basis."""
+    field = sub.field
+
+    def fn(idx):
+        b = Tensor.basis(field, (sub.dim,), idx)
+        return (b.outer(other.unit) if first else other.unit.outer(b)).fuse([[0, 1]])
+
+    return LinMap.from_function(field, (sub.dim,), (sub.dim * other.dim,), fn)
 
 
 def generalized_smash(A: ModuleAlgebra, B: ComoduleAlgebra) -> ProductAlgebra:
@@ -139,10 +140,7 @@ def generalized_smash(A: ModuleAlgebra, B: ComoduleAlgebra) -> ProductAlgebra:
         return e.t
 
     unit = A.alg.unit.outer(B.alg.unit)
-    emb = LinMap.from_function(
-        field, (B.alg.dim,), (A.alg.dim * B.alg.dim,),
-        lambda idx: (A.alg.unit.outer(Tensor.basis(field, (B.alg.dim,), idx))
-                     ).fuse([[0, 1]]))
+    emb = _unit_embedding(B.alg, A.alg, first=False)
     return _product_from_pairs(field, A.alg.dim, B.alg.dim, mult_fn, unit,
                                "smash(%s,%s)" % (A.name or "A", B.name or "B"),
                                sub_embedding=emb, sub_alg=B.alg)
@@ -174,10 +172,7 @@ def right_generalized_smash(A: ComoduleAlgebra, P: ModuleAlgebra) -> ProductAlge
         return e.t
 
     unit = A.alg.unit.outer(P.alg.unit)
-    emb = LinMap.from_function(
-        field, (A.alg.dim,), (A.alg.dim * P.alg.dim,),
-        lambda idx: (Tensor.basis(field, (A.alg.dim,), idx).outer(P.alg.unit)
-                     ).fuse([[0, 1]]))
+    emb = _unit_embedding(A.alg, P.alg, first=True)
     return _product_from_pairs(field, A.alg.dim, P.alg.dim, mult_fn, unit,
                                "rsmash(%s,%s)" % (A.name or "A", P.name or "P"),
                                sub_embedding=emb, sub_alg=A.alg)
@@ -498,13 +493,6 @@ def _diagonal_product(A: BicomoduleAlgebra, M: ModuleAlgebra, side: str,
             e = e.merge(1, 3)                 # product in M
             e = e.merge(0, 2).merge(0, 2)     # O3 u0 u2
             return e.perm((1, 0)).t
-
-        carrier_dims = (M.alg.dim, A.alg.dim)
-        unit = M.alg.unit.outer(A.alg.unit)
-        emb = LinMap.from_function(
-            field, (A.alg.dim,), (M.alg.dim * A.alg.dim,),
-            lambda idx: (M.alg.unit.outer(Tensor.basis(field, (A.alg.dim,), idx))
-                         ).fuse([[0, 1]]))
     else:
         def mult_fn(x, y):
             i, j = x
@@ -524,17 +512,12 @@ def _diagonal_product(A: BicomoduleAlgebra, M: ModuleAlgebra, side: str,
             e = e.merge(1, 2)                 # product in M
             return e.t
 
-        carrier_dims = (A.alg.dim, M.alg.dim)
-        unit = A.alg.unit.outer(M.alg.unit)
-        emb = LinMap.from_function(
-            field, (A.alg.dim,), (A.alg.dim * M.alg.dim,),
-            lambda idx: (Tensor.basis(field, (A.alg.dim,), idx).outer(M.alg.unit)
-                         ).fuse([[0, 1]]))
-
-    return _product_from_pairs(field, carrier_dims[0], carrier_dims[1], mult_fn,
-                               unit, "diagonal-%s-%s(%s,%s)" % (
+    first, second = (A.alg, M.alg) if side == "right" else (M.alg, A.alg)
+    return _product_from_pairs(field, first.dim, second.dim, mult_fn,
+                               first.unit.outer(second.unit), "diagonal-%s-%s(%s,%s)" % (
                                    side, order, A.name or "A", M.name or "M"),
-                               sub_embedding=emb, sub_alg=A.alg)
+                               sub_embedding=_unit_embedding(A.alg, M.alg, side == "right"),
+                               sub_alg=A.alg)
 
 
 def check_prop_3_10(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> CheckReport:

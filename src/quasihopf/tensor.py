@@ -458,6 +458,23 @@ def apply_linear_map(m: LinMap, x: Tensor, legs, at=None) -> Tensor:
     return out
 
 
+def act_legwise(element: Tensor, target: Tensor, actions) -> Tensor:
+    """Act by ``element`` on ``target`` leg by leg: leg i of the element
+    acts on leg i of the target through ``actions[i]``, a pair
+    (action, acts_from_left).  A left action maps (element leg, target
+    leg) to the target leg, a right action (target leg, element leg).
+    The outer product is formed once, then each leg is one
+    ``apply_linear_map``, however many entries the element has."""
+    n = target.arity
+    if element.arity != n or len(actions) != n:
+        raise ShapeMismatch("%d-leg element, %d actions for a %d-leg target"
+                            % (element.arity, len(actions), n))
+    out = element.outer(target)
+    for action, left in actions:
+        out = apply_linear_map(action, out, (0, n) if left else (n, 0), at=n - 1)
+    return out
+
+
 class VectorSpace:
     """A plain finite-dimensional space used as a tensor leg."""
 
