@@ -19,7 +19,7 @@ from quasihopf.modcoalg import (ModuleCoalgebra, dualize, verify_module_algebra,
                                 verify_module_coalgebra)
 from quasihopf.tensor import LinMap, Tensor, all_indices, multiply, unit_tensor
 
-from test_hopf import sweedler
+from test_hopf import seeded_gauge, sweedler
 
 
 def run(argv):
@@ -372,6 +372,40 @@ EXTRA_COMMANDS = [line.split() for line in (
 )]
 
 
+# the same pin over a seeded counit-normalized gauge of Sweedler's algebra:
+# every other pinned pipeline runs over h2, whose structure constants over
+# Q have denominators 1 and 4 only, while the inverse of this gauge over Q
+# has denominators 10, 15, 40, 60 and 120
+SWEEDLER_COMMANDS = [line.split() for line in (
+    "check g.qha.json",
+    "twist sweedler.qha.json --gauge g.qha.json --out sf.qha.json",
+    "check sf.qha.json",
+    "dtwist sf.qha.json --out sff.qha.json",
+)]
+
+
+def write_sweedler_gauge(workdir, field_tag):
+    """Write Sweedler's algebra and ``seeded_gauge(sweedler, 1)`` over
+    ``field_tag`` to ``workdir``, as sweedler.qha.json and g.qha.json."""
+    H = sweedler(field_from_tag(field_tag))
+    base = os.path.join(workdir, "sweedler" + io.SUFFIX)
+    io.emit_value(H, base)
+    io.emit_value(seeded_gauge(H, 1), os.path.join(workdir, "g" + io.SUFFIX),
+                  base_path=base)
+
+
+def extra_digests(workdir, field_tag):
+    """The digests of EXTRA_COMMANDS, then those of SWEEDLER_COMMANDS, each
+    list run in its own subdirectory of ``workdir``."""
+    fixtures_dir, sweedler_dir = (os.path.join(workdir, name)
+                                  for name in ("fixtures", "sweedler"))
+    os.mkdir(fixtures_dir)
+    os.mkdir(sweedler_dir)
+    write_sweedler_gauge(sweedler_dir, field_tag)
+    return (command_digests(fixtures_dir, field_tag, EXTRA_COMMANDS)
+            + command_digests(sweedler_dir, field_tag, SWEEDLER_COMMANDS))
+
+
 def command_digests(workdir, field_tag, commands):
     """Run ``commands`` with ``--report`` in ``workdir``, the fixtures
     emitted over ``field_tag``; one sha256 per command over its exit
@@ -420,10 +454,11 @@ def test_readme_pipeline_bytes_are_pinned(tmp_path, field_tag):
 
 @pytest.mark.parametrize("field_tag", FIELD_TAGS)
 def test_extra_command_bytes_are_pinned(tmp_path, field_tag):
-    # the same pin for the commands of EXTRA_COMMANDS
+    # the same pin for the commands of EXTRA_COMMANDS and SWEEDLER_COMMANDS
     with open(EXTRA_DIGESTS, encoding="utf-8") as fh:
         want = json.load(fh)[field_tag]
-    got = command_digests(str(tmp_path), field_tag, EXTRA_COMMANDS)
+    got = extra_digests(str(tmp_path), field_tag)
+    assert len(got) == len(EXTRA_COMMANDS) + len(SWEEDLER_COMMANDS)
     assert [cmd for cmd, digest in got if [cmd, digest] not in want] == []
     assert got == want
 
@@ -520,12 +555,13 @@ def test_readme_pipeline_makes_no_dense_inverse(tmp_path, monkeypatch, field_tag
 
 if __name__ == "__main__":
     import tempfile
-    for path, commands in ((README_DIGESTS, readme_commands()),
-                           (EXTRA_DIGESTS, EXTRA_COMMANDS)):
+    for path, digests_in in ((README_DIGESTS, lambda tmp, tag: command_digests(
+                                  tmp, tag, readme_commands())),
+                             (EXTRA_DIGESTS, extra_digests)):
         digests = {}
         for tag in FIELD_TAGS:
             with tempfile.TemporaryDirectory() as tmp:
-                digests[tag] = command_digests(tmp, tag, commands)
+                digests[tag] = digests_in(tmp, tag)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("{\n%s\n}\n" % ",\n".join(
                 "%s: [\n%s\n]" % (json.dumps(tag), ",\n".join(
