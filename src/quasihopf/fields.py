@@ -2,13 +2,22 @@
 
 Every computation in this package is exact; equality of scalars is
 decidable equality.  Rational values are plain ``fractions.Fraction``
-objects, prime-field values are ``FpElement`` wrappers around residues,
-so tensor code can use ordinary ``+ - *`` operators for both backends.
+objects, prime-field values are ``FpElement`` wrappers around residues;
+code outside the kernels uses ordinary ``+ - *`` operators on them for
+both backends.
+
+The tensor kernels instead work on plain scalars through two hook sets
+that both fields provide.  ``raw``/``from_raw``: the scalar itself over Q
+(a ``Fraction``), the residue over F_p.  ``common_den``/``raw_over``/
+``from_raw_over``: integers over a shared denominator, the lcm of the
+denominators of a batch of values over Q and 1 over F_p, so a kernel
+sums plain ints on both fields and forms one field value per output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class FieldError(ValueError):
@@ -134,12 +143,25 @@ class Rationals:
             raise FieldError("bad rational literal %r" % text) from exc
 
     def raw(self, value: Fraction) -> Fraction:
-        """The plain scalar that kernels do their arithmetic on."""
+        """The scalar ``multiply`` does its arithmetic on: the value itself."""
         return value
 
     def from_raw(self, total: Fraction) -> Fraction:
-        """Field value of a sum of raw scalars."""
+        """Field value of a sum of ``raw`` scalars."""
         return total
+
+    def common_den(self, values) -> int:
+        """The lcm of the denominators of ``values`` (1 if there are none)."""
+        return lcm(*{v.denominator for v in values})
+
+    def raw_over(self, value: Fraction, den: int) -> int:
+        """The integer numerator of ``value`` over ``den``, a multiple of
+        its denominator."""
+        return value.numerator * (den // value.denominator)
+
+    def from_raw_over(self, total: int, den: int) -> Fraction:
+        """Field value of a sum of ``raw_over`` numerators over ``den``."""
+        return Fraction(total, den)
 
     def fmt(self, value: Fraction) -> str:
         if value.denominator == 1:
@@ -198,11 +220,23 @@ class PrimeField:
             raise FieldError("bad F_%d literal %r" % (self.p, text)) from exc
 
     def raw(self, value: FpElement) -> int:
-        """The plain scalar that kernels do their arithmetic on: the residue."""
+        """The scalar ``multiply`` does its arithmetic on: the residue."""
         return value.r
 
     def from_raw(self, total: int) -> FpElement:
         """Field value of a sum of raw scalars, reduced mod p once."""
+        return FpElement(total, self.p)
+
+    def common_den(self, values) -> int:
+        """Every value is its own residue over 1."""
+        return 1
+
+    def raw_over(self, value: FpElement, den: int) -> int:
+        """The residue; ``den`` is always 1."""
+        return value.r
+
+    def from_raw_over(self, total: int, den: int) -> FpElement:
+        """Field value of a sum of residues over 1, reduced mod p once."""
         return FpElement(total, self.p)
 
     def fmt(self, value: FpElement) -> str:

@@ -2,8 +2,9 @@
 
 Matrices are lists of row lists over one of the scalar backends from
 ``fields``.  Sizes in this package stay tiny (at most a few hundred
-unknowns), so straightforward fraction-free-ish Gaussian elimination is
-both fast enough and exactly what the verification contracts need.
+unknowns), so straightforward Gaussian elimination is both fast enough
+and exactly what the verification contracts need; over F_p it runs on
+plain residues.
 """
 
 from __future__ import annotations
@@ -42,7 +43,48 @@ def mat_mul(field, a, b):
 
 
 def rref(field, matrix):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
+    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+
+    Over F_p the elimination runs on plain residues; over Q on the
+    ``Fraction`` values themselves."""
+    if field.characteristic:
+        return _rref_residues(field, matrix)
+    return _rref_values(field, matrix)
+
+
+def _rref_residues(field, matrix):
+    """``rref`` on residues mod p, kept in [0, p) so that a residue is
+    zero exactly when its value is; one inverse ``pow`` per pivot."""
+    p, raw, from_raw = field.p, field.raw, field.from_raw
+    m = [list(map(raw, row)) for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if m[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        pivot = m[r] = [v * inv % p for v in m[r]]
+        for i in range(rows):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], pivot)]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return [list(map(from_raw, row)) for row in m[:r]], pivots
+
+
+def _rref_values(field, matrix):
+    """``rref`` by the field's own operators, the form used over Q."""
     m = [row[:] for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0

@@ -258,13 +258,17 @@ class LinMap:
         self._raw = None
 
     def _raw_columns(self):
-        """``cols`` as tuples of (target index, raw scalar) terms, the form
-        ``apply_linear_map`` works on; built on first use, as ``cols`` is
-        never changed after construction."""
+        """``(den, columns)``: the field's common denominator of every
+        entry of ``cols``, and ``cols`` as tuples of (target index,
+        integer numerator over den) terms, the form ``apply_linear_map``
+        works on; built on first use, as ``cols`` is never changed after
+        construction."""
         if self._raw is None:
-            raw = self.field.raw
-            self._raw = {idx: tuple((j, raw(v)) for j, v in img.items())
-                         for idx, img in self.cols.items()}
+            field = self.field
+            den = field.common_den([v for img in self.cols.values() for v in img.values()])
+            raw_over = field.raw_over
+            self._raw = den, {idx: tuple((j, raw_over(v, den)) for j, v in img.items())
+                              for idx, img in self.cols.items()}
         return self._raw
 
     @classmethod
@@ -412,9 +416,12 @@ def apply_linear_map(m: LinMap, x: Tensor, legs, at=None) -> Tensor:
 
     The target legs of ``m`` are inserted at slot ``at`` of the remaining
     legs; by default at the slot where the first listed leg sat.  The
-    result is linear in ``x`` and functorial under composition.  As in
-    ``multiply``, the arithmetic runs on raw scalars, and each output sum
-    becomes a field value once, at the end.
+    result is linear in ``x`` and functorial under composition.  The
+    arithmetic runs on plain ints on both fields: residues over F_p, and
+    over Q integer numerators, ``x`` scaled once to the lcm of its
+    denominators and ``m`` over its own cached one (see ``fields``).
+    Each output sum becomes a field value once, at the end, over the
+    product of the two denominators.
     """
     legs = tuple(legs)
     if len(set(legs)) != len(legs):
@@ -433,8 +440,9 @@ def apply_linear_map(m: LinMap, x: Tensor, legs, at=None) -> Tensor:
         raise ShapeMismatch("bad insertion slot %d" % at)
     lead, trail = remaining[:at], remaining[at:]
     field = x.field
-    raw = field.raw
-    cols = m._raw_columns()
+    den_m, cols = m._raw_columns()
+    den_x = field.common_den(x.data.values())
+    raw_over = field.raw_over
     acc = {}
     get = acc.get
     for idx, value in x.data.items():
@@ -443,16 +451,16 @@ def apply_linear_map(m: LinMap, x: Tensor, legs, at=None) -> Tensor:
             continue
         head = tuple([idx[l] for l in lead])
         tail = tuple([idx[l] for l in trail])
-        v = raw(value)
+        v = raw_over(value, den_x)
         for img_idx, w in col:
             key = head + img_idx + tail
             acc[key] = get(key, 0) + v * w
     out = Tensor(field, tuple([x.dims[l] for l in lead]) + m.dst
                  + tuple([x.dims[l] for l in trail]))
-    from_raw = field.from_raw
+    from_raw_over, den = field.from_raw_over, den_x * den_m
     data = out.data
     for key, total in acc.items():
-        value = from_raw(total)
+        value = from_raw_over(total, den)
         if value:
             data[key] = value
     return out

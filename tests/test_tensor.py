@@ -284,12 +284,19 @@ def test_serialization_rows_roundtrip_any_tensor(x):
 
 # -- the multiply kernel against the plain pair loop ---------------------------
 
-def field_tensors(field, dims):
-    """Sparse tensors with small coefficients num/den; -1 and 1/3 give
-    residues near p over F_p, so residue sums pass p and must reduce."""
+SMALL_COEFFS = ((0, 0, 0, 1, -1, 2, -2, 3), (1, 1, 3))
+# over Q: large, pairwise coprime denominators, so the common denominator
+# of a tensor or a map is a product of several of them
+COPRIME_COEFFS = ((0, 0, 1, -1, 3, 10007), (1, 7, 11, 13, 101))
+
+
+def field_tensors(field, dims, coeffs=SMALL_COEFFS):
+    """Sparse tensors with coefficients num/den drawn from ``coeffs``, a
+    pair (numerators, denominators).  With the default small ones, -1
+    and 1/3 give residues near p over F_p, so residue sums pass p and
+    must reduce."""
     keys = all_indices(dims)
-    coeff = st.tuples(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3]),
-                      st.sampled_from([1, 1, 3]))
+    coeff = st.tuples(st.sampled_from(coeffs[0]), st.sampled_from(coeffs[1]))
     return st.lists(coeff, min_size=len(keys), max_size=len(keys)).map(
         lambda cs: Tensor(field, dims, {k: field.div_int(n, d)
                                         for k, (n, d) in zip(keys, cs)}))
@@ -430,15 +437,17 @@ def test_permute_moves_target_spaces_and_rejects_bad_permutations():
 @st.composite
 def map_cases(draw):
     """A map on a random subset of legs, listed in random order, with up
-    to two target legs, and a tensor to apply it to."""
-    field = draw(st.sampled_from([QQ, FP]))
+    to two target legs, and a tensor to apply it to; over Q the
+    coefficients are small or have large coprime denominators."""
+    field, coeffs = draw(st.sampled_from([(QQ, SMALL_COEFFS), (FP, SMALL_COEFFS),
+                                          (QQ, COPRIME_COEFFS)]))
     dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
     order = draw(st.permutations(range(len(dims))))
     legs = tuple(order[:draw(st.integers(1, len(dims)))])
     src = tuple(dims[l] for l in legs)
     dst = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
-    cols = {idx: draw(field_tensors(field, dst)).data for idx in all_indices(src)}
-    return LinMap(field, src, dst, cols), draw(field_tensors(field, dims)), legs
+    cols = {idx: draw(field_tensors(field, dst, coeffs)).data for idx in all_indices(src)}
+    return LinMap(field, src, dst, cols), draw(field_tensors(field, dims, coeffs)), legs
 
 
 def check_every_slot(m, x, legs):
@@ -452,6 +461,30 @@ def check_every_slot(m, x, legs):
 @given(map_cases())
 def test_apply_linear_map_matches_entry_loop(case):
     check_every_slot(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(map_cases(), st.data())
+def test_derived_maps_apply_like_the_entry_loop(case, data):
+    # permute, rebind and compose build new maps, each with its own raw
+    # columns: none of them may read the cache of the map it came from
+    m, x, legs = case
+    field = m.field
+    check_every_slot(m, x, legs)
+    p = data.draw(st.permutations(range(len(legs))))
+    q = data.draw(st.permutations(range(len(m.dst))))
+    dst = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+    coeffs = data.draw(st.sampled_from([SMALL_COEFFS, COPRIME_COEFFS] if field == QQ
+                                       else [SMALL_COEFFS]))
+    after = LinMap(field, m.dst, dst, {idx: data.draw(field_tensors(field, dst, coeffs)).data
+                                       for idx in all_indices(m.dst)})
+    by_src = m.permute(src=p)
+    moved = tuple(legs[k] for k in p)
+    assert apply_linear_map(by_src, x, moved, at=0) == apply_linear_map(m, x, legs, at=0)
+    for d, d_legs in ((by_src, moved), (m.permute(dst=q), legs), (m.rebind(None), legs),
+                      (after.compose(m), legs)):
+        check_every_slot(d, x, d_legs)
+        assert d._raw is not m._raw
 
 
 @st.composite
@@ -505,3 +538,31 @@ def test_kernels_do_no_fp_element_arithmetic(monkeypatch):
     assert apply_linear_map(H.counit, x, (2,)).data
     assert apply_linear_map(H.alg.mult, x, (2, 0)).data
     assert calls == []
+
+
+def test_leg_kernel_does_no_fraction_arithmetic(monkeypatch):
+    # over Q the leg kernel sums integer numerators over one denominator
+    # per tensor and per map, and only constructs each output entry
+    H = h2(QQ)
+    spaces = H.spaces(3)
+    x = H.reassoc + H.reassoc_inv.scale(QQ.div_int(-3, 7))
+    coprime = LinMap(QQ, (2,), (2, 2), {(0,): {(0, 1): QQ.div_int(3, 11)},
+                                        (1,): {(1, 1): QQ.div_int(10007, 13),
+                                               (0, 0): QQ.div_int(-1, 7)}})
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__rsub__",
+                 "__truediv__", "__rtruediv__"):
+        def counted(self, other, original=getattr(Fraction, name)):
+            calls.append(other)
+            return original(self, other)
+        monkeypatch.setattr(Fraction, name, counted)
+    outs = [apply_linear_map(H.comult, x, (1,), at=0),
+            apply_linear_map(H.counit, x, (2,)),
+            apply_linear_map(H.alg.mult, x, (2, 0)),
+            apply_linear_map(coprime, x, (1,))]
+    assert calls == []
+    monkeypatch.undo()
+    for out, (m, legs, at) in zip(outs, ((H.comult, (1,), 0), (H.counit, (2,), None),
+                                         (H.alg.mult, (2, 0), None), (coprime, (1,), None))):
+        assert out.data and out == naive_apply_linear_map(m, x, legs, at)
+        assert_clean(QQ, out)
