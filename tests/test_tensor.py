@@ -470,7 +470,7 @@ def test_derived_maps_apply_like_the_entry_loop(case, data):
     # columns: none of them may read the cache of the map it came from
     m, x, legs = case
     field = m.field
-    check_every_slot(m, x, legs)
+    apply_linear_map(m, x, legs)  # fills m's cache first
     p = data.draw(st.permutations(range(len(legs))))
     q = data.draw(st.permutations(range(len(m.dst))))
     dst = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
@@ -544,11 +544,12 @@ def test_leg_kernel_does_no_fraction_arithmetic(monkeypatch):
     # over Q the leg kernel sums integer numerators over one denominator
     # per tensor and per map, and only constructs each output entry
     H = h2(QQ)
-    spaces = H.spaces(3)
     x = H.reassoc + H.reassoc_inv.scale(QQ.div_int(-3, 7))
     coprime = LinMap(QQ, (2,), (2, 2), {(0,): {(0, 1): QQ.div_int(3, 11)},
                                         (1,): {(1, 1): QQ.div_int(10007, 13),
                                                (0, 0): QQ.div_int(-1, 7)}})
+    cases = ((H.comult, (1,), 0), (H.counit, (2,), None), (H.alg.mult, (2, 0), None),
+             (coprime, (1,), None))
     calls = []
     for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__rsub__",
                  "__truediv__", "__rtruediv__"):
@@ -556,13 +557,9 @@ def test_leg_kernel_does_no_fraction_arithmetic(monkeypatch):
             calls.append(other)
             return original(self, other)
         monkeypatch.setattr(Fraction, name, counted)
-    outs = [apply_linear_map(H.comult, x, (1,), at=0),
-            apply_linear_map(H.counit, x, (2,)),
-            apply_linear_map(H.alg.mult, x, (2, 0)),
-            apply_linear_map(coprime, x, (1,))]
+    outs = [apply_linear_map(m, x, legs, at) for m, legs, at in cases]
     assert calls == []
     monkeypatch.undo()
-    for out, (m, legs, at) in zip(outs, ((H.comult, (1,), 0), (H.counit, (2,), None),
-                                         (H.alg.mult, (2, 0), None), (coprime, (1,), None))):
+    for out, (m, legs, at) in zip(outs, cases):
         assert out.data and out == naive_apply_linear_map(m, x, legs, at)
         assert_clean(QQ, out)
