@@ -355,8 +355,9 @@ README_DIGESTS = os.path.join(os.path.dirname(__file__), "readme_digests.json")
 FIELD_TAGS = ("q", "fp:10007")
 
 # commands off the README pipeline whose bytes are pinned as well: the
-# other YD conversion, the second right realization, the BC coring and
-# the emitting forms of the realization and module-coalgebra conversions
+# other YD conversion, the second right realization, the BC coring, the
+# emitting forms of the realization and module-coalgebra conversions, and
+# the emitting forms of the diagonal products and of the first rsmash
 EXTRA_DIGESTS = os.path.join(os.path.dirname(__file__), "extra_digests.json")
 EXTRA_COMMANDS = [line.split() for line in (
     "fixture emit c2",
@@ -369,6 +370,14 @@ EXTRA_COMMANDS = [line.split() for line in (
     "build coring --kind BC --coalgebra c2.qha.json",
     "convert bicomodule-r1r2 --input hh-bicomodule.qha.json --out r.qha.json",
     "convert variant --kind cop --input c2.qha.json --out c2cop.qha.json",
+    "build diagonal --bicomodule hh-bicomodule.qha.json"
+    " --coalgebra h2-bimodule-coalgebra.qha.json --kind left-l --out dll.qha.json",
+    "build diagonal --bicomodule hh-bicomodule.qha.json"
+    " --coalgebra h2-bimodule-coalgebra.qha.json --kind left-r --out dlr.qha.json",
+    "build diagonal --bicomodule hh-bicomodule.qha.json"
+    " --coalgebra h2-bimodule-coalgebra.qha.json --kind right-r --out drr.qha.json",
+    "build rsmash --bicomodule hh-bicomodule.qha.json"
+    " --coalgebra h2-bimodule-coalgebra.qha.json --realization 1 --out rs1.qha.json",
 )]
 
 
