@@ -12,7 +12,10 @@ coassociativity over the base ring is a finite, checkable statement.
 
 The derived corings are those of Doi-Hopf data: BC over a left comodule
 algebra with a right module coalgebra, CA over a right comodule algebra
-with a left module coalgebra.  The YD coring of a bicomodule algebra and
+with a left module coalgebra.  BC is native; CA is its opcop
+reflection, the opposite coring of BC over the opcop reflections of the
+inputs, with its actions swapped, its comultiplication flipped and its
+carrier legs swapped.  The YD coring of a bicomodule algebra and
 a bimodule coalgebra is not built on its own: it is the CA coring of the
 second right realization over H^op (x) H, whose comodules are the
 Yetter-Drinfeld modules seen as square-base Doi-Hopf modules.
@@ -21,7 +24,8 @@ Yetter-Drinfeld modules seen as square-base Doi-Hopf modules.
 from __future__ import annotations
 
 from .errors import AntipodeRequired, ShapeMismatch
-from .comodule import BicomoduleAlgebra, ComoduleAlgebra, right_realization
+from .comodule import (BicomoduleAlgebra, ComoduleAlgebra, comodule_variant,
+                       right_realization)
 from .hopf import QuasiHopfAlgebra, op_tensor
 from .modcoalg import ModuleCoalgebra, bimodule_to_op_tensor_module_coalgebra
 from .report import CheckReport
@@ -259,52 +263,39 @@ def _coring_bc(B: ComoduleAlgebra, C: ModuleCoalgebra) -> Coring:
 
 
 def _coring_ca(A: ComoduleAlgebra, C: ModuleCoalgebra, name=None) -> Coring:
+    """The opposite coring of BC over the opcop reflections of A and C,
+    over A itself on the carrier C (x) A."""
     if A.side != "right" or C.side != "left":
         raise ShapeMismatch("needs a right comodule algebra and left module coalgebra")
-    field = A.field
-    dA, dC = A.alg.dim, C.dim
-    N = dC * dA
+    native = _coring_bc(comodule_variant(A, "opcop"), C.reflect("opcop"))
+    return _opposite_coring(native, A.alg,
+                            name or "CA(%s,%s)" % (A.name or "A", C.name or "C"))
 
-    def left_fn(idx):
-        r, n = idx
-        c, a = divmod(n, dA)
-        e = El.basis((A.alg,), (r,)).map(A.coaction, 0)   # r0 r1
-        e = e.times(El.basis((C.space,), (c,))).times(El.basis((A.alg,), (a,)))
-        e = e.map(C.left_action, (1, 2), at=1)            # r0 (r1.c) a
-        e = e.merge(0, 2)                                 # r0 a
-        return e.perm((1, 0)).t.fuse([[0, 1]])
 
-    left = LinMap.from_function(field, (dA, N), (N,), left_fn)
+def _opposite_coring(X: Coring, R: FinAlgebra, name: str) -> Coring:
+    """The opposite coring of ``X`` with its two carrier legs swapped,
+    over ``R``, the opposite of the base ring of ``X``: each action is
+    the other one with its arguments swapped, the comultiplication is
+    flipped, and the counit is kept."""
+    field, N, dR = X.field, X.dim, X.R.dim
 
-    def right_fn(idx):
-        n, r = idx
-        c, a = divmod(n, dA)
-        return Tensor.basis(field, (dC,), (c,)).outer(
-            A.alg.basis_product(a, r)).fuse([[0, 1]])
+    def swap(n):
+        b, c = divmod(n, N // dR)
+        return c * dR + b
 
-    right = LinMap.from_function(field, (N, dA), (N,), right_fn)
+    def relabel(img, flip=False):
+        return {tuple(swap(k) for k in (idx[::-1] if flip else idx)): v
+                for idx, v in img.items()}
 
-    def comult_rep(idx):
-        c, a = divmod(idx[0], dA)
-        e = A.re_inv_el()                 # xA x2 x3
-        e = e.times(El.basis((C.space,), (c,))).times(El.basis((A.alg,), (a,)))
-        e = e.map(C.comult, 3)            # xA x2 x3 c1 c2 a
-        e = e.map(C.left_action, (2, 4), at=2)   # x3 . c2 -> xA x2 c2' c1 a
-        e = e.map(C.left_action, (1, 3), at=1)   # x2 . c1 -> xA c1' c2' a
-        e = e.merge(0, 3)                 # xA a
-        # c2' (x) 1 c1' xA a
-        return switch_legs(e.t.outer(A.alg.unit), (2, 3, 1, 0)).fuse([[0, 1], [2, 3]])
-
-    comult = LinMap.from_function(field, (N,), (N, N), comult_rep)
-
-    def counit_fn(idx):
-        c, a = divmod(idx[0], dA)
-        eps = C.counit.column((c,)).get(())
-        return {(a,): eps} if eps else {}
-
-    counit = LinMap.from_function(field, (N,), (dA,), counit_fn)
-    return Coring(A.alg, N, left, right, comult, counit,
-                  name=name or "CA(%s,%s)" % (A.name or "A", C.name or "C"))
+    left = LinMap(field, (dR, N), (N,), {(r, swap(n)): relabel(img)
+                                        for (n, r), img in X.right_action.cols.items()})
+    right = LinMap(field, (N, dR), (N,), {(swap(n), r): relabel(img)
+                                         for (r, n), img in X.left_action.cols.items()})
+    comult = LinMap(field, (N,), (N, N), {(swap(n),): relabel(img, flip=True)
+                                         for (n,), img in X.comult.cols.items()})
+    counit = LinMap(field, (N,), (dR,), {(swap(n),): img
+                                        for (n,), img in X.counit.cols.items()})
+    return Coring(R, N, left, right, comult, counit, name=name)
 
 
 def _coring_yd(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> Coring:

@@ -323,10 +323,19 @@ def variant(H, kind: str):
     """Opposite multiplication and/or opposite comultiplication.
 
     Accepts either a quasi-bialgebra (returns one) or a quasi-Hopf
-    algebra (returns one, transforming the antipode data as well).
+    algebra (returns one, transforming the antipode data as well).  The
+    result is cached on the (immutable) input, so the reflections of
+    several structures over one base share one reflected base.
     """
     if kind not in VARIANT_KINDS:
         raise ShapeMismatch("unknown variant %r" % (kind,))
+    cached = H.__dict__.setdefault("_variants", {})
+    if kind not in cached:
+        cached[kind] = _variant(H, kind)
+    return cached[kind]
+
+
+def _variant(H, kind: str):
     new_alg = H.alg if kind == "cop" else H.alg.opposite()
     comult = H.comult if kind == "op" else H.comult.permute(dst=(1, 0))
     rev = (2, 1, 0)

@@ -63,22 +63,10 @@ class ModuleCoalgebra:
         comultiplication, "op" moves each action to the other side with
         its legs transposed (left and right swap, bi stays bi), and
         "opcop" does both.  Each reflection is an involution."""
-        H = variant(self.H, kind)
-        comult, side = self.comult, self.side
-        left, right = self.left_action, self.right_action
-        if kind != "op":
-            comult = comult.permute(dst=(1, 0))
-        if kind != "cop":
-            def moved(action):
-                return None if action is None else action.permute(src=(1, 0))
-            left, right = moved(self.right_action), moved(self.left_action)
-            side = {"left": "right", "right": "left", "bi": "bi"}[side]
-        if kind == "op":
-            suffix = {"left": "-as-right", "right": "-as-left", "bi": "^op"}[self.side]
-        else:
-            suffix = "^" + kind
+        comult = self.comult if kind == "op" else self.comult.permute(dst=(1, 0))
+        H, side, left, right, name = _reflected_actions(self, kind)
         return ModuleCoalgebra(H, side, self.dim, comult, self.counit, left, right,
-                               name=(self.name + suffix) if self.name else "")
+                               name=name)
 
     def __repr__(self):
         return "ModuleCoalgebra(%s, dim=%d%s)" % (
@@ -113,9 +101,37 @@ class ModuleAlgebra:
         self.right_action = right_action if side in ("right", "bi") else None
         self.name = name
 
+    def reflect(self, kind: str) -> "ModuleAlgebra":
+        """The same carrier over ``variant(H, kind)``: "cop" takes the
+        opposite algebra, "op" moves each action to the other side as
+        ``ModuleCoalgebra.reflect`` does, and "opcop" does both.  Each
+        reflection is an involution."""
+        alg = self.alg if kind == "op" else self.alg.opposite()
+        H, side, left, right, name = _reflected_actions(self, kind)
+        return ModuleAlgebra(H, side, alg, left, right, name=name)
+
     def __repr__(self):
         return "ModuleAlgebra(%s, dim=%d%s)" % (
             self.side, self.alg.dim, ", %r" % self.name if self.name else "")
+
+
+def _reflected_actions(X, kind: str):
+    """(base, side, left action, right action, name) of the ``kind``
+    reflection of a module coalgebra or algebra: over ``variant(H, kind)``,
+    with each action moved to the other side, legs transposed, unless
+    ``kind`` is "cop"."""
+    left, right, side = X.left_action, X.right_action, X.side
+    if kind != "cop":
+        def moved(action):
+            return None if action is None else action.permute(src=(1, 0))
+        left, right = moved(X.right_action), moved(X.left_action)
+        side = {"left": "right", "right": "left", "bi": "bi"}[side]
+    if kind == "op":
+        suffix = {"left": "-as-right", "right": "-as-left", "bi": "^op"}[X.side]
+    else:
+        suffix = "^" + kind
+    return (variant(X.H, kind), side, left, right,
+            (X.name + suffix) if X.name else "")
 
 
 def _check_module_law(report, alg, dim, action, side, prefix):

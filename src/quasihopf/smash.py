@@ -6,13 +6,18 @@ Every construction materializes a full multiplication table on the
 fused pair basis; associativity and unit laws are then checked over all
 basis triples by ``verify_product_algebra``, which is the computational
 content of the corresponding structure theorems.
+
+Of each left/right pair one side is native: ``generalized_smash`` and
+the right diagonal products.  The other side is its opcop reflection:
+the native product over the opcop reflections of the inputs, then its
+opposite algebra with the two carrier legs swapped (``_mirror``).
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .comodule import (BicomoduleAlgebra, ComoduleAlgebra,
-                       bicomodule_to_right_op_tensor, canonical_elements)
+from .comodule import (BicomoduleAlgebra, ComoduleAlgebra, bicomodule_to_right_op_tensor,
+                       bicomodule_variant, canonical_elements, comodule_variant)
 from .errors import AntipodeRequired, MixedBase, NotInvertible, ShapeMismatch
 from .hopf import QuasiHopfAlgebra, drinfeld_twist, op_tensor
 from .modcoalg import (ModuleAlgebra, ModuleCoalgebra,
@@ -103,6 +108,29 @@ def _product_from_pairs(field, d1, d2, mult_fn, unit: Tensor, provenance,
                           sub_embedding=sub_embedding, sub_alg=sub_alg)
 
 
+def _mirror(P: ProductAlgebra, provenance: str, sub_alg: FinAlgebra) -> ProductAlgebra:
+    """The opposite algebra of ``P`` with its two carrier legs swapped.
+    A left/right pair of products is built on its native side over the
+    opcop reflections of the inputs, whose carriers are the opposite
+    algebras; this gives the other side.  ``sub_alg`` is the opposite of
+    the subalgebra of ``P``, embedded on the swapped leg."""
+    (d1, d2), field, dim = P.factor_dims, P.field, P.dim
+
+    def swap(k):
+        return k % d2 * d1 + k // d2
+
+    def relabel(img):
+        return {(swap(k),): v for (k,), v in img.items()}
+
+    cols = {(swap(b), swap(a)): relabel(img) for (a, b), img in P.carrier.mult.cols.items()}
+    carrier = FinAlgebra(field, dim, LinMap(field, (dim, dim), (dim,), cols),
+                         Tensor(field, (dim,), relabel(P.carrier.unit.data)),
+                         name=provenance, validate=False)
+    emb = LinMap(field, (sub_alg.dim,), (dim,),
+                 {idx: relabel(img) for idx, img in P.sub_embedding.cols.items()})
+    return ProductAlgebra(carrier, (d2, d1), provenance, sub_embedding=emb, sub_alg=sub_alg)
+
+
 def _unit_embedding(sub: FinAlgebra, other: FinAlgebra, first: bool) -> LinMap:
     """The embedding b -> b (x) 1 (``first``) or 1 (x) b of a factor
     algebra into the fused pair basis."""
@@ -148,34 +176,13 @@ def generalized_smash(A: ModuleAlgebra, B: ComoduleAlgebra) -> ProductAlgebra:
 
 def right_generalized_smash(A: ComoduleAlgebra, P: ModuleAlgebra) -> ProductAlgebra:
     """Right comodule algebra against right module algebra, carrier
-    ordered (comodule, module); the second factor's coaction threads
-    through the module action."""
+    ordered (comodule, module): the mirror of ``generalized_smash`` over
+    the opcop reflections of both factors."""
     if A.side != "right" or P.side != "right":
         raise ShapeMismatch("needs a right comodule algebra and a right module algebra")
     _check_base(A, P)
-    field = A.field
-    act = P.right_action
-
-    def mult_fn(x, y):
-        i, j = x
-        k, l = y
-        e = A.re_inv_el()                 # xA x2 x3
-        e = e.times(El.basis((A.alg,), (i,))).times(El.basis((P.alg,), (j,)))
-        e = e.times(El.basis((A.alg,), (k,))).times(El.basis((P.alg,), (l,)))
-        e = e.map(A.coaction, 5)          # xA x2 x3 u p u20 u21 p2
-        e = e.merge(3, 5)                 # u u20
-        e = e.merge(3, 0)                 # . xA  -> x2 x3 uu2xA p u21 p2
-        e = e.merge(4, 0)                 # u21 x2 -> x3 uu2xA p u21x2 p2
-        e = e.map(act, (2, 3), at=2)      # p . u21x2 -> x3 A p p2
-        e = e.map(act, (3, 0), at=2)      # p2 . x3 -> A p p2x3
-        e = e.merge(1, 2)                 # product in P
-        return e.t
-
-    unit = A.alg.unit.outer(P.alg.unit)
-    emb = _unit_embedding(A.alg, P.alg, first=True)
-    return _product_from_pairs(field, A.alg.dim, P.alg.dim, mult_fn, unit,
-                               "rsmash(%s,%s)" % (A.name or "A", P.name or "P"),
-                               sub_embedding=emb, sub_alg=A.alg)
+    native = generalized_smash(P.reflect("opcop"), comodule_variant(A, "opcop"))
+    return _mirror(native, "rsmash(%s,%s)" % (A.name or "A", P.name or "P"), A.alg)
 
 
 def stgsm_product(A: ComoduleAlgebra, C: ModuleCoalgebra) -> ProductAlgebra:
@@ -304,7 +311,7 @@ def phi_isomorphism(C: ModuleCoalgebra):
         return e.times(El.basis((dual.alg,), (f,))).map(dual.left_action, (0, 2))
 
     def phi_fn(idx):
-        f, h = idx
+        f, h = divmod(idx[0], dH)
         e = q_lambda.times(g_el).times(El.basis((H.alg,), (h,)))
         e = e.map(H.comult, 4)            # q1 q2 g1 g2 h1 h2
         e = e.merge(0, 4).merge(0, 2)     # q1 h1 g1
@@ -314,7 +321,7 @@ def phi_isomorphism(C: ModuleCoalgebra):
         return act_on_dual(e, f).t.fuse([[0, 1]])
 
     def phi_inv_fn(idx):
-        f, h = idx
+        f, h = divmod(idx[0], dH)
         e = g_el.times(q_rho).times(El.basis((H.alg,), (h,)))
         e = e.map(H.comult, 4)            # g1 g2 qa q2 h1 h2
         e = e.merge(3, 5)                 # q2 h2
@@ -326,15 +333,8 @@ def phi_isomorphism(C: ModuleCoalgebra):
         return act_on_dual(e, f).t.fuse([[0, 1]])
 
     dim = dC * dH
-    src_dims = (dC, dH)
-    phi = LinMap.from_function(field, src_dims, (dim,), phi_fn)
-    phi = LinMap(field, (dim,), (dim,),
-                 {(i * dH + j,): phi.cols.get((i, j), {})
-                  for i in range(dC) for j in range(dH)})
-    phi_inv = LinMap.from_function(field, src_dims, (dim,), phi_inv_fn)
-    phi_inv = LinMap(field, (dim,), (dim,),
-                     {(i * dH + j,): phi_inv.cols.get((i, j), {})
-                      for i in range(dC) for j in range(dH)})
+    phi = LinMap.from_function(field, (dim,), (dim,), phi_fn)
+    phi_inv = LinMap.from_function(field, (dim,), (dim,), phi_inv_fn)
 
     report = CheckReport("smash comparison iso %s" % (C.name or "C"))
 
@@ -356,19 +356,17 @@ def phi_isomorphism(C: ModuleCoalgebra):
 class OmegaData:
     """The exchange data of a diagonal crossed product: the composite
     two-sided coaction, its five-leg coherence element with inverse, and
-    the two antipode-corrected variants used by the left/right products.
+    the antipode-corrected variant used by the right products.
 
     ``omega_right_inv`` inverts ``omega_right`` with legs 0 and 1 in the
     opposite algebra, where the reshuffle into the one-sided realizations
     puts them (on a commutative base this is the plain inverse)."""
 
-    def __init__(self, kind, delta, psi, psi_inv, omega_left, omega_right,
-                 omega_right_inv):
+    def __init__(self, kind, delta, psi, psi_inv, omega_right, omega_right_inv):
         self.kind = kind
         self.delta = delta
         self.psi = psi
         self.psi_inv = psi_inv
-        self.omega_left = omega_left
         self.omega_right = omega_right
         self.omega_right_inv = omega_right_inv
 
@@ -426,20 +424,16 @@ def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
     delta = LinMap.from_function(field, (alg.dim,), (H.dim, alg.dim, H.dim),
                                  delta_fn, dst_spaces=(H.alg, alg, H.alg))
 
-    e = El(sp5, psi_inv).map(S_inv, 3, at=3).map(S_inv, 4, at=4)
-    f_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, twist.t, (0,)), (1,))
-    omega_left = multiply(sp5, e.t, embed_legs(sp5, f_corr, (3, 4)))
-
     e = El(sp5, psi).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
     g_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, twist.inv, (0,)), (1,))
     omega_right = multiply(sp5, embed_legs(sp5, g_corr, (0, 1)), e.t)
     # S^-1 on legs 0 and 1 is an algebra map onto H^op there, and
     # (S^-1 x S^-1)(f) inverts g_corr in H^op x H^op
     e = El(sp5, psi_inv).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
+    f_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, twist.t, (0,)), (1,))
     omega_right_inv = multiply(sp5, e.t, embed_legs(sp5, f_corr, (0, 1)))
 
-    return OmegaData(kind, delta, psi, psi_inv, omega_left, omega_right,
-                     omega_right_inv)
+    return OmegaData(kind, delta, psi, psi_inv, omega_right, omega_right_inv)
 
 
 DIAGONAL_KINDS = ("left-l", "left-r", "right-l", "right-r")
@@ -448,7 +442,9 @@ DIAGONAL_KINDS = ("left-l", "left-r", "right-l", "right-r")
 def diagonal_crossed_product(A: BicomoduleAlgebra, M: ModuleAlgebra,
                              kind: str) -> ProductAlgebra:
     """One of the four generalized diagonal crossed products of a
-    two-sided module algebra with a bicomodule algebra."""
+    two-sided module algebra with a bicomodule algebra.  The right
+    products are native; left-l and left-r are the mirrors of right-r
+    and right-l over the opcop reflections of A and M."""
     if kind not in DIAGONAL_KINDS:
         raise ShapeMismatch("kind must be one of %r" % (DIAGONAL_KINDS,))
     if M.side != "bi":
@@ -457,18 +453,23 @@ def diagonal_crossed_product(A: BicomoduleAlgebra, M: ModuleAlgebra,
     if not isinstance(H, QuasiHopfAlgebra):
         raise AntipodeRequired("diagonal crossed products need antipode data")
     side, order = kind.split("-")
-    return _diagonal_product(A, M, side, build_omega(A, order))
+    if side == "right":
+        return _diagonal_product(A, M, build_omega(A, order))
+    A_mirror = bicomodule_variant(A, "opcop")
+    native = _diagonal_product(A_mirror, M.reflect("opcop"),
+                               build_omega(A_mirror, "r" if order == "l" else "l"))
+    return _mirror(native, "diagonal-left-%s(%s,%s)" % (order, A.name or "A", M.name or "M"),
+                   A.alg)
 
 
-def _diagonal_product(A: BicomoduleAlgebra, M: ModuleAlgebra, side: str,
+def _diagonal_product(A: BicomoduleAlgebra, M: ModuleAlgebra,
                       data: OmegaData) -> ProductAlgebra:
-    """The diagonal crossed product on ``side`` ("left" or "right") from
-    exchange data already built for its coaction order."""
+    """The right diagonal crossed product from exchange data already
+    built for its coaction order."""
     H, field = A.H, A.field
     order = data.kind
     S_inv = H.antipode_inv
-    omega = data.omega_left if side == "left" else data.omega_right
-    om = El((H.alg, H.alg, A.alg, H.alg, H.alg), omega)
+    om = El((H.alg, H.alg, A.alg, H.alg, H.alg), data.omega_right)
     lact, ract = M.left_action, M.right_action
 
     def expand(e, leg):
@@ -476,47 +477,28 @@ def _diagonal_product(A: BicomoduleAlgebra, M: ModuleAlgebra, side: str,
             return e.map(A.right_coaction, leg).map(A.left_coaction, leg)
         return e.map(A.left_coaction, leg).map(A.right_coaction, leg + 1)
 
-    if side == "left":
-        def mult_fn(x, y):
-            i, j = x
-            k, l = y
-            e = om.times(El.basis((M.alg,), (i,))).times(El.basis((A.alg,), (j,)))
-            e = e.times(El.basis((M.alg,), (k,))).times(El.basis((A.alg,), (l,)))
-            e = expand(e, 6)              # O1..O5 phi u-1 u0 u1 psi u2
-            e = e.map(lact, (0, 5), at=4)     # O2 O3 O4 O5 O1phi u-1 u0 u1 psi u2
-            e = e.map(ract, (4, 3), at=3)     # O2 O3 O4 phi' u-1 u0 u1 psi u2
-            e = e.merge(0, 4)                 # O2 u-1
-            e = e.map(lact, (0, 6), at=5)     # O3 O4 phi' u0 u1 psi' u2
-            e = e.map(S_inv, 4)
-            e = e.map(ract, (5, 4), at=4)     # O3 O4 phi' u0 psi'' u2
-            e = e.map(ract, (4, 1), at=3)     # O3 phi' u0 psi3 u2
-            e = e.merge(1, 3)                 # product in M
-            e = e.merge(0, 2).merge(0, 2)     # O3 u0 u2
-            return e.perm((1, 0)).t
-    else:
-        def mult_fn(x, y):
-            i, j = x
-            k, l = y
-            e = om.times(El.basis((A.alg,), (i,))).times(El.basis((M.alg,), (j,)))
-            e = e.times(El.basis((A.alg,), (k,))).times(El.basis((M.alg,), (l,)))
-            e = expand(e, 7)              # O1..O5 u phi u2-1 u200 u21 psi
-            e = e.merge(5, 8)                 # u u200
-            e = e.merge(5, 2)                 # . O3 -> O1 O2 O4 O5 uu2O3 phi u2-1 u21 psi
-            e = e.map(S_inv, 6)
-            e = e.merge(1, 6)                 # O2 S^-1(u2-1)
-            e = e.map(lact, (1, 5), at=4)     # O1 O4 O5 uu2O3 phi2 u21 psi
-            e = e.merge(5, 1)                 # u21 O4 -> O1 O5 uu2O3 phi2 u21O4 psi
-            e = e.map(ract, (3, 4), at=3)     # O1 O5 uu2O3 phi3 psi
-            e = e.map(lact, (0, 4), at=3)     # O5 uu2O3 phi3 psi2
-            e = e.map(ract, (3, 0), at=2)     # uu2O3 phi3 psi3
-            e = e.merge(1, 2)                 # product in M
-            return e.t
+    def mult_fn(x, y):
+        i, j = x
+        k, l = y
+        e = om.times(El.basis((A.alg,), (i,))).times(El.basis((M.alg,), (j,)))
+        e = e.times(El.basis((A.alg,), (k,))).times(El.basis((M.alg,), (l,)))
+        e = expand(e, 7)              # O1..O5 u phi u2-1 u200 u21 psi
+        e = e.merge(5, 8)                 # u u200
+        e = e.merge(5, 2)                 # . O3 -> O1 O2 O4 O5 uu2O3 phi u2-1 u21 psi
+        e = e.map(S_inv, 6)
+        e = e.merge(1, 6)                 # O2 S^-1(u2-1)
+        e = e.map(lact, (1, 5), at=4)     # O1 O4 O5 uu2O3 phi2 u21 psi
+        e = e.merge(5, 1)                 # u21 O4 -> O1 O5 uu2O3 phi2 u21O4 psi
+        e = e.map(ract, (3, 4), at=3)     # O1 O5 uu2O3 phi3 psi
+        e = e.map(lact, (0, 4), at=3)     # O5 uu2O3 phi3 psi2
+        e = e.map(ract, (3, 0), at=2)     # uu2O3 phi3 psi3
+        e = e.merge(1, 2)                 # product in M
+        return e.t
 
-    first, second = (A.alg, M.alg) if side == "right" else (M.alg, A.alg)
-    return _product_from_pairs(field, first.dim, second.dim, mult_fn,
-                               first.unit.outer(second.unit), "diagonal-%s-%s(%s,%s)" % (
-                                   side, order, A.name or "A", M.name or "M"),
-                               sub_embedding=_unit_embedding(A.alg, M.alg, side == "right"),
+    return _product_from_pairs(field, A.alg.dim, M.alg.dim, mult_fn,
+                               A.alg.unit.outer(M.alg.unit), "diagonal-right-%s(%s,%s)" % (
+                                   order, A.name or "A", M.name or "M"),
+                               sub_embedding=_unit_embedding(A.alg, M.alg, True),
                                sub_alg=A.alg)
 
 
@@ -540,8 +522,8 @@ def check_prop_3_10(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> CheckReport:
     # path two: diagonal crossed products straight from the exchange data
     dual_bi = dualize(C)
     data_l, data_r = build_omega(A, "l"), build_omega(A, "r")
-    side1_diag = _diagonal_product(A, dual_bi, "right", data_l)
-    side2_diag = _diagonal_product(A, dual_bi, "right", data_r)
+    side1_diag = _diagonal_product(A, dual_bi, data_l)
+    side2_diag = _diagonal_product(A, dual_bi, data_r)
 
     for tag, lhs, rhs in (("first", side1_smash, side1_diag),
                           ("second", side2_smash, side2_diag)):

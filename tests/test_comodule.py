@@ -324,6 +324,22 @@ def test_internal_coalgebra_roundtrip(field):
         assert report.passed, report.render()
 
 
+def test_internal_coalgebra_roundtrip_names_the_basis_vector(field):
+    # a doubled left action doubles the recovered coaction: the failing
+    # record names the first basis vector and shows both sides
+    H = h2(field)
+    internal = internal_coalgebra(regular_comodule_algebra(H, "left"))
+    two = field.one + field.one
+    act = internal.left_action
+    internal.left_action = LinMap(field, act.src, act.dst, {
+        idx: {j: two * v for j, v in img.items()} for idx, img in act.cols.items()})
+    report = internal.verify()
+    assert [r.check_id for r in report.records if not r.passed] == ["roundtrip-coaction"]
+    record = report.first_failure()
+    assert record.witness == (0,)
+    assert record.lhs == record.rhs.scale(two) != record.rhs
+
+
 def test_internal_coalgebra_counit_formula(field):
     H = h2(field)
     X = regular_comodule_algebra(H, "left")
