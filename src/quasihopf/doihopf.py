@@ -454,20 +454,15 @@ def adjunction_maps(M: FiniteModule, N: FiniteModule,
     roundtrip("unit-roundtrip", hom_b, xi, zeta)
     roundtrip("counit-roundtrip",
               _module_hom_basis(M, induced_N, A.alg, colinear=True), zeta, xi)
-    # naturality square for the first endomorphism of the module basis:
-    # xi(theta f) is theta applied to each coalgebra block of xi(f)
-    endos = _module_hom_basis(N, N, A.alg)
+    # naturality in M for the first Doi-Hopf endomorphism g of M:
+    # xi(f g) = xi(f) g, which needs g to commute with every coalgebra
+    # block of the coaction
+    endos = _module_hom_basis(M, M, A.alg, colinear=True)
     if endos and hom_b:
-        theta = endos[0]
-
-        def natural(k):
-            f = hom_b[k[0]]
-            step = xi(f)
-            return (xi(linalg.mat_mul(field, theta, f)),
-                    [row for c in range(dC) for row in linalg.mat_mul(
-                        field, theta, step[c * dN:(c + 1) * dN])])
-
-        report.sweep("naturality", all_indices((len(hom_b),)), natural)
+        g = endos[0]
+        report.sweep("naturality", all_indices((len(hom_b),)),
+                     lambda k: (xi(linalg.mat_mul(field, hom_b[k[0]], g)),
+                                linalg.mat_mul(field, xi(hom_b[k[0]]), g)))
 
     # second adjunction, with the induced module as the two-structure
     # target: Hom(C x M, N') against module maps M -> I into the inner hom

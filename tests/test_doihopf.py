@@ -288,6 +288,34 @@ def test_adjunction_fails_on_a_broken_counit_law(field):
     assert_only_unit_roundtrip_fails(report)
 
 
+def test_naturality_fails_for_an_endomorphism_that_is_not_colinear(field, monkeypatch):
+    # the square xi(f g) = xi(f) g holds for the Doi-Hopf endomorphisms g
+    # of M; handed a module endomorphism that does not commute with the
+    # coalgebra blocks of the coaction, the naturality record fails
+    from quasihopf import doihopf, linalg
+    ctx = right_left_context(field)
+    N = trivial_module(ctx)
+    M = induce_doi_hopf(N, ctx)
+    alg = ctx.comodule.alg
+    original = doihopf._module_hom_basis
+    colinear = [[v for row in g for v in row] for g in original(M, M, alg, colinear=True)]
+    moving = [g for g in original(M, M, alg)
+              if not linalg.in_span(field, colinear, [v for row in g for v in row])]
+    assert moving
+
+    def endomorphisms(X, Y, alg_, colinear=False):
+        if X is M and Y is M and colinear:
+            return moving
+        return original(X, Y, alg_, colinear)
+
+    monkeypatch.setattr(doihopf, "_module_hom_basis", endomorphisms)
+    report = adjunction_maps(M, N, ctx)
+    assert [r.check_id for r in report.records] == ADJUNCTION_CHECKS
+    assert [r.check_id for r in report.records if not r.passed] == ["naturality"]
+    record = report.first_failure()
+    assert record.lhs != record.rhs
+
+
 def test_adjunction_unit_formula(field):
     # the unit map tags a module morphism f with the coaction leg,
     # xi(f)(m) = m_(-1) x f(m_(0)); each xi(f) is a morphism of Doi-Hopf
