@@ -12,7 +12,7 @@ from .hopf import (GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra,
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
                      apply_linear_map, embed_legs, invert_element, multiply,
-                     switch_legs, unit_tensor)
+                     swap_factors, switch_legs, unit_tensor)
 
 
 def _require_antipode(H):
@@ -559,17 +559,8 @@ def _swap_square_factors(X: ComoduleAlgebra, A: BicomoduleAlgebra, base, tag: st
     (h, h') becomes (h', h) in the coaction and in both reassociator
     legs."""
     d = A.H.dim
-
-    def swap(k):
-        i, j = divmod(k, d)
-        return j * d + i
-
-    def moved(data):
-        return {tuple(swap(k) for k in idx[:-1]) + idx[-1:]: v for idx, v in data.items()}
-
-    coaction = LinMap(X.field, X.coaction.src, X.coaction.dst,
-                      {idx: moved(img) for idx, img in X.coaction.cols.items()})
-    re, re_inv = (Tensor(X.field, t.dims, moved(t.data)) for t in (X.reassoc, X.reassoc_inv))
+    coaction = LinMap.from_tensor(swap_factors(X.coaction.as_tensor(), (1,), d, d), 1)
+    re, re_inv = (swap_factors(t, (0, 1), d, d) for t in (X.reassoc, X.reassoc_inv))
     return ComoduleAlgebra(base, "left", A.alg, coaction, re, re_inv,
                            name=(A.name + tag) if A.name else "")
 
@@ -712,12 +703,10 @@ class InternalCoalgebra:
         self.comult = LinMap.from_function(field, (B.dim, H.dim),
                                            (H.dim, B.dim, H.dim), comult_fn)
 
-        def counit_fn(idx):
-            b, h = idx
-            v = H.counit_scalar(h)
-            return {(b,): v} if v else {}
-
-        self.counit = LinMap.from_function(field, (B.dim, H.dim), (B.dim,), counit_fn)
+        # (b, h) -> eps(h) b
+        id_B = LinMap.identity(field, (B.dim,)).as_tensor()
+        self.counit = LinMap.from_tensor(
+            switch_legs(id_B.outer(H.counit.as_tensor()), (0, 2, 1)), 2)
 
         def left_action_fn(idx):
             b, b2, h = idx

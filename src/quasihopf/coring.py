@@ -30,7 +30,7 @@ from .hopf import QuasiHopfAlgebra, op_tensor
 from .modcoalg import ModuleCoalgebra, bimodule_to_op_tensor_module_coalgebra
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices, apply_linear_map,
-                     switch_legs)
+                     swap_factors, switch_legs)
 
 
 class Coring:
@@ -218,14 +218,9 @@ def _coring_bc(B: ComoduleAlgebra, C: ModuleCoalgebra) -> Coring:
     field = B.field
     dB, dC = B.alg.dim, C.dim
     N = dB * dC
-
-    def left_fn(idx):
-        r, n = idx
-        b, c = divmod(n, dC)
-        return B.alg.basis_product(r, b).outer(
-            Tensor.basis(field, (dC,), (c,))).fuse([[0, 1]])
-
-    left = LinMap.from_function(field, (dB, N), (N,), left_fn)
+    id_B, id_C = (LinMap.identity(field, (d,)).as_tensor() for d in (dB, dC))
+    # r . (b, c) = (r b, c): the product of B tensored with id_C
+    left = LinMap.from_tensor(B.alg.mult.as_tensor().outer(id_C).fuse([[0], [1, 3], [2, 4]]), 2)
 
     def right_fn(idx):
         n, r = idx
@@ -252,12 +247,8 @@ def _coring_bc(B: ComoduleAlgebra, C: ModuleCoalgebra) -> Coring:
 
     comult = LinMap.from_function(field, (N,), (N, N), comult_rep)
 
-    def counit_fn(idx):
-        b, c = divmod(idx[0], dC)
-        eps = C.counit.column((c,)).get(())
-        return {(b,): eps} if eps else {}
-
-    counit = LinMap.from_function(field, (N,), (dB,), counit_fn)
+    # id_B (x) eps on the fused pair (b, c)
+    counit = LinMap.from_tensor(id_B.outer(C.counit.as_tensor()).fuse([[0, 2], [1]]), 1)
     return Coring(B.alg, N, left, right, comult, counit,
                   name="BC(%s,%s)" % (B.name or "B", C.name or "C"))
 
@@ -277,25 +268,16 @@ def _opposite_coring(X: Coring, R: FinAlgebra, name: str) -> Coring:
     over ``R``, the opposite of the base ring of ``X``: each action is
     the other one with its arguments swapped, the comultiplication is
     flipped, and the counit is kept."""
-    field, N, dR = X.field, X.dim, X.R.dim
+    N, dR = X.dim, X.R.dim
 
-    def swap(n):
-        b, c = divmod(n, N // dR)
-        return c * dR + b
+    def opposite(m, perm, legs):
+        t = swap_factors(switch_legs(m.as_tensor(), perm), legs, dR, N // dR)
+        return LinMap.from_tensor(t, len(m.src))
 
-    def relabel(img, flip=False):
-        return {tuple(swap(k) for k in (idx[::-1] if flip else idx)): v
-                for idx, v in img.items()}
-
-    left = LinMap(field, (dR, N), (N,), {(r, swap(n)): relabel(img)
-                                        for (n, r), img in X.right_action.cols.items()})
-    right = LinMap(field, (N, dR), (N,), {(swap(n), r): relabel(img)
-                                         for (r, n), img in X.left_action.cols.items()})
-    comult = LinMap(field, (N,), (N, N), {(swap(n),): relabel(img, flip=True)
-                                         for (n,), img in X.comult.cols.items()})
-    counit = LinMap(field, (N,), (dR,), {(swap(n),): img
-                                        for (n,), img in X.counit.cols.items()})
-    return Coring(R, N, left, right, comult, counit, name=name)
+    return Coring(R, N, opposite(X.right_action, (1, 0, 2), (1, 2)),
+                  opposite(X.left_action, (1, 0, 2), (0, 2)),
+                  opposite(X.comult, (0, 2, 1), (0, 1, 2)), opposite(X.counit, (0, 1), (0,)),
+                  name=name)
 
 
 def _coring_yd(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> Coring:

@@ -310,7 +310,7 @@ def _counit_action(M: FiniteModule, context: DoiHopfContext) -> LinMap:
     """The right action m.b = m.(eps # b) of B on a module over C* # B."""
     C, dB = context.coalgebra, context.comodule.alg.dim
     field = context.field
-    eps = Tensor(field, (C.dim,), {c: img[()] for c, img in C.counit.cols.items()})
+    eps = C.counit.as_tensor()
 
     def act_fn(idx):
         m, b = idx

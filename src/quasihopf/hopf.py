@@ -12,7 +12,7 @@ from .errors import (AntipodeNotInvertible, GaugeNotNormalized, NotInvertible,
                      ShapeMismatch)
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
-                     apply_linear_map, build_tensor_algebra, embed_legs,
+                     apply_linear_map, build_tensor_algebra, embed_legs, interleave,
                      invert_element, multiply, switch_legs, unit_tensor)
 
 
@@ -425,38 +425,19 @@ def tensor_qha(H1: QuasiHopfAlgebra, H2: QuasiHopfAlgebra, name="") -> QuasiHopf
     flip, antipode and alpha/beta are componentwise.
     """
     alg = build_tensor_algebra(H1.alg, H2.alg, name=name)
-    d2 = H2.dim
 
     def paired(m1: LinMap, m2: LinMap, dst_spaces) -> LinMap:
-        # the image of (i, j) -> i * d2 + j is the interleaved pair of images
-        def fn(idx):
-            i, j = divmod(idx[0], d2)
-            return interleave(m1.column((i,)), m2.column((j,)), d2)
-        return LinMap.from_function(H1.field, (alg.dim,), (alg.dim,) * len(m1.dst), fn,
-                                    dst_spaces=dst_spaces)
+        return LinMap.from_tensor(interleave(m1.as_tensor(), m2.as_tensor()), 1, dst_spaces)
 
     comult = paired(H1.comult, H2.comult, (alg, alg))
     counit = paired(H1.counit, H2.counit, ())
     antipode = paired(H1.antipode, H2.antipode, (alg,))
-    reassoc = interleave(H1.reassoc, H2.reassoc, d2)
-    reassoc_inv = interleave(H1.reassoc_inv, H2.reassoc_inv, d2)
-    alpha = interleave(H1.alpha, H2.alpha, d2)
-    beta = interleave(H1.beta, H2.beta, d2)
+    reassoc = interleave(H1.reassoc, H2.reassoc)
+    reassoc_inv = interleave(H1.reassoc_inv, H2.reassoc_inv)
+    alpha = interleave(H1.alpha, H2.alpha)
+    beta = interleave(H1.beta, H2.beta)
     return QuasiHopfAlgebra(alg, comult, counit, reassoc, antipode, alpha, beta,
                             reassoc_inv=reassoc_inv, name=name)
-
-
-def interleave(x: Tensor, y: Tensor, d2: int) -> Tensor:
-    """Legwise pairing of two equal-arity tensors: leg i becomes the
-    paired index of x's and y's leg i."""
-    if x.arity != y.arity:
-        raise ShapeMismatch("interleave needs equal arities")
-    out = Tensor(x.field, tuple(a * b for a, b in zip(x.dims, y.dims)))
-    for ix, vx in x.data.items():
-        for iy, vy in y.data.items():
-            idx = tuple(a * d2 + b for a, b in zip(ix, iy))
-            out.data[idx] = vx * vy
-    return out
 
 
 def op_tensor(H: QuasiHopfAlgebra, name="") -> QuasiHopfAlgebra:

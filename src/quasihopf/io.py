@@ -83,33 +83,17 @@ def _tensor_from_rows(field, dims, rows, where):
         raise ParseError(str(exc), where=where) from exc
 
 
-def _linmap_rows(field, m: LinMap):
-    rows = []
-    for src, img in sorted(m.cols.items()):
-        for dst, v in sorted(img.items()):
-            rows.append(list(src) + list(dst) + [field.fmt(v)])
-    return rows
-
-
-def _linmap_from_rows(field, src, dst, rows, where):
-    cols = {}
-    for row in rows:
-        idx, value = _parse_row(field, row, src + dst, where)
-        cols.setdefault(idx[:len(src)], {})[idx[len(src):]] = value
-    return LinMap(field, src, dst, cols)
-
-
 def _alg_payload(field, alg: FinAlgebra):
     return {
         "dim": alg.dim,
-        "mult": _linmap_rows(field, alg.mult),
+        "mult": _tensor_rows(field, alg.mult.as_tensor()),
         "unit": _tensor_rows(field, alg.unit),
     }
 
 
 def _alg_from_payload(field, payload, where):
     dim = int(payload["dim"])
-    mult = _linmap_from_rows(field, (dim, dim), (dim,), payload["mult"], where)
+    mult = LinMap.from_tensor(_tensor_from_rows(field, (dim,) * 3, payload["mult"], where), 2)
     unit = _tensor_from_rows(field, (dim,), payload["unit"], where)
     return FinAlgebra(field, dim, mult, unit, validate=False)
 
@@ -124,11 +108,11 @@ def quasi_hopf_payload(H: QuasiHopfAlgebra, name="") -> dict:
         "name": name or H.name or "",
         "basis": ["e%d" % i for i in range(d)],
         "algebra": _alg_payload(field, H.alg),
-        "comult": _linmap_rows(field, H.comult),
-        "counit": _linmap_rows(field, H.counit),
+        "comult": _tensor_rows(field, H.comult.as_tensor()),
+        "counit": _tensor_rows(field, H.counit.as_tensor()),
         "reassoc": _tensor_rows(field, H.reassoc),
         "reassoc_inv": _tensor_rows(field, H.reassoc_inv),
-        "antipode": _linmap_rows(field, H.antipode),
+        "antipode": _tensor_rows(field, H.antipode.as_tensor()),
         "alpha": _tensor_rows(field, H.alpha),
         "beta": _tensor_rows(field, H.beta),
     }
@@ -139,11 +123,11 @@ def _quasi_hopf_from_payload(payload, where):
     field = field_from_tag(payload["field"])
     alg = _alg_from_payload(field, payload["algebra"], where)
     d = alg.dim
-    comult = _linmap_from_rows(field, (d,), (d, d), payload["comult"], where)
-    counit = _linmap_from_rows(field, (d,), (), payload["counit"], where)
+    comult = LinMap.from_tensor(_tensor_from_rows(field, (d,) * 3, payload["comult"], where), 1)
+    counit = LinMap.from_tensor(_tensor_from_rows(field, (d,), payload["counit"], where), 1)
     reassoc = _tensor_from_rows(field, (d, d, d), payload["reassoc"], where)
     reassoc_inv = _tensor_from_rows(field, (d, d, d), payload["reassoc_inv"], where)
-    antipode = _linmap_from_rows(field, (d,), (d,), payload["antipode"], where)
+    antipode = LinMap.from_tensor(_tensor_from_rows(field, (d, d), payload["antipode"], where), 1)
     alpha = _tensor_from_rows(field, (d,), payload["alpha"], where)
     beta = _tensor_from_rows(field, (d,), payload["beta"], where)
     return QuasiHopfAlgebra(alg, comult, counit, reassoc, antipode, alpha, beta,
@@ -176,7 +160,7 @@ def comodule_algebra_payload(X: ComoduleAlgebra, base_ref: dict, name="") -> dic
         "field": _field_tag(field),
         "name": name or X.name or "",
         "algebra": _alg_payload(field, X.alg),
-        "coaction": _linmap_rows(field, X.coaction),
+        "coaction": _tensor_rows(field, X.coaction.as_tensor()),
         "reassoc": _tensor_rows(field, X.reassoc),
         "reassoc_inv": _tensor_rows(field, X.reassoc_inv),
         "companions": {"base": base_ref},
@@ -191,8 +175,8 @@ def bicomodule_algebra_payload(X: BicomoduleAlgebra, base_ref: dict, name="") ->
         "field": _field_tag(field),
         "name": name or X.name or "",
         "algebra": _alg_payload(field, X.alg),
-        "left_coaction": _linmap_rows(field, X.left_coaction),
-        "right_coaction": _linmap_rows(field, X.right_coaction),
+        "left_coaction": _tensor_rows(field, X.left_coaction.as_tensor()),
+        "right_coaction": _tensor_rows(field, X.right_coaction.as_tensor()),
         "reassoc_left": _tensor_rows(field, X.reassoc_left),
         "reassoc_right": _tensor_rows(field, X.reassoc_right),
         "reassoc_mixed": _tensor_rows(field, X.reassoc_mixed),
@@ -212,14 +196,14 @@ def module_coalgebra_payload(C: ModuleCoalgebra, base_ref: dict, name="") -> dic
         "field": _field_tag(field),
         "name": name or C.name or "",
         "dim": C.dim,
-        "comult": _linmap_rows(field, C.comult),
-        "counit": _linmap_rows(field, C.counit),
+        "comult": _tensor_rows(field, C.comult.as_tensor()),
+        "counit": _tensor_rows(field, C.counit.as_tensor()),
         "companions": {"base": base_ref},
     }
     if C.left_action is not None:
-        payload["left_action"] = _linmap_rows(field, C.left_action)
+        payload["left_action"] = _tensor_rows(field, C.left_action.as_tensor())
     if C.right_action is not None:
-        payload["right_action"] = _linmap_rows(field, C.right_action)
+        payload["right_action"] = _tensor_rows(field, C.right_action.as_tensor())
     return payload
 
 
@@ -310,7 +294,8 @@ def parse(path: str):
         side = payload.get("side")
         dst = (d, dh) if side == "right" else (dh, d)
         re_dims = (d, dh, dh) if side == "right" else (dh, dh, d)
-        coaction = _linmap_from_rows(field, (d,), dst, payload["coaction"], where)
+        coaction = LinMap.from_tensor(
+            _tensor_from_rows(field, (d,) + dst, payload["coaction"], where), 1)
         reassoc = _tensor_from_rows(field, re_dims, payload["reassoc"], where)
         reassoc_inv = _tensor_from_rows(field, re_dims, payload["reassoc_inv"], where)
         return ComoduleAlgebra(base, side, alg, coaction, reassoc, reassoc_inv,
@@ -319,8 +304,10 @@ def parse(path: str):
         base = parse(_resolve_companion(payload, path))
         alg = _alg_from_payload(field, payload["algebra"], where)
         d, dh = alg.dim, base.dim
-        lam = _linmap_from_rows(field, (d,), (dh, d), payload["left_coaction"], where)
-        rho = _linmap_from_rows(field, (d,), (d, dh), payload["right_coaction"], where)
+        lam = LinMap.from_tensor(
+            _tensor_from_rows(field, (d, dh, d), payload["left_coaction"], where), 1)
+        rho = LinMap.from_tensor(
+            _tensor_from_rows(field, (d, d, dh), payload["right_coaction"], where), 1)
         return BicomoduleAlgebra(
             base, alg, lam, rho,
             _tensor_from_rows(field, (dh, dh, d), payload["reassoc_left"], where),
@@ -335,13 +322,16 @@ def parse(path: str):
         d = int(payload["dim"])
         dh = base.dim
         side = payload.get("side")
-        comult = _linmap_from_rows(field, (d,), (d, d), payload["comult"], where)
-        counit = _linmap_from_rows(field, (d,), (), payload["counit"], where)
+        comult = LinMap.from_tensor(
+            _tensor_from_rows(field, (d,) * 3, payload["comult"], where), 1)
+        counit = LinMap.from_tensor(_tensor_from_rows(field, (d,), payload["counit"], where), 1)
         left = right = None
         if "left_action" in payload:
-            left = _linmap_from_rows(field, (dh, d), (d,), payload["left_action"], where)
+            left = LinMap.from_tensor(
+                _tensor_from_rows(field, (dh, d, d), payload["left_action"], where), 2)
         if "right_action" in payload:
-            right = _linmap_from_rows(field, (d, dh), (d,), payload["right_action"], where)
+            right = LinMap.from_tensor(
+                _tensor_from_rows(field, (d, dh, d), payload["right_action"], where), 2)
         return ModuleCoalgebra(base, side, d, comult, counit,
                                left_action=left, right_action=right,
                                name=payload.get("name", ""))

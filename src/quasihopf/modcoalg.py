@@ -9,7 +9,7 @@ from .errors import ShapeMismatch
 from .hopf import GaugeTransformation, QuasiBialgebra, gauge_twist, op_tensor, variant
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace, act_legwise,
-                     all_indices, apply_linear_map)
+                     all_indices, apply_linear_map, switch_legs)
 
 SIDES = ("left", "right", "bi")
 
@@ -321,46 +321,20 @@ def dualize(C: ModuleCoalgebra, name="") -> ModuleAlgebra:
     """The linear dual as a module algebra: convolution product, counit
     as unit, transposed action(s) on the other side."""
     H = C.H
-    field = C.field
-    d = C.dim
+
+    def transposed(m, perm):
+        return LinMap.from_tensor(switch_legs(m.as_tensor(), perm), 2)
 
     # convolution: (e^i e^j)(c) = coefficient of e_i x e_j in comult(c)
-    table = {}
-    for i in range(d):
-        for j in range(d):
-            img = {}
-            for c in range(d):
-                v = C.comult.column((c,)).get((i, j))
-                if v:
-                    img[c] = v
-            table[(i, j)] = img
-    unit_vec = [C.counit.column((c,)).get(()) for c in range(d)]
-    alg = FinAlgebra.from_table(field, d, table, unit_vec,
-                                name=name or ((C.name or "C") + "*"), validate=False)
-
+    alg = FinAlgebra(C.field, C.dim, transposed(C.comult, (1, 2, 0)), C.counit.as_tensor(),
+                     name=name or ((C.name or "C") + "*"), validate=False)
     left = right = None
     if C.right_action is not None:
         # (h . f)(c) = f(c . h)
-        def left_fn(idx):
-            h, f = idx
-            img = {}
-            for c in range(d):
-                v = C.right_action.column((c, h)).get((f,))
-                if v:
-                    img[(c,)] = v
-            return img
-        left = LinMap.from_function(field, (H.dim, d), (d,), left_fn)
+        left = transposed(C.right_action, (1, 2, 0))
     if C.left_action is not None:
         # (f . h)(c) = f(h . c)
-        def right_fn(idx):
-            f, h = idx
-            img = {}
-            for c in range(d):
-                v = C.left_action.column((h, c)).get((f,))
-                if v:
-                    img[(c,)] = v
-            return img
-        right = LinMap.from_function(field, (d, H.dim), (d,), right_fn)
+        right = transposed(C.left_action, (2, 0, 1))
 
     if C.side == "right":
         return ModuleAlgebra(H, "left", alg, left_action=left, name=alg.name)

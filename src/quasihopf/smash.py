@@ -15,6 +15,8 @@ opposite algebra with the two carrier legs swapped (``_mirror``).
 
 from __future__ import annotations
 
+import functools
+
 from . import linalg
 from .comodule import (BicomoduleAlgebra, ComoduleAlgebra, bicomodule_to_right_op_tensor,
                        bicomodule_variant, canonical_elements, comodule_variant)
@@ -24,8 +26,8 @@ from .modcoalg import (ModuleAlgebra, ModuleCoalgebra,
                        bimodule_to_op_tensor_module_coalgebra, dualize)
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
-                     apply_linear_map, embed_legs, multiply, switch_legs,
-                     unit_tensor)
+                     apply_linear_map, embed_legs, multiply, swap_factors,
+                     switch_legs, unit_tensor)
 
 
 class ProductAlgebra:
@@ -115,19 +117,11 @@ def _mirror(P: ProductAlgebra, provenance: str, sub_alg: FinAlgebra) -> ProductA
     algebras; this gives the other side.  ``sub_alg`` is the opposite of
     the subalgebra of ``P``, embedded on the swapped leg."""
     (d1, d2), field, dim = P.factor_dims, P.field, P.dim
-
-    def swap(k):
-        return k % d2 * d1 + k // d2
-
-    def relabel(img):
-        return {(swap(k),): v for (k,), v in img.items()}
-
-    cols = {(swap(b), swap(a)): relabel(img) for (a, b), img in P.carrier.mult.cols.items()}
-    carrier = FinAlgebra(field, dim, LinMap(field, (dim, dim), (dim,), cols),
-                         Tensor(field, (dim,), relabel(P.carrier.unit.data)),
+    mult = switch_legs(P.carrier.mult.as_tensor(), (1, 0, 2))
+    carrier = FinAlgebra(field, dim, LinMap.from_tensor(swap_factors(mult, (0, 1, 2), d1, d2), 2),
+                         swap_factors(P.carrier.unit, (0,), d1, d2),
                          name=provenance, validate=False)
-    emb = LinMap(field, (sub_alg.dim,), (dim,),
-                 {idx: relabel(img) for idx, img in P.sub_embedding.cols.items()})
+    emb = LinMap.from_tensor(swap_factors(P.sub_embedding.as_tensor(), (1,), d1, d2), 1)
     return ProductAlgebra(carrier, (d2, d1), provenance, sub_embedding=emb, sub_alg=sub_alg)
 
 
@@ -248,9 +242,7 @@ def koppinen_smash(C: ModuleCoalgebra, B: ComoduleAlgebra) -> ProductAlgebra:
             out = out + Tensor.basis(field, (dC,), (m,)).outer(e.t)
         return out
 
-    unit = Tensor(field, (dC,),
-                  {(c,): C.counit.column((c,)).get(()) for c in range(dC)})
-    full_unit = unit.outer(B.alg.unit)
+    full_unit = C.counit.as_tensor().outer(B.alg.unit)
     return _product_from_pairs(field, dC, dB, mult_fn, full_unit,
                                "koppinen(%s,%s)" % (C.name or "C", B.name or "B"))
 
@@ -360,15 +352,28 @@ class OmegaData:
 
     ``omega_right_inv`` inverts ``omega_right`` with legs 0 and 1 in the
     opposite algebra, where the reshuffle into the one-sided realizations
-    puts them (on a commutative base this is the plain inverse)."""
+    puts them (on a commutative base this is the plain inverse).  Only
+    the reshuffle checks of Prop 3.10 read it, so it is built from
+    ``psi_inv`` on first read."""
 
-    def __init__(self, kind, delta, psi, psi_inv, omega_right, omega_right_inv):
+    def __init__(self, kind, A: BicomoduleAlgebra, delta, psi, psi_inv, omega_right):
         self.kind = kind
+        self.A = A
         self.delta = delta
         self.psi = psi
         self.psi_inv = psi_inv
         self.omega_right = omega_right
-        self.omega_right_inv = omega_right_inv
+
+    @functools.cached_property
+    def omega_right_inv(self):
+        # S^-1 on legs 0 and 1 is an algebra map onto H^op there, and
+        # (S^-1 x S^-1)(f) inverts g_corr of build_omega in H^op x H^op
+        H = self.A.H
+        S_inv = H.antipode_inv
+        sp5 = (H.alg, H.alg, self.A.alg, H.alg, H.alg)
+        e = El(sp5, self.psi_inv).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
+        f_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, drinfeld_twist(H).t, (0,)), (1,))
+        return multiply(sp5, e.t, embed_legs(sp5, f_corr, (0, 1)))
 
 
 def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
@@ -427,13 +432,7 @@ def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
     e = El(sp5, psi).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
     g_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, twist.inv, (0,)), (1,))
     omega_right = multiply(sp5, embed_legs(sp5, g_corr, (0, 1)), e.t)
-    # S^-1 on legs 0 and 1 is an algebra map onto H^op there, and
-    # (S^-1 x S^-1)(f) inverts g_corr in H^op x H^op
-    e = El(sp5, psi_inv).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
-    f_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, twist.t, (0,)), (1,))
-    omega_right_inv = multiply(sp5, e.t, embed_legs(sp5, f_corr, (0, 1)))
-
-    return OmegaData(kind, delta, psi, psi_inv, omega_right, omega_right_inv)
+    return OmegaData(kind, A, delta, psi, psi_inv, omega_right)
 
 
 DIAGONAL_KINDS = ("left-l", "left-r", "right-l", "right-r")

@@ -3,10 +3,18 @@ structure-constant algebras.
 
 A ``Tensor`` is a sparse element of a tensor product of finite
 dimensional spaces ("legs").  A ``LinMap`` sends basis multi-indices to
-tensors and can be applied to any subset of legs.  A ``FinAlgebra`` is a
-unital algebra given by structure constants; lists of algebras (one per
-leg) turn tensor powers into componentwise algebras, which is where all
-of the displayed element identities of the domain live.
+tensors and can be applied to any subset of legs.  Its entries are one
+tensor over its source legs followed by its target legs (``as_tensor``,
+``from_tensor``), and every re-indexing of a map is a leg operation on
+that form: permuting or transposing legs (``switch_legs``), pairing two
+maps leg by leg (``interleave``, a ``fuse``), swapping the two factors
+of a fused pair basis (``swap_factors``); ``compose`` is one
+``apply_linear_map``.  No other module indexes a map's entries.
+
+A ``FinAlgebra`` is a unital algebra given by structure constants; lists
+of algebras (one per leg) turn tensor powers into componentwise
+algebras, which is where all of the displayed element identities of the
+domain live.
 
 The ``El`` wrapper pairs a tensor with its per-leg spaces and provides
 the small calculus (merge, map, outer product, permute) used to
@@ -234,6 +242,19 @@ def switch_legs(x: Tensor, perm) -> Tensor:
     return out
 
 
+def swap_factors(x: Tensor, legs, d1: int, d2: int) -> Tensor:
+    """Swap the two factors of the fused pair index on each listed leg:
+    i*d2 + j, the pair (i, j), becomes j*d1 + i, the pair (j, i)."""
+    legs = frozenset(legs)
+    for l in legs:
+        if x.dims[l] != d1 * d2:
+            raise ShapeMismatch("leg %d of dim %d is no %d x %d pair" % (l, x.dims[l], d1, d2))
+    out = Tensor(x.field, x.dims)
+    out.data = {tuple([k % d2 * d1 + k // d2 if l in legs else k for l, k in enumerate(idx)]): v
+                for idx, v in x.data.items()}
+    return out
+
+
 class LinMap:
     """Linear map between tensor powers, stored column-sparsely.
 
@@ -296,17 +317,31 @@ class LinMap:
         in the convention of ``switch_legs`` (new leg i is old leg
         perm[i]), so that ``m.permute(dst=p)(x) == switch_legs(m(x), p)``
         and ``m.permute(src=p)(switch_legs(x, p)) == m(x)``."""
-        src = _check_perm(range(len(self.src)) if src is None else src, len(self.src))
+        n = len(self.src)
+        src = _check_perm(range(n) if src is None else src, n)
         dst = _check_perm(range(len(self.dst)) if dst is None else dst, len(self.dst))
+        t = switch_legs(self.as_tensor(), src + tuple([n + q for q in dst]))
+        dst_spaces = None if self.dst_spaces is None else tuple(
+            [self.dst_spaces[q] for q in dst])
+        return LinMap.from_tensor(t, n, dst_spaces)
 
-        def move(idx, perm):
-            return tuple([idx[p] for p in perm])
+    def as_tensor(self) -> Tensor:
+        """The entries as one tensor, the source legs first and the
+        target legs after them: entry s + t is the coefficient of target
+        basis t in the image of source basis s."""
+        out = Tensor(self.field, self.src + self.dst)
+        out.data = {idx + j: v for idx, img in self.cols.items() for j, v in img.items()}
+        return out
 
-        cols = {move(idx, src): {move(j, dst): v for j, v in img.items()}
-                for idx, img in self.cols.items()}
-        dst_spaces = None if self.dst_spaces is None else move(self.dst_spaces, dst)
-        return LinMap(self.field, move(self.src, src), move(self.dst, dst), cols,
-                      dst_spaces)
+    @classmethod
+    def from_tensor(cls, t: Tensor, n_src: int, dst_spaces=None) -> "LinMap":
+        """Inverse of ``as_tensor``: the map whose source is the first
+        ``n_src`` legs of ``t`` and whose target is the rest."""
+        out = cls(t.field, t.dims[:n_src], t.dims[n_src:], dst_spaces=dst_spaces)
+        cols = out.cols
+        for idx, v in t.data.items():
+            cols.setdefault(idx[:n_src], {})[idx[n_src:]] = v
+        return out
 
     def __call__(self, x: Tensor) -> Tensor:
         return apply_linear_map(self, x, tuple(range(x.arity)))
@@ -317,21 +352,11 @@ class LinMap:
         return out
 
     def compose(self, other: "LinMap") -> "LinMap":
-        """self after other."""
-        if other.dst != self.src:
-            raise ShapeMismatch("compose mismatch %r vs %r" % (other.dst, self.src))
-        cols = {}
-        for idx, img in other.cols.items():
-            acc = {}
-            for mid, v in img.items():
-                for out_idx, w in self.cols.get(mid, {}).items():
-                    s = acc.get(out_idx, self.field.zero) + v * w
-                    if s:
-                        acc[out_idx] = s
-                    else:
-                        acc.pop(out_idx, None)
-            cols[idx] = acc
-        return LinMap(self.field, other.src, self.dst, cols, self.dst_spaces)
+        """self after other: ``self`` applied to the target legs of the
+        tensor form of ``other``."""
+        n = len(other.src)
+        t = apply_linear_map(self, other.as_tensor(), range(n, n + len(other.dst)), at=n)
+        return LinMap.from_tensor(t, n, self.dst_spaces)
 
     def __eq__(self, other):
         if not isinstance(other, LinMap):
@@ -344,32 +369,19 @@ class LinMap:
 
     def to_matrix(self):
         """Dense matrix, rows = flattened dst, cols = flattened src."""
-        src_strides = _strides(self.src)
-        dst_strides = _strides(self.dst)
-        n_src = 1
-        for d in self.src:
-            n_src *= d
-        n_dst = 1
-        for d in self.dst:
-            n_dst *= d
-        m = linalg.zeros(self.field, n_dst, n_src)
-        for idx, img in self.cols.items():
-            c = _flatten(idx, src_strides)
-            for out_idx, v in img.items():
-                m[_flatten(out_idx, dst_strides)][c] = v
+        n = len(self.src)
+        t = self.as_tensor().fuse([list(range(n, n + len(self.dst))), list(range(n))])
+        m = linalg.zeros(self.field, *t.dims)
+        for (r, c), v in t.data.items():
+            m[r][c] = v
         return m
 
     @classmethod
     def from_matrix(cls, field, src, dst, matrix, dst_spaces=None):
         src, dst = tuple(src), tuple(dst)
-        cols = {}
-        for c, idx in enumerate(_all_indices(src)):
-            img = {}
-            for r, out_idx in enumerate(_all_indices(dst)):
-                if matrix[r][c]:
-                    img[out_idx] = matrix[r][c]
-            cols[idx] = img
-        return cls(field, src, dst, cols, dst_spaces)
+        t = Tensor(field, (_size(src), _size(dst)),
+                   {(c, r): v for r, row in enumerate(matrix) for c, v in enumerate(row)})
+        return cls.from_tensor(t.split(1, dst).split(0, src), len(src), dst_spaces)
 
     def is_invertible(self) -> bool:
         if self.src != self.dst and _size(self.src) != _size(self.dst):
@@ -585,23 +597,21 @@ class FinAlgebra:
         return "FinAlgebra(dim=%d%s)" % (self.dim, ", %r" % self.name if self.name else "")
 
 
+def interleave(x: Tensor, y: Tensor) -> Tensor:
+    """Legwise pairing of two equal-arity tensors: leg i becomes the
+    fused pair (x's leg i, y's leg i), basis (i, j) -> i*dim_y + j."""
+    n = x.arity
+    if y.arity != n:
+        raise ShapeMismatch("interleave needs equal arities")
+    return x.outer(y).fuse([[k, n + k] for k in range(n)])
+
+
 def build_tensor_algebra(a: FinAlgebra, b: FinAlgebra, name="") -> FinAlgebra:
     """Componentwise product algebra on A (x) B, basis (i, j) -> i*dimB + j."""
     _check_same_field(a, b)
-    dim = a.dim * b.dim
-    cols = {}
-    for i1 in range(a.dim):
-        for j1 in range(b.dim):
-            for i2 in range(a.dim):
-                for j2 in range(b.dim):
-                    img = {}
-                    for (k1,), v1 in a.mult.cols.get((i1, i2), {}).items():
-                        for (k2,), v2 in b.mult.cols.get((j1, j2), {}).items():
-                            img[(k1 * b.dim + k2,)] = v1 * v2
-                    cols[(i1 * b.dim + j1, i2 * b.dim + j2)] = img
-    mult = LinMap(a.field, (dim, dim), (dim,), cols)
-    unit = a.unit.outer(b.unit).fuse([[0, 1]])
-    return FinAlgebra(a.field, dim, mult, unit, name=name, validate=False)
+    mult = LinMap.from_tensor(interleave(a.mult.as_tensor(), b.mult.as_tensor()), 2)
+    return FinAlgebra(a.field, a.dim * b.dim, mult, interleave(a.unit, b.unit), name=name,
+                      validate=False)
 
 
 def unit_tensor(spaces) -> Tensor:

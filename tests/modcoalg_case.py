@@ -7,10 +7,12 @@ is an element acting leg by leg on a tensor of the same arity,
 ``reference_assoc_weights`` and ``reference_act_single`` are the
 reassociator data acting on the three factors of a module algebra
 product, and ``reference_gauge_comult`` is the gauge-twisted
-comultiplication of a left module coalgebra.
+comultiplication of a left module coalgebra.  ``reference_dual_maps``
+transposes a module coalgebra's structure maps entry by entry, as the
+linear dual reads them.
 """
 
-from quasihopf.tensor import LinMap, Tensor, apply_linear_map
+from quasihopf.tensor import LinMap, Tensor, all_indices, apply_linear_map
 
 
 def reference_act_many(action, dH, element, target, left):
@@ -99,3 +101,33 @@ def reference_gauge_comult(C, F):
         return out
 
     return LinMap.from_function(C.field, (C.dim,), (C.dim, C.dim), comult_fn)
+
+
+def reference_dual_maps(C):
+    """(convolution, unit, left action, right action) of the dual of C,
+    each read off C's maps one basis element at a time; an action is
+    None when C lacks the action it transposes."""
+    field, d, dH = C.field, C.dim, C.H.dim
+
+    def transpose(src, fn):
+        cols = {}
+        for idx in all_indices(src):
+            img = {}
+            for c in range(d):
+                v = fn(idx, c)
+                if v:
+                    img[(c,)] = v
+            cols[idx] = img
+        return LinMap(field, src, (d,), cols)
+
+    # (e^i e^j)(c) = coefficient of e_i x e_j in comult(c)
+    mult = transpose((d, d), lambda ij, c: C.comult.column((c,)).get(ij))
+    unit = Tensor(field, (d,), {(c,): C.counit.column((c,)).get(()) for c in range(d)})
+    left = right = None
+    if C.right_action is not None:
+        # (h . f)(c) = f(c . h)
+        left = transpose((dH, d), lambda hf, c: C.right_action.column((c, hf[0])).get(hf[1:]))
+    if C.left_action is not None:
+        # (f . h)(c) = f(h . c)
+        right = transpose((d, dH), lambda fh, c: C.left_action.column((fh[1], c)).get(fh[:1]))
+    return mult, unit, left, right

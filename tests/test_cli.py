@@ -105,6 +105,34 @@ def test_out_of_range_tensor_row_is_a_parse_error(tmp_path, capsys, coefficient)
         " for (2, 2, 2)\n" % coefficient)
 
 
+def _module_coalgebra_of_dim(payload, dim):
+    payload["dim"] = dim
+    for key in ("comult", "counit", "left_action", "right_action"):
+        payload[key] = []
+
+
+def _quasi_hopf_of_dim(payload, dim):
+    payload["algebra"].update(dim=dim, mult=[], unit=[])
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+@pytest.mark.parametrize("fixture, kind, resize", [
+    ("c2", "module-coalgebra", _module_coalgebra_of_dim),
+    ("h2", "quasi-hopf", _quasi_hopf_of_dim),
+])
+def test_non_positive_dimension_is_a_parse_error(tmp_path, capsys, dim, fixture, kind,
+                                                 resize):
+    # with no rows to fall out of range, the dimension itself is rejected
+    assert run(["fixture", "emit", fixture, "--dir", str(tmp_path)]) == 0
+    path = str(tmp_path / (fixture + io.SUFFIX))
+    payload = json.load(open(path))
+    resize(payload, dim)
+    open(path, "w").write(io.canonical_dumps(payload))
+    capsys.readouterr()
+    assert run(["check", path]) == 2
+    assert capsys.readouterr().err == "parse error: [%s] zero-dimensional leg rejected\n" % kind
+
+
 def test_stale_companion_hash_rejected(tmp_path):
     assert run(["fixture", "emit", "c2", "--dir", str(tmp_path)]) == 0
     base = tmp_path / ("h2" + io.SUFFIX)

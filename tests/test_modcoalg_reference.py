@@ -17,7 +17,7 @@ from quasihopf.modcoalg import (ModuleCoalgebra, _reassociate, dualize,
 from quasihopf.tensor import (Tensor, act_legwise, all_indices, apply_linear_map,
                               switch_legs, unit_tensor)
 
-from modcoalg_case import (reference_act_many, reference_gauge_comult,
+from modcoalg_case import (reference_act_many, reference_dual_maps, reference_gauge_comult,
                            reference_reassociated_product)
 from test_hopf import seeded_gauge, sweedler
 
@@ -100,6 +100,21 @@ def test_act_legwise_makes_one_apply_linear_map_per_leg(field, monkeypatch):
             act_legwise(element, targets(X, element.arity)[-1],
                         [(action, left)] * element.arity)
             assert len(calls) == element.arity
+
+
+def test_dualize_transposes_like_the_entry_loops(field):
+    # the twisted comultiplication is not cocommutative and the base is
+    # not commutative, so a transpose that reads a leg in the wrong
+    # place changes the dual
+    C, F, C_F = twisted_regular(field)
+    H = C_F.H
+    bi = ModuleCoalgebra(H, "bi", H.dim, H.comult, H.counit,
+                         left_action=H.alg.mult, right_action=H.alg.mult)
+    for X in (C_F, C_F.reflect("op"), bi):
+        A = dualize(X)
+        mult, unit, left, right = reference_dual_maps(X)
+        assert A.alg.mult == mult and A.alg.unit == unit
+        assert A.left_action == left and A.right_action == right
 
 
 def test_gauge_twisted_comult_matches_the_reference(field):

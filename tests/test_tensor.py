@@ -9,10 +9,11 @@ from quasihopf.fields import QQ, FpElement, PrimeField
 from quasihopf.fixtures import h2, kz2
 from quasihopf.tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
                               apply_linear_map, build_tensor_algebra,
-                              embed_legs, invert_element, multiply,
-                              switch_legs, unit_tensor)
+                              embed_legs, interleave, invert_element, multiply,
+                              swap_factors, switch_legs, unit_tensor)
 
-from tensor_case import naive_apply_linear_map, naive_multiply
+from tensor_case import (naive_apply_linear_map, naive_multiply, reference_compose,
+                         reference_interleave, reference_permute, reference_to_matrix)
 
 FP = PrimeField(10007)
 
@@ -417,6 +418,7 @@ def test_permute_agrees_with_switch_legs(case):
         assert by_src.column(moved) == m.column(idx)
         assert by_dst.column(idx) == switch_legs(m.column(idx), q)
         assert both.column(moved) == switch_legs(m.column(idx), q)
+    assert both == reference_permute(m, p, q)
 
 
 def test_permute_moves_target_spaces_and_rejects_bad_permutations():
@@ -430,6 +432,145 @@ def test_permute_moves_target_spaces_and_rejects_bad_permutations():
             m.permute(src=bad)
         with pytest.raises(ShapeMismatch):
             m.permute(dst=bad)
+
+
+# -- the tensor form of a linear map -------------------------------------------
+
+def sparse_tensors(field, dims):
+    """Up to six entries at random indices of ``dims``, some of them 0."""
+    coeff = st.tuples(st.sampled_from(SMALL_COEFFS[0]), st.sampled_from(SMALL_COEFFS[1]))
+    index = st.tuples(*[st.integers(0, d - 1) for d in dims])
+    return st.dictionaries(index, coeff, max_size=6).map(
+        lambda data: Tensor(field, dims, {k: field.div_int(n, d) for k, (n, d) in data.items()}))
+
+
+@st.composite
+def sparse_maps(draw, field=None, src=None):
+    """A map between random tensor powers, either of them possibly the
+    scalars (); some source basis vectors have an empty column, and the
+    target spaces are recorded or not."""
+    field = field or draw(st.sampled_from([QQ, FP]))
+    if src is None:
+        src = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    dst = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    cols = {idx: draw(sparse_tensors(field, dst)).data for idx in all_indices(src)}
+    spaces = draw(st.sampled_from([None, tuple("V%d" % k for k in range(len(dst)))]))
+    return LinMap(field, src, dst, cols, spaces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_maps())
+def test_tensor_form_roundtrip(m):
+    t = m.as_tensor()
+    assert t.dims == m.src + m.dst
+    assert len(t.data) == sum(len(img) for img in m.cols.values())
+    back = LinMap.from_tensor(t, len(m.src), m.dst_spaces)
+    assert back == m and back.dst_spaces == m.dst_spaces
+    for idx in all_indices(m.src):
+        assert back.column(idx) == m.column(idx)
+
+
+def test_tensor_form_of_maps_into_and_from_the_scalars():
+    H = h2(QQ)
+    eps = H.counit.as_tensor()
+    assert eps.dims == (2,) and LinMap.from_tensor(eps, 1) == H.counit
+    unit_map = LinMap.from_tensor(H.alg.unit, 0)
+    assert unit_map.src == () and unit_map.column(()) == H.alg.unit
+    zero = LinMap(QQ, (2, 3), (), {})
+    assert not zero.as_tensor().data and LinMap.from_tensor(zero.as_tensor(), 2) == zero
+
+
+@st.composite
+def paired_leg_cases(draw):
+    """A tensor, some of whose legs are fused (d1, d2) pairs, and those legs."""
+    field = draw(st.sampled_from([QQ, FP]))
+    d1, d2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(0, 3))
+    legs = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    dims = tuple(d1 * d2 if l in legs else draw(st.integers(1, 3)) for l in range(n))
+    return draw(sparse_tensors(field, dims)), tuple(sorted(legs)), d1, d2
+
+
+def split_switch_fuse(x, legs, d1, d2):
+    """Each listed leg split into its (d1, d2) pair, the pair switched
+    and fused back."""
+    split = x
+    for l in reversed(legs):
+        split = split.split(l, (d1, d2))
+    perm, groups = [], []
+    for l in range(x.arity):
+        k = len(perm)
+        perm += [k + 1, k] if l in legs else [k]
+        groups.append(list(range(k, len(perm))))
+    return switch_legs(split, perm).fuse(groups)
+
+
+@settings(max_examples=60, deadline=None)
+@given(paired_leg_cases())
+def test_swap_factors_is_split_switch_fuse_and_an_involution(case):
+    x, legs, d1, d2 = case
+    out = swap_factors(x, legs, d1, d2)
+    assert out == split_switch_fuse(x, legs, d1, d2)
+    assert swap_factors(out, legs, d2, d1) == x
+
+
+def test_swap_factors_rejects_a_leg_that_is_no_pair():
+    with pytest.raises(ShapeMismatch):
+        swap_factors(Tensor(QQ, (6, 5)), (1,), 2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_maps(), st.data())
+def test_to_matrix_and_from_matrix_are_inverse(m, data):
+    mat = m.to_matrix()
+    assert mat == reference_to_matrix(m)
+    assert LinMap.from_matrix(m.field, m.src, m.dst, mat) == m
+    field = m.field
+    rows, cols = len(mat), len(mat[0])
+    entries = data.draw(st.lists(st.sampled_from([0, 0, 1, -2, 5]),
+                                 min_size=rows * cols, max_size=rows * cols))
+    other = [[field.from_int(entries[r * cols + c]) for c in range(cols)] for r in range(rows)]
+    assert LinMap.from_matrix(field, m.src, m.dst, other).to_matrix() == other
+
+
+@st.composite
+def composable_maps(draw):
+    before = draw(sparse_maps())
+    return draw(sparse_maps(field=before.field, src=before.dst)), before
+
+
+@settings(max_examples=60, deadline=None)
+@given(composable_maps())
+def test_compose_matches_the_column_loop(case):
+    after, before = case
+    out = after.compose(before)
+    assert out == reference_compose(after, before)
+    assert out.dst_spaces == after.dst_spaces
+
+
+def test_compose_through_the_scalars():
+    # h -> eps(h) 1 passes through a map into the scalars and one out of them
+    H = h2(QQ)
+    unit_map = LinMap.from_tensor(H.alg.unit, 0)
+    assert unit_map.compose(H.counit) == reference_compose(unit_map, H.counit)
+    assert H.counit.compose(unit_map).column(()) == Tensor.scalar(QQ, QQ.one)
+    with pytest.raises(ShapeMismatch):
+        H.comult.compose(H.comult)
+
+
+@st.composite
+def interleave_cases(draw):
+    field = draw(st.sampled_from([QQ, FP]))
+    n = draw(st.integers(0, 3))
+    dx, dy = (tuple(draw(st.integers(1, 3)) for _ in range(n)) for _ in range(2))
+    return draw(sparse_tensors(field, dx)), draw(sparse_tensors(field, dy))
+
+
+@settings(max_examples=60, deadline=None)
+@given(interleave_cases())
+def test_interleave_matches_the_pair_loop(case):
+    x, y = case
+    assert interleave(x, y) == reference_interleave(x, y)
 
 
 # -- the leg-map kernel against the per-entry loop ------------------------------
