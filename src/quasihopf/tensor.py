@@ -32,6 +32,12 @@ def _check_same_field(a, b):
         raise ShapeMismatch("mixed scalar fields %r and %r" % (a.field, b.field))
 
 
+def _non_positive(what, dim):
+    if dim == 0:
+        return "zero-dimensional %s rejected" % what
+    return "%s of negative dimension %d rejected" % (what, dim)
+
+
 class Tensor:
     """Sparse element of a tensor power; no zero entries are stored."""
 
@@ -41,7 +47,7 @@ class Tensor:
         dims = tuple(dims)
         for d in dims:
             if d <= 0:
-                raise ShapeMismatch("zero-dimensional leg rejected")
+                raise ShapeMismatch(_non_positive("leg", d))
         self.field = field
         self.dims = dims
         self.data = {}
@@ -502,7 +508,7 @@ class VectorSpace:
 
     def __init__(self, field, dim: int, name: str = ""):
         if dim <= 0:
-            raise ShapeMismatch("zero-dimensional space rejected")
+            raise ShapeMismatch(_non_positive("space", dim))
         self.field = field
         self.dim = dim
         self.name = name
@@ -524,7 +530,7 @@ class FinAlgebra:
 
     def __init__(self, field, dim, mult: LinMap, unit: Tensor, name="", validate=True):
         if dim <= 0:
-            raise ShapeMismatch("zero-dimensional algebra rejected")
+            raise ShapeMismatch(_non_positive("algebra", dim))
         self.field = field
         self.dim = dim
         if mult.src != (dim, dim) or mult.dst != (dim,):
@@ -646,16 +652,55 @@ def embed_legs(spaces, x: Tensor, positions) -> Tensor:
     return switch_legs(out, inverse)
 
 
+def _leaves(t: Tensor, leg: int, raw):
+    """``t``'s entries on ``leg`` grouped by their indices on the other
+    legs: prefix -> {index on leg: raw scalar}."""
+    leaves = {}
+    for idx, v in t.data.items():
+        leaves.setdefault(idx[:leg] + idx[leg + 1:], {})[idx[leg]] = raw(v)
+    return leaves
+
+
+def _densest_leg(keys, dims, leaves):
+    """The leg of the multi-indices ``keys`` with the fewest leaves, i.e.
+    the most entries per leaf, the last one on a tie; ``leaves`` is the
+    number of leaves of the last leg.  Nothing is counted when that is
+    already as few as any leg could have."""
+    best = len(dims) - 1
+    most = max(dims)
+    if leaves * most < len(keys) + most:
+        return best
+    for leg in range(best):
+        count = len({k[:leg] + k[leg + 1:] for k in keys})
+        if count < leaves:
+            best, leaves = leg, count
+    return best
+
+
 def multiply(spaces, x: Tensor, y: Tensor) -> Tensor:
     """Componentwise product of two tensors over per-leg algebras.
 
-    The arithmetic runs on raw scalars (residues over F_p, Fractions over
-    Q): the products are summed per output index, and each sum is turned
-    back into a field value, reduced mod p once, at the end.  The entries
-    of ``y`` are walked as a prefix tree, one leg at a time, so the work
-    of a leg is shared by all entries of ``y`` that agree on the legs
-    before it.  Output indices are built as flat row-major ints and
-    unflattened once per output entry.
+    ``y`` is cut into leaves: its entries on one leg (the packed leg)
+    that agree on all other legs.  The leaves hang in a prefix tree over
+    the other legs, walked one leg at a time, so the work of a leg is
+    shared by all leaves that agree on the legs before it.  A walk
+    starts from an entry of ``x``, or over F_p from all entries of ``x``
+    that agree off the packed leg, and ends in (output prefix,
+    coefficient, leaf) terms, which the leaf combine adds up per output
+    prefix.  The arithmetic runs on raw scalars (see ``fields``), and
+    only the leaf combine differs by field:
+
+    * over F_p each leaf is packed once per call, for each basis index i
+      of ``x`` on the packed leg, into one int: the residues of e_i·leaf,
+      each reduced mod p once, in slots of ``width`` bits, one per basis
+      index of that leg (Kronecker substitution).  A term costs one
+      big-int multiply-add per entry of its group of ``x``, and each sum
+      is unpacked once at the end, one reduction mod p per output entry.
+      The width is derived from p and the operand sizes so that no slot
+      can spill.  The packed leg is the leg of ``y`` with the most
+      entries per leaf; each output index is built with it in place.
+    * over Q the packed leg is the last one, and every term is summed as
+      a ``Fraction`` per output index.
     """
     if x.dims != y.dims:
         raise ShapeMismatch("dims %r vs %r" % (x.dims, y.dims))
@@ -669,38 +714,96 @@ def multiply(spaces, x: Tensor, y: Tensor) -> Tensor:
     raw, from_raw = field.raw, field.from_raw
     if not spaces:
         return Tensor.scalar(field, from_raw(raw(x.get(())) * raw(y.get(()))))
-    # y as nested dicts j_0 -> j_1 -> ... -> raw scalar
-    tree = {}
-    for iy, vy in y.data.items():
-        node = tree
-        for j in iy[:-1]:
-            node = node.setdefault(j, {})
-        node[iy[-1]] = raw(vy)
+    out = Tensor(field, dims)
+    if not x.data or not y.data:
+        return out
+    p = field.characteristic
+    n = len(dims)
+    leg = n - 1
+    leaves = _leaves(y, leg, raw)
+    if p:
+        leg = _densest_leg(y.data, dims, len(leaves))
+        if leg != n - 1:
+            leaves = _leaves(y, leg, raw)
     rows = [s.rows for s in spaces]
-    last = len(spaces) - 1
-    dim_last = dims[last]
+    row_leg, d_leg = rows[leg], dims[leg]
+    if p:
+        # a slot sums at most one term per entry of x and leaf, each a
+        # walk coefficient (n - 1 residues) times the entry and a slot
+        width = (len(x.data) * len(leaves) * (p - 1) ** (n + 1)).bit_length()
+        groups, needed = {}, set()
+        for ix, vx in x.data.items():
+            i = ix[leg]
+            groups.setdefault(ix[:leg] + ix[leg + 1:], []).append((i, raw(vx)))
+            needed.add(i)
+        for prefix, leaf in leaves.items():
+            packs = [0] * d_leg
+            for i in needed:
+                row = row_leg[i]
+                slots = [0] * d_leg
+                for j, vy in leaf.items():
+                    for k, w in row[j]:
+                        slots[k] += vy * w
+                packed = 0
+                for slot in reversed(slots):
+                    packed = packed << width | slot % p
+                packs[i] = packed
+            leaves[prefix] = packs
+    else:
+        groups = x.data
+    if n == 1:
+        tree = leaves[()]
+    else:
+        tree = {}
+        for prefix, leaf in leaves.items():
+            node = tree
+            for j in prefix[:-1]:
+                node = node.setdefault(j, {})
+            node[prefix[-1]] = leaf
+    lead = list(range(n))
+    del lead[leg]
     acc = {}
     get = acc.get
-    for ix, vx in x.data.items():
-        level = [(0, raw(vx), tree)]
-        for leg in range(last):
-            row = rows[leg][ix[leg]]
-            d = dims[leg]
+    # over Q the groups are the entries of x: each walks on its own, from
+    # its value, along its index, whose last leg is the packed one
+    for prefix, u in groups.items():
+        level = [(0, 1 if p else raw(u), tree)]
+        for l, i in zip(lead, prefix):
+            row, d = rows[l][i], dims[l]
             level = [(flat * d + k, v * w, child) for flat, v, node in level
                      for j, child in node.items() for k, w in row[j]]
-        row = rows[last][ix[last]]
-        for flat, v, node in level:
-            flat *= dim_last
-            for j, vy in node.items():
-                for k, w in row[j]:
-                    key = flat + k
-                    acc[key] = get(key, 0) + v * w * vy
-    out = Tensor(field, dims)
+        if p:
+            for flat, v, packs in level:
+                for i, vx in u:
+                    acc[flat] = get(flat, 0) + v * vx * packs[i]
+        else:
+            row = row_leg[prefix[-1]]
+            for flat, v, leaf in level:
+                flat *= d_leg
+                for j, vy in leaf.items():
+                    for k, w in row[j]:
+                        key = flat + k
+                        acc[key] = get(key, 0) + v * w * vy
     data = out.data
-    for key, total in acc.items():
-        value = from_raw(total)
-        if value:
-            data[_unflatten(key, dims)] = value
+    if p:
+        mask = (1 << width) - 1
+        lead_dims = dims[:leg] + dims[leg + 1:]
+        for flat, total in acc.items():
+            head = _unflatten(flat, lead_dims)
+            before, after = head[:leg], head[leg:]
+            for k in range(d_leg):
+                slot = total & mask
+                if slot:
+                    value = from_raw(slot)
+                    if value:
+                        data[before + (k,) + after] = value
+                total >>= width
+            assert not total, "a slot spilled past the packed width"
+    else:
+        for key, total in acc.items():
+            value = from_raw(total)
+            if value:
+                data[_unflatten(key, dims)] = value
     return out
 
 

@@ -130,7 +130,8 @@ def test_non_positive_dimension_is_a_parse_error(tmp_path, capsys, dim, fixture,
     open(path, "w").write(io.canonical_dumps(payload))
     capsys.readouterr()
     assert run(["check", path]) == 2
-    assert capsys.readouterr().err == "parse error: [%s] zero-dimensional leg rejected\n" % kind
+    reason = ("zero-dimensional leg" if dim == 0 else "leg of negative dimension %d" % dim)
+    assert capsys.readouterr().err == "parse error: [%s] %s rejected\n" % (kind, reason)
 
 
 def test_stale_companion_hash_rejected(tmp_path):

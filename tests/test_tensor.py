@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from quasihopf.errors import NotInvertible, ShapeMismatch
 from quasihopf.fields import QQ, FpElement, PrimeField
 from quasihopf.fixtures import h2, kz2
-from quasihopf.tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
-                              apply_linear_map, build_tensor_algebra,
+from quasihopf.tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace, _densest_leg,
+                              all_indices, apply_linear_map, build_tensor_algebra,
                               embed_legs, interleave, invert_element, multiply,
                               swap_factors, switch_legs, unit_tensor)
 
@@ -73,6 +73,18 @@ def test_no_zero_entries_stored():
 def test_zero_dimensional_leg_rejected():
     with pytest.raises(ShapeMismatch):
         Tensor(QQ, (2, 0))
+
+
+def test_non_positive_dimensions_are_named():
+    # the dimension is checked before the structure maps are read
+    for dim, reason in ((0, "zero-dimensional %s rejected"),
+                        (-1, "%s of negative dimension -1 rejected")):
+        with pytest.raises(ShapeMismatch, match="^%s$" % (reason % "leg")):
+            Tensor(QQ, (2, dim))
+        with pytest.raises(ShapeMismatch, match="^%s$" % (reason % "space")):
+            VectorSpace(QQ, dim)
+        with pytest.raises(ShapeMismatch, match="^%s$" % (reason % "algebra")):
+            FinAlgebra(QQ, dim, None, None)
 
 
 def test_switch_legs_reindexes():
@@ -303,9 +315,14 @@ def field_tensors(field, dims, coeffs=SMALL_COEFFS):
                                         for k, (n, d) in zip(keys, cs)}))
 
 
+# a Mersenne prime: residues of 31 bits widen every slot of the packed
+# F_p kernel (small enough for the trial division of ``PrimeField``)
+BIG = PrimeField(2 ** 31 - 1)
+
+
 @st.composite
 def multiply_cases(draw):
-    field = draw(st.sampled_from([QQ, FP]))
+    field = draw(st.sampled_from([QQ, FP, BIG]))
     makers = draw(st.lists(st.sampled_from(LEG_ALGEBRAS), min_size=1, max_size=4))
     spaces = tuple(make(field) for make in makers)
     dims = tuple(s.dim for s in spaces)
@@ -360,6 +377,72 @@ def test_multiply_sums_cancel_to_zero(case):
     assert not naive_multiply(spaces, x, y).data
     out = multiply(spaces, x, y)
     assert out.data == {}
+
+
+@st.composite
+def padded_cases(draw):
+    """A dense three-leg tensor with a unit leg inserted, the shape of
+    ``embed_legs(Φ, (0, 1, 2))`` when the unit leg is last, so the leg with
+    the most entries per leaf is not the last one; and a tensor to
+    multiply it with."""
+    field = draw(st.sampled_from([QQ, FP, BIG]))
+    makers = draw(st.lists(st.sampled_from(LEG_ALGEBRAS), min_size=4, max_size=4))
+    spaces = tuple(make(field) for make in makers)
+    positions = draw(st.permutations(range(4)))[:3]
+    inner = tuple(spaces[l].dim for l in positions)
+    dense = ((1, -1, 2, -2, 3), (1, 3))
+    padded = embed_legs(spaces, draw(field_tensors(field, inner, dense)), positions)
+    other = draw(field_tensors(field, padded.dims))
+    return spaces, padded, other
+
+
+@settings(max_examples=60, deadline=None)
+@given(padded_cases())
+def test_multiply_with_a_padded_leg_matches_pair_loop(case):
+    spaces, padded, other = case
+    for x, y in ((other, padded), (padded, other), (padded, padded)):
+        out = multiply(spaces, x, y)
+        assert out == naive_multiply(spaces, x, y)
+        assert_clean(x.field, out)
+
+
+def test_densest_leg_moves_off_a_unit_padded_last_leg():
+    H = h2(FP)
+    sp4 = H.spaces(4)
+    for positions, leg in (((0, 1, 2), 0), ((1, 2, 3), 3), ((0, 2, 3), 3)):
+        y = embed_legs(sp4, H.reassoc, positions)
+        leaves = len({k[:-1] for k in y.data})
+        assert _densest_leg(y.data, y.dims, leaves) == leg
+    # a single entry has one leaf on every leg: nothing is counted
+    assert _densest_leg({(1, 0, 1): 1}, (2, 2, 2), 1) == 2
+
+
+def all_minus_one_algebra(field, dim):
+    """e_i e_j = -(e_0 + ... + e_{dim-1}) for all i, j: every structure
+    constant is p - 1 over F_p, and every product has every term.  It is
+    associative but has no unit, so it is not validated."""
+    minus = -field.one
+    table = {(i, j): {k: minus for k in range(dim)} for i in range(dim) for j in range(dim)}
+    return FinAlgebra.from_table(field, dim, table, [field.one] + [field.zero] * (dim - 1),
+                                 validate=False)
+
+
+@pytest.mark.parametrize("prime", [FP, BIG], ids=["fp10007", "mersenne31"])
+@pytest.mark.parametrize("lead_dims", [(), (2,), (3, 2), (2, 2, 2)])
+def test_multiply_worst_case_slot_sums(prime, lead_dims):
+    # every entry p - 1 and every lead-leg structure constant p - 1; on the
+    # packed leg (z2, constants 1) each slot of a packed leaf is p - 1, so
+    # every output slot sums |x| * leaves terms of (p - 1)^(n + 1), which is
+    # exactly the bound the slot width is derived from: any narrower slot
+    # spills into its neighbour
+    spaces = tuple(all_minus_one_algebra(prime, d) for d in lead_dims) + (z2_algebra(prime),)
+    dims = tuple(s.dim for s in spaces)
+    minus = -prime.one
+    x = Tensor(prime, dims, {k: minus for k in all_indices(dims)})
+    out = multiply(spaces, x, x)
+    assert out == naive_multiply(spaces, x, x)
+    assert len(out.data) == len(x.data)
+    assert_clean(prime, out)
 
 
 def test_multiply_noncommutative_leg(field):
@@ -665,6 +748,10 @@ def test_kernels_do_no_fp_element_arithmetic(monkeypatch):
     spaces = H.spaces(3)
     x = H.reassoc + H.reassoc_inv.scale(FP.from_int(-3))
     y = embed_legs(spaces, H.comult.column((1,)), (2, 0))
+    sp4 = H.spaces(4)
+    padded = embed_legs(sp4, x, (0, 1, 2))
+    other = embed_legs(sp4, x, (1, 2, 3)) + embed_legs(sp4, y, (3, 0, 1))
+    assert _densest_leg(padded.data, padded.dims, len(padded.data)) == 0
     calls = []
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         def counted(self, other, original=getattr(FpElement, name)):
@@ -673,12 +760,16 @@ def test_kernels_do_no_fp_element_arithmetic(monkeypatch):
         monkeypatch.setattr(FpElement, name, counted)
     assert multiply(spaces, x, y).data
     assert multiply(spaces, x, x).data
+    # the packed path with its leg moved off the unit-padded last leg
+    moved = multiply(sp4, other, padded)
     assert multiply((), Tensor.scalar(FP, FP.from_int(2)),
                     Tensor.scalar(FP, FP.from_int(3))).get(()) == 6
     assert apply_linear_map(H.comult, x, (1,), at=0).data
     assert apply_linear_map(H.counit, x, (2,)).data
     assert apply_linear_map(H.alg.mult, x, (2, 0)).data
     assert calls == []
+    monkeypatch.undo()
+    assert moved.data and moved == naive_multiply(sp4, other, padded)
 
 
 def test_leg_kernel_does_no_fraction_arithmetic(monkeypatch):
