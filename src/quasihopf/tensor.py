@@ -699,8 +699,9 @@ def multiply(spaces, x: Tensor, y: Tensor) -> Tensor:
       The width is derived from p and the operand sizes so that no slot
       can spill.  The packed leg is the leg of ``y`` with the most
       entries per leaf; each output index is built with it in place.
-    * over Q the packed leg is the last one, and every term is summed as
-      a ``Fraction`` per output index.
+    * over Q the packed leg is the last one, each entry of ``x`` walks on
+      its own, and every term is summed as a ``Fraction`` per output
+      index.
     """
     if x.dims != y.dims:
         raise ShapeMismatch("dims %r vs %r" % (x.dims, y.dims))
@@ -782,8 +783,10 @@ def multiply(spaces, x: Tensor, y: Tensor) -> Tensor:
                 flat *= d_leg
                 for j, vy in leaf.items():
                     for k, w in row[j]:
-                        key = flat + k
-                        acc[key] = get(key, 0) + v * w * vy
+                        key, term = flat + k, v * w * vy
+                        total = get(key)
+                        # the first term of a sum is stored, not added to 0
+                        acc[key] = term if total is None else total + term
     data = out.data
     if p:
         mask = (1 << width) - 1
