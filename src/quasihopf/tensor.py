@@ -688,7 +688,7 @@ def multiply(spaces, x: Tensor, y: Tensor) -> Tensor:
     that agree off the packed leg, and ends in (output prefix,
     coefficient, leaf) terms, which the leaf combine adds up per output
     prefix.  The arithmetic runs on raw scalars (see ``fields``), and
-    only the leaf combine differs by field:
+    only the starts of the walks and the leaf combine differ by field:
 
     * over F_p each leaf is packed once per call, for each basis index i
       of ``x`` on the packed leg, into one int: the residues of e_i·leaf,
