@@ -22,7 +22,7 @@ from .doihopf import (DoiHopfContext, adjunction_maps, compute_rat,
                       induce_doi_hopf, rational_check, to_smash_module,
                       trivial_module, verify_doi_hopf)
 from .errors import ParseError, QuasiHopfError, ShapeMismatch, UsageError
-from .fields import FieldError, field_from_tag
+from .fields import field_from_tag
 from .fixtures import regular_comodule_algebra
 from .hopf import (GaugeTransformation, QuasiHopfAlgebra, drinfeld_twist,
                    gauge_twist, op_tensor, variant, verify_quasi_hopf)
@@ -41,7 +41,7 @@ from .yd import (YetterDrinfeldContext, doihopf_to_yd, induce_yd, verify_yd,
 def _field_from_flag(flag: str):
     try:
         return field_from_tag(flag)
-    except FieldError as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -169,9 +169,7 @@ def _emit_over_base(base, out, values):
 
 def cmd_twist(args):
     value = io.parse(args.file)
-    gauge = io.parse(args.gauge)
-    if not isinstance(gauge, GaugeTransformation):
-        raise UsageError("--gauge must point at a gauge file")
+    gauge = _load(args.gauge, GaugeTransformation)
     emitted = []
     if isinstance(value, QuasiHopfAlgebra):
         twisted = gauge_twist(value, gauge)
@@ -196,9 +194,7 @@ def cmd_twist(args):
 
 
 def cmd_dtwist(args):
-    value = io.parse(args.file)
-    if not isinstance(value, QuasiHopfAlgebra):
-        raise UsageError("dtwist needs a quasi-Hopf structure file")
+    value = _load(args.file, QuasiHopfAlgebra)
     twist = drinfeld_twist(value)
     report = CheckReport("canonical gauge of %s" % (value.name or args.file))
     spaces = value.spaces(2)
@@ -222,44 +218,48 @@ def cmd_dtwist(args):
     return _finish(args, [report], emitted)
 
 
-def _load_coalgebra(path) -> ModuleCoalgebra:
+def _load(path, cls, default=None):
+    """The value in the structure file at ``path``, which must be a
+    ``cls``; ``default()`` when no path is given and there is a default."""
+    kind = dict(io.KINDS)[cls]
+    if not path:
+        if default is None:
+            raise UsageError("a %s file is required" % kind)
+        return default()
     value = io.parse(path)
-    if not isinstance(value, ModuleCoalgebra):
-        raise UsageError("%s is not a module-coalgebra file" % path)
+    if not isinstance(value, cls):
+        raise UsageError("%s is not a %s file" % (path, kind))
     return value
 
 
-def _load_bicomodule(path) -> BicomoduleAlgebra:
-    value = io.parse(path)
-    if not isinstance(value, BicomoduleAlgebra):
-        raise UsageError("%s is not a bicomodule-algebra file" % path)
-    return value
+def _load_comodule(path, C, side):
+    """The comodule algebra at ``path``, or else the regular one on
+    ``side`` over the base of ``C``."""
+    return _load(path, ComoduleAlgebra, lambda: regular_comodule_algebra(C.H, side))
 
 
 def cmd_build(args):
     emitted = []
     if args.what == "smash":
-        C = _load_coalgebra(args.coalgebra)
+        C = _load(args.coalgebra, ModuleCoalgebra)
         if C.side != "right":
             raise UsageError("smash expects a right module coalgebra")
-        B = io.parse(args.comodule) if args.comodule else \
-            regular_comodule_algebra(C.H, "left")
+        B = _load_comodule(args.comodule, C, "left")
         product = generalized_smash(dualize(C), B)
     elif args.what == "rsmash":
-        A = _load_bicomodule(args.bicomodule)
-        C = _load_coalgebra(args.coalgebra)
+        A = _load(args.bicomodule, BicomoduleAlgebra)
+        C = _load(args.coalgebra, ModuleCoalgebra)
         square = op_tensor(A.H)
         chosen = right_realization(A, args.realization, square)
         over = bimodule_to_op_tensor_module_coalgebra(C, base=square)
         product = right_generalized_smash(chosen, dualize(over))
     elif args.what == "koppinen":
-        C = _load_coalgebra(args.coalgebra)
-        B = io.parse(args.comodule) if args.comodule else \
-            regular_comodule_algebra(C.H, "left")
+        C = _load(args.coalgebra, ModuleCoalgebra)
+        B = _load_comodule(args.comodule, C, "left")
         product = koppinen_smash(C, B)
     elif args.what == "diagonal":
-        A = _load_bicomodule(args.bicomodule)
-        C = _load_coalgebra(args.coalgebra)
+        A = _load(args.bicomodule, BicomoduleAlgebra)
+        C = _load(args.coalgebra, ModuleCoalgebra)
         product = diagonal_crossed_product(A, dualize(C), args.kind)
     elif args.what == "coring":
         return _build_coring(args)
@@ -275,20 +275,18 @@ def cmd_build(args):
 def _build_coring(args):
     kind = args.kind
     if kind == "BC":
-        C = _load_coalgebra(args.coalgebra)
-        B = io.parse(args.comodule) if args.comodule else \
-            regular_comodule_algebra(C.H, "left")
+        C = _load(args.coalgebra, ModuleCoalgebra)
+        B = _load_comodule(args.comodule, C, "left")
         coring = build_coring("BC", B=B, C=C)
     elif kind == "CA":
-        C = _load_coalgebra(args.coalgebra)
+        C = _load(args.coalgebra, ModuleCoalgebra)
         if C.side != "left":
             raise UsageError("the CA coring expects a left module coalgebra")
-        A = io.parse(args.comodule) if args.comodule else \
-            regular_comodule_algebra(C.H, "right")
+        A = _load_comodule(args.comodule, C, "right")
         coring = build_coring("CA", A=A, C=C)
     elif kind == "YD":
-        A = _load_bicomodule(args.bicomodule)
-        C = _load_coalgebra(args.coalgebra)
+        A = _load(args.bicomodule, BicomoduleAlgebra)
+        C = _load(args.coalgebra, ModuleCoalgebra)
         coring = build_coring("YD", A=A, C=C)
     else:
         raise UsageError("coring kind must be BC, CA or YD")
@@ -323,7 +321,7 @@ def cmd_convert(args):
             raise UsageError("cannot take a variant of %r" % (value,))
         return _finish(args, [report], emitted)
     if args.what == "bicomodule-r1r2":
-        A = _load_bicomodule(args.input)
+        A = _load(args.input, BicomoduleAlgebra)
         first, second, base = bicomodule_to_right_op_tensor(A)
         _, search = realization_twist_witness(A, first, second)
         reports = [verify_comodule_algebra(first),
@@ -335,8 +333,8 @@ def cmd_convert(args):
                                         (stem + "-r2" + io.SUFFIX, second)])
         return _finish(args, reports, emitted)
     if args.what in ("yd2dh", "dh2yd"):
-        A = _load_bicomodule(args.bicomodule)
-        C = _load_coalgebra(args.coalgebra)
+        A = _load(args.bicomodule, BicomoduleAlgebra)
+        C = _load(args.coalgebra, ModuleCoalgebra)
         ctx = YetterDrinfeldContext(A, C)
         seed = trivial_module(ctx.doihopf)
         if args.what == "yd2dh":
@@ -359,18 +357,18 @@ def _sweep_coactions(report, check_id, got, want):
 def cmd_verify(args):
     suite = args.suite
     if suite == "iso-2.9":
-        C = _load_coalgebra(args.C)
+        C = _load(args.C, ModuleCoalgebra)
         _, _, source, target, report = phi_isomorphism(C)
         reports = [report, verify_product_algebra(source),
                    verify_product_algebra(target)]
         return _finish(args, reports)
     if suite == "prop-3.10":
-        A = _load_bicomodule(args.A)
-        C = _load_coalgebra(args.C)
+        A = _load(args.A, BicomoduleAlgebra)
+        C = _load(args.C, ModuleCoalgebra)
         return _finish(args, [check_prop_3_10(A, C)])
     if suite == "roundtrip-3.8":
-        A = _load_bicomodule(args.A)
-        C = _load_coalgebra(args.C)
+        A = _load(args.A, BicomoduleAlgebra)
+        C = _load(args.C, ModuleCoalgebra)
         ctx = YetterDrinfeldContext(A, C)
         seed = trivial_module(ctx.doihopf)
         M = induce_yd(seed, ctx)
@@ -385,8 +383,8 @@ def cmd_verify(args):
                          yd_to_doihopf(back, ctx), forward)
         return _finish(args, [report])
     if suite == "rat-2.5":
-        C = _load_coalgebra(args.C)
-        B = io.parse(args.B) if args.B else regular_comodule_algebra(C.H, "left")
+        C = _load(args.C, ModuleCoalgebra)
+        B = _load_comodule(args.B, C, "left")
         ctx = DoiHopfContext("right-left", B, C)
         M = induce_doi_hopf(trivial_module(ctx), ctx)
         collapsed, smash = to_smash_module(M, ctx)
@@ -396,8 +394,8 @@ def cmd_verify(args):
         report.extend(rat_report, prefix="rat:")
         return _finish(args, [report])
     if suite == "adjunction-2.2":
-        C = _load_coalgebra(args.C)
-        B = io.parse(args.B) if args.B else regular_comodule_algebra(C.H, "left")
+        C = _load(args.C, ModuleCoalgebra)
+        B = _load_comodule(args.B, C, "left")
         ctx = DoiHopfContext("right-left", B, C)
         N = trivial_module(ctx)
         M = induce_doi_hopf(N, ctx)

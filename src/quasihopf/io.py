@@ -5,6 +5,10 @@ Coefficients are decimal integers or "num/den" strings over the
 rationals, residue integers over a prime field (the file then carries
 {"fp": p} as its field descriptor).  Canonical bytes sort all indices
 and keys, so emit-parse round-trips are byte-identical.
+
+Each kind's keys, their leg dims and the arity of each map are stated
+once, in ``LAYOUTS``; ``emit_value`` writes and ``parse`` reads every
+kind by walking that table, so the two cannot drift apart.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 
 from .comodule import BicomoduleAlgebra, ComoduleAlgebra
 from .errors import HashMismatch, ParseError, ShapeMismatch
-from .fields import QQ, FieldError, FpElement, PrimeField, field_from_tag
+from .fields import QQ, FpElement, PrimeField, field_from_tag
 from .hopf import GaugeTransformation, QuasiHopfAlgebra
 from .modcoalg import ModuleCoalgebra
 from .smash import ProductAlgebra
@@ -25,6 +29,37 @@ from .tensor import FinAlgebra, LinMap, Tensor
 FORMAT = "qha.v1"
 SUFFIX = ".qha.json"
 
+# The keys of a structure in reading order, as (key, legs, source legs).
+# The key is the attribute of the value and the keyword of its
+# constructor.  Legs spell the leg dims, "d" for the carrier dim and "h"
+# for the base dim, or map each side to them; a side left out has no
+# such key.  Source legs count the legs a map takes, None for an element.
+ALGEBRA = (("mult", "ddd", 2), ("unit", "d", None))
+LAYOUTS = {
+    "quasi-hopf": ("algebra", (
+        ("comult", "ddd", 1), ("counit", "d", 1),
+        ("reassoc", "ddd", None), ("reassoc_inv", "ddd", None),
+        ("antipode", "dd", 1), ("alpha", "d", None), ("beta", "d", None))),
+    "comodule-algebra": ("algebra", (
+        ("coaction", {"left": "dhd", "right": "ddh"}, 1),
+        ("reassoc", {"left": "hhd", "right": "dhh"}, None),
+        ("reassoc_inv", {"left": "hhd", "right": "dhh"}, None))),
+    "bicomodule-algebra": ("algebra", (
+        ("left_coaction", "dhd", 1), ("right_coaction", "ddh", 1),
+        ("reassoc_left", "hhd", None), ("reassoc_right", "dhh", None),
+        ("reassoc_mixed", "hdh", None), ("reassoc_left_inv", "hhd", None),
+        ("reassoc_right_inv", "dhh", None), ("reassoc_mixed_inv", "hdh", None))),
+    "module-coalgebra": ("dim", (
+        ("comult", "ddd", 1), ("counit", "d", 1),
+        ("left_action", {"left": "hdd", "bi": "hdd"}, 2),
+        ("right_action", {"right": "dhd", "bi": "dhd"}, 2))),
+}
+# the kind of each class of value, in the order emit_value tries them
+KINDS = ((QuasiHopfAlgebra, "quasi-hopf"), (ComoduleAlgebra, "comodule-algebra"),
+         (BicomoduleAlgebra, "bicomodule-algebra"), (ModuleCoalgebra, "module-coalgebra"),
+         (GaugeTransformation, "gauge"), (ProductAlgebra, "product-algebra"))
+_CLASSES = {kind: cls for cls, kind in KINDS}
+
 
 def canonical_dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
@@ -32,12 +67,6 @@ def canonical_dumps(payload: dict) -> str:
 
 def content_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _field_tag(field):
-    if field.characteristic == 0:
-        return "q"
-    return {"fp": field.characteristic}
 
 
 def _tensor_rows(field, t: Tensor):
@@ -59,13 +88,50 @@ def side_rows(value):
     return value
 
 
+def _sides(keys):
+    return {side for _, legs, _ in keys if isinstance(legs, dict) for side in legs}
+
+
+def _legs(legs, side):
+    return legs.get(side) if isinstance(legs, dict) else legs
+
+
+def _rows_of(field, value, keys, side=None) -> dict:
+    """The rows of each of ``keys`` that ``value`` has on ``side``."""
+    out = {}
+    for key, legs, n_src in keys:
+        if _legs(legs, side) is not None:
+            t = getattr(value, key)
+            out[key] = _tensor_rows(field, t if n_src is None else t.as_tensor())
+    return out
+
+
+def _read(payload, key, where, cast=None):
+    """``payload[key]``, through ``cast`` if given; a missing key, or a
+    value that ``cast`` rejects, is a ParseError."""
+    try:
+        value = payload[key]
+    except (KeyError, TypeError) as exc:
+        raise ParseError("missing key %r" % (key,), where=where) from exc
+    if cast is None:
+        return value
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError("bad %s %r: %s" % (key, value, exc), where=where) from exc
+
+
+def _ints(values):
+    return tuple(int(v) for v in values)
+
+
 def _parse_row(field, row, dims, where):
     """The index tuple and the coefficient of one row, the index checked
     against ``dims``."""
     try:
         idx = tuple(int(i) for i in row[:-1])
         value = field.parse(str(row[-1]))
-    except (FieldError, ValueError, TypeError, IndexError) as exc:
+    except (ValueError, TypeError, IndexError) as exc:
         raise ParseError(str(exc), where=where) from exc
     if len(idx) != len(dims):
         raise ParseError("row %r has wrong index count" % (row,), where=where)
@@ -76,6 +142,8 @@ def _parse_row(field, row, dims, where):
 
 
 def _tensor_from_rows(field, dims, rows, where):
+    if not isinstance(rows, list):
+        raise ParseError("rows %r are not a list" % (rows,), where=where)
     data = dict(_parse_row(field, row, dims, where) for row in rows)
     try:
         return Tensor(field, dims, data)
@@ -83,155 +151,27 @@ def _tensor_from_rows(field, dims, rows, where):
         raise ParseError(str(exc), where=where) from exc
 
 
+def _read_keys(field, payload, keys, d, h, side, where) -> dict:
+    """The value of each of ``keys`` on ``side``, read in order."""
+    out = {}
+    for key, legs, n_src in keys:
+        legs = _legs(legs, side)
+        if legs is not None:
+            dims = tuple(d if leg == "d" else h for leg in legs)
+            t = _tensor_from_rows(field, dims, _read(payload, key, where), where)
+            out[key] = t if n_src is None else LinMap.from_tensor(t, n_src)
+    return out
+
+
 def _alg_payload(field, alg: FinAlgebra):
-    return {
-        "dim": alg.dim,
-        "mult": _tensor_rows(field, alg.mult.as_tensor()),
-        "unit": _tensor_rows(field, alg.unit),
-    }
+    return dict(_rows_of(field, alg, ALGEBRA), dim=alg.dim)
 
 
-def _alg_from_payload(field, payload, where):
-    dim = int(payload["dim"])
-    mult = LinMap.from_tensor(_tensor_from_rows(field, (dim,) * 3, payload["mult"], where), 2)
-    unit = _tensor_from_rows(field, (dim,), payload["unit"], where)
-    return FinAlgebra(field, dim, mult, unit, validate=False)
-
-
-def quasi_hopf_payload(H: QuasiHopfAlgebra, name="") -> dict:
-    field = H.field
-    d = H.dim
-    payload = {
-        "format": FORMAT,
-        "kind": "quasi-hopf",
-        "field": _field_tag(field),
-        "name": name or H.name or "",
-        "basis": ["e%d" % i for i in range(d)],
-        "algebra": _alg_payload(field, H.alg),
-        "comult": _tensor_rows(field, H.comult.as_tensor()),
-        "counit": _tensor_rows(field, H.counit.as_tensor()),
-        "reassoc": _tensor_rows(field, H.reassoc),
-        "reassoc_inv": _tensor_rows(field, H.reassoc_inv),
-        "antipode": _tensor_rows(field, H.antipode.as_tensor()),
-        "alpha": _tensor_rows(field, H.alpha),
-        "beta": _tensor_rows(field, H.beta),
-    }
-    return payload
-
-
-def _quasi_hopf_from_payload(payload, where):
-    field = field_from_tag(payload["field"])
-    alg = _alg_from_payload(field, payload["algebra"], where)
-    d = alg.dim
-    comult = LinMap.from_tensor(_tensor_from_rows(field, (d,) * 3, payload["comult"], where), 1)
-    counit = LinMap.from_tensor(_tensor_from_rows(field, (d,), payload["counit"], where), 1)
-    reassoc = _tensor_from_rows(field, (d, d, d), payload["reassoc"], where)
-    reassoc_inv = _tensor_from_rows(field, (d, d, d), payload["reassoc_inv"], where)
-    antipode = LinMap.from_tensor(_tensor_from_rows(field, (d, d), payload["antipode"], where), 1)
-    alpha = _tensor_from_rows(field, (d,), payload["alpha"], where)
-    beta = _tensor_from_rows(field, (d,), payload["beta"], where)
-    return QuasiHopfAlgebra(alg, comult, counit, reassoc, antipode, alpha, beta,
-                            reassoc_inv=reassoc_inv,
-                            name=payload.get("name", ""))
-
-
-def gauge_payload(F: GaugeTransformation, name="", companion=None) -> dict:
-    field = F.H.field
-    payload = {
-        "format": FORMAT,
-        "kind": "gauge",
-        "field": _field_tag(field),
-        "name": name,
-        "dims": list(F.t.dims),
-        "gauge": _tensor_rows(field, F.t),
-        "gauge_inv": _tensor_rows(field, F.inv),
-    }
-    if companion:
-        payload["companions"] = companion
-    return payload
-
-
-def comodule_algebra_payload(X: ComoduleAlgebra, base_ref: dict, name="") -> dict:
-    field = X.field
-    return {
-        "format": FORMAT,
-        "kind": "comodule-algebra",
-        "side": X.side,
-        "field": _field_tag(field),
-        "name": name or X.name or "",
-        "algebra": _alg_payload(field, X.alg),
-        "coaction": _tensor_rows(field, X.coaction.as_tensor()),
-        "reassoc": _tensor_rows(field, X.reassoc),
-        "reassoc_inv": _tensor_rows(field, X.reassoc_inv),
-        "companions": {"base": base_ref},
-    }
-
-
-def bicomodule_algebra_payload(X: BicomoduleAlgebra, base_ref: dict, name="") -> dict:
-    field = X.field
-    return {
-        "format": FORMAT,
-        "kind": "bicomodule-algebra",
-        "field": _field_tag(field),
-        "name": name or X.name or "",
-        "algebra": _alg_payload(field, X.alg),
-        "left_coaction": _tensor_rows(field, X.left_coaction.as_tensor()),
-        "right_coaction": _tensor_rows(field, X.right_coaction.as_tensor()),
-        "reassoc_left": _tensor_rows(field, X.reassoc_left),
-        "reassoc_right": _tensor_rows(field, X.reassoc_right),
-        "reassoc_mixed": _tensor_rows(field, X.reassoc_mixed),
-        "reassoc_left_inv": _tensor_rows(field, X.reassoc_left_inv),
-        "reassoc_right_inv": _tensor_rows(field, X.reassoc_right_inv),
-        "reassoc_mixed_inv": _tensor_rows(field, X.reassoc_mixed_inv),
-        "companions": {"base": base_ref},
-    }
-
-
-def module_coalgebra_payload(C: ModuleCoalgebra, base_ref: dict, name="") -> dict:
-    field = C.field
-    payload = {
-        "format": FORMAT,
-        "kind": "module-coalgebra",
-        "side": C.side,
-        "field": _field_tag(field),
-        "name": name or C.name or "",
-        "dim": C.dim,
-        "comult": _tensor_rows(field, C.comult.as_tensor()),
-        "counit": _tensor_rows(field, C.counit.as_tensor()),
-        "companions": {"base": base_ref},
-    }
-    if C.left_action is not None:
-        payload["left_action"] = _tensor_rows(field, C.left_action.as_tensor())
-    if C.right_action is not None:
-        payload["right_action"] = _tensor_rows(field, C.right_action.as_tensor())
-    return payload
-
-
-def product_algebra_payload(P: ProductAlgebra, name="") -> dict:
-    field = P.field
-    return {
-        "format": FORMAT,
-        "kind": "product-algebra",
-        "field": _field_tag(field),
-        "name": name or P.provenance,
-        "factors": list(P.factor_dims),
-        "algebra": _alg_payload(field, P.carrier),
-    }
-
-
-def write_payload(payload: dict, path: str) -> str:
-    text = canonical_dumps(payload)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return content_hash(text)
-
-
-def file_reference(path: str, relative_to: str = None) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    rel = os.path.basename(path) if relative_to is None else \
-        os.path.relpath(path, relative_to)
-    return {"path": rel, "sha256": content_hash(text)}
+def _read_algebra(field, payload, where) -> FinAlgebra:
+    payload = _read(payload, "algebra", where)
+    dim = _read(payload, "dim", where, int)
+    return FinAlgebra(field, dim, validate=False,
+                      **_read_keys(field, payload, ALGEBRA, dim, dim, None, where))
 
 
 def load_payload(path: str) -> dict:
@@ -249,19 +189,19 @@ def load_payload(path: str) -> dict:
     return payload
 
 
-def _resolve_companion(payload, path, key="base"):
-    ref = (payload.get("companions") or {}).get(key)
+def _resolve_companion(payload, path):
+    ref = (payload.get("companions") or {}).get("base")
     if ref is None:
-        raise ParseError("missing companion reference %r" % key, path=path)
-    base_path = os.path.join(os.path.dirname(os.path.abspath(path)), ref["path"])
+        raise ParseError("missing companion reference 'base'", path=path)
+    rel = _read(ref, "path", "companions", str)
+    base_path = os.path.join(os.path.dirname(os.path.abspath(path)), rel)
     try:
         with open(base_path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise HashMismatch("companion %r not found" % ref["path"], path=path) from exc
+        raise HashMismatch("companion %r not found" % rel, path=path) from exc
     if content_hash(text) != ref.get("sha256"):
-        raise HashMismatch("companion %r content hash differs" % ref["path"],
-                           path=path)
+        raise HashMismatch("companion %r content hash differs" % rel, path=path)
     return base_path
 
 
@@ -274,72 +214,41 @@ def parse(path: str):
     """
     payload = load_payload(path)
     kind = payload.get("kind")
-    where = kind or "?"
-    if kind == "quasi-hopf":
-        return _quasi_hopf_from_payload(payload, where)
-    field = field_from_tag(payload["field"])
+    if kind not in _CLASSES:
+        raise ParseError("unknown kind %r" % (kind,), path=path)
+    field = _read(payload, "field", kind, field_from_tag)
     if kind == "gauge":
         base = parse(_resolve_companion(payload, path)) if \
             (payload.get("companions") or {}).get("base") else None
-        dims = tuple(int(x) for x in payload["dims"])
-        t = _tensor_from_rows(field, dims, payload["gauge"], where)
-        inv = _tensor_from_rows(field, dims, payload["gauge_inv"], where)
+        dims = _read(payload, "dims", kind, _ints)
+        t, inv = (_tensor_from_rows(field, dims, _read(payload, key, kind), kind)
+                  for key in ("gauge", "gauge_inv"))
         if base is None:
             raise ParseError("gauge file needs its base companion", path=path)
         return GaugeTransformation(base, t, inv)
-    if kind == "comodule-algebra":
-        base = parse(_resolve_companion(payload, path))
-        alg = _alg_from_payload(field, payload["algebra"], where)
-        d, dh = alg.dim, base.dim
-        side = payload.get("side")
-        dst = (d, dh) if side == "right" else (dh, d)
-        re_dims = (d, dh, dh) if side == "right" else (dh, dh, d)
-        coaction = LinMap.from_tensor(
-            _tensor_from_rows(field, (d,) + dst, payload["coaction"], where), 1)
-        reassoc = _tensor_from_rows(field, re_dims, payload["reassoc"], where)
-        reassoc_inv = _tensor_from_rows(field, re_dims, payload["reassoc_inv"], where)
-        return ComoduleAlgebra(base, side, alg, coaction, reassoc, reassoc_inv,
-                               name=payload.get("name", ""))
-    if kind == "bicomodule-algebra":
-        base = parse(_resolve_companion(payload, path))
-        alg = _alg_from_payload(field, payload["algebra"], where)
-        d, dh = alg.dim, base.dim
-        lam = LinMap.from_tensor(
-            _tensor_from_rows(field, (d, dh, d), payload["left_coaction"], where), 1)
-        rho = LinMap.from_tensor(
-            _tensor_from_rows(field, (d, d, dh), payload["right_coaction"], where), 1)
-        return BicomoduleAlgebra(
-            base, alg, lam, rho,
-            _tensor_from_rows(field, (dh, dh, d), payload["reassoc_left"], where),
-            _tensor_from_rows(field, (d, dh, dh), payload["reassoc_right"], where),
-            _tensor_from_rows(field, (dh, d, dh), payload["reassoc_mixed"], where),
-            _tensor_from_rows(field, (dh, dh, d), payload["reassoc_left_inv"], where),
-            _tensor_from_rows(field, (d, dh, dh), payload["reassoc_right_inv"], where),
-            _tensor_from_rows(field, (dh, d, dh), payload["reassoc_mixed_inv"], where),
-            name=payload.get("name", ""))
-    if kind == "module-coalgebra":
-        base = parse(_resolve_companion(payload, path))
-        d = int(payload["dim"])
-        dh = base.dim
-        side = payload.get("side")
-        comult = LinMap.from_tensor(
-            _tensor_from_rows(field, (d,) * 3, payload["comult"], where), 1)
-        counit = LinMap.from_tensor(_tensor_from_rows(field, (d,), payload["counit"], where), 1)
-        left = right = None
-        if "left_action" in payload:
-            left = LinMap.from_tensor(
-                _tensor_from_rows(field, (dh, d, d), payload["left_action"], where), 2)
-        if "right_action" in payload:
-            right = LinMap.from_tensor(
-                _tensor_from_rows(field, (d, dh, d), payload["right_action"], where), 2)
-        return ModuleCoalgebra(base, side, d, comult, counit,
-                               left_action=left, right_action=right,
-                               name=payload.get("name", ""))
     if kind == "product-algebra":
-        alg = _alg_from_payload(field, payload["algebra"], where)
-        factors = tuple(int(x) for x in payload.get("factors", (alg.dim, 1)))
+        alg = _read_algebra(field, payload, kind)
+        factors = _read(payload, "factors", kind, _ints) if "factors" in payload \
+            else (alg.dim, 1)
         return ProductAlgebra(alg, factors, payload.get("name", "product"))
-    raise ParseError("unknown kind %r" % (kind,), path=path)
+    carrier, keys = LAYOUTS[kind]
+    args = {"name": payload.get("name", "")}
+    if kind != "quasi-hopf":
+        args["H"] = parse(_resolve_companion(payload, path))
+    if carrier == "algebra":
+        args["alg"] = _read_algebra(field, payload, kind)
+        d = args["alg"].dim
+    else:
+        d = args["dim"] = _read(payload, "dim", kind, int)
+    side, sides = None, _sides(keys)
+    if sides:
+        side = args["side"] = payload.get("side")
+        if side not in sides:
+            raise ParseError("side %r is not one of %s" % (side, ", ".join(sorted(sides))),
+                             where=kind)
+    h = args["H"].dim if "H" in args else d
+    args.update(_read_keys(field, payload, keys, d, h, side, kind))
+    return _CLASSES[kind](**args)
 
 
 def emit_value(value, path: str, base_path: str = None) -> str:
@@ -348,20 +257,37 @@ def emit_value(value, path: str, base_path: str = None) -> str:
     Values that reference a base require ``base_path`` pointing at an
     already-emitted base file.
     """
-    if isinstance(value, QuasiHopfAlgebra):
-        return write_payload(quasi_hopf_payload(value), path)
-    if isinstance(value, ProductAlgebra):
-        return write_payload(product_algebra_payload(value), path)
-    if base_path is None:
-        raise ParseError("this kind of value needs a base_path companion")
-    if isinstance(value, GaugeTransformation):
-        ref = {"base": file_reference(base_path, os.path.dirname(path) or ".")}
-        return write_payload(gauge_payload(value, companion=ref), path)
-    ref = file_reference(base_path, os.path.dirname(path) or ".")
-    if isinstance(value, ComoduleAlgebra):
-        return write_payload(comodule_algebra_payload(value, ref), path)
-    if isinstance(value, BicomoduleAlgebra):
-        return write_payload(bicomodule_algebra_payload(value, ref), path)
-    if isinstance(value, ModuleCoalgebra):
-        return write_payload(module_coalgebra_payload(value, ref), path)
-    raise ParseError("cannot serialize %r" % (value,))
+    kind = next((k for cls, k in KINDS if isinstance(value, cls)), None)
+    if kind is None:
+        raise ParseError("cannot serialize %r" % (value,))
+    payload = {"format": FORMAT, "kind": kind}
+    if kind not in ("quasi-hopf", "product-algebra"):
+        if base_path is None:
+            raise ParseError("this kind of value needs a base_path companion")
+        with open(base_path, "r", encoding="utf-8") as fh:
+            payload["companions"] = {"base": {
+                "path": os.path.relpath(base_path, os.path.dirname(path) or "."),
+                "sha256": content_hash(fh.read())}}
+    field = value.H.field if kind == "gauge" else value.field
+    payload["field"] = {"fp": field.characteristic} if field.characteristic else "q"
+    if kind == "gauge":
+        payload.update(name="", dims=list(value.t.dims),
+                       gauge=_tensor_rows(field, value.t),
+                       gauge_inv=_tensor_rows(field, value.inv))
+    elif kind == "product-algebra":
+        payload.update(name=value.provenance, factors=list(value.factor_dims),
+                       algebra=_alg_payload(field, value.carrier))
+    else:
+        carrier, keys = LAYOUTS[kind]
+        payload["name"] = value.name or ""
+        payload[carrier] = _alg_payload(field, value.alg) if carrier == "algebra" \
+            else value.dim
+        if _sides(keys):
+            payload["side"] = value.side
+        if kind == "quasi-hopf":
+            payload["basis"] = ["e%d" % i for i in range(value.dim)]
+        payload.update(_rows_of(field, value, keys, getattr(value, "side", None)))
+    text = canonical_dumps(payload)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return content_hash(text)

@@ -158,7 +158,7 @@ def nullspace(field, matrix):
 def invert(field, matrix):
     """Exact matrix inverse; raises NotInvertible for singular input."""
     n = len(matrix)
-    aug = [matrix[i][:] + identity(field, n)[i] for i in range(n)]
+    aug = [row + unit for row, unit in zip(matrix, identity(field, n))]
     red, pivots = rref(field, aug)
     if pivots[:n] != list(range(n)):
         raise NotInvertible("singular matrix")

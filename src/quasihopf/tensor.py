@@ -65,10 +65,6 @@ class Tensor:
                 raise ShapeMismatch("index %r out of range for dims %r" % (idx, self.dims))
 
     @classmethod
-    def zero(cls, field, dims):
-        return cls(field, dims)
-
-    @classmethod
     def basis(cls, field, dims, idx):
         return cls(field, dims, {tuple(idx): field.one})
 
@@ -301,7 +297,7 @@ class LinMap:
     @classmethod
     def from_function(cls, field, src, dst, fn, dst_spaces=None):
         cols = {}
-        for idx in _all_indices(src):
+        for idx in all_indices(src):
             img = fn(idx)
             if isinstance(img, Tensor):
                 img = img.data
@@ -310,13 +306,17 @@ class LinMap:
 
     @classmethod
     def identity(cls, field, dims, spaces=None):
-        return cls(field, dims, dims, {idx: {idx: field.one} for idx in _all_indices(dims)},
+        return cls(field, dims, dims, {idx: {idx: field.one} for idx in all_indices(dims)},
                    dst_spaces=spaces)
 
     def rebind(self, dst_spaces) -> "LinMap":
-        """Copy with fresh target-space metadata; structure constructors
-        use this so shared maps are never mutated across structures."""
-        return LinMap(self.field, self.src, self.dst, self.cols, dst_spaces)
+        """The same map with fresh target-space metadata; structure
+        constructors use this so shared maps are never mutated across
+        structures.  ``cols`` and its raw form, once built, are shared, as
+        neither is changed after construction."""
+        out = LinMap(self.field, self.src, self.dst, dst_spaces=dst_spaces)
+        out.cols, out._raw = self.cols, self._raw
+        return out
 
     def permute(self, src=None, dst=None) -> "LinMap":
         """Re-index the source and/or target legs, each by a permutation
@@ -416,17 +416,11 @@ def _size(dims):
     return n
 
 
-def _all_indices(dims):
-    if not dims:
-        return [()]
+def all_indices(dims):
     out = [()]
     for d in dims:
         out = [idx + (i,) for idx in out for i in range(d)]
     return out
-
-
-def all_indices(dims):
-    return _all_indices(tuple(dims))
 
 
 def apply_linear_map(m: LinMap, x: Tensor, legs, at=None) -> Tensor:
@@ -821,7 +815,7 @@ def invert_element(spaces, x: Tensor) -> Tensor:
     # left-multiplication matrix of x
     lmat = linalg.zeros(field, n, n)
     strides = _strides(dims)
-    for j, idx in enumerate(_all_indices(dims)):
+    for j, idx in enumerate(all_indices(dims)):
         col = multiply(spaces, x, Tensor.basis(field, dims, idx))
         for out_idx, v in col.data.items():
             lmat[_flatten(out_idx, strides)][j] = v
@@ -903,15 +897,6 @@ class El:
     def perm(self, order) -> "El":
         order = tuple(order)
         return El(tuple(self.spaces[p] for p in order), switch_legs(self.t, order))
-
-    def scale(self, value) -> "El":
-        return El(self.spaces, self.t.scale(value))
-
-    def add(self, other: "El") -> "El":
-        return El(self.spaces, self.t + other.t)
-
-    def sub(self, other: "El") -> "El":
-        return El(self.spaces, self.t - other.t)
 
     def __eq__(self, other):
         if not isinstance(other, El):

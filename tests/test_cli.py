@@ -105,6 +105,42 @@ def test_out_of_range_tensor_row_is_a_parse_error(tmp_path, capsys, coefficient)
         " for (2, 2, 2)\n" % coefficient)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.pop("field"), "missing key 'field'"),
+    (lambda p: p.pop("algebra"), "missing key 'algebra'"),
+    (lambda p: p.pop("comult"), "missing key 'comult'"),
+    (lambda p: p.update(field={"fp": 9}), "bad field {'fp': 9}: 9 is not prime"),
+    (lambda p: p["algebra"].update(dim="two"), "bad dim 'two': "),
+    (lambda p: p.update(alpha=5), "rows 5 are not a list"),
+], ids=["no-field", "no-algebra", "no-comult", "fp9", "dim-two", "alpha-5"])
+def test_malformed_quasi_hopf_file_is_a_parse_error(tmp_path, capsys, edit, message):
+    path = str(tmp_path / ("h2" + io.SUFFIX))
+    io.emit_value(h2(QQ), path)
+    payload = json.load(open(path))
+    edit(payload)
+    open(path, "w").write(io.canonical_dumps(payload))
+    capsys.readouterr()
+    assert run(["check", path]) == 2
+    assert capsys.readouterr().err.startswith("parse error: [quasi-hopf] " + message)
+
+
+def test_loader_rejects_a_file_of_the_wrong_kind(tmp_path, capsys):
+    d = str(tmp_path)
+    assert run(["fixture", "emit", "c2", "--dir", d]) == 0
+    c2f, h2f = (os.path.join(d, name + io.SUFFIX) for name in ("c2", "h2"))
+    capsys.readouterr()
+    assert run(["build", "smash", "--coalgebra", c2f, "--comodule", h2f]) == 2
+    assert capsys.readouterr().err == \
+        "usage error: %s is not a comodule-algebra file\n" % h2f
+    assert run(["build", "smash"]) == 2
+    assert capsys.readouterr().err == "usage error: a module-coalgebra file is required\n"
+    # a comodule algebra of the right kind on the wrong side keeps its typed error
+    right = os.path.join(d, "right" + io.SUFFIX)
+    io.emit_value(regular_comodule_algebra(h2(QQ), "right"), right, base_path=h2f)
+    assert run(["build", "smash", "--coalgebra", c2f, "--comodule", right]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def _module_coalgebra_of_dim(payload, dim):
     payload["dim"] = dim
     for key in ("comult", "counit", "left_action", "right_action"):

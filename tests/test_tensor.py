@@ -283,6 +283,16 @@ def test_linmap_matrix_roundtrip():
     assert again == LinMap(QQ, m.src, m.dst, m.cols)
 
 
+def test_rebind_shares_columns(field):
+    # columns never change after construction, so a rebound map keeps the
+    # very same dicts and only its target spaces are new
+    H = h2(field)
+    m = LinMap(field, H.comult.src, H.comult.dst, H.comult.cols)
+    fresh = m.rebind((H.alg, H.alg))
+    assert fresh.cols is m.cols and fresh == m
+    assert fresh.dst_spaces == (H.alg, H.alg) and m.dst_spaces is None
+
+
 @settings(max_examples=40, deadline=None)
 @given(tensors((2, 3, 2)))
 def test_serialization_rows_roundtrip_any_tensor(x):
@@ -690,8 +700,9 @@ def test_apply_linear_map_matches_entry_loop(case):
 @settings(max_examples=40, deadline=None)
 @given(map_cases(), st.data())
 def test_derived_maps_apply_like_the_entry_loop(case, data):
-    # permute, rebind and compose build new maps, each with its own raw
-    # columns: none of them may read the cache of the map it came from
+    # permute and compose build new maps, each with its own raw columns:
+    # neither may read the cache of the map it came from; rebind keeps the
+    # same columns and so shares the cache
     m, x, legs = case
     field = m.field
     apply_linear_map(m, x, legs)  # fills m's cache first
@@ -705,10 +716,12 @@ def test_derived_maps_apply_like_the_entry_loop(case, data):
     by_src = m.permute(src=p)
     moved = tuple(legs[k] for k in p)
     assert apply_linear_map(by_src, x, moved, at=0) == apply_linear_map(m, x, legs, at=0)
-    for d, d_legs in ((by_src, moved), (m.permute(dst=q), legs), (m.rebind(None), legs),
-                      (after.compose(m), legs)):
+    for d, d_legs in ((by_src, moved), (m.permute(dst=q), legs), (after.compose(m), legs)):
         check_every_slot(d, x, d_legs)
         assert d._raw is not m._raw
+    rebound = m.rebind(None)
+    check_every_slot(rebound, x, legs)
+    assert rebound._raw is m._raw
 
 
 @st.composite
