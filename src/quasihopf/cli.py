@@ -9,6 +9,7 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -296,6 +297,8 @@ def _build_coring(args):
 def cmd_convert(args):
     emitted = []
     if args.what == "variant":
+        if not args.input:
+            raise UsageError("an --input file is required")
         value = io.parse(args.input)
         if isinstance(value, QuasiHopfAlgebra):
             out = variant(value, args.kind)
@@ -465,10 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call; parsing leaves it
+    unchanged, so every later call shares it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -11,7 +11,7 @@ from .hopf import (GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra,
                    drinfeld_twist, gauge_twist, op_tensor, tensor_op, variant)
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
-                     apply_linear_map, embed_legs, invert_element, multiply,
+                     apply_linear_map, invert_element, multiply,
                      swap_factors, switch_legs, unit_tensor)
 
 
@@ -133,16 +133,12 @@ def verify_comodule_algebra(X: ComoduleAlgebra) -> CheckReport:
                                                (counit_leg,)),
                               Tensor.basis(X.field, (alg.dim,), idx)))
 
-    sp4 = sp + (H.alg,) if X.side == "right" else (H.alg,) + sp
+    phi = H.el(H.reassoc)
     if X.side == "right":
-        lhs = El(sp4, embed_legs(sp4, H.reassoc, (1, 2, 3)))
-        lhs = lhs.mul(re.map(H.comult, 1))
-        lhs = lhs.mul(El(sp4, embed_legs(sp4, X.reassoc, (0, 1, 2))))
+        lhs = re.map(H.comult, 1).premul_embedded(phi, (1, 2, 3)).mul_embedded(re, (0, 1, 2))
         rhs = re.map(H.comult, 2).mul(re.map(X.coaction, 0))
     else:
-        lhs = El(sp4, embed_legs(sp4, X.reassoc, (1, 2, 3)))
-        lhs = lhs.mul(re.map(H.comult, 1))
-        lhs = lhs.mul(El(sp4, embed_legs(sp4, H.reassoc, (0, 1, 2))))
+        lhs = re.map(H.comult, 1).premul_embedded(re, (1, 2, 3)).mul_embedded(phi, (0, 1, 2))
         rhs = re.map(X.coaction, 2).mul(re.map(H.comult, 0))
     report.compare("reassoc-pentagon", lhs.t, rhs.t)
 
@@ -169,19 +165,18 @@ def twist_comodule_algebra(X: ComoduleAlgebra, V: TwistWitness) -> ComoduleAlgeb
 
     coaction = LinMap.from_function(X.field, (alg.dim,), X.coaction.dst, new_coaction,
                                     dst_spaces=X.coaction.dst_spaces)
-    sp = X.reassoc_spaces()
     re = X.re_el()
     re_inv = X.re_inv_el()
     if X.side == "right":
-        new_re = v.map(H.comult, 1).mul(re).mul(v_inv.map(X.coaction, 0)).mul(
-            El(sp, embed_legs(sp, V.inv, (0, 1))))
-        new_re_inv = El(sp, embed_legs(sp, V.t, (0, 1))).mul(
-            v.map(X.coaction, 0)).mul(re_inv).mul(v_inv.map(H.comult, 1))
+        new_re = v.map(H.comult, 1).mul(re).mul(v_inv.map(X.coaction, 0)).mul_embedded(
+            v_inv, (0, 1))
+        new_re_inv = v.map(X.coaction, 0).premul_embedded(v, (0, 1)).mul(re_inv).mul(
+            v_inv.map(H.comult, 1))
     else:
-        new_re = El(sp, embed_legs(sp, V.t, (1, 2))).mul(
-            v.map(X.coaction, 1)).mul(re).mul(v_inv.map(H.comult, 0))
+        new_re = v.map(X.coaction, 1).premul_embedded(v, (1, 2)).mul(re).mul(
+            v_inv.map(H.comult, 0))
         new_re_inv = v.map(H.comult, 0).mul(re_inv).mul(
-            v_inv.map(X.coaction, 1)).mul(El(sp, embed_legs(sp, V.inv, (1, 2))))
+            v_inv.map(X.coaction, 1)).mul_embedded(v_inv, (1, 2))
     return ComoduleAlgebra(H, X.side, alg, coaction, new_re.t, new_re_inv.t,
                            name=(X.name + "'") if X.name else "")
 
@@ -197,9 +192,8 @@ def gauge_twist_comodule_algebra(X: ComoduleAlgebra, F: GaugeTransformation):
     H = _require_antipode(X.H)
     H_f = gauge_twist(H, F)
     sp = X.reassoc_spaces()
-    one_f = embed_legs(sp, F.t, (1, 2))
-    new_re = multiply(sp, one_f, X.reassoc)
-    new_re_inv = multiply(sp, X.reassoc_inv, embed_legs(sp, F.inv, (1, 2)))
+    new_re = multiply(sp, F.t, X.reassoc, x_legs=(1, 2))
+    new_re_inv = multiply(sp, X.reassoc_inv, F.inv, y_legs=(1, 2))
     out = ComoduleAlgebra(H_f, "right", X.alg, X.coaction, new_re, new_re_inv,
                           name=(X.name + "_twisted") if X.name else "")
     return out, H_f
@@ -232,10 +226,9 @@ def comodule_variant(X: ComoduleAlgebra, kind: str) -> ComoduleAlgebra:
         coaction = LinMap.from_function(field, (alg.dim,), (alg.dim, Hq.dim), rho)
 
         def reassoc(phi_inv, f):
-            e = El(X.reassoc_spaces(), phi_inv).times(El(Hq.spaces(2), f))
-            e = e.merge(4, 1).merge(2, 0)        # f2 x2 ; f1 x1
-            e = e.map(S_inv, 1).map(S_inv, 2)
-            return e.perm((0, 2, 1)).t           # xB, S^-1(f2 x2), S^-1(f1 x1)
+            e = El(X.reassoc_spaces(), phi_inv).premul_embedded(El(Hq.spaces(2), f), (0, 1))
+            e = e.map(S_inv, 0).map(S_inv, 1)    # S^-1(f1 x1), S^-1(f2 x2), xB
+            return e.perm((2, 1, 0)).t           # xB, S^-1(f2 x2), S^-1(f1 x1)
 
         H_out = variant(Hq, "op")
         spaces = (alg, H_out.alg, H_out.alg)
@@ -293,12 +286,10 @@ def canonical_elements(X, verify: bool = True) -> CanonicalElements:
 
     p = q = q_right = None
     if right is not None:
-        q_right = right.re_el().times(alpha_el).merge(3, 2).map(S_inv, 2).merge(2, 1)
+        q_right = right.re_el().premul_embedded(alpha_el, (2,)).map(S_inv, 2).merge(2, 1)
     if left is not None:
-        pe = left.re_el().times(beta_el).merge(0, 3).map(S_inv, 0).merge(1, 0)
-        p = pe                                          # [H, B]
-        qe = left.re_inv_el().map(S, 0).times(alpha_el).merge(0, 3).merge(0, 1)
-        q = qe                                          # [H, B]
+        p = left.re_el().mul_embedded(beta_el, (0,)).map(S_inv, 0).merge(1, 0)  # [H, B]
+        q = left.re_inv_el().map(S, 0).mul_embedded(alpha_el, (0,)).merge(0, 1)  # [H, B]
     if not verify:
         return CanonicalElements(p=p, q=q, q_right=q_right, report=report)
     if left is not None:
@@ -310,49 +301,44 @@ def canonical_elements(X, verify: bool = True) -> CanonicalElements:
         def slides_p(idx):
             b = El.basis((alg,), idx)
             b3 = b.map(lam, 0).map(lam, 1)                     # b-1, b0-1, b00
-            return (b3.times(p).merge(1, 3).merge(2, 3).map(S_inv, 0).merge(1, 0).t,
-                    p.times(b).merge(1, 2).t)
+            return (b3.mul_embedded(p, (1, 2)).map(S_inv, 0).merge(1, 0).t,
+                    p.mul_embedded(b, (1,)).t)
 
         def slides_q(idx):
             b = El.basis((alg,), idx)
             b3 = b.map(lam, 0).map(lam, 1)
-            return (b3.times(q).map(S, 0).merge(3, 1).merge(0, 2).merge(2, 1).t,
-                    q.times(b).perm((0, 2, 1)).merge(1, 2).t)
+            return (b3.map(S, 0).premul_embedded(q, (1, 2)).merge(0, 1).t,
+                    q.premul_embedded(b, (1,)).t)
 
         basis = all_indices((alg.dim,))
         report.sweep("coaction-slides-through-p", basis, slides_p)
         report.sweep("coaction-slides-through-q", basis, slides_q)
 
-        e = q.map(lam, 1).times(p).merge(1, 3).merge(2, 3).map(S_inv, 0).merge(1, 0)
+        e = q.map(lam, 1).mul_embedded(p, (1, 2)).map(S_inv, 0).merge(1, 0)
         report.compare("q-then-p-cancels", e.t, unit2)
-        e = p.map(lam, 1).times(q).merge(3, 1).map(S, 0).merge(0, 2).merge(2, 1)
+        e = p.map(lam, 1).premul_embedded(q, (1, 2)).map(S, 0).merge(0, 1)
         report.compare("p-then-q-cancels", e.t, unit2)
 
         twist = drinfeld_twist(H)
         g_el = El(H.spaces(2), twist.inv)
         f_el = El(H.spaces(2), twist.t)
-        sp3 = (H.alg, H.alg, alg)
 
         # pentagon-type identity for p
-        lhs = left.re_inv_el().mul(p.map(lam, 1)).mul(p.embed(sp3, (1, 2)))
+        lhs = left.re_inv_el().mul(p.map(lam, 1)).mul_embedded(p, (1, 2))
         e = left.re_el().map(lam, 2)
         e = e.mul_embedded(p, (2, 3))
         e = e.map(H.comult, 2)
-        e = e.times(g_el)
-        e = e.merge(1, 6).map(S_inv, 1)
-        e = e.merge(0, 5).map(S_inv, 0)
+        e = e.mul_embedded(g_el, (0, 1)).map(S_inv, 1).map(S_inv, 0)
         rhs = e.merge(2, 1).merge(2, 0)
         report.compare("p-coherence", lhs.t, rhs.t)
 
         # pentagon-type identity for q
-        lhs = q.embed(sp3, (1, 2)).mul(q.map(lam, 1)).mul(left.re_el())
-        e = left.re_inv_el().map(lam, 2).times(q)
-        e = e.merge(4, 2).merge(4, 2)            # q1*L1 at 4, then qB*L2
+        lhs = q.map(lam, 1).premul_embedded(q, (1, 2)).mul(left.re_el())
+        e = left.re_inv_el().map(lam, 2).premul_embedded(q, (2, 3))  # q1*L1, qB*L2
         e = e.map(H.comult, 2)
-        e = e.times(f_el)
-        e = e.merge(5, 2).merge(5, 2)            # f1*D1, f2*D2
+        e = e.premul_embedded(f_el, (2, 3))      # f1*D1, f2*D2
         e = e.map(S, 0).map(S, 1)
-        e = e.merge(1, 3).merge(0, 3)
+        e = e.merge(1, 2).merge(0, 2)
         rhs = e.perm((1, 0, 2))
         report.compare("q-coherence", lhs.t, rhs.t)
 
@@ -453,17 +439,13 @@ def verify_bicomodule_algebra(A: BicomoduleAlgebra) -> CheckReport:
     left_el = El((H.alg, H.alg, alg), A.reassoc_left)
     right_el = El((alg, H.alg, H.alg), A.reassoc_right)
 
-    sp4 = (H.alg,) + sp
-    lhs = El(sp4, embed_legs(sp4, A.reassoc_mixed, (1, 2, 3)))
-    lhs = lhs.mul(mixed.map(A.left_coaction, 1))
-    lhs = lhs.mul(El(sp4, embed_legs(sp4, A.reassoc_left, (0, 1, 2))))
+    lhs = mixed.map(A.left_coaction, 1).premul_embedded(mixed, (1, 2, 3)).mul_embedded(
+        left_el, (0, 1, 2))
     rhs = left_el.map(A.right_coaction, 2).mul(mixed.map(H.comult, 0))
     report.compare("mixed-pentagon-left", lhs.t, rhs.t)
 
-    sp4r = sp + (H.alg,)
-    lhs = El(sp4r, embed_legs(sp4r, A.reassoc_right, (1, 2, 3)))
-    lhs = lhs.mul(mixed.map(A.right_coaction, 1))
-    lhs = lhs.mul(El(sp4r, embed_legs(sp4r, A.reassoc_mixed, (0, 1, 2))))
+    lhs = mixed.map(A.right_coaction, 1).premul_embedded(right_el, (1, 2, 3)).mul_embedded(
+        mixed, (0, 1, 2))
     rhs = mixed.map(H.comult, 2).mul(right_el.map(A.left_coaction, 0))
     report.compare("mixed-pentagon-right", lhs.t, rhs.t)
 

@@ -12,7 +12,7 @@ from .errors import (AntipodeNotInvertible, GaugeNotNormalized, NotInvertible,
                      ShapeMismatch)
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
-                     apply_linear_map, build_tensor_algebra, embed_legs, interleave,
+                     apply_linear_map, build_tensor_algebra, interleave,
                      invert_element, multiply, switch_legs, unit_tensor)
 
 
@@ -200,9 +200,7 @@ def verify_quasi_bialgebra(H: QuasiBialgebra) -> CheckReport:
     report.sweep("counit-comult", basis, counit_law)
 
     # the reassociator is a normalized 3-cocycle
-    lhs = H.el(embed_legs(H.spaces(4), H.reassoc, (1, 2, 3)))
-    lhs = lhs.mul(phi.map(H.comult, 1))
-    lhs = lhs.mul(H.el(embed_legs(H.spaces(4), H.reassoc, (0, 1, 2))))
+    lhs = phi.map(H.comult, 1).premul_embedded(phi, (1, 2, 3)).mul_embedded(phi, (0, 1, 2))
     rhs = phi.map(H.comult, 2).mul(phi.map(H.comult, 0))
     report.compare("cocycle", lhs.t, rhs.t)
 
@@ -236,7 +234,7 @@ def verify_quasi_hopf(H: QuasiHopfAlgebra) -> CheckReport:
     def cancel(leg, factor):
         def law(idx):
             h2 = H.basis_el(idx[0]).map(H.comult, 0)
-            return (h2.map(S, leg).times(factor).merge(0, 2).merge(0, 1).t,
+            return (h2.map(S, leg).mul_embedded(factor, (0,)).merge(0, 1).t,
                     factor.t.scale(H.counit_scalar(idx[0])))
         return law
 
@@ -245,13 +243,13 @@ def verify_quasi_hopf(H: QuasiHopfAlgebra) -> CheckReport:
     report.sweep("antipode-cancel-right", basis, cancel(1, beta_el))
 
     phi = H.el(H.reassoc)
-    zig = phi.map(S, 1).times(beta_el).merge(0, 3).merge(0, 1)
-    zig = zig.times(alpha_el).merge(0, 2).merge(0, 1)
+    zig = phi.map(S, 1).mul_embedded(beta_el, (0,)).merge(0, 1)
+    zig = zig.mul_embedded(alpha_el, (0,)).merge(0, 1)
     report.compare("zigzag-forward", zig.t, H.alg.unit)
 
     phi_inv = H.el(H.reassoc_inv)
-    zag = phi_inv.map(S, 0).map(S, 2).times(alpha_el).merge(0, 3).merge(0, 1)
-    zag = zag.times(beta_el).merge(0, 2).merge(0, 1)
+    zag = phi_inv.map(S, 0).map(S, 2).mul_embedded(alpha_el, (0,)).merge(0, 1)
+    zag = zag.mul_embedded(beta_el, (0,)).merge(0, 1)
     report.compare("zigzag-backward", zag.t, H.alg.unit)
 
     norm = H.eps(H.alpha) * H.eps(H.beta)
@@ -285,23 +283,18 @@ def gauge_twist(H: QuasiHopfAlgebra, F: GaugeTransformation) -> QuasiHopfAlgebra
     comult = LinMap.from_function(H.field, (alg.dim,), (alg.dim, alg.dim),
                                   comult_f, dst_spaces=(alg, alg))
 
-    # the twisted reassociator; the untwisted comultiplication throughout
-    sp3 = H.spaces(3)
-    one_f = H.el(embed_legs(sp3, F.t, (1, 2)))
-    f3 = f.map(H.comult, 1)
-    df = g.map(H.comult, 0)
-    phi_f = one_f.mul(f3).mul(H.el(H.reassoc)).mul(df).mul(
-        H.el(embed_legs(sp3, F.inv, (0, 1))))
+    # the twisted reassociator (1 x F)(id x Delta)(F) Phi (Delta x id)(F^-1)(F^-1 x 1);
+    # the untwisted comultiplication throughout
+    phi_f = f.map(H.comult, 1).premul_embedded(f, (1, 2)).mul(H.el(H.reassoc)).mul(
+        g.map(H.comult, 0)).mul_embedded(g, (0, 1))
     # inverse by the reversed product of inverses
-    g3 = g.map(H.comult, 1)
-    ef = f.map(H.comult, 0)
-    phi_f_inv = H.el(embed_legs(sp3, F.t, (0, 1))).mul(ef).mul(
-        H.el(H.reassoc_inv)).mul(g3).mul(H.el(embed_legs(sp3, F.inv, (1, 2))))
+    phi_f_inv = f.map(H.comult, 0).premul_embedded(f, (0, 1)).mul(H.el(H.reassoc_inv)).mul(
+        g.map(H.comult, 1)).mul_embedded(g, (1, 2))
 
     alpha_el = El((alg,), H.alpha)
     beta_el = El((alg,), H.beta)
-    alpha_f = g.map(H.antipode, 0).times(alpha_el).merge(0, 2).merge(0, 1).t
-    beta_f = f.map(H.antipode, 1).times(beta_el).merge(0, 2).merge(0, 1).t
+    alpha_f = g.map(H.antipode, 0).mul_embedded(alpha_el, (0,)).merge(0, 1).t
+    beta_f = f.map(H.antipode, 1).mul_embedded(beta_el, (0,)).merge(0, 1).t
 
     return QuasiHopfAlgebra(alg, comult, H.counit, phi_f.t, H.antipode,
                             alpha_f, beta_f, reassoc_inv=phi_f_inv.t,
@@ -376,40 +369,36 @@ def drinfeld_twist(H: QuasiHopfAlgebra) -> GaugeTransformation:
     S = H.antipode
     alpha_el = El((alg,), H.alpha)
     beta_el = El((alg,), H.beta)
-    sp4 = H.spaces(4)
+    phi, phi_inv = H.el(H.reassoc), H.el(H.reassoc_inv)
 
     # four-leg combinations of the reassociator and its inverse
-    a4 = H.el(embed_legs(sp4, H.reassoc, (0, 1, 2))).mul(
-        H.el(H.reassoc_inv).map(H.comult, 0))
-    b4 = H.el(H.reassoc).map(H.comult, 0).mul(
-        H.el(embed_legs(sp4, H.reassoc_inv, (0, 1, 2))))
+    a4 = phi_inv.map(H.comult, 0).premul_embedded(phi, (0, 1, 2))
+    b4 = phi.map(H.comult, 0).mul_embedded(phi_inv, (0, 1, 2))
 
     # gamma = S(A2) alpha A3 (x) S(A1) alpha A4
     gamma = a4.map(S, 0).map(S, 1)
-    gamma = gamma.times(alpha_el).merge(1, 4).merge(1, 2)   # S(A2) alpha A3
-    gamma = gamma.times(alpha_el).merge(0, 3).merge(0, 2)   # S(A1) alpha A4
+    gamma = gamma.mul_embedded(alpha_el, (1,)).merge(1, 2)  # S(A2) alpha A3
+    gamma = gamma.mul_embedded(alpha_el, (0,)).merge(0, 2)  # S(A1) alpha A4
     gamma = gamma.perm((1, 0))
 
     # delta = B1 beta S(B4) (x) B2 beta S(B3)
     delta = b4.map(S, 2).map(S, 3)
-    delta = delta.times(beta_el).merge(0, 4).merge(0, 3)    # B1 beta S(B4)
-    delta = delta.times(beta_el).merge(1, 3).merge(1, 2)    # B2 beta S(B3)
-
-    phi_inv = H.el(H.reassoc_inv)
+    delta = delta.mul_embedded(beta_el, (0,)).merge(0, 3)   # B1 beta S(B4)
+    delta = delta.mul_embedded(beta_el, (1,)).merge(1, 2)   # B2 beta S(B3)
 
     # f = (S x S)(flip Delta(x1)) gamma Delta(x2 beta S(x3))
     e = phi_inv.map(H.comult, 0).perm((1, 0, 2, 3))
     e = e.map(S, 0).map(S, 1)
-    e = e.map(S, 3).times(beta_el).merge(2, 4).merge(2, 3)  # x2 beta S(x3)
+    e = e.map(S, 3).mul_embedded(beta_el, (2,)).merge(2, 3)  # x2 beta S(x3)
     e = e.map(H.comult, 2)                                  # S(x1_2) S(x1_1) D1 D2
-    e = e.times(gamma).merge(0, 4).merge(1, 4)
+    e = e.mul_embedded(gamma, (0, 1))
     twist = e.merge(0, 2).merge(1, 2)
 
     # f^-1 = Delta(S(x1) alpha x2) delta (S x S)(flip Delta(x3))
-    e = phi_inv.map(S, 0).times(alpha_el).merge(0, 3).merge(0, 1)  # S(x1) alpha x2, x3
+    e = phi_inv.map(S, 0).mul_embedded(alpha_el, (0,)).merge(0, 1)  # S(x1) alpha x2, x3
     e = e.map(H.comult, 0)                                  # D1 D2 x3
     e = e.map(H.comult, 2).perm((0, 1, 3, 2)).map(S, 2).map(S, 3)
-    e = e.times(delta).merge(0, 4).merge(1, 4)
+    e = e.mul_embedded(delta, (0, 1))
     twist_inv = e.merge(0, 2).merge(1, 2)
 
     out = GaugeTransformation(H, twist.t, twist_inv.t)

@@ -189,8 +189,17 @@ def load_payload(path: str) -> dict:
     return payload
 
 
+def _base_ref(payload):
+    """The companion reference "base" of a structure file, or None."""
+    companions = payload.get("companions") or {}
+    if not isinstance(companions, dict):
+        raise ParseError("companions %r are not an object" % (companions,),
+                         where=payload.get("kind"))
+    return companions.get("base")
+
+
 def _resolve_companion(payload, path):
-    ref = (payload.get("companions") or {}).get("base")
+    ref = _base_ref(payload)
     if ref is None:
         raise ParseError("missing companion reference 'base'", path=path)
     rel = _read(ref, "path", "companions", str)
@@ -218,8 +227,7 @@ def parse(path: str):
         raise ParseError("unknown kind %r" % (kind,), path=path)
     field = _read(payload, "field", kind, field_from_tag)
     if kind == "gauge":
-        base = parse(_resolve_companion(payload, path)) if \
-            (payload.get("companions") or {}).get("base") else None
+        base = parse(_resolve_companion(payload, path)) if _base_ref(payload) else None
         dims = _read(payload, "dims", kind, _ints)
         t, inv = (_tensor_from_rows(field, dims, _read(payload, key, kind), kind)
                   for key in ("gauge", "gauge_inv"))

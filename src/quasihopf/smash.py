@@ -26,7 +26,7 @@ from .modcoalg import (ModuleAlgebra, ModuleCoalgebra,
                        bimodule_to_op_tensor_module_coalgebra, dualize)
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
-                     apply_linear_map, embed_legs, multiply, swap_factors,
+                     apply_linear_map, multiply, swap_factors,
                      switch_legs, unit_tensor)
 
 
@@ -373,7 +373,7 @@ class OmegaData:
         sp5 = (H.alg, H.alg, self.A.alg, H.alg, H.alg)
         e = El(sp5, self.psi_inv).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
         f_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, drinfeld_twist(H).t, (0,)), (1,))
-        return multiply(sp5, e.t, embed_legs(sp5, f_corr, (0, 1)))
+        return multiply(sp5, e.t, f_corr, y_legs=(0, 1))
 
 
 def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
@@ -397,12 +397,12 @@ def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
                 A.right_coaction, 0).map(A.left_coaction, 0).t
 
         def exchange(theta, phi_right, phi_left, reverse):
-            e = El(A.mixed_spaces(), theta).times(El.unit((H.alg,)))  # Theta x 1
+            theta = El(A.mixed_spaces(), theta)            # Theta x 1 in H A H H
             inner = El((alg, H.alg, H.alg), phi_right).map(A.left_coaction, 0)
-            e = inner.mul(e) if reverse else e.mul(inner)  # product in H A H H
+            e = (inner.mul_embedded if reverse else inner.premul_embedded)(theta, (0, 1, 2))
             e = e.map(A.left_coaction, 1)                 # H H A H H
-            outer = El(sp5, embed_legs(sp5, phi_left, (0, 1, 2)))
-            return (outer.mul(e) if reverse else e.mul(outer)).t
+            outer = El((H.alg, H.alg, alg), phi_left)
+            return (e.premul_embedded if reverse else e.mul_embedded)(outer, (0, 1, 2)).t
 
         psi = exchange(A.reassoc_mixed, A.reassoc_right_inv, A.reassoc_left, False)
         psi_inv = exchange(A.reassoc_mixed_inv, A.reassoc_right, A.reassoc_left_inv, True)
@@ -412,12 +412,12 @@ def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
                 A.left_coaction, 0).map(A.right_coaction, 1).t
 
         def exchange(theta_inv, phi_left, phi_right_inv, reverse):
-            e = El.unit((H.alg,)).times(El(A.mixed_spaces(), theta_inv))  # H H A H
+            theta_inv = El(A.mixed_spaces(), theta_inv)    # 1 x Theta^-1 in H H A H
             inner = El((H.alg, H.alg, alg), phi_left).map(A.right_coaction, 2)
-            e = inner.mul(e) if reverse else e.mul(inner)
+            e = (inner.mul_embedded if reverse else inner.premul_embedded)(theta_inv, (1, 2, 3))
             e = e.map(A.right_coaction, 2)                # H H A H H
-            outer = El(sp5, embed_legs(sp5, phi_right_inv, (2, 3, 4)))
-            return (outer.mul(e) if reverse else e.mul(outer)).t
+            outer = El((alg, H.alg, H.alg), phi_right_inv)
+            return (e.premul_embedded if reverse else e.mul_embedded)(outer, (2, 3, 4)).t
 
         psi = exchange(A.reassoc_mixed_inv, A.reassoc_left, A.reassoc_right_inv, False)
         psi_inv = exchange(A.reassoc_mixed, A.reassoc_left_inv, A.reassoc_right, True)
@@ -431,7 +431,7 @@ def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
 
     e = El(sp5, psi).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
     g_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, twist.inv, (0,)), (1,))
-    omega_right = multiply(sp5, embed_legs(sp5, g_corr, (0, 1)), e.t)
+    omega_right = multiply(sp5, g_corr, e.t, x_legs=(0, 1))
     return OmegaData(kind, A, delta, psi, psi_inv, omega_right)
 
 

@@ -671,18 +671,40 @@ def _densest_leg(keys, dims, leaves):
     return best
 
 
-def multiply(spaces, x: Tensor, y: Tensor) -> Tensor:
+def _factor_legs(t: Tensor, legs, dims):
+    """``legs`` as a tuple, checked as the legs of ``dims`` that factor
+    ``t`` lives on, in its leg order."""
+    legs = tuple(legs)
+    if len(set(legs)) != len(legs) or not legs or len(legs) != t.arity:
+        raise ShapeMismatch("legs %r for a factor of arity %d" % (legs, t.arity))
+    for l, d in zip(legs, t.dims):
+        if not 0 <= l < len(dims) or dims[l] != d:
+            raise ShapeMismatch("a factor leg of dim %d does not fit leg %r of %r"
+                                % (d, l, dims))
+    return legs
+
+
+def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
     """Componentwise product of two tensors over per-leg algebras.
 
+    A factor passed with legs lives on those legs of ``spaces`` (in its
+    own leg order) and stands for itself with the unit on every other
+    leg, where the other factor's index passes through unchanged; every
+    leg must belong to a factor.  So ``multiply(spaces, x, f, y_legs=L)``
+    is x times ``embed_legs(spaces, f, L)`` without building that tensor.
+
     ``y`` is cut into leaves: its entries on one leg (the packed leg)
-    that agree on all other legs.  The leaves hang in a prefix tree over
-    the other legs, walked one leg at a time, so the work of a leg is
-    shared by all leaves that agree on the legs before it.  A walk
-    starts from an entry of ``x``, or over F_p from all entries of ``x``
-    that agree off the packed leg, and ends in (output prefix,
-    coefficient, leaf) terms, which the leaf combine adds up per output
-    prefix.  The arithmetic runs on raw scalars (see ``fields``), and
-    only the starts of the walks and the leaf combine differ by field:
+    that agree on all its other legs.  The leaves hang in a prefix tree
+    over those other legs, walked one leg at a time, so the work of a
+    leg is shared by all leaves that agree on the legs before it.  A leg
+    that only ``x`` has is no tree level: its index is added to each
+    walk's start.  On a leg that only ``y`` has, ``x``'s index is 0 and
+    the product is the identity, e_0 e_j = e_j.  A walk starts
+    from an entry of ``x``, or over F_p from all entries of ``x`` that
+    agree off the packed leg, and ends in (output position, coefficient,
+    leaf) terms, which the leaf combine adds up per output position.
+    The arithmetic runs on raw scalars (see ``fields``), and only the
+    starts of the walks and the leaf combine differ by field:
 
     * over F_p each leaf is packed once per call, for each basis index i
       of ``x`` on the packed leg, into one int: the residues of e_i·leaf,
@@ -693,15 +715,19 @@ def multiply(spaces, x: Tensor, y: Tensor) -> Tensor:
       The width is derived from p and the operand sizes so that no slot
       can spill.  The packed leg is the leg of ``y`` with the most
       entries per leaf; each output index is built with it in place.
-    * over Q the packed leg is the last one, each entry of ``x`` walks on
-      its own, and every term is summed as a ``Fraction`` per output
-      index.
+    * over Q the packed leg is the last leg of ``y``, each entry of ``x``
+      walks on its own, and every term is summed as a ``Fraction`` per
+      output index.
     """
-    if x.dims != y.dims:
-        raise ShapeMismatch("dims %r vs %r" % (x.dims, y.dims))
-    dims = x.dims
-    if tuple(s.dim for s in spaces) != dims:
-        raise ShapeMismatch("spaces do not match tensor dims")
+    dims = tuple(s.dim for s in spaces)
+    n = len(dims)
+    for t, legs in ((x, x_legs), (y, y_legs)):
+        if legs is None and t.dims != dims:
+            raise ShapeMismatch("dims %r vs %r" % (t.dims, dims))
+    if x_legs is not None and y_legs is not None:
+        missing = set(range(n)).difference(x_legs, y_legs)
+        if missing:
+            raise ShapeMismatch("leg %d belongs to neither factor" % min(missing))
     _check_same_field(x, y)
     for s in spaces:
         _check_same_field(x, s)
@@ -710,26 +736,54 @@ def multiply(spaces, x: Tensor, y: Tensor) -> Tensor:
     if not spaces:
         return Tensor.scalar(field, from_raw(raw(x.get(())) * raw(y.get(()))))
     out = Tensor(field, dims)
+    rows = [s.rows for s in spaces]
+    if x_legs is not None:
+        # x's legs in place, and 0 on its missing legs, where e_0 e_j = e_j
+        # stands for 1 e_j
+        x_legs = _factor_legs(x, x_legs, dims)
+        for l in set(range(n)).difference(x_legs):
+            rows[l] = [[((j, 1),) for j in range(dims[l])]]
+        full = [0] * n
+        data = {}
+        for ix, v in x.data.items():
+            for l, i in zip(x_legs, ix):
+                full[l] = i
+            data[tuple(full)] = v
+        x = Tensor(field, dims)
+        x.data = data
+    if y_legs is None:
+        y_legs = range(n)
+    else:
+        y_legs = _factor_legs(y, y_legs, dims)
+        order = sorted(range(len(y_legs)), key=y_legs.__getitem__)
+        y, y_legs = switch_legs(y, order), sorted(y_legs)
     if not x.data or not y.data:
         return out
     p = field.characteristic
-    n = len(dims)
-    leg = n - 1
+    m = len(y_legs)
+    leg = m - 1
     leaves = _leaves(y, leg, raw)
     if p:
-        leg = _densest_leg(y.data, dims, len(leaves))
-        if leg != n - 1:
+        leg = _densest_leg(y.data, y.dims, len(leaves))
+        if leg != m - 1:
             leaves = _leaves(y, leg, raw)
-    rows = [s.rows for s in spaces]
-    row_leg, d_leg = rows[leg], dims[leg]
+    packed = y_legs[leg]
+    row_leg, d_leg = rows[packed], dims[packed]
+    # the groups of x, and the flat positions that the walks build, are
+    # keyed by the index without the packed leg over F_p, with it over Q
+    key_dims = dims[:packed] + dims[packed + 1:] if p else dims
+    strides = _strides(key_dims)
+    pos = [l - 1 if p and l > packed else l for l in range(n)]
+    walked = [(pos[l], rows[l], strides[pos[l]]) for l in y_legs if l != packed]
+    passed = [(pos[l], strides[pos[l]]) for l in range(n) if l not in y_legs]
     if p:
         # a slot sums at most one term per entry of x and leaf, each a
-        # walk coefficient (n - 1 residues) times the entry and a slot
-        width = (len(x.data) * len(leaves) * (p - 1) ** (n + 1)).bit_length()
+        # walk coefficient (m - 1 residues) times the entry and a slot
+        width = (len(x.data) * len(leaves) * (p - 1) ** (m + 1)).bit_length()
         groups, needed = {}, set()
         for ix, vx in x.data.items():
-            i = ix[leg]
-            groups.setdefault(ix[:leg] + ix[leg + 1:], []).append((i, raw(vx)))
+            i = ix[packed]
+            groups.setdefault(ix[:packed] + ix[packed + 1:], []).append((i, raw(vx)))
             needed.add(i)
         for prefix, leaf in leaves.items():
             packs = [0] * d_leg
@@ -739,14 +793,14 @@ def multiply(spaces, x: Tensor, y: Tensor) -> Tensor:
                 for j, vy in leaf.items():
                     for k, w in row[j]:
                         slots[k] += vy * w
-                packed = 0
+                packed_leaf = 0
                 for slot in reversed(slots):
-                    packed = packed << width | slot % p
-                packs[i] = packed
+                    packed_leaf = packed_leaf << width | slot % p
+                packs[i] = packed_leaf
             leaves[prefix] = packs
     else:
         groups = x.data
-    if n == 1:
+    if m == 1:
         tree = leaves[()]
     else:
         tree = {}
@@ -755,39 +809,39 @@ def multiply(spaces, x: Tensor, y: Tensor) -> Tensor:
             for j in prefix[:-1]:
                 node = node.setdefault(j, {})
             node[prefix[-1]] = leaf
-    lead = list(range(n))
-    del lead[leg]
     acc = {}
     get = acc.get
+    stride_leg = 0 if p else strides[packed]
     # over Q the groups are the entries of x: each walks on its own, from
-    # its value, along its index, whose last leg is the packed one
+    # its value, along its index
     for prefix, u in groups.items():
-        level = [(0, 1 if p else raw(u), tree)]
-        for l, i in zip(lead, prefix):
-            row, d = rows[l][i], dims[l]
-            level = [(flat * d + k, v * w, child) for flat, v, node in level
+        start = 0
+        for at, s in passed:
+            start += prefix[at] * s
+        level = [(start, 1 if p else raw(u), tree)]
+        for at, table, s in walked:
+            row = table[prefix[at]]
+            level = [(flat + k * s, v * w, child) for flat, v, node in level
                      for j, child in node.items() for k, w in row[j]]
         if p:
             for flat, v, packs in level:
                 for i, vx in u:
                     acc[flat] = get(flat, 0) + v * vx * packs[i]
         else:
-            row = row_leg[prefix[-1]]
+            row = row_leg[prefix[packed]]
             for flat, v, leaf in level:
-                flat *= d_leg
                 for j, vy in leaf.items():
                     for k, w in row[j]:
-                        key, term = flat + k, v * w * vy
+                        key, term = flat + k * stride_leg, v * w * vy
                         total = get(key)
                         # the first term of a sum is stored, not added to 0
                         acc[key] = term if total is None else total + term
     data = out.data
     if p:
         mask = (1 << width) - 1
-        lead_dims = dims[:leg] + dims[leg + 1:]
         for flat, total in acc.items():
-            head = _unflatten(flat, lead_dims)
-            before, after = head[:leg], head[leg:]
+            head = _unflatten(flat, key_dims)
+            before, after = head[:packed], head[packed:]
             for k in range(d_leg):
                 slot = total & mask
                 if slot:
@@ -800,7 +854,7 @@ def multiply(spaces, x: Tensor, y: Tensor) -> Tensor:
         for key, total in acc.items():
             value = from_raw(total)
             if value:
-                data[_unflatten(key, dims)] = value
+                data[_unflatten(key, key_dims)] = value
     return out
 
 
@@ -836,6 +890,12 @@ class El:
     Every method returns a fresh ``El``.  ``merge(i, j)`` multiplies leg j
     into leg i (product taken in that order, result at slot i), ``map``
     applies a LinMap to chosen legs, ``times`` is the outer product.
+
+    ``times`` only adds new legs.  A factor whose legs land one for one on
+    legs already present goes in where it lands, by one ``multiply``:
+    ``mul_embedded`` on the right, ``premul_embedded`` on the left, with
+    the other legs passing through.  ``x.times(f).merge(i, n)`` with f
+    one-legged is ``x.mul_embedded(f, (i,))`` without the outer product.
     """
 
     __slots__ = ("spaces", "t")
@@ -888,11 +948,22 @@ class El:
             raise ShapeMismatch("componentwise product needs identical spaces")
         return El(self.spaces, multiply(self.spaces, self.t, other.t))
 
-    def mul_embedded(self, other: "El", positions) -> "El":
-        return self.mul(other.embed(self.spaces, positions))
+    def _fits(self, other: "El", positions) -> tuple:
+        positions = tuple(positions)
+        if len(positions) != len(other.spaces) or any(
+                self.spaces[l] is not s for l, s in zip(positions, other.spaces)):
+            raise ShapeMismatch("factor spaces do not sit at legs %r" % (positions,))
+        return positions
 
-    def embed(self, ambient, positions) -> "El":
-        return El(ambient, embed_legs(ambient, self.t, positions))
+    def mul_embedded(self, other: "El", positions) -> "El":
+        """self times ``other`` at legs ``positions``, the unit elsewhere."""
+        return El(self.spaces, multiply(self.spaces, self.t, other.t,
+                                        y_legs=self._fits(other, positions)))
+
+    def premul_embedded(self, other: "El", positions) -> "El":
+        """``other`` at legs ``positions``, the unit elsewhere, times self."""
+        return El(self.spaces, multiply(self.spaces, other.t, self.t,
+                                        x_legs=self._fits(other, positions)))
 
     def perm(self, order) -> "El":
         order = tuple(order)

@@ -196,6 +196,39 @@ def test_usage_error_exit_code(tmp_path):
     assert run(["fixture", "emit", "nope", "--dir", str(tmp_path)]) == 2
 
 
+def test_convert_variant_without_input_is_a_usage_error(capsys):
+    assert run(["convert", "variant"]) == 2
+    assert capsys.readouterr().err == "usage error: an --input file is required\n"
+
+
+@pytest.mark.parametrize("companions", [[1], "h2", 5])
+def test_companions_that_are_no_object_are_a_parse_error(tmp_path, capsys, companions):
+    assert run(["fixture", "emit", "c2", "--dir", str(tmp_path)]) == 0
+    path = str(tmp_path / ("c2" + io.SUFFIX))
+    payload = json.load(open(path))
+    payload["companions"] = companions
+    open(path, "w").write(io.canonical_dumps(payload))
+    capsys.readouterr()
+    assert run(["check", path]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: [module-coalgebra] companions %r are not an object\n" % (companions,))
+
+
+def test_main_builds_its_parser_once(monkeypatch, tmp_path):
+    from quasihopf import cli
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run(["fixture", "emit", "h2", "--dir", str(tmp_path)]) == 0
+        assert run(["convert", "nope"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
 def test_report_determinism_across_jobs(tmp_path):
     path = str(tmp_path / ("h2" + io.SUFFIX))
     io.emit_value(h2(QQ), path)

@@ -455,6 +455,78 @@ def test_multiply_worst_case_slot_sums(prime, lead_dims):
     assert_clean(prime, out)
 
 
+@st.composite
+def leg_subset_cases(draw):
+    """A tensor on all legs, a factor on a random subset of them in a
+    random order, and a second subset that covers the legs the first
+    one misses."""
+    field = draw(st.sampled_from([QQ, FP, BIG]))
+    makers = draw(st.lists(st.sampled_from(LEG_ALGEBRAS), min_size=1, max_size=4))
+    spaces = tuple(make(field) for make in makers)
+    n = len(spaces)
+    legs = tuple(draw(st.permutations(range(n)))[:draw(st.integers(1, n))])
+    rest = [l for l in range(n) if l not in legs]
+    cover = tuple(draw(st.permutations(rest + draw(st.lists(st.sampled_from(legs),
+                                                            unique=True)))))
+    if not cover:
+        cover = legs[:1]
+    dims = tuple(s.dim for s in spaces)
+
+    def on(ls):
+        return draw(field_tensors(field, tuple(dims[l] for l in ls)))
+
+    return spaces, on(range(n)), legs, on(legs), cover, on(cover)
+
+
+@settings(max_examples=80, deadline=None)
+@given(leg_subset_cases())
+def test_multiply_on_leg_subsets_matches_pair_loop(case):
+    # a factor on some legs is the factor padded with units: the other
+    # factor's index passes through the legs it does not have
+    spaces, full, legs, part, cover, other = case
+    padded = embed_legs(spaces, part, legs)
+    for out, want in ((multiply(spaces, full, part, y_legs=legs),
+                       naive_multiply(spaces, full, padded)),
+                      (multiply(spaces, part, full, x_legs=legs),
+                       naive_multiply(spaces, padded, full)),
+                      (multiply(spaces, part, other, x_legs=legs, y_legs=cover),
+                       naive_multiply(spaces, padded, embed_legs(spaces, other, cover)))):
+        assert out == want
+        assert_clean(full.field, out)
+
+
+def test_multiply_on_leg_subsets_rejects_bad_legs():
+    A = z2_algebra(FP)
+    x = Tensor.basis(FP, (2, 2, 2), (1, 0, 1))
+    f = Tensor.basis(FP, (2,), (1,))
+    T = triangular_algebra(FP)
+    for spaces, legs in (((A, A), (0,)), ((A, A, A), (0, 0)), ((A, A, A), (3,)),
+                         ((A, A, A), ()), ((A, T, A), (1,))):
+        with pytest.raises(ShapeMismatch):
+            multiply(spaces, x if len(spaces) == 3 else f, f, y_legs=legs)
+    with pytest.raises(ShapeMismatch, match="neither factor"):
+        multiply((A, A, A), f, f, x_legs=(0,), y_legs=(2,))
+
+
+@pytest.mark.parametrize("prime", [FP, BIG], ids=["fp10007", "mersenne31"])
+def test_multiply_worst_case_slot_sums_with_passed_legs(prime):
+    # y lives on legs 1 and 3, so legs 0 and 2 pass x's index through; x
+    # is 1 on both there, so every output slot sums all |x| * leaves terms,
+    # each (p - 1)^(m + 1) with m = 2 the legs of y: one walked leg whose
+    # structure constants are p - 1, the entry of x, and a slot of the
+    # packed z2 leg.  That is the bound the slot width is derived from.
+    z2, wide = z2_algebra(prime), all_minus_one_algebra(prime, 2)
+    spaces = (z2, wide, z2, z2)
+    minus = -prime.one
+    x = Tensor(prime, (2, 2, 2, 2), {(1, j, 1, k): minus for j in range(2) for k in range(2)})
+    y = Tensor(prime, (2, 2), {k: minus for k in all_indices((2, 2))})
+    assert _densest_leg(y.data, y.dims, 2) == 1
+    out = multiply(spaces, x, y, y_legs=(1, 3))
+    assert out == naive_multiply(spaces, x, embed_legs(spaces, y, (1, 3)))
+    assert len(out.data) == 4
+    assert_clean(prime, out)
+
+
 def test_multiply_noncommutative_leg(field):
     T = triangular_algebra(field)
     e11 = Tensor.basis(field, (3,), (0,))
