@@ -674,12 +674,9 @@ class InternalCoalgebra:
 
         def comult_fn(idx):
             b, h = idx
-            e = source.re_el().times(El.basis((B,), (b,))).times(
-                El.basis((H.alg,), (h,)))
-            e = e.map(H.comult, 4)
-            e = e.merge(0, 4)              # X1 h1
-            e = e.merge(2, 3)              # XB b
-            e = e.merge(1, 3)              # X2 h2
+            e = source.re_el().mul_embedded(
+                El.basis((H.alg,), (h,)).map(H.comult, 0), (0, 1))   # X1 h1, X2 h2
+            e = e.mul_embedded(El.basis((B,), (b,)), (2,))            # XB b
             return e.perm((0, 2, 1)).t
 
         self.comult = LinMap.from_function(field, (B.dim, H.dim),
@@ -693,8 +690,7 @@ class InternalCoalgebra:
         def left_action_fn(idx):
             b, b2, h = idx
             e = El.basis((B,), (b,)).map(source.coaction, 0)
-            e = e.times(El.basis((B,), (b2,))).times(El.basis((H.alg,), (h,)))
-            return e.merge(1, 2).merge(0, 2).perm((1, 0)).t
+            return e.mul_embedded(El.basis((H.alg, B), (h, b2)), (0, 1)).perm((1, 0)).t
 
         self.left_action = LinMap.from_function(
             field, (B.dim, B.dim, H.dim), (B.dim, H.dim), left_action_fn)

@@ -238,7 +238,7 @@ def koppinen_smash(C: ModuleCoalgebra, B: ComoduleAlgebra) -> ProductAlgebra:
             e = e.map(C.right_action, (0, 1), at=0)   # c2.x2bj-1 xB bj0
             e = e.map(evals[k], (0,), out_spaces=())  # <e^k, .>
             e = e.merge(0, 1)             # xB bj0
-            e = e.times(El.basis((B.alg,), (l,))).merge(0, 1)
+            e = e.mul_embedded(El.basis((B.alg,), (l,)), (0,))
             out = out + Tensor.basis(field, (dC,), (m,)).outer(e.t)
         return out
 
@@ -304,24 +304,14 @@ def phi_isomorphism(C: ModuleCoalgebra):
 
     def phi_fn(idx):
         f, h = divmod(idx[0], dH)
-        e = q_lambda.times(g_el).times(El.basis((H.alg,), (h,)))
-        e = e.map(H.comult, 4)            # q1 q2 g1 g2 h1 h2
-        e = e.merge(0, 4).merge(0, 2)     # q1 h1 g1
-        e = e.map(S_inv, 0)
-        e = e.merge(1, 3).merge(1, 2)     # q2 h2 g2
-        e = e.map(S_inv, 1)
+        e = q_lambda.mul(El.basis((H.alg,), (h,)).map(H.comult, 0)).mul(g_el)
+        e = e.map(S_inv, 0).map(S_inv, 1)  # S^-1(q1 h1 g1), S^-1(q2 h2 g2)
         return act_on_dual(e, f).t.fuse([[0, 1]])
 
     def phi_inv_fn(idx):
         f, h = divmod(idx[0], dH)
-        e = g_el.times(q_rho).times(El.basis((H.alg,), (h,)))
-        e = e.map(H.comult, 4)            # g1 g2 qa q2 h1 h2
-        e = e.merge(3, 5)                 # q2 h2
-        e = e.map(S, 3)
-        e = e.merge(0, 3)                 # g1 S(q2 h2)
-        e = e.merge(2, 3)                 # qa h1
-        e = e.map(S, 2)
-        e = e.merge(1, 2)                 # g2 S(qa h1)
+        e = q_rho.mul(El.basis((H.alg,), (h,)).map(H.comult, 0))   # qa h1, q2 h2
+        e = g_el.mul(e.map(S, 0).map(S, 1).perm((1, 0)))  # g1 S(q2 h2), g2 S(qa h1)
         return act_on_dual(e, f).t.fuse([[0, 1]])
 
     dim = dC * dH
