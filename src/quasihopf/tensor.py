@@ -756,7 +756,8 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
     else:
         y_legs = _factor_legs(y, y_legs, dims)
         order = sorted(range(len(y_legs)), key=y_legs.__getitem__)
-        y, y_legs = switch_legs(y, order), sorted(y_legs)
+        if order != list(range(len(order))):
+            y, y_legs = switch_legs(y, order), sorted(y_legs)
     if not x.data or not y.data:
         return out
     p = field.characteristic
@@ -951,7 +952,8 @@ class El:
     def _fits(self, other: "El", positions) -> tuple:
         positions = tuple(positions)
         if len(positions) != len(other.spaces) or any(
-                self.spaces[l] is not s for l, s in zip(positions, other.spaces)):
+                not 0 <= l < len(self.spaces) or self.spaces[l] is not s
+                for l, s in zip(positions, other.spaces)):
             raise ShapeMismatch("factor spaces do not sit at legs %r" % (positions,))
         return positions
 

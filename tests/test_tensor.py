@@ -276,6 +276,21 @@ def test_el_merge_matches_algebra_product(field):
     assert e.t == A.unit
 
 
+def test_el_embedded_products_match_outer_product_and_merge(field):
+    # x.times(f).merge(i, n)... is x.mul_embedded(f, (i, ...)), and the
+    # factor on the left is premul_embedded; the triangular leg does not
+    # commute, so a product taken in the wrong order shows
+    A, T = z2_algebra(field), triangular_algebra(field)
+    x = El((T, A, T), Tensor(field, (3, 2, 3), {(0, 1, 1): field.one,
+                                                (1, 0, 2): field.from_int(3)}))
+    f = El((T, T), Tensor(field, (3, 3), {(1, 0): field.one, (2, 1): field.from_int(-2)}))
+    assert x.mul_embedded(f, (2, 0)) == x.times(f).merge(2, 3).merge(0, 3)
+    assert x.premul_embedded(f, (2, 0)) == x.times(f).merge(3, 2).merge(3, 0).perm((2, 0, 1))
+    for positions in ((0, 1), (0,), (0, 3), (2, 2)):
+        with pytest.raises(ShapeMismatch):
+            x.mul_embedded(f, positions)
+
+
 def test_linmap_matrix_roundtrip():
     H = h2(QQ)
     m = H.comult
