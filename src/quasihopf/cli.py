@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import fixtures, io
-from .comodule import (BicomoduleAlgebra, ComoduleAlgebra,
+from .comodule import (COMODULE_VARIANT_KINDS, BicomoduleAlgebra, ComoduleAlgebra,
                        bicomodule_to_right_op_tensor, comodule_variant,
                        realization_twist_witness, right_realization,
                        verify_bicomodule_algebra, verify_comodule_algebra)
@@ -25,18 +25,22 @@ from .doihopf import (DoiHopfContext, adjunction_maps, compute_rat,
 from .errors import ParseError, QuasiHopfError, ShapeMismatch, UsageError
 from .fields import field_from_tag
 from .fixtures import regular_comodule_algebra
-from .hopf import (GaugeTransformation, QuasiHopfAlgebra, drinfeld_twist,
+from .hopf import (VARIANT_KINDS, GaugeTransformation, QuasiHopfAlgebra, drinfeld_twist,
                    gauge_twist, op_tensor, variant, verify_quasi_hopf)
 from .modcoalg import (ModuleCoalgebra, bimodule_to_op_tensor_module_coalgebra,
                        dualize, gauge_twist_module_coalgebra,
                        verify_module_coalgebra)
 from .report import CheckReport
-from .smash import (ProductAlgebra, check_prop_3_10, diagonal_crossed_product,
+from .smash import (DIAGONAL_KINDS, ProductAlgebra, check_prop_3_10, diagonal_crossed_product,
                     generalized_smash, koppinen_smash, phi_isomorphism,
                     right_generalized_smash, verify_product_algebra)
 from .tensor import all_indices, apply_linear_map, multiply, unit_tensor
 from .yd import (YetterDrinfeldContext, doihopf_to_yd, induce_yd, verify_yd,
                  yd_to_doihopf)
+
+# the kinds that `convert variant` takes, per class of input value
+_VARIANTS = ((QuasiHopfAlgebra, VARIANT_KINDS), (ComoduleAlgebra, COMODULE_VARIANT_KINDS),
+            (ModuleCoalgebra, ("cop", "as-right")))
 
 
 def _field_from_flag(flag: str):
@@ -259,6 +263,8 @@ def cmd_build(args):
         B = _load_comodule(args.comodule, C, "left")
         product = koppinen_smash(C, B)
     elif args.what == "diagonal":
+        if args.kind not in DIAGONAL_KINDS:
+            raise UsageError("diagonal kind must be one of %s" % ", ".join(DIAGONAL_KINDS))
         A = _load(args.bicomodule, BicomoduleAlgebra)
         C = _load(args.coalgebra, ModuleCoalgebra)
         product = diagonal_crossed_product(A, dualize(C), args.kind)
@@ -274,7 +280,7 @@ def cmd_build(args):
 
 
 def _build_coring(args):
-    kind = args.kind
+    kind = "BC" if args.kind is None else args.kind
     if kind == "BC":
         C = _load(args.coalgebra, ModuleCoalgebra)
         B = _load_comodule(args.comodule, C, "left")
@@ -300,6 +306,11 @@ def cmd_convert(args):
         if not args.input:
             raise UsageError("an --input file is required")
         value = io.parse(args.input)
+        cls, kinds = next(((c, k) for c, k in _VARIANTS if isinstance(value, c)), (None, ()))
+        if cls is None:
+            raise UsageError("cannot take a variant of %r" % (value,))
+        if args.kind not in kinds:
+            raise UsageError("%s variants: %s" % (dict(io.KINDS)[cls], ", ".join(kinds)))
         if isinstance(value, QuasiHopfAlgebra):
             out = variant(value, args.kind)
             report = verify_quasi_hopf(out)
@@ -311,17 +322,13 @@ def cmd_convert(args):
             report = verify_comodule_algebra(out)
             if args.out:
                 emitted += _emit_over_base(out.H, args.out, [(args.out, out)])
-        elif isinstance(value, ModuleCoalgebra):
-            if args.kind not in ("cop", "as-right"):
-                raise UsageError("module-coalgebra variants: cop, as-right")
+        else:
             if args.kind == "as-right" and value.side != "left":
                 raise ShapeMismatch("the reinterpretation starts from a left structure")
             out = value.reflect("cop" if args.kind == "cop" else "op")
             report = verify_module_coalgebra(out)
             if args.out:
                 emitted += _emit_over_base(out.H, args.out, [(args.out, out)])
-        else:
-            raise UsageError("cannot take a variant of %r" % (value,))
         return _finish(args, [report], emitted)
     if args.what == "bicomodule-r1r2":
         A = _load(args.input, BicomoduleAlgebra)
@@ -443,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coalgebra")
     p.add_argument("--comodule")
     p.add_argument("--bicomodule")
-    p.add_argument("--kind", default="BC",
-                   help="diagonal: left-l/left-r/right-l/right-r; coring: BC/CA/YD")
+    p.add_argument("--kind",
+                   help="diagonal: left-l/left-r/right-l/right-r; coring: BC (default)/CA/YD")
     p.add_argument("--realization", type=int, default=1, choices=[1, 2])
     p.add_argument("--out")
     p.set_defaults(fn=cmd_build)

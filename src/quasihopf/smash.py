@@ -97,13 +97,31 @@ def _check_base(*structures):
     return base
 
 
-def _product_from_pairs(field, d1, d2, mult_fn, unit: Tensor, provenance,
+def _product_from_pairs(field, d1, d2, mult_fn, peel, unit: Tensor, provenance,
                         sub_embedding=None, sub_alg=None) -> ProductAlgebra:
-    """Assemble the fused product algebra from a pairwise multiplier
-    returning two-leg tensors (first factor leg, second factor leg)."""
+    """Assemble the fused product algebra.  ``peel`` is (slot, alg, side):
+    in (i1, j1)(i2, j2), the basis element at ``slot`` of the 4-tuple
+    enters only by the last multiplication, from ``side``, on carrier leg
+    slot % 2, of algebra ``alg``.  ``mult_fn`` takes the other three
+    indices and returns the two-leg product without it; it is multiplied
+    in from the structure constants of ``alg`` for all its indices at
+    once, which needs ``alg`` associative (a comodule-algebra carrier)."""
+    slot, alg, side = peel
+    witness = alg.associativity_witness()
+    if witness is not None:
+        raise ShapeMismatch("structure constants not associative at %r" % (witness,))
+    leg = slot % 2
+    # e_q -> sum over p of (e_q e_p, p), or (e_p e_q, p) from the left: on
+    # the peeled leg, it leaves the product there and p right after it
+    times_each = LinMap.from_tensor(switch_legs(alg.mult.as_tensor(),
+                                                (0, 2, 1) if side == "right" else (1, 2, 0)), 1)
+    dims = (d1, d2, d1, d2)
+    cols = {}
+    for rest in all_indices(dims[:slot] + dims[slot + 1:]):
+        for idx, v in apply_linear_map(times_each, mult_fn(*rest), (leg,)).data.items():
+            i1, j1, i2, j2 = rest[:slot] + (idx[leg + 1],) + rest[slot:]
+            cols.setdefault((i1 * d2 + j1, i2 * d2 + j2), {})[(idx[0] * d2 + idx[2 - leg],)] = v
     dim = d1 * d2
-    cols = {(i1 * d2 + j1, i2 * d2 + j2): mult_fn((i1, j1), (i2, j2)).fuse([[0, 1]]).data
-            for i1, j1, i2, j2 in all_indices((d1, d2, d1, d2))}
     carrier = FinAlgebra(field, dim, LinMap(field, (dim, dim), (dim,), cols),
                          unit.fuse([[0, 1]]), name=provenance, validate=False)
     return ProductAlgebra(carrier, (d1, d2), provenance,
@@ -147,23 +165,20 @@ def generalized_smash(A: ModuleAlgebra, B: ComoduleAlgebra) -> ProductAlgebra:
     field = A.field
     act = A.left_action
 
-    def mult_fn(x, y):
-        i, j = x
-        k, l = y
+    def mult_fn(i, j, k):
         e = B.re_inv_el()
         e = e.times(El.basis((A.alg,), (i,))).times(El.basis((B.alg,), (j,)))
-        e = e.times(El.basis((A.alg,), (k,))).times(El.basis((B.alg,), (l,)))
-        e = e.map(B.coaction, 4)          # x1 x2 xB a b-1 b0 a2 b2
+        e = e.times(El.basis((A.alg,), (k,)))
+        e = e.map(B.coaction, 4)          # x1 x2 xB a b-1 b0 a2
         e = e.map(act, (0, 3), at=0)      # (x1 . a)
         e = e.merge(1, 3)                 # x2 b-1
         e = e.map(act, (1, 4), at=1)      # (x2 b-1 . a2)
         e = e.merge(0, 1)                 # product in A
-        e = e.merge(1, 2).merge(1, 2)     # xB b0 b2
-        return e.t
+        return e.merge(1, 2).t            # xB b0, then b2 on the right
 
     unit = A.alg.unit.outer(B.alg.unit)
     emb = _unit_embedding(B.alg, A.alg, first=False)
-    return _product_from_pairs(field, A.alg.dim, B.alg.dim, mult_fn, unit,
+    return _product_from_pairs(field, A.alg.dim, B.alg.dim, mult_fn, (3, B.alg, "right"), unit,
                                "smash(%s,%s)" % (A.name or "A", B.name or "B"),
                                sub_embedding=emb, sub_alg=B.alg)
 
@@ -190,22 +205,19 @@ def stgsm_product(A: ComoduleAlgebra, C: ModuleCoalgebra) -> ProductAlgebra:
     D = dualize(C)
     dual, act = D.alg.opposite(), D.left_action    # the flipped convolution
 
-    def mult_fn(x, y):
-        f, i = x
-        g, k = y
+    def mult_fn(f, g, k):
         e = A.re_el()                     # XA X2 X3
-        e = e.times(El.basis((dual,), (f,))).times(El.basis((A.alg,), (i,)))
-        e = e.times(El.basis((dual,), (g,))).times(El.basis((A.alg,), (k,)))
-        e = e.map(A.coaction, 6)          # XA X2 X3 f u g u20 u21
-        e = e.merge(1, 7)                 # X2 u21
+        e = e.times(El.basis((dual,), (f,))).times(El.basis((dual,), (g,)))
+        e = e.times(El.basis((A.alg,), (k,)))
+        e = e.map(A.coaction, 5)          # XA X2 X3 f g u20 u21
+        e = e.merge(1, 6)                 # X2 u21
         e = e.map(act, (1, 3), at=1)      # . f
-        e = e.map(act, (2, 4), at=2)      # X3 . g
+        e = e.map(act, (2, 3), at=2)      # X3 . g
         e = e.merge(1, 2)                 # functional product
-        e = e.merge(0, 3)                 # XA u20
-        e = e.merge(0, 2)                 # . u
+        e = e.merge(0, 2)                 # XA u20, then u on the right
         return e.perm((1, 0)).t
 
-    return _product_from_pairs(field, C.dim, A.alg.dim, mult_fn,
+    return _product_from_pairs(field, C.dim, A.alg.dim, mult_fn, (1, A.alg, "right"),
                                dual.unit.outer(A.alg.unit),
                                "stgsm(%s,%s)" % (A.name or "A", C.name or "C"))
 
@@ -223,9 +235,7 @@ def koppinen_smash(C: ModuleCoalgebra, B: ComoduleAlgebra) -> ProductAlgebra:
                                   lambda idx, f=f: {(): field.one} if idx[0] == f else {})
              for f in range(dC)]
 
-    def mult_fn(x, y):
-        i, j = x
-        k, l = y
+    def mult_fn(i, j, k):
         out = Tensor(field, (dC, dB))
         for m in range(dC):
             e = El.basis((C.space,), (m,)).map(C.comult, 0)
@@ -237,13 +247,12 @@ def koppinen_smash(C: ModuleCoalgebra, B: ComoduleAlgebra) -> ProductAlgebra:
             e = e.merge(1, 3)             # x2 bj-1
             e = e.map(C.right_action, (0, 1), at=0)   # c2.x2bj-1 xB bj0
             e = e.map(evals[k], (0,), out_spaces=())  # <e^k, .>
-            e = e.merge(0, 1)             # xB bj0
-            e = e.mul_embedded(El.basis((B.alg,), (l,)), (0,))
+            e = e.merge(0, 1)             # xB bj0, then bl on the right
             out = out + Tensor.basis(field, (dC,), (m,)).outer(e.t)
         return out
 
     full_unit = C.counit.as_tensor().outer(B.alg.unit)
-    return _product_from_pairs(field, dC, dB, mult_fn, full_unit,
+    return _product_from_pairs(field, dC, dB, mult_fn, (3, B.alg, "right"), full_unit,
                                "koppinen(%s,%s)" % (C.name or "C", B.name or "B"))
 
 
@@ -466,25 +475,22 @@ def _diagonal_product(A: BicomoduleAlgebra, M: ModuleAlgebra,
             return e.map(A.right_coaction, leg).map(A.left_coaction, leg)
         return e.map(A.left_coaction, leg).map(A.right_coaction, leg + 1)
 
-    def mult_fn(x, y):
-        i, j = x
-        k, l = y
-        e = om.times(El.basis((A.alg,), (i,))).times(El.basis((M.alg,), (j,)))
-        e = e.times(El.basis((A.alg,), (k,))).times(El.basis((M.alg,), (l,)))
-        e = expand(e, 7)              # O1..O5 u phi u2-1 u200 u21 psi
-        e = e.merge(5, 8)                 # u u200
-        e = e.merge(5, 2)                 # . O3 -> O1 O2 O4 O5 uu2O3 phi u2-1 u21 psi
-        e = e.map(S_inv, 6)
-        e = e.merge(1, 6)                 # O2 S^-1(u2-1)
-        e = e.map(lact, (1, 5), at=4)     # O1 O4 O5 uu2O3 phi2 u21 psi
-        e = e.merge(5, 1)                 # u21 O4 -> O1 O5 uu2O3 phi2 u21O4 psi
-        e = e.map(ract, (3, 4), at=3)     # O1 O5 uu2O3 phi3 psi
-        e = e.map(lact, (0, 4), at=3)     # O5 uu2O3 phi3 psi2
-        e = e.map(ract, (3, 0), at=2)     # uu2O3 phi3 psi3
+    def mult_fn(j, k, l):
+        e = om.times(El.basis((M.alg,), (j,))).times(El.basis((A.alg,), (k,)))
+        e = e.times(El.basis((M.alg,), (l,)))
+        e = expand(e, 6)                  # O1..O5 phi u2-1 u200 u21 psi
+        e = e.merge(7, 2)                 # u200 O3 -> O1 O2 O4 O5 phi u2-1 u2O3 u21 psi
+        e = e.map(S_inv, 5)
+        e = e.merge(1, 5)                 # O2 S^-1(u2-1)
+        e = e.map(lact, (1, 4), at=4)     # O1 O4 O5 u2O3 phi2 u21 psi
+        e = e.merge(5, 1)                 # u21 O4 -> O1 O5 u2O3 phi2 u21O4 psi
+        e = e.map(ract, (3, 4), at=3)     # O1 O5 u2O3 phi3 psi
+        e = e.map(lact, (0, 4), at=3)     # O5 u2O3 phi3 psi2
+        e = e.map(ract, (3, 0), at=2)     # u2O3 phi3 psi3
         e = e.merge(1, 2)                 # product in M
-        return e.t
+        return e.t                        # u on the left of u2O3
 
-    return _product_from_pairs(field, A.alg.dim, M.alg.dim, mult_fn,
+    return _product_from_pairs(field, A.alg.dim, M.alg.dim, mult_fn, (0, A.alg, "left"),
                                A.alg.unit.outer(M.alg.unit), "diagonal-right-%s(%s,%s)" % (
                                    order, A.name or "A", M.name or "M"),
                                sub_embedding=_unit_embedding(A.alg, M.alg, True),

@@ -20,9 +20,11 @@ The mirror tests compare the library against them entry for entry.
 from quasihopf.comodule import ComoduleAlgebra, _reassoc_pair
 from quasihopf.coring import Coring
 from quasihopf.hopf import drinfeld_twist, tensor_op
-from quasihopf.smash import _product_from_pairs, _unit_embedding, build_omega
+from quasihopf.smash import _unit_embedding, build_omega
 from quasihopf.tensor import (El, LinMap, Tensor, apply_linear_map, embed_legs, multiply,
                               switch_legs)
+
+from smash_case import reference_product_from_pairs
 
 
 def reference_right_generalized_smash(A, P):
@@ -45,11 +47,10 @@ def reference_right_generalized_smash(A, P):
         e = e.merge(1, 2)                 # product in P
         return e.t
 
-    return _product_from_pairs(A.field, A.alg.dim, P.alg.dim, mult_fn,
-                               A.alg.unit.outer(P.alg.unit),
-                               "rsmash(%s,%s)" % (A.name or "A", P.name or "P"),
-                               sub_embedding=_unit_embedding(A.alg, P.alg, first=True),
-                               sub_alg=A.alg)
+    return reference_product_from_pairs(
+        A.field, A.alg.dim, P.alg.dim, mult_fn, A.alg.unit.outer(P.alg.unit),
+        "rsmash(%s,%s)" % (A.name or "A", P.name or "P"),
+        sub_embedding=_unit_embedding(A.alg, P.alg, first=True), sub_alg=A.alg)
 
 
 def reference_coring_ca(A, C, name=None):
@@ -141,11 +142,10 @@ def reference_left_diagonal(A, M, order):
         e = e.merge(0, 2).merge(0, 2)     # O3 u0 u2
         return e.perm((1, 0)).t
 
-    return _product_from_pairs(A.field, M.alg.dim, A.alg.dim, mult_fn,
-                               M.alg.unit.outer(A.alg.unit), "diagonal-left-%s(%s,%s)" % (
-                                   order, A.name or "A", M.name or "M"),
-                               sub_embedding=_unit_embedding(A.alg, M.alg, False),
-                               sub_alg=A.alg)
+    return reference_product_from_pairs(
+        A.field, M.alg.dim, A.alg.dim, mult_fn, M.alg.unit.outer(A.alg.unit),
+        "diagonal-left-%s(%s,%s)" % (order, A.name or "A", M.name or "M"),
+        sub_embedding=_unit_embedding(A.alg, M.alg, False), sub_alg=A.alg)
 
 
 def reference_left_tensor_op(A, base=None):

@@ -201,6 +201,31 @@ def test_convert_variant_without_input_is_a_usage_error(capsys):
     assert capsys.readouterr().err == "usage error: an --input file is required\n"
 
 
+def test_bad_kind_names_are_usage_errors(tmp_path, capsys):
+    d = str(tmp_path)
+    for name in ("c2", "hh-bicomodule", "h2-bimodule-coalgebra"):
+        assert run(["fixture", "emit", name, "--dir", d]) == 0
+    c2f, hhf, bmc, h2f = (os.path.join(d, name + io.SUFFIX) for name in (
+        "c2", "hh-bicomodule", "h2-bimodule-coalgebra", "h2"))
+    right = os.path.join(d, "right" + io.SUFFIX)
+    io.emit_value(regular_comodule_algebra(h2(QQ), "right"), right, base_path=h2f)
+    capsys.readouterr()
+    # build diagonal has no default kind, and its kind is read before any file
+    want = "usage error: diagonal kind must be one of left-l, left-r, right-l, right-r\n"
+    diagonal = ["build", "diagonal", "--bicomodule", hhf, "--coalgebra", bmc]
+    for argv in (diagonal, diagonal + ["--kind", "left-x"], diagonal + ["--kind", "BC"],
+                 ["build", "diagonal", "--kind", "left-x"]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == want
+    for path, message in ((h2f, "quasi-hopf variants: op, cop, opcop"),
+                          (right, "comodule-algebra variants: cop, opcop, op, op-antipode"),
+                          (c2f, "module-coalgebra variants: cop, as-right")):
+        assert run(["convert", "variant", "--input", path, "--kind", "bogus"]) == 2
+        assert capsys.readouterr().err == "usage error: %s\n" % message
+    # BC stays the coring's default kind
+    assert run(["build", "coring", "--coalgebra", c2f]) == 0
+
+
 @pytest.mark.parametrize("companions", [[1], "h2", 5])
 def test_companions_that_are_no_object_are_a_parse_error(tmp_path, capsys, companions):
     assert run(["fixture", "emit", "c2", "--dir", str(tmp_path)]) == 0
