@@ -16,8 +16,9 @@ import sys
 from . import fixtures, io
 from .comodule import (COMODULE_VARIANT_KINDS, BicomoduleAlgebra, ComoduleAlgebra,
                        bicomodule_to_right_op_tensor, comodule_variant,
-                       realization_twist_witness, right_realization,
-                       verify_bicomodule_algebra, verify_comodule_algebra)
+                       gauge_twist_comodule_algebra, realization_twist_witness,
+                       right_realization, verify_bicomodule_algebra,
+                       verify_comodule_algebra)
 from .coring import build_coring, verify_coring
 from .doihopf import (DoiHopfContext, adjunction_maps, compute_rat,
                       induce_doi_hopf, rational_check, to_smash_module,
@@ -172,30 +173,32 @@ def _emit_over_base(base, out, values):
     return [base_out] + [path for path, _ in values]
 
 
+def _verified_emit(args, value):
+    """Verify a transformed structure and write it to ``--out`` if given:
+    a quasi-Hopf algebra on its own, anything else with its base next to
+    it (see ``_emit_over_base``)."""
+    report = _verify_any(value)
+    emitted = []
+    if args.out and isinstance(value, QuasiHopfAlgebra):
+        io.emit_value(value, args.out)
+        emitted = [args.out]
+    elif args.out:
+        emitted = _emit_over_base(value.H, args.out, [(args.out, value)])
+    return _finish(args, [report], emitted)
+
+
 def cmd_twist(args):
     value = io.parse(args.file)
     gauge = _load(args.gauge, GaugeTransformation)
-    emitted = []
     if isinstance(value, QuasiHopfAlgebra):
         twisted = gauge_twist(value, gauge)
-        report = verify_quasi_hopf(twisted)
-        if args.out:
-            io.emit_value(twisted, args.out)
-            emitted.append(args.out)
     elif isinstance(value, ComoduleAlgebra) and value.side == "right":
-        from .comodule import gauge_twist_comodule_algebra
-        twisted, base = gauge_twist_comodule_algebra(value, gauge)
-        report = verify_comodule_algebra(twisted)
-        if args.out:
-            emitted += _emit_over_base(base, args.out, [(args.out, twisted)])
+        twisted, _ = gauge_twist_comodule_algebra(value, gauge)
     elif isinstance(value, ModuleCoalgebra) and value.side == "left":
-        twisted, base = gauge_twist_module_coalgebra(value, gauge)
-        report = verify_module_coalgebra(twisted)
-        if args.out:
-            emitted += _emit_over_base(base, args.out, [(args.out, twisted)])
+        twisted, _ = gauge_twist_module_coalgebra(value, gauge)
     else:
         raise UsageError("cannot gauge-twist %r" % (value,))
-    return _finish(args, [report], emitted)
+    return _verified_emit(args, twisted)
 
 
 def cmd_dtwist(args):
@@ -301,7 +304,6 @@ def _build_coring(args):
 
 
 def cmd_convert(args):
-    emitted = []
     if args.what == "variant":
         if not args.input:
             raise UsageError("an --input file is required")
@@ -312,30 +314,19 @@ def cmd_convert(args):
         if args.kind not in kinds:
             raise UsageError("%s variants: %s" % (dict(io.KINDS)[cls], ", ".join(kinds)))
         if isinstance(value, QuasiHopfAlgebra):
-            out = variant(value, args.kind)
-            report = verify_quasi_hopf(out)
-            if args.out:
-                io.emit_value(out, args.out)
-                emitted.append(args.out)
-        elif isinstance(value, ComoduleAlgebra):
-            out = comodule_variant(value, args.kind)
-            report = verify_comodule_algebra(out)
-            if args.out:
-                emitted += _emit_over_base(out.H, args.out, [(args.out, out)])
-        else:
-            if args.kind == "as-right" and value.side != "left":
-                raise ShapeMismatch("the reinterpretation starts from a left structure")
-            out = value.reflect("cop" if args.kind == "cop" else "op")
-            report = verify_module_coalgebra(out)
-            if args.out:
-                emitted += _emit_over_base(out.H, args.out, [(args.out, out)])
-        return _finish(args, [report], emitted)
+            return _verified_emit(args, variant(value, args.kind))
+        if isinstance(value, ComoduleAlgebra):
+            return _verified_emit(args, comodule_variant(value, args.kind))
+        if args.kind == "as-right" and value.side != "left":
+            raise ShapeMismatch("the reinterpretation starts from a left structure")
+        return _verified_emit(args, value.reflect("cop" if args.kind == "cop" else "op"))
     if args.what == "bicomodule-r1r2":
         A = _load(args.input, BicomoduleAlgebra)
         first, second, base = bicomodule_to_right_op_tensor(A)
         _, search = realization_twist_witness(A, first, second)
         reports = [verify_comodule_algebra(first),
                    verify_comodule_algebra(second), search]
+        emitted = []
         if args.out:
             stem = os.path.splitext(args.out)[0]
             emitted += _emit_over_base(base, args.out,

@@ -10,7 +10,7 @@ from .errors import (AntipodeRequired, NotInvertible, QuasiHopfError, ShapeMisma
 from .hopf import (GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra,
                    drinfeld_twist, gauge_twist, op_tensor, tensor_op, variant)
 from .report import CheckReport
-from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
+from .tensor import (El, FinAlgebra, LinMap, Tensor, _identity, all_indices,
                      apply_linear_map, invert_element, multiply,
                      swap_factors, switch_legs, unit_tensor)
 
@@ -62,9 +62,6 @@ class ComoduleAlgebra:
 
     def re_inv_el(self) -> El:
         return El(self.reassoc_spaces(), self.reassoc_inv)
-
-    def basis_el(self, i: int) -> El:
-        return El.basis((self.alg,), (i,))
 
     def __repr__(self):
         return "ComoduleAlgebra(%s, dim=%d%s)" % (
@@ -158,13 +155,11 @@ def twist_comodule_algebra(X: ComoduleAlgebra, V: TwistWitness) -> ComoduleAlgeb
     H, alg = X.H, X.alg
     v = El(V.spaces, V.t)
     v_inv = El(V.spaces, V.inv)
-
-    def new_coaction(idx):
-        c = El.basis((alg,), idx).map(X.coaction, 0)
-        return v.mul(c).mul(v_inv).t
-
-    coaction = LinMap.from_function(X.field, (alg.dim,), X.coaction.dst, new_coaction,
-                                    dst_spaces=X.coaction.dst_spaces)
+    # v c v^-1 for the coaction image c of every basis element at once
+    sp = X.coaction.dst_spaces
+    coaction = El((alg,) + sp, X.coaction.as_tensor()).premul_embedded(v, (1, 2)).mul_embedded(
+        v_inv, (1, 2))
+    coaction = LinMap.from_tensor(coaction.t, 1, sp)
     re = X.re_el()
     re_inv = X.re_inv_el()
     if X.side == "right":
@@ -209,7 +204,6 @@ def comodule_variant(X: ComoduleAlgebra, kind: str) -> ComoduleAlgebra:
     if kind not in COMODULE_VARIANT_KINDS:
         raise ShapeMismatch("unknown comodule variant %r" % (kind,))
     H, alg = X.H, X.alg
-    field = X.field
     rev = (2, 1, 0)
 
     if kind == "op-antipode":
@@ -218,12 +212,9 @@ def comodule_variant(X: ComoduleAlgebra, kind: str) -> ComoduleAlgebra:
         Hq = _require_antipode(H)
         twist = drinfeld_twist(Hq)
         S_inv = Hq.antipode_inv
-
-        def rho(idx):
-            e = El.basis((alg,), idx).map(X.coaction, 0)
-            return e.map(S_inv, 0).perm((1, 0)).t
-
-        coaction = LinMap.from_function(field, (alg.dim,), (alg.dim, Hq.dim), rho)
+        # b -> b0 (x) S^-1(b-1)
+        rho = apply_linear_map(S_inv, X.coaction.as_tensor(), (1,))
+        coaction = LinMap.from_tensor(switch_legs(rho, (0, 2, 1)), 1)
 
         def reassoc(phi_inv, f):
             e = El(X.reassoc_spaces(), phi_inv).premul_embedded(El(Hq.spaces(2), f), (0, 1))
@@ -570,9 +561,7 @@ def right_realization(A: BicomoduleAlgebra, k: int, base=None) -> ComoduleAlgebr
     sp_l, sp_r, sp_m = (H.alg, H.alg, alg), (alg, H.alg, H.alg), A.mixed_spaces()
 
     if k == 1:
-        def coact(idx):
-            e = El.basis((alg,), idx).map(A.right_coaction, 0).map(A.left_coaction, 0)
-            return e.map(S_inv, 0).perm((1, 0, 2)).t.fuse([[0], [1, 2]])
+        coact = apply_linear_map(A.left_coaction, A.right_coaction.as_tensor(), (1,))
 
         def reassoc(phi_r, phi_l_inv, theta_inv, f):
             e = El(sp_r, phi_r).times(El(sp_l, phi_l_inv))
@@ -590,9 +579,7 @@ def right_realization(A: BicomoduleAlgebra, k: int, base=None) -> ComoduleAlgebr
         factors = (A.reassoc_right, A.reassoc_left_inv, A.reassoc_mixed_inv, twist.t)
         inverses = (A.reassoc_right_inv, A.reassoc_left, A.reassoc_mixed, twist.inv)
     elif k == 2:
-        def coact(idx):
-            e = El.basis((alg,), idx).map(A.left_coaction, 0).map(A.right_coaction, 1)
-            return e.map(S_inv, 0).perm((1, 0, 2)).t.fuse([[0], [1, 2]])
+        coact = apply_linear_map(A.right_coaction, A.left_coaction.as_tensor(), (2,))
 
         def reassoc(phi_l_inv, phi_r, theta, f):
             e = El(sp_l, phi_l_inv).times(El(sp_r, phi_r))
@@ -615,7 +602,9 @@ def right_realization(A: BicomoduleAlgebra, k: int, base=None) -> ComoduleAlgebr
 
     re, re_inv = _reassoc_pair((alg, HopH.alg, HopH.alg), reassoc, factors,
                                inverses, units, (3, 0, 1, 2))
-    coaction = LinMap.from_function(A.field, (alg.dim,), (alg.dim, HopH.dim), coact)
+    # the two-sided coaction u -> u-1 (x) u0 (x) u1 of every u, as u0 (x) (S^-1(u-1), u1)
+    coact = switch_legs(apply_linear_map(S_inv, coact, (1,)), (0, 2, 1, 3))
+    coaction = LinMap.from_tensor(coact.fuse([[0], [1], [2, 3]]), 1)
     return ComoduleAlgebra(HopH, "right", alg, coaction, re, re_inv,
                            name=(A.name + ":rho%d" % k) if A.name else "")
 
@@ -669,53 +658,36 @@ class InternalCoalgebra:
             raise ShapeMismatch("internal coalgebra is built on the left side")
         self.source = source
         H, B = source.H, source.alg
-        field = source.field
         self.carrier_dims = (B.dim, H.dim)
+        id_B = El((B, B), _identity(source.field, B.dim))
 
-        def comult_fn(idx):
-            b, h = idx
-            e = source.re_el().mul_embedded(
-                El.basis((H.alg,), (h,)).map(H.comult, 0), (0, 1))   # X1 h1, X2 h2
-            e = e.mul_embedded(El.basis((B,), (b,)), (2,))            # XB b
-            return e.perm((0, 2, 1)).t
-
-        self.comult = LinMap.from_function(field, (B.dim, H.dim),
-                                           (H.dim, B.dim, H.dim), comult_fn)
+        # (b, h) -> X1 h1 (x) XB b (x) X2 h2, for every b and h at once
+        e = id_B.times(El((H.alg,) * 3, H.comult.as_tensor()))   # b b h h1 h2
+        e = e.premul_embedded(source.re_el(), (3, 4, 1))
+        self.comult = LinMap.from_tensor(e.perm((0, 2, 3, 1, 4)).t, 2)
 
         # (b, h) -> eps(h) b
-        id_B = LinMap.identity(field, (B.dim,)).as_tensor()
         self.counit = LinMap.from_tensor(
-            switch_legs(id_B.outer(H.counit.as_tensor()), (0, 2, 1)), 2)
+            switch_legs(id_B.t.outer(H.counit.as_tensor()), (0, 2, 1)), 2)
 
-        def left_action_fn(idx):
-            b, b2, h = idx
-            e = El.basis((B,), (b,)).map(source.coaction, 0)
-            return e.mul_embedded(El.basis((H.alg, B), (h, b2)), (0, 1)).perm((1, 0)).t
+        # (b, b2, h) -> (b0 b2, b-1 h)
+        e = El((B,) + source.coaction.dst_spaces, source.coaction.as_tensor())
+        e = e.times(id_B).times(El((H.alg,) * 2, _identity(source.field, H.dim)))
+        e = e.merge(2, 4).merge(1, 5)         # b b-1h b0b2 b2 h
+        self.left_action = LinMap.from_tensor(e.perm((0, 3, 4, 2, 1)).t, 3)
 
-        self.left_action = LinMap.from_function(
-            field, (B.dim, B.dim, H.dim), (B.dim, H.dim), left_action_fn)
-
-        def right_action_fn(idx):
-            b, h, b2, h2 = idx
-            e = El.basis((B, H.alg, B, H.alg), (b, h, b2, h2))
-            return e.merge(0, 2).merge(1, 2).t
-
-        self.right_action = LinMap.from_function(
-            field, (B.dim, H.dim, B.dim, H.dim), (B.dim, H.dim), right_action_fn)
+        # (b, h, b2, h2) -> (b b2, h h2)
+        self.right_action = LinMap.from_tensor(switch_legs(
+            B.mult.as_tensor().outer(H.alg.mult.as_tensor()), (0, 3, 1, 4, 2, 5)), 4)
 
     def extract(self):
         """Recover the coaction and reassociator from the emitted data."""
         H, B = self.source.H, self.source.alg
-        field = self.source.field
         unit = B.unit.outer(H.alg.unit)
-
-        def coaction_fn(idx):
-            # act on the unit of the carrier, then flip
-            acted = apply_linear_map(self.left_action,
-                                     Tensor.basis(field, (B.dim,), idx).outer(unit), (0, 1, 2))
-            return switch_legs(acted, (1, 0))
-
-        coaction = LinMap.from_function(field, (B.dim,), (H.dim, B.dim), coaction_fn)
+        # act on the unit of the carrier, then flip
+        acted = apply_linear_map(self.left_action,
+                                 _identity(self.source.field, B.dim).outer(unit), (1, 2, 3))
+        coaction = LinMap.from_tensor(switch_legs(acted, (0, 2, 1)), 1)
         reassoc = switch_legs(apply_linear_map(self.comult, unit, (0, 1)), (0, 2, 1))
         return coaction, reassoc
 

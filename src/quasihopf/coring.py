@@ -29,8 +29,8 @@ from .comodule import (BicomoduleAlgebra, ComoduleAlgebra, comodule_variant,
 from .hopf import QuasiHopfAlgebra, op_tensor
 from .modcoalg import ModuleCoalgebra, bimodule_to_op_tensor_module_coalgebra
 from .report import CheckReport
-from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices, apply_linear_map,
-                     swap_factors, switch_legs)
+from .tensor import (El, FinAlgebra, LinMap, Tensor, _identity, all_indices,
+                     apply_linear_map, swap_factors, switch_legs)
 
 
 class Coring:
@@ -188,12 +188,8 @@ def trivial_coring(R: FinAlgebra) -> Coring:
     d = R.dim
     left = LinMap(field, (d, d), (d,), R.mult.cols)
     right = LinMap(field, (d, d), (d,), R.mult.cols)
-
-    def comult_fn(idx):
-        # c maps to c (x) 1, a representative of the canonical element
-        return Tensor.basis(field, (d,), idx).outer(R.unit)
-
-    comult = LinMap.from_function(field, (d,), (d, d), comult_fn)
+    # c maps to c (x) 1, a representative of the canonical element
+    comult = LinMap.from_tensor(_identity(field, d).outer(R.unit), 1)
     counit = LinMap.identity(field, (d,))
     return Coring(R, d, left, right, comult, counit, name="trivial")
 
@@ -218,34 +214,27 @@ def _coring_bc(B: ComoduleAlgebra, C: ModuleCoalgebra) -> Coring:
     field = B.field
     dB, dC = B.alg.dim, C.dim
     N = dB * dC
-    id_B, id_C = (LinMap.identity(field, (d,)).as_tensor() for d in (dB, dC))
+    id_B, id_C = _identity(field, dB), _identity(field, dC)
     # r . (b, c) = (r b, c): the product of B tensored with id_C
     left = LinMap.from_tensor(B.alg.mult.as_tensor().outer(id_C).fuse([[0], [1, 3], [2, 4]]), 2)
 
-    def right_fn(idx):
-        n, r = idx
-        b, c = divmod(n, dC)
-        e = El.basis((B.alg,), (r,)).map(B.coaction, 0)   # r-1, r0
-        e = e.times(El.basis((B.alg,), (b,))).times(El.basis((C.space,), (c,)))
-        e = e.merge(2, 1)                                 # b r0
-        e = e.map(C.right_action, (2, 0), at=1)           # c . r-1
-        return e.t.fuse([[0, 1]])
-
-    right = LinMap.from_function(field, (N, dB), (N,), right_fn)
+    # every basis pair (b, c) at once, on the leading legs
+    pairs = El((B.alg,) * 2, id_B).times(El((C.space,) * 2, id_C))
+    # (b, c) . r = (b r0, c . r-1)
+    e = pairs.times(El((B.alg,) + B.coaction.dst_spaces, B.coaction.as_tensor()))
+    e = e.merge(1, 6)                          # b br0 c c r r-1
+    e = e.map(C.right_action, (3, 5), at=4)    # b br0 c r c.r-1
+    right = LinMap.from_tensor(e.perm((0, 2, 3, 1, 4)).t.fuse([[0, 1], [2], [3, 4]]), 2)
 
     # (b x3 (x) c2 . x2) (x) (1 (x) c1 . x1)
-    def comult_rep(idx):
-        b, c = divmod(idx[0], dC)
-        e = B.re_inv_el()
-        e = e.times(El.basis((B.alg,), (b,))).times(El.basis((C.space,), (c,)))
-        e = e.map(C.comult, 4)            # x1 x2 xB b c1 c2
-        e = e.merge(3, 2)                 # b . x3 -> x1 x2 bx3 c1 c2
-        e = e.map(C.right_action, (4, 1), at=3)  # c2 . x2 -> x1 bx3 c1 c2x2
-        e = e.map(C.right_action, (2, 0), at=1)  # c1 . x1 -> bx3 c1x1 c2x2
-        # bx3 c2x2 (x) 1 c1x1
-        return switch_legs(e.t.outer(B.alg.unit), (0, 2, 3, 1)).fuse([[0, 1], [2, 3]])
-
-    comult = LinMap.from_function(field, (N,), (N, N), comult_rep)
+    e = pairs.times(B.re_inv_el())             # b b c c x1 x2 xB
+    e = e.map(C.comult, 3)                     # b b c c1 c2 x1 x2 xB
+    e = e.merge(1, 7)                          # b . x3 -> b bx3 c c1 c2 x1 x2
+    e = e.map(C.right_action, (4, 6), at=4)    # c2 . x2 -> b bx3 c c1 c2x2 x1
+    e = e.map(C.right_action, (3, 5), at=3)    # c1 . x1 -> b bx3 c c1x1 c2x2
+    # bx3 c2x2 (x) 1 c1x1
+    comult = switch_legs(e.t.outer(B.alg.unit), (0, 2, 1, 4, 5, 3))
+    comult = LinMap.from_tensor(comult.fuse([[0, 1], [2, 3], [4, 5]]), 1)
 
     # id_B (x) eps on the fused pair (b, c)
     counit = LinMap.from_tensor(id_B.outer(C.counit.as_tensor()).fuse([[0, 2], [1]]), 1)

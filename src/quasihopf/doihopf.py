@@ -14,7 +14,7 @@ from .errors import NotRational, ShapeMismatch, VariantMismatch
 from .modcoalg import ModuleCoalgebra, _check_module_law, dualize
 from .report import CheckReport
 from .smash import ProductAlgebra, generalized_smash
-from .tensor import (FinAlgebra, LinMap, Tensor, VectorSpace, act_legwise,
+from .tensor import (FinAlgebra, LinMap, Tensor, VectorSpace, _identity, act_legwise,
                      all_indices, apply_linear_map, switch_legs)
 
 DOI_HOPF_VARIANTS = ("right-left", "left-right", "right-right", "left-left")
@@ -84,9 +84,6 @@ class FiniteModule:
         if self.action_side == "left":
             return apply_linear_map(self.action, basis.outer(vec), (0, 1))
         return apply_linear_map(self.action, vec.outer(basis), (0, 1))
-
-    def basis_el(self) -> list:
-        return [Tensor.basis(self.field, (self.dim,), (i,)) for i in range(self.dim)]
 
     def __repr__(self):
         return "FiniteModule(dim=%d%s)" % (self.dim, ", %r" % self.name if self.name else "")
@@ -199,33 +196,33 @@ def induce_doi_hopf(N: FiniteModule, context: DoiHopfContext) -> FiniteModule:
         return _reflect_module(induced, context)
     A, C = context.comodule, context.coalgebra
     field = context.field
-    dC, dN, dB = C.dim, N.dim, A.alg.dim
+    dC, dN = C.dim, N.dim
     dim = dC * dN
     action_side, coaction_side = variant.split("-")
     right = action_side == "right"
     pair = (dC, dN) if right else (dN, dC)
+    on_c = (C.left_action if C.side == "left" else C.right_action, C.side == "left")
+    on_n = (N.action, N.action_side == "left")
+    acts = (on_c, on_n) if right else (on_n, on_c)
 
-    def act_fn(idx):
-        n, b = idx if right else idx[::-1]
-        target = Tensor.basis(field, pair, divmod(n, pair[1]))
-        return _act_legwise(N, C, A.coaction.column((b,)), target,
-                            1 if right else 0, C.side).fuse([[0, 1]])
+    # every carrier basis vector x = (c, n) or (n, c) and every b at once:
+    # the coaction image of b acts on the two legs of x, leg by leg
+    t = _identity(field, dim).split(1, pair).outer(A.coaction.as_tensor())  # x t0 t1 b e0 e1
+    for leg, (act, left) in enumerate(acts, 1):
+        t = apply_linear_map(act, t, (4, leg) if left else (leg, 4), at=leg)
+    t = switch_legs(t, (0, 3, 1, 2) if right else (3, 0, 1, 2))
+    action = LinMap.from_tensor(t.fuse([[0], [1], [2, 3]]), 2)
 
-    action = LinMap.from_function(field, (dim, dB) if right else (dB, dim),
-                                  (dim,), act_fn)
-
-    def coact_fn(idx):
-        c, m = divmod(idx[0], dN) if right else divmod(idx[0], dC)[::-1]
-        e_m = Tensor.basis(field, (dN,), (m,))
-        comult = C.comult.column((c,))
-        if right:   # c1 c2 m
-            t = _act_legwise(N, C, A.reassoc_inv, comult.outer(e_m), 2, C.side)
-            return t.fuse([[0], [1, 2]])
-        t = _act_legwise(N, C, A.reassoc_inv, e_m.outer(comult), 0, C.side)
-        return t.fuse([[0, 1], [2]])   # m c1 c2
-
-    coaction = LinMap.from_function(field, (dim,), (dC, dim) if right else (dim, dC),
-                                    coact_fn)
+    # the inverse reassociator acts on c1 c2 m or m c1 c2, for every c and m
+    comult = C.comult.as_tensor()
+    id_n = _identity(field, dN)
+    if right:
+        t = act_legwise(A.reassoc_inv, comult.outer(id_n), (None, on_c, on_c, None, on_n))
+        t = switch_legs(t, (0, 3, 1, 2, 4)).fuse([[0, 1], [2], [3, 4]])
+    else:
+        t = act_legwise(A.reassoc_inv, id_n.outer(comult), (None, on_n, None, on_c, on_c))
+        t = switch_legs(t, (0, 2, 1, 3, 4)).fuse([[0, 1], [2, 3], [4]])
+    coaction = LinMap.from_tensor(t, 1)
     return FiniteModule(dim, A.alg, action, action_side, coaction, coaction_side,
                         name="induced(%s)" % (N.name or "N"))
 
@@ -293,49 +290,26 @@ def to_smash_module(M: FiniteModule, context: DoiHopfContext,
 def _smash_action(coaction: LinMap, action: LinMap, dB: int) -> LinMap:
     """The right action m.(f # b) = f(m_(-1)) m_(0).b of the smash
     product C* # B, made of a left C-coaction and a right B-action."""
-    field = action.field
-    dC, dM = coaction.dst
-    pairing = LinMap(field, (dC, dC), (), {(c, c): {(): field.one} for c in range(dC)})
-
-    def act_fn(idx):
-        m, n = idx
-        t = coaction.column((m,)).outer(Tensor.basis(field, (dC, dB), divmod(n, dB)))
-        t = apply_linear_map(pairing, t, (0, 2))        # m0 b
-        return apply_linear_map(action, t, (0, 1))
-
-    return LinMap.from_function(field, (dM, dC * dB), (dM,), act_fn)
+    # the dual basis vector e^f only selects the coalgebra index f: m f m0
+    # b b, acted on as m f b m0.b
+    t = coaction.as_tensor().outer(_identity(action.field, dB))
+    t = apply_linear_map(action, t, (2, 4), at=3)
+    return LinMap.from_tensor(t.fuse([[0], [1, 2], [3]]), 2)
 
 
 def _counit_action(M: FiniteModule, context: DoiHopfContext) -> LinMap:
     """The right action m.b = m.(eps # b) of B on a module over C* # B."""
     C, dB = context.coalgebra, context.comodule.alg.dim
-    field = context.field
-    eps = C.counit.as_tensor()
-
-    def act_fn(idx):
-        m, b = idx
-        eps_b = eps.outer(Tensor.basis(field, (dB,), (b,))).fuse([[0, 1]])
-        return act_legwise(eps_b, Tensor.basis(field, (M.dim,), (m,)), [(M.action, False)])
-
-    return LinMap.from_function(field, (M.dim, dB), (M.dim,), act_fn)
+    # the action's entries at (m, (c, b)), summed against eps(c)
+    t = M.action.as_tensor().split(1, (C.dim, dB))
+    return LinMap.from_tensor(apply_linear_map(C.counit, t, (1,)), 2)
 
 
 def _curried(action: LinMap, x: Tensor) -> LinMap:
     """m -> x_(1) (x) m.x_(2), for a right action and a two-leg x whose
     second leg lies in the acting algebra."""
-    field = action.field
-    dM = action.dst[0]
-
-    def fn(idx):
-        return apply_linear_map(action, x.outer(Tensor.basis(field, (dM,), idx)), (2, 1),
-                                at=1)
-
-    return LinMap.from_function(field, (dM,), (x.dims[0], dM), fn)
-
-
-def _identity(field, d: int) -> Tensor:
-    """The sum of e_i (x) e_i over a basis of a d-dimensional space."""
-    return Tensor(field, (d, d), {(i, i): field.one for i in range(d)})
+    t = _identity(action.field, action.dst[0]).outer(x)     # m m x1 x2
+    return LinMap.from_tensor(apply_linear_map(action, t, (1, 3), at=2), 1)
 
 
 def rational_check(M: FiniteModule, context: DoiHopfContext,
@@ -387,13 +361,9 @@ def compute_rat(M: FiniteModule, context: DoiHopfContext,
     # mu: M -> Hom(C* x B, M), m -> (n -> m.n); nu: C x M -> Hom(C* x B, M),
     # c x m -> (f # b -> f(c) m.(eps # b)); Hom(C* x B, M) = (C x B) x M
     mu = _curried(M.action, _identity(field, dS)).to_matrix()
-    eps_b = _curried(_counit_action(M, context), _identity(field, dB))
-
-    def nu_fn(idx):
-        return apply_linear_map(eps_b, Tensor.basis(field, (dC, M.dim), idx), (1,)).fuse(
-            [[0, 1], [2]])
-
-    nu = LinMap.from_function(field, (dC, M.dim), (dS, M.dim), nu_fn).to_matrix()
+    eps_b = _curried(_counit_action(M, context), _identity(field, dB))   # m b m.(eps # b)
+    nu = switch_legs(_identity(field, dC).outer(eps_b.as_tensor()), (0, 2, 1, 3, 4))
+    nu = LinMap.from_tensor(nu.fuse([[0], [1], [2, 3], [4]]), 2).to_matrix()
 
     # solve mu v = nu w: nullspace of [mu | -nu], keep the v-part
     aug = [row + [-x for x in nrow] for row, nrow in zip(mu, nu)]
@@ -522,39 +492,31 @@ def _module_hom_basis(M: FiniteModule, N: FiniteModule, alg: FinAlgebra,
     """Basis of module maps M -> N as matrices; with ``colinear`` they
     also intertwine the coactions, on the side where M coacts."""
     field = M.field
-    n_vars = N.dim * M.dim
-    rows = []
-    for b in range(alg.dim):
-        acted_n = [N.act(b, Tensor.basis(field, (N.dim,), (k,))) for k in range(N.dim)]
-        for m in range(M.dim):
-            acted_m = M.act(b, Tensor.basis(field, (M.dim,), (m,)))
-            for j in range(N.dim):
-                row = [field.zero] * n_vars
-                # f(m . b)_j - (f(m) . b)_j = 0
-                for (m2,), v in acted_m.data.items():
-                    row[j * M.dim + m2] = row[j * M.dim + m2] + v
-                for k in range(N.dim):
-                    w = acted_n[k].get((j,))
-                    if w:
-                        row[k * M.dim + m] = row[k * M.dim + m] - w
-                rows.append(row)
+    id_m, id_n = _identity(field, M.dim), _identity(field, N.dim)
+
+    def conditions(plus, minus, plus_perm, minus_perm):
+        # one row per index of the last three legs, one column per entry
+        # (k, m2) of f on the first two
+        t = switch_legs(plus, plus_perm) - switch_legs(minus, minus_perm)
+        return LinMap.from_tensor(t, 2).to_matrix()
+
+    def by_basis(X):
+        # the action as b x -> x2, the coaction as x c -> x2
+        t = X.action.as_tensor()
+        return t if X.action_side == "left" else switch_legs(t, (1, 0, 2))
+
+    # row (b, m, j): f(m . b)_j - (f(m) . b)_j = 0
+    rows = conditions(by_basis(M).outer(id_n), by_basis(N).outer(id_m),
+                      (4, 2, 0, 1, 3), (1, 4, 0, 3, 2))
     if colinear:
-        # coaction_N(f(m)) = (id x f)(coaction_M(m)), coalgebra leg c
-        left = M.coaction_side == "left"
-        for m in range(M.dim):
-            coact_m = M.coaction.column((m,))
-            for c in range(M.coaction.dst[0 if left else 1]):
-                for j in range(N.dim):
-                    row = [field.zero] * n_vars
-                    for k in range(N.dim):
-                        v = N.coaction.column((k,)).get((c, j) if left else (j, c))
-                        if v:
-                            row[k * M.dim + m] = row[k * M.dim + m] + v
-                    for key, v in coact_m.data.items():
-                        c2, m2 = key if left else key[::-1]
-                        if c2 == c:
-                            row[j * M.dim + m2] = row[j * M.dim + m2] - v
-                    rows.append(row)
+        # row (m, c, j): coaction_N(f(m)) = (id x f)(coaction_M(m)), on
+        # the side where M coacts
+        def coacted(X):
+            t = X.coaction.as_tensor()
+            return t if M.coaction_side == "left" else switch_legs(t, (0, 2, 1))
+
+        rows += conditions(coacted(N).outer(id_m), coacted(M).outer(id_n),
+                           (0, 4, 3, 1, 2), (4, 2, 0, 1, 3))
     basis = linalg.nullspace(field, rows)
     return [_unflatten_matrix(field, vec, N.dim, M.dim) for vec in basis]
 
@@ -573,12 +535,9 @@ def transport_twist(M: FiniteModule, V: TwistWitness,
     if context_from.variant != "left-right" or context_to.variant != "left-right":
         raise VariantMismatch("twist transport lives in the left-right variant")
     C = context_from.coalgebra
-    field = context_from.field
-
-    def coact_fn(idx):
-        return _act_legwise(M, C, V.t, M.coaction.column(idx), 0, "left")
-
-    coaction = LinMap.from_function(field, (M.dim,), M.coaction.dst, coact_fn)
+    coaction = act_legwise(V.t, M.coaction.as_tensor(), (
+        None, (M.action, M.action_side == "left"), (C.left_action, True)))
+    coaction = LinMap.from_tensor(coaction, 1)
     return FiniteModule(M.dim, context_to.comodule.alg, M.action, "left",
                         coaction, "right", name=M.name)
 
@@ -660,17 +619,11 @@ def doihopf_to_coring_comodule(M: FiniteModule, context: DoiHopfContext,
     if context.variant != "right-left":
         raise VariantMismatch("the coring comparison starts from the right-left variant")
     A, C = context.comodule, context.coalgebra
-    field = context.field
     if coring is None:
         coring = build_coring("BC", B=A, C=C)
-    unit = A.alg.unit
-
-    def coact_fn(idx):
-        # m_(-1) x m_(0) x 1 to m_(0) x (1 x m_(-1))
-        tagged = switch_legs(M.coaction.column(idx).outer(unit), (1, 2, 0))
-        return tagged.fuse([[0], [1, 2]])
-
-    coaction = LinMap.from_function(field, (M.dim,), (M.dim, coring.dim), coact_fn)
+    # m_(-1) x m_(0) x 1 to m_(0) x (1 x m_(-1)), for every m
+    tagged = switch_legs(M.coaction.as_tensor().outer(A.alg.unit), (0, 2, 3, 1))
+    coaction = LinMap.from_tensor(tagged.fuse([[0], [1], [2, 3]]), 1)
     out = CoringComodule(coring, M.dim, M.action, coaction, name=M.name)
     return out, coring
 
@@ -679,14 +632,9 @@ def coring_comodule_to_doihopf(M: CoringComodule, context: DoiHopfContext) -> Fi
     """Inverse direction: reduce the representative so the base-ring leg
     is trivial, then flip into a coalgebra-first coaction."""
     A, C = context.comodule, context.coalgebra
-    field = context.field
-    dB, dC = A.alg.dim, C.dim
-
-    def coact_fn(idx):
-        # m_(0) x (b x c) to c x m_(0).b
-        rep = M.coaction.column(idx).split(1, (dB, dC))
-        return switch_legs(apply_linear_map(M.action, rep, (0, 1)), (1, 0))
-
-    coaction = LinMap.from_function(field, (M.dim,), (dC, M.dim), coact_fn)
+    # m_(0) x (b x c) to c x m_(0).b, for every m
+    rep = M.coaction.as_tensor().split(2, (A.alg.dim, C.dim))
+    coaction = LinMap.from_tensor(switch_legs(apply_linear_map(M.action, rep, (1, 2)),
+                                              (0, 2, 1)), 1)
     return FiniteModule(M.dim, A.alg, M.action, "right", coaction, "left",
                         name=M.name)

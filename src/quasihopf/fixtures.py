@@ -36,12 +36,11 @@ def _z2_algebra(field, name) -> FinAlgebra:
 
 
 def _grouplike_comult(field, dim=2) -> LinMap:
-    return LinMap.from_function(field, (dim,), (dim, dim),
-                                lambda idx: {(idx[0], idx[0]): field.one})
+    return LinMap(field, (dim,), (dim, dim), {(i,): {(i, i): field.one} for i in range(dim)})
 
 
 def _all_ones_counit(field, dim=2) -> LinMap:
-    return LinMap.from_function(field, (dim,), (), lambda idx: {(): field.one})
+    return LinMap(field, (dim,), (), {(i,): {(): field.one} for i in range(dim)})
 
 
 def kz2(field=QQ) -> QuasiHopfAlgebra:
@@ -96,13 +95,8 @@ def c2(field=QQ, H: QuasiHopfAlgebra = None) -> ModuleCoalgebra:
     field = H.field
     comult = _grouplike_comult(field)
     counit = _all_ones_counit(field)
-
-    def act(idx):
-        c, i = idx
-        v = H.counit_scalar(i)
-        return {(c,): v} if v else {}
-
-    action = LinMap.from_function(field, (2, H.dim), (2,), act)
+    action = LinMap(field, (2, H.dim), (2,), {(c, i): {(c,): H.counit_scalar(i)}
+                                              for c in range(2) for i in range(H.dim)})
     return ModuleCoalgebra(H, side="right", dim=2, comult=comult, counit=counit,
                            right_action=action, name="c2")
 

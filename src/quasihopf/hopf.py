@@ -276,12 +276,10 @@ def gauge_twist(H: QuasiHopfAlgebra, F: GaugeTransformation) -> QuasiHopfAlgebra
     alg = H.alg
     f, g = H.el(F.t), H.el(F.inv)
 
-    def comult_f(idx):
-        d = H.basis_el(idx[0]).map(H.comult, 0)
-        return f.mul(d).mul(g).t
-
-    comult = LinMap.from_function(H.field, (alg.dim,), (alg.dim, alg.dim),
-                                  comult_f, dst_spaces=(alg, alg))
+    # F Delta(h) F^-1 for every h at once, h on the leading leg
+    comult = El((alg,) * 3, H.comult.as_tensor()).premul_embedded(f, (1, 2)).mul_embedded(
+        g, (1, 2))
+    comult = LinMap.from_tensor(comult.t, 1, (alg, alg))
 
     # the twisted reassociator (1 x F)(id x Delta)(F) Phi (Delta x id)(F^-1)(F^-1 x 1);
     # the untwisted comultiplication throughout

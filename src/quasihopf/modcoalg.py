@@ -8,7 +8,7 @@ from __future__ import annotations
 from .errors import ShapeMismatch
 from .hopf import GaugeTransformation, QuasiBialgebra, gauge_twist, op_tensor, variant
 from .report import CheckReport
-from .tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace, act_legwise,
+from .tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace, _identity, act_legwise,
                      all_indices, apply_linear_map, switch_legs)
 
 SIDES = ("left", "right", "bi")
@@ -355,17 +355,10 @@ def bimodule_to_op_tensor_module_coalgebra(C: ModuleCoalgebra,
     if base is None and not isinstance(H, QuasiHopfAlgebra):
         raise ShapeMismatch("the twisted tensor square needs a quasi-Hopf base")
     HopH = base if base is not None else op_tensor(H)
-    field = C.field
-    dH = H.dim
-
-    def act(idx):
-        k, c = idx
-        h, h2 = divmod(k, dH)
-        inner = C.left_action.column((h2, c))
-        return apply_linear_map(
-            C.right_action, inner.outer(Tensor.basis(field, (dH,), (h,))), (0, 1))
-
-    action = LinMap.from_function(field, (HopH.dim, C.dim), (C.dim,), act)
+    # ((h, h2), c) -> (h2 . c) . h, for every h, h2 and c at once
+    t = _identity(C.field, H.dim).outer(C.left_action.as_tensor())   # h h h2 c h2.c
+    t = apply_linear_map(C.right_action, t, (4, 1), at=3)
+    action = LinMap.from_tensor(t.fuse([[0, 1], [2], [3]]), 2)
     return ModuleCoalgebra(HopH, "left", C.dim, C.comult, C.counit,
                            left_action=action,
                            name=(C.name + "-over-square") if C.name else "")
@@ -383,11 +376,9 @@ def gauge_twist_module_coalgebra(C: ModuleCoalgebra, F: GaugeTransformation):
     if not isinstance(H, QuasiHopfAlgebra):
         raise ShapeMismatch("gauge twisting the base needs antipode data")
     H_f = gauge_twist(H, F)
-
-    def comult_fn(idx):
-        return act_legwise(F.t, C.comult.column(idx), [(C.left_action, True)] * 2)
-
-    comult = LinMap.from_function(C.field, (C.dim,), (C.dim, C.dim), comult_fn)
+    comult = act_legwise(F.t, C.comult.as_tensor(), (None, (C.left_action, True),
+                                                     (C.left_action, True)))
+    comult = LinMap.from_tensor(comult, 1)
     out = ModuleCoalgebra(H_f, "left", C.dim, comult, C.counit, left_action=C.left_action,
                           name=(C.name + "_twisted") if C.name else "")
     return out, H_f

@@ -25,7 +25,7 @@ from .hopf import QuasiHopfAlgebra, drinfeld_twist, op_tensor
 from .modcoalg import (ModuleAlgebra, ModuleCoalgebra,
                        bimodule_to_op_tensor_module_coalgebra, dualize)
 from .report import CheckReport
-from .tensor import (El, FinAlgebra, LinMap, Tensor, all_indices,
+from .tensor import (El, FinAlgebra, LinMap, Tensor, _identity, all_indices,
                      apply_linear_map, multiply, swap_factors,
                      switch_legs, unit_tensor)
 
@@ -146,13 +146,8 @@ def _mirror(P: ProductAlgebra, provenance: str, sub_alg: FinAlgebra) -> ProductA
 def _unit_embedding(sub: FinAlgebra, other: FinAlgebra, first: bool) -> LinMap:
     """The embedding b -> b (x) 1 (``first``) or 1 (x) b of a factor
     algebra into the fused pair basis."""
-    field = sub.field
-
-    def fn(idx):
-        b = Tensor.basis(field, (sub.dim,), idx)
-        return (b.outer(other.unit) if first else other.unit.outer(b)).fuse([[0, 1]])
-
-    return LinMap.from_function(field, (sub.dim,), (sub.dim * other.dim,), fn)
+    t = _identity(sub.field, sub.dim).outer(other.unit)     # b b 1
+    return LinMap.from_tensor((t if first else switch_legs(t, (0, 2, 1))).fuse([[0], [1, 2]]), 1)
 
 
 def generalized_smash(A: ModuleAlgebra, B: ComoduleAlgebra) -> ProductAlgebra:
@@ -231,25 +226,21 @@ def koppinen_smash(C: ModuleCoalgebra, B: ComoduleAlgebra) -> ProductAlgebra:
     field = C.field
     dC, dB = C.dim, B.alg.dim
 
-    evals = [LinMap.from_function(field, (dC,), (),
-                                  lambda idx, f=f: {(): field.one} if idx[0] == f else {})
-             for f in range(dC)]
+    # <e^f, .>: the entries at index f of a coalgebra leg
+    evals = [LinMap(field, (dC,), (), {(f,): {(): field.one}}) for f in range(dC)]
+    # c1 c2 of every basis element m of C, m on the leading leg
+    comult = El((C.space,) * 3, C.comult.as_tensor())
 
     def mult_fn(i, j, k):
-        out = Tensor(field, (dC, dB))
-        for m in range(dC):
-            e = El.basis((C.space,), (m,)).map(C.comult, 0)
-            e = e.times(B.re_inv_el())    # c1 c2 x1 x2 xB
-            e = e.map(C.right_action, (0, 2), at=0)   # c1.x1 c2 x2 xB
-            e = e.map(evals[i], (0,), out_spaces=())  # <e^i, .>
-            e = e.times(El.basis((B.alg,), (j,)))     # c2 x2 xB bj
-            e = e.map(B.coaction, 3)      # c2 x2 xB bj-1 bj0
-            e = e.merge(1, 3)             # x2 bj-1
-            e = e.map(C.right_action, (0, 1), at=0)   # c2.x2bj-1 xB bj0
-            e = e.map(evals[k], (0,), out_spaces=())  # <e^k, .>
-            e = e.merge(0, 1)             # xB bj0, then bl on the right
-            out = out + Tensor.basis(field, (dC,), (m,)).outer(e.t)
-        return out
+        e = comult.times(B.re_inv_el())   # m c1 c2 x1 x2 xB
+        e = e.map(C.right_action, (1, 3), at=1)   # m c1.x1 c2 x2 xB
+        e = e.map(evals[i], (1,), out_spaces=())  # <e^i, .>
+        e = e.times(El.basis((B.alg,), (j,)))     # m c2 x2 xB bj
+        e = e.map(B.coaction, 4)          # m c2 x2 xB bj-1 bj0
+        e = e.merge(2, 4)                 # x2 bj-1
+        e = e.map(C.right_action, (1, 2), at=1)   # m c2.x2bj-1 xB bj0
+        e = e.map(evals[k], (1,), out_spaces=())  # <e^k, .>
+        return e.merge(1, 2).t            # m, xB bj0, then bl on the right
 
     full_unit = C.counit.as_tensor().outer(B.alg.unit)
     return _product_from_pairs(field, dC, dB, mult_fn, (3, B.alg, "right"), full_unit,
@@ -307,25 +298,21 @@ def phi_isomorphism(C: ModuleCoalgebra):
     S, S_inv = H.antipode, H.antipode_inv
     dC, dH = C.dim, H.dim
 
-    def act_on_dual(e, f):
-        # the first leg of e acts on the dual basis vector e^f
-        return e.times(El.basis((dual.alg,), (f,))).map(dual.left_action, (0, 2))
+    # every basis element (f, h) of the carrier at once, f and h on the
+    # leading legs
+    dual_basis = El((dual.alg,) * 2, _identity(field, dC))
+    comult = El((H.alg,) * 3, H.comult.as_tensor())
 
-    def phi_fn(idx):
-        f, h = divmod(idx[0], dH)
-        e = q_lambda.mul(El.basis((H.alg,), (h,)).map(H.comult, 0)).mul(g_el)
-        e = e.map(S_inv, 0).map(S_inv, 1)  # S^-1(q1 h1 g1), S^-1(q2 h2 g2)
-        return act_on_dual(e, f).t.fuse([[0, 1]])
+    def acting_on_dual(e):
+        # the first leg of e (after h) acts on the dual basis vector e^f
+        e = dual_basis.times(e).map(dual.left_action, (3, 1), at=2)   # f h e1.e^f e2
+        return LinMap.from_tensor(e.t.fuse([[0, 1], [2, 3]]), 1)
 
-    def phi_inv_fn(idx):
-        f, h = divmod(idx[0], dH)
-        e = q_rho.mul(El.basis((H.alg,), (h,)).map(H.comult, 0))   # qa h1, q2 h2
-        e = g_el.mul(e.map(S, 0).map(S, 1).perm((1, 0)))  # g1 S(q2 h2), g2 S(qa h1)
-        return act_on_dual(e, f).t.fuse([[0, 1]])
-
+    e = comult.premul_embedded(q_lambda, (1, 2)).mul_embedded(g_el, (1, 2))
+    phi = acting_on_dual(e.map(S_inv, 1).map(S_inv, 2))   # S^-1(q1 h1 g1), S^-1(q2 h2 g2)
+    e = comult.premul_embedded(q_rho, (1, 2)).map(S, 1).map(S, 2)   # S(qa h1), S(q2 h2)
+    phi_inv = acting_on_dual(e.perm((0, 2, 1)).premul_embedded(g_el, (1, 2)))
     dim = dC * dH
-    phi = LinMap.from_function(field, (dim,), (dim,), phi_fn)
-    phi_inv = LinMap.from_function(field, (dim,), (dim,), phi_inv_fn)
 
     report = CheckReport("smash comparison iso %s" % (C.name or "C"))
 
@@ -382,7 +369,6 @@ def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
     H = A.H
     if not isinstance(H, QuasiHopfAlgebra):
         raise AntipodeRequired("the exchange data needs antipode data")
-    field = A.field
     alg = A.alg
     sp5 = (H.alg, H.alg, alg, H.alg, H.alg)
     twist = drinfeld_twist(H)
@@ -391,9 +377,7 @@ def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
     # psi is a product of three invertible factors; psi_inv multiplies
     # their inverses in the reversed order (the coactions are algebra maps)
     if kind == "l":
-        def delta_fn(idx):
-            return El.basis((alg,), idx).map(
-                A.right_coaction, 0).map(A.left_coaction, 0).t
+        delta = apply_linear_map(A.left_coaction, A.right_coaction.as_tensor(), (1,))
 
         def exchange(theta, phi_right, phi_left, reverse):
             theta = El(A.mixed_spaces(), theta)            # Theta x 1 in H A H H
@@ -406,9 +390,7 @@ def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
         psi = exchange(A.reassoc_mixed, A.reassoc_right_inv, A.reassoc_left, False)
         psi_inv = exchange(A.reassoc_mixed_inv, A.reassoc_right, A.reassoc_left_inv, True)
     else:
-        def delta_fn(idx):
-            return El.basis((alg,), idx).map(
-                A.left_coaction, 0).map(A.right_coaction, 1).t
+        delta = apply_linear_map(A.right_coaction, A.left_coaction.as_tensor(), (2,))
 
         def exchange(theta_inv, phi_left, phi_right_inv, reverse):
             theta_inv = El(A.mixed_spaces(), theta_inv)    # 1 x Theta^-1 in H H A H
@@ -425,8 +407,7 @@ def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
     if multiply(sp5, psi, psi_inv) != unit_tensor(sp5):
         raise NotInvertible("the stated reassociator inverses do not invert "
                             "the exchange element")
-    delta = LinMap.from_function(field, (alg.dim,), (H.dim, alg.dim, H.dim),
-                                 delta_fn, dst_spaces=(H.alg, alg, H.alg))
+    delta = LinMap.from_tensor(delta, 1, (H.alg, alg, H.alg))
 
     e = El(sp5, psi).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
     g_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, twist.inv, (0,)), (1,))

@@ -479,20 +479,35 @@ def apply_linear_map(m: LinMap, x: Tensor, legs, at=None) -> Tensor:
 
 
 def act_legwise(element: Tensor, target: Tensor, actions) -> Tensor:
-    """Act by ``element`` on ``target`` leg by leg: leg i of the element
-    acts on leg i of the target through ``actions[i]``, a pair
-    (action, acts_from_left).  A left action maps (element leg, target
-    leg) to the target leg, a right action (target leg, element leg).
-    The outer product is formed once, then each leg is one
-    ``apply_linear_map``, however many entries the element has."""
-    n = target.arity
-    if element.arity != n or len(actions) != n:
+    """Act by ``element`` on ``target`` leg by leg: target leg i is acted
+    on through ``actions[i]``, a pair (action, acts_from_left), by the
+    next leg of the element, or left as it is where ``actions[i]`` is
+    None (a spectator, such as the source leg of a map's tensor form).
+    A left action maps (element leg, target leg) to the target leg, a
+    right action (target leg, element leg).  The outer product is formed
+    once, then each acted leg is one ``apply_linear_map``, however many
+    entries the element has."""
+    leg = element.arity
+    if len(actions) != target.arity or leg != len(actions) - actions.count(None):
         raise ShapeMismatch("%d-leg element, %d actions for a %d-leg target"
-                            % (element.arity, len(actions), n))
+                            % (leg, len(actions), target.arity))
     out = element.outer(target)
-    for action, left in actions:
-        out = apply_linear_map(action, out, (0, n) if left else (n, 0), at=n - 1)
+    # target leg i sits after i target legs and the element legs not yet
+    # used, so an acted leg keeps the next one where it was
+    for pair in actions:
+        if pair is None:
+            leg += 1
+            continue
+        action, left = pair
+        out = apply_linear_map(action, out, (0, leg) if left else (leg, 0), at=leg - 1)
     return out
+
+
+def _identity(field, d: int) -> Tensor:
+    """The sum of e_i (x) e_i over a basis of a d-dimensional space: fed
+    in for a basis vector, it builds a map for every basis vector at
+    once, leg 0 carrying the source index."""
+    return Tensor(field, (d, d), {(i, i): field.one for i in range(d)})
 
 
 class VectorSpace:

@@ -12,7 +12,7 @@ from .errors import AntipodeRequired, VariantMismatch
 from .hopf import QuasiHopfAlgebra, op_tensor
 from .modcoalg import ModuleCoalgebra, bimodule_to_op_tensor_module_coalgebra
 from .report import CheckReport
-from .tensor import El, LinMap, Tensor, all_indices, apply_linear_map
+from .tensor import El, LinMap, Tensor, _identity, all_indices, apply_linear_map
 
 
 class YetterDrinfeldContext:
@@ -86,42 +86,31 @@ def verify_yd(M: FiniteModule, context: YetterDrinfeldContext) -> CheckReport:
         lhs = _act_legwise(M, C, A.right_coaction.column((a,)),
                            M.coaction.column((i,)), 0, "left")
         # (u_[0] . m)_(0) x (u_[0] . m)_(1) . u_[-1]
-        rhs = _coact_acted(M, C, A.left_coaction.column((a,)), i)
+        rhs = _coact_acted(M, C, A.left_coaction.column((a,)),
+                           Tensor.basis(field, (M.dim,), (i,)))
         return lhs, rhs
 
     report.sweep("crossed-compat", all_indices((M.dim, A.alg.dim)), crossed)
     return report
 
 
-def _coact_acted(M: FiniteModule, C: ModuleCoalgebra, x: Tensor, i: int) -> Tensor:
-    """(x_A . m)_(0) (x) (x_A . m)_(1) . x_H for an element x of H (x) A
-    and the basis element m = e_i of M."""
-    t = x.outer(Tensor.basis(M.field, (M.dim,), (i,)))    # h a m
-    t = apply_linear_map(M.action, t, (1, 2))            # h m
-    t = apply_linear_map(M.coaction, t, (1,))            # h m0 c
-    return apply_linear_map(C.right_action, t, (2, 0), at=1)
-
-
-def _act_sandwich(action: LinMap, C: ModuleCoalgebra, x: Tensor,
-                  target: Tensor) -> Tensor:
-    """Act by an element x of H (x) A (x) H on a tensor of carrier (x) C:
-    x_A on the carrier through ``action``, then (x_3 . c) . x_1 on the
-    coalgebra leg."""
-    t = x.outer(target)                                  # r a l m c
-    t = apply_linear_map(action, t, (1, 3), at=0)        # m r l c
-    t = apply_linear_map(C.left_action, t, (2, 3))       # m r l.c
-    return apply_linear_map(C.right_action, t, (2, 1))   # m (l.c).r
+def _coact_acted(M: FiniteModule, C: ModuleCoalgebra, x: Tensor, target: Tensor) -> Tensor:
+    """(x_A . m)_(0) (x) (x_A . m)_(1) . x_H for an element x of H (x) A,
+    m the last leg of ``target``; any legs before it ride along."""
+    k = target.arity - 1
+    t = target.outer(x)                                         # m h a
+    t = apply_linear_map(M.action, t, (k + 2, k), at=k)         # m h
+    t = apply_linear_map(M.coaction, t, (k,))                   # m0 c h
+    return apply_linear_map(C.right_action, t, (k + 1, k + 2))  # m0 c.h
 
 
 def yd_to_doihopf(M: FiniteModule, context: YetterDrinfeldContext) -> FiniteModule:
     """Keep the action, replace the coaction using the canonical left
     comparison element; lands in the square-base Doi-Hopf context."""
     A = context.A
-    field = context.field
     p = canonical_elements(A.left(), verify=False).p.t      # H x A
-
-    coaction = LinMap.from_function(field, (M.dim,), (M.dim, context.C.dim),
-                                    lambda idx: _coact_acted(M, context.C, p, idx[0]))
+    t = _coact_acted(M, context.C, p, _identity(context.field, M.dim))    # m m0 c
+    coaction = LinMap.from_tensor(t, 1)
     return FiniteModule(M.dim, A.alg, M.action, "left", coaction, "right",
                         name=(M.name or "M"))
 
@@ -130,13 +119,14 @@ def doihopf_to_yd(M: FiniteModule, context: YetterDrinfeldContext) -> FiniteModu
     """Inverse direction using the other canonical comparison element and
     the right coaction of the carrier."""
     A, C, H = context.A, context.C, context.H
-    field = context.field
     q = El((H.alg, A.alg), canonical_elements(A.left(), verify=False).q.t)
     q = q.map(H.antipode_inv, 0).map(A.right_coaction, 1)   # S^-1(q1) qA0 qA1
-
-    coaction = LinMap.from_function(
-        field, (M.dim,), (M.dim, C.dim),
-        lambda idx: _act_sandwich(M.action, C, q.t, M.coaction.column(idx)))
+    # qA0 acts on the carrier, then (qA1 . c) . S^-1(q1) on the coalgebra
+    # leg, for every m at once
+    t = M.coaction.as_tensor().outer(q.t)                   # m m c r a l
+    t = apply_linear_map(M.action, t, (4, 1), at=1)         # m m c r l
+    t = apply_linear_map(C.left_action, t, (4, 2), at=2)    # m m l.c r
+    coaction = LinMap.from_tensor(apply_linear_map(C.right_action, t, (2, 3)), 1)
     return FiniteModule(M.dim, A.alg, M.action, "left", coaction, "right",
                         name=(M.name or "M"))
 

@@ -685,6 +685,30 @@ def test_readme_pipeline_makes_no_dense_inverse(tmp_path, monkeypatch, field_tag
         assert calls == [], argv
 
 
+@pytest.mark.parametrize("field_tag", FIELD_TAGS)
+def test_commands_build_no_map_column_by_column(tmp_path, monkeypatch, field_tag):
+    # every derived map is built in one pass on the tensor form of its
+    # input: no command of the README pipeline or of EXTRA_COMMANDS
+    # collects a map's columns one basis vector at a time
+    original = LinMap.from_function.__func__
+    calls = []
+
+    def counted(cls, field, src, dst, fn, dst_spaces=None):
+        calls.append((src, dst))
+        return original(cls, field, src, dst, fn, dst_spaces)
+
+    monkeypatch.setattr(LinMap, "from_function", classmethod(counted))
+    for name, commands in (("readme", readme_commands()), ("extra", EXTRA_COMMANDS)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        for argv in commands:
+            if argv[:2] == ["fixture", "emit"]:
+                argv = argv + ["--field", field_tag]
+            run(argv)
+            assert calls == [], argv
+    assert len(readme_commands()) + len(EXTRA_COMMANDS) == 32
+
+
 if __name__ == "__main__":
     import tempfile
     for path, digests_in in ((README_DIGESTS, lambda tmp, tag: command_digests(

@@ -8,12 +8,13 @@ from quasihopf.errors import NotInvertible, ShapeMismatch
 from quasihopf.fields import QQ, FpElement, PrimeField
 from quasihopf.fixtures import h2, kz2
 from quasihopf.tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace, _densest_leg,
-                              all_indices, apply_linear_map, build_tensor_algebra,
+                              act_legwise, all_indices, apply_linear_map, build_tensor_algebra,
                               embed_legs, interleave, invert_element, multiply,
                               swap_factors, switch_legs, unit_tensor)
 
 from tensor_case import (naive_apply_linear_map, naive_multiply, reference_compose,
                          reference_interleave, reference_permute, reference_to_matrix)
+from test_hopf import sweedler
 
 FP = PrimeField(10007)
 
@@ -895,3 +896,31 @@ def test_leg_kernel_does_no_fraction_arithmetic(monkeypatch):
     for out, (m, legs, at) in zip(outs, cases):
         assert out.data and out == naive_apply_linear_map(m, x, legs, at)
         assert_clean(QQ, out)
+
+
+def test_act_legwise_leaves_a_none_leg_as_it_is(field):
+    # over Sweedler's algebra, which is not commutative, with spectators
+    # of other dimensions at legs 1 and 3: each basis target gives the
+    # result on its two acted legs with its spectator indices in place
+    H = sweedler(field)
+    acts = [(H.alg.mult, True), None, (H.alg.mult, False), None]
+    x = H.comult.column((2,)) + H.comult.column((3,)).scale(field.from_int(3))
+    nonzero = 0
+    for idx in all_indices((4, 3, 4, 2)):
+        got = act_legwise(x, Tensor.basis(field, (4, 3, 4, 2), idx), acts)
+        acted = act_legwise(x, Tensor.basis(field, (4, 4), (idx[0], idx[2])),
+                            [acts[0], acts[2]])
+        spectators = Tensor.basis(field, (3, 2), (idx[1], idx[3]))
+        assert got == switch_legs(acted.outer(spectators), (0, 2, 1, 3))
+        nonzero += bool(got.data)
+    assert nonzero
+
+
+def test_act_legwise_wants_one_element_leg_per_acted_leg(field):
+    H = h2(field)
+    act = (H.alg.mult, True)
+    target = Tensor.basis(field, (2, 2, 2), (0, 1, 1))
+    for element, actions in ((H.reassoc, [act, None, act]), (H.alg.unit, [act, act, None]),
+                             (H.alg.unit, [act, None])):
+        with pytest.raises(ShapeMismatch):
+            act_legwise(element, target, actions)
