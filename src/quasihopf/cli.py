@@ -35,7 +35,7 @@ from .report import CheckReport
 from .smash import (DIAGONAL_KINDS, ProductAlgebra, check_prop_3_10, diagonal_crossed_product,
                     generalized_smash, koppinen_smash, phi_isomorphism,
                     right_generalized_smash, verify_product_algebra)
-from .tensor import all_indices, apply_linear_map, multiply, unit_tensor
+from .tensor import El, all_indices, apply_linear_map, multiply, unit_tensor
 from .yd import (YetterDrinfeldContext, doihopf_to_yd, induce_yd, verify_yd,
                  yd_to_doihopf)
 
@@ -205,20 +205,16 @@ def cmd_dtwist(args):
     value = _load(args.file, QuasiHopfAlgebra)
     twist = drinfeld_twist(value)
     report = CheckReport("canonical gauge of %s" % (value.name or args.file))
-    spaces = value.spaces(2)
-    _two_sided_inverse(report, spaces, twist)
-    flip = value.comult.permute(dst=(1, 0))
+    _two_sided_inverse(report, value.spaces(2), twist)
+    S = value.antipode
 
-    # Delta(S(h)) conjugated by the twist is (S x S)(flip Delta(h))
-    def conjugates(idx):
-        s_h = apply_linear_map(value.antipode, value.basis_el(idx[0]).t, (0,))
-        lhs = multiply(spaces, twist.t, multiply(
-            spaces, apply_linear_map(value.comult, s_h, (0,)), twist.inv))
-        flipped = flip.column(idx)
-        return lhs, apply_linear_map(value.antipode,
-                                     apply_linear_map(value.antipode, flipped, (0,)), (1,))
-
-    report.sweep("conjugates-antipode", all_indices((value.dim,)), conjugates)
+    # Delta(S(h)) conjugated by the twist is (S x S)(flip Delta(h)), for
+    # every h at once, h on the leading leg
+    s_h = El(value.spaces(2), S.as_tensor()).map(value.comult, 1)
+    lhs = s_h.mul_embedded(value.el(twist.inv), (1, 2)).premul_embedded(value.el(twist.t), (1, 2))
+    flipped = value.comult.permute(dst=(1, 0)).as_tensor()
+    rhs = apply_linear_map(S, apply_linear_map(S, flipped, (1,)), (2,))
+    report.sweep_all("conjugates-antipode", (value.dim,), lhs.t, rhs)
     emitted = []
     if args.out:
         io.emit_value(twist, args.out, base_path=args.file)

@@ -5,6 +5,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .errors import ShapeMismatch
+from .tensor import Tensor
+
+
+def _slice(t: Tensor, item) -> Tensor:
+    """The entries of ``t`` whose index starts with ``item``, as a tensor
+    over the legs after it."""
+    n = len(item)
+    out = Tensor(t.field, t.dims[n:])
+    out.data = {idx[n:]: v for idx, v in t.data.items() if idx[:n] == item}
+    return out
+
 
 @dataclass
 class CheckRecord:
@@ -67,6 +79,23 @@ class CheckReport:
                 break
         else:
             self.add(check_id, True, fatal=fatal)
+        return self.records[-1]
+
+    def sweep_all(self, check_id, lead, lhs, rhs, fatal=True) -> CheckRecord:
+        """``sweep`` with every item at once: ``lhs`` and ``rhs`` carry the
+        item index on their first legs, whose dims are ``lead``.  The first
+        item in row-major order where the sides differ is the witness, and
+        the two slices at that item, tensors over the remaining legs, are
+        the recorded sides: the record ``sweep`` makes from the slices."""
+        n = len(lead)
+        if lhs.dims[:n] != tuple(lead) or rhs.dims != lhs.dims:
+            raise ShapeMismatch("sides of dims %r and %r for items of dims %r"
+                                % (lhs.dims, rhs.dims, lead))
+        if lhs == rhs:
+            self.add(check_id, True, fatal=fatal)
+        else:
+            item = lhs.first_difference(rhs)[:n]
+            self.add(check_id, False, item, _slice(lhs, item), _slice(rhs, item), fatal)
         return self.records[-1]
 
     def extend(self, other: "CheckReport", prefix: str = ""):

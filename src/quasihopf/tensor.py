@@ -23,6 +23,8 @@ transcribe multi-term Sweedler formulas leg by leg.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from . import linalg
 from .errors import NotInvertible, ShapeMismatch
 
@@ -239,9 +241,20 @@ def switch_legs(x: Tensor, perm) -> Tensor:
     """
     perm = _check_perm(perm, x.arity)
     out = Tensor(x.field, tuple(x.dims[p] for p in perm))
-    for idx, value in x.data.items():
-        out.data[tuple(idx[p] for p in perm)] = value
+    get = _getter(perm)
+    out.data = {get(idx): value for idx, value in x.data.items()}
     return out
+
+
+def _getter(legs):
+    """``idx -> tuple([idx[l] for l in legs])``, built once: a slice where
+    the legs are consecutive (one leg, or none, included), else an
+    ``itemgetter`` of them all."""
+    legs = tuple(legs)
+    start = legs[0] if legs else 0
+    if legs == tuple(range(start, start + len(legs))):
+        return itemgetter(slice(start, start + len(legs)))
+    return itemgetter(*legs)
 
 
 def swap_factors(x: Tensor, legs, d1: int, d2: int) -> Tensor:
@@ -451,6 +464,7 @@ def apply_linear_map(m: LinMap, x: Tensor, legs, at=None) -> Tensor:
     if not 0 <= at <= len(remaining):
         raise ShapeMismatch("bad insertion slot %d" % at)
     lead, trail = remaining[:at], remaining[at:]
+    src_get, head_get, tail_get = _getter(legs), _getter(lead), _getter(trail)
     field = x.field
     den_m, cols = m._raw_columns()
     den_x = field.common_den(x.data.values())
@@ -458,11 +472,11 @@ def apply_linear_map(m: LinMap, x: Tensor, legs, at=None) -> Tensor:
     acc = {}
     get = acc.get
     for idx, value in x.data.items():
-        col = cols.get(tuple([idx[l] for l in legs]))
+        col = cols.get(src_get(idx))
         if col is None:
             continue
-        head = tuple([idx[l] for l in lead])
-        tail = tuple([idx[l] for l in trail])
+        head = head_get(idx)
+        tail = tail_get(idx)
         v = raw_over(value, den_x)
         for img_idx, w in col:
             key = head + img_idx + tail
@@ -598,11 +612,14 @@ class FinAlgebra:
         return None
 
     def unit_witness(self):
-        for i in range(self.dim):
-            e = Tensor.basis(self.field, (self.dim,), (i,))
-            if self.product(self.unit, e) != e or self.product(e, self.unit) != e:
-                return (i,)
-        return None
+        """First basis index i with 1 e_i != e_i or e_i 1 != e_i, or None;
+        both products for every i at once, i on a leading leg."""
+        ident = _identity(self.field, self.dim)
+        spaces = (self, self)
+        wheres = [t.first_difference(ident) for t in (
+            multiply(spaces, self.unit, ident, x_legs=(1,)),
+            multiply(spaces, ident, self.unit, y_legs=(1,)))]
+        return min([w[:1] for w in wheres if w is not None], default=None)
 
     def opposite(self) -> "FinAlgebra":
         return FinAlgebra(self.field, self.dim, self.mult.permute(src=(1, 0)), self.unit,

@@ -8,13 +8,53 @@ running element one ``merge`` at a time, and each unit-padded product
 ``embed_legs`` first.  The library multiplies every such factor in where
 it lands, with ``El.mul_embedded`` and ``El.premul_embedded``; the tests
 in ``test_qha_reference.py`` compare the two record for record.
+
+The reference verifier also keeps the per-item sweeps: one small
+pipeline per basis element or basis pair, through ``CheckReport.sweep``.
+The library runs each of those sweeps once over the tensor form of its
+map, the item on a leading leg, through ``CheckReport.sweep_all``.
 """
 
-from quasihopf.hopf import (GaugeTransformation, QuasiHopfAlgebra, _algebra_map_records,
-                            verify_fin_algebra)
+from quasihopf.hopf import GaugeTransformation, QuasiHopfAlgebra
 from quasihopf.report import CheckReport
 from quasihopf.tensor import (El, LinMap, Tensor, all_indices, apply_linear_map,
-                              embed_legs, unit_tensor)
+                              embed_legs, multiply, unit_tensor)
+
+
+def _algebra_map_records(report, H, fn, unit_image, tag):
+    """Check that basis-wise fn respects products and the unit, one basis
+    pair at a time."""
+    alg = H.alg
+
+    def image(i):
+        return fn(Tensor.basis(alg.field, (alg.dim,), (i,)))
+
+    def multiplicative(pair):
+        i, j = pair
+        img = fn(alg.basis_product(i, j))
+        if img.arity:
+            return img, multiply([alg] * img.arity, image(i), image(j))
+        return img.get(()), image(i).get(()) * image(j).get(())
+
+    report.sweep(tag + "-multiplicative", all_indices((alg.dim, alg.dim)),
+                 multiplicative)
+    report.add(tag + "-unital", fn(alg.unit) == unit_image)
+
+
+def reference_unit_witness(alg):
+    """``FinAlgebra.unit_witness`` one basis element at a time."""
+    for i in range(alg.dim):
+        e = Tensor.basis(alg.field, (alg.dim,), (i,))
+        if alg.product(alg.unit, e) != e or alg.product(e, alg.unit) != e:
+            return (i,)
+    return None
+
+
+def reference_verify_fin_algebra(alg, report):
+    witness = alg.associativity_witness()
+    report.add("mult-associative", witness is None, witness=witness)
+    witness = reference_unit_witness(alg)
+    report.add("unit-two-sided", witness is None, witness=witness)
 
 
 def reference_verify_quasi_hopf(H) -> CheckReport:
@@ -22,7 +62,7 @@ def reference_verify_quasi_hopf(H) -> CheckReport:
     outer-product antipode chains."""
     report = CheckReport("quasi-hopf %s" % (H.name or ""))
     alg, S = H.alg, H.antipode
-    verify_fin_algebra(alg, report=report)
+    reference_verify_fin_algebra(alg, report)
     _algebra_map_records(report, H, lambda x: apply_linear_map(H.comult, x, (0,)),
                          unit_tensor(H.spaces(2)), "comult")
     _algebra_map_records(report, H, lambda x: apply_linear_map(H.counit, x, (0,)),
@@ -86,6 +126,22 @@ def reference_verify_quasi_hopf(H) -> CheckReport:
     report.add("alpha-beta-normalized", norm == H.field.one, fatal=False,
                lhs=norm, rhs=H.field.one)
     return report
+
+
+def reference_conjugates_antipode(report, value, twist):
+    """``qha dtwist``'s conjugation check, one basis element at a time."""
+    spaces = value.spaces(2)
+    flip = value.comult.permute(dst=(1, 0))
+
+    def conjugates(idx):
+        s_h = apply_linear_map(value.antipode, value.basis_el(idx[0]).t, (0,))
+        lhs = multiply(spaces, twist.t, multiply(
+            spaces, apply_linear_map(value.comult, s_h, (0,)), twist.inv))
+        flipped = flip.column(idx)
+        return lhs, apply_linear_map(value.antipode,
+                                     apply_linear_map(value.antipode, flipped, (0,)), (1,))
+
+    report.sweep("conjugates-antipode", all_indices((value.dim,)), conjugates)
 
 
 def reference_gauge_twist(H, F) -> QuasiHopfAlgebra:

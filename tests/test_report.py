@@ -1,14 +1,18 @@
 import os
+import random
 import subprocess
 import sys
 
+import pytest
+
 import quasihopf
-from quasihopf.fields import QQ
+from quasihopf.errors import ShapeMismatch
+from quasihopf.fields import QQ, PrimeField
 from quasihopf.fixtures import h2, h2_bimodule_coalgebra, hh_bicomodule
 from quasihopf.comodule import BicomoduleAlgebra, canonical_elements
 from quasihopf.modcoalg import ModuleAlgebra, dualize, verify_module_algebra
 from quasihopf.report import CheckReport
-from quasihopf.tensor import LinMap
+from quasihopf.tensor import LinMap, Tensor, all_indices
 
 
 def test_sweep_pass_records_once_without_witness():
@@ -62,6 +66,72 @@ def test_sweep_advisory_flag_passes_through():
 def test_sweep_over_no_items_passes():
     record = CheckReport("s").sweep("id", [], lambda item: (0, 1))
     assert record.passed
+
+
+def _side(field, dims, data):
+    return Tensor(field, dims, {k: field.from_int(v) for k, v in data.items()})
+
+
+def test_sweep_all_pass_records_once_without_witness():
+    t = _side(QQ, (2, 3), {(0, 1): 1, (1, 2): 4})
+    report = CheckReport("s")
+    record = report.sweep_all("id", (2,), t, t)
+    assert report.records == [record]
+    assert record.passed and record.fatal
+    assert record.witness is None and record.lhs is None and record.rhs is None
+
+
+def test_sweep_all_witness_is_first_failing_item_in_row_major_order():
+    # item (0, 1) differs only at its last index, item (1, 0) at its first;
+    # the earlier item wins although the later one differs at a smaller index
+    lhs = _side(QQ, (2, 2, 3), {(0, 0, 0): 1, (0, 1, 2): 5, (1, 0, 0): 7})
+    rhs = _side(QQ, (2, 2, 3), {(0, 0, 0): 1, (0, 1, 2): 6, (1, 0, 0): 8})
+    record = CheckReport("s").sweep_all("id", (2, 2), lhs, rhs)
+    assert not record.passed
+    assert record.witness == (0, 1)
+
+
+def test_sweep_all_records_slices_over_the_remaining_legs():
+    lhs = _side(QQ, (3, 2, 2), {(0, 0, 0): 1, (1, 0, 1): 2, (1, 1, 0): 3, (2, 0, 0): 9})
+    rhs = _side(QQ, (3, 2, 2), {(0, 0, 0): 1, (1, 0, 1): 2, (2, 0, 0): 8})
+    record = CheckReport("s").sweep_all("id", (3,), lhs, rhs, fatal=False)
+    assert record.witness == (1,)
+    assert not record.fatal
+    assert record.lhs == _side(QQ, (2, 2), {(0, 1): 2, (1, 0): 3})
+    assert record.rhs == _side(QQ, (2, 2), {(0, 1): 2})
+    assert isinstance(record.lhs, Tensor) and isinstance(record.rhs, Tensor)
+
+
+def test_sweep_all_equals_sweep_on_the_slices():
+    field = PrimeField(10007)
+    rng = random.Random(4)
+    dims = (3, 2, 2, 2)
+    failed = 0
+    for _ in range(40):
+        data = {idx: rng.randrange(3) for idx in all_indices(dims)}
+        lhs = _side(field, dims, data)
+        bumped = dict(data)
+        for _ in range(rng.randrange(3)):
+            idx = tuple(rng.randrange(d) for d in dims)
+            bumped[idx] += rng.randrange(1, 3)
+        rhs = _side(field, dims, bumped)
+
+        def pair(item):
+            return tuple(Tensor(field, dims[2:], {idx[2:]: v for idx, v in t.data.items()
+                                                  if idx[:2] == item}) for t in (lhs, rhs))
+
+        want = CheckReport("s").sweep("id", all_indices(dims[:2]), pair)
+        assert CheckReport("s").sweep_all("id", dims[:2], lhs, rhs) == want
+        failed += not want.passed
+    assert 10 <= failed <= 30
+
+
+def test_sweep_all_rejects_sides_off_the_items():
+    t = _side(QQ, (2, 3), {(0, 1): 1})
+    with pytest.raises(ShapeMismatch):
+        CheckReport("s").sweep_all("id", (3,), t, t)
+    with pytest.raises(ShapeMismatch):
+        CheckReport("s").sweep_all("id", (2,), t, _side(QQ, (2, 2), {}))
 
 
 def _ids(report):
