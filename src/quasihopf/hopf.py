@@ -187,16 +187,15 @@ def verify_quasi_bialgebra(H: QuasiBialgebra) -> CheckReport:
                      h2.map(H.comult, 2).mul_embedded(phi, (1, 2, 3)).t,
                      h2.map(H.comult, 1).premul_embedded(phi, (1, 2, 3)).t)
 
-    # the counit kills either comultiplication leg; an item fails where
-    # either side differs, and the left side is recorded if it differs there
+    # the counit kills either comultiplication leg.  An item fails where
+    # either side differs, so both sides are scanned for their first
+    # failing item, and the side that fails first is swept, the left one
+    # on a tie: the record a per-item sweep makes
     ident = _identity(H.field, d)
-    sides = [apply_linear_map(H.counit, h2.t, (leg,)) for leg in (1, 2)]
-
-    def first_item(t):
-        where = t.first_difference(ident)
-        return (d,) if where is None else where[:1]
-
-    report.sweep_all("counit-comult", (d,), min(sides, key=first_item), ident)
+    left, right = (apply_linear_map(H.counit, h2.t, (leg,)) for leg in (1, 2))
+    wl, wr = left.first_difference(ident), right.first_difference(ident)
+    side = right if wl is None or (wr is not None and wr[0] < wl[0]) else left
+    report.sweep_all("counit-comult", (d,), side, ident)
 
     # the reassociator is a normalized 3-cocycle
     lhs = phi.map(H.comult, 1).premul_embedded(phi, (1, 2, 3)).mul_embedded(phi, (0, 1, 2))

@@ -6,16 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ShapeMismatch
-from .tensor import Tensor
-
-
-def _slice(t: Tensor, item) -> Tensor:
-    """The entries of ``t`` whose index starts with ``item``, as a tensor
-    over the legs after it."""
-    n = len(item)
-    out = Tensor(t.field, t.dims[n:])
-    out.data = {idx[n:]: v for idx, v in t.data.items() if idx[:n] == item}
-    return out
+from .tensor import LinMap
 
 
 @dataclass
@@ -81,7 +72,7 @@ class CheckReport:
             self.add(check_id, True, fatal=fatal)
         return self.records[-1]
 
-    def sweep_all(self, check_id, lead, lhs, rhs, fatal=True) -> CheckRecord:
+    def sweep_all(self, check_id, lead, lhs, rhs) -> CheckRecord:
         """``sweep`` with every item at once: ``lhs`` and ``rhs`` carry the
         item index on their first legs, whose dims are ``lead``.  The first
         item in row-major order where the sides differ is the witness, and
@@ -92,10 +83,11 @@ class CheckReport:
             raise ShapeMismatch("sides of dims %r and %r for items of dims %r"
                                 % (lhs.dims, rhs.dims, lead))
         if lhs == rhs:
-            self.add(check_id, True, fatal=fatal)
+            self.add(check_id, True)
         else:
             item = lhs.first_difference(rhs)[:n]
-            self.add(check_id, False, item, _slice(lhs, item), _slice(rhs, item), fatal)
+            self.add(check_id, False, item, LinMap.from_tensor(lhs, n).column(item),
+                     LinMap.from_tensor(rhs, n).column(item))
         return self.records[-1]
 
     def extend(self, other: "CheckReport", prefix: str = ""):

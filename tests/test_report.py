@@ -94,9 +94,8 @@ def test_sweep_all_witness_is_first_failing_item_in_row_major_order():
 def test_sweep_all_records_slices_over_the_remaining_legs():
     lhs = _side(QQ, (3, 2, 2), {(0, 0, 0): 1, (1, 0, 1): 2, (1, 1, 0): 3, (2, 0, 0): 9})
     rhs = _side(QQ, (3, 2, 2), {(0, 0, 0): 1, (1, 0, 1): 2, (2, 0, 0): 8})
-    record = CheckReport("s").sweep_all("id", (3,), lhs, rhs, fatal=False)
+    record = CheckReport("s").sweep_all("id", (3,), lhs, rhs)
     assert record.witness == (1,)
-    assert not record.fatal
     assert record.lhs == _side(QQ, (2, 2), {(0, 1): 2, (1, 0): 3})
     assert record.rhs == _side(QQ, (2, 2), {(0, 1): 2})
     assert isinstance(record.lhs, Tensor) and isinstance(record.rhs, Tensor)
