@@ -35,7 +35,7 @@ from .report import CheckReport
 from .smash import (DIAGONAL_KINDS, ProductAlgebra, check_prop_3_10, diagonal_crossed_product,
                     generalized_smash, koppinen_smash, phi_isomorphism,
                     right_generalized_smash, verify_product_algebra)
-from .tensor import El, all_indices, apply_linear_map, multiply, unit_tensor
+from .tensor import El, apply_linear_map, multiply, unit_tensor
 from .yd import (YetterDrinfeldContext, doihopf_to_yd, induce_yd, verify_yd,
                  yd_to_doihopf)
 
@@ -347,8 +347,8 @@ def cmd_convert(args):
 def _sweep_coactions(report, check_id, got, want):
     """One record: the coaction of ``got`` equals that of ``want`` on
     every basis vector."""
-    report.sweep(check_id, all_indices((want.dim,)),
-                 lambda idx: (got.coaction.column(idx), want.coaction.column(idx)))
+    report.sweep_all(check_id, (want.dim,), got.coaction.as_tensor(),
+                     want.coaction.as_tensor())
 
 
 def cmd_verify(args):

@@ -11,7 +11,7 @@ from .hopf import (GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra,
                    drinfeld_twist, gauge_twist, op_tensor, tensor_op, variant)
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, _identity, all_indices,
-                     apply_linear_map, invert_element, multiply,
+                     apply_linear_map, invert_element, multiplicative_sides, multiply,
                      swap_factors, switch_legs, unit_tensor)
 
 
@@ -97,15 +97,8 @@ def verify_comodule_algebra(X: ComoduleAlgebra) -> CheckReport:
     H, alg = X.H, X.alg
     sp = X.reassoc_spaces()
     basis = all_indices((alg.dim,))
-
-    def multiplicative(pair):
-        i, j = pair
-        return (apply_linear_map(X.coaction, alg.basis_product(i, j), (0,)),
-                multiply(X.coaction.dst_spaces, X.coaction.column((i,)),
-                         X.coaction.column((j,))))
-
-    report.sweep("coaction-multiplicative", all_indices((alg.dim, alg.dim)),
-                 multiplicative)
+    report.sweep_all("coaction-multiplicative", (alg.dim,) * 2,
+                     *multiplicative_sides(alg, X.coaction, X.coaction.dst_spaces))
     report.compare("coaction-unital",
                    apply_linear_map(X.coaction, alg.unit, (0,)),
                    unit_tensor(X.coaction.dst_spaces))
@@ -124,11 +117,11 @@ def verify_comodule_algebra(X: ComoduleAlgebra) -> CheckReport:
 
     report.sweep("coaction-quasi-coassoc", basis, coassoc)
 
-    counit_leg = 1 if X.side == "right" else 0
-    report.sweep("coaction-counit", basis,
-                 lambda idx: (apply_linear_map(H.counit, X.coaction.column(idx),
-                                               (counit_leg,)),
-                              Tensor.basis(X.field, (alg.dim,), idx)))
+    # the H leg of the coaction's tensor form, after its source leg
+    counit_leg = 2 if X.side == "right" else 1
+    report.sweep_all("coaction-counit", (alg.dim,),
+                     apply_linear_map(H.counit, X.coaction.as_tensor(), (counit_leg,)),
+                     _identity(X.field, alg.dim))
 
     phi = H.el(H.reassoc)
     if X.side == "right":
@@ -635,8 +628,7 @@ def realization_twist_witness(A: BicomoduleAlgebra, first: ComoduleAlgebra,
         w = None
     if w is not None:
         twisted = twist_comodule_algebra(first, w)
-        if any(twisted.coaction.column((i,)) != second.coaction.column((i,))
-               for i in range(A.alg.dim)) or twisted.reassoc != second.reassoc:
+        if twisted.coaction != second.coaction or twisted.reassoc != second.reassoc:
             w = None
     report.add("witness-found", w is not None)
     if w is not None:
@@ -706,8 +698,8 @@ class InternalCoalgebra:
         counit_unit = apply_linear_map(self.counit, B.unit.outer(H.alg.unit), (0, 1))
         report.compare("counit-of-unit", counit_unit, B.unit)
 
-        report.sweep("roundtrip-coaction", all_indices((B.dim,)),
-                     lambda idx: (coaction.column(idx), self.source.coaction.column(idx)))
+        report.sweep_all("roundtrip-coaction", (B.dim,), coaction.as_tensor(),
+                         self.source.coaction.as_tensor())
         report.compare("roundtrip-reassoc", reassoc, self.source.reassoc)
         return report
 

@@ -11,7 +11,7 @@ from . import linalg
 from .comodule import ComoduleAlgebra, TwistWitness, comodule_variant
 from .coring import Coring, _normal_form, build_coring
 from .errors import NotRational, ShapeMismatch, VariantMismatch
-from .modcoalg import ModuleCoalgebra, _check_module_law, dualize
+from .modcoalg import ModuleCoalgebra, _check_module_law, _module_law_sides, dualize
 from .report import CheckReport
 from .smash import ProductAlgebra, generalized_smash
 from .tensor import (FinAlgebra, LinMap, Tensor, VectorSpace, _identity, act_legwise,
@@ -146,12 +146,9 @@ def verify_doi_hopf(M: FiniteModule, context: DoiHopfContext) -> CheckReport:
 
     cleg = 0 if M.coaction_side == "left" else 1
     mleg = 1 - cleg
-
-    def counit_law(idx):
-        return (apply_linear_map(C.counit, M.coaction.column(idx), (cleg,)),
-                Tensor.basis(field, (M.dim,), idx))
-
-    report.sweep("coaction-counit", basis, counit_law)
+    report.sweep_all("coaction-counit", (M.dim,),
+                     apply_linear_map(C.counit, M.coaction.as_tensor(), (1 + cleg,)),
+                     _identity(field, M.dim))
 
     def compat(item):
         i, a = item
@@ -330,13 +327,10 @@ def rational_check(M: FiniteModule, context: DoiHopfContext,
     via_coaction = _smash_action(coaction, b_action, dB)
 
     report = CheckReport("rationality %s" % (M.name or ""))
-
-    def rational(item):
-        m, f, b = item
-        n = f * dB + b
-        return M.action.column((m, n)), via_coaction.column((m, n))
-
-    record = report.sweep("rational", all_indices((M.dim, dC, dB)), rational)
+    # the acting leg of either action split into (f, b)
+    record = report.sweep_all("rational", (M.dim, dC, dB),
+                              *(action.as_tensor().split(1, (dC, dB))
+                                for action in (M.action, via_coaction)))
     if not record.passed:
         raise NotRational("module fails the rationality law at %r" % (record.witness,))
 
@@ -566,22 +560,12 @@ def verify_coring_comodule(M: CoringComodule) -> CheckReport:
     if "left" not in X._free:
         raise ShapeMismatch("a right comodule needs a coring free on the left")
     report = CheckReport("coring comodule %s" % (M.name or ""))
-    field = M.field
 
-    def vec(m):
-        return Tensor.basis(field, (M.dim,), (m,))
-
-    # M is a unital right module over the base ring
-    def associative(item):
-        m, r, s = item
-        return (apply_linear_map(M.action, vec(m).outer(X.R.basis_product(r, s)), (0, 1)),
-                M.act(s, M.act(r, vec(m))))
-
-    report.sweep("action-associative", all_indices((M.dim, X.R.dim, X.R.dim)),
-                 associative)
-    report.sweep("action-unital", all_indices((M.dim,)),
-                 lambda idx: (apply_linear_map(M.action, vec(idx[0]).outer(X.R.unit),
-                                               (0, 1)), vec(idx[0])))
+    # M is a unital right module over the base ring, swept over (m, r, s)
+    unital, associative = _module_law_sides(X.R, M.dim, M.action, "right")
+    report.sweep_all("action-associative", (M.dim, X.R.dim, X.R.dim),
+                     *(switch_legs(t, (2, 0, 1, 3)) for t in associative))
+    report.sweep_all("action-unital", (M.dim,), *unital)
 
     def normal_forms(lhs, rhs):
         return (_normal_form(X, lhs, "left", M.action),
@@ -589,25 +573,22 @@ def verify_coring_comodule(M: CoringComodule) -> CheckReport:
 
     def linear(item):
         m, r = item
-        return normal_forms(apply_linear_map(M.coaction, M.act(r, vec(m)), (0,)),
+        m_basis = Tensor.basis(M.field, (M.dim,), (m,))
+        return normal_forms(apply_linear_map(M.coaction, M.act(r, m_basis), (0,)),
                             X.act_right(M.coaction.column((m,)), r, leg=1))
 
     report.sweep("coaction-linear", all_indices((M.dim, X.R.dim)), linear)
-    basis = all_indices((M.dim,))
 
     def coassociative(idx):
         one = M.coaction.column(idx)
         return normal_forms(apply_linear_map(M.coaction, one, (0,)),
                             apply_linear_map(X.comult, one, (1,), at=1))
 
-    report.sweep("coassociative", basis, coassociative)
-
-    def counit_law(idx):
-        return (apply_linear_map(M.action, apply_linear_map(
-                    X.counit, M.coaction.column(idx), (1,)), (0, 1)),
-                vec(idx[0]))
-
-    report.sweep("counit-law", basis, counit_law)
+    report.sweep("coassociative", all_indices((M.dim,)), coassociative)
+    # m -> m_(0).eps(m_(1)) for every m
+    report.sweep_all("counit-law", (M.dim,), apply_linear_map(
+        M.action, apply_linear_map(X.counit, M.coaction.as_tensor(), (2,)), (1, 2)),
+        _identity(M.field, M.dim))
     return report
 
 

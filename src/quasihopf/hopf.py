@@ -12,8 +12,8 @@ from .errors import (AntipodeNotInvertible, GaugeNotNormalized, NotInvertible,
                      ShapeMismatch)
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, _identity, apply_linear_map,
-                     build_tensor_algebra, interleave, invert_element, multiply,
-                     switch_legs, unit_tensor)
+                     build_tensor_algebra, interleave, invert_element, multiplicative_sides,
+                     multiply, switch_legs, unit_tensor)
 
 
 class QuasiBialgebra:
@@ -140,17 +140,12 @@ def verify_fin_algebra(alg: FinAlgebra, subject="algebra", report=None) -> Check
 
 
 def _algebra_map_records(report, H: QuasiBialgebra, m: LinMap, unit_image, tag):
-    """Check that m respects products and the unit: m(e_i e_j) against
-    m(e_i) m(e_j) for every pair (i, j) at once, the pair on the two
-    leading legs.  A counit's sides are recorded as scalars."""
+    """Check that m respects products and the unit, every pair of basis
+    elements at once.  A counit's sides are recorded as scalars."""
     alg = H.alg
-    d, n = alg.dim, len(m.dst)
-    lhs = apply_linear_map(m, alg.mult.as_tensor(), (2,))
-    img = m.as_tensor()
-    rhs = multiply((alg,) * (2 + n), img, img, x_legs=(0,) + tuple(range(2, 2 + n)),
-                   y_legs=tuple(range(1, 2 + n)))
-    record = report.sweep_all(tag + "-multiplicative", (d, d), lhs, rhs)
-    if not n and not record.passed:
+    record = report.sweep_all(tag + "-multiplicative", (alg.dim,) * 2,
+                              *multiplicative_sides(alg, m, (alg,) * len(m.dst)))
+    if not m.dst and not record.passed:
         record.lhs, record.rhs = record.lhs.get(()), record.rhs.get(())
     report.add(tag + "-unital", apply_linear_map(m, alg.unit, (0,)) == unit_image)
 

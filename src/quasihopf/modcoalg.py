@@ -134,45 +134,47 @@ def _reflected_actions(X, kind: str):
             (X.name + suffix) if X.name else "")
 
 
+def _module_law_sides(alg, dim, action, side):
+    """The sides of the laws of a ``side`` action of ``alg`` on a space of
+    dimension ``dim``, each with its items on the leading legs: the
+    unital law over every basis vector m, 1.m against m (m.1 on the
+    right), and the associative law over every (a, b, m), (e_a e_b).m
+    against e_a.(e_b.m) (m.(e_a e_b) against (m.e_a).e_b on the right)."""
+    field, left = alg.field, side == "left"
+    ident = _identity(field, dim)
+
+    def act(t, x_leg, m_leg):
+        # leg x_leg of a five-leg t acts on leg m_leg; the image goes last
+        return apply_linear_map(action, t, (x_leg, m_leg) if left else (m_leg, x_leg), at=3)
+
+    # legs a b e_a.e_b m m, the product acting on the second m
+    acted = act(alg.mult.as_tensor().outer(ident), 2, 4)
+    if left:
+        # legs a a b m b.m, the second a acting on b.m
+        twice = act(_identity(field, alg.dim).outer(action.as_tensor()), 1, 4)
+    else:
+        # legs m a m.a b b, the second b acting on m.a, then m moved after b
+        twice = switch_legs(act(action.as_tensor().outer(_identity(field, alg.dim)), 4, 2),
+                            (1, 2, 0, 3))
+    return (act_legwise(alg.unit, ident, [None, (action, left)]), ident), (acted, twice)
+
+
 def _check_module_law(report, alg, dim, action, side, prefix):
-    """Unital associative ``side`` action of ``alg`` on a space of
-    dimension ``dim``: "<prefix>-unital" over every basis vector m and
-    "<prefix>-associative" over every (a, b, m)."""
-    field = alg.field
-    acts = [(action, side == "left")]
-
-    def basis(d, i):
-        return Tensor.basis(field, (d,), (i,))
-
-    def act(x, m):
-        return act_legwise(x, m, acts)
-
-    report.sweep(prefix + "-unital", all_indices((dim,)),
-                 lambda idx: (act(alg.unit, basis(dim, idx[0])), basis(dim, idx[0])))
-
-    def associative(item):
-        a, b, m = item
-        first, second = (b, a) if side == "left" else (a, b)
-        e = basis(dim, m)
-        return (act(alg.basis_product(a, b), e),
-                act(basis(alg.dim, second), act(basis(alg.dim, first), e)))
-
-    report.sweep(prefix + "-associative", all_indices((alg.dim, alg.dim, dim)),
-                 associative)
+    """"<prefix>-unital" and "<prefix>-associative" of a ``side`` action
+    (see ``_module_law_sides``)."""
+    unital, associative = _module_law_sides(alg, dim, action, side)
+    report.sweep_all(prefix + "-unital", (dim,), *unital)
+    report.sweep_all(prefix + "-associative", (alg.dim, alg.dim, dim), *associative)
 
 
 def _check_actions_commute(report, H, dim, left_action, right_action):
     """(h . c) . h2 = h . (c . h2) on every basis triple."""
-    field = H.field
-
-    def commute(item):
-        h, c, h2 = item
-        return (apply_linear_map(right_action, left_action.column((h, c)).outer(
-                    Tensor.basis(field, (H.dim,), (h2,))), (0, 1)),
-                apply_linear_map(left_action, Tensor.basis(field, (H.dim,), (h,)).outer(
-                    right_action.column((c, h2))), (0, 1)))
-
-    report.sweep("actions-commute", all_indices((H.dim, dim, H.dim)), commute)
+    ident = _identity(H.field, H.dim)
+    report.sweep_all("actions-commute", (H.dim, dim, H.dim),
+                     apply_linear_map(right_action, left_action.as_tensor().outer(ident),
+                                      (2, 4), at=3),
+                     apply_linear_map(left_action, ident.outer(right_action.as_tensor()),
+                                      (1, 4), at=3))
 
 
 def _actions(X):

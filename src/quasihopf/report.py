@@ -40,15 +40,13 @@ class CheckReport:
     def add(self, check_id, passed, witness=None, lhs=None, rhs=None, fatal=True):
         self.records.append(CheckRecord(check_id, passed, witness, lhs, rhs, fatal))
 
-    def compare(self, check_id, lhs, rhs, witness=None, fatal=True):
+    def compare(self, check_id, lhs, rhs):
         """Record exact equality of two tensors, with a differing index."""
         if lhs == rhs:
-            self.add(check_id, True, fatal=fatal)
+            self.add(check_id, True)
         else:
-            where = witness
-            if where is None and hasattr(lhs, "first_difference"):
-                where = lhs.first_difference(rhs)
-            self.add(check_id, False, witness=where, lhs=lhs, rhs=rhs, fatal=fatal)
+            where = lhs.first_difference(rhs) if hasattr(lhs, "first_difference") else None
+            self.add(check_id, False, witness=where, lhs=lhs, rhs=rhs)
 
     def compare_all(self, check_id, pairs):
         """One record for several tensor equalities, checked in order: the
@@ -59,17 +57,17 @@ class CheckReport:
                 break
         self.compare(check_id, lhs, rhs)
 
-    def sweep(self, check_id, items, fn, fatal=True) -> CheckRecord:
+    def sweep(self, check_id, items, fn) -> CheckRecord:
         """Record whether ``fn(item)`` returns an equal ``(lhs, rhs)`` pair
         for every item, in order.  The first item whose sides differ stops
         the sweep and is recorded as the witness, with both sides."""
         for item in items:
             lhs, rhs = fn(item)
             if lhs != rhs:
-                self.add(check_id, False, item, lhs, rhs, fatal)
+                self.add(check_id, False, item, lhs, rhs)
                 break
         else:
-            self.add(check_id, True, fatal=fatal)
+            self.add(check_id, True)
         return self.records[-1]
 
     def sweep_all(self, check_id, lead, lhs, rhs) -> CheckRecord:

@@ -724,6 +724,11 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
     leg, where the other factor's index passes through unchanged; every
     leg must belong to a factor.  So ``multiply(spaces, x, f, y_legs=L)``
     is x times ``embed_legs(spaces, f, L)`` without building that tensor.
+    The missing legs are read as 1·y = y and x·1 = x, so on an algebra
+    leg this equals the unit-padded product only where that algebra's
+    unit law holds; where it fails (a bumped unit or multiplication),
+    the two differ.  A spectator leg that carries an item index, such as
+    the pair legs of ``multiplicative_sides``, is exact either way.
 
     ``y`` is cut into leaves: its entries on one leg (the packed leg)
     that agree on all its other legs.  The leaves hang in a prefix tree
@@ -889,6 +894,18 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
             if value:
                 data[_unflatten(key, key_dims)] = value
     return out
+
+
+def multiplicative_sides(src_alg: FinAlgebra, m: LinMap, dst_spaces):
+    """The two sides of "``m`` respects products" for every pair of basis
+    elements at once: m(e_i e_j) and m(e_i) m(e_j), the product taken in
+    the algebras ``dst_spaces`` of the target legs, with the pair (i, j)
+    on the two leading legs."""
+    rest = tuple(range(2, 2 + len(m.dst)))
+    img = m.as_tensor()
+    return (apply_linear_map(m, src_alg.mult.as_tensor(), (2,)),
+            multiply((src_alg, src_alg) + tuple(dst_spaces), img, img,
+                     x_legs=(0,) + rest, y_legs=(1,) + rest))
 
 
 def invert_element(spaces, x: Tensor) -> Tensor:

@@ -49,12 +49,9 @@ def verify_yd(M: FiniteModule, context: YetterDrinfeldContext) -> CheckReport:
     verify_module_law(M, report=report)
 
     basis = all_indices((M.dim,))
-
-    def counit_law(idx):
-        return (apply_linear_map(C.counit, M.coaction.column(idx), (1,)),
-                Tensor.basis(field, (M.dim,), idx))
-
-    report.sweep("coaction-counit", basis, counit_law)
+    report.sweep_all("coaction-counit", (M.dim,),
+                     apply_linear_map(C.counit, M.coaction.as_tensor(), (2,)),
+                     _identity(field, M.dim))
 
     def mixed_coassoc(idx):
         # left side: t2 acts on the module before the second coaction,

@@ -56,8 +56,9 @@ def test_sweep_witness_is_first_failing_item_in_order():
 
 def test_sweep_advisory_flag_passes_through():
     report = CheckReport("s")
-    ok = report.sweep("ok", [(0,)], lambda item: (1, 1), fatal=False)
-    bad = report.sweep("bad", [(0,)], lambda item: (1, 2), fatal=False)
+    report.add("ok", True, fatal=False)
+    report.add("bad", False, (0,), 1, 2, fatal=False)
+    ok, bad = report.records
     assert not ok.fatal and not bad.fatal
     assert not bad.passed
     assert report.passed
