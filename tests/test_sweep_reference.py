@@ -204,7 +204,7 @@ def test_comparison_morphism_records(monkeypatch):
             want = reference(reference_tables_equal, "multiplicative", lhs, rhs)
             got = {r.check_id: r for r in report.records}
             failures.match([got["multiplicative"]], want, name)
-            # the rank of the identity matrix between the carriers
+            # the record that ranking the identity matrix makes
             dim = C.dim * H.dim
             assert got["bijective"] == CheckRecord("bijective", True, None, dim, dim)
     monkeypatch.undo()
