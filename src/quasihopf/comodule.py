@@ -10,9 +10,9 @@ from .errors import (AntipodeRequired, NotInvertible, QuasiHopfError, ShapeMisma
 from .hopf import (GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra,
                    drinfeld_twist, gauge_twist, op_tensor, tensor_op, variant)
 from .report import CheckReport
-from .tensor import (El, FinAlgebra, LinMap, Tensor, _identity, all_indices,
-                     apply_linear_map, invert_element, multiplicative_sides, multiply,
-                     swap_factors, switch_legs, unit_tensor)
+from .tensor import (El, FinAlgebra, LinMap, Tensor, _identity, apply_linear_map,
+                     invert_element, multiplicative_sides, multiply, swap_factors,
+                     switch_legs, unit_tensor)
 
 
 def _require_antipode(H):
@@ -95,8 +95,6 @@ def verify_comodule_algebra(X: ComoduleAlgebra) -> CheckReport:
     """All comodule-algebra axioms for the given side, exhaustively."""
     report = CheckReport("%s comodule algebra %s" % (X.side, X.name or ""))
     H, alg = X.H, X.alg
-    sp = X.reassoc_spaces()
-    basis = all_indices((alg.dim,))
     report.sweep_all("coaction-multiplicative", (alg.dim,) * 2,
                      *multiplicative_sides(alg, X.coaction, X.coaction.dst_spaces))
     report.compare("coaction-unital",
@@ -104,18 +102,21 @@ def verify_comodule_algebra(X: ComoduleAlgebra) -> CheckReport:
                    unit_tensor(X.coaction.dst_spaces))
 
     re, re_inv = X.re_el(), X.re_inv_el()
-    unit3 = El.unit(sp)
+    unit3 = El.unit(X.reassoc_spaces())
     # both products: the associativity of A is not a record of this report
     report.compare_all("reassoc-invertible", ((re.mul(re_inv).t, unit3.t),
                                               (re_inv.mul(re).t, unit3.t)))
 
-    def coassoc(idx):
-        c = El.basis((alg,), idx).map(X.coaction, 0)
-        if X.side == "right":
-            return re.mul(c.map(X.coaction, 0)).t, c.map(H.comult, 1).mul(re).t
-        return c.map(X.coaction, 1).mul(re).t, re.mul(c.map(H.comult, 0)).t
-
-    report.sweep("coaction-quasi-coassoc", basis, coassoc)
+    # the coaction image c of every basis element at once, the element's
+    # index on the leading leg and the reassociator on the other three
+    c = El((alg,) + X.coaction.dst_spaces, X.coaction.as_tensor())
+    if X.side == "right":
+        lhs = c.map(X.coaction, 1).premul_embedded(re, (1, 2, 3))
+        rhs = c.map(H.comult, 2).mul_embedded(re, (1, 2, 3))
+    else:
+        lhs = c.map(X.coaction, 2).mul_embedded(re, (1, 2, 3))
+        rhs = c.map(H.comult, 1).premul_embedded(re, (1, 2, 3))
+    report.sweep_all("coaction-quasi-coassoc", (alg.dim,), lhs.t, rhs.t)
 
     # the H leg of the coaction's tensor form, after its source leg
     counit_leg = 2 if X.side == "right" else 1
@@ -282,21 +283,17 @@ def canonical_elements(X, verify: bool = True) -> CanonicalElements:
         sp2 = (H.alg, alg)
         unit2 = unit_tensor(sp2)
 
-        def slides_p(idx):
-            b = El.basis((alg,), idx)
-            b3 = b.map(lam, 0).map(lam, 1)                     # b-1, b0-1, b00
-            return (b3.mul_embedded(p, (1, 2)).map(S_inv, 0).merge(1, 0).t,
-                    p.mul_embedded(b, (1,)).t)
-
-        def slides_q(idx):
-            b = El.basis((alg,), idx)
-            b3 = b.map(lam, 0).map(lam, 1)
-            return (b3.map(S, 0).premul_embedded(q, (1, 2)).merge(0, 1).t,
-                    q.premul_embedded(b, (1,)).t)
-
-        basis = all_indices((alg.dim,))
-        report.sweep("coaction-slides-through-p", basis, slides_p)
-        report.sweep("coaction-slides-through-q", basis, slides_q)
+        # b-1, b0-1, b00 of every basis element b at once, b's index on
+        # the leading leg; the identity's second leg is b itself
+        ident = _identity(X.field, alg.dim)
+        b3 = El((alg,) + lam.dst_spaces, lam.as_tensor()).map(lam, 2)
+        sp3 = (alg,) + sp2
+        report.sweep_all("coaction-slides-through-p", (alg.dim,),
+                         b3.mul_embedded(p, (2, 3)).map(S_inv, 1).merge(2, 1).t,
+                         multiply(sp3, p.t, ident, x_legs=(1, 2), y_legs=(0, 2)))
+        report.sweep_all("coaction-slides-through-q", (alg.dim,),
+                         b3.map(S, 1).premul_embedded(q, (2, 3)).merge(1, 2).t,
+                         multiply(sp3, ident, q.t, x_legs=(0, 2), y_legs=(1, 2)))
 
         e = q.map(lam, 1).mul_embedded(p, (1, 2)).map(S_inv, 0).merge(1, 0)
         report.compare("q-then-p-cancels", e.t, unit2)
@@ -413,12 +410,14 @@ def verify_bicomodule_algebra(A: BicomoduleAlgebra) -> CheckReport:
     report.compare_all("mixed-invertible", ((mixed.mul(mixed_inv).t, unit3.t),
                                             (mixed_inv.mul(mixed).t, unit3.t)))
 
-    def intertwine(idx):
-        u = El.basis((alg,), idx)
-        return (mixed.mul(u.map(A.right_coaction, 0).map(A.left_coaction, 0)).t,
-                u.map(A.left_coaction, 0).map(A.right_coaction, 1).mul(mixed).t)
-
-    report.sweep("mixed-intertwine", all_indices((alg.dim,)), intertwine)
+    # both coactions of every basis element u at once, u's index on the
+    # leading leg
+    u = El((alg, alg), _identity(A.field, alg.dim))
+    report.sweep_all("mixed-intertwine", (alg.dim,),
+                     u.map(A.right_coaction, 1).map(A.left_coaction, 1).premul_embedded(
+                         mixed, (1, 2, 3)).t,
+                     u.map(A.left_coaction, 1).map(A.right_coaction, 2).mul_embedded(
+                         mixed, (1, 2, 3)).t)
 
     left_el = El((H.alg, H.alg, alg), A.reassoc_left)
     right_el = El((alg, H.alg, H.alg), A.reassoc_right)

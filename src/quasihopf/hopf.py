@@ -45,9 +45,6 @@ class QuasiBialgebra:
     def el(self, t: Tensor) -> El:
         return El(self.spaces(t.arity), t)
 
-    def basis_el(self, i: int) -> El:
-        return El.basis((self.alg,), (i,))
-
     def unit_el(self, n: int) -> El:
         return El.unit(self.spaces(n))
 
@@ -150,6 +147,20 @@ def _algebra_map_records(report, H: QuasiBialgebra, m: LinMap, unit_image, tag):
     report.add(tag + "-unital", apply_linear_map(m, alg.unit, (0,)) == unit_image)
 
 
+def _counit_comult_record(report, comult: LinMap, counit: LinMap):
+    """"counit-comult" of a coalgebra: the counit kills either leg of the
+    comultiplication, every basis element at once.  An item fails where
+    either side differs, so both sides are scanned for their first
+    failing item, and the side that fails first is swept, the left one
+    on a tie: the record a per-item sweep makes."""
+    ident = _identity(counit.field, counit.src[0])
+    t = comult.as_tensor()
+    left, right = (apply_linear_map(counit, t, (leg,)) for leg in (1, 2))
+    wl, wr = left.first_difference(ident), right.first_difference(ident)
+    side = right if wl is None or (wr is not None and wr[0] < wl[0]) else left
+    report.sweep_all("counit-comult", counit.src, side, ident)
+
+
 def verify_quasi_bialgebra(H: QuasiBialgebra) -> CheckReport:
     """Exhaustive check of the quasi-bialgebra axioms over the basis.
 
@@ -182,15 +193,7 @@ def verify_quasi_bialgebra(H: QuasiBialgebra) -> CheckReport:
                      h2.map(H.comult, 2).mul_embedded(phi, (1, 2, 3)).t,
                      h2.map(H.comult, 1).premul_embedded(phi, (1, 2, 3)).t)
 
-    # the counit kills either comultiplication leg.  An item fails where
-    # either side differs, so both sides are scanned for their first
-    # failing item, and the side that fails first is swept, the left one
-    # on a tie: the record a per-item sweep makes
-    ident = _identity(H.field, d)
-    left, right = (apply_linear_map(H.counit, h2.t, (leg,)) for leg in (1, 2))
-    wl, wr = left.first_difference(ident), right.first_difference(ident)
-    side = right if wl is None or (wr is not None and wr[0] < wl[0]) else left
-    report.sweep_all("counit-comult", (d,), side, ident)
+    _counit_comult_record(report, H.comult, H.counit)
 
     # the reassociator is a normalized 3-cocycle
     lhs = phi.map(H.comult, 1).premul_embedded(phi, (1, 2, 3)).mul_embedded(phi, (0, 1, 2))

@@ -6,7 +6,8 @@ twisted tensor square, and gauge transport of coalgebra structures.
 from __future__ import annotations
 
 from .errors import ShapeMismatch
-from .hopf import GaugeTransformation, QuasiBialgebra, gauge_twist, op_tensor, variant
+from .hopf import (GaugeTransformation, QuasiBialgebra, _counit_comult_record, gauge_twist,
+                   op_tensor, variant)
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace, _identity, act_legwise,
                      all_indices, apply_linear_map, switch_legs)
@@ -51,12 +52,6 @@ class ModuleCoalgebra:
         self.left_action = left_action if side in ("left", "bi") else None
         self.right_action = right_action if side in ("right", "bi") else None
         self.name = name
-
-    def basis_el(self, i: int) -> El:
-        return El.basis((self.space,), (i,))
-
-    def comult_el(self, i: int) -> El:
-        return self.basis_el(i).map(self.comult, 0)
 
     def reflect(self, kind: str) -> "ModuleCoalgebra":
         """The same carrier over ``variant(H, kind)``: "cop" flips the
@@ -187,65 +182,52 @@ def _actions(X):
 def verify_module_coalgebra(C: ModuleCoalgebra) -> CheckReport:
     report = CheckReport("%s module coalgebra %s" % (C.side, C.name or ""))
     H = C.H
-    basis = all_indices((C.dim,))
 
     # counit laws of the underlying coalgebra
-    def counit_law(idx):
-        two = C.comult_el(idx[0])
-        want = C.basis_el(idx[0]).t
-        left = two.map(C.counit, (0,)).t
-        return left if left != want else two.map(C.counit, (1,)).t, want
+    _counit_comult_record(report, C.comult, C.counit)
 
-    report.sweep("counit-comult", basis, counit_law)
-
-    for side, action in _actions(C):
+    actions = _actions(C)
+    for side, action in actions:
         _check_module_law(report, H.alg, C.dim, action, side, side + "-action")
     if C.side == "bi":
         _check_actions_commute(report, H, C.dim, C.left_action, C.right_action)
 
     # coassociativity up to the reassociator acting through the actions
     def coassoc(idx):
-        two = C.comult_el(idx[0])
+        two = El((C.space,) * 2, C.comult.column(idx))
         return (_reassociate(C, two.map(C.comult, 0).t),    # (comult x id)
                 two.map(C.comult, 1).t)                     # (id x comult)
 
-    report.sweep("coassoc-upto-reassoc", basis, coassoc)
+    report.sweep("coassoc-upto-reassoc", all_indices((C.dim,)), coassoc)
 
-    # comultiplication and counit respect the actions; witnesses are the
-    # action's source index, swept with the coalgebra index outermost
-    actions = _actions(C)
+    # comultiplication and counit respect the actions: comult(h.c) against
+    # h1.c1 (x) h2.c2 (c.h and c1.h1 (x) c2.h2 on the right), and
+    # counit(h.c) against eps(h) counit(c), every (c, h) at once, the
+    # coalgebra index outermost; a left action's witness is then reversed
+    # to its source index (h, c)
+    sides = {}
+    for side, action in actions:
+        left = side == "left"
+        # legs c h h.c
+        acted = switch_legs(action.as_tensor(), (1, 0, 2)) if left else action.as_tensor()
+        # legs c c1 c2 h h1 h2; h1 acts on c1, then h2 on c2, images after h
+        split = C.comult.as_tensor().outer(H.comult.as_tensor())
+        for _ in range(2):
+            split = apply_linear_map(action, split, (4, 1) if left else (1, 4), at=3)
+        sides["comult", side] = apply_linear_map(C.comult, acted, (2,)), split
+        sides["counit", side] = (apply_linear_map(C.counit, acted, (2,)),
+                                 C.counit.as_tensor().outer(H.counit.as_tensor()))
     for law in ("comult", "counit"):
-        for side, action in actions:
+        for side, _ in actions:
+            record = report.sweep_all("%s-action-compat-%s" % (law, side), (C.dim, H.dim),
+                                      *sides[law, side])
+            if record.passed:
+                continue
             if side == "left":
-                items = [(h, i) for i in range(C.dim) for h in range(H.dim)]
-            else:
-                items = all_indices((C.dim, H.dim))
-            report.sweep("%s-action-compat-%s" % (law, side), items,
-                         _action_compat(C, law, side, action))
+                record.witness = record.witness[::-1]
+            if law == "counit":
+                record.lhs, record.rhs = record.lhs.get(()), record.rhs.get(())
     return report
-
-
-def _action_compat(C: ModuleCoalgebra, law: str, side: str, action: LinMap):
-    """The (lhs, rhs) of the comult or counit compatibility law at an
-    action source index."""
-    H = C.H
-
-    def comult_law(idx):
-        h, i = idx if side == "left" else idx[::-1]
-        lhs = apply_linear_map(C.comult, action.column(idx), (0,))
-        pair = El.basis((H.alg,), (h,)).map(H.comult, 0).times(C.comult_el(i))
-        if side == "left":
-            rhs = pair.map(action, (0, 2), at=0).map(action, (1, 2), at=1)
-        else:
-            rhs = pair.map(action, (2, 0), at=0).map(action, (2, 1), at=1)
-        return lhs, rhs.t
-
-    def counit_law(idx):
-        h, i = idx if side == "left" else idx[::-1]
-        return (apply_linear_map(C.counit, action.column(idx), (0,)).get(()),
-                H.counit_scalar(h) * C.counit.column((i,)).get(()))
-
-    return comult_law if law == "comult" else counit_law
 
 
 def _reassociate(X, t: Tensor) -> Tensor:
@@ -285,27 +267,22 @@ def verify_module_algebra(A: ModuleAlgebra) -> CheckReport:
 
     report.sweep("assoc-upto-reassoc", all_indices((alg.dim,) * 3), reassoc_assoc)
 
-    # the action distributes over the product via the comultiplication
-    def distributes(side, action):
-        def law(item):
-            h, i, j = item
-            h_basis = Tensor.basis(field, (H.dim,), (h,))
-            hh = El.basis((H.alg,), (h,)).map(H.comult, 0)
-            prod = alg.basis_product(i, j)
-            e_i, e_j = El.basis((alg,), (i,)), El.basis((alg,), (j,))
-            if side == "left":
-                acted = apply_linear_map(action, h_basis.outer(prod), (0, 1))
-                split = hh.times(e_i).times(e_j)
-            else:
-                acted = apply_linear_map(action, prod.outer(h_basis), (0, 1))
-                split = e_i.times(e_j).times(hh)
-            split = split.map(action, (0, 2), at=0).map(action, (1, 2), at=1)
-            return acted, split.merge(0, 1).t
-        return law
-
+    # the action distributes over the product via the comultiplication:
+    # h.(e_i e_j) against (h1.e_i)(h2.e_j), or (e_i e_j).h against
+    # (e_i.h1)(e_j.h2) on the right, every (h, i, j) at once
+    ident = _identity(field, alg.dim)
     for side, action in actions:
-        report.sweep("action-distributive-" + side,
-                     all_indices((H.dim, alg.dim, alg.dim)), distributes(side, action))
+        legs = (1, 4) if side == "left" else (4, 1)
+        # legs h h i j (e_i e_j), the second h acting on the product
+        acted = apply_linear_map(action, _identity(field, H.dim).outer(
+            alg.mult.as_tensor()), legs, at=3)
+        # legs h h1 h2 i i j j: h1 acts on the first e_i, then h2 on the
+        # first e_j, and the two images multiply
+        split = H.comult.as_tensor().outer(ident).outer(ident)
+        split = apply_linear_map(action, apply_linear_map(action, split, legs, at=5), legs,
+                                 at=4)
+        report.sweep_all("action-distributive-" + side, (H.dim, alg.dim, alg.dim), acted,
+                         apply_linear_map(alg.mult, split, (3, 4)))
 
     # the unit absorbs the action through the counit
     def counit_unit(item):

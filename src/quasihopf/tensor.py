@@ -26,7 +26,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from . import linalg
-from .errors import NotInvertible, ShapeMismatch
+from .errors import NotInvertible, QuasiHopfError, ShapeMismatch
 
 
 def _check_same_field(a, b):
@@ -887,7 +887,8 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
                     if value:
                         data[before + (k,) + after] = value
                 total >>= width
-            assert not total, "a slot spilled past the packed width"
+            if total:
+                raise QuasiHopfError("a slot spilled past the packed width")
     else:
         for key, total in acc.items():
             value = from_raw(total)

@@ -87,10 +87,10 @@ def reference_gauge_comult(C, F):
     H = C.H
 
     def comult_fn(idx):
-        two = C.comult_el(idx[0])
+        two = apply_linear_map(C.comult, Tensor.basis(C.field, (C.dim,), idx), (0,))
         out = Tensor(C.field, (C.dim, C.dim))
         for (h1, h2), v in F.t.data.items():
-            term = two.t
+            term = two
             term = apply_linear_map(
                 C.left_action,
                 Tensor.basis(C.field, (H.dim,), (h1,)).outer(term), (0, 1), at=0)

@@ -1,14 +1,15 @@
 """Per-item references for the checks that run as one contraction.
 
 Each check below was a ``CheckReport.sweep`` over basis tuples, with
-the two sides built per item from the inputs' structure maps; the
+the two sides built per item from the inputs' structure maps, and for
+some checks multiplied by a reassociator or a canonical element; the
 library now builds each side once for all items, with the item on the
 leading legs, and records it through ``CheckReport.sweep_all``.  These
 are the per-item forms, one function per shape of check, each adding
 the record that the per-item sweep makes to ``report``.
 """
 
-from quasihopf.tensor import Tensor, act_legwise, all_indices, apply_linear_map
+from quasihopf.tensor import El, Tensor, act_legwise, all_indices, apply_linear_map
 
 
 def reference_multiplicative(report, check_id, src_alg, m, product):
@@ -118,3 +119,135 @@ def reference_rational(report, action, via_coaction, dC, dB):
         return action.column((m, n)), via_coaction.column((m, n))
 
     report.sweep("rational", all_indices((action.src[0], dC, dB)), rational)
+
+
+def reference_coaction_quasi_coassoc(report, X):
+    """A comodule algebra's "coaction-quasi-coassoc", one basis element's
+    coaction image at a time, multiplied by the reassociator."""
+    H, alg = X.H, X.alg
+    re = X.re_el()
+
+    def coassoc(idx):
+        c = El.basis((alg,), idx).map(X.coaction, 0)
+        if X.side == "right":
+            return re.mul(c.map(X.coaction, 0)).t, c.map(H.comult, 1).mul(re).t
+        return c.map(X.coaction, 1).mul(re).t, re.mul(c.map(H.comult, 0)).t
+
+    report.sweep("coaction-quasi-coassoc", all_indices((alg.dim,)), coassoc)
+
+
+def reference_slides(report, left, p, q):
+    """"coaction-slides-through-p" and "-q" of a left comodule algebra with
+    canonical elements ``p`` and ``q`` (``El``s over [H, B]), one basis
+    element b at a time."""
+    H, alg, lam = left.H, left.alg, left.coaction
+    S, S_inv = H.antipode, H.antipode_inv
+
+    def slides_p(idx):
+        b = El.basis((alg,), idx)
+        b3 = b.map(lam, 0).map(lam, 1)                     # b-1, b0-1, b00
+        return (b3.mul_embedded(p, (1, 2)).map(S_inv, 0).merge(1, 0).t,
+                p.mul_embedded(b, (1,)).t)
+
+    def slides_q(idx):
+        b = El.basis((alg,), idx)
+        b3 = b.map(lam, 0).map(lam, 1)
+        return (b3.map(S, 0).premul_embedded(q, (1, 2)).merge(0, 1).t,
+                q.premul_embedded(b, (1,)).t)
+
+    basis = all_indices((alg.dim,))
+    report.sweep("coaction-slides-through-p", basis, slides_p)
+    report.sweep("coaction-slides-through-q", basis, slides_q)
+
+
+def reference_mixed_intertwine(report, A):
+    """A bicomodule algebra's "mixed-intertwine", one basis element u at a
+    time: the mixed reassociator times both coactions of u, each order."""
+    mixed = A.mixed_el()
+
+    def intertwine(idx):
+        u = El.basis((A.alg,), idx)
+        return (mixed.mul(u.map(A.right_coaction, 0).map(A.left_coaction, 0)).t,
+                u.map(A.left_coaction, 0).map(A.right_coaction, 1).mul(mixed).t)
+
+    report.sweep("mixed-intertwine", all_indices((A.alg.dim,)), intertwine)
+
+
+def reference_counit_comult(report, C):
+    """A module coalgebra's "counit-comult": the left counit law at each
+    basis element, or the right one where the left one holds."""
+    def counit_law(idx):
+        two = El.basis((C.space,), idx).map(C.comult, 0)
+        want = Tensor.basis(C.field, (C.dim,), idx)
+        left = two.map(C.counit, (0,)).t
+        return left if left != want else two.map(C.counit, (1,)).t, want
+
+    report.sweep("counit-comult", all_indices((C.dim,)), counit_law)
+
+
+def reference_action_compat(report, C, left_items=None):
+    """"comult-action-compat-*" then "counit-action-compat-*" of a module
+    coalgebra, one action source index at a time: (h, c) on the left,
+    swept with c outermost unless ``left_items`` gives another order, and
+    (c, h) on the right."""
+    H = C.H
+
+    def laws(side, action):
+        def comult_law(idx):
+            h, i = idx if side == "left" else idx[::-1]
+            lhs = apply_linear_map(C.comult, action.column(idx), (0,))
+            pair = El.basis((H.alg,), (h,)).map(H.comult, 0).times(
+                El.basis((C.space,), (i,)).map(C.comult, 0))
+            if side == "left":
+                rhs = pair.map(action, (0, 2), at=0).map(action, (1, 2), at=1)
+            else:
+                rhs = pair.map(action, (2, 0), at=0).map(action, (2, 1), at=1)
+            return lhs, rhs.t
+
+        def counit_law(idx):
+            h, i = idx if side == "left" else idx[::-1]
+            return (apply_linear_map(C.counit, action.column(idx), (0,)).get(()),
+                    H.counit_scalar(h) * C.counit.column((i,)).get(()))
+
+        return {"comult": comult_law, "counit": counit_law}
+
+    actions = [(side, action) for side, action in (("left", C.left_action),
+                                                   ("right", C.right_action))
+               if action is not None]
+    for law in ("comult", "counit"):
+        for side, action in actions:
+            if side == "right":
+                items = all_indices((C.dim, H.dim))
+            elif left_items is None:
+                items = [(h, i) for i in range(C.dim) for h in range(H.dim)]
+            else:
+                items = left_items
+            report.sweep("%s-action-compat-%s" % (law, side), items, laws(side, action)[law])
+
+
+def reference_distributive(report, A):
+    """A module algebra's "action-distributive-*" over every (h, i, j),
+    one basis triple at a time."""
+    H, alg, field = A.H, A.alg, A.field
+
+    def distributes(side, action):
+        def law(item):
+            h, i, j = item
+            h_basis = Tensor.basis(field, (H.dim,), (h,))
+            hh = El.basis((H.alg,), (h,)).map(H.comult, 0)
+            prod = alg.basis_product(i, j)
+            e_i, e_j = El.basis((alg,), (i,)), El.basis((alg,), (j,))
+            if side == "left":
+                acted = apply_linear_map(action, h_basis.outer(prod), (0, 1))
+                split = hh.times(e_i).times(e_j)
+            else:
+                acted = apply_linear_map(action, prod.outer(h_basis), (0, 1))
+                split = e_i.times(e_j).times(hh)
+            split = split.map(action, (0, 2), at=0).map(action, (1, 2), at=1)
+            return acted, split.merge(0, 1).t
+        return law
+
+    for side, action in (("left", A.left_action), ("right", A.right_action)):
+        if action is not None:
+            report.sweep("action-distributive-" + side,
+                         all_indices((H.dim, alg.dim, alg.dim)), distributes(side, action))

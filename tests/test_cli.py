@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import glob
 import hashlib
 import json
 import os
@@ -24,6 +26,20 @@ from test_hopf import seeded_gauge, sweedler
 
 def run(argv):
     return main(argv)
+
+
+def test_package_has_no_assert_statement():
+    # ``python -O`` strips asserts, so a guard must raise a package error,
+    # which the command line reports with its exit code
+    package = os.path.dirname(tensor.__file__)
+    found = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        found += ["%s:%d" % (os.path.basename(path), node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert len(glob.glob(os.path.join(package, "*.py"))) > 10
+    assert found == []
 
 
 def test_fixture_emit_and_check_all(tmp_path):

@@ -10,8 +10,14 @@ record must be the reference's: id, verdict, witness and both sides.
 Sweedler's algebra is neither commutative nor cocommutative, so a
 mistake in the order of the item legs fails there.
 
-The README pipeline must not run any of these checks through the
-per-item ``CheckReport.sweep``.
+The module coalgebra checks run on h2's bimodule coalgebra and the
+regular one-sided module coalgebras of every base, with seeded mutants
+of their own maps and over seeded mutants of the base's
+comultiplication and counit.
+
+Neither the README pipeline nor the verifiers of the mutation-sweep
+benchmark workload may run any of these checks through the per-item
+``CheckReport.sweep``.
 """
 
 import functools
@@ -20,28 +26,36 @@ from collections import Counter
 
 import pytest
 
-from quasihopf import cli, doihopf, smash
-from quasihopf.comodule import ComoduleAlgebra, internal_coalgebra, verify_comodule_algebra
+from quasihopf import cli, comodule, doihopf, smash, tensor
+from quasihopf.comodule import (BicomoduleAlgebra, ComoduleAlgebra, canonical_elements,
+                                internal_coalgebra, right_realization,
+                                verify_bicomodule_algebra, verify_comodule_algebra)
 from quasihopf.doihopf import (DoiHopfContext, FiniteModule,
                                doihopf_to_coring_comodule, induce_doi_hopf, rational_check,
                                to_smash_module, trivial_module, verify_coring_comodule,
                                verify_doi_hopf)
 from quasihopf.errors import NotRational
-from quasihopf.fields import QQ
-from quasihopf.fixtures import h2_bimodule_coalgebra, hh_bicomodule, regular_comodule_algebra
-from quasihopf.hopf import gauge_twist
-from quasihopf.modcoalg import ModuleCoalgebra, dualize, verify_module_coalgebra
+from quasihopf.fields import QQ, PrimeField
+from quasihopf.fixtures import (c2, h2, h2_bimodule_coalgebra, hh_bicomodule, kz2,
+                                regular_comodule_algebra)
+from quasihopf.hopf import QuasiHopfAlgebra, gauge_twist, tensor_qha
+from quasihopf.modcoalg import (ModuleCoalgebra, dualize, verify_module_algebra,
+                                verify_module_coalgebra)
 from quasihopf.report import CheckRecord, CheckReport
 from quasihopf.smash import (ProductAlgebra, alpha_morphism, check_prop_3_10,
                              generalized_smash, phi_isomorphism,
                              verify_product_algebra)
-from quasihopf.tensor import FinAlgebra, LinMap, _identity, multiply
+from quasihopf.tensor import (FinAlgebra, LinMap, Tensor, _identity, all_indices,
+                              apply_linear_map, multiply)
 from quasihopf.yd import YetterDrinfeldContext, induce_yd, verify_yd
 
-from sweep_case import (reference_actions_commute, reference_coaction_counit,
+from sweep_case import (reference_action_compat, reference_actions_commute,
+                        reference_coaction_counit, reference_coaction_quasi_coassoc,
                         reference_coring_counit_law, reference_coring_module_law,
-                        reference_module_law, reference_multiplicative, reference_rational,
-                        reference_same_coaction, reference_tables_equal)
+                        reference_counit_comult, reference_distributive,
+                        reference_mixed_intertwine, reference_module_law,
+                        reference_multiplicative, reference_rational,
+                        reference_same_coaction, reference_slides, reference_tables_equal)
 from test_cli import readme_commands, run
 from test_closed_inverses import CASES, xx_gauge
 from test_hopf import sweedler
@@ -69,6 +83,12 @@ def bumped(m: LinMap, rng) -> LinMap:
     img = cols.setdefault(src, {})
     img[dst] = img.get(dst, field.zero) + field.from_int(rng.randrange(1, 50))
     return LinMap(field, m.src, m.dst, cols, m.dst_spaces)
+
+
+def bumped_tensor(t: Tensor, rng) -> Tensor:
+    """``t`` with one seeded entry bumped by a nonzero amount."""
+    idx = tuple(rng.randrange(d) for d in t.dims)
+    return t + Tensor(t.field, t.dims, {idx: t.field.from_int(rng.randrange(1, 50))})
 
 
 def bumped_alg(alg: FinAlgebra, rng) -> FinAlgebra:
@@ -151,9 +171,10 @@ def test_product_algebra_records():
     failures.require(("subalgebra-multiplicative",))
 
 
-def coalgebra_mutants(C, rng, count):
-    """C and ``count`` seeded mutants of it, each with one map bumped."""
-    maps = [m for m in ("comult", "right_action", "left_action") if getattr(C, m) is not None]
+def coalgebra_mutants(C, rng, count, maps=("comult", "right_action", "left_action")):
+    """C and ``count`` seeded mutants of it, each with one of ``maps``
+    bumped, in turn."""
+    maps = [m for m in maps if getattr(C, m) is not None]
     yield C
     for k in range(count):
         parts = {m: getattr(C, m) for m in ("comult", "counit", "left_action", "right_action")}
@@ -362,33 +383,250 @@ def test_coaction_roundtrip_records():
     failures.require(("roundtrip-coaction", "coaction-recovered"))
 
 
+def base_mutants(H, rng, count):
+    """``count`` seeded mutants of the base H, alternately with its
+    comultiplication and its counit bumped."""
+    for k in range(count):
+        comult, counit = H.comult, H.counit
+        if k % 2:
+            counit = bumped(counit, rng)
+        else:
+            comult = bumped(comult, rng)
+        yield QuasiHopfAlgebra(H.alg, comult, counit, H.reassoc, H.antipode, H.alpha, H.beta,
+                               reassoc_inv=H.reassoc_inv, name=H.name)
+
+
+def comodule_mutants(X, rng):
+    """X and seeded mutants of it: of its coaction, of its reassociator
+    (the stated inverse left as it was) and of its base's
+    comultiplication."""
+    yield X
+    for _ in range(3):
+        yield ComoduleAlgebra(X.H, X.side, X.alg, bumped(X.coaction, rng), X.reassoc,
+                              X.reassoc_inv)
+    for _ in range(2):
+        yield ComoduleAlgebra(X.H, X.side, X.alg, X.coaction, bumped_tensor(X.reassoc, rng),
+                              X.reassoc_inv)
+    for H in base_mutants(X.H, rng, 3):
+        yield ComoduleAlgebra(H, X.side, X.alg, X.coaction, X.reassoc, X.reassoc_inv)
+
+
+def test_coaction_quasi_coassoc_records():
+    failures = Failures()
+    ids = ("coaction-quasi-coassoc",)
+    for name, A in sorted(bicomodules().items()):
+        rng = random.Random(name)
+        for X in (A.left(), A.right()):
+            for Y in comodule_mutants(X, rng):
+                failures.match(records(verify_comodule_algebra(Y), ids),
+                               reference(reference_coaction_quasi_coassoc, Y), name)
+    failures.require(ids)
+
+
+def test_canonical_slides_records():
+    failures = Failures()
+    ids = ("coaction-slides-through-p", "coaction-slides-through-q")
+    for name, A in sorted(bicomodules().items()):
+        rng = random.Random(name)
+        for Y in list(comodule_mutants(A.left(), rng))[:6]:
+            canonical = canonical_elements(Y)
+            want = reference(reference_slides, Y, canonical.p, canonical.q)
+            failures.match(records(canonical.report, ids), want, name)
+    failures.require(ids)
+
+
+def bicomodule_mutants(A, rng):
+    """Six seeded mutants of A: of its left coaction, its right coaction
+    and its mixed reassociator in turn, the stated inverses left as they
+    were."""
+    for k in range(6):
+        maps = [A.left_coaction, A.right_coaction, A.reassoc_mixed]
+        maps[k % 3] = (bumped_tensor if k % 3 == 2 else bumped)(maps[k % 3], rng)
+        yield BicomoduleAlgebra(A.H, A.alg, maps[0], maps[1], A.reassoc_left,
+                                A.reassoc_right, maps[2], A.reassoc_left_inv,
+                                A.reassoc_right_inv, A.reassoc_mixed_inv)
+
+
+def test_mixed_intertwine_records():
+    failures = Failures()
+    ids = ("mixed-intertwine",)
+    for name, A in sorted(bicomodules().items()):
+        rng = random.Random(name)
+        for B in [A] + list(bicomodule_mutants(A, rng)):
+            failures.match(records(verify_bicomodule_algebra(B), ids),
+                           reference(reference_mixed_intertwine, B), name)
+    failures.require(ids)
+
+
+COMPAT = tuple("%s-action-compat-%s" % (law, side) for law in ("comult", "counit")
+               for side in ("left", "right"))
+
+
+def left_regular(H):
+    """H as a left module coalgebra over itself."""
+    return ModuleCoalgebra(H, "left", H.dim, H.comult, H.counit, left_action=H.alg.mult,
+                           name="regular")
+
+
+def module_coalgebras(H, rng):
+    """The bimodule coalgebra H and the regular one-sided ones, each with
+    seeded mutants of its own maps and over seeded mutants of H."""
+    maps = ("comult", "counit", "left_action", "right_action")
+    for C in (h2_bimodule_coalgebra(H.field, H), left_regular(H), right_regular(H)):
+        yield from coalgebra_mutants(C, rng, 8, maps)
+        for base in base_mutants(H, rng, 4):
+            yield ModuleCoalgebra(base, C.side, C.dim, C.comult, C.counit, C.left_action,
+                                  C.right_action, name=C.name)
+
+
+def test_module_coalgebra_moved_records():
+    failures = Failures()
+    ids = ("counit-comult",) + COMPAT
+    for name, H in bases():
+        for C in module_coalgebras(H, random.Random(name)):
+            want = reference(reference_counit_comult, C) + reference(reference_action_compat, C)
+            failures.match(records(verify_module_coalgebra(C), ids), want, name)
+    failures.require(ids)
+
+
+def test_module_algebra_distributive_records():
+    failures = Failures()
+    ids = ("action-distributive-left", "action-distributive-right")
+    for name, H in bases():
+        for C in module_coalgebras(H, random.Random(name)):
+            A = dualize(C)
+            failures.match(records(verify_module_algebra(A), ids),
+                           reference(reference_distributive, A), name)
+    failures.require(ids)
+
+
+def test_module_coalgebra_counit_comult_fails_at_the_first_item_of_either_side():
+    # over twisted Sweedler eps(e_2) = 0 != eps(e_1): bumping Delta(e_0) at
+    # (2, 1) breaks only the right counit law at e_0, bumping Delta(e_1) at
+    # (1, 2) only the left one at e_1, so the first failing item is e_0
+    # and its side the right one
+    A = bicomodules()["sweedler-xx3"]
+    H, field = A.H, A.field
+    assert (H.counit_scalar(2), H.counit_scalar(1)) == (field.zero, field.one)
+    cols = {k: dict(v) for k, v in H.comult.cols.items()}
+    for src, dst in (((0,), (2, 1)), ((1,), (1, 2))):
+        cols[src][dst] = cols[src].get(dst, field.zero) + field.one
+    C = right_regular(H)
+    C = ModuleCoalgebra(H, C.side, C.dim, LinMap(field, (4,), (4, 4), cols), C.counit,
+                        right_action=C.right_action)
+    got = records(verify_module_coalgebra(C), ("counit-comult",))
+    assert got == reference(reference_counit_comult, C)
+    assert got[0].witness == (0,)
+    right = apply_linear_map(C.counit, C.comult.column((0,)), (1,))
+    assert (got[0].lhs, got[0].rhs) == (right, Tensor.basis(field, (4,), (0,)))
+
+
+def test_comult_action_compat_left_witness_is_the_action_source_index():
+    # the left law is swept with the coalgebra index outermost and its
+    # witness reported as (h, c).  Bumping the left regular action at
+    # (h, c) = (1, 0) and at (0, 1) breaks the law at both; the first of
+    # them in that order is (1, 0), and in row-major (h, c) order (0, 1)
+    seen = 0
+    for name, H in bases():
+        action = H.alg.mult
+        cols = {k: dict(v) for k, v in action.cols.items()}
+        for src in ((1, 0), (0, 1)):
+            cols[src][(0,)] = cols[src].get((0,), H.field.zero) + H.field.one
+        C = ModuleCoalgebra(H, "left", H.dim, H.comult, H.counit,
+                            left_action=LinMap(H.field, action.src, action.dst, cols))
+        got = records(verify_module_coalgebra(C), ("comult-action-compat-left",))
+        want = reference(reference_action_compat, C)[0]
+        row_major = reference(functools.partial(
+            reference_action_compat, left_items=all_indices((H.dim, C.dim))), C)[0]
+        assert got == [want], name
+        if H.dim == 2:
+            assert (want.witness, row_major.witness) == ((1, 0), (0, 1)), name
+            seen += 1
+    assert seen
+
+
 # the checks that run as one contraction, by id; the coring comodule's
 # "counit-law" shares its id with a coring record that stays per item
 MOVED = {"coaction-multiplicative", "subalgebra-multiplicative", "multiplicative",
          "tables-equal-first", "tables-equal-second", "coaction-counit", "rational",
          "roundtrip-coaction", "roundtrip-coaction-other-way", "coaction-recovered",
-         "actions-commute"} | {prefix + "action-" + law for prefix in ("", "left-", "right-")
-                               for law in ("unital", "associative")}
+         "actions-commute", "coaction-quasi-coassoc", "coaction-slides-through-p",
+         "coaction-slides-through-q", "mixed-intertwine", "counit-comult",
+         "action-distributive-left", "action-distributive-right"} | set(COMPAT) | {
+             prefix + "action-" + law for prefix in ("", "left-", "right-")
+             for law in ("unital", "associative")}
 
 
-@pytest.mark.parametrize("field_tag", ["q", "fp:10007"])
-def test_readme_pipeline_sweeps_no_moved_check_per_item(tmp_path, monkeypatch, field_tag):
-    swept = []
+@pytest.fixture
+def swept(monkeypatch):
+    """The (subject, check id) of every ``CheckReport.sweep`` call, in order."""
+    calls = []
     original = CheckReport.sweep
 
     def spy(self, check_id, items, fn):
-        swept.append((self.subject, check_id))
+        calls.append((self.subject, check_id))
         return original(self, check_id, items, fn)
 
     monkeypatch.setattr(CheckReport, "sweep", spy)
+    return calls
+
+
+def moved_checks(calls):
+    return [(subject, check_id) for subject, check_id in calls
+            if check_id in MOVED or (check_id == "counit-law"
+                                     and subject.startswith("coring comodule"))]
+
+
+@pytest.mark.parametrize("field_tag", ["q", "fp:10007"])
+def test_readme_pipeline_sweeps_no_moved_check_per_item(tmp_path, monkeypatch, swept,
+                                                        field_tag):
     monkeypatch.chdir(tmp_path)
     for argv in readme_commands():
         if argv[:2] == ["fixture", "emit"]:
             argv = argv + ["--field", field_tag]
         run(argv)
-    moved = [(subject, check_id) for subject, check_id in swept
-             if check_id in MOVED or (check_id == "counit-law"
-                                      and subject.startswith("coring comodule"))]
-    assert moved == []
+    assert moved_checks(swept) == []
     # the spy sees the checks that stay per item
     assert {"unit-two-sided", "coassoc-upto-reassoc"} <= {c for _, c in swept}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["q", "fp10007"])
+def test_mutation_sweep_verifiers_sweep_no_moved_check_per_item(swept, field):
+    # the five 2-dim fixtures, and seeded mutants of the bicomodule algebra
+    # and of the two module coalgebras, each through its verifier
+    H = h2(field)
+    rng = random.Random(str(field))
+    values = [kz2(field), H]
+    A = hh_bicomodule(field, H)
+    values += [A] + [B for _, B in zip(range(4), bicomodule_mutants(A, rng))]
+    for C in (c2(field, H), h2_bimodule_coalgebra(field, H)):
+        values += coalgebra_mutants(C, rng, 6, ("comult", "counit", "left_action",
+                                                "right_action"))
+    failed = sum(not cli._verify_any(value).passed for value in values)
+    assert failed >= 10
+    assert moved_checks(swept) == []
+    assert {"coassoc-upto-reassoc"} <= {c for _, c in swept}
+
+
+def test_verify_comodule_algebra_kernel_calls_do_not_grow_with_dim(monkeypatch):
+    # each basis sweep is one contraction, so verify_comodule_algebra makes
+    # as many multiply and apply_linear_map calls on the right realization
+    # of hh over h2 (carrier dim 2) as over h2 (x) h2 (carrier dim 4)
+    field = PrimeField(10007)
+    base = h2(field)
+    Xs = [right_realization(hh_bicomodule(field, H), 1)
+          for H in (base, tensor_qha(base, base))]
+    counts = {"multiply": 0, "apply_linear_map": 0}
+    for name in counts:
+        def spy(*args, _real=getattr(tensor, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        for module in (tensor, comodule):
+            monkeypatch.setattr(module, name, spy)
+    seen = []
+    for X in Xs:
+        counts.update(dict.fromkeys(counts, 0))
+        assert verify_comodule_algebra(X).passed
+        seen.append(dict(counts))
+    assert seen[0]["multiply"] > 0 and seen[0]["apply_linear_map"] > 0
+    assert seen[1] == seen[0]
