@@ -276,8 +276,8 @@ def verify_module_algebra(A: ModuleAlgebra) -> CheckReport:
         # legs h h i j (e_i e_j), the second h acting on the product
         acted = apply_linear_map(action, _identity(field, H.dim).outer(
             alg.mult.as_tensor()), legs, at=3)
-        # legs h h1 h2 i i j j: h1 acts on the first e_i, then h2 on the
-        # first e_j, and the two images multiply
+        # legs h h1 h2 i e_i j e_j: h1 acts on e_i, then h2 on e_j, and
+        # the two images multiply
         split = H.comult.as_tensor().outer(ident).outer(ident)
         split = apply_linear_map(action, apply_linear_map(action, split, legs, at=5), legs,
                                  at=4)
