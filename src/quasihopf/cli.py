@@ -254,7 +254,7 @@ def cmd_build(args):
         A = _load(args.bicomodule, BicomoduleAlgebra)
         C = _load(args.coalgebra, ModuleCoalgebra)
         square = op_tensor(A.H)
-        chosen = right_realization(A, args.realization, square)
+        chosen = right_realization(A, args.realization)
         over = bimodule_to_op_tensor_module_coalgebra(C, base=square)
         product = right_generalized_smash(chosen, dualize(over))
     elif args.what == "koppinen":

@@ -29,8 +29,7 @@ class ComoduleAlgebra:
     """
 
     def __init__(self, H: QuasiBialgebra, side: str, alg: FinAlgebra,
-                 coaction: LinMap, reassoc: Tensor, reassoc_inv: Tensor = None,
-                 name=""):
+                 coaction: LinMap, reassoc: Tensor, reassoc_inv: Tensor, name=""):
         if side not in ("left", "right"):
             raise ShapeMismatch("side must be 'left' or 'right'")
         d, dh = alg.dim, H.dim
@@ -47,8 +46,6 @@ class ComoduleAlgebra:
         self.coaction = coaction.rebind(
             (alg, H.alg) if side == "right" else (H.alg, alg))
         self.reassoc = reassoc
-        if reassoc_inv is None:
-            reassoc_inv = invert_element(self.reassoc_spaces(), reassoc)
         self.reassoc_inv = reassoc_inv
         self.name = name
 
@@ -71,7 +68,7 @@ class ComoduleAlgebra:
 class TwistWitness:
     """Invertible counit-normalized element relating two coactions."""
 
-    def __init__(self, X: ComoduleAlgebra, t: Tensor, inv: Tensor = None):
+    def __init__(self, X: ComoduleAlgebra, t: Tensor, inv: Tensor):
         H = X.H
         want = (X.alg.dim, H.dim) if X.side == "right" else (H.dim, X.alg.dim)
         if t.dims != want:
@@ -81,10 +78,7 @@ class TwistWitness:
             raise WitnessNotNormalized("counit normalization fails")
         self.X = X
         self.t = t
-        spaces = (X.alg, H.alg) if X.side == "right" else (H.alg, X.alg)
-        self.spaces = spaces
-        if inv is None:
-            inv = invert_element(spaces, t)
+        self.spaces = (X.alg, H.alg) if X.side == "right" else (H.alg, X.alg)
         self.inv = inv
 
     def inverse_witness(self) -> "TwistWitness":
@@ -350,8 +344,8 @@ class BicomoduleAlgebra:
     def __init__(self, H, alg: FinAlgebra, left_coaction: LinMap,
                  right_coaction: LinMap, reassoc_left: Tensor,
                  reassoc_right: Tensor, reassoc_mixed: Tensor,
-                 reassoc_left_inv=None, reassoc_right_inv=None,
-                 reassoc_mixed_inv=None, name=""):
+                 reassoc_left_inv: Tensor, reassoc_right_inv: Tensor,
+                 reassoc_mixed_inv: Tensor, name=""):
         self.H = H
         self.alg = alg
         self.field = alg.field
@@ -364,12 +358,9 @@ class BicomoduleAlgebra:
         self.reassoc_left = reassoc_left
         self.reassoc_right = reassoc_right
         self.reassoc_mixed = reassoc_mixed
-        self.reassoc_left_inv = reassoc_left_inv if reassoc_left_inv is not None \
-            else invert_element((H.alg, H.alg, alg), reassoc_left)
-        self.reassoc_right_inv = reassoc_right_inv if reassoc_right_inv is not None \
-            else invert_element((alg, H.alg, H.alg), reassoc_right)
-        self.reassoc_mixed_inv = reassoc_mixed_inv if reassoc_mixed_inv is not None \
-            else invert_element((H.alg, alg, H.alg), reassoc_mixed)
+        self.reassoc_left_inv = reassoc_left_inv
+        self.reassoc_right_inv = reassoc_right_inv
+        self.reassoc_mixed_inv = reassoc_mixed_inv
 
     def left(self) -> ComoduleAlgebra:
         return ComoduleAlgebra(self.H, "left", self.alg, self.left_coaction,
@@ -498,21 +489,20 @@ def _reassoc_pair(spaces, pipeline, factors, inverses, unit_spaces, order):
     return re, inv
 
 
-def bicomodule_to_left_tensor_op(A: BicomoduleAlgebra, base=None):
+def bicomodule_to_left_tensor_op(A: BicomoduleAlgebra):
     """The two left comodule-algebra realizations of a bicomodule algebra
     over the base tensored with its opposite: the opcop reflections of
     the second and the first right realizations of the opcop reflection
     of A, moved onto H (x) H^op by swapping the factors of the square.
 
     Returns (first, second, base) where both comodule algebras share the
-    carrier and the base is the materialized twisted tensor square.
+    carrier and the base is the materialized twisted tensor square, the
+    one ``tensor_op`` caches on the base of A.
     """
-    H = _require_antipode(A.H)
-    HHop = base if base is not None else tensor_op(H)
+    HHop = tensor_op(_require_antipode(A.H))
     mirror = bicomodule_variant(A, "opcop")
-    square = op_tensor(mirror.H)
     first, second = (
-        _swap_square_factors(comodule_variant(right_realization(mirror, k, square), "opcop"),
+        _swap_square_factors(comodule_variant(right_realization(mirror, k), "opcop"),
                              A, HHop, tag)
         for k, tag in ((2, ":lam1"), (1, ":lam2")))
     return first, second, HHop
@@ -530,23 +520,24 @@ def _swap_square_factors(X: ComoduleAlgebra, A: BicomoduleAlgebra, base, tag: st
                            name=(A.name + tag) if A.name else "")
 
 
-def bicomodule_to_right_op_tensor(A: BicomoduleAlgebra, base=None):
+def bicomodule_to_right_op_tensor(A: BicomoduleAlgebra):
     """The two right comodule-algebra realizations of a bicomodule algebra
     over the opposite base tensored with the base.
 
     Returns (first, second, base) where both comodule algebras share the
-    carrier and the base is the materialized twisted tensor square.
+    carrier and the base is the materialized twisted tensor square, the
+    one ``op_tensor`` caches on the base of A.
     """
-    HopH = base if base is not None else op_tensor(_require_antipode(A.H))
-    return right_realization(A, 1, HopH), right_realization(A, 2, HopH), HopH
+    return right_realization(A, 1), right_realization(A, 2), op_tensor(A.H)
 
 
-def right_realization(A: BicomoduleAlgebra, k: int, base=None) -> ComoduleAlgebra:
+def right_realization(A: BicomoduleAlgebra, k: int) -> ComoduleAlgebra:
     """The k-th right comodule-algebra realization (k = 1 or 2) of a
     bicomodule algebra over the opposite base tensored with the base,
-    the materialized twisted tensor square unless ``base`` is given."""
+    the materialized twisted tensor square ``op_tensor`` caches on the
+    base of A."""
     H = _require_antipode(A.H)
-    HopH = base if base is not None else op_tensor(H)
+    HopH = op_tensor(H)
     alg = A.alg
     S_inv = H.antipode_inv
     twist = drinfeld_twist(H)

@@ -276,5 +276,5 @@ def _coring_yd(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> Coring:
         raise AntipodeRequired("this coring needs antipode data")
     square = op_tensor(A.H)
     over_square = bimodule_to_op_tensor_module_coalgebra(C, base=square)
-    return _coring_ca(right_realization(A, 2, square), over_square,
+    return _coring_ca(right_realization(A, 2), over_square,
                       name="YD(%s,%s)" % (A.name or "A", C.name or "C"))

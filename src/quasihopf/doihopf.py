@@ -99,11 +99,9 @@ def _carrier_alg(over) -> FinAlgebra:
     raise ShapeMismatch("cannot extract an algebra from %r" % (over,))
 
 
-def verify_module_law(M: FiniteModule, report=None, subject="") -> CheckReport:
-    report = report or CheckReport(subject or "module %s" % (M.name or ""))
+def verify_module_law(M: FiniteModule, report: CheckReport):
     _check_module_law(report, _carrier_alg(M.over), M.dim, M.action, M.action_side,
                       "action")
-    return report
 
 
 def verify_doi_hopf(M: FiniteModule, context: DoiHopfContext) -> CheckReport:
@@ -267,8 +265,7 @@ def translate_variant(M: FiniteModule, context: DoiHopfContext,
     return _reflect_module(M, reflected), reflected
 
 
-def to_smash_module(M: FiniteModule, context: DoiHopfContext,
-                    smash: ProductAlgebra = None):
+def to_smash_module(M: FiniteModule, context: DoiHopfContext):
     """Collapse a right-left module's coaction into a right action of
     the smash product of the dual with the comodule algebra.
 
@@ -277,8 +274,7 @@ def to_smash_module(M: FiniteModule, context: DoiHopfContext,
     if context.variant != "right-left":
         raise VariantMismatch("the smash collapse starts from the right-left variant")
     A, C = context.comodule, context.coalgebra
-    if smash is None:
-        smash = generalized_smash(dualize(C), A)
+    smash = generalized_smash(dualize(C), A)
     out = FiniteModule(M.dim, smash, _smash_action(M.coaction, M.action, A.alg.dim),
                        "right", name=M.name)
     return out, smash

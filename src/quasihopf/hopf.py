@@ -12,15 +12,15 @@ from .errors import (AntipodeNotInvertible, GaugeNotNormalized, NotInvertible,
                      ShapeMismatch)
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, _identity, apply_linear_map,
-                     build_tensor_algebra, interleave, invert_element, multiplicative_sides,
-                     multiply, switch_legs, unit_tensor)
+                     build_tensor_algebra, interleave, multiplicative_sides, multiply,
+                     switch_legs, unit_tensor)
 
 
 class QuasiBialgebra:
     """Algebra + comultiplication + counit + invertible reassociator."""
 
     def __init__(self, alg: FinAlgebra, comult: LinMap, counit: LinMap,
-                 reassoc: Tensor, reassoc_inv: Tensor = None, name=""):
+                 reassoc: Tensor, reassoc_inv: Tensor, name=""):
         d = alg.dim
         if comult.src != (d,) or comult.dst != (d, d):
             raise ShapeMismatch("comultiplication has shape %r -> %r" % (comult.src, comult.dst))
@@ -34,8 +34,6 @@ class QuasiBialgebra:
         self.comult = comult.rebind((alg, alg))
         self.counit = counit.rebind(())
         self.reassoc = reassoc
-        if reassoc_inv is None:
-            reassoc_inv = invert_element([alg] * 3, reassoc)
         self.reassoc_inv = reassoc_inv
         self.name = name
 
@@ -79,7 +77,7 @@ class QuasiHopfAlgebra(QuasiBialgebra):
     """Quasi-bialgebra with antipode data (S, alpha, beta)."""
 
     def __init__(self, alg, comult, counit, reassoc, antipode: LinMap,
-                 alpha: Tensor, beta: Tensor, reassoc_inv=None, name=""):
+                 alpha: Tensor, beta: Tensor, reassoc_inv: Tensor, name=""):
         super().__init__(alg, comult, counit, reassoc, reassoc_inv, name=name)
         d = alg.dim
         if antipode.src != (d,) or antipode.dst != (d,):
@@ -113,7 +111,7 @@ class QuasiHopfAlgebra(QuasiBialgebra):
 class GaugeTransformation:
     """Invertible counit-normalized element of the tensor square."""
 
-    def __init__(self, H: QuasiBialgebra, t: Tensor, inv: Tensor = None):
+    def __init__(self, H: QuasiBialgebra, t: Tensor, inv: Tensor):
         if t.dims != (H.dim, H.dim):
             raise ShapeMismatch("gauge dims %r" % (t.dims,))
         unit = H.alg.unit
@@ -122,18 +120,14 @@ class GaugeTransformation:
             raise GaugeNotNormalized("counit normalization fails")
         self.H = H
         self.t = t
-        if inv is None:
-            inv = invert_element(H.spaces(2), t)
         self.inv = inv
 
 
-def verify_fin_algebra(alg: FinAlgebra, subject="algebra", report=None) -> CheckReport:
-    report = report or CheckReport(subject)
+def verify_fin_algebra(alg: FinAlgebra, report: CheckReport):
     witness = alg.associativity_witness()
     report.add("mult-associative", witness is None, witness=witness)
     witness = alg.unit_witness()
     report.add("unit-two-sided", witness is None, witness=witness)
-    return report
 
 
 def _algebra_map_records(report, H: QuasiBialgebra, m: LinMap, unit_image, tag):
@@ -170,7 +164,7 @@ def verify_quasi_bialgebra(H: QuasiBialgebra) -> CheckReport:
     report = CheckReport("quasi-bialgebra %s" % (H.name or ""))
     alg = H.alg
     d = alg.dim
-    verify_fin_algebra(alg, report=report)
+    verify_fin_algebra(alg, report)
 
     _algebra_map_records(report, H, H.comult, unit_tensor(H.spaces(2)), "comult")
     _algebra_map_records(report, H, H.counit, Tensor.scalar(H.field, H.field.one), "counit")
@@ -300,6 +294,16 @@ def gauge_product(H_twisted: QuasiHopfAlgebra, F: GaugeTransformation,
     return GaugeTransformation(F.H, t, inv)
 
 
+def _derived(H, key, build):
+    """``build(H)``, built once and cached under ``key`` on the
+    (immutable) base H, so every construction over one base shares one
+    derived base or element."""
+    cached = H.__dict__.setdefault("_derived", {})
+    if key not in cached:
+        cached[key] = build(H)
+    return cached[key]
+
+
 VARIANT_KINDS = ("op", "cop", "opcop")
 
 
@@ -308,15 +312,12 @@ def variant(H, kind: str):
 
     Accepts either a quasi-bialgebra (returns one) or a quasi-Hopf
     algebra (returns one, transforming the antipode data as well).  The
-    result is cached on the (immutable) input, so the reflections of
-    several structures over one base share one reflected base.
+    result is cached on the input, so the reflections of several
+    structures over one base share one reflected base.
     """
     if kind not in VARIANT_KINDS:
         raise ShapeMismatch("unknown variant %r" % (kind,))
-    cached = H.__dict__.setdefault("_variants", {})
-    if kind not in cached:
-        cached[kind] = _variant(H, kind)
-    return cached[kind]
+    return _derived(H, kind, lambda H: _variant(H, kind))
 
 
 def _variant(H, kind: str):
@@ -352,10 +353,11 @@ def drinfeld_twist(H: QuasiHopfAlgebra) -> GaugeTransformation:
     """The gauge transformation conjugating Delta(S(h)) into
     (S x S)(flip Delta(h)), built from its closed formula.
 
-    The result is cached on the (immutable) input."""
-    cached = getattr(H, "_drinfeld_twist", None)
-    if cached is not None:
-        return cached
+    The result is cached on the input."""
+    return _derived(H, "drinfeld-twist", _drinfeld_twist)
+
+
+def _drinfeld_twist(H: QuasiHopfAlgebra) -> GaugeTransformation:
     alg = H.alg
     S = H.antipode
     alpha_el = El((alg,), H.alpha)
@@ -393,9 +395,7 @@ def drinfeld_twist(H: QuasiHopfAlgebra) -> GaugeTransformation:
     e = e.mul_embedded(delta, (0, 1))
     twist_inv = e.merge(0, 2).merge(1, 2)
 
-    out = GaugeTransformation(H, twist.t, twist_inv.t)
-    H._drinfeld_twist = out
-    return out
+    return GaugeTransformation(H, twist.t, twist_inv.t)
 
 
 def tensor_qha(H1: QuasiHopfAlgebra, H2: QuasiHopfAlgebra, name="") -> QuasiHopfAlgebra:
@@ -421,11 +421,14 @@ def tensor_qha(H1: QuasiHopfAlgebra, H2: QuasiHopfAlgebra, name="") -> QuasiHopf
                             reassoc_inv=reassoc_inv, name=name)
 
 
-def op_tensor(H: QuasiHopfAlgebra, name="") -> QuasiHopfAlgebra:
-    """H^op (x) H, the base of the one-sided comodule realizations."""
-    return tensor_qha(variant(H, "op"), H, name=name or (H.name + "^op(x)" + H.name))
+def op_tensor(H: QuasiHopfAlgebra) -> QuasiHopfAlgebra:
+    """H^op (x) H, the base of the one-sided comodule realizations;
+    cached on H, so every realization over H shares one square."""
+    return _derived(H, "op-tensor", lambda H: tensor_qha(
+        variant(H, "op"), H, name=H.name + "^op(x)" + H.name))
 
 
-def tensor_op(H: QuasiHopfAlgebra, name="") -> QuasiHopfAlgebra:
-    """H (x) H^op, the base of the mirrored realizations."""
-    return tensor_qha(H, variant(H, "op"), name=name or (H.name + "(x)" + H.name + "^op"))
+def tensor_op(H: QuasiHopfAlgebra) -> QuasiHopfAlgebra:
+    """H (x) H^op, the base of the mirrored realizations; cached on H."""
+    return _derived(H, "tensor-op", lambda H: tensor_qha(
+        H, variant(H, "op"), name=H.name + "(x)" + H.name + "^op"))

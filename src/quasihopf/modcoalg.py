@@ -39,18 +39,8 @@ class ModuleCoalgebra:
         self.space = VectorSpace(H.field, dim, name or "C")
         self.comult = comult.rebind((self.space, self.space))
         self.counit = counit.rebind(())
-        if side in ("left", "bi"):
-            if left_action is None or left_action.src != (H.dim, dim) \
-                    or left_action.dst != (dim,):
-                raise ShapeMismatch("left action must map H x C -> C")
-            left_action = left_action.rebind((self.space,))
-        if side in ("right", "bi"):
-            if right_action is None or right_action.src != (dim, H.dim) \
-                    or right_action.dst != (dim,):
-                raise ShapeMismatch("right action must map C x H -> C")
-            right_action = right_action.rebind((self.space,))
-        self.left_action = left_action if side in ("left", "bi") else None
-        self.right_action = right_action if side in ("right", "bi") else None
+        self.left_action, self.right_action = _checked_actions(
+            H, side, self.space, left_action, right_action, "C")
         self.name = name
 
     def reflect(self, kind: str) -> "ModuleCoalgebra":
@@ -77,23 +67,12 @@ class ModuleAlgebra:
                  left_action: LinMap = None, right_action: LinMap = None, name=""):
         if side not in SIDES:
             raise ShapeMismatch("side must be one of %r" % (SIDES,))
-        d = alg.dim
         self.H = H
         self.side = side
         self.alg = alg
         self.field = alg.field
-        if side in ("left", "bi"):
-            if left_action is None or left_action.src != (H.dim, d) \
-                    or left_action.dst != (d,):
-                raise ShapeMismatch("left action must map H x A -> A")
-            left_action = left_action.rebind((alg,))
-        if side in ("right", "bi"):
-            if right_action is None or right_action.src != (d, H.dim) \
-                    or right_action.dst != (d,):
-                raise ShapeMismatch("right action must map A x H -> A")
-            right_action = right_action.rebind((alg,))
-        self.left_action = left_action if side in ("left", "bi") else None
-        self.right_action = right_action if side in ("right", "bi") else None
+        self.left_action, self.right_action = _checked_actions(
+            H, side, alg, left_action, right_action, "A")
         self.name = name
 
     def reflect(self, kind: str) -> "ModuleAlgebra":
@@ -108,6 +87,23 @@ class ModuleAlgebra:
     def __repr__(self):
         return "ModuleAlgebra(%s, dim=%d%s)" % (
             self.side, self.alg.dim, ", %r" % self.name if self.name else "")
+
+
+def _checked_actions(H, side: str, space, left, right, carrier: str):
+    """The (left, right) actions of a ``side`` module over H on
+    ``space``, each checked for shape and rebound onto ``space``; None
+    for an action the side does not have.  ``carrier`` names the space
+    in the errors."""
+    d = space.dim
+
+    def checked(action, src, which, domain):
+        if action is None or action.src != src or action.dst != (d,):
+            raise ShapeMismatch("%s action must map %s -> %s" % (which, domain, carrier))
+        return action.rebind((space,))
+
+    has_left, has_right = side in ("left", "bi"), side in ("right", "bi")
+    return (checked(left, (H.dim, d), "left", "H x " + carrier) if has_left else None,
+            checked(right, (d, H.dim), "right", carrier + " x H") if has_right else None)
 
 
 def _reflected_actions(X, kind: str):
@@ -296,7 +292,7 @@ def verify_module_algebra(A: ModuleAlgebra) -> CheckReport:
     return report
 
 
-def dualize(C: ModuleCoalgebra, name="") -> ModuleAlgebra:
+def dualize(C: ModuleCoalgebra) -> ModuleAlgebra:
     """The linear dual as a module algebra: convolution product, counit
     as unit, transposed action(s) on the other side."""
     H = C.H
@@ -306,7 +302,7 @@ def dualize(C: ModuleCoalgebra, name="") -> ModuleAlgebra:
 
     # convolution: (e^i e^j)(c) = coefficient of e_i x e_j in comult(c)
     alg = FinAlgebra(C.field, C.dim, transposed(C.comult, (1, 2, 0)), C.counit.as_tensor(),
-                     name=name or ((C.name or "C") + "*"), validate=False)
+                     name=(C.name or "C") + "*", validate=False)
     left = right = None
     if C.right_action is not None:
         # (h . f)(c) = f(c . h)
@@ -326,7 +322,13 @@ def dualize(C: ModuleCoalgebra, name="") -> ModuleAlgebra:
 def bimodule_to_op_tensor_module_coalgebra(C: ModuleCoalgebra,
                                            base=None) -> ModuleCoalgebra:
     """View a bimodule coalgebra as a left module coalgebra over the
-    opposite base tensored with the base: (h x h') . c = h' . c . h."""
+    opposite base tensored with the base: (h x h') . c = h' . c . h.
+
+    The square is ``op_tensor(C.H)`` unless ``base`` is given.  Callers
+    that pair C with a comodule algebra A pass the square of A: the CLI
+    reads C and A with separate companions, so C.H is a base equal to
+    A.H but not the same object, and the square cached on it would be
+    built a second time and then compared structurally with the first."""
     if C.side != "bi":
         raise ShapeMismatch("input must be a bimodule coalgebra")
     H = C.H

@@ -20,7 +20,7 @@ import functools
 from .comodule import (BicomoduleAlgebra, ComoduleAlgebra, bicomodule_to_right_op_tensor,
                        bicomodule_variant, canonical_elements, comodule_variant)
 from .errors import AntipodeRequired, MixedBase, NotInvertible, ShapeMismatch
-from .hopf import QuasiHopfAlgebra, drinfeld_twist, op_tensor
+from .hopf import QuasiHopfAlgebra, drinfeld_twist
 from .modcoalg import (ModuleAlgebra, ModuleCoalgebra,
                        bimodule_to_op_tensor_module_coalgebra, dualize)
 from .report import CheckReport
@@ -470,12 +470,11 @@ def check_prop_3_10(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> CheckReport:
     independent code paths, entrywise on all product pairs."""
     if C.side != "bi":
         raise ShapeMismatch("needs a bimodule coalgebra")
-    H = _check_base(A, C)
+    _check_base(A, C)
     report = CheckReport("diagonal-crossed-product comparison")
 
     # path one: one-sided realizations over the twisted tensor square
-    square = op_tensor(H)
-    first, second, _ = bicomodule_to_right_op_tensor(A, base=square)
+    first, second, square = bicomodule_to_right_op_tensor(A)
     over_square = bimodule_to_op_tensor_module_coalgebra(C, base=square)
     dual_over_square = dualize(over_square)
     side1_smash = right_generalized_smash(first, dual_over_square)

@@ -396,11 +396,11 @@ class LinMap:
         return m
 
     @classmethod
-    def from_matrix(cls, field, src, dst, matrix, dst_spaces=None):
+    def from_matrix(cls, field, src, dst, matrix):
         src, dst = tuple(src), tuple(dst)
         t = Tensor(field, (_size(src), _size(dst)),
                    {(c, r): v for r, row in enumerate(matrix) for c, v in enumerate(row)})
-        return cls.from_tensor(t.split(1, dst).split(0, src), len(src), dst_spaces)
+        return cls.from_tensor(t.split(1, dst).split(0, src), len(src))
 
     def is_invertible(self) -> bool:
         if self.src != self.dst and _size(self.src) != _size(self.dst):

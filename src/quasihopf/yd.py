@@ -21,7 +21,7 @@ class YetterDrinfeldContext:
     the second right realization of A and C as a left module coalgebra,
     both over H^op (x) H."""
 
-    def __init__(self, A: BicomoduleAlgebra, C: ModuleCoalgebra, square=None):
+    def __init__(self, A: BicomoduleAlgebra, C: ModuleCoalgebra):
         if C.side != "bi":
             raise VariantMismatch("needs a bimodule coalgebra")
         if not A.H.same_structure(C.H):
@@ -32,8 +32,8 @@ class YetterDrinfeldContext:
         self.C = C
         self.H = A.H
         self.field = A.field
-        self.square = square if square is not None else op_tensor(self.H)
-        self.second = right_realization(A, 2, self.square)
+        self.square = op_tensor(self.H)
+        self.second = right_realization(A, 2)
         self.over_square = bimodule_to_op_tensor_module_coalgebra(C, base=self.square)
         self.doihopf = DoiHopfContext("left-right", self.second, self.over_square)
 

@@ -9,13 +9,13 @@ from io import StringIO
 
 import pytest
 
-from quasihopf import io, tensor
+from quasihopf import hopf, io, tensor
 from quasihopf.cli import _report_json, main
 from quasihopf.coring import build_coring, verify_coring
 from quasihopf.errors import HashMismatch, ParseError, QuasiHopfError
 from quasihopf.fields import QQ, PrimeField, field_from_tag
-from quasihopf.fixtures import (FIXTURE_NAMES, c2, h2, h2_bimodule_coalgebra, kz2,
-                                regular_comodule_algebra)
+from quasihopf.fixtures import (FIXTURE_NAMES, c2, h2, h2_bimodule_coalgebra,
+                                hh_bicomodule, kz2, regular_comodule_algebra)
 from quasihopf.hopf import GaugeTransformation, verify_quasi_hopf
 from quasihopf.modcoalg import (ModuleCoalgebra, dualize, verify_module_algebra,
                                 verify_module_coalgebra)
@@ -28,18 +28,84 @@ def run(argv):
     return main(argv)
 
 
+def package_trees():
+    """(module name, syntax tree) of every module of the package."""
+    package = os.path.dirname(tensor.__file__)
+    paths = sorted(glob.glob(os.path.join(package, "*.py")))
+    assert len(paths) > 10
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            yield os.path.basename(path)[:-3], ast.parse(fh.read(), path)
+
+
+def scoped_nodes(tree, scope):
+    """(qualified name of the innermost enclosing function or class,
+    node) of every node of ``tree``, methods named Class.method."""
+    for child in ast.iter_child_nodes(tree):
+        yield scope, child
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = scope + "." + child.name
+        yield from scoped_nodes(child, inner)
+
+
 def test_package_has_no_assert_statement():
     # ``python -O`` strips asserts, so a guard must raise a package error,
     # which the command line reports with its exit code
-    package = os.path.dirname(tensor.__file__)
-    found = []
-    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), path)
-        found += ["%s:%d" % (os.path.basename(path), node.lineno)
-                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert len(glob.glob(os.path.join(package, "*.py"))) > 10
+    found = ["%s:%d" % (module, node.lineno) for module, tree in package_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_the_internal_coalgebra_check_solves_for_an_inverse():
+    # every structure states its inverses, so no constructor solves for
+    # one; the comult-of-unit-invertible check is the one dense solve left
+    callers = [scope for module, tree in package_trees()
+               for scope, node in scoped_nodes(tree, module)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None))
+               == "invert_element"]
+    assert callers == ["comodule.InternalCoalgebra.verify"]
+
+
+# parameters that take no default: each had one that no caller overrode,
+# or an inverse that every caller states, or a base the code builds itself
+NO_DEFAULT = {
+    "hopf.QuasiBialgebra.__init__": ("reassoc_inv",),
+    "hopf.QuasiHopfAlgebra.__init__": ("reassoc_inv",),
+    "hopf.GaugeTransformation.__init__": ("inv",),
+    "hopf.verify_fin_algebra": ("subject", "report"),
+    "hopf.op_tensor": ("name",),
+    "hopf.tensor_op": ("name",),
+    "comodule.ComoduleAlgebra.__init__": ("reassoc_inv",),
+    "comodule.TwistWitness.__init__": ("inv",),
+    "comodule.BicomoduleAlgebra.__init__": ("reassoc_left_inv", "reassoc_right_inv",
+                                           "reassoc_mixed_inv"),
+    "comodule.right_realization": ("base",),
+    "comodule.bicomodule_to_right_op_tensor": ("base",),
+    "comodule.bicomodule_to_left_tensor_op": ("base",),
+    "yd.YetterDrinfeldContext.__init__": ("square",),
+    "doihopf.to_smash_module": ("smash",),
+    "doihopf.verify_module_law": ("report", "subject"),
+    "modcoalg.dualize": ("name",),
+    "tensor.LinMap.from_matrix": ("dst_spaces",),
+}
+
+
+def test_removed_defaults_stay_removed():
+    defaulted = {}
+    for module, tree in package_trees():
+        for scope, node in scoped_nodes(tree, module):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted[scope + "." + node.name] = (
+                    {a.arg for a in positional[len(positional) - len(args.defaults):]}
+                    | {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None})
+    assert sum(len(names) for names in NO_DEFAULT.values()) == 21
+    assert {fn: sorted(defaulted[fn] & set(names)) for fn, names in NO_DEFAULT.items()} \
+        == {fn: [] for fn in NO_DEFAULT}
 
 
 def test_fixture_emit_and_check_all(tmp_path):
@@ -128,7 +194,9 @@ def test_out_of_range_tensor_row_is_a_parse_error(tmp_path, capsys, coefficient)
     (lambda p: p.update(field={"fp": 9}), "bad field {'fp': 9}: 9 is not prime"),
     (lambda p: p["algebra"].update(dim="two"), "bad dim 'two': "),
     (lambda p: p.update(alpha=5), "rows 5 are not a list"),
-], ids=["no-field", "no-algebra", "no-comult", "fp9", "dim-two", "alpha-5"])
+    (lambda p: p.pop("reassoc_inv"), "missing key 'reassoc_inv'"),
+], ids=["no-field", "no-algebra", "no-comult", "fp9", "dim-two", "alpha-5",
+        "no-reassoc-inv"])
 def test_malformed_quasi_hopf_file_is_a_parse_error(tmp_path, capsys, edit, message):
     path = str(tmp_path / ("h2" + io.SUFFIX))
     io.emit_value(h2(QQ), path)
@@ -138,6 +206,32 @@ def test_malformed_quasi_hopf_file_is_a_parse_error(tmp_path, capsys, edit, mess
     capsys.readouterr()
     assert run(["check", path]) == 2
     assert capsys.readouterr().err.startswith("parse error: [quasi-hopf] " + message)
+
+
+def unit_gauge(H):
+    unit = unit_tensor(H.spaces(2))
+    return GaugeTransformation(H, unit, unit)
+
+
+@pytest.mark.parametrize("build, kind, key", [
+    (lambda H: hh_bicomodule(H.field, H), "bicomodule-algebra", "reassoc_mixed_inv"),
+    (unit_gauge, "gauge", "gauge_inv"),
+], ids=["no-reassoc-mixed-inv", "no-gauge-inv"])
+def test_a_file_without_a_stated_inverse_is_a_parse_error(tmp_path, capsys, build,
+                                                          kind, key):
+    # a file states every inverse, so no constructor solves for one
+    base = str(tmp_path / ("h2" + io.SUFFIX))
+    path = str(tmp_path / (kind + io.SUFFIX))
+    H = h2(QQ)
+    io.emit_value(H, base)
+    io.emit_value(build(H), path, base_path=base)
+    payload = json.load(open(path))
+    payload.pop(key)
+    open(path, "w").write(io.canonical_dumps(payload))
+    capsys.readouterr()
+    assert run(["check", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "parse error: [%s] missing key %r" % (kind, key))
 
 
 def test_loader_rejects_a_file_of_the_wrong_kind(tmp_path, capsys):
@@ -699,6 +793,40 @@ def test_readme_pipeline_makes_no_dense_inverse(tmp_path, monkeypatch, field_tag
             argv = argv + ["--field", field_tag]
         assert run(argv) == 0, argv
         assert calls == [], argv
+
+
+SQUARE_BASE_COMMANDS = [line.split() for line in (
+    "build rsmash --bicomodule hh-bicomodule.qha.json"
+    " --coalgebra h2-bimodule-coalgebra.qha.json",
+    "build coring --kind YD --bicomodule hh-bicomodule.qha.json"
+    " --coalgebra h2-bimodule-coalgebra.qha.json",
+    "verify prop-3.10 --A hh-bicomodule.qha.json --C h2-bimodule-coalgebra.qha.json",
+    "verify roundtrip-3.8 --A hh-bicomodule.qha.json --C h2-bimodule-coalgebra.qha.json",
+    "convert yd2dh --bicomodule hh-bicomodule.qha.json"
+    " --coalgebra h2-bimodule-coalgebra.qha.json",
+    "convert bicomodule-r1r2 --input hh-bicomodule.qha.json",
+)]
+
+
+@pytest.mark.parametrize("field_tag", FIELD_TAGS)
+def test_square_base_commands_build_one_square(tmp_path, monkeypatch, field_tag):
+    # the square H^op (x) H is cached on the base of A and handed to the
+    # coalgebra, which the command reads over an equal copy of the base
+    original = hopf.tensor_qha
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hopf, "tensor_qha", counted)
+    monkeypatch.chdir(tmp_path)
+    for name in ("hh-bicomodule", "h2-bimodule-coalgebra"):
+        assert run(["fixture", "emit", name, "--field", field_tag]) == 0
+    for argv in SQUARE_BASE_COMMANDS:
+        del calls[:]
+        assert run(argv) == 0, argv
+        assert len(calls) == 1, argv
 
 
 @pytest.mark.parametrize("field_tag", FIELD_TAGS)

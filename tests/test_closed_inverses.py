@@ -22,7 +22,7 @@ from quasihopf.comodule import (BicomoduleAlgebra, bicomodule_to_left_tensor_op,
 from quasihopf.errors import NotInvertible
 from quasihopf.fields import QQ, PrimeField
 from quasihopf.fixtures import h2, h2_bimodule_coalgebra, hh_bicomodule
-from quasihopf.hopf import GaugeTransformation, gauge_twist, op_tensor, tensor_qha
+from quasihopf.hopf import GaugeTransformation, gauge_twist, tensor_qha
 from quasihopf.smash import build_omega, check_prop_3_10
 from quasihopf.tensor import (Tensor, embed_legs, invert_element, multiply,
                               switch_legs, unit_tensor)
@@ -119,7 +119,7 @@ def test_exchange_element_inverse(bicomodule, kind):
 def test_reshuffle_into_realizations(bicomodule):
     # the identity behind prop 3.10's reassoc-reshuffle records
     A = bicomodule
-    first, second, _ = bicomodule_to_right_op_tensor(A, base=op_tensor(A.H))
+    first, second, _ = bicomodule_to_right_op_tensor(A)
     for one_sided, kind in ((first, "l"), (second, "r")):
         tilde = build_omega(A, kind).omega_right_inv
         assert switch_legs(tilde, (2, 1, 3, 0, 4)).fuse([[0], [1, 2], [3, 4]]) \
@@ -252,13 +252,14 @@ def test_realizations_over_a_dim_4_base(monkeypatch):
     {(0, 0, 0): 3, (1, 0, 1): -3},  # normalized, but does not twist rho1 to rho2
 ], ids=["one-entry", "balanced-pair"])
 def test_witness_fails_on_a_bumped_mixed_reassociator(bump):
-    # the inverse is recomputed, so the realizations still build
+    # the inverse is solved for, so the realizations still build
     A = hh_bicomodule(F)
     bumped = A.reassoc_mixed + Tensor(F, (2, 2, 2), {
         idx: F.from_int(c) for idx, c in bump.items()})
     B = BicomoduleAlgebra(A.H, A.alg, A.left_coaction, A.right_coaction,
                           A.reassoc_left, A.reassoc_right, bumped,
-                          A.reassoc_left_inv, A.reassoc_right_inv)
+                          A.reassoc_left_inv, A.reassoc_right_inv,
+                          invert_element(A.mixed_spaces(), bumped))
     first, second, _ = bicomodule_to_right_op_tensor(B)
     witness, report = realization_twist_witness(B, first, second)
     assert witness is None

@@ -9,13 +9,13 @@ from quasihopf.comodule import (BicomoduleAlgebra, ComoduleAlgebra,
                                 bicomodule_variant, canonical_elements,
                                 comodule_variant, gauge_twist_comodule_algebra,
                                 internal_coalgebra, realization_twist_witness,
-                                twist_comodule_algebra,
+                                right_realization, twist_comodule_algebra,
                                 verify_bicomodule_algebra,
                                 verify_comodule_algebra)
 from quasihopf.errors import WitnessNotNormalized
 from quasihopf.fields import QQ
 from quasihopf.fixtures import h2, hh_bicomodule, kz2, regular_comodule_algebra
-from quasihopf.hopf import drinfeld_twist
+from quasihopf.hopf import drinfeld_twist, op_tensor, tensor_op
 from quasihopf.tensor import (LinMap, Tensor, all_indices, apply_linear_map,
                               invert_element, multiply, switch_legs, unit_tensor)
 
@@ -49,7 +49,8 @@ def test_broken_coaction_fails_counit():
 
 def unit_witness(X):
     spaces = (X.alg, X.H.alg) if X.side == "right" else (X.H.alg, X.alg)
-    return TwistWitness(X, unit_tensor(spaces))
+    unit = unit_tensor(spaces)
+    return TwistWitness(X, unit, unit)
 
 
 def random_witness(X, rng):
@@ -72,10 +73,10 @@ def random_witness(X, rng):
         if apply_linear_map(H.counit, t, (leg,)) != X.alg.unit:
             continue
         try:
-            invert_element(spaces, t)
+            inv = invert_element(spaces, t)
         except Exception:
             continue
-        return TwistWitness(X, t)
+        return TwistWitness(X, t, inv)
 
 
 def test_twist_by_unit_is_identity(field):
@@ -134,14 +135,15 @@ def test_witness_not_normalized_rejected(field):
     X = regular_comodule_algebra(H, "right")
     t = unit_tensor((X.alg, H.alg)).scale(field.from_int(2))
     with pytest.raises(WitnessNotNormalized):
-        TwistWitness(X, t)
+        TwistWitness(X, t, invert_element((X.alg, H.alg), t))
 
 
 def test_gauge_transport_identity(field):
     from quasihopf.hopf import GaugeTransformation
     H = h2(field)
     X = regular_comodule_algebra(H, "right")
-    F = GaugeTransformation(H, unit_tensor(H.spaces(2)))
+    unit = unit_tensor(H.spaces(2))
+    F = GaugeTransformation(H, unit, unit)
     Y, H_f = gauge_twist_comodule_algebra(X, F)
     assert Y.reassoc == X.reassoc
 
@@ -295,6 +297,13 @@ def test_right_realizations_pass_and_witness_found(field):
     witness, report = realization_twist_witness(A, first, second)
     assert witness is not None, report.render()
     assert report.passed, report.render()
+
+
+def test_realizations_share_the_square_cached_on_their_base(field):
+    A = hh_bicomodule(field)
+    assert right_realization(A, 1).H is right_realization(A, 2).H \
+        is bicomodule_to_right_op_tensor(A)[2] is op_tensor(A.H)
+    assert bicomodule_to_left_tensor_op(A)[2] is tensor_op(A.H)
 
 
 def test_right_realizations_hopf_collapse(field):

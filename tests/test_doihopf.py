@@ -385,11 +385,9 @@ def test_transport_twist_roundtrip(field):
     from quasihopf.comodule import (bicomodule_to_right_op_tensor,
                                     realization_twist_witness)
     from quasihopf.modcoalg import bimodule_to_op_tensor_module_coalgebra
-    from quasihopf.hopf import op_tensor
     H = h2(field)
     A = hh_bicomodule(field, H)
-    square = op_tensor(H)
-    first, second, _ = bicomodule_to_right_op_tensor(A, base=square)
+    first, second, square = bicomodule_to_right_op_tensor(A)
     witness, _ = realization_twist_witness(A, first, second)
     assert witness is not None
     C = bimodule_to_op_tensor_module_coalgebra(
@@ -411,8 +409,8 @@ def test_transport_by_unit_witness_is_identity(field):
     from quasihopf.tensor import unit_tensor
     ctx = left_right_context(field)
     M = induce_doi_hopf(trivial_module(ctx), ctx)
-    V = TwistWitness(ctx.comodule,
-                     unit_tensor((ctx.comodule.alg, ctx.H.alg)))
+    unit = unit_tensor((ctx.comodule.alg, ctx.H.alg))
+    V = TwistWitness(ctx.comodule, unit, unit)
     moved = transport_twist(M, V, ctx, ctx)
     for i in range(M.dim):
         assert moved.coaction.column((i,)) == M.coaction.column((i,))

@@ -165,7 +165,8 @@ def test_solver_oracle_confirms_fixture_antipode(field):
 
 def test_gauge_identity_twist_is_identity(field):
     H = h2(field)
-    F = GaugeTransformation(H, unit_tensor(H.spaces(2)))
+    unit = unit_tensor(H.spaces(2))
+    F = GaugeTransformation(H, unit, unit)
     twisted = gauge_twist(H, F)
     assert twisted.reassoc == H.reassoc
     assert twisted.alpha == H.alpha and twisted.beta == H.beta
@@ -177,7 +178,7 @@ def test_gauge_not_normalized_rejected(field):
     H = h2(field)
     t = unit_tensor(H.spaces(2)).scale(field.from_int(2))
     with pytest.raises(GaugeNotNormalized):
-        GaugeTransformation(H, t)
+        GaugeTransformation(H, t, invert_element(H.spaces(2), t))
 
 
 def random_gauge(H, rng):
@@ -198,7 +199,7 @@ def random_gauge(H, rng):
         if t is None:
             continue
         try:
-            return GaugeTransformation(H, t)
+            return GaugeTransformation(H, t, invert_element(spaces, t))
         except Exception:
             continue
 
@@ -278,6 +279,13 @@ def test_tensor_square_passes_axioms(field):
     for square in (op_tensor(H), tensor_op(H)):
         report = verify_quasi_hopf(square)
         assert report.passed, report.render()
+
+
+def test_tensor_squares_are_cached_on_their_base(field):
+    H = h2(field)
+    assert op_tensor(H) is op_tensor(H)
+    assert tensor_op(H) is tensor_op(H)
+    assert op_tensor(H) is not op_tensor(h2(field))
 
 
 def test_drinfeld_twist_trivial_for_hopf_case(field):
@@ -475,7 +483,7 @@ def seeded_gauge(H, seed):
             for uj in kernel:
                 t = t + ui.outer(uj).scale(field.random(rng))
         try:
-            return GaugeTransformation(H, t)
+            return GaugeTransformation(H, t, invert_element(H.spaces(2), t))
         except NotInvertible:
             continue
 

@@ -97,9 +97,8 @@ def test_base_and_comodule_maps(name):
         V = TwistWitness(X, w.twist.t, w.twist.inv)
         same(twist_comodule_algebra(X, V).coaction, ref.twisted_coaction(X, V))
     same(comodule_variant(w.left, "op-antipode").coaction, ref.op_antipode_coaction(w.left))
-    square = op_tensor(w.H)
     for k in (1, 2):
-        same(right_realization(w.A, k, square).coaction, ref.realization_coaction(w.A, k))
+        same(right_realization(w.A, k).coaction, ref.realization_coaction(w.A, k))
     internal = InternalCoalgebra(w.left)
     got = (internal.comult, internal.left_action, internal.right_action,
            internal.extract()[0])

@@ -32,10 +32,8 @@ NAMES = sorted(CASES)
 
 
 def over_square(A):
-    square = op_tensor(A.H)
-    C = bimodule_to_op_tensor_module_coalgebra(h2_bimodule_coalgebra(A.field, A.H),
-                                               base=square)
-    return square, C
+    return bimodule_to_op_tensor_module_coalgebra(h2_bimodule_coalgebra(A.field, A.H),
+                                                  base=op_tensor(A.H))
 
 
 def product_parts(P):
@@ -57,8 +55,8 @@ def comodule_parts(X):
 @pytest.mark.parametrize("k", [1, 2])
 def test_rsmash_is_the_reference(name, k):
     A = CASES[name]()
-    square, C = over_square(A)
-    realized = right_realization(A, k, square)
+    C = over_square(A)
+    realized = right_realization(A, k)
     P = dualize(C)
     assert product_parts(right_generalized_smash(realized, P)) == \
         product_parts(reference_right_generalized_smash(realized, P))
@@ -71,8 +69,8 @@ def ca_inputs(name, which):
         C_left = ModuleCoalgebra(A.H, "left", C.dim, C.comult, C.counit,
                                  left_action=C.left_action, name="h2-left")
         return regular_comodule_algebra(A.H, "right"), C_left
-    square, C = over_square(A)
-    return right_realization(A, int(which[-1]), square), C
+    C = over_square(A)
+    return right_realization(A, int(which[-1])), C
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -96,7 +94,7 @@ def test_left_diagonal_is_the_reference(name, order):
 def test_left_realizations_are_the_reference(name):
     A = CASES[name]()
     base = tensor_op(A.H)
-    built = bicomodule_to_left_tensor_op(A, base)
+    built = bicomodule_to_left_tensor_op(A)
     want = reference_left_tensor_op(A, base)
     assert built[2] is base
     for X, Y in zip(built[:2], want[:2]):
@@ -132,7 +130,7 @@ def reflected_realization(A, kind, k):
     """The ``kind`` reflection of the k-th right realization of the
     ``kind`` reflection of A, moved onto H (x) H^op and named lam1."""
     mirror = bicomodule_variant(A, kind)
-    X = comodule_variant(right_realization(mirror, k, op_tensor(mirror.H)), kind)
+    X = comodule_variant(right_realization(mirror, k), kind)
     return comodule._swap_square_factors(X, A, tensor_op(A.H), ":lam1")
 
 

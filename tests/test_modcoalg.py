@@ -145,7 +145,8 @@ def test_gauge_twist_module_coalgebra_identity(field):
     H = h2(field)
     left = LinMap(field, (H.dim, H.dim), (H.dim,), H.alg.mult.cols)
     C = ModuleCoalgebra(H, "left", H.dim, H.comult, H.counit, left_action=left)
-    F = GaugeTransformation(H, unit_tensor(H.spaces(2)))
+    unit = unit_tensor(H.spaces(2))
+    F = GaugeTransformation(H, unit, unit)
     out, H_f = gauge_twist_module_coalgebra(C, F)
     for i in range(C.dim):
         assert out.comult.column((i,)) == C.comult.column((i,))

@@ -151,7 +151,7 @@ def test_module_coalgebra_special_case_reduces_to_doihopf(field):
 
 def test_witness_relates_realizations(field):
     ctx = make_context(field)
-    first = right_realization(ctx.A, 1, ctx.square)
+    first = right_realization(ctx.A, 1)
     witness, report = realization_twist_witness(ctx.A, first, ctx.second)
     assert witness is not None
     assert report.passed
