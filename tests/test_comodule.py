@@ -12,7 +12,7 @@ from quasihopf.comodule import (BicomoduleAlgebra, ComoduleAlgebra,
                                 right_realization, twist_comodule_algebra,
                                 verify_bicomodule_algebra,
                                 verify_comodule_algebra)
-from quasihopf.errors import WitnessNotNormalized
+from quasihopf.errors import NotInvertible, WitnessNotNormalized
 from quasihopf.fields import QQ
 from quasihopf.fixtures import h2, hh_bicomodule, kz2, regular_comodule_algebra
 from quasihopf.hopf import drinfeld_twist, op_tensor, tensor_op
@@ -74,7 +74,7 @@ def random_witness(X, rng):
             continue
         try:
             inv = invert_element(spaces, t)
-        except Exception:
+        except NotInvertible:
             continue
         return TwistWitness(X, t, inv)
 

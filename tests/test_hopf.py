@@ -200,7 +200,7 @@ def random_gauge(H, rng):
             continue
         try:
             return GaugeTransformation(H, t, invert_element(spaces, t))
-        except Exception:
+        except (NotInvertible, GaugeNotNormalized):
             continue
 
 
