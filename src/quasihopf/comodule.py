@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .errors import (AntipodeRequired, NotInvertible, QuasiHopfError, ShapeMismatch,
                      WitnessNotNormalized)
-from .hopf import (GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra,
+from .hopf import (GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra, _derived,
                    drinfeld_twist, gauge_twist, op_tensor, tensor_op, variant)
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, _identity, apply_linear_map,
@@ -198,6 +198,7 @@ def comodule_variant(X: ComoduleAlgebra, kind: str) -> ComoduleAlgebra:
         if X.side != "left":
             raise ShapeMismatch("the antipode flip takes a left comodule algebra")
         Hq = _require_antipode(H)
+        check_closed_form_inputs(X)
         twist = drinfeld_twist(Hq)
         S_inv = Hq.antipode_inv
         # b -> b0 (x) S^-1(b-1)
@@ -454,6 +455,81 @@ def bicomodule_variant(A: BicomoduleAlgebra, kind: str) -> BicomoduleAlgebra:
         *(switch_legs(t, rev) for t in tables + inverses), name=name)
 
 
+def _check_algebra(alg: FinAlgebra, what: str):
+    if alg.associativity_witness() is not None or alg.unit_witness() is not None:
+        raise NotInvertible("%s is not an associative unital algebra" % what)
+
+
+def _check_algebra_map(src: FinAlgebra, m: LinMap, dst_spaces, what: str):
+    """NotInvertible unless ``m`` respects the product of every pair of
+    basis elements and the unit."""
+    lhs, rhs = multiplicative_sides(src, m, dst_spaces)
+    if lhs != rhs or apply_linear_map(m, src.unit, (0,)) != unit_tensor(dst_spaces):
+        raise NotInvertible("%s is not an algebra map" % what)
+
+
+def _check_inverse_pair(spaces, x: Tensor, x_inv: Tensor, what: str):
+    """NotInvertible unless x x_inv = 1 on the factor's own space; a
+    one-sided inverse is two-sided in a finite-dimensional associative
+    algebra, and every algebra involved is checked to be one."""
+    if multiply(spaces, x, x_inv) != unit_tensor(spaces):
+        raise NotInvertible("the stated inverse of %s does not invert it" % what)
+
+
+def _check_base_inputs(H: QuasiHopfAlgebra) -> bool:
+    _check_algebra(H.alg, "the base")
+    _check_algebra_map(H.alg, H.comult, H.spaces(2), "the comultiplication")
+    _check_algebra_map(H.alg.opposite(), H.antipode_inv, (H.alg,),
+                       "the antipode inverse, from the opposite algebra,")
+    twist = drinfeld_twist(H)
+    _check_inverse_pair(H.spaces(2), twist.t, twist.inv, "the Drinfeld twist")
+    return True
+
+
+def _check_comodule_inputs(X) -> bool:
+    H = X.H
+    _check_algebra(X.alg, "the carrier")
+    if isinstance(X, BicomoduleAlgebra):
+        coactions = ((X.left_coaction, "the left coaction"),
+                     (X.right_coaction, "the right coaction"))
+        pairs = (((H.alg, H.alg, X.alg), X.reassoc_left, X.reassoc_left_inv,
+                  "the left reassociator"),
+                 ((X.alg, H.alg, H.alg), X.reassoc_right, X.reassoc_right_inv,
+                  "the right reassociator"),
+                 (X.mixed_spaces(), X.reassoc_mixed, X.reassoc_mixed_inv,
+                  "the mixed reassociator"))
+    else:
+        coactions = ((X.coaction, "the coaction"),)
+        pairs = ((X.reassoc_spaces(), X.reassoc, X.reassoc_inv, "the reassociator"),)
+    for coaction, what in coactions:
+        _check_algebra_map(X.alg, coaction, coaction.dst_spaces, what)
+    for spaces, x, x_inv, what in pairs:
+        _check_inverse_pair(spaces, x, x_inv, what)
+    return True
+
+
+def check_closed_form_inputs(X):
+    """Check, at the factors, what makes the closed-form reassociators
+    built from a comodule or bicomodule algebra X inverse pairs; raises
+    NotInvertible when a check fails (an inconsistent input file).
+
+    Each such reassociator and its inverse are products of the images of
+    stated factors and their stated inverses under maps T_k (see
+    ``_reassoc_pair``), so they invert each other once
+    * each stated inverse inverts its factor on the factor's own space:
+      the reassociators of X and the Drinfeld twist f of the base;
+    * each T_k is an algebra map: built from the coactions of X, the
+      comultiplication, S^-1 (an anti-algebra map, onto an opposite leg)
+      and unit legs, so these are checked on every pair of basis
+      elements, and the carrier and the base as associative and unital.
+    No product on the space of the reassociator is formed.  The verdict
+    on the base is cached on the base and that on X on X (as
+    ``hopf._derived`` caches), so each input is checked once.
+    """
+    _derived(_require_antipode(X.H), "closed-form-inputs", _check_base_inputs)
+    _derived(X, "closed-form-inputs", _check_comodule_inputs)
+
+
 def _reassoc_pair(spaces, pipeline, factors, inverses, unit_spaces, order):
     """A reassociator and its inverse, both as products of closed-form
     factors.
@@ -465,28 +541,24 @@ def _reassoc_pair(spaces, pipeline, factors, inverses, unit_spaces, order):
     backwards on opposite legs), so ``pipeline(*factors)`` is the product
     of T_k(factors[k]) over k in ``order``, and its inverse the product
     of T_k(inverses[k]) in the reversed order.  Neither the outer product
-    of all the factors nor a linear solve is formed.  When the stated
-    ``inverses`` do not invert the ``factors`` (an inconsistent input
-    file), the two products are no inverse pair and NotInvertible is
-    raised.  Returns (reassociator, inverse).
+    of all the factors nor a linear solve is formed.  The two products
+    are an inverse pair when the stated ``inverses`` invert the
+    ``factors`` and each T_k is an algebra map, which the caller checks
+    at the factors (``check_closed_form_inputs``).  Returns
+    (reassociator, inverse).
     """
     units = [unit_tensor(sp) for sp in unit_spaces]
 
     def product(ks, xs):
-        out = unit_tensor(spaces)
+        out = None
         for k in ks:
             args = list(units)
             args[k] = xs[k]
-            out = multiply(spaces, out, pipeline(*args))
+            image = pipeline(*args)
+            out = image if out is None else multiply(spaces, out, image)
         return out
 
-    re = product(order, factors)
-    inv = product(reversed(order), inverses)
-    # a one-sided inverse is two-sided in a finite-dimensional algebra
-    if multiply(spaces, re, inv) != unit_tensor(spaces):
-        raise NotInvertible("the stated inverses of the factors do not invert "
-                            "the reassociator")
-    return re, inv
+    return product(order, factors), product(reversed(order), inverses)
 
 
 def bicomodule_to_left_tensor_op(A: BicomoduleAlgebra):
@@ -537,6 +609,7 @@ def right_realization(A: BicomoduleAlgebra, k: int) -> ComoduleAlgebra:
     the materialized twisted tensor square ``op_tensor`` caches on the
     base of A."""
     H = _require_antipode(A.H)
+    check_closed_form_inputs(A)
     HopH = op_tensor(H)
     alg = A.alg
     S_inv = H.antipode_inv

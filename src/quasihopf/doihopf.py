@@ -365,11 +365,10 @@ def compute_rat(M: FiniteModule, context: DoiHopfContext,
     report = CheckReport("maximal rational submodule %s" % (M.name or ""))
     report.add("is-whole-module", len(basis) == M.dim,
                lhs=len(basis), rhs=M.dim)
-    # closure under the smash action
-    span_rows = [b.to_flat() for b in basis]
+    # closure under the smash action, against the span reduced once
+    contains = linalg.span_membership(field, reduced)
     witness = next(((n,) for b in basis for n in range(smash.carrier.dim)
-                    if not linalg.in_span(field, span_rows, M.act(n, b).to_flat())),
-                   None)
+                    if not contains(M.act(n, b).to_flat())), None)
     report.add("closed-under-action", witness is None, witness=witness)
     return basis, report
 

@@ -297,7 +297,9 @@ def gauge_product(H_twisted: QuasiHopfAlgebra, F: GaugeTransformation,
 def _derived(H, key, build):
     """``build(H)``, built once and cached under ``key`` on the
     (immutable) base H, so every construction over one base shares one
-    derived base or element."""
+    derived base or element.  ``comodule.check_closed_form_inputs``
+    caches its verdicts the same way, on a base and on a comodule
+    algebra."""
     cached = H.__dict__.setdefault("_derived", {})
     if key not in cached:
         cached[key] = build(H)
@@ -353,11 +355,15 @@ def drinfeld_twist(H: QuasiHopfAlgebra) -> GaugeTransformation:
     """The gauge transformation conjugating Delta(S(h)) into
     (S x S)(flip Delta(h)), built from its closed formula.
 
-    The result is cached on the input."""
-    return _derived(H, "drinfeld-twist", _drinfeld_twist)
+    The twist and its inverse are cached on the input, and each call
+    wraps them in a fresh ``GaugeTransformation``: a cached one would
+    refer back to H through ``.H``, a reference cycle that keeps H and
+    everything cached on it alive until the cyclic collector runs."""
+    t, inv = _derived(H, "drinfeld-twist", _drinfeld_twist)
+    return GaugeTransformation(H, t, inv)
 
 
-def _drinfeld_twist(H: QuasiHopfAlgebra) -> GaugeTransformation:
+def _drinfeld_twist(H: QuasiHopfAlgebra):
     alg = H.alg
     S = H.antipode
     alpha_el = El((alg,), H.alpha)
@@ -395,7 +401,7 @@ def _drinfeld_twist(H: QuasiHopfAlgebra) -> GaugeTransformation:
     e = e.mul_embedded(delta, (0, 1))
     twist_inv = e.merge(0, 2).merge(1, 2)
 
-    return GaugeTransformation(H, twist.t, twist_inv.t)
+    return twist.t, twist_inv.t
 
 
 def tensor_qha(H1: QuasiHopfAlgebra, H2: QuasiHopfAlgebra, name="") -> QuasiHopfAlgebra:

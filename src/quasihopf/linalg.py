@@ -1,13 +1,28 @@
 """Dense exact linear algebra: elimination, solving, nullspaces.
 
 Matrices are lists of row lists over one of the scalar backends from
-``fields``.  Sizes in this package stay tiny (at most a few hundred
-unknowns), so straightforward Gaussian elimination is both fast enough
-and exactly what the verification contracts need; over F_p it runs on
-plain residues.
+``fields``.  Sizes in this package stay small (at most a few thousand
+unknowns), so Gauss-Jordan elimination is fast enough and exactly what
+the verification contracts need.  No function here does field arithmetic
+on values; each works on plain ints through the hooks of ``fields``:
+
+* over F_p, elimination runs on residues, kept in [0, p), with one
+  inverse ``pow`` per pivot, so every pivot row ends with pivot 1;
+* over Q, on integer rows: each row is scaled by the lcm of its
+  denominators, and every combination a·R − b·P that clears a pivot
+  column is divided by its content (fraction-free elimination, as in
+  Bareiss, "Sylvester's identity and multistep integer-preserving
+  Gaussian elimination", Math. Comp. 22, 1968).  A pivot row keeps its
+  pivot entry a as its scale, and one ``Fraction`` is formed per entry
+  of the finished pivot rows, entry / a.
+
+The reduced row echelon form is unique, so both give the rows and pivots
+of elimination on the values themselves (``tests/linalg_case.py``).
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 class NotInvertible(ValueError):
@@ -25,37 +40,52 @@ def identity(field, n: int):
     return m
 
 
+def _raw_rows(field, matrix, den):
+    raw_over = field.raw_over
+    return [[raw_over(v, den) for v in row] for row in matrix]
+
+
 def mat_mul(field, a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(field, rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            v = ai[k]
-            if not v:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if bk[j]:
-                    oi[j] = oi[j] + v * bk[j]
+    """``a @ b`` summed on integers over the common denominator of each
+    factor, one field value per entry."""
+    cols = len(b[0]) if b else 0
+    den_a = field.common_den([v for row in a for v in row])
+    den_b = field.common_den([v for row in b for v in row])
+    rb = _raw_rows(field, b, den_b)
+    from_raw_over, den = field.from_raw_over, den_a * den_b
+    out = []
+    for row in _raw_rows(field, a, den_a):
+        acc = [0] * cols
+        for v, bk in zip(row, rb):
+            if v:
+                for j, w in enumerate(bk):
+                    if w:
+                        acc[j] += v * w
+        out.append([from_raw_over(t, den) for t in acc])
     return out
 
 
-def rref(field, matrix):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns).
-
-    Over F_p the elimination runs on plain residues; over Q on the
-    ``Fraction`` values themselves."""
+def _reduce(field, matrix):
+    """(pivot rows, pivot columns) of the reduced row echelon form, each
+    row as plain ints whose field values are entry / (entry at its pivot
+    column): residues with pivot 1 over F_p, primitive integer rows over
+    Q.  ``matrix`` is not changed."""
     if field.characteristic:
         return _rref_residues(field, matrix)
-    return _rref_values(field, matrix)
+    return _rref_integers(field, matrix)
+
+
+def rref(field, matrix):
+    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
+    rows, pivots = _reduce(field, matrix)
+    from_raw_over = field.from_raw_over
+    return [[from_raw_over(v, row[c]) for v in row] for row, c in zip(rows, pivots)], pivots
 
 
 def _rref_residues(field, matrix):
-    """``rref`` on residues mod p, kept in [0, p) so that a residue is
+    """``_reduce`` on residues mod p, kept in [0, p) so that a residue is
     zero exactly when its value is; one inverse ``pow`` per pivot."""
-    p, raw, from_raw = field.p, field.raw, field.from_raw
+    p, raw = field.p, field.raw
     m = [list(map(raw, row)) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -80,12 +110,33 @@ def _rref_residues(field, matrix):
         r += 1
         if r == rows:
             break
-    return [list(map(from_raw, row)) for row in m[:r]], pivots
+    return m[:r], pivots
 
 
-def _rref_values(field, matrix):
-    """``rref`` by the field's own operators, the form used over Q."""
-    m = [row[:] for row in matrix]
+def _primitive(row):
+    """``row`` divided by its content (the gcd of its entries)."""
+    g = gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
+
+
+def _combine(a, row, b, pivot):
+    """a·row − b·pivot, with a and b first divided by their gcd and the
+    result by its content: the row with its entry at the pivot column
+    (b against the pivot's a) cleared."""
+    g = gcd(a, b)
+    if g > 1:
+        a, b = a // g, b // g
+    return _primitive([a * x - b * y for x, y in zip(row, pivot)])
+
+
+def _rref_integers(field, matrix):
+    """``_reduce`` over Q on integer rows, each scaled by the lcm of its
+    denominators and kept primitive."""
+    common_den, raw_over = field.common_den, field.raw_over
+    m = []
+    for row in matrix:
+        den = common_den(row)
+        m.append(_primitive([raw_over(v, den) for v in row]))
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
@@ -99,12 +150,12 @@ def _rref_values(field, matrix):
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = field.one / m[r][c]
-        m[r] = [v * inv for v in m[r]]
+        pivot = m[r]
+        a = pivot[c]
         for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            b = m[i][c]
+            if i != r and b:
+                m[i] = _combine(a, m[i], b, pivot)
         pivots.append(c)
         r += 1
         if r == rows:
@@ -115,8 +166,7 @@ def _rref_values(field, matrix):
 def rank(field, matrix) -> int:
     if not matrix:
         return 0
-    _, pivots = rref(field, matrix)
-    return len(pivots)
+    return len(_reduce(field, matrix)[1])
 
 
 def solve(field, matrix, rhs):
@@ -127,12 +177,13 @@ def solve(field, matrix, rhs):
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     aug = [matrix[i][:] + [rhs[i]] for i in range(rows)]
-    red, pivots = rref(field, aug)
+    red, pivots = _reduce(field, aug)
     if cols in pivots:
         raise NotInvertible("inconsistent linear system")
     x = [field.zero] * cols
+    from_raw_over = field.from_raw_over
     for row, c in zip(red, pivots):
-        x[c] = row[cols]
+        x[c] = from_raw_over(row[cols], row[c])
     return x
 
 
@@ -141,8 +192,9 @@ def nullspace(field, matrix):
     if not matrix:
         return []
     cols = len(matrix[0])
-    red, pivots = rref(field, matrix)
+    red, pivots = _reduce(field, matrix)
     pivot_set = set(pivots)
+    from_raw_over = field.from_raw_over
     basis = []
     for free in range(cols):
         if free in pivot_set:
@@ -150,7 +202,8 @@ def nullspace(field, matrix):
         vec = [field.zero] * cols
         vec[free] = field.one
         for row, c in zip(red, pivots):
-            vec[c] = -row[free]
+            if row[free]:
+                vec[c] = from_raw_over(-row[free], row[c])
         basis.append(vec)
     return basis
 
@@ -159,23 +212,36 @@ def invert(field, matrix):
     """Exact matrix inverse; raises NotInvertible for singular input."""
     n = len(matrix)
     aug = [row + unit for row, unit in zip(matrix, identity(field, n))]
-    red, pivots = rref(field, aug)
+    red, pivots = _reduce(field, aug)
     if pivots[:n] != list(range(n)):
         raise NotInvertible("singular matrix")
-    return [row[n:] for row in red]
+    from_raw_over = field.from_raw_over
+    return [[from_raw_over(v, row[c]) for v in row[n:]] for row, c in zip(red, pivots)]
+
+
+def span_membership(field, basis_rows):
+    """Exact membership in the row span of ``basis_rows``, as a test of
+    one flat vector: the rows are reduced once, and each vector is then
+    cleared at their pivot columns on plain ints."""
+    red, pivots = _reduce(field, basis_rows) if basis_rows else ([], [])
+    p = field.characteristic
+    common_den, raw_over = field.common_den, field.raw_over
+
+    def contains(vector) -> bool:
+        den = common_den(vector)
+        v = [raw_over(x, den) for x in vector]
+        for row, c in zip(red, pivots):
+            b = v[c]
+            if b:
+                if p:
+                    v = [(x - b * y) % p for x, y in zip(v, row)]
+                else:
+                    v = _combine(row[c], v, b, row)
+        return not any(v)
+
+    return contains
 
 
 def in_span(field, basis_rows, vector) -> bool:
     """Exact membership of ``vector`` in the row span of ``basis_rows``."""
-    if not any(vector):
-        return True
-    if not basis_rows:
-        return False
-    red, pivots = rref(field, basis_rows)
-    v = vector[:]
-    for row, c in zip(red, pivots):
-        if v[c]:
-            f = v[c]
-            v = [a - f * b for a, b in zip(v, row)]
-    return not any(v)
-
+    return span_membership(field, basis_rows)(vector)

@@ -595,11 +595,16 @@ class FinAlgebra:
 
     def associativity_witness(self):
         """First basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
-        in row-major order, or None; summed on the raw ``rows``."""
-        rows, from_raw = self.rows, self.field.from_raw
+        in row-major order, or None.  Both sides are summed on integers:
+        the structure constants as numerators over their common
+        denominator (``LinMap._raw_columns``), residues over F_p."""
+        _, cols = self.mult._raw_columns()
+        p, dim = self.field.characteristic, self.dim
+        rows = [[tuple([(k, w) for (k,), w in cols.get((i, j), ())]) for j in range(dim)]
+                for i in range(dim)]
         for i, row_i in enumerate(rows):
             for j, ij in enumerate(row_i):
-                for k in range(self.dim):
+                for k in range(dim):
                     diff = {}
                     for m, v in ij:
                         for n, w in rows[m][k]:
@@ -607,7 +612,7 @@ class FinAlgebra:
                     for m, v in rows[j][k]:
                         for n, w in row_i[m]:
                             diff[n] = diff.get(n, 0) - v * w
-                    if any(from_raw(total) for total in diff.values()):
+                    if any(total % p if p else total for total in diff.values()):
                         return (i, j, k)
         return None
 

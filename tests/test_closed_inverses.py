@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from quasihopf import comodule, linalg, tensor
+from quasihopf import comodule, linalg, smash, tensor
 from quasihopf.comodule import (BicomoduleAlgebra, bicomodule_to_left_tensor_op,
                                 bicomodule_to_right_op_tensor, comodule_variant,
                                 realization_twist_witness, verify_comodule_algebra)
@@ -163,6 +163,37 @@ def test_stale_stated_inverse_is_rejected(table):
     if table == "reassoc_left":
         with pytest.raises(NotInvertible):
             comodule_variant(stale.left(), "op-antipode")
+
+
+def test_no_inverse_pair_is_multiplied_on_the_full_space(monkeypatch):
+    # each stated inverse is checked against its own factor instead:
+    # build_omega multiplies only factors that sit on some of its five
+    # legs, and no realization multiplies a finished reassociator by its
+    # inverse (each of its products takes one factor image)
+    A = CASES["sweedler-transported"]()
+    calls, pairs = [], []
+    real_multiply, real_pair = tensor.multiply, comodule._reassoc_pair
+
+    def counted(spaces, x, y, x_legs=None, y_legs=None):
+        if x_legs is None and y_legs is None:
+            calls.append((len(spaces), x, y))
+        return real_multiply(spaces, x, y, x_legs=x_legs, y_legs=y_legs)
+
+    def spy(*args):
+        pair = real_pair(*args)
+        pairs.append(pair)
+        return pair
+
+    for module in (tensor, comodule, smash):
+        monkeypatch.setattr(module, "multiply", counted)
+    monkeypatch.setattr(comodule, "_reassoc_pair", spy)
+    for kind in ("l", "r"):
+        build_omega(A, kind)
+    assert [n for n, _, _ in calls if n == 5] == []
+    realizations(A)
+    assert len(pairs) == 5
+    for re, inv in pairs:
+        assert not any((x, y) in ((re, inv), (inv, re)) for _, x, y in calls)
 
 
 @pytest.fixture

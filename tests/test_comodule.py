@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -304,6 +306,20 @@ def test_realizations_share_the_square_cached_on_their_base(field):
     assert right_realization(A, 1).H is right_realization(A, 2).H \
         is bicomodule_to_right_op_tensor(A)[2] is op_tensor(A.H)
     assert bicomodule_to_left_tensor_op(A)[2] is tensor_op(A.H)
+
+
+def test_a_base_is_freed_by_reference_counting(field):
+    # nothing cached on a base refers back to it, so with the cyclic
+    # collector off the base and its cache go with their last user
+    gc.disable()
+    try:
+        A = hh_bicomodule(field, h2(field))
+        X = right_realization(A, 2)
+        base = weakref.ref(A.H)
+        del A, X
+        assert base() is None
+    finally:
+        gc.enable()
 
 
 def test_right_realizations_hopf_collapse(field):

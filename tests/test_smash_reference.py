@@ -20,10 +20,11 @@ from quasihopf.fixtures import (c2, h2, h2_bimodule_coalgebra, hh_bicomodule,
 from quasihopf.modcoalg import ModuleCoalgebra, dualize
 from quasihopf.smash import (build_omega, generalized_smash, koppinen_smash,
                              stgsm_product)
-from quasihopf.tensor import FinAlgebra, LinMap
+from quasihopf.tensor import El, FinAlgebra, LinMap
 
-from smash_case import (reference_diagonal_product, reference_generalized_smash,
-                        reference_koppinen_smash, reference_stgsm_product)
+from smash_case import (reference_diagonal_product, reference_diagonal_product_by_triple,
+                        reference_generalized_smash, reference_koppinen_smash,
+                        reference_stgsm_product)
 from test_hopf import sweedler
 
 F = PrimeField(10007)
@@ -103,6 +104,31 @@ def test_tables_run_one_pipeline_per_basis_triple(monkeypatch):
     # the diagonal products peel the first factor, the others the second
     assert runs == [(d1, d2, d2 * d1 * d2 if name.startswith("diagonal") else d1 * d2 * d1)
                     for (d1, d2, _), name in zip(runs, names)]
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_diagonal_products_read_each_u_once(monkeypatch, base):
+    # the part of the diagonal pipeline that reads only u_k runs once per
+    # k, and the table equals the one that runs it for every (j, k, l)
+    H = BASES[base]()
+    A = hh_bicomodule(H.field, H)
+    M = dualize(h2_bimodule_coalgebra(H.field, H))
+    for order in ("l", "r"):
+        data = build_omega(A, order)
+        want = parts(reference_diagonal_product_by_triple(A, M, data))
+        real = El.basis.__func__
+        read = []
+
+        def counted(cls, spaces, idx):
+            if spaces == (A.alg,):
+                read.append(idx)
+            return real(cls, spaces, idx)
+
+        monkeypatch.setattr(El, "basis", classmethod(counted))
+        got = parts(smash._diagonal_product(A, M, data))
+        monkeypatch.undo()
+        assert got == want
+        assert read == [(k,) for k in range(A.alg.dim)]
 
 
 def test_a_non_associative_carrier_is_not_peeled(field):
