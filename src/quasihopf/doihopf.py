@@ -365,10 +365,19 @@ def compute_rat(M: FiniteModule, context: DoiHopfContext,
     report = CheckReport("maximal rational submodule %s" % (M.name or ""))
     report.add("is-whole-module", len(basis) == M.dim,
                lhs=len(basis), rhs=M.dim)
-    # closure under the smash action, against the span reduced once
+    # closure under the smash action, against the span reduced once: every
+    # basis vector acted on by every smash element, b-major
     contains = linalg.span_membership(field, reduced)
-    witness = next(((n,) for b in basis for n in range(smash.carrier.dim)
-                    if not contains(M.act(n, b).to_flat())), None)
+    witness = None
+    if basis:
+        # m -> the basis vectors weighted by their m coefficients, on the
+        # module leg of the action: the stack (b, n) of b.n
+        rows = Tensor.from_flat(field, (M.dim, len(basis)),
+                                [v for col in zip(*reduced) for v in col])
+        acted = LinMap.from_tensor(apply_linear_map(LinMap.from_tensor(rows, 1),
+                                                    M.action.as_tensor(), (0,)), 2)
+        witness = next(((n,) for b, n in all_indices(acted.src)
+                        if not contains(acted.column((b, n)).to_flat())), None)
     report.add("closed-under-action", witness is None, witness=witness)
     return basis, report
 
@@ -377,7 +386,9 @@ def adjunction_maps(M: FiniteModule, N: FiniteModule,
                     context: DoiHopfContext) -> CheckReport:
     """The unit/counit bijections of the two induction adjunctions,
     verified on full bases of the morphism spaces.  The data is stated in
-    the right-left variant; the other variants reach it by reflection."""
+    the right-left variant; the other variants reach it by reflection.
+    Each hom basis is one stack (``_module_hom_basis``), and each map of
+    the adjunctions is applied to the whole stack at once."""
     if context.variant != "right-left":
         canonical = _reflect_context(context, "right-left")
         return adjunction_maps(_reflect_module(M, canonical),
@@ -385,29 +396,27 @@ def adjunction_maps(M: FiniteModule, N: FiniteModule,
     A, C = context.comodule, context.coalgebra
     field = context.field
     report = CheckReport("adjunction data")
-    dB, dC, dM, dN = A.alg.dim, C.dim, M.dim, N.dim
+    dB, dC, dN = A.alg.dim, C.dim, N.dim
     induced_N = induce_doi_hopf(N, context)
 
     def roundtrip(check_id, homs, there, back):
-        report.sweep(check_id, all_indices((len(homs),)),
-                     lambda k: (back(there(homs[k[0]])), homs[k[0]]))
+        # an empty hom space passes, as a sweep over no maps
+        if homs is None:
+            report.add(check_id, True)
+        else:
+            report.sweep_all(check_id, homs.dims[:1], back(there(homs)), homs)
 
-    # xi(f)(m) = m_(-1) x f(m_(0)), one product per coalgebra block of the
-    # coaction matrix; zeta applies the counit to the coalgebra leg
-    coaction = M.coaction.to_matrix()
-    blocks = [coaction[c * dM:(c + 1) * dM] for c in range(dC)]
-    counit = C.counit.to_matrix()[0]
+    # xi(f)(m) = m_(-1) x f(m_(0)): the coaction read backwards, m0 ->
+    # (c, m), on the source leg of every f; zeta applies the counit to the
+    # coalgebra leg
+    coaction_back = LinMap.from_tensor(switch_legs(M.coaction.as_tensor(), (2, 1, 0)), 1)
 
     def xi(f):
-        return [row for block in blocks for row in linalg.mat_mul(field, f, block)]
+        t = apply_linear_map(coaction_back, f, (2,), at=1)        # k c m j
+        return switch_legs(t, (0, 1, 3, 2)).fuse([[0], [1, 2], [3]])
 
     def zeta(g):
-        out = linalg.zeros(field, dN, dM)
-        for c, eps in enumerate(counit):
-            if eps:
-                out = [[a + eps * b for a, b in zip(row, grow)]
-                       for row, grow in zip(out, g[c * dN:(c + 1) * dN])]
-        return out
+        return apply_linear_map(C.counit, g.split(1, (dC, dN)), (1,))
 
     hom_b = _module_hom_basis(M, N, A.alg)
     roundtrip("unit-roundtrip", hom_b, xi, zeta)
@@ -415,58 +424,61 @@ def adjunction_maps(M: FiniteModule, N: FiniteModule,
               _module_hom_basis(M, induced_N, A.alg, colinear=True), zeta, xi)
     # naturality in M for the first Doi-Hopf endomorphism g of M:
     # xi(f g) = xi(f) g, which needs g to commute with every coalgebra
-    # block of the coaction
+    # block of the coaction; precomposing with g maps the source leg m' of
+    # a stack to m by the entries g(m)_m'
     endos = _module_hom_basis(M, M, A.alg, colinear=True)
-    if endos and hom_b:
-        g = endos[0]
-        report.sweep("naturality", all_indices((len(hom_b),)),
-                     lambda k: (xi(linalg.mat_mul(field, hom_b[k[0]], g)),
-                                linalg.mat_mul(field, xi(hom_b[k[0]]), g)))
+    if endos is not None and hom_b is not None:
+        g = LinMap.from_tensor(LinMap.from_tensor(endos, 1).column((0,)), 1)
+
+        def after_g(f):
+            return apply_linear_map(g, f, (2,))
+
+        report.sweep_all("naturality", hom_b.dims[:1], xi(after_g(hom_b)),
+                         after_g(xi(hom_b)))
 
     # second adjunction, with the induced module as the two-structure
     # target: Hom(C x M, N') against module maps M -> I into the inner hom
     # I = Hom(C x B, N') with the right action (h.b)(c x b') = h(c x bb')
-    nd = induced_N.dim
     inner = _module_hom_basis(induce_doi_hopf(trivial_module(context), context),
                               induced_N, A.alg, colinear=True)
-    k_inner = len(inner)
-    columns = [list(col) for col in zip(*([v for row in h for v in row]
-                                          for h in inner))]
+    if inner is None:
+        raise ShapeMismatch("the inner hom is zero")
+    k_inner = inner.dims[0]
+    inner_columns = LinMap.from_tensor(inner, 1).to_matrix()
 
-    def coordinates(vectors):
-        # one elimination of [inner basis | vectors]: the basis columns
-        # are independent, so the reduced vector columns are coordinates
-        red, pivots = linalg.rref(field, [b + v for b, v in zip(columns, vectors)])
+    def coordinates(vectors, n):
+        # one elimination of [inner basis | vectors], each vector a map
+        # C x B -> N' on the last two legs of ``vectors``, indexed by the
+        # first n: the basis columns are independent, so the reduced
+        # vector columns are coordinates; the map (index) -> (coordinates)
+        vectors = LinMap.from_tensor(vectors, n)
+        red, pivots = linalg.rref(field, [b + v for b, v in zip(inner_columns,
+                                                                 vectors.to_matrix())])
         if len(pivots) != k_inner:
             raise linalg.NotInvertible("a map leaves the inner hom")
-        return [row[k_inner:] for row in red]
+        return LinMap.from_matrix(field, vectors.src, (k_inner,),
+                                  [row[k_inner:] for row in red])
 
-    def pull(f, action, d):
-        # column y: c x b -> f(c x y.b), flattened as the inner basis, for
-        # f on C x Y (d = dim Y) and the matrix of a right action Y x B -> Y
-        moved = [linalg.mat_mul(field, [row[c * d:(c + 1) * d] for row in f], action)
-                 for c in range(dC)]
-        return [[moved[c][j][y * dB + b] for y in range(d)]
-                for j in range(nd) for c in range(dC) for b in range(dB)]
+    def pull(f, action):
+        # for each y, c x b -> f(c x y.b), for a stack f on C x Y and a
+        # right action Y x B -> Y, read backwards as y' -> (y, b) on the Y
+        # leg of f: the stack (k, y) of maps C x B -> N'
+        back = LinMap.from_tensor(switch_legs(action.as_tensor(), (2, 0, 1)), 1)
+        t = apply_linear_map(back, f.split(2, (dC, action.dst[0])), (3,), at=1)  # k y b j c
+        return switch_legs(t, (0, 1, 3, 4, 2)).fuse([[0], [1], [2], [3, 4]])
 
-    mult = A.alg.mult.to_matrix()
-    acted = coordinates([[v for row in rows for v in row]
-                         for rows in zip(*(pull(h, mult, dB) for h in inner))])
-    inner_hom = FiniteModule(
-        k_inner, A.alg, LinMap.from_matrix(field, (k_inner, dB), (k_inner,), acted),
-        "right")
-    action = M.action.to_matrix()
-    unit = [A.alg.unit.to_flat()]
-    at_unit = [linalg.mat_mul(field, unit, columns[r * dB:(r + 1) * dB])[0]
-               for r in range(nd * dC)]
+    inner_hom = FiniteModule(k_inner, A.alg, coordinates(pull(inner, A.alg.mult), 2),
+                             "right")
+    # h -> h(c x 1) on the inner basis, r -> (j, c)
+    at_unit = LinMap.from_tensor(apply_linear_map(
+        LinMap.from_tensor(A.alg.unit, 1), inner.split(2, (dC, dB)), (3,)), 1)
 
     def xi_prime(f):
-        return coordinates(pull(f, action, dM))
+        return switch_legs(coordinates(pull(f, M.action), 2).as_tensor(), (0, 2, 1))
 
     def zeta_prime(g):
         # evaluate at c x 1
-        out = linalg.mat_mul(field, at_unit, g)
-        return [[v for c in range(dC) for v in out[j * dC + c]] for j in range(nd)]
+        return apply_linear_map(at_unit, g, (1,)).fuse([[0], [1], [2, 3]])
 
     roundtrip("second-unit-roundtrip",
               _module_hom_basis(induce_doi_hopf(M, context), induced_N, A.alg,
@@ -478,7 +490,9 @@ def adjunction_maps(M: FiniteModule, N: FiniteModule,
 
 def _module_hom_basis(M: FiniteModule, N: FiniteModule, alg: FinAlgebra,
                       colinear: bool = False):
-    """Basis of module maps M -> N as matrices; with ``colinear`` they
+    """Basis of module maps M -> N as one tensor, the basis index on the
+    leading leg, then N, then M: entry (k, j, m) is the coefficient of n_j
+    in f_k(m).  None when the space is zero.  With ``colinear`` the maps
     also intertwine the coactions, on the side where M coacts."""
     field = M.field
     id_m, id_n = _identity(field, M.dim), _identity(field, N.dim)
@@ -507,11 +521,9 @@ def _module_hom_basis(M: FiniteModule, N: FiniteModule, alg: FinAlgebra,
         rows += conditions(coacted(N).outer(id_m), coacted(M).outer(id_n),
                            (0, 4, 3, 1, 2), (4, 2, 0, 1, 3))
     basis = linalg.nullspace(field, rows)
-    return [_unflatten_matrix(field, vec, N.dim, M.dim) for vec in basis]
-
-
-def _unflatten_matrix(field, vec, rows, cols):
-    return [[vec[r * cols + c] for c in range(cols)] for r in range(rows)]
+    if not basis:
+        return None
+    return Tensor.from_flat(field, (len(basis), N.dim, M.dim), [v for vec in basis for v in vec])
 
 
 def transport_twist(M: FiniteModule, V: TwistWitness,

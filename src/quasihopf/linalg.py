@@ -1,20 +1,26 @@
-"""Dense exact linear algebra: elimination, solving, nullspaces.
+"""Dense exact elimination, and what is read off it: the reduced row
+echelon form, rank, a solution, a nullspace basis, an inverse, and span
+membership.
 
 Matrices are lists of row lists over one of the scalar backends from
 ``fields``.  Sizes in this package stay small (at most a few thousand
 unknowns), so Gauss-Jordan elimination is fast enough and exactly what
-the verification contracts need.  No function here does field arithmetic
-on values; each works on plain ints through the hooks of ``fields``:
+the verification contracts need; every other linear-map computation of
+the package is a tensor contraction (``tensor.apply_linear_map``).  No
+function here does field arithmetic on values: one elimination loop,
+``_reduce``, runs on plain ints through the hooks of ``fields`` for both
+fields, and two of its steps differ by field:
 
-* over F_p, elimination runs on residues, kept in [0, p), with one
-  inverse ``pow`` per pivot, so every pivot row ends with pivot 1;
-* over Q, on integer rows: each row is scaled by the lcm of its
-  denominators, and every combination a·R − b·P that clears a pivot
-  column is divided by its content (fraction-free elimination, as in
-  Bareiss, "Sylvester's identity and multistep integer-preserving
-  Gaussian elimination", Math. Comp. 22, 1968).  A pivot row keeps its
-  pivot entry a as its scale, and one ``Fraction`` is formed per entry
-  of the finished pivot rows, entry / a.
+* over F_p the rows are residues, kept in [0, p); each pivot row is
+  scaled to pivot 1 by one inverse ``pow``, and a row is cleared as
+  (row − b·pivot) mod p in one pass;
+* over Q the rows are integers, each scaled by the lcm of its
+  denominators; a row is cleared as a·row − b·pivot, divided by its
+  content (fraction-free elimination, as in Bareiss, "Sylvester's
+  identity and multistep integer-preserving Gaussian elimination",
+  Math. Comp. 22, 1968).  A pivot row keeps its pivot entry a as its
+  scale, and one ``Fraction`` is formed per entry of the finished pivot
+  rows, entry / a.
 
 The reduced row echelon form is unique, so both give the rows and pivots
 of elimination on the values themselves (``tests/linalg_case.py``).
@@ -40,39 +46,45 @@ def identity(field, n: int):
     return m
 
 
-def _raw_rows(field, matrix, den):
-    raw_over = field.raw_over
-    return [[raw_over(v, den) for v in row] for row in matrix]
-
-
-def mat_mul(field, a, b):
-    """``a @ b`` summed on integers over the common denominator of each
-    factor, one field value per entry."""
-    cols = len(b[0]) if b else 0
-    den_a = field.common_den([v for row in a for v in row])
-    den_b = field.common_den([v for row in b for v in row])
-    rb = _raw_rows(field, b, den_b)
-    from_raw_over, den = field.from_raw_over, den_a * den_b
-    out = []
-    for row in _raw_rows(field, a, den_a):
-        acc = [0] * cols
-        for v, bk in zip(row, rb):
-            if v:
-                for j, w in enumerate(bk):
-                    if w:
-                        acc[j] += v * w
-        out.append([from_raw_over(t, den) for t in acc])
-    return out
-
-
 def _reduce(field, matrix):
     """(pivot rows, pivot columns) of the reduced row echelon form, each
     row as plain ints whose field values are entry / (entry at its pivot
     column): residues with pivot 1 over F_p, primitive integer rows over
     Q.  ``matrix`` is not changed."""
-    if field.characteristic:
-        return _rref_residues(field, matrix)
-    return _rref_integers(field, matrix)
+    p = field.characteristic
+    common_den, raw_over = field.common_den, field.raw_over
+    m = []
+    for row in matrix:
+        den = common_den(row)
+        ints = [raw_over(v, den) for v in row]
+        m.append(ints if p else _primitive(ints))
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if m[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        if p:
+            inv = pow(m[r][c], p - 2, p)
+            m[r] = [v * inv % p for v in m[r]]
+        pivot = m[r]
+        a = pivot[c]
+        for i in range(rows):
+            b = m[i][c]
+            if i != r and b:
+                m[i] = _clear(p, m[i], b, pivot, a)
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m[:r], pivots
 
 
 def rref(field, matrix):
@@ -82,85 +94,23 @@ def rref(field, matrix):
     return [[from_raw_over(v, row[c]) for v in row] for row, c in zip(rows, pivots)], pivots
 
 
-def _rref_residues(field, matrix):
-    """``_reduce`` on residues mod p, kept in [0, p) so that a residue is
-    zero exactly when its value is; one inverse ``pow`` per pivot."""
-    p, raw = field.p, field.raw
-    m = [list(map(raw, row)) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        pivot = m[r] = [v * inv % p for v in m[r]]
-        for i in range(rows):
-            f = m[i][c]
-            if i != r and f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], pivot)]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m[:r], pivots
-
-
 def _primitive(row):
     """``row`` divided by its content (the gcd of its entries)."""
     g = gcd(*row)
     return row if g <= 1 else [v // g for v in row]
 
 
-def _combine(a, row, b, pivot):
-    """a·row − b·pivot, with a and b first divided by their gcd and the
-    result by its content: the row with its entry at the pivot column
-    (b against the pivot's a) cleared."""
+def _clear(p, row, b, pivot, a):
+    """``row`` with its entry b at a pivot column cleared by ``pivot``,
+    whose entry there is a: (row − b·pivot) mod p in one pass over F_p,
+    where a is 1; over Q a·row − b·pivot, with a and b first divided by
+    their gcd and the result by its content."""
+    if p:
+        return [(x - b * y) % p for x, y in zip(row, pivot)]
     g = gcd(a, b)
     if g > 1:
         a, b = a // g, b // g
     return _primitive([a * x - b * y for x, y in zip(row, pivot)])
-
-
-def _rref_integers(field, matrix):
-    """``_reduce`` over Q on integer rows, each scaled by the lcm of its
-    denominators and kept primitive."""
-    common_den, raw_over = field.common_den, field.raw_over
-    m = []
-    for row in matrix:
-        den = common_den(row)
-        m.append(_primitive([raw_over(v, den) for v in row]))
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r]
-        a = pivot[c]
-        for i in range(rows):
-            b = m[i][c]
-            if i != r and b:
-                m[i] = _combine(a, m[i], b, pivot)
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m[:r], pivots
 
 
 def rank(field, matrix) -> int:
@@ -233,10 +183,7 @@ def span_membership(field, basis_rows):
         for row, c in zip(red, pivots):
             b = v[c]
             if b:
-                if p:
-                    v = [(x - b * y) % p for x, y in zip(v, row)]
-                else:
-                    v = _combine(row[c], v, b, row)
+                v = _clear(p, v, b, row, row[c])
         return not any(v)
 
     return contains

@@ -476,24 +476,21 @@ def check_prop_3_10(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> CheckReport:
     _check_base(A, C)
     report = CheckReport("diagonal-crossed-product comparison")
 
-    # path one: one-sided realizations over the twisted tensor square
-    first, second, square = bicomodule_to_right_op_tensor(A)
-    over_square = bimodule_to_op_tensor_module_coalgebra(C, base=square)
-    dual_over_square = dualize(over_square)
-    side1_smash = right_generalized_smash(first, dual_over_square)
-    side2_smash = right_generalized_smash(second, dual_over_square)
-
+    # path one: one-sided realizations over the twisted tensor square;
     # path two: diagonal crossed products straight from the exchange data
+    first, second, square = bicomodule_to_right_op_tensor(A)
+    dual_over_square = dualize(bimodule_to_op_tensor_module_coalgebra(C, base=square))
     dual_bi = dualize(C)
     data_l, data_r = build_omega(A, "l"), build_omega(A, "r")
-    side1_diag = _diagonal_product(A, dual_bi, data_l)
-    side2_diag = _diagonal_product(A, dual_bi, data_r)
-
-    for tag, lhs, rhs in (("first", side1_smash, side1_diag),
-                          ("second", side2_smash, side2_diag)):
+    # one pair of tables at a time, let go before the next is built: at
+    # dim 64 each table holds 262144 entries
+    for tag, one_sided, data in (("first", first, data_l), ("second", second, data_r)):
+        lhs = right_generalized_smash(one_sided, dual_over_square)
+        rhs = _diagonal_product(A, dual_bi, data)
         report.sweep_all("tables-equal-" + tag, (lhs.dim,) * 2,
                          lhs.carrier.mult.as_tensor(), rhs.carrier.mult.as_tensor())
         report.compare("units-equal-" + tag, lhs.carrier.unit, rhs.carrier.unit)
+        del lhs, rhs
 
     # the documented reshuffle: the one-sided reassociators are the
     # inverted exchange elements re-fused into the square base

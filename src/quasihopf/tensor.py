@@ -921,14 +921,12 @@ def invert_element(spaces, x: Tensor) -> Tensor:
     if x.dims != dims:
         raise ShapeMismatch("element dims %r do not match spaces" % (x.dims,))
     field = x.field
-    n = _size(dims)
-    # left-multiplication matrix of x
-    lmat = linalg.zeros(field, n, n)
-    strides = _strides(dims)
-    for j, idx in enumerate(all_indices(dims)):
-        col = multiply(spaces, x, Tensor.basis(field, dims, idx))
-        for out_idx, v in col.data.items():
-            lmat[_flatten(out_idx, strides)][j] = v
+    k = len(dims)
+    # the left-multiplication matrix of x: x e_j for every basis element
+    # e_j at once, j riding along on the leading legs
+    ident = _identity(field, _size(dims)).split(1, dims).split(0, dims)
+    products = multiply(tuple(spaces) * 2, x, ident, x_legs=range(k, 2 * k))
+    lmat = LinMap.from_tensor(products, k).to_matrix()
     unit_vec = unit_tensor(spaces).to_flat()
     try:
         sol = linalg.solve(field, lmat, unit_vec)

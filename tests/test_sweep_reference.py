@@ -552,7 +552,9 @@ MOVED = {"coaction-multiplicative", "subalgebra-multiplicative", "multiplicative
          "roundtrip-coaction", "roundtrip-coaction-other-way", "coaction-recovered",
          "actions-commute", "coaction-quasi-coassoc", "coaction-slides-through-p",
          "coaction-slides-through-q", "mixed-intertwine", "counit-comult",
-         "action-distributive-left", "action-distributive-right"} | set(COMPAT) | {
+         "action-distributive-left", "action-distributive-right", "unit-roundtrip",
+         "counit-roundtrip", "naturality", "second-unit-roundtrip",
+         "second-counit-roundtrip"} | set(COMPAT) | {
              prefix + "action-" + law for prefix in ("", "left-", "right-")
              for law in ("unital", "associative")}
 
