@@ -6,12 +6,14 @@ objects, prime-field values are ``FpElement`` wrappers around residues;
 code outside the kernels uses ordinary ``+ - *`` operators on them for
 both backends.
 
-The tensor kernels instead work on plain scalars through two hook sets
-that both fields provide.  ``raw``/``from_raw``: the scalar itself over Q
-(a ``Fraction``), the residue over F_p.  ``common_den``/``raw_over``/
-``from_raw_over``: integers over a shared denominator, the lcm of the
-denominators of a batch of values over Q and 1 over F_p, so a kernel
-sums plain ints on both fields and forms one field value per output.
+The kernels (``multiply``, ``apply_linear_map``, ``linalg``) instead
+work on plain ints through one hook set that both fields provide:
+``common_den`` gives a shared denominator for a batch of values, the lcm
+of their denominators over Q and 1 over F_p; ``raw_over`` gives a
+value's integer numerator over it (the residue over F_p); and
+``from_raw_over`` turns a sum of such numerators back into one field
+value.  So a kernel sums plain ints on both fields and forms one field
+value per output entry.
 """
 
 from __future__ import annotations
@@ -142,14 +144,6 @@ class Rationals:
         except ValueError as exc:
             raise FieldError("bad rational literal %r" % text) from exc
 
-    def raw(self, value: Fraction) -> Fraction:
-        """The scalar ``multiply`` does its arithmetic on: the value itself."""
-        return value
-
-    def from_raw(self, total: Fraction) -> Fraction:
-        """Field value of a sum of ``raw`` scalars."""
-        return total
-
     def common_den(self, values) -> int:
         """The lcm of the denominators of ``values`` (1 if there are none)."""
         return lcm(*{v.denominator for v in values})
@@ -218,14 +212,6 @@ class PrimeField:
             return FpElement(int(text), self.p)
         except ValueError as exc:
             raise FieldError("bad F_%d literal %r" % (self.p, text)) from exc
-
-    def raw(self, value: FpElement) -> int:
-        """The scalar ``multiply`` does its arithmetic on: the residue."""
-        return value.r
-
-    def from_raw(self, total: int) -> FpElement:
-        """Field value of a sum of raw scalars, reduced mod p once."""
-        return FpElement(total, self.p)
 
     def common_den(self, values) -> int:
         """Every value is its own residue over 1."""

@@ -2,21 +2,35 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ShapeMismatch
 from .tensor import LinMap
 
 
-@dataclass
 class CheckRecord:
-    check_id: str
-    passed: bool
-    witness: Optional[tuple] = None
-    lhs: Optional[object] = None
-    rhs: Optional[object] = None
-    fatal: bool = True
+    """One check's verdict; a failure carries its witness and both sides
+    there.  A record with ``fatal`` false is advisory: it does not decide
+    the report's verdict.  Records are equal when every field is."""
+
+    __hash__ = None
+
+    def __init__(self, check_id: str, passed: bool, witness: Optional[tuple] = None,
+                 lhs=None, rhs=None, fatal: bool = True):
+        self.check_id = check_id
+        self.passed = passed
+        self.witness = witness
+        self.lhs = lhs
+        self.rhs = rhs
+        self.fatal = fatal
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return "CheckRecord(%s)" % ", ".join("%s=%r" % pair for pair in vars(self).items())
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -28,10 +42,20 @@ class CheckRecord:
         return "%-40s %s%s" % (self.check_id, status, extra)
 
 
-@dataclass
 class CheckReport:
-    subject: str
-    records: list = field(default_factory=list)
+    """The ordered records of one verification; equal when the subjects
+    and the records are."""
+
+    __hash__ = None
+
+    def __init__(self, subject: str, records=None):
+        self.subject = subject
+        self.records = [] if records is None else records
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def passed(self) -> bool:

@@ -297,8 +297,8 @@ class LinMap:
         """``(den, columns)``: the field's common denominator of every
         entry of ``cols``, and ``cols`` as tuples of (target index,
         integer numerator over den) terms, the form ``apply_linear_map``
-        works on; built on first use, as ``cols`` is never changed after
-        construction."""
+        and ``FinAlgebra.rows`` work on; built on first use, as ``cols``
+        is never changed after construction."""
         if self._raw is None:
             field = self.field
             den = field.common_den([v for img in self.cols.values() for v in img.values()])
@@ -549,7 +549,7 @@ class FinAlgebra:
     carriers are legitimately non-associative).
     """
 
-    __slots__ = ("field", "dim", "mult", "rows", "unit", "name")
+    __slots__ = ("field", "dim", "mult", "den", "rows", "unit", "name")
 
     def __init__(self, field, dim, mult: LinMap, unit: Tensor, name="", validate=True):
         if dim <= 0:
@@ -561,10 +561,11 @@ class FinAlgebra:
         if unit.dims != (dim,):
             raise ShapeMismatch("unit has dims %r" % (unit.dims,))
         self.mult = mult.rebind((self,))
-        # rows[i][j]: the (k, w) terms of e_i e_j, w a raw scalar (see multiply)
-        raw = field.raw
-        self.rows = [[tuple((k, raw(w)) for (k,), w in self.mult.cols.get((i, j), {}).items())
-                      for j in range(dim)] for i in range(dim)]
+        # rows[i][j]: the (k, w) terms of e_i e_j, w an integer numerator
+        # over den (a residue over 1 on F_p; see multiply)
+        self.den, cols = self.mult._raw_columns()
+        self.rows = [[tuple([(k, w) for (k,), w in cols.get((i, j), ())]) for j in range(dim)]
+                     for i in range(dim)]
         self.unit = unit
         self.name = name
         if validate:
@@ -595,16 +596,12 @@ class FinAlgebra:
 
     def associativity_witness(self):
         """First basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
-        in row-major order, or None.  Both sides are summed on integers:
-        the structure constants as numerators over their common
-        denominator (``LinMap._raw_columns``), residues over F_p."""
-        _, cols = self.mult._raw_columns()
-        p, dim = self.field.characteristic, self.dim
-        rows = [[tuple([(k, w) for (k,), w in cols.get((i, j), ())]) for j in range(dim)]
-                for i in range(dim)]
+        in row-major order, or None.  Both sides are summed on the
+        integers of ``rows``: numerators over ``den``, residues over F_p."""
+        rows, p = self.rows, self.field.characteristic
         for i, row_i in enumerate(rows):
             for j, ij in enumerate(row_i):
-                for k in range(dim):
+                for k in range(self.dim):
                     diff = {}
                     for m, v in ij:
                         for n, w in rows[m][k]:
@@ -683,12 +680,13 @@ def embed_legs(spaces, x: Tensor, positions) -> Tensor:
     return switch_legs(out, inverse)
 
 
-def _leaves(t: Tensor, leg: int, raw):
+def _leaves(t: Tensor, leg: int, den: int):
     """``t``'s entries on ``leg`` grouped by their indices on the other
-    legs: prefix -> {index on leg: raw scalar}."""
+    legs: prefix -> {index on leg: integer numerator over ``den``}."""
+    raw_over = t.field.raw_over
     leaves = {}
     for idx, v in t.data.items():
-        leaves.setdefault(idx[:leg] + idx[leg + 1:], {})[idx[leg]] = raw(v)
+        leaves.setdefault(idx[:leg] + idx[leg + 1:], {})[idx[leg]] = raw_over(v, den)
     return leaves
 
 
@@ -745,8 +743,13 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
     from an entry of ``x``, or over F_p from all entries of ``x`` that
     agree off the packed leg, and ends in (output position, coefficient,
     leaf) terms, which the leaf combine adds up per output position.
-    The arithmetic runs on raw scalars (see ``fields``), and only the
-    starts of the walks and the leaf combine differ by field:
+    The arithmetic runs on plain ints on both fields (see ``fields``):
+    ``x`` and ``y`` are each scaled once to their own common denominator
+    and each algebra's structure constants are numerators over its
+    ``den``, all 1 over F_p.  Each nonzero output sum becomes one field
+    value over den_x·den_y times the ``den`` of every leg of ``y`` (1
+    on a leg that ``x`` is missing).  Only the starts of the walks and
+    the leaf combine differ by field:
 
     * over F_p each leaf is packed once per call, for each basis index i
       of ``x`` on the packed leg, into one int: the residues of e_i·leaf,
@@ -758,8 +761,9 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
       can spill.  The packed leg is the leg of ``y`` with the most
       entries per leaf; each output index is built with it in place.
     * over Q the packed leg is the last leg of ``y``, each entry of ``x``
-      walks on its own, and every term is summed as a ``Fraction`` per
-      output index.
+      walks on its own from its integer numerator, and every term is
+      summed as a plain int per output index; only each nonzero sum
+      becomes a ``Fraction``, one per output entry.
     """
     dims = tuple(s.dim for s in spaces)
     n = len(dims)
@@ -774,17 +778,21 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
     for s in spaces:
         _check_same_field(x, s)
     field = x.field
-    raw, from_raw = field.raw, field.from_raw
+    den_x, den_y = field.common_den(x.data.values()), field.common_den(y.data.values())
+    raw_over, from_raw_over = field.raw_over, field.from_raw_over
     if not spaces:
-        return Tensor.scalar(field, from_raw(raw(x.get(())) * raw(y.get(()))))
+        return Tensor.scalar(field, from_raw_over(
+            raw_over(x.get(()), den_x) * raw_over(y.get(()), den_y), den_x * den_y))
     out = Tensor(field, dims)
     rows = [s.rows for s in spaces]
+    dens = [s.den for s in spaces]
     if x_legs is not None:
         # x's legs in place, and 0 on its missing legs, where e_0 e_j = e_j
         # stands for 1 e_j
         x_legs = _factor_legs(x, x_legs, dims)
         for l in set(range(n)).difference(x_legs):
             rows[l] = [[((j, 1),) for j in range(dims[l])]]
+            dens[l] = 1
         full = [0] * n
         data = {}
         for ix, v in x.data.items():
@@ -805,11 +813,11 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
     p = field.characteristic
     m = len(y_legs)
     leg = m - 1
-    leaves = _leaves(y, leg, raw)
+    leaves = _leaves(y, leg, den_y)
     if p:
         leg = _densest_leg(y.data, y.dims, len(leaves))
         if leg != m - 1:
-            leaves = _leaves(y, leg, raw)
+            leaves = _leaves(y, leg, den_y)
     packed = y_legs[leg]
     row_leg, d_leg = rows[packed], dims[packed]
     # the groups of x, and the flat positions that the walks build, are
@@ -826,7 +834,8 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
         groups, needed = {}, set()
         for ix, vx in x.data.items():
             i = ix[packed]
-            groups.setdefault(ix[:packed] + ix[packed + 1:], []).append((i, raw(vx)))
+            groups.setdefault(ix[:packed] + ix[packed + 1:], []).append(
+                (i, raw_over(vx, den_x)))
             needed.add(i)
         for prefix, leaf in leaves.items():
             packs = [0] * d_leg
@@ -842,7 +851,7 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
                 packs[i] = packed_leaf
             leaves[prefix] = packs
     else:
-        groups = x.data
+        groups = {ix: raw_over(vx, den_x) for ix, vx in x.data.items()}
     if m == 1:
         tree = leaves[()]
     else:
@@ -856,12 +865,12 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
     get = acc.get
     stride_leg = 0 if p else strides[packed]
     # over Q the groups are the entries of x: each walks on its own, from
-    # its value, along its index
+    # its numerator, along its index
     for prefix, u in groups.items():
         start = 0
         for at, s in passed:
             start += prefix[at] * s
-        level = [(start, 1 if p else raw(u), tree)]
+        level = [(start, 1 if p else u, tree)]
         for at, table, s in walked:
             row = table[prefix[at]]
             level = [(flat + k * s, v * w, child) for flat, v, node in level
@@ -875,11 +884,12 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
             for flat, v, leaf in level:
                 for j, vy in leaf.items():
                     for k, w in row[j]:
-                        key, term = flat + k * stride_leg, v * w * vy
-                        total = get(key)
-                        # the first term of a sum is stored, not added to 0
-                        acc[key] = term if total is None else total + term
+                        key = flat + k * stride_leg
+                        acc[key] = get(key, 0) + v * w * vy
     data = out.data
+    den = den_x * den_y
+    for l in y_legs:
+        den *= dens[l]
     if p:
         mask = (1 << width) - 1
         for flat, total in acc.items():
@@ -888,7 +898,7 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
             for k in range(d_leg):
                 slot = total & mask
                 if slot:
-                    value = from_raw(slot)
+                    value = from_raw_over(slot, den)
                     if value:
                         data[before + (k,) + after] = value
                 total >>= width
@@ -896,9 +906,8 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
                 raise QuasiHopfError("a slot spilled past the packed width")
     else:
         for key, total in acc.items():
-            value = from_raw(total)
-            if value:
-                data[_unflatten(key, key_dims)] = value
+            if total:
+                data[_unflatten(key, key_dims)] = from_raw_over(total, den)
     return out
 
 
