@@ -13,8 +13,6 @@ class CheckRecord:
     there.  A record with ``fatal`` false is advisory: it does not decide
     the report's verdict.  Records are equal when every field is."""
 
-    __hash__ = None
-
     def __init__(self, check_id: str, passed: bool, witness: Optional[tuple] = None,
                  lhs=None, rhs=None, fatal: bool = True):
         self.check_id = check_id
@@ -45,8 +43,6 @@ class CheckRecord:
 class CheckReport:
     """The ordered records of one verification; equal when the subjects
     and the records are."""
-
-    __hash__ = None
 
     def __init__(self, subject: str, records=None):
         self.subject = subject

@@ -11,7 +11,7 @@ from quasihopf.fields import QQ, PrimeField
 from quasihopf.fixtures import h2, h2_bimodule_coalgebra, hh_bicomodule
 from quasihopf.comodule import BicomoduleAlgebra, canonical_elements
 from quasihopf.modcoalg import ModuleAlgebra, dualize, verify_module_algebra
-from quasihopf.report import CheckReport
+from quasihopf.report import CheckRecord, CheckReport
 from quasihopf.tensor import LinMap, Tensor, all_indices
 
 
@@ -180,3 +180,28 @@ def test_package_import_starts_no_thread_pool():
     code = ("import sys, quasihopf, quasihopf.cli, quasihopf.io; "
             "sys.exit('concurrent.futures' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_records_compare_field_by_field():
+    record = CheckRecord("id", False, (1, 0), QQ.one, QQ.zero)
+    assert record == CheckRecord("id", False, (1, 0), QQ.one, QQ.zero, True)
+    for other in (CheckRecord("id", False, (1, 0), QQ.one, QQ.zero, False),
+                  CheckRecord("id", False, (0, 1), QQ.one, QQ.zero)):
+        assert record != other
+    assert repr(record) == ("CheckRecord(check_id='id', passed=False, witness=(1, 0), "
+                            "lhs=Fraction(1, 1), rhs=Fraction(0, 1), fatal=True)")
+    report = CheckReport("s")
+    report.records.append(record)
+    assert report == CheckReport("s", [record]) != CheckReport("t", [record])
+    assert report != CheckReport("s") and record != ("id", False)
+
+
+def test_package_import_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast and dis: about 1 MB of resident
+    # memory in every process that imports the package
+    src = os.path.dirname(os.path.dirname(quasihopf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, quasihopf, quasihopf.cli, quasihopf.io; "
+            "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0 and done.stdout.split() == []

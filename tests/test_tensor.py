@@ -898,6 +898,63 @@ def test_leg_kernel_does_no_fraction_arithmetic(monkeypatch):
         assert_clean(QQ, out)
 
 
+def coprime_algebra():
+    """k[g]/(g^2 + 3/77) on the basis e0 = (3/11)·1, e1 = g: structure
+    constants 3/11 and -1/7, of coprime denominators, unit (11/3) e0."""
+    a, b = QQ.div_int(3, 11), QQ.div_int(-1, 7)
+    table = {(0, 0): {0: a}, (0, 1): {1: a}, (1, 0): {1: a}, (1, 1): {0: b}}
+    return FinAlgebra.from_table(QQ, 2, table, [QQ.div_int(11, 3), QQ.zero])
+
+
+def test_q_multiply_does_no_fraction_arithmetic(monkeypatch):
+    # over Q multiply sums integer numerators, x and y each over its own
+    # denominator and the structure constants over their algebra's den,
+    # and only constructs each nonzero output entry
+    H = h2(QQ)
+    spaces = H.spaces(3)
+    x = H.reassoc + H.reassoc_inv.scale(QQ.div_int(-3, 7))
+    f = H.comult.column((1,)).scale(QQ.div_int(5, 6))
+    y = embed_legs(spaces, f, (2, 0))
+    C = coprime_algebra()
+    mixed = (C, H.alg, C)
+    u = Tensor(QQ, (2, 2, 2), {(0, 1, 1): QQ.div_int(2, 5), (1, 0, 1): QQ.div_int(-7, 3),
+                               (1, 1, 0): QQ.one, (1, 1, 1): QQ.div_int(4, 13)})
+    # (1 + g)(1 - g) = 1 - g^2 = 0 in kZ2: every output sum cancels
+    plus = Tensor(QQ, (2, 2), {(0, 1): QQ.div_int(1, 3), (1, 1): QQ.div_int(1, 3)})
+    minus = Tensor(QQ, (2, 2), {(0, 0): QQ.div_int(3, 5), (1, 0): QQ.div_int(-3, 5)})
+    half, third = Tensor.scalar(QQ, QQ.div_int(3, 4)), Tensor.scalar(QQ, QQ.div_int(-2, 9))
+    # (spaces, x, y, x_legs, y_legs), the reference product of the
+    # unit-padded factors, and whether the product is nonzero
+    cases = [((spaces, x, y, None, None), naive_multiply(spaces, x, y), True),
+             ((spaces, x, f, None, (2, 0)), naive_multiply(spaces, x, y), True),
+             ((spaces, f, x, (2, 0), None), naive_multiply(spaces, y, x), True),
+             ((spaces, f, f, (0, 1), (1, 2)),
+              naive_multiply(spaces, embed_legs(spaces, f, (0, 1)),
+                             embed_legs(spaces, f, (1, 2))), True),
+             ((mixed, u, u, None, None), naive_multiply(mixed, u, u), True),
+             ((mixed, u, minus, None, (1, 2)),
+              naive_multiply(mixed, u, embed_legs(mixed, minus, (1, 2))), True),
+             ((mixed, minus, u, (1, 2), None),
+              naive_multiply(mixed, embed_legs(mixed, minus, (1, 2)), u), True),
+             (((H.alg, H.alg), plus, minus, None, None),
+              naive_multiply((H.alg, H.alg), plus, minus), False),
+             (((), half, third, None, None), naive_multiply((), half, third), True)]
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__rsub__",
+                 "__truediv__", "__rtruediv__"):
+        def counted(self, other, original=getattr(Fraction, name)):
+            calls.append(other)
+            return original(self, other)
+        monkeypatch.setattr(Fraction, name, counted)
+    outs = [multiply(sp, a, b, x_legs=xl, y_legs=yl) for (sp, a, b, xl, yl), _, _ in cases]
+    assert calls == []
+    monkeypatch.undo()
+    for out, (_, want, nonzero) in zip(outs, cases):
+        assert bool(out.data) is nonzero and out == want
+        assert_clean(QQ, out)
+    assert outs[-1].get(()) == QQ.div_int(-1, 6)
+
+
 def test_act_legwise_leaves_a_none_leg_as_it_is(field):
     # over Sweedler's algebra, which is not commutative, with spectators
     # of other dimensions at legs 1 and 3: each basis target gives the
