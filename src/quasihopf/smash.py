@@ -154,13 +154,17 @@ def generalized_smash(A: ModuleAlgebra, B: ComoduleAlgebra) -> ProductAlgebra:
     field = A.field
     act = A.left_action
 
-    def mult_fn(i, j, k):
+    @functools.cache
+    def reads_only_ij(i, j):
+        # the part of the pipeline before a2 is first read, once per (i, j)
         e = B.re_inv_el()
         e = e.times(El.basis((A.alg,), (i,))).times(El.basis((B.alg,), (j,)))
-        e = e.times(El.basis((A.alg,), (k,)))
-        e = e.map(B.coaction, 4)          # x1 x2 xB a b-1 b0 a2
+        e = e.map(B.coaction, 4)          # x1 x2 xB a b-1 b0
         e = e.map(act, (0, 3), at=0)      # (x1 . a)
-        e = e.merge(1, 3)                 # x2 b-1
+        return e.merge(1, 3)              # x2 b-1
+
+    def mult_fn(i, j, k):
+        e = reads_only_ij(i, j).times(El.basis((A.alg,), (k,)))
         e = e.map(act, (1, 4), at=1)      # (x2 b-1 . a2)
         e = e.merge(0, 1)                 # product in A
         return e.merge(1, 2).t            # xB b0, then b2 on the right

@@ -546,10 +546,11 @@ class FinAlgebra:
     ``mult`` is the multiplication as a LinMap (d, d) -> (d,); ``unit``
     is an arity-1 tensor.  Associativity and the two-sided unit law are
     checked at construction unless ``validate=False`` (module-algebra
-    carriers are legitimately non-associative).
+    carriers are legitimately non-associative).  ``top`` is the largest
+    |structure constant| in ``rows``, which bounds ``multiply``'s slots.
     """
 
-    __slots__ = ("field", "dim", "mult", "den", "rows", "unit", "name")
+    __slots__ = ("field", "dim", "mult", "den", "rows", "top", "unit", "name")
 
     def __init__(self, field, dim, mult: LinMap, unit: Tensor, name="", validate=True):
         if dim <= 0:
@@ -566,6 +567,8 @@ class FinAlgebra:
         self.den, cols = self.mult._raw_columns()
         self.rows = [[tuple([(k, w) for (k,), w in cols.get((i, j), ())]) for j in range(dim)]
                      for i in range(dim)]
+        self.top = max([abs(w) for row in self.rows for terms in row for _, w in terms],
+                       default=0)
         self.unit = unit
         self.name = name
         if validate:
@@ -694,7 +697,8 @@ def _densest_leg(keys, dims, leaves):
     """The leg of the multi-indices ``keys`` with the fewest leaves, i.e.
     the most entries per leaf, the last one on a tie; ``leaves`` is the
     number of leaves of the last leg.  Nothing is counted when that is
-    already as few as any leg could have."""
+    already as few as any leg could have.  ``multiply`` packs this leg on
+    both fields."""
     best = len(dims) - 1
     most = max(dims)
     if leaves * most < len(keys) + most:
@@ -739,31 +743,28 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
     leg is shared by all leaves that agree on the legs before it.  A leg
     that only ``x`` has is no tree level: its index is added to each
     walk's start.  On a leg that only ``y`` has, ``x``'s index is 0 and
-    the product is the identity, e_0 e_j = e_j.  A walk starts
-    from an entry of ``x``, or over F_p from all entries of ``x`` that
-    agree off the packed leg, and ends in (output position, coefficient,
-    leaf) terms, which the leaf combine adds up per output position.
-    The arithmetic runs on plain ints on both fields (see ``fields``):
-    ``x`` and ``y`` are each scaled once to their own common denominator
-    and each algebra's structure constants are numerators over its
-    ``den``, all 1 over F_p.  Each nonzero output sum becomes one field
-    value over den_x·den_y times the ``den`` of every leg of ``y`` (1
-    on a leg that ``x`` is missing).  Only the starts of the walks and
-    the leaf combine differ by field:
+    the product is the identity, e_0 e_j = e_j.  The packed leg is the
+    leg of ``y`` with the most entries per leaf (``_densest_leg``).  A
+    walk starts from all entries of ``x`` that agree off it and ends in
+    (output position, coefficient, leaf) terms.  The arithmetic runs on
+    plain ints on both fields (see ``fields``): ``x`` and ``y`` are each
+    scaled once to their own common denominator and each algebra's
+    structure constants are numerators over its ``den``, all 1 over F_p.
 
-    * over F_p each leaf is packed once per call, for each basis index i
-      of ``x`` on the packed leg, into one int: the residues of e_i·leaf,
-      each reduced mod p once, in slots of ``width`` bits, one per basis
-      index of that leg (Kronecker substitution).  A term costs one
-      big-int multiply-add per entry of its group of ``x``, and each sum
-      is unpacked once at the end, one reduction mod p per output entry.
-      The width is derived from p and the operand sizes so that no slot
-      can spill.  The packed leg is the leg of ``y`` with the most
-      entries per leaf; each output index is built with it in place.
-    * over Q the packed leg is the last leg of ``y``, each entry of ``x``
-      walks on its own from its integer numerator, and every term is
-      summed as a plain int per output index; only each nonzero sum
-      becomes a ``Fraction``, one per output entry.
+    Each leaf is packed once per call, for each basis index i of ``x``
+    on the packed leg, into one int: the numerators of e_i·leaf (over
+    F_p residues, each reduced mod p once) in signed slots of ``width``
+    bits, one per basis index of that leg (Kronecker substitution), so a
+    term costs one big-int multiply-add per entry of its group of ``x``.
+    ``width`` is a sign bit more than a bound on every slot sum, known
+    before packing: the number of terms times the largest entry of
+    ``x``, the largest slot of a leaf (the largest leaf entry times the
+    packed leg's ``FinAlgebra.top`` and dimension; both p - 1 over F_p)
+    and the ``top`` of every walked leg.  Each sum gets half a slot added
+    to every slot, so that each reads as an unsigned field, and is
+    unpacked once: each nonzero slot, less the half, becomes one field
+    value over den_x·den_y times the ``den`` of every leg of ``y``
+    (``den`` and ``top`` are 1 on a leg that ``x`` is missing).
     """
     dims = tuple(s.dim for s in spaces)
     n = len(dims)
@@ -786,13 +787,14 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
     out = Tensor(field, dims)
     rows = [s.rows for s in spaces]
     dens = [s.den for s in spaces]
+    tops = [s.top for s in spaces]
     if x_legs is not None:
         # x's legs in place, and 0 on its missing legs, where e_0 e_j = e_j
         # stands for 1 e_j
         x_legs = _factor_legs(x, x_legs, dims)
         for l in set(range(n)).difference(x_legs):
             rows[l] = [[((j, 1),) for j in range(dims[l])]]
-            dens[l] = 1
+            dens[l] = tops[l] = 1
         full = [0] * n
         data = {}
         for ix, v in x.data.items():
@@ -810,48 +812,54 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
             y, y_legs = switch_legs(y, order), sorted(y_legs)
     if not x.data or not y.data:
         return out
-    p = field.characteristic
     m = len(y_legs)
-    leg = m - 1
-    leaves = _leaves(y, leg, den_y)
-    if p:
-        leg = _densest_leg(y.data, y.dims, len(leaves))
-        if leg != m - 1:
-            leaves = _leaves(y, leg, den_y)
+    leaves = _leaves(y, m - 1, den_y)
+    leg = _densest_leg(y.data, y.dims, len(leaves))
+    if leg != m - 1:
+        leaves = _leaves(y, leg, den_y)
     packed = y_legs[leg]
     row_leg, d_leg = rows[packed], dims[packed]
     # the groups of x, and the flat positions that the walks build, are
-    # keyed by the index without the packed leg over F_p, with it over Q
-    key_dims = dims[:packed] + dims[packed + 1:] if p else dims
+    # keyed by the index without the packed leg
+    key_dims = dims[:packed] + dims[packed + 1:]
     strides = _strides(key_dims)
-    pos = [l - 1 if p and l > packed else l for l in range(n)]
-    walked = [(pos[l], rows[l], strides[pos[l]]) for l in y_legs if l != packed]
+    pos = [l - (l > packed) for l in range(n)]
     passed = [(pos[l], strides[pos[l]]) for l in range(n) if l not in y_legs]
+    groups, needed = {}, set()
+    for ix, vx in x.data.items():
+        i = ix[packed]
+        groups.setdefault(ix[:packed] + ix[packed + 1:], []).append((i, raw_over(vx, den_x)))
+        needed.add(i)
+    # a slot sums at most one term per entry of x and leaf: the entry,
+    # a walk coefficient (a structure constant per walked leg) and a slot
+    # of the leaf (d_leg leaf entries times a structure constant); over
+    # F_p entries and slots are residues
+    p = field.characteristic
     if p:
-        # a slot sums at most one term per entry of x and leaf, each a
-        # walk coefficient (m - 1 residues) times the entry and a slot
-        width = (len(x.data) * len(leaves) * (p - 1) ** (m + 1)).bit_length()
-        groups, needed = {}, set()
-        for ix, vx in x.data.items():
-            i = ix[packed]
-            groups.setdefault(ix[:packed] + ix[packed + 1:], []).append(
-                (i, raw_over(vx, den_x)))
-            needed.add(i)
-        for prefix, leaf in leaves.items():
-            packs = [0] * d_leg
-            for i in needed:
-                row = row_leg[i]
-                slots = [0] * d_leg
-                for j, vy in leaf.items():
-                    for k, w in row[j]:
-                        slots[k] += vy * w
-                packed_leaf = 0
-                for slot in reversed(slots):
-                    packed_leaf = packed_leaf << width | slot % p
-                packs[i] = packed_leaf
-            leaves[prefix] = packs
+        bound = len(x.data) * len(leaves) * (p - 1) ** 2
     else:
-        groups = {ix: raw_over(vx, den_x) for ix, vx in x.data.items()}
+        bound = len(x.data) * len(leaves) * tops[packed] * d_leg \
+            * max([abs(v) for group in groups.values() for _, v in group]) \
+            * max([abs(v) for leaf in leaves.values() for v in leaf.values()])
+    walked = []
+    for l in y_legs:
+        if l != packed:
+            walked.append((pos[l], rows[l], strides[pos[l]]))
+            bound *= tops[l]
+    width = bound.bit_length() + 1
+    for prefix, leaf in leaves.items():
+        packs = [0] * d_leg
+        for i in needed:
+            row = row_leg[i]
+            slots = [0] * d_leg
+            for j, vy in leaf.items():
+                for k, w in row[j]:
+                    slots[k] += vy * w
+            packed_leaf = 0
+            for slot in reversed(slots):
+                packed_leaf = (packed_leaf << width) + (slot % p if p else slot)
+            packs[i] = packed_leaf
+        leaves[prefix] = packs
     if m == 1:
         tree = leaves[()]
     else:
@@ -861,53 +869,41 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
             for j in prefix[:-1]:
                 node = node.setdefault(j, {})
             node[prefix[-1]] = leaf
+    # each sum starts from half a slot in every slot, so that a slot sum
+    # within half a slot of 0 reads as an unsigned field
+    mask = (1 << width) - 1
+    half = 1 << width - 1
+    bias = half * (((1 << width * d_leg) - 1) // mask)
     acc = {}
     get = acc.get
-    stride_leg = 0 if p else strides[packed]
-    # over Q the groups are the entries of x: each walks on its own, from
-    # its numerator, along its index
     for prefix, u in groups.items():
         start = 0
         for at, s in passed:
             start += prefix[at] * s
-        level = [(start, 1 if p else u, tree)]
+        level = [(start, 1, tree)]
         for at, table, s in walked:
             row = table[prefix[at]]
             level = [(flat + k * s, v * w, child) for flat, v, node in level
                      for j, child in node.items() for k, w in row[j]]
-        if p:
-            for flat, v, packs in level:
-                for i, vx in u:
-                    acc[flat] = get(flat, 0) + v * vx * packs[i]
-        else:
-            row = row_leg[prefix[packed]]
-            for flat, v, leaf in level:
-                for j, vy in leaf.items():
-                    for k, w in row[j]:
-                        key = flat + k * stride_leg
-                        acc[key] = get(key, 0) + v * w * vy
+        for flat, v, packs in level:
+            for i, vx in u:
+                acc[flat] = get(flat, bias) + v * vx * packs[i]
     data = out.data
     den = den_x * den_y
     for l in y_legs:
         den *= dens[l]
-    if p:
-        mask = (1 << width) - 1
-        for flat, total in acc.items():
-            head = _unflatten(flat, key_dims)
-            before, after = head[:packed], head[packed:]
-            for k in range(d_leg):
-                slot = total & mask
-                if slot:
-                    value = from_raw_over(slot, den)
-                    if value:
-                        data[before + (k,) + after] = value
-                total >>= width
-            if total:
-                raise QuasiHopfError("a slot spilled past the packed width")
-    else:
-        for key, total in acc.items():
-            if total:
-                data[_unflatten(key, key_dims)] = from_raw_over(total, den)
+    for flat, total in acc.items():
+        head = _unflatten(flat, key_dims)
+        before, after = head[:packed], head[packed:]
+        for k in range(d_leg):
+            slot = (total & mask) - half
+            if slot:
+                value = from_raw_over(slot, den)
+                if value:
+                    data[before + (k,) + after] = value
+            total >>= width
+        if total:
+            raise QuasiHopfError("a slot spilled past the packed width")
     return out
 
 

@@ -108,6 +108,20 @@ def test_removed_defaults_stay_removed():
         == {fn: [] for fn in NO_DEFAULT}
 
 
+def test_multiply_has_one_path_for_both_fields():
+    # both fields run one walk, one leaf combine and one unpack; only the
+    # slot bounds and the reduction of a packed slot mod p depend on p
+    def tests_field(test):
+        return any(getattr(n, "id", None) == "p" or getattr(n, "attr", None) == "characteristic"
+                   for n in ast.walk(test))
+
+    branches = [node.lineno for module, tree in package_trees()
+                for scope, node in scoped_nodes(tree, module)
+                if scope == "tensor.multiply" and isinstance(node, (ast.If, ast.IfExp))
+                and tests_field(node.test)]
+    assert len(branches) == 2
+
+
 def test_fixture_emit_and_check_all(tmp_path):
     for name in FIXTURE_NAMES:
         assert run(["fixture", "emit", name, "--dir", str(tmp_path)]) == 0

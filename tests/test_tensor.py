@@ -453,18 +453,28 @@ def all_minus_one_algebra(field, dim):
                                  validate=False)
 
 
-@pytest.mark.parametrize("prime", [FP, BIG], ids=["fp10007", "mersenne31"])
+def worst_entry(field, k):
+    """An entry of the worst-case slot tests, at index k on the packed
+    leg: -1 over F_p, the residue p - 1; over Q ±(2^31 - 1)/3 of sign
+    (-1)^k, so that negative output slots sit next to positive ones."""
+    if field == QQ:
+        return field.div_int((-1) ** k * (2 ** 31 - 1), 3)
+    return -field.one
+
+
+@pytest.mark.parametrize("prime", [FP, BIG, QQ], ids=["fp10007", "mersenne31", "q"])
 @pytest.mark.parametrize("lead_dims", [(), (2,), (3, 2), (2, 2, 2)])
 def test_multiply_worst_case_slot_sums(prime, lead_dims):
     # every entry p - 1 and every lead-leg structure constant p - 1; on the
     # packed leg (z2, constants 1) each slot of a packed leaf is p - 1, so
     # every output slot sums |x| * leaves terms of (p - 1)^(n + 1), which is
     # exactly the bound the slot width is derived from: any narrower slot
-    # spills into its neighbour
+    # spills into its neighbour.  Over Q every lead-leg constant is -1 and
+    # each output slot sums |x| * leaves terms of (2^31 - 1)^2 of one sign,
+    # the sign alternating along the packed leg
     spaces = tuple(all_minus_one_algebra(prime, d) for d in lead_dims) + (z2_algebra(prime),)
     dims = tuple(s.dim for s in spaces)
-    minus = -prime.one
-    x = Tensor(prime, dims, {k: minus for k in all_indices(dims)})
+    x = Tensor(prime, dims, {k: worst_entry(prime, k[-1]) for k in all_indices(dims)})
     out = multiply(spaces, x, x)
     assert out == naive_multiply(spaces, x, x)
     assert len(out.data) == len(x.data)
@@ -524,18 +534,19 @@ def test_multiply_on_leg_subsets_rejects_bad_legs():
         multiply((A, A, A), f, f, x_legs=(0,), y_legs=(2,))
 
 
-@pytest.mark.parametrize("prime", [FP, BIG], ids=["fp10007", "mersenne31"])
+@pytest.mark.parametrize("prime", [FP, BIG, QQ], ids=["fp10007", "mersenne31", "q"])
 def test_multiply_worst_case_slot_sums_with_passed_legs(prime):
     # y lives on legs 1 and 3, so legs 0 and 2 pass x's index through; x
     # is 1 on both there, so every output slot sums all |x| * leaves terms,
     # each (p - 1)^(m + 1) with m = 2 the legs of y: one walked leg whose
     # structure constants are p - 1, the entry of x, and a slot of the
     # packed z2 leg.  That is the bound the slot width is derived from.
+    # Over Q the slots alternate in sign along the packed leg 3.
     z2, wide = z2_algebra(prime), all_minus_one_algebra(prime, 2)
     spaces = (z2, wide, z2, z2)
-    minus = -prime.one
-    x = Tensor(prime, (2, 2, 2, 2), {(1, j, 1, k): minus for j in range(2) for k in range(2)})
-    y = Tensor(prime, (2, 2), {k: minus for k in all_indices((2, 2))})
+    x = Tensor(prime, (2, 2, 2, 2), {(1, j, 1, k): worst_entry(prime, k)
+                                     for j in range(2) for k in range(2)})
+    y = Tensor(prime, (2, 2), {k: worst_entry(prime, k[1]) for k in all_indices((2, 2))})
     assert _densest_leg(y.data, y.dims, 2) == 1
     out = multiply(spaces, x, y, y_legs=(1, 3))
     assert out == naive_multiply(spaces, x, embed_legs(spaces, y, (1, 3)))
