@@ -27,7 +27,7 @@ from .errors import ParseError, QuasiHopfError, ShapeMismatch, UsageError
 from .fields import field_from_tag
 from .fixtures import regular_comodule_algebra
 from .hopf import (VARIANT_KINDS, GaugeTransformation, QuasiHopfAlgebra, drinfeld_twist,
-                   gauge_twist, op_tensor, variant, verify_quasi_hopf)
+                   gauge_twist, op_tensor, shared_base, variant, verify_quasi_hopf)
 from .modcoalg import (ModuleCoalgebra, bimodule_to_op_tensor_module_coalgebra,
                        dualize, gauge_twist_module_coalgebra,
                        verify_module_coalgebra)
@@ -253,7 +253,8 @@ def cmd_build(args):
     elif args.what == "rsmash":
         A = _load(args.bicomodule, BicomoduleAlgebra)
         C = _load(args.coalgebra, ModuleCoalgebra)
-        square = op_tensor(A.H)
+        # C moves onto the square of A's base, so the two must share it
+        square = op_tensor(shared_base(A, C))
         chosen = right_realization(A, args.realization)
         over = bimodule_to_op_tensor_module_coalgebra(C, base=square)
         product = right_generalized_smash(chosen, dualize(over))

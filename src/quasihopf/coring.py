@@ -23,10 +23,10 @@ Yetter-Drinfeld modules seen as square-base Doi-Hopf modules.
 
 from __future__ import annotations
 
-from .errors import AntipodeRequired, ShapeMismatch
+from .errors import ShapeMismatch
 from .comodule import (BicomoduleAlgebra, ComoduleAlgebra, comodule_variant,
                        right_realization)
-from .hopf import QuasiHopfAlgebra, op_tensor
+from .hopf import op_tensor, shared_base
 from .modcoalg import ModuleCoalgebra, bimodule_to_op_tensor_module_coalgebra
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, _identity, all_indices,
@@ -199,6 +199,7 @@ def build_coring(kind: str, **inputs) -> Coring:
     right module coalgebra ("BC"), over a right comodule algebra with a
     left module coalgebra ("CA"), and over a bicomodule algebra with a
     bimodule coalgebra ("YD", the CA coring over the square base)."""
+    shared_base(*inputs.values())
     if kind == "BC":
         return _coring_bc(inputs["B"], inputs["C"])
     if kind == "CA":
@@ -272,8 +273,6 @@ def _opposite_coring(X: Coring, R: FinAlgebra, name: str) -> Coring:
 def _coring_yd(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> Coring:
     """The CA coring of the second right realization of A and of C, both
     over the twisted tensor square H^op (x) H."""
-    if not isinstance(A.H, QuasiHopfAlgebra):
-        raise AntipodeRequired("this coring needs antipode data")
     square = op_tensor(A.H)
     over_square = bimodule_to_op_tensor_module_coalgebra(C, base=square)
     return _coring_ca(right_realization(A, 2), over_square,

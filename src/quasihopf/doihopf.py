@@ -11,6 +11,7 @@ from . import linalg
 from .comodule import ComoduleAlgebra, TwistWitness, comodule_variant
 from .coring import Coring, _normal_form, build_coring
 from .errors import NotRational, ShapeMismatch, VariantMismatch
+from .hopf import shared_base
 from .modcoalg import ModuleCoalgebra, _check_module_law, _module_law_sides, dualize
 from .report import CheckReport
 from .smash import ProductAlgebra, generalized_smash
@@ -40,10 +41,8 @@ class DoiHopfContext:
             raise VariantMismatch(
                 "variant %s needs a %s module coalgebra, got %s"
                 % (variant, want_coalg, coalgebra.side))
-        if not comodule.H.same_structure(coalgebra.H):
-            raise VariantMismatch("context pieces live over different bases")
         self.variant = variant
-        self.H = comodule.H
+        self.H = shared_base(comodule, coalgebra)
         self.comodule = comodule
         self.coalgebra = coalgebra
         self.field = comodule.field
@@ -115,35 +114,24 @@ def verify_doi_hopf(M: FiniteModule, context: DoiHopfContext) -> CheckReport:
     if M.action_side != want_action or M.coaction_side != want_coaction:
         raise VariantMismatch("module sides do not match variant %s" % variant)
     verify_module_law(M, report=report)
+    cleg = 0 if want_coaction == "left" else 1
+    mleg = 1 - cleg
 
     def coassoc(idx):
-        m = Tensor.basis(field, (M.dim,), idx)
-        one = apply_linear_map(M.coaction, m, (0,))
-        if variant == "right-left":
-            # (comult x id) lam(m) vs ((id x lam) lam(m)) . re
-            lhs = apply_linear_map(C.comult, one, (0,))
-            rhs = apply_linear_map(M.coaction, one, (1,), at=1)
-            rhs = _act_legwise(M, C, A.reassoc, rhs, 2, "right")
-        elif variant == "left-right":
-            lhs = apply_linear_map(C.comult, one, (1,), at=1)
-            rhs = apply_linear_map(M.coaction, one, (0,), at=0)
-            rhs = _act_legwise(M, C, A.reassoc, rhs, 0, "left")
-            lhs, rhs = rhs, lhs
-        elif variant == "right-right":
-            lhs = apply_linear_map(M.coaction, one, (0,), at=0)
-            rhs = apply_linear_map(C.comult, one, (1,), at=1)
-            rhs = _act_legwise(M, C, A.reassoc, rhs, 0, "right")
-        else:
-            lhs = apply_linear_map(C.comult, one, (0,))
-            lhs = _act_legwise(M, C, A.reassoc, lhs, 2, "left")
-            rhs = apply_linear_map(M.coaction, one, (1,), at=1)
-        return lhs, rhs
+        # the comultiplication of C splits the coalgebra leg of the
+        # coaction, the coaction again the module leg; the reassociator
+        # acts on the second when the action and coaction sides differ,
+        # on the first when they agree, and the acted side reads first
+        # under a left action, e.g. (comult x id) lam(m) vs
+        # ((id x lam) lam(m)) . re in the right-left variant
+        one = apply_linear_map(M.coaction, Tensor.basis(field, (M.dim,), idx), (0,))
+        split = apply_linear_map(C.comult, one, (cleg,), at=cleg)
+        again = apply_linear_map(M.coaction, one, (mleg,), at=mleg)
+        acted, other = (again, split) if want_action != want_coaction else (split, again)
+        acted = _act_legwise(M, C, A.reassoc, acted, 2 * mleg, want_action)
+        return (acted, other) if want_action == "left" else (other, acted)
 
-    basis = all_indices((M.dim,))
-    report.sweep("coassoc-upto-reassoc", basis, coassoc)
-
-    cleg = 0 if M.coaction_side == "left" else 1
-    mleg = 1 - cleg
+    report.sweep("coassoc-upto-reassoc", all_indices((M.dim,)), coassoc)
     report.sweep_all("coaction-counit", (M.dim,),
                      apply_linear_map(C.counit, M.coaction.as_tensor(), (1 + cleg,)),
                      _identity(field, M.dim))
@@ -557,9 +545,9 @@ class CoringComodule:
         self.coaction = coaction
         self.name = name
 
-    def act(self, r_idx, vec, leg=0):
+    def act(self, r_idx, vec):
         basis = Tensor.basis(self.field, (self.coring.R.dim,), (r_idx,))
-        return apply_linear_map(self.action, vec.outer(basis), (leg, vec.arity), at=leg)
+        return apply_linear_map(self.action, vec.outer(basis), (0, vec.arity))
 
 
 def verify_coring_comodule(M: CoringComodule) -> CheckReport:

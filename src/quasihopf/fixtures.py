@@ -35,12 +35,12 @@ def _z2_algebra(field, name) -> FinAlgebra:
     return FinAlgebra.from_table(field, 2, table, [one, zero], name=name)
 
 
-def _grouplike_comult(field, dim=2) -> LinMap:
-    return LinMap(field, (dim,), (dim, dim), {(i,): {(i, i): field.one} for i in range(dim)})
+def _grouplike_comult(field) -> LinMap:
+    return LinMap(field, (2,), (2, 2), {(i,): {(i, i): field.one} for i in range(2)})
 
 
-def _all_ones_counit(field, dim=2) -> LinMap:
-    return LinMap(field, (dim,), (), {(i,): {(): field.one} for i in range(dim)})
+def _all_ones_counit(field) -> LinMap:
+    return LinMap(field, (2,), (), {(i,): {(): field.one} for i in range(2)})
 
 
 def kz2(field=QQ) -> QuasiHopfAlgebra:

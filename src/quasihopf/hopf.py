@@ -8,8 +8,8 @@ anti-coalgebra map (the Drinfeld twist), together with its inverse.
 
 from __future__ import annotations
 
-from .errors import (AntipodeNotInvertible, GaugeNotNormalized, NotInvertible,
-                     ShapeMismatch)
+from .errors import (AntipodeNotInvertible, AntipodeRequired, GaugeNotNormalized, MixedBase,
+                     NotInvertible, ShapeMismatch)
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, _identity, apply_linear_map,
                      build_tensor_algebra, interleave, multiplicative_sides, multiply,
@@ -68,6 +68,15 @@ class QuasiBialgebra:
         for _ in range(x.arity):
             out = apply_linear_map(self.counit, out, (0,))
         return out.get(())
+
+    def __getattr__(self, name):
+        # called only for attributes the object lacks, so the antipode
+        # data of a quasi-Hopf base never reach it: every construction
+        # that needs them just reads them
+        if name in ("antipode", "antipode_inv", "alpha", "beta"):
+            raise AntipodeRequired("the base%s has no antipode data (%s was read)"
+                                   % (" " + self.name if self.name else "", name))
+        raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
 
     def __repr__(self):
         return "QuasiBialgebra(dim=%d%s)" % (self.dim, ", %r" % self.name if self.name else "")
@@ -292,6 +301,17 @@ def gauge_product(H_twisted: QuasiHopfAlgebra, F: GaugeTransformation,
     t = multiply(H_twisted.spaces(2), F2.t, F.t)
     inv = multiply(H_twisted.spaces(2), F.inv, F2.inv)
     return GaugeTransformation(F.H, t, inv)
+
+
+def shared_base(*structures):
+    """The base of every one of ``structures`` (each has an ``.H``), or
+    MixedBase unless they share one; bases read from separate files
+    share one when their structures are equal."""
+    base = structures[0].H
+    for s in structures[1:]:
+        if not base.same_structure(s.H):
+            raise MixedBase("inputs are built over different bases")
+    return base
 
 
 def _derived(H, key, build):

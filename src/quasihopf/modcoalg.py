@@ -332,9 +332,6 @@ def bimodule_to_op_tensor_module_coalgebra(C: ModuleCoalgebra,
     if C.side != "bi":
         raise ShapeMismatch("input must be a bimodule coalgebra")
     H = C.H
-    from .hopf import QuasiHopfAlgebra
-    if base is None and not isinstance(H, QuasiHopfAlgebra):
-        raise ShapeMismatch("the twisted tensor square needs a quasi-Hopf base")
     HopH = base if base is not None else op_tensor(H)
     # ((h, h2), c) -> (h2 . c) . h, for every h, h2 and c at once
     t = _identity(C.field, H.dim).outer(C.left_action.as_tensor())   # h h h2 c h2.c
@@ -352,11 +349,7 @@ def gauge_twist_module_coalgebra(C: ModuleCoalgebra, F: GaugeTransformation):
     """
     if C.side != "left":
         raise ShapeMismatch("gauge transport twists left module coalgebras")
-    H = C.H
-    from .hopf import QuasiHopfAlgebra
-    if not isinstance(H, QuasiHopfAlgebra):
-        raise ShapeMismatch("gauge twisting the base needs antipode data")
-    H_f = gauge_twist(H, F)
+    H_f = gauge_twist(C.H, F)
     comult = act_legwise(F.t, C.comult.as_tensor(), (None, (C.left_action, True),
                                                      (C.left_action, True)))
     comult = LinMap.from_tensor(comult, 1)

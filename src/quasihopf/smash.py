@@ -20,8 +20,9 @@ import functools
 from .comodule import (BicomoduleAlgebra, ComoduleAlgebra, bicomodule_to_right_op_tensor,
                        bicomodule_variant, canonical_elements, check_closed_form_inputs,
                        comodule_variant)
-from .errors import AntipodeRequired, MixedBase, ShapeMismatch
-from .hopf import QuasiHopfAlgebra, drinfeld_twist
+from .errors import ShapeMismatch
+from .fixtures import regular_comodule_algebra
+from .hopf import drinfeld_twist, shared_base
 from .modcoalg import (ModuleAlgebra, ModuleCoalgebra,
                        bimodule_to_op_tensor_module_coalgebra, dualize)
 from .report import CheckReport
@@ -83,14 +84,6 @@ def verify_product_algebra(P: ProductAlgebra) -> CheckReport:
     return report
 
 
-def _check_base(*structures):
-    base = structures[0].H
-    for s in structures[1:]:
-        if not base.same_structure(s.H):
-            raise MixedBase("inputs are built over different bases")
-    return base
-
-
 def _product_from_pairs(field, d1, d2, mult_fn, peel, unit: Tensor, provenance,
                         sub_embedding=None, sub_alg=None) -> ProductAlgebra:
     """Assemble the fused product algebra.  ``peel`` is (slot, alg, side):
@@ -150,7 +143,7 @@ def generalized_smash(A: ModuleAlgebra, B: ComoduleAlgebra) -> ProductAlgebra:
     reassociator."""
     if A.side != "left" or B.side != "left":
         raise ShapeMismatch("needs a left module algebra and a left comodule algebra")
-    _check_base(A, B)
+    shared_base(A, B)
     field = A.field
     act = A.left_action
 
@@ -182,7 +175,7 @@ def right_generalized_smash(A: ComoduleAlgebra, P: ModuleAlgebra) -> ProductAlge
     the opcop reflections of both factors."""
     if A.side != "right" or P.side != "right":
         raise ShapeMismatch("needs a right comodule algebra and a right module algebra")
-    _check_base(A, P)
+    shared_base(A, P)
     native = generalized_smash(P.reflect("opcop"), comodule_variant(A, "opcop"))
     return _mirror(native, "rsmash(%s,%s)" % (A.name or "A", P.name or "P"), A.alg)
 
@@ -193,7 +186,7 @@ def stgsm_product(A: ComoduleAlgebra, C: ModuleCoalgebra) -> ProductAlgebra:
     reassociator itself (not its inverse) steering the product."""
     if A.side != "right" or C.side != "right":
         raise ShapeMismatch("needs a right comodule algebra and a right module coalgebra")
-    _check_base(A, C)
+    shared_base(A, C)
     field = A.field
     D = dualize(C)
     dual, act = D.alg.opposite(), D.left_action    # the flipped convolution
@@ -220,7 +213,7 @@ def koppinen_smash(C: ModuleCoalgebra, B: ComoduleAlgebra) -> ProductAlgebra:
     comodule algebra, represented on the dual-basis carrier."""
     if C.side != "right" or B.side != "left":
         raise ShapeMismatch("needs a right module coalgebra and a left comodule algebra")
-    _check_base(C, B)
+    shared_base(C, B)
     field = C.field
     dC, dB = C.dim, B.alg.dim
 
@@ -250,7 +243,7 @@ def alpha_morphism(C: ModuleCoalgebra, B: ComoduleAlgebra):
     convolution-carrier smash: on the dual-basis representation it is the
     identity matrix, so the content is that the two full multiplication
     tables agree.  Returns (map, report)."""
-    _check_base(C, B)
+    shared_base(C, B)
     smash = generalized_smash(dualize(C), B)
     kop = koppinen_smash(C, B)
     dim = smash.dim
@@ -275,9 +268,7 @@ def phi_isomorphism(C: ModuleCoalgebra):
     if C.side != "right":
         raise ShapeMismatch("needs a right module coalgebra")
     H = C.H
-    if not isinstance(H, QuasiHopfAlgebra):
-        raise AntipodeRequired("the comparison map needs antipode data")
-    from .fixtures import regular_comodule_algebra
+    S, S_inv = H.antipode, H.antipode_inv
     field = C.field
     left_reg = regular_comodule_algebra(H, "left")
     right_reg = regular_comodule_algebra(H, "right")
@@ -291,7 +282,6 @@ def phi_isomorphism(C: ModuleCoalgebra):
     elements_right = canonical_elements(right_reg, verify=False)
     q_lambda = El(H.spaces(2), elements_left.q.t)
     q_rho = El(H.spaces(2), elements_right.q_right.t)
-    S, S_inv = H.antipode, H.antipode_inv
     dC, dH = C.dim, H.dim
 
     # every basis element (f, h) of the carrier at once, f and h on the
@@ -358,8 +348,6 @@ def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
     if kind not in ("l", "r"):
         raise ShapeMismatch("kind must be 'l' or 'r'")
     H = A.H
-    if not isinstance(H, QuasiHopfAlgebra):
-        raise AntipodeRequired("the exchange data needs antipode data")
     check_closed_form_inputs(A)
     alg = A.alg
     sp5 = (H.alg, H.alg, alg, H.alg, H.alg)
@@ -418,9 +406,7 @@ def diagonal_crossed_product(A: BicomoduleAlgebra, M: ModuleAlgebra,
         raise ShapeMismatch("kind must be one of %r" % (DIAGONAL_KINDS,))
     if M.side != "bi":
         raise ShapeMismatch("needs a two-sided module algebra")
-    H = _check_base(A, M)
-    if not isinstance(H, QuasiHopfAlgebra):
-        raise AntipodeRequired("diagonal crossed products need antipode data")
+    shared_base(A, M)
     side, order = kind.split("-")
     if side == "right":
         return _diagonal_product(A, M, build_omega(A, order))
@@ -477,7 +463,7 @@ def check_prop_3_10(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> CheckReport:
     independent code paths, entrywise on all product pairs."""
     if C.side != "bi":
         raise ShapeMismatch("needs a bimodule coalgebra")
-    _check_base(A, C)
+    shared_base(A, C)
     report = CheckReport("diagonal-crossed-product comparison")
 
     # path one: one-sided realizations over the twisted tensor square;

@@ -8,8 +8,8 @@ from __future__ import annotations
 from .comodule import BicomoduleAlgebra, canonical_elements, right_realization
 from .doihopf import (DoiHopfContext, FiniteModule, _act_legwise,
                       adjunction_maps, induce_doi_hopf, verify_module_law)
-from .errors import AntipodeRequired, VariantMismatch
-from .hopf import QuasiHopfAlgebra, op_tensor
+from .errors import VariantMismatch
+from .hopf import op_tensor, shared_base
 from .modcoalg import ModuleCoalgebra, bimodule_to_op_tensor_module_coalgebra
 from .report import CheckReport
 from .tensor import El, LinMap, Tensor, _identity, all_indices, apply_linear_map
@@ -24,13 +24,9 @@ class YetterDrinfeldContext:
     def __init__(self, A: BicomoduleAlgebra, C: ModuleCoalgebra):
         if C.side != "bi":
             raise VariantMismatch("needs a bimodule coalgebra")
-        if not A.H.same_structure(C.H):
-            raise VariantMismatch("inputs live over different bases")
-        if not isinstance(A.H, QuasiHopfAlgebra):
-            raise AntipodeRequired("the square base needs antipode data")
         self.A = A
         self.C = C
-        self.H = A.H
+        self.H = shared_base(A, C)
         self.field = A.field
         self.square = op_tensor(self.H)
         self.second = right_realization(A, 2)

@@ -22,6 +22,7 @@ from quasihopf.modcoalg import (ModuleCoalgebra, dualize, verify_module_algebra,
 from quasihopf.tensor import LinMap, Tensor, all_indices, multiply, unit_tensor
 
 from test_hopf import seeded_gauge, sweedler
+from test_preconditions import inputs
 
 
 def run(argv):
@@ -87,6 +88,9 @@ NO_DEFAULT = {
     "yd.YetterDrinfeldContext.__init__": ("square",),
     "doihopf.to_smash_module": ("smash",),
     "doihopf.verify_module_law": ("report", "subject"),
+    "doihopf.CoringComodule.act": ("leg",),
+    "fixtures._grouplike_comult": ("dim",),
+    "fixtures._all_ones_counit": ("dim",),
     "modcoalg.dualize": ("name",),
     "tensor.LinMap.from_matrix": ("dst_spaces",),
 }
@@ -103,9 +107,37 @@ def test_removed_defaults_stay_removed():
                     {a.arg for a in positional[len(positional) - len(args.defaults):]}
                     | {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
                        if d is not None})
-    assert sum(len(names) for names in NO_DEFAULT.values()) == 21
+    assert sum(len(names) for names in NO_DEFAULT.values()) == 24
     assert {fn: sorted(defaulted[fn] & set(names)) for fn, names in NO_DEFAULT.items()} \
         == {fn: [] for fn in NO_DEFAULT}
+
+
+def raising_scopes(name):
+    """The scopes of every ``raise name(...)`` in the package."""
+    return [scope for module, tree in package_trees()
+            for scope, node in scoped_nodes(tree, module)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == name]
+
+
+def test_each_input_precondition_is_stated_once():
+    # a construction reads the antipode data it needs and pairs its inputs
+    # through hopf.shared_base; neither rule is restated anywhere else
+    assert raising_scopes("AntipodeRequired") == ["hopf.QuasiBialgebra.__getattr__"]
+    assert raising_scopes("MixedBase") == ["hopf.shared_base"]
+    tested = {scope for module, tree in package_trees()
+              for scope, node in scoped_nodes(tree, module)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+              and any(getattr(n, "id", None) == "QuasiHopfAlgebra"
+                      for n in ast.walk(node.args[1]))}
+    assert {scope for scope in tested if not scope.startswith("cli.")} == {"hopf._variant"}
+
+
+def test_package_has_no_function_local_import():
+    local = ["%s:%d" % (scope, node.lineno) for module, tree in package_trees()
+             for scope, node in scoped_nodes(tree, module)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and scope != module]
+    assert local == []
 
 
 def test_multiply_has_one_path_for_both_fields():
@@ -348,6 +380,43 @@ def test_bad_kind_names_are_usage_errors(tmp_path, capsys):
         assert capsys.readouterr().err == "usage error: %s\n" % message
     # BC stays the coring's default kind
     assert run(["build", "coring", "--coalgebra", c2f]) == 0
+
+
+def _mixed_base_files(d):
+    """Algebra files over h2 and coalgebra files over kz2, keyed by the
+    placeholders of the command lines below."""
+    a, b = inputs(QQ, h2(QQ)), inputs(QQ, kz2(QQ))
+    paths = {}
+    for w, values in ((a, {"A": a.A, "B": a.left, "R": a.right}),
+                      (b, {"C": b.C_right, "CL": b.C_left, "CB": b.C_bi})):
+        base = os.path.join(d, w.H.name + io.SUFFIX)
+        io.emit_value(w.H, base)
+        for key, value in values.items():
+            paths[key] = os.path.join(d, key + io.SUFFIX)
+            io.emit_value(value, paths[key], base_path=base)
+    return paths
+
+
+@pytest.mark.parametrize("argv", [
+    "build smash --coalgebra C --comodule B",
+    "build rsmash --bicomodule A --coalgebra CB",
+    "build koppinen --coalgebra C --comodule B",
+    "build diagonal --kind right-l --bicomodule A --coalgebra CB",
+    "build coring --kind BC --coalgebra C --comodule B",
+    "build coring --kind CA --coalgebra CL --comodule R",
+    "build coring --kind YD --bicomodule A --coalgebra CB",
+    "verify prop-3.10 --A A --C CB",
+    "verify roundtrip-3.8 --A A --C CB",
+    "verify rat-2.5 --C C --B B",
+    "verify adjunction-2.2 --C C --B B",
+    "convert yd2dh --bicomodule A --coalgebra CB",
+    "convert dh2yd --bicomodule A --coalgebra CB",
+])
+def test_inputs_over_different_bases_are_a_typed_error(tmp_path, capsys, argv):
+    paths = _mixed_base_files(str(tmp_path))
+    capsys.readouterr()
+    assert run([paths.get(word, word) for word in argv.split()]) == 1
+    assert capsys.readouterr().err == "error: inputs are built over different bases\n"
 
 
 @pytest.mark.parametrize("companions", [[1], "h2", 5])
