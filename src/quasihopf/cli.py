@@ -112,13 +112,14 @@ def _verify_any(value):
         return verify_product_algebra(value)
     if isinstance(value, GaugeTransformation):
         rep = CheckReport("gauge transformation")
-        _two_sided_inverse(rep, value.H.spaces(2), value)
+        _two_sided_inverse(rep, value)
         return rep
     raise UsageError("no verifier for %r" % (value,))
 
 
-def _two_sided_inverse(report, spaces, gauge):
+def _two_sided_inverse(report, gauge):
     """Record t t^-1 = 1 and t^-1 t = 1 as one check."""
+    spaces = gauge.H.spaces(2)
     one = unit_tensor(spaces)
     report.compare_all("two-sided-inverse",
                        ((multiply(spaces, gauge.t, gauge.inv), one),
@@ -162,12 +163,12 @@ def cmd_fixture(args):
     return _finish(args, [rep], emitted)
 
 
-def _emit_over_base(base, out, values):
-    """Write ``base`` next to ``out`` as <out stem>-base.qha.json, then
-    each (path, value) of ``values`` with a companion link to it; returns
-    the written paths in order."""
+def _emit_over_base(out, values):
+    """Write the base of ``values`` next to ``out`` as <out
+    stem>-base.qha.json, then each (path, value) of ``values`` with a
+    companion link to it; returns the written paths in order."""
     base_out = os.path.splitext(out)[0] + "-base" + io.SUFFIX
-    io.emit_value(base, base_out)
+    io.emit_value(values[0][1].H, base_out)
     for path, value in values:
         io.emit_value(value, path, base_path=base_out)
     return [base_out] + [path for path, _ in values]
@@ -183,7 +184,7 @@ def _verified_emit(args, value):
         io.emit_value(value, args.out)
         emitted = [args.out]
     elif args.out:
-        emitted = _emit_over_base(value.H, args.out, [(args.out, value)])
+        emitted = _emit_over_base(args.out, [(args.out, value)])
     return _finish(args, [report], emitted)
 
 
@@ -205,7 +206,7 @@ def cmd_dtwist(args):
     value = _load(args.file, QuasiHopfAlgebra)
     twist = drinfeld_twist(value)
     report = CheckReport("canonical gauge of %s" % (value.name or args.file))
-    _two_sided_inverse(report, value.spaces(2), twist)
+    _two_sided_inverse(report, twist)
     S = value.antipode
 
     # Delta(S(h)) conjugated by the twist is (S x S)(flip Delta(h)), for
@@ -319,16 +320,15 @@ def cmd_convert(args):
         return _verified_emit(args, value.reflect("cop" if args.kind == "cop" else "op"))
     if args.what == "bicomodule-r1r2":
         A = _load(args.input, BicomoduleAlgebra)
-        first, second, base = bicomodule_to_right_op_tensor(A)
+        first, second, _ = bicomodule_to_right_op_tensor(A)
         _, search = realization_twist_witness(A, first, second)
         reports = [verify_comodule_algebra(first),
                    verify_comodule_algebra(second), search]
         emitted = []
         if args.out:
             stem = os.path.splitext(args.out)[0]
-            emitted += _emit_over_base(base, args.out,
-                                       [(stem + "-r1" + io.SUFFIX, first),
-                                        (stem + "-r2" + io.SUFFIX, second)])
+            emitted += _emit_over_base(args.out, [(stem + "-r1" + io.SUFFIX, first),
+                                                  (stem + "-r2" + io.SUFFIX, second)])
         return _finish(args, reports, emitted)
     if args.what in ("yd2dh", "dh2yd"):
         A = _load(args.bicomodule, BicomoduleAlgebra)

@@ -451,11 +451,11 @@ def _check_algebra(alg: FinAlgebra, what: str):
         raise NotInvertible("%s is not an associative unital algebra" % what)
 
 
-def _check_algebra_map(src: FinAlgebra, m: LinMap, dst_spaces, what: str):
+def _check_algebra_map(src: FinAlgebra, m: LinMap, what: str):
     """NotInvertible unless ``m`` respects the product of every pair of
     basis elements and the unit."""
-    lhs, rhs = multiplicative_sides(src, m, dst_spaces)
-    if lhs != rhs or apply_linear_map(m, src.unit, (0,)) != unit_tensor(dst_spaces):
+    lhs, rhs = multiplicative_sides(src, m, m.dst_spaces)
+    if lhs != rhs or apply_linear_map(m, src.unit, (0,)) != unit_tensor(m.dst_spaces):
         raise NotInvertible("%s is not an algebra map" % what)
 
 
@@ -469,8 +469,8 @@ def _check_inverse_pair(spaces, x: Tensor, x_inv: Tensor, what: str):
 
 def _check_base_inputs(H: QuasiHopfAlgebra) -> bool:
     _check_algebra(H.alg, "the base")
-    _check_algebra_map(H.alg, H.comult, H.spaces(2), "the comultiplication")
-    _check_algebra_map(H.alg.opposite(), H.antipode_inv, (H.alg,),
+    _check_algebra_map(H.alg, H.comult, "the comultiplication")
+    _check_algebra_map(H.alg.opposite(), H.antipode_inv,
                        "the antipode inverse, from the opposite algebra,")
     twist = drinfeld_twist(H)
     _check_inverse_pair(H.spaces(2), twist.t, twist.inv, "the Drinfeld twist")
@@ -493,7 +493,7 @@ def _check_comodule_inputs(X) -> bool:
         coactions = ((X.coaction, "the coaction"),)
         pairs = ((X.reassoc_spaces(), X.reassoc, X.reassoc_inv, "the reassociator"),)
     for coaction, what in coactions:
-        _check_algebra_map(X.alg, coaction, coaction.dst_spaces, what)
+        _check_algebra_map(X.alg, coaction, what)
     for spaces, x, x_inv, what in pairs:
         _check_inverse_pair(spaces, x, x_inv, what)
     return True
@@ -565,21 +565,20 @@ def bicomodule_to_left_tensor_op(A: BicomoduleAlgebra):
     HHop = tensor_op(A.H)
     mirror = bicomodule_variant(A, "opcop")
     first, second = (
-        _swap_square_factors(comodule_variant(right_realization(mirror, k), "opcop"),
-                             A, HHop, tag)
+        _swap_square_factors(comodule_variant(right_realization(mirror, k), "opcop"), A, tag)
         for k, tag in ((2, ":lam1"), (1, ":lam2")))
     return first, second, HHop
 
 
-def _swap_square_factors(X: ComoduleAlgebra, A: BicomoduleAlgebra, base, tag: str):
+def _swap_square_factors(X: ComoduleAlgebra, A: BicomoduleAlgebra, tag: str):
     """A left comodule algebra over H^op (x) H, H the base of A, as one
-    over ``base``, H (x) H^op, with the carrier of A: every square index
-    (h, h') becomes (h', h) in the coaction and in both reassociator
-    legs."""
+    over H (x) H^op, the square ``tensor_op`` caches on H, with the
+    carrier of A: every square index (h, h') becomes (h', h) in the
+    coaction and in both reassociator legs."""
     d = A.H.dim
     coaction = LinMap.from_tensor(swap_factors(X.coaction.as_tensor(), (1,), d, d), 1)
     re, re_inv = (swap_factors(t, (0, 1), d, d) for t in (X.reassoc, X.reassoc_inv))
-    return ComoduleAlgebra(base, "left", A.alg, coaction, re, re_inv,
+    return ComoduleAlgebra(tensor_op(A.H), "left", A.alg, coaction, re, re_inv,
                            name=(A.name + tag) if A.name else "")
 
 

@@ -133,9 +133,6 @@ def verify_coring(X: Coring) -> CheckReport:
     def basis(c):
         return Tensor.basis(field, (X.dim,), (c,))
 
-    def r_basis(r):
-        return Tensor.basis(field, (X.R.dim,), (r,))
-
     sided = [(side, r, c) for r in range(X.R.dim) for c in range(X.dim)
              for side in ("left", "right")]
 
@@ -151,15 +148,16 @@ def verify_coring(X: Coring) -> CheckReport:
 
     report.sweep("comult-bilinear", sided, comult_bilinear)
 
-    def counit_bilinear(item):
-        side, r, c = item
-        if side == "left":
-            return (apply_linear_map(X.counit, X.act_left(r, basis(c)), (0,)),
-                    X.R.product(r_basis(r), X.counit.column((c,))))
-        return (apply_linear_map(X.counit, X.act_right(basis(c), r), (0,)),
-                X.R.product(X.counit.column((c,)), r_basis(r)))
-
-    report.sweep("counit-bilinear", sided, counit_bilinear)
+    # counit(r.c) against r counit(c) and counit(c.r) against counit(c) r,
+    # every (r, c) at once
+    r_counit = _identity(field, X.R.dim).outer(X.counit.as_tensor())   # r r c eps(c)
+    report.sweep_sides("counit-bilinear", (X.R.dim, X.dim), [
+        (lambda item: ("left",) + item,
+         apply_linear_map(X.counit, X.left_action.as_tensor(), (2,)),
+         apply_linear_map(X.R.mult, r_counit, (1, 3), at=2)),
+        (lambda item: ("right",) + item,
+         switch_legs(apply_linear_map(X.counit, X.right_action.as_tensor(), (2,)), (1, 0, 2)),
+         apply_linear_map(X.R.mult, r_counit, (3, 1), at=2))])
 
     def coassociative(idx):
         two = X.comult.column(idx)
@@ -168,17 +166,13 @@ def verify_coring(X: Coring) -> CheckReport:
 
     report.sweep("coassociative", all_indices((X.dim,)), coassociative)
 
-    # (counit x id) and (id x counit) of the comultiplication, through the actions
-    def counit_law(item):
-        side, c = item
-        left = side == "left"
-        # r b on the left, a r on the right
-        acted = apply_linear_map(X.counit, X.comult.column((c,)), (0,) if left else (1,))
-        action = X.left_action if left else X.right_action
-        return apply_linear_map(action, acted, (0, 1)), basis(c)
-
-    report.sweep("counit-law", [(side, c) for c in range(X.dim)
-                                for side in ("left", "right")], counit_law)
+    # (counit x id) and (id x counit) of the comultiplication, through the
+    # actions, every c at once: legs c (r b) on the left, c (a r) on the right
+    comult, ident = X.comult.as_tensor(), _identity(field, X.dim)
+    report.sweep_sides("counit-law", (X.dim,), [
+        (lambda item, side=side: (side,) + item,
+         apply_linear_map(action, apply_linear_map(X.counit, comult, (leg,)), (1, 2)), ident)
+        for side, leg, action in (("left", 1, X.left_action), ("right", 2, X.right_action))])
     return report
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from . import linalg
 from .comodule import ComoduleAlgebra, TwistWitness, comodule_variant
 from .coring import Coring, _normal_form, build_coring
-from .errors import NotRational, ShapeMismatch, VariantMismatch
+from .errors import NotInvertible, NotRational, ShapeMismatch, VariantMismatch
 from .hopf import shared_base
 from .modcoalg import ModuleCoalgebra, _check_module_law, _module_law_sides, dualize
 from .report import CheckReport
@@ -99,8 +99,7 @@ def _carrier_alg(over) -> FinAlgebra:
 
 
 def verify_module_law(M: FiniteModule, report: CheckReport):
-    _check_module_law(report, _carrier_alg(M.over), M.dim, M.action, M.action_side,
-                      "action")
+    _check_module_law(report, _carrier_alg(M.over), M.action, M.action_side, "action")
 
 
 def verify_doi_hopf(M: FiniteModule, context: DoiHopfContext) -> CheckReport:
@@ -263,17 +262,17 @@ def to_smash_module(M: FiniteModule, context: DoiHopfContext):
         raise VariantMismatch("the smash collapse starts from the right-left variant")
     A, C = context.comodule, context.coalgebra
     smash = generalized_smash(dualize(C), A)
-    out = FiniteModule(M.dim, smash, _smash_action(M.coaction, M.action, A.alg.dim),
+    out = FiniteModule(M.dim, smash, _smash_action(M.coaction, M.action),
                        "right", name=M.name)
     return out, smash
 
 
-def _smash_action(coaction: LinMap, action: LinMap, dB: int) -> LinMap:
+def _smash_action(coaction: LinMap, action: LinMap) -> LinMap:
     """The right action m.(f # b) = f(m_(-1)) m_(0).b of the smash
     product C* # B, made of a left C-coaction and a right B-action."""
     # the dual basis vector e^f only selects the coalgebra index f: m f m0
     # b b, acted on as m f b m0.b
-    t = coaction.as_tensor().outer(_identity(action.field, dB))
+    t = coaction.as_tensor().outer(_identity(action.field, action.src[1]))
     t = apply_linear_map(action, t, (2, 4), at=3)
     return LinMap.from_tensor(t.fuse([[0], [1, 2], [3]]), 2)
 
@@ -308,7 +307,7 @@ def rational_check(M: FiniteModule, context: DoiHopfContext,
     # m -> e_i (x) m.(e^i # 1), summed over the dual basis
     coaction = _curried(M.action, _identity(field, dC).outer(A.alg.unit).fuse([[0], [1, 2]]))
     b_action = _counit_action(M, context)
-    via_coaction = _smash_action(coaction, b_action, dB)
+    via_coaction = _smash_action(coaction, b_action)
 
     report = CheckReport("rationality %s" % (M.name or ""))
     # the acting leg of either action split into (f, b)
@@ -406,15 +405,15 @@ def adjunction_maps(M: FiniteModule, N: FiniteModule,
     def zeta(g):
         return apply_linear_map(C.counit, g.split(1, (dC, dN)), (1,))
 
-    hom_b = _module_hom_basis(M, N, A.alg)
+    hom_b = _module_hom_basis(M, N)
     roundtrip("unit-roundtrip", hom_b, xi, zeta)
     roundtrip("counit-roundtrip",
-              _module_hom_basis(M, induced_N, A.alg, colinear=True), zeta, xi)
+              _module_hom_basis(M, induced_N, colinear=True), zeta, xi)
     # naturality in M for the first Doi-Hopf endomorphism g of M:
     # xi(f g) = xi(f) g, which needs g to commute with every coalgebra
     # block of the coaction; precomposing with g maps the source leg m' of
     # a stack to m by the entries g(m)_m'
-    endos = _module_hom_basis(M, M, A.alg, colinear=True)
+    endos = _module_hom_basis(M, M, colinear=True)
     if endos is not None and hom_b is not None:
         g = LinMap.from_tensor(LinMap.from_tensor(endos, 1).column((0,)), 1)
 
@@ -428,7 +427,7 @@ def adjunction_maps(M: FiniteModule, N: FiniteModule,
     # target: Hom(C x M, N') against module maps M -> I into the inner hom
     # I = Hom(C x B, N') with the right action (h.b)(c x b') = h(c x bb')
     inner = _module_hom_basis(induce_doi_hopf(trivial_module(context), context),
-                              induced_N, A.alg, colinear=True)
+                              induced_N, colinear=True)
     if inner is None:
         raise ShapeMismatch("the inner hom is zero")
     k_inner = inner.dims[0]
@@ -443,7 +442,7 @@ def adjunction_maps(M: FiniteModule, N: FiniteModule,
         red, pivots = linalg.rref(field, [b + v for b, v in zip(inner_columns,
                                                                  vectors.to_matrix())])
         if len(pivots) != k_inner:
-            raise linalg.NotInvertible("a map leaves the inner hom")
+            raise NotInvertible("a map leaves the inner hom")
         return LinMap.from_matrix(field, vectors.src, (k_inner,),
                                   [row[k_inner:] for row in red])
 
@@ -469,15 +468,14 @@ def adjunction_maps(M: FiniteModule, N: FiniteModule,
         return apply_linear_map(at_unit, g, (1,)).fuse([[0], [1], [2, 3]])
 
     roundtrip("second-unit-roundtrip",
-              _module_hom_basis(induce_doi_hopf(M, context), induced_N, A.alg,
-                                colinear=True), xi_prime, zeta_prime)
-    roundtrip("second-counit-roundtrip", _module_hom_basis(M, inner_hom, A.alg),
+              _module_hom_basis(induce_doi_hopf(M, context), induced_N, colinear=True),
+              xi_prime, zeta_prime)
+    roundtrip("second-counit-roundtrip", _module_hom_basis(M, inner_hom),
               zeta_prime, xi_prime)
     return report
 
 
-def _module_hom_basis(M: FiniteModule, N: FiniteModule, alg: FinAlgebra,
-                      colinear: bool = False):
+def _module_hom_basis(M: FiniteModule, N: FiniteModule, colinear: bool = False):
     """Basis of module maps M -> N as one tensor, the basis index on the
     leading leg, then N, then M: entry (k, j, m) is the coefficient of n_j
     in f_k(m).  None when the space is zero.  With ``colinear`` the maps
@@ -557,7 +555,7 @@ def verify_coring_comodule(M: CoringComodule) -> CheckReport:
     report = CheckReport("coring comodule %s" % (M.name or ""))
 
     # M is a unital right module over the base ring, swept over (m, r, s)
-    unital, associative = _module_law_sides(X.R, M.dim, M.action, "right")
+    unital, associative = _module_law_sides(X.R, M.action, "right")
     report.sweep_all("action-associative", (M.dim, X.R.dim, X.R.dim),
                      *(switch_legs(t, (2, 0, 1, 3)) for t in associative))
     report.sweep_all("action-unital", (M.dim,), *unital)

@@ -30,9 +30,7 @@ from __future__ import annotations
 
 from math import gcd
 
-
-class NotInvertible(ValueError):
-    """Raised when an exact inverse or solution does not exist."""
+from .errors import NotInvertible
 
 
 def zeros(field, rows: int, cols: int):

@@ -125,14 +125,14 @@ def _reflected_actions(X, kind: str):
             (X.name + suffix) if X.name else "")
 
 
-def _module_law_sides(alg, dim, action, side):
-    """The sides of the laws of a ``side`` action of ``alg`` on a space of
-    dimension ``dim``, each with its items on the leading legs: the
-    unital law over every basis vector m, 1.m against m (m.1 on the
-    right), and the associative law over every (a, b, m), (e_a e_b).m
-    against e_a.(e_b.m) (m.(e_a e_b) against (m.e_a).e_b on the right)."""
+def _module_law_sides(alg, action, side):
+    """The sides of the laws of a ``side`` action of ``alg``, each with its
+    items on the leading legs: the unital law over every basis vector m,
+    1.m against m (m.1 on the right), and the associative law over every
+    (a, b, m), (e_a e_b).m against e_a.(e_b.m) (m.(e_a e_b) against
+    (m.e_a).e_b on the right)."""
     field, left = alg.field, side == "left"
-    ident = _identity(field, dim)
+    ident = _identity(field, action.dst[0])
 
     def act(t, x_leg, m_leg):
         # leg x_leg of a five-leg t acts on leg m_leg; the image goes last
@@ -150,18 +150,19 @@ def _module_law_sides(alg, dim, action, side):
     return (act_legwise(alg.unit, ident, [None, (action, left)]), ident), (acted, twice)
 
 
-def _check_module_law(report, alg, dim, action, side, prefix):
+def _check_module_law(report, alg, action, side, prefix):
     """"<prefix>-unital" and "<prefix>-associative" of a ``side`` action
     (see ``_module_law_sides``)."""
-    unital, associative = _module_law_sides(alg, dim, action, side)
+    unital, associative = _module_law_sides(alg, action, side)
+    dim = action.dst[0]
     report.sweep_all(prefix + "-unital", (dim,), *unital)
     report.sweep_all(prefix + "-associative", (alg.dim, alg.dim, dim), *associative)
 
 
-def _check_actions_commute(report, H, dim, left_action, right_action):
+def _check_actions_commute(report, H, left_action, right_action):
     """(h . c) . h2 = h . (c . h2) on every basis triple."""
     ident = _identity(H.field, H.dim)
-    report.sweep_all("actions-commute", (H.dim, dim, H.dim),
+    report.sweep_all("actions-commute", (H.dim, left_action.dst[0], H.dim),
                      apply_linear_map(right_action, left_action.as_tensor().outer(ident),
                                       (2, 4), at=3),
                      apply_linear_map(left_action, ident.outer(right_action.as_tensor()),
@@ -184,9 +185,9 @@ def verify_module_coalgebra(C: ModuleCoalgebra) -> CheckReport:
 
     actions = _actions(C)
     for side, action in actions:
-        _check_module_law(report, H.alg, C.dim, action, side, side + "-action")
+        _check_module_law(report, H.alg, action, side, side + "-action")
     if C.side == "bi":
-        _check_actions_commute(report, H, C.dim, C.left_action, C.right_action)
+        _check_actions_commute(report, H, C.left_action, C.right_action)
 
     # coassociativity up to the reassociator acting through the actions
     def coassoc(idx):
@@ -199,30 +200,25 @@ def verify_module_coalgebra(C: ModuleCoalgebra) -> CheckReport:
     # comultiplication and counit respect the actions: comult(h.c) against
     # h1.c1 (x) h2.c2 (c.h and c1.h1 (x) c2.h2 on the right), and
     # counit(h.c) against eps(h) counit(c), every (c, h) at once, the
-    # coalgebra index outermost; a left action's witness is then reversed
-    # to its source index (h, c)
+    # coalgebra index outermost; a left action's witness is its source
+    # index (h, c)
     sides = {}
     for side, action in actions:
         left = side == "left"
+        witness = (lambda item: item[::-1]) if left else tuple
         # legs c h h.c
         acted = switch_legs(action.as_tensor(), (1, 0, 2)) if left else action.as_tensor()
         # legs c c1 c2 h h1 h2; h1 acts on c1, then h2 on c2, images after h
         split = C.comult.as_tensor().outer(H.comult.as_tensor())
         for _ in range(2):
             split = apply_linear_map(action, split, (4, 1) if left else (1, 4), at=3)
-        sides["comult", side] = apply_linear_map(C.comult, acted, (2,)), split
-        sides["counit", side] = (apply_linear_map(C.counit, acted, (2,)),
+        sides["comult", side] = witness, apply_linear_map(C.comult, acted, (2,)), split
+        sides["counit", side] = (witness, apply_linear_map(C.counit, acted, (2,)),
                                  C.counit.as_tensor().outer(H.counit.as_tensor()))
     for law in ("comult", "counit"):
         for side, _ in actions:
-            record = report.sweep_all("%s-action-compat-%s" % (law, side), (C.dim, H.dim),
-                                      *sides[law, side])
-            if record.passed:
-                continue
-            if side == "left":
-                record.witness = record.witness[::-1]
-            if law == "counit":
-                record.lhs, record.rhs = record.lhs.get(()), record.rhs.get(())
+            report.sweep_sides("%s-action-compat-%s" % (law, side), (C.dim, H.dim),
+                               [sides[law, side]])
     return report
 
 
@@ -248,9 +244,9 @@ def verify_module_algebra(A: ModuleAlgebra) -> CheckReport:
 
     actions = _actions(A)
     for side, action in actions:
-        _check_module_law(report, H.alg, alg.dim, action, side, side + "-action")
+        _check_module_law(report, H.alg, action, side, side + "-action")
     if A.side == "bi":
-        _check_actions_commute(report, H, alg.dim, A.left_action, A.right_action)
+        _check_actions_commute(report, H, A.left_action, A.right_action)
 
     # associativity up to the reassociator through the actions
     def reassoc_assoc(triple):
@@ -280,15 +276,13 @@ def verify_module_algebra(A: ModuleAlgebra) -> CheckReport:
         report.sweep_all("action-distributive-" + side, (H.dim, alg.dim, alg.dim), acted,
                          apply_linear_map(alg.mult, split, (3, 4)))
 
-    # the unit absorbs the action through the counit
-    def counit_unit(item):
-        h, side = item
-        acted = act_legwise(Tensor.basis(field, (H.dim,), (h,)), alg.unit,
-                            [(dict(actions)[side], side == "left")])
-        return acted, alg.unit.scale(H.counit_scalar(h))
-
-    report.sweep("action-counit-unit",
-                 [(h, side) for h in range(H.dim) for side, _ in actions], counit_unit)
+    # the unit absorbs the action through the counit: h.1 (1.h on the
+    # right) against eps(h) 1, every h at once
+    units = _identity(field, H.dim).outer(alg.unit)
+    report.sweep_sides("action-counit-unit", (H.dim,), [
+        (lambda item, side=side: item + (side,),
+         apply_linear_map(action, units, (1, 2) if side == "left" else (2, 1)),
+         H.counit.as_tensor().outer(alg.unit)) for side, action in actions])
     return report
 
 

@@ -8,6 +8,13 @@ from .errors import ShapeMismatch
 from .tensor import LinMap
 
 
+def _slice(t, item):
+    """The tensor over the legs of ``t`` after the leading ``item``, or
+    its scalar when no leg remains."""
+    out = LinMap.from_tensor(t, len(item)).column(item)
+    return out if out.dims else out.get(())
+
+
 class CheckRecord:
     """One check's verdict; a failure carries its witness and both sides
     there.  A record with ``fatal`` false is advisory: it does not decide
@@ -94,18 +101,34 @@ class CheckReport:
         """``sweep`` with every item at once: ``lhs`` and ``rhs`` carry the
         item index on their first legs, whose dims are ``lead``.  The first
         item in row-major order where the sides differ is the witness, and
-        the two slices at that item, tensors over the remaining legs, are
-        the recorded sides: the record ``sweep`` makes from the slices."""
+        the two slices at that item are the recorded sides: the record
+        ``sweep`` makes from the slices.  The one-side case of
+        ``sweep_sides``."""
+        return self.sweep_sides(check_id, lead, [(tuple, lhs, rhs)])
+
+    def sweep_sides(self, check_id, lead, sides) -> CheckRecord:
+        """One record for several ``(witness, lhs, rhs)`` sides over the
+        same items, each side as ``sweep_all`` takes it.  The record is
+        made at the first item in row-major order where any side differs,
+        by the first side in ``sides`` that differs there: the witness is
+        that side's ``witness(item)``, and the recorded sides are its two
+        slices at the item, tensors over the remaining legs, or scalars
+        where no leg remains."""
         n = len(lead)
-        if lhs.dims[:n] != tuple(lead) or rhs.dims != lhs.dims:
-            raise ShapeMismatch("sides of dims %r and %r for items of dims %r"
-                                % (lhs.dims, rhs.dims, lead))
-        if lhs == rhs:
+        first = None
+        for witness, lhs, rhs in sides:
+            if lhs.dims[:n] != tuple(lead) or rhs.dims != lhs.dims:
+                raise ShapeMismatch("sides of dims %r and %r for items of dims %r"
+                                    % (lhs.dims, rhs.dims, lead))
+            if lhs != rhs:
+                item = lhs.first_difference(rhs)[:n]
+                if first is None or item < first[0]:
+                    first = item, witness, lhs, rhs
+        if first is None:
             self.add(check_id, True)
         else:
-            item = lhs.first_difference(rhs)[:n]
-            self.add(check_id, False, item, LinMap.from_tensor(lhs, n).column(item),
-                     LinMap.from_tensor(rhs, n).column(item))
+            item, witness, lhs, rhs = first
+            self.add(check_id, False, witness(item), _slice(lhs, item), _slice(rhs, item))
         return self.records[-1]
 
     def extend(self, other: "CheckReport", prefix: str = ""):

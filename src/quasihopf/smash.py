@@ -65,15 +65,13 @@ def verify_product_algebra(P: ProductAlgebra) -> CheckReport:
     witness = alg.associativity_witness()
     report.add("associative", witness is None, witness=witness)
 
-    def unit_law(item):
-        side, i = item
-        e = Tensor.basis(field, (alg.dim,), (i,))
-        if side == "left":
-            return alg.product(alg.unit, e), e
-        return alg.product(e, alg.unit), e
-
-    report.sweep("unit-two-sided", [(side, i) for i in range(alg.dim)
-                                    for side in ("left", "right")], unit_law)
+    # 1 e_i and e_i 1 against e_i, every i at once
+    ident = _identity(field, alg.dim)
+    spaces = (alg, alg)
+    report.sweep_sides("unit-two-sided", (alg.dim,), [
+        (lambda item: ("left",) + item, multiply(spaces, alg.unit, ident, x_legs=(1,)), ident),
+        (lambda item: ("right",) + item, multiply(spaces, ident, alg.unit, y_legs=(1,)),
+         ident)])
 
     if P.sub_embedding is not None and P.sub_alg is not None:
         sub, emb = P.sub_alg, P.sub_embedding
@@ -84,9 +82,10 @@ def verify_product_algebra(P: ProductAlgebra) -> CheckReport:
     return report
 
 
-def _product_from_pairs(field, d1, d2, mult_fn, peel, unit: Tensor, provenance,
+def _product_from_pairs(mult_fn, peel, unit: Tensor, provenance,
                         sub_embedding=None, sub_alg=None) -> ProductAlgebra:
-    """Assemble the fused product algebra.  ``peel`` is (slot, alg, side):
+    """Assemble the fused product algebra on the legs of ``unit``, the
+    unit of the two factors.  ``peel`` is (slot, alg, side):
     in (i1, j1)(i2, j2), the basis element at ``slot`` of the 4-tuple
     enters only by the last multiplication, from ``side``, on carrier leg
     slot % 2, of algebra ``alg``.  ``mult_fn`` takes the other three
@@ -94,6 +93,7 @@ def _product_from_pairs(field, d1, d2, mult_fn, peel, unit: Tensor, provenance,
     in from the structure constants of ``alg`` for all its indices at
     once, which needs ``alg`` associative (a comodule-algebra carrier)."""
     slot, alg, side = peel
+    field, (d1, d2) = unit.field, unit.dims
     witness = alg.associativity_witness()
     if witness is not None:
         raise ShapeMismatch("structure constants not associative at %r" % (witness,))
@@ -144,7 +144,6 @@ def generalized_smash(A: ModuleAlgebra, B: ComoduleAlgebra) -> ProductAlgebra:
     if A.side != "left" or B.side != "left":
         raise ShapeMismatch("needs a left module algebra and a left comodule algebra")
     shared_base(A, B)
-    field = A.field
     act = A.left_action
 
     @functools.cache
@@ -164,7 +163,7 @@ def generalized_smash(A: ModuleAlgebra, B: ComoduleAlgebra) -> ProductAlgebra:
 
     unit = A.alg.unit.outer(B.alg.unit)
     emb = _unit_embedding(B.alg, A.alg, first=False)
-    return _product_from_pairs(field, A.alg.dim, B.alg.dim, mult_fn, (3, B.alg, "right"), unit,
+    return _product_from_pairs(mult_fn, (3, B.alg, "right"), unit,
                                "smash(%s,%s)" % (A.name or "A", B.name or "B"),
                                sub_embedding=emb, sub_alg=B.alg)
 
@@ -187,7 +186,6 @@ def stgsm_product(A: ComoduleAlgebra, C: ModuleCoalgebra) -> ProductAlgebra:
     if A.side != "right" or C.side != "right":
         raise ShapeMismatch("needs a right comodule algebra and a right module coalgebra")
     shared_base(A, C)
-    field = A.field
     D = dualize(C)
     dual, act = D.alg.opposite(), D.left_action    # the flipped convolution
 
@@ -203,8 +201,7 @@ def stgsm_product(A: ComoduleAlgebra, C: ModuleCoalgebra) -> ProductAlgebra:
         e = e.merge(0, 2)                 # XA u20, then u on the right
         return e.perm((1, 0)).t
 
-    return _product_from_pairs(field, C.dim, A.alg.dim, mult_fn, (1, A.alg, "right"),
-                               dual.unit.outer(A.alg.unit),
+    return _product_from_pairs(mult_fn, (1, A.alg, "right"), dual.unit.outer(A.alg.unit),
                                "stgsm(%s,%s)" % (A.name or "A", C.name or "C"))
 
 
@@ -214,8 +211,7 @@ def koppinen_smash(C: ModuleCoalgebra, B: ComoduleAlgebra) -> ProductAlgebra:
     if C.side != "right" or B.side != "left":
         raise ShapeMismatch("needs a right module coalgebra and a left comodule algebra")
     shared_base(C, B)
-    field = C.field
-    dC, dB = C.dim, B.alg.dim
+    field, dC = C.field, C.dim
 
     # <e^f, .>: the entries at index f of a coalgebra leg
     evals = [LinMap(field, (dC,), (), {(f,): {(): field.one}}) for f in range(dC)]
@@ -234,7 +230,7 @@ def koppinen_smash(C: ModuleCoalgebra, B: ComoduleAlgebra) -> ProductAlgebra:
         return e.merge(1, 2).t            # m, xB bj0, then bl on the right
 
     full_unit = C.counit.as_tensor().outer(B.alg.unit)
-    return _product_from_pairs(field, dC, dB, mult_fn, (3, B.alg, "right"), full_unit,
+    return _product_from_pairs(mult_fn, (3, B.alg, "right"), full_unit,
                                "koppinen(%s,%s)" % (C.name or "C", B.name or "B"))
 
 
@@ -409,19 +405,20 @@ def diagonal_crossed_product(A: BicomoduleAlgebra, M: ModuleAlgebra,
     shared_base(A, M)
     side, order = kind.split("-")
     if side == "right":
-        return _diagonal_product(A, M, build_omega(A, order))
+        return _diagonal_product(M, build_omega(A, order))
     A_mirror = bicomodule_variant(A, "opcop")
-    native = _diagonal_product(A_mirror, M.reflect("opcop"),
+    native = _diagonal_product(M.reflect("opcop"),
                                build_omega(A_mirror, "r" if order == "l" else "l"))
     return _mirror(native, "diagonal-left-%s(%s,%s)" % (order, A.name or "A", M.name or "M"),
                    A.alg)
 
 
-def _diagonal_product(A: BicomoduleAlgebra, M: ModuleAlgebra,
-                      data: OmegaData) -> ProductAlgebra:
+def _diagonal_product(M: ModuleAlgebra, data: OmegaData) -> ProductAlgebra:
     """The right diagonal crossed product from exchange data already
-    built for its coaction order."""
-    H, field = A.H, A.field
+    built for its coaction order, over the bicomodule algebra of the
+    data."""
+    A = data.A
+    H = A.H
     order = data.kind
     S_inv = H.antipode_inv
     om = El((H.alg, H.alg, A.alg, H.alg, H.alg), data.omega_right)
@@ -450,7 +447,7 @@ def _diagonal_product(A: BicomoduleAlgebra, M: ModuleAlgebra,
         e = e.merge(1, 2)                 # product in M
         return e.t                        # u on the left of u2O3
 
-    return _product_from_pairs(field, A.alg.dim, M.alg.dim, mult_fn, (0, A.alg, "left"),
+    return _product_from_pairs(mult_fn, (0, A.alg, "left"),
                                A.alg.unit.outer(M.alg.unit), "diagonal-right-%s(%s,%s)" % (
                                    order, A.name or "A", M.name or "M"),
                                sub_embedding=_unit_embedding(A.alg, M.alg, True),
@@ -476,7 +473,7 @@ def check_prop_3_10(A: BicomoduleAlgebra, C: ModuleCoalgebra) -> CheckReport:
     # dim 64 each table holds 262144 entries
     for tag, one_sided, data in (("first", first, data_l), ("second", second, data_r)):
         lhs = right_generalized_smash(one_sided, dual_over_square)
-        rhs = _diagonal_product(A, dual_bi, data)
+        rhs = _diagonal_product(dual_bi, data)
         report.sweep_all("tables-equal-" + tag, (lhs.dim,) * 2,
                          lhs.carrier.mult.as_tensor(), rhs.carrier.mult.as_tensor())
         report.compare("units-equal-" + tag, lhs.carrier.unit, rhs.carrier.unit)

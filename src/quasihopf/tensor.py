@@ -408,14 +408,11 @@ class LinMap:
         try:
             linalg.invert(self.field, self.to_matrix())
             return True
-        except linalg.NotInvertible:
+        except NotInvertible:
             return False
 
     def inverse(self) -> "LinMap":
-        try:
-            inv = linalg.invert(self.field, self.to_matrix())
-        except linalg.NotInvertible as exc:
-            raise NotInvertible(str(exc)) from exc
+        inv = linalg.invert(self.field, self.to_matrix())
         return LinMap.from_matrix(self.field, self.dst, self.src, inv)
 
     def __repr__(self):
@@ -935,7 +932,7 @@ def invert_element(spaces, x: Tensor) -> Tensor:
     unit_vec = unit_tensor(spaces).to_flat()
     try:
         sol = linalg.solve(field, lmat, unit_vec)
-    except linalg.NotInvertible as exc:
+    except NotInvertible as exc:
         raise NotInvertible("element has no right inverse") from exc
     u = Tensor.from_flat(field, dims, sol)
     if multiply(spaces, u, x) != unit_tensor(spaces):

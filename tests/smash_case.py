@@ -177,8 +177,8 @@ def reference_diagonal_product_by_triple(A, M, data) -> ProductAlgebra:
         e = e.merge(1, 2)                 # product in M
         return e.t                        # u on the left of u2O3
 
-    return _product_from_pairs(A.field, A.alg.dim, M.alg.dim, mult_fn, (0, A.alg, "left"),
-                               A.alg.unit.outer(M.alg.unit), "diagonal-right-%s(%s,%s)" % (
-                                   order, A.name or "A", M.name or "M"),
+    return _product_from_pairs(mult_fn, (0, A.alg, "left"), A.alg.unit.outer(M.alg.unit),
+                               "diagonal-right-%s(%s,%s)" % (order, A.name or "A",
+                                                             M.name or "M"),
                                sub_embedding=_unit_embedding(A.alg, M.alg, True),
                                sub_alg=A.alg)

@@ -4,9 +4,10 @@ Each check below was a ``CheckReport.sweep`` over basis tuples, with
 the two sides built per item from the inputs' structure maps, and for
 some checks multiplied by a reassociator or a canonical element; the
 library now builds each side once for all items, with the item on the
-leading legs, and records it through ``CheckReport.sweep_all``.  These
-are the per-item forms, one function per shape of check, each adding
-the record that the per-item sweep makes to ``report``.
+leading legs, and records it through ``CheckReport.sweep_all``, or
+through ``CheckReport.sweep_sides`` when its items are tagged with a
+side.  These are the per-item forms, one function per shape of check,
+each adding the record that the per-item sweep makes to ``report``.
 """
 
 from quasihopf.tensor import El, Tensor, act_legwise, all_indices, apply_linear_map
@@ -251,3 +252,65 @@ def reference_distributive(report, A):
         if action is not None:
             report.sweep("action-distributive-" + side,
                          all_indices((H.dim, alg.dim, alg.dim)), distributes(side, action))
+
+
+def reference_unit_two_sided(report, alg):
+    """A product algebra's "unit-two-sided": 1 e_i then e_i 1 against e_i,
+    over the side-tagged items ("left", i) and ("right", i), i outermost."""
+    def unit_law(item):
+        side, i = item
+        e = Tensor.basis(alg.field, (alg.dim,), (i,))
+        if side == "left":
+            return alg.product(alg.unit, e), e
+        return alg.product(e, alg.unit), e
+
+    report.sweep("unit-two-sided", [(side, i) for i in range(alg.dim)
+                                    for side in ("left", "right")], unit_law)
+
+
+def reference_action_counit_unit(report, A):
+    """A module algebra's "action-counit-unit": h acting on the unit
+    against eps(h) 1, over the items (h, side), h outermost."""
+    H, alg = A.H, A.alg
+    actions = [(side, action) for side, action in (("left", A.left_action),
+                                                   ("right", A.right_action))
+               if action is not None]
+
+    def counit_unit(item):
+        h, side = item
+        acted = act_legwise(Tensor.basis(A.field, (H.dim,), (h,)), alg.unit,
+                            [(dict(actions)[side], side == "left")])
+        return acted, alg.unit.scale(H.counit_scalar(h))
+
+    report.sweep("action-counit-unit",
+                 [(h, side) for h in range(H.dim) for side, _ in actions], counit_unit)
+
+
+def reference_coring_counit(report, X):
+    """A coring's "counit-bilinear" over the items (side, r, c), then its
+    "counit-law" over the items (side, c), the side innermost."""
+    R = X.R
+
+    def basis(c):
+        return Tensor.basis(X.field, (X.dim,), (c,))
+
+    def counit_bilinear(item):
+        side, r, c = item
+        if side == "left":
+            return (apply_linear_map(X.counit, X.act_left(r, basis(c)), (0,)),
+                    R.product(Tensor.basis(X.field, (R.dim,), (r,)), X.counit.column((c,))))
+        return (apply_linear_map(X.counit, X.act_right(basis(c), r), (0,)),
+                R.product(X.counit.column((c,)), Tensor.basis(X.field, (R.dim,), (r,))))
+
+    report.sweep("counit-bilinear", [(side, r, c) for r in range(R.dim) for c in range(X.dim)
+                                     for side in ("left", "right")], counit_bilinear)
+
+    def counit_law(item):
+        side, c = item
+        left = side == "left"
+        acted = apply_linear_map(X.counit, X.comult.column((c,)), (0,) if left else (1,))
+        action = X.left_action if left else X.right_action
+        return apply_linear_map(action, acted, (0, 1)), basis(c)
+
+    report.sweep("counit-law", [(side, c) for c in range(X.dim)
+                                for side in ("left", "right")], counit_law)

@@ -112,6 +112,75 @@ def test_removed_defaults_stay_removed():
         == {fn: [] for fn in NO_DEFAULT}
 
 
+# parameters a private helper never read, or could read off another
+# argument: the action's target dimension, the unit's legs, the square
+# cached on the base, the base of the values it writes
+REMOVED_PARAMETERS = {
+    "doihopf._module_hom_basis": ("alg",),
+    "comodule._check_algebra_map": ("dst_spaces",),
+    "modcoalg._module_law_sides": ("dim",),
+    "modcoalg._check_module_law": ("dim",),
+    "modcoalg._check_actions_commute": ("dim",),
+    "doihopf._smash_action": ("dB",),
+    "smash._product_from_pairs": ("field", "d1", "d2"),
+    "smash._diagonal_product": ("A",),
+    "comodule._swap_square_factors": ("base",),
+    "cli._two_sided_inverse": ("spaces",),
+    "cli._emit_over_base": ("base",),
+}
+
+
+def test_removed_parameters_stay_removed():
+    params = {}
+    for module, tree in package_trees():
+        for scope, node in scoped_nodes(tree, module):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                params[scope + "." + node.name] = {
+                    a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    assert sum(len(names) for names in REMOVED_PARAMETERS.values()) == 13
+    assert {fn: sorted(params[fn] & set(names)) for fn, names in REMOVED_PARAMETERS.items()} \
+        == {fn: [] for fn in REMOVED_PARAMETERS}
+
+
+def test_per_item_sweeps_are_the_pinned_checks():
+    # per-item CheckReport.sweep stays for the act_legwise pipelines and
+    # the coring normal forms; every other check is one contraction
+    calls = sorted((scope, node.args[0].value) for module, tree in package_trees()
+                   for scope, node in scoped_nodes(tree, module)
+                   if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "sweep")
+    assert calls == [
+        ("coring.verify_coring", "coassociative"),
+        ("coring.verify_coring", "comult-bilinear"),
+        ("doihopf.verify_coring_comodule", "coaction-linear"),
+        ("doihopf.verify_coring_comodule", "coassociative"),
+        ("doihopf.verify_doi_hopf", "action-coaction-compat"),
+        ("doihopf.verify_doi_hopf", "coassoc-upto-reassoc"),
+        ("modcoalg.verify_module_algebra", "assoc-upto-reassoc"),
+        ("modcoalg.verify_module_coalgebra", "coassoc-upto-reassoc"),
+        ("yd.verify_yd", "crossed-compat"),
+        ("yd.verify_yd", "mixed-coassoc"),
+    ]
+
+
+def test_only_the_report_shapes_a_record():
+    # a record is made whole by CheckReport; no caller patches its
+    # witness or sides afterwards, or scans for a witness of its own
+    patched = ["%s:%d" % (scope, node.lineno) for module, tree in package_trees()
+               if module != "report"
+               for scope, node in scoped_nodes(tree, module)
+               if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+               for part in ast.walk(target)
+               if isinstance(part, ast.Attribute) and part.attr in ("witness", "lhs", "rhs")]
+    assert patched == []
+    scanned = [scope for module, tree in package_trees()
+               for scope, node in scoped_nodes(tree, module)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "first_difference"]
+    assert "hopf._counit_comult_record" not in scanned
+
+
 def raising_scopes(name):
     """The scopes of every ``raise name(...)`` in the package."""
     return [scope for module, tree in package_trees()
@@ -417,6 +486,17 @@ def test_inputs_over_different_bases_are_a_typed_error(tmp_path, capsys, argv):
     capsys.readouterr()
     assert run([paths.get(word, word) for word in argv.split()]) == 1
     assert capsys.readouterr().err == "error: inputs are built over different bases\n"
+
+
+def test_gauge_over_a_different_base_is_a_typed_error(tmp_path, capsys):
+    # h2 (x) h2 and Sweedler's algebra are both 4-dimensional
+    d = str(tmp_path)
+    write_sweedler_gauge(d, "q")
+    path = os.path.join(d, "hh" + io.SUFFIX)
+    io.emit_value(hopf.tensor_qha(h2(QQ), h2(QQ)), path)
+    capsys.readouterr()
+    assert run(["twist", path, "--gauge", os.path.join(d, "g" + io.SUFFIX)]) == 1
+    assert capsys.readouterr().err == "error: gauge lives over a different structure\n"
 
 
 @pytest.mark.parametrize("companions", [[1], "h2", 5])

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from quasihopf import linalg
-from quasihopf.errors import GaugeNotNormalized, NotInvertible
+from quasihopf.errors import GaugeNotNormalized, NotInvertible, ShapeMismatch
 from quasihopf.fields import QQ
 from quasihopf.fixtures import h2, kz2
 from quasihopf.hopf import (El, GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra,
                             drinfeld_twist, gauge_product, gauge_twist,
-                            normalize_antipode, op_tensor, tensor_op,
+                            normalize_antipode, op_tensor, tensor_op, tensor_qha,
                             variant, verify_quasi_bialgebra,
                             verify_quasi_hopf)
 from quasihopf.tensor import (FinAlgebra, LinMap, Tensor, all_indices, apply_linear_map,
@@ -518,3 +518,15 @@ def test_quasi_coassoc_oracle_on_twisted_sweedler(field):
     h2 = El.basis((broken.alg,), record.witness[:1]).map(broken.comult, 0)
     assert record.lhs == h2.map(broken.comult, 1).t
     assert record.rhs == h2.map(broken.comult, 0).t
+
+
+def test_gauge_over_a_different_base_of_the_same_dimension_is_refused(field):
+    # h2 (x) h2 and Sweedler's algebra are both 4-dimensional, but their
+    # products differ, so a gauge over one cannot twist the other
+    H = h2(field)
+    with pytest.raises(ShapeMismatch, match="gauge lives over a different structure"):
+        gauge_twist(tensor_qha(H, H), seeded_gauge(sweedler(field), 1))
+    # kz2 shares h2's algebra and counit, so its gauges twist h2
+    K = kz2(field)
+    assert verify_quasi_hopf(gauge_twist(H, seeded_gauge(K, 3))).passed
+    assert verify_quasi_hopf(gauge_twist(H, drinfeld_twist(K))).passed

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasihopf import linalg
+from quasihopf import errors, linalg
 from quasihopf.fields import QQ, FpElement, PrimeField
 
 from linalg_case import (reference_in_span, reference_invert, reference_nullspace,
@@ -173,3 +173,11 @@ def test_q_linalg_does_no_fraction_arithmetic(monkeypatch):
     monkeypatch.undo()
     assert used == []
     assert got == want
+
+
+def test_not_invertible_is_the_package_error():
+    # a singular solve reaches the command line as "error: ...", not a traceback
+    assert linalg.NotInvertible is errors.NotInvertible
+    assert issubclass(linalg.NotInvertible, errors.QuasiHopfError)
+    with pytest.raises(errors.NotInvertible, match="singular matrix"):
+        linalg.invert(FP, [[FP.one, FP.one], [FP.one, FP.one]])

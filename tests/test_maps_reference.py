@@ -168,7 +168,7 @@ def test_module_hom_conditions_are_the_per_basis_rows(name, monkeypatch):
              (M_lr, M_lr, w.right.alg, True)]      # a right coaction
     for M, N, alg, colinear in cases:
         seen = nullspace_inputs(monkeypatch)
-        _module_hom_basis(M, N, alg, colinear)
+        _module_hom_basis(M, N, colinear)
         assert seen == [ref.module_hom_rows(M, N, alg, colinear)]
 
 

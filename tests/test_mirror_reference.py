@@ -113,7 +113,7 @@ def mirrored_diagonal(A, M, kind, order):
     """The mirror of the right product of coaction order ``order`` over
     the ``kind`` reflections of A and M, named as left-l."""
     A_mirror = bicomodule_variant(A, kind)
-    native = smash._diagonal_product(A_mirror, M.reflect(kind), build_omega(A_mirror, order))
+    native = smash._diagonal_product(M.reflect(kind), build_omega(A_mirror, order))
     return smash._mirror(native, "diagonal-left-l(%s,%s)" % (A.name or "A", M.name or "M"),
                          A.alg)
 
@@ -131,7 +131,7 @@ def reflected_realization(A, kind, k):
     ``kind`` reflection of A, moved onto H (x) H^op and named lam1."""
     mirror = bicomodule_variant(A, kind)
     X = comodule_variant(right_realization(mirror, k), kind)
-    return comodule._swap_square_factors(X, A, tensor_op(A.H), ":lam1")
+    return comodule._swap_square_factors(X, A, ":lam1")
 
 
 def test_left_realization_pairing_is_unique():

@@ -15,6 +15,14 @@ regular one-sided module coalgebras of every base, with seeded mutants
 of their own maps and over seeded mutants of the base's
 comultiplication and counit.
 
+The checks whose items are tagged with a side run through
+``CheckReport.sweep_sides``: the product algebra's ``unit-two-sided``
+over seeded mutants of the carrier's product and unit, the module
+algebra's ``action-counit-unit`` over the duals of the module coalgebras
+above, and the coring's ``counit-bilinear`` and ``counit-law`` over the
+BC, CA and YD corings with seeded mutants of their counit,
+comultiplication and actions.
+
 Neither the README pipeline nor the verifiers of the mutation-sweep
 benchmark workload may run any of these checks through the per-item
 ``CheckReport.sweep``.
@@ -27,6 +35,7 @@ from collections import Counter
 import pytest
 
 from quasihopf import cli, comodule, doihopf, smash, tensor
+from quasihopf.coring import Coring, build_coring, verify_coring
 from quasihopf.comodule import (BicomoduleAlgebra, ComoduleAlgebra, canonical_elements,
                                 internal_coalgebra, right_realization,
                                 verify_bicomodule_algebra, verify_comodule_algebra)
@@ -49,13 +58,15 @@ from quasihopf.tensor import (FinAlgebra, LinMap, Tensor, _identity, all_indices
                               apply_linear_map, multiply)
 from quasihopf.yd import YetterDrinfeldContext, induce_yd, verify_yd
 
-from sweep_case import (reference_action_compat, reference_actions_commute,
-                        reference_coaction_counit, reference_coaction_quasi_coassoc,
+from sweep_case import (reference_action_compat, reference_action_counit_unit,
+                        reference_actions_commute, reference_coaction_counit,
+                        reference_coaction_quasi_coassoc, reference_coring_counit,
                         reference_coring_counit_law, reference_coring_module_law,
                         reference_counit_comult, reference_distributive,
                         reference_mixed_intertwine, reference_module_law,
                         reference_multiplicative, reference_rational,
-                        reference_same_coaction, reference_slides, reference_tables_equal)
+                        reference_same_coaction, reference_slides, reference_tables_equal,
+                        reference_unit_two_sided)
 from test_cli import readme_commands, run
 from test_closed_inverses import CASES, xx_gauge
 from test_hopf import sweedler
@@ -343,7 +354,7 @@ def test_rational_records():
         for M in variants:
             coaction = doihopf._curried(M.action, _identity(M.field, dC).outer(
                 B.alg.unit).fuse([[0], [1, 2]]))
-            via = doihopf._smash_action(coaction, doihopf._counit_action(M, ctx), dB)
+            via = doihopf._smash_action(coaction, doihopf._counit_action(M, ctx))
             want = reference(reference_rational, M.action, via, dC, dB)
             try:
                 _, report = rational_check(M, ctx, product)
@@ -500,6 +511,65 @@ def test_module_algebra_distributive_records():
     failures.require(ids)
 
 
+def test_module_algebra_counit_unit_records():
+    failures = Failures()
+    ids = ("action-counit-unit",)
+    for name, H in bases():
+        for C in module_coalgebras(H, random.Random(name)):
+            A = dualize(C)
+            failures.match(records(verify_module_algebra(A), ids),
+                           reference(reference_action_counit_unit, A), name)
+    failures.require(ids)
+
+
+def test_product_algebra_unit_records():
+    # seeded mutants of the carrier's product and of its unit
+    failures = Failures()
+    ids = ("unit-two-sided",)
+    for name, H in bases():
+        rng = random.Random(name)
+        P = generalized_smash(dualize(right_regular(H)), regular_comodule_algebra(H, "left"))
+        alg = P.carrier
+        carriers = [alg] + [bumped_alg(alg, rng) for _ in range(3)] + [
+            FinAlgebra(alg.field, alg.dim, alg.mult, bumped_tensor(alg.unit, rng),
+                       name=alg.name, validate=False) for _ in range(3)]
+        for carrier in carriers:
+            Q = ProductAlgebra(carrier, P.factor_dims, P.provenance, P.sub_embedding, P.sub_alg)
+            failures.match(records(verify_product_algebra(Q), ids),
+                           reference(reference_unit_two_sided, carrier), name)
+    failures.require(ids)
+
+
+def corings(name, H):
+    """The BC and CA corings of H's regular structures, and the YD coring
+    of the regular bicomodule algebra over the 2-dim bases."""
+    yield build_coring("BC", B=regular_comodule_algebra(H, "left"), C=right_regular(H))
+    yield build_coring("CA", A=regular_comodule_algebra(H, "right"), C=left_regular(H))
+    if H.dim == 2:
+        yield build_coring("YD", A=bicomodules()[name], C=h2_bimodule_coalgebra(H.field, H))
+
+
+def test_coring_counit_records():
+    # seeded mutants of the counit, of the comultiplication and of the
+    # action that the carrier's freeness does not read
+    failures = Failures()
+    ids = ("counit-bilinear", "counit-law")
+    for name, H in bases():
+        rng = random.Random(name)
+        for X in corings(name, H):
+            parts = ("left_action", "right_action", "comult", "counit")
+            free_action = "right_action" if "left" in X._free else "left_action"
+            variants = [X]
+            for attr in ("counit", "counit", "comult", free_action, free_action):
+                maps = {m: getattr(X, m) for m in parts}
+                maps[attr] = bumped(maps[attr], rng)
+                variants.append(Coring(X.R, X.dim, *(maps[m] for m in parts), name=X.name))
+            for Y in variants:
+                failures.match(records(verify_coring(Y), ids),
+                               reference(reference_coring_counit, Y), name)
+    failures.require(ids)
+
+
 def test_module_coalgebra_counit_comult_fails_at_the_first_item_of_either_side():
     # over twisted Sweedler eps(e_2) = 0 != eps(e_1): bumping Delta(e_0) at
     # (2, 1) breaks only the right counit law at e_0, bumping Delta(e_1) at
@@ -545,8 +615,7 @@ def test_comult_action_compat_left_witness_is_the_action_source_index():
     assert seen
 
 
-# the checks that run as one contraction, by id; the coring comodule's
-# "counit-law" shares its id with a coring record that stays per item
+# the checks that run as one contraction, by id
 MOVED = {"coaction-multiplicative", "subalgebra-multiplicative", "multiplicative",
          "tables-equal-first", "tables-equal-second", "coaction-counit", "rational",
          "roundtrip-coaction", "roundtrip-coaction-other-way", "coaction-recovered",
@@ -554,7 +623,8 @@ MOVED = {"coaction-multiplicative", "subalgebra-multiplicative", "multiplicative
          "coaction-slides-through-q", "mixed-intertwine", "counit-comult",
          "action-distributive-left", "action-distributive-right", "unit-roundtrip",
          "counit-roundtrip", "naturality", "second-unit-roundtrip",
-         "second-counit-roundtrip"} | set(COMPAT) | {
+         "second-counit-roundtrip", "unit-two-sided", "action-counit-unit",
+         "counit-bilinear", "counit-law"} | set(COMPAT) | {
              prefix + "action-" + law for prefix in ("", "left-", "right-")
              for law in ("unital", "associative")}
 
@@ -574,9 +644,7 @@ def swept(monkeypatch):
 
 
 def moved_checks(calls):
-    return [(subject, check_id) for subject, check_id in calls
-            if check_id in MOVED or (check_id == "counit-law"
-                                     and subject.startswith("coring comodule"))]
+    return [(subject, check_id) for subject, check_id in calls if check_id in MOVED]
 
 
 @pytest.mark.parametrize("field_tag", ["q", "fp:10007"])
@@ -589,7 +657,7 @@ def test_readme_pipeline_sweeps_no_moved_check_per_item(tmp_path, monkeypatch, s
         run(argv)
     assert moved_checks(swept) == []
     # the spy sees the checks that stay per item
-    assert {"unit-two-sided", "coassoc-upto-reassoc"} <= {c for _, c in swept}
+    assert {"comult-bilinear", "coassoc-upto-reassoc"} <= {c for _, c in swept}
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["q", "fp10007"])
