@@ -170,9 +170,10 @@ def verify_coring(X: Coring) -> CheckReport:
     # actions, every c at once: legs c (r b) on the left, c (a r) on the right
     comult, ident = X.comult.as_tensor(), _identity(field, X.dim)
     report.sweep_sides("counit-law", (X.dim,), [
-        (lambda item, side=side: (side,) + item,
-         apply_linear_map(action, apply_linear_map(X.counit, comult, (leg,)), (1, 2)), ident)
-        for side, leg, action in (("left", 1, X.left_action), ("right", 2, X.right_action))])
+        (lambda item: ("left",) + item, apply_linear_map(
+            X.left_action, apply_linear_map(X.counit, comult, (1,)), (1, 2)), ident),
+        (lambda item: ("right",) + item, apply_linear_map(
+            X.right_action, apply_linear_map(X.counit, comult, (2,)), (1, 2)), ident)])
     return report
 
 

@@ -279,9 +279,9 @@ def verify_module_algebra(A: ModuleAlgebra) -> CheckReport:
     # the unit absorbs the action through the counit: h.1 (1.h on the
     # right) against eps(h) 1, every h at once
     units = _identity(field, H.dim).outer(alg.unit)
+    witness = {"left": lambda item: item + ("left",), "right": lambda item: item + ("right",)}
     report.sweep_sides("action-counit-unit", (H.dim,), [
-        (lambda item, side=side: item + (side,),
-         apply_linear_map(action, units, (1, 2) if side == "left" else (2, 1)),
+        (witness[side], apply_linear_map(action, units, (1, 2) if side == "left" else (2, 1)),
          H.counit.as_tensor().outer(alg.unit)) for side, action in actions])
     return report
 
