@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .errors import NotInvertible, QuasiHopfError, ShapeMismatch, WitnessNotNormalized
 from .hopf import (GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra, _derived,
-                   drinfeld_twist, gauge_twist, op_tensor, tensor_op, variant)
+                   drinfeld_twist, gauge_twist, op_tensor, reflect_pair, tensor_op, variant)
 from .report import CheckReport
 from .tensor import (El, FinAlgebra, LinMap, Tensor, _identity, apply_linear_map,
                      invert_element, multiplicative_sides, multiply, swap_factors,
@@ -184,8 +184,6 @@ def comodule_variant(X: ComoduleAlgebra, kind: str) -> ComoduleAlgebra:
     if kind not in COMODULE_VARIANT_KINDS:
         raise ShapeMismatch("unknown comodule variant %r" % (kind,))
     H, alg = X.H, X.alg
-    rev = (2, 1, 0)
-
     if kind == "op-antipode":
         if X.side != "left":
             raise ShapeMismatch("the antipode flip takes a left comodule algebra")
@@ -209,18 +207,12 @@ def comodule_variant(X: ComoduleAlgebra, kind: str) -> ComoduleAlgebra:
         return ComoduleAlgebra(H_out, "right", alg, coaction, re, re_inv,
                                name=(X.name + "^Sflip") if X.name else "")
 
-    if kind == "op":
-        return ComoduleAlgebra(variant(H, "op"), X.side, alg.opposite(), X.coaction,
-                               X.reassoc_inv, X.reassoc,
-                               name=(X.name + "^op") if X.name else "")
-
-    # cop and opcop flip the coaction to the other side and reverse the
-    # reassociator legs; cop also trades the reassociator for its inverse
-    re, re_inv = (X.reassoc_inv, X.reassoc) if kind == "cop" else (X.reassoc, X.reassoc_inv)
-    return ComoduleAlgebra(variant(H, kind), "right" if X.side == "left" else "left",
-                           alg if kind == "cop" else alg.opposite(),
-                           X.coaction.permute(dst=(1, 0)),
-                           switch_legs(re, rev), switch_legs(re_inv, rev),
+    # cop and opcop flip the coaction to the other side
+    side, coaction = X.side, X.coaction
+    if kind != "op":
+        side, coaction = ("right" if side == "left" else "left"), coaction.permute(dst=(1, 0))
+    return ComoduleAlgebra(variant(H, kind), side, alg if kind == "cop" else alg.opposite(),
+                           coaction, *reflect_pair(kind, X.reassoc, X.reassoc_inv),
                            name=(X.name + "^" + kind) if X.name else "")
 
 
@@ -424,26 +416,20 @@ def verify_bicomodule_algebra(A: BicomoduleAlgebra) -> CheckReport:
 
 def bicomodule_variant(A: BicomoduleAlgebra, kind: str) -> BicomoduleAlgebra:
     """The cop / opcop / op reflections of a bicomodule algebra."""
-    H, alg = A.H, A.alg
-    rev = (2, 1, 0)
-    name = (A.name + "^" + kind) if A.name else ""
-    if kind == "op":
-        return BicomoduleAlgebra(
-            variant(H, "op"), alg.opposite(), A.left_coaction, A.right_coaction,
-            A.reassoc_left_inv, A.reassoc_right_inv, A.reassoc_mixed_inv,
-            A.reassoc_left, A.reassoc_right, A.reassoc_mixed, name=name)
-    if kind not in ("cop", "opcop"):
-        raise ShapeMismatch("unknown bicomodule variant %r" % (kind,))
-    # the coactions flip and trade sides, so the one-sided reassociators
-    # trade places; cop also trades each reassociator for its inverse
-    tables = [A.reassoc_right, A.reassoc_left, A.reassoc_mixed]
-    inverses = [A.reassoc_right_inv, A.reassoc_left_inv, A.reassoc_mixed_inv]
-    if kind == "cop":
-        tables, inverses = inverses, tables
-    return BicomoduleAlgebra(
-        variant(H, kind), alg if kind == "cop" else alg.opposite(),
-        A.right_coaction.permute(dst=(1, 0)), A.left_coaction.permute(dst=(1, 0)),
-        *(switch_legs(t, rev) for t in tables + inverses), name=name)
+    H_out = variant(A.H, kind)            # rejects an unknown kind
+    coactions = [A.left_coaction, A.right_coaction]
+    pairs = [(A.reassoc_left, A.reassoc_left_inv), (A.reassoc_right, A.reassoc_right_inv)]
+    if kind != "op":
+        # the coactions flip and trade sides, so the one-sided
+        # reassociators trade places
+        coactions = [c.permute(dst=(1, 0)) for c in reversed(coactions)]
+        pairs.reverse()
+    (left, left_inv), (right, right_inv), (mixed, mixed_inv) = (
+        reflect_pair(kind, t, t_inv)
+        for t, t_inv in pairs + [(A.reassoc_mixed, A.reassoc_mixed_inv)])
+    return BicomoduleAlgebra(H_out, A.alg if kind == "cop" else A.alg.opposite(), *coactions,
+                             left, right, mixed, left_inv, right_inv, mixed_inv,
+                             name=(A.name + "^" + kind) if A.name else "")
 
 
 def _check_algebra(alg: FinAlgebra, what: str):

@@ -181,12 +181,10 @@ def trivial_coring(R: FinAlgebra) -> Coring:
     """The base ring over itself with the identity comultiplication."""
     field = R.field
     d = R.dim
-    left = LinMap(field, (d, d), (d,), R.mult.cols)
-    right = LinMap(field, (d, d), (d,), R.mult.cols)
     # c maps to c (x) 1, a representative of the canonical element
     comult = LinMap.from_tensor(_identity(field, d).outer(R.unit), 1)
     counit = LinMap.identity(field, (d,))
-    return Coring(R, d, left, right, comult, counit, name="trivial")
+    return Coring(R, d, R.mult, R.mult, comult, counit, name="trivial")
 
 
 def build_coring(kind: str, **inputs) -> Coring:

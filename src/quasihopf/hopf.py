@@ -56,10 +56,8 @@ class QuasiBialgebra:
             return True
         if not isinstance(other, QuasiBialgebra) or self.dim != other.dim:
             return False
-        return (self.alg.mult.cols == other.alg.mult.cols
-                and self.alg.unit == other.alg.unit
-                and self.comult.cols == other.comult.cols
-                and self.counit.cols == other.counit.cols
+        return (self.alg.mult == other.alg.mult and self.alg.unit == other.alg.unit
+                and self.comult == other.comult and self.counit == other.counit
                 and self.reassoc == other.reassoc)
 
     def eps(self, x: Tensor):
@@ -264,8 +262,8 @@ def gauge_twist(H: QuasiHopfAlgebra, F: GaugeTransformation) -> QuasiHopfAlgebra
     The twist reads the gauge's products and its counit normalization,
     so the gauge's base must share H's multiplication, unit and counit."""
     G = F.H
-    if G is not H and (G.alg.mult.cols != H.alg.mult.cols or G.alg.unit != H.alg.unit
-                       or G.counit.cols != H.counit.cols):
+    if G is not H and (G.alg.mult != H.alg.mult or G.alg.unit != H.alg.unit
+                       or G.counit != H.counit):
         raise ShapeMismatch("gauge lives over a different structure")
     alg = H.alg
     f, g = H.el(F.t), H.el(F.inv)
@@ -340,18 +338,21 @@ def variant(H, kind: str):
     return _derived(H, kind, lambda H: _variant(H, kind))
 
 
+def reflect_pair(kind: str, t: Tensor, t_inv: Tensor):
+    """The ``kind`` reflection of a three-leg reassociator and its
+    inverse, as ``(t, t_inv)`` of the reflected structure: cop and opcop
+    reverse the legs, op and cop trade the reassociator for its inverse.
+    Every reflection of a base, a comodule algebra or a bicomodule
+    algebra moves its reassociators by this one rule."""
+    if kind != "op":
+        t, t_inv = switch_legs(t, (2, 1, 0)), switch_legs(t_inv, (2, 1, 0))
+    return (t, t_inv) if kind == "opcop" else (t_inv, t)
+
+
 def _variant(H, kind: str):
     new_alg = H.alg if kind == "cop" else H.alg.opposite()
     comult = H.comult if kind == "op" else H.comult.permute(dst=(1, 0))
-    rev = (2, 1, 0)
-    if kind == "op":
-        reassoc, reassoc_inv = H.reassoc_inv, H.reassoc
-    elif kind == "cop":
-        reassoc = switch_legs(H.reassoc_inv, rev)
-        reassoc_inv = switch_legs(H.reassoc, rev)
-    else:
-        reassoc = switch_legs(H.reassoc, rev)
-        reassoc_inv = switch_legs(H.reassoc_inv, rev)
+    reassoc, reassoc_inv = reflect_pair(kind, H.reassoc, H.reassoc_inv)
     name = (H.name + "^" + kind) if H.name else ""
     if not isinstance(H, QuasiHopfAlgebra):
         return QuasiBialgebra(new_alg, comult, H.counit, reassoc,

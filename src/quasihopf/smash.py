@@ -313,6 +313,13 @@ class OmegaData:
     two-sided coaction, its five-leg coherence element with inverse, and
     the antipode-corrected variant used by the right products.
 
+    ``delta`` is the composite coaction into H (x) A (x) H of the
+    coaction order ``kind``: u -> (u0)-1 (u0)0 u1 for "l" and
+    u -> u-1 (u0)0 (u0)1 for "r".  The "r" data are the cop mirror of
+    the "l" data (``build_omega``), and the diagonal product expands its
+    bicomodule factor by ``delta`` alone: past ``build_omega`` the order
+    is only a name.
+
     ``omega_right_inv`` inverts ``omega_right`` with legs 0 and 1 in the
     opposite algebra, where the reshuffle into the one-sided realizations
     puts them (on a commutative base this is the plain inverse).  Only
@@ -339,52 +346,49 @@ class OmegaData:
         return multiply(sp5, e.t, f_corr, y_legs=(0, 1))
 
 
+def _exchange_data(A: BicomoduleAlgebra):
+    """``(delta, psi, psi_inv)`` of the "l" coaction order, as tensors:
+    the composite coaction u -> (u0)-1 (u0)0 u1 and the five-leg exchange
+    element with its inverse.  psi is a product of three invertible
+    factors; psi_inv multiplies their inverses in the reversed order.
+    They invert each other since the coactions are algebra maps and each
+    stated inverse inverts its factor, both checked at the factors
+    (``check_closed_form_inputs`` in ``build_omega``)."""
+    H, alg = A.H, A.alg
+    delta = apply_linear_map(A.left_coaction, A.right_coaction.as_tensor(), (1,))
+
+    def exchange(theta, phi_right, phi_left, reverse):
+        theta = El(A.mixed_spaces(), theta)            # Theta x 1 in H A H H
+        inner = El((alg, H.alg, H.alg), phi_right).map(A.left_coaction, 0)
+        e = (inner.mul_embedded if reverse else inner.premul_embedded)(theta, (0, 1, 2))
+        e = e.map(A.left_coaction, 1)                 # H H A H H
+        outer = El((H.alg, H.alg, alg), phi_left)
+        return (e.premul_embedded if reverse else e.mul_embedded)(outer, (0, 1, 2)).t
+
+    return (delta, exchange(A.reassoc_mixed, A.reassoc_right_inv, A.reassoc_left, False),
+            exchange(A.reassoc_mixed_inv, A.reassoc_right, A.reassoc_left_inv, True))
+
+
 def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
-    """Materialize the exchange data for one of the two coaction orders."""
+    """Materialize the exchange data for one of the two coaction orders:
+    "l" by its own pipeline, "r" as the cop mirror of "l", the "l" data
+    of the cop reflection of A with their legs reversed."""
     if kind not in ("l", "r"):
         raise ShapeMismatch("kind must be 'l' or 'r'")
     H = A.H
     check_closed_form_inputs(A)
-    alg = A.alg
-    sp5 = (H.alg, H.alg, alg, H.alg, H.alg)
-    twist = drinfeld_twist(H)
-    S_inv = H.antipode_inv
-
-    # psi is a product of three invertible factors; psi_inv multiplies
-    # their inverses in the reversed order.  They invert each other since
-    # the coactions are algebra maps and each stated inverse inverts its
-    # factor, both checked at the factors above
     if kind == "l":
-        delta = apply_linear_map(A.left_coaction, A.right_coaction.as_tensor(), (1,))
-
-        def exchange(theta, phi_right, phi_left, reverse):
-            theta = El(A.mixed_spaces(), theta)            # Theta x 1 in H A H H
-            inner = El((alg, H.alg, H.alg), phi_right).map(A.left_coaction, 0)
-            e = (inner.mul_embedded if reverse else inner.premul_embedded)(theta, (0, 1, 2))
-            e = e.map(A.left_coaction, 1)                 # H H A H H
-            outer = El((H.alg, H.alg, alg), phi_left)
-            return (e.premul_embedded if reverse else e.mul_embedded)(outer, (0, 1, 2)).t
-
-        psi = exchange(A.reassoc_mixed, A.reassoc_right_inv, A.reassoc_left, False)
-        psi_inv = exchange(A.reassoc_mixed_inv, A.reassoc_right, A.reassoc_left_inv, True)
+        delta, psi, psi_inv = _exchange_data(A)
     else:
-        delta = apply_linear_map(A.right_coaction, A.left_coaction.as_tensor(), (2,))
+        delta, psi, psi_inv = _exchange_data(bicomodule_variant(A, "cop"))
+        delta = switch_legs(delta, (0, 3, 2, 1))
+        psi, psi_inv = (switch_legs(t, (4, 3, 2, 1, 0)) for t in (psi, psi_inv))
+    delta = LinMap.from_tensor(delta, 1, (H.alg, A.alg, H.alg))
 
-        def exchange(theta_inv, phi_left, phi_right_inv, reverse):
-            theta_inv = El(A.mixed_spaces(), theta_inv)    # 1 x Theta^-1 in H H A H
-            inner = El((H.alg, H.alg, alg), phi_left).map(A.right_coaction, 2)
-            e = (inner.mul_embedded if reverse else inner.premul_embedded)(theta_inv, (1, 2, 3))
-            e = e.map(A.right_coaction, 2)                # H H A H H
-            outer = El((alg, H.alg, H.alg), phi_right_inv)
-            return (e.premul_embedded if reverse else e.mul_embedded)(outer, (2, 3, 4)).t
-
-        psi = exchange(A.reassoc_mixed_inv, A.reassoc_left, A.reassoc_right_inv, False)
-        psi_inv = exchange(A.reassoc_mixed, A.reassoc_left_inv, A.reassoc_right, True)
-
-    delta = LinMap.from_tensor(delta, 1, (H.alg, alg, H.alg))
-
+    S_inv = H.antipode_inv
+    sp5 = (H.alg, H.alg, A.alg, H.alg, H.alg)
     e = El(sp5, psi).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
-    g_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, twist.inv, (0,)), (1,))
+    g_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, drinfeld_twist(H).inv, (0,)), (1,))
     omega_right = multiply(sp5, g_corr, e.t, x_legs=(0, 1))
     return OmegaData(kind, A, delta, psi, psi_inv, omega_right)
 
@@ -419,20 +423,14 @@ def _diagonal_product(M: ModuleAlgebra, data: OmegaData) -> ProductAlgebra:
     data."""
     A = data.A
     H = A.H
-    order = data.kind
     S_inv = H.antipode_inv
     om = El((H.alg, H.alg, A.alg, H.alg, H.alg), data.omega_right)
     lact, ract = M.left_action, M.right_action
 
-    def expand(e, leg):
-        if order == "l":
-            return e.map(A.right_coaction, leg).map(A.left_coaction, leg)
-        return e.map(A.left_coaction, leg).map(A.right_coaction, leg + 1)
-
     @functools.cache
     def reads_only_u(k):
         # the part of the pipeline before m_j is first read, once per k
-        e = expand(om.times(El.basis((A.alg,), (k,))), 5)   # O1..O5 u2-1 u200 u21
+        e = om.times(El.basis((A.alg,), (k,))).map(data.delta, 5)   # O1..O5 u2-1 u200 u21
         e = e.merge(6, 2)                 # u200 O3 -> O1 O2 O4 O5 u2-1 u2O3 u21
         e = e.map(S_inv, 4)
         return e.merge(1, 4)              # O2 S^-1(u2-1) -> O1 O2 O4 O5 u2O3 u21
@@ -449,7 +447,7 @@ def _diagonal_product(M: ModuleAlgebra, data: OmegaData) -> ProductAlgebra:
 
     return _product_from_pairs(mult_fn, (0, A.alg, "left"),
                                A.alg.unit.outer(M.alg.unit), "diagonal-right-%s(%s,%s)" % (
-                                   order, A.name or "A", M.name or "M"),
+                                   data.kind, A.name or "A", M.name or "M"),
                                sub_embedding=_unit_embedding(A.alg, M.alg, True),
                                sub_alg=A.alg)
 

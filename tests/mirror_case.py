@@ -12,7 +12,14 @@ here build the mirrored side directly, each by its own leg pipeline:
 - ``reference_left_diagonal``: the left diagonal crossed products, from
   the left exchange element ``reference_omega_left``;
 - ``reference_left_tensor_op``: the two left realizations of a
-  bicomodule algebra over H (x) H^op, with their closed-form inverses.
+  bicomodule algebra over H (x) H^op, with their closed-form inverses;
+- ``reference_exchange_right``: the exchange data of the "r" coaction
+  order by its own five-leg pipeline, which the library builds as the
+  cop mirror of the "l" data;
+- ``reference_reflected_reassociators`` and
+  ``reference_bicomodule_reassociators``: the op / cop / opcop
+  reassociators of a base, a comodule algebra and a bicomodule algebra,
+  one branch per kind, which the library states as one rule.
 
 The mirror tests compare the library against them entry for entry.
 """
@@ -213,3 +220,62 @@ def reference_left_tensor_op(A, base=None):
                              LinMap.from_function(A.field, (alg.dim,), dst, lam2),
                              re2, re2_inv, name=(A.name + ":lam2") if A.name else "")
     return first, second, HHop
+
+
+def reference_exchange_right(A):
+    """The exchange data of the "r" coaction order, by attribute name of
+    ``OmegaData``: the composite coaction u -> u-1 (u0)0 (u0)1; psi, the
+    product of the inverse mixed reassociator on the right legs, the left
+    reassociator expanded by the right coaction and the inverse right
+    reassociator; psi_inv, the product of the inverses in the reversed
+    order; and their antipode-corrected forms."""
+    H, alg = A.H, A.alg
+    S_inv = H.antipode_inv
+    delta = apply_linear_map(A.right_coaction, A.left_coaction.as_tensor(), (2,))
+
+    def exchange(theta_inv, phi_left, phi_right_inv, reverse):
+        theta_inv = El(A.mixed_spaces(), theta_inv)    # 1 x Theta^-1 in H H A H
+        inner = El((H.alg, H.alg, alg), phi_left).map(A.right_coaction, 2)
+        e = (inner.mul_embedded if reverse else inner.premul_embedded)(theta_inv, (1, 2, 3))
+        e = e.map(A.right_coaction, 2)                # H H A H H
+        outer = El((alg, H.alg, H.alg), phi_right_inv)
+        return (e.premul_embedded if reverse else e.mul_embedded)(outer, (2, 3, 4)).t
+
+    psi = exchange(A.reassoc_mixed_inv, A.reassoc_left, A.reassoc_right_inv, False)
+    psi_inv = exchange(A.reassoc_mixed, A.reassoc_left_inv, A.reassoc_right, True)
+    sp5 = (H.alg, H.alg, alg, H.alg, H.alg)
+    twist = drinfeld_twist(H)
+    e = El(sp5, psi).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
+    g_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, twist.inv, (0,)), (1,))
+    e_inv = El(sp5, psi_inv).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
+    f_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, twist.t, (0,)), (1,))
+    return {"delta": LinMap.from_tensor(delta, 1), "psi": psi, "psi_inv": psi_inv,
+            "omega_right": multiply(sp5, g_corr, e.t, x_legs=(0, 1)),
+            "omega_right_inv": multiply(sp5, e_inv.t, f_corr, y_legs=(0, 1))}
+
+
+def reference_reflected_reassociators(kind, reassoc, reassoc_inv):
+    """(reassociator, inverse) of the ``kind`` reflection, one branch
+    per kind."""
+    rev = (2, 1, 0)
+    if kind == "op":
+        return reassoc_inv, reassoc
+    if kind == "cop":
+        return switch_legs(reassoc_inv, rev), switch_legs(reassoc, rev)
+    return switch_legs(reassoc, rev), switch_legs(reassoc_inv, rev)
+
+
+def reference_bicomodule_reassociators(A, kind):
+    """The six reassociator tables of the ``kind`` reflection of a
+    bicomodule algebra, in the constructor's order (left, right, mixed,
+    then their inverses)."""
+    rev = (2, 1, 0)
+    if kind == "op":
+        return (A.reassoc_left_inv, A.reassoc_right_inv, A.reassoc_mixed_inv,
+                A.reassoc_left, A.reassoc_right, A.reassoc_mixed)
+    # the coactions trade sides, so the one-sided tables trade places
+    tables = [A.reassoc_right, A.reassoc_left, A.reassoc_mixed]
+    inverses = [A.reassoc_right_inv, A.reassoc_left_inv, A.reassoc_mixed_inv]
+    if kind == "cop":
+        tables, inverses = inverses, tables
+    return tuple(switch_legs(t, rev) for t in tables + inverses)

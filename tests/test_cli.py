@@ -209,6 +209,48 @@ def test_package_has_no_function_local_import():
     assert local == []
 
 
+def test_only_the_tensor_module_indexes_a_map():
+    # every other module reads a map through LinMap's own operations
+    # (equality, as_tensor, column), never through its entries
+    readers = ["%s:%d" % (module, node.lineno) for module, tree in package_trees()
+               if module != "tensor" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "cols"]
+    assert readers == []
+
+
+def test_each_coaction_order_and_reflection_is_stated_once():
+    trees = dict(package_trees())
+    smash_nodes = list(scoped_nodes(trees["smash"], "smash"))
+    # one exchange pipeline: the "r" data are the cop mirror of the "l" data
+    pipelines = [scope + "." + node.name for scope, node in smash_nodes
+                 if scope in ("smash.build_omega", "smash._exchange_data")
+                 and isinstance(node, ast.FunctionDef)]
+    assert pipelines == ["smash._exchange_data.exchange"]
+    # the diagonal product expands u by the data's composite coaction
+    coactions = [node.attr for scope, node in smash_nodes
+                 if scope.startswith("smash._diagonal_product")
+                 and isinstance(node, ast.Attribute)
+                 and node.attr in ("coaction", "left_coaction", "right_coaction")]
+    assert coactions == []
+
+    # every reassociator reflection reverses its legs in one helper; the
+    # other reversal reads a coaction backwards
+    def reverses(module_tree, arg):
+        if isinstance(arg, ast.Name):
+            return any(isinstance(node, ast.Assign) and len(node.targets) == 1
+                       and getattr(node.targets[0], "id", None) == arg.id
+                       and reverses(module_tree, node.value)
+                       for node in ast.walk(module_tree))
+        return isinstance(arg, ast.Tuple) and [getattr(e, "value", None)
+                                               for e in arg.elts] == [2, 1, 0]
+
+    sites = sorted(scope for module, tree in trees.items()
+                   for scope, node in scoped_nodes(tree, module)
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "switch_legs"
+                   and len(node.args) == 2 and reverses(tree, node.args[1]))
+    assert sites == ["doihopf.adjunction_maps", "hopf.reflect_pair", "hopf.reflect_pair"]
+
+
 def test_multiply_has_one_path_for_both_fields():
     # both fields run one walk, one leaf combine and one unpack; only the
     # slot bounds and the reduction of a packed slot mod p depend on p

@@ -6,10 +6,13 @@ reflection of their native twin.  On every base of
 ``test_closed_inverses.CASES`` each must equal the leg pipeline of
 ``mirror_case`` entry for entry: tables, units and embeddings of the
 products; actions, comultiplication and counit of the corings; and
-coactions, reassociators and inverses of the realizations.  On a twisted
-Sweedler base, which is neither commutative nor cocommutative, a wrong
-pairing (the cop reflection, or the other coaction order or realization)
-gives a different structure.
+coactions, reassociators and inverses of the realizations.  The "r"
+exchange data, the cop mirror of the "l" data, must equal their own
+pipeline on every base too.  On a twisted Sweedler base, which is
+neither commutative nor cocommutative, a wrong pairing (the cop
+reflection, or the other coaction order or realization) gives a
+different structure, and the op / cop / opcop reassociators of every
+reflection must equal the one-branch-per-kind reference.
 """
 
 import pytest
@@ -19,13 +22,15 @@ from quasihopf.comodule import (bicomodule_to_left_tensor_op, bicomodule_variant
                                 comodule_variant, right_realization)
 from quasihopf.coring import build_coring
 from quasihopf.fixtures import h2_bimodule_coalgebra, regular_comodule_algebra
-from quasihopf.hopf import op_tensor, tensor_op
+from quasihopf.hopf import op_tensor, tensor_op, variant
 from quasihopf.modcoalg import (ModuleCoalgebra, bimodule_to_op_tensor_module_coalgebra,
                                 dualize)
 from quasihopf.smash import build_omega, diagonal_crossed_product, right_generalized_smash
 
-from mirror_case import (reference_coring_ca, reference_left_diagonal,
-                         reference_left_tensor_op, reference_right_generalized_smash)
+from mirror_case import (reference_bicomodule_reassociators, reference_coring_ca,
+                         reference_exchange_right, reference_left_diagonal,
+                         reference_left_tensor_op, reference_reflected_reassociators,
+                         reference_right_generalized_smash)
 from test_closed_inverses import CASES
 
 NAMES = sorted(CASES)
@@ -102,6 +107,14 @@ def test_left_realizations_are_the_reference(name):
         assert comodule_parts(X) == comodule_parts(Y)
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_right_exchange_data_is_the_reference(name):
+    A = CASES[name]()
+    data = build_omega(A, "r")
+    want = reference_exchange_right(A)
+    assert {key: getattr(data, key) for key in want} == want
+
+
 # wrong pairings on one twisted Sweedler base
 
 def sweedler_case():
@@ -140,3 +153,17 @@ def test_left_realization_pairing_is_unique():
     assert comodule_parts(reflected_realization(A, "opcop", 2)) == want
     assert comodule_parts(reflected_realization(A, "opcop", 1)) != want
     assert comodule_parts(reflected_realization(A, "cop", 2)) != want
+
+
+@pytest.mark.parametrize("kind", ["op", "cop", "opcop"])
+def test_reflected_reassociators_are_the_reference(kind):
+    A, _ = sweedler_case()
+    for X, Y in ((A.H, variant(A.H, kind)),
+                 (A.left(), comodule_variant(A.left(), kind)),
+                 (A.right(), comodule_variant(A.right(), kind))):
+        assert (Y.reassoc, Y.reassoc_inv) == \
+            reference_reflected_reassociators(kind, X.reassoc, X.reassoc_inv)
+    B = bicomodule_variant(A, kind)
+    assert (B.reassoc_left, B.reassoc_right, B.reassoc_mixed, B.reassoc_left_inv,
+            B.reassoc_right_inv, B.reassoc_mixed_inv) == \
+        reference_bicomodule_reassociators(A, kind)
