@@ -9,8 +9,8 @@ exhaustive evaluation over basis tuples.
 
 from .fields import QQ, PrimeField, Rationals, field_from_tag
 from .tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace,
-                     apply_linear_map, build_tensor_algebra, embed_legs,
-                     invert_element, multiply, switch_legs, unit_tensor)
+                     apply_linear_map, build_tensor_algebra, invert_element,
+                     multiply, switch_legs, unit_tensor)
 from .report import CheckRecord, CheckReport
 from .hopf import (GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra,
                    drinfeld_twist, gauge_twist, normalize_antipode, op_tensor,

@@ -211,11 +211,11 @@ def cmd_dtwist(args):
 
     # Delta(S(h)) conjugated by the twist is (S x S)(flip Delta(h)), for
     # every h at once, h on the leading leg
-    s_h = El(value.spaces(2), S.as_tensor()).map(value.comult, 1)
-    lhs = s_h.mul_embedded(value.el(twist.inv), (1, 2)).premul_embedded(value.el(twist.t), (1, 2))
+    s_h = El(value.spaces(2), S.as_tensor(), "h s").map(value.comult, "s", "s1 s2")
+    lhs = value.el(twist.t, "s1 s2").mul(s_h.mul(value.el(twist.inv, "s1 s2")))
     flipped = value.comult.permute(dst=(1, 0)).as_tensor()
     rhs = apply_linear_map(S, apply_linear_map(S, flipped, (1,)), (2,))
-    report.sweep_all("conjugates-antipode", (value.dim,), lhs.t, rhs)
+    report.sweep_all("conjugates-antipode", (value.dim,), lhs.tensor("h s1 s2"), rhs)
     emitted = []
     if args.out:
         io.emit_value(twist, args.out, base_path=args.file)

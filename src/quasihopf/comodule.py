@@ -5,6 +5,8 @@ bicomodule algebra over the twisted tensor-square bases.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import NotInvertible, QuasiHopfError, ShapeMismatch, WitnessNotNormalized
 from .hopf import (GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra, _derived,
                    drinfeld_twist, gauge_twist, op_tensor, reflect_pair, tensor_op, variant)
@@ -47,11 +49,11 @@ class ComoduleAlgebra:
             return (self.alg, self.H.alg, self.H.alg)
         return (self.H.alg, self.H.alg, self.alg)
 
-    def re_el(self) -> El:
-        return El(self.reassoc_spaces(), self.reassoc)
+    def re_el(self, legs) -> El:
+        return El(self.reassoc_spaces(), self.reassoc, legs)
 
-    def re_inv_el(self) -> El:
-        return El(self.reassoc_spaces(), self.reassoc_inv)
+    def re_inv_el(self, legs) -> El:
+        return El(self.reassoc_spaces(), self.reassoc_inv, legs)
 
     def __repr__(self):
         return "ComoduleAlgebra(%s, dim=%d%s)" % (
@@ -88,22 +90,26 @@ def verify_comodule_algebra(X: ComoduleAlgebra) -> CheckReport:
                    apply_linear_map(X.coaction, alg.unit, (0,)),
                    unit_tensor(X.coaction.dst_spaces))
 
-    re, re_inv = X.re_el(), X.re_inv_el()
-    unit3 = El.unit(X.reassoc_spaces())
+    right = X.side == "right"
+    legs = "a h1 h2" if right else "h1 h2 b"
+    re, re_inv = X.re_el(legs), X.re_inv_el(legs)
+    unit3 = unit_tensor(X.reassoc_spaces())
     # both products: the associativity of A is not a record of this report
-    report.compare_all("reassoc-invertible", ((re.mul(re_inv).t, unit3.t),
-                                              (re_inv.mul(re).t, unit3.t)))
+    report.compare_all("reassoc-invertible", ((re.mul(re_inv).t, unit3),
+                                              (re_inv.mul(re).t, unit3)))
 
-    # the coaction image c of every basis element at once, the element's
-    # index on the leading leg and the reassociator on the other three
-    c = El((alg,) + X.coaction.dst_spaces, X.coaction.as_tensor())
-    if X.side == "right":
-        lhs = c.map(X.coaction, 1).premul_embedded(re, (1, 2, 3))
-        rhs = c.map(H.comult, 2).mul_embedded(re, (1, 2, 3))
+    # the coaction image c of every basis element u at once, u's index on
+    # the leading leg and the reassociator on the other three
+    c = El((alg,) + X.coaction.dst_spaces, X.coaction.as_tensor(),
+           "u a h2" if right else "u h1 b")
+    if right:
+        lhs = re.mul(c.map(X.coaction, "a", "a h1"))
+        rhs = c.map(H.comult, "h2", "h1 h2").mul(re)
     else:
-        lhs = c.map(X.coaction, 2).mul_embedded(re, (1, 2, 3))
-        rhs = c.map(H.comult, 1).premul_embedded(re, (1, 2, 3))
-    report.sweep_all("coaction-quasi-coassoc", (alg.dim,), lhs.t, rhs.t)
+        lhs = c.map(X.coaction, "b", "h2 b").mul(re)
+        rhs = re.mul(c.map(H.comult, "h1", "h1 h2"))
+    report.sweep_all("coaction-quasi-coassoc", (alg.dim,), lhs.tensor("u " + legs),
+                     rhs.tensor("u " + legs))
 
     # the H leg of the coaction's tensor form, after its source leg
     counit_leg = 2 if X.side == "right" else 1
@@ -111,20 +117,24 @@ def verify_comodule_algebra(X: ComoduleAlgebra) -> CheckReport:
                      apply_linear_map(H.counit, X.coaction.as_tensor(), (counit_leg,)),
                      _identity(X.field, alg.dim))
 
-    phi = H.el(H.reassoc)
-    if X.side == "right":
-        lhs = re.map(H.comult, 1).premul_embedded(phi, (1, 2, 3)).mul_embedded(re, (0, 1, 2))
-        rhs = re.map(H.comult, 2).mul(re.map(X.coaction, 0))
+    # the pentagon on the legs a b c d, the carrier's leg a (right) or d (left)
+    if right:
+        lhs = H.el(H.reassoc, "b c d").mul(X.re_el("a b d").map(H.comult, "b", "b c"))
+        lhs = lhs.mul(X.re_el("a b c"))
+        rhs = X.re_el("a b c").map(H.comult, "c", "c d").mul(
+            X.re_el("a c d").map(X.coaction, "a", "a b"))
     else:
-        lhs = re.map(H.comult, 1).premul_embedded(re, (1, 2, 3)).mul_embedded(phi, (0, 1, 2))
-        rhs = re.map(X.coaction, 2).mul(re.map(H.comult, 0))
-    report.compare("reassoc-pentagon", lhs.t, rhs.t)
+        lhs = X.re_el("b c d").mul(X.re_el("a b d").map(H.comult, "b", "b c"))
+        lhs = lhs.mul(H.el(H.reassoc, "a b c"))
+        rhs = X.re_el("a b d").map(X.coaction, "d", "c d").mul(
+            X.re_el("a c d").map(H.comult, "a", "a b"))
+    report.compare("reassoc-pentagon", lhs.tensor("a b c d"), rhs.tensor("a b c d"))
 
-    unit2 = unit_tensor((alg, H.alg) if X.side == "right" else (H.alg, alg))
-    mid = re.map(H.counit, (1,)).t
-    outer = re.map(H.counit, (2 if X.side == "right" else 0,)).t
-    report.compare("reassoc-counit-middle", mid, unit2)
-    report.compare("reassoc-counit-outer", outer, unit2)
+    unit2 = unit_tensor((alg, H.alg) if right else (H.alg, alg))
+    report.compare("reassoc-counit-middle", re.map(H.counit, "h1" if right else "h2", "").t,
+                   unit2)
+    report.compare("reassoc-counit-outer", re.map(H.counit, "h2" if right else "h1", "").t,
+                   unit2)
     return report
 
 
@@ -134,26 +144,25 @@ def twist_comodule_algebra(X: ComoduleAlgebra, V: TwistWitness) -> ComoduleAlgeb
             (X.alg.dim, X.H.dim) if X.side == "right" else (X.H.dim, X.alg.dim)):
         raise ShapeMismatch("witness does not fit this comodule algebra")
     H, alg = X.H, X.alg
-    v = El(V.spaces, V.t)
-    v_inv = El(V.spaces, V.inv)
+    v = functools.partial(El, V.spaces)
     # v c v^-1 for the coaction image c of every basis element at once
     sp = X.coaction.dst_spaces
-    coaction = El((alg,) + sp, X.coaction.as_tensor()).premul_embedded(v, (1, 2)).mul_embedded(
-        v_inv, (1, 2))
-    coaction = LinMap.from_tensor(coaction.t, 1, sp)
-    re = X.re_el()
-    re_inv = X.re_inv_el()
+    legs = "a h" if X.side == "right" else "h a"
+    coaction = v(V.t, legs).mul(El((alg,) + sp, X.coaction.as_tensor(), "u " + legs))
+    coaction = LinMap.from_tensor(coaction.mul(v(V.inv, legs)).t, 1, sp)
+    # on the legs a b c, the carrier's leg a (right) or c (left)
     if X.side == "right":
-        new_re = v.map(H.comult, 1).mul(re).mul(v_inv.map(X.coaction, 0)).mul_embedded(
-            v_inv, (0, 1))
-        new_re_inv = v.map(X.coaction, 0).premul_embedded(v, (0, 1)).mul(re_inv).mul(
-            v_inv.map(H.comult, 1))
+        new_re = v(V.t, "a b").map(H.comult, "b", "b c").mul(X.re_el("a b c")).mul(
+            v(V.inv, "a c").map(X.coaction, "a", "a b")).mul(v(V.inv, "a b"))
+        new_re_inv = v(V.t, "a b").mul(v(V.t, "a c").map(X.coaction, "a", "a b")).mul(
+            X.re_inv_el("a b c")).mul(v(V.inv, "a b").map(H.comult, "b", "b c"))
     else:
-        new_re = v.map(X.coaction, 1).premul_embedded(v, (1, 2)).mul(re).mul(
-            v_inv.map(H.comult, 0))
-        new_re_inv = v.map(H.comult, 0).mul(re_inv).mul(
-            v_inv.map(X.coaction, 1)).mul_embedded(v_inv, (1, 2))
-    return ComoduleAlgebra(H, X.side, alg, coaction, new_re.t, new_re_inv.t,
+        new_re = v(V.t, "b c").mul(v(V.t, "a c").map(X.coaction, "c", "b c")).mul(
+            X.re_el("a b c")).mul(v(V.inv, "a c").map(H.comult, "a", "a b"))
+        new_re_inv = v(V.t, "a c").map(H.comult, "a", "a b").mul(X.re_inv_el("a b c")).mul(
+            v(V.inv, "a c").map(X.coaction, "c", "b c")).mul(v(V.inv, "b c"))
+    return ComoduleAlgebra(H, X.side, alg, coaction, new_re.tensor("a b c"),
+                           new_re_inv.tensor("a b c"),
                            name=(X.name + "'") if X.name else "")
 
 
@@ -195,9 +204,9 @@ def comodule_variant(X: ComoduleAlgebra, kind: str) -> ComoduleAlgebra:
         coaction = LinMap.from_tensor(switch_legs(rho, (0, 2, 1)), 1)
 
         def reassoc(phi_inv, f):
-            e = El(X.reassoc_spaces(), phi_inv).premul_embedded(El(H.spaces(2), f), (0, 1))
-            e = e.map(S_inv, 0).map(S_inv, 1)    # S^-1(f1 x1), S^-1(f2 x2), xB
-            return e.perm((2, 1, 0)).t           # xB, S^-1(f2 x2), S^-1(f1 x1)
+            # xB, S^-1(f2 x2), S^-1(f1 x1)
+            e = H.el(f, "x1 x2").mul(El(X.reassoc_spaces(), phi_inv, "x1 x2 b"))
+            return e.map(S_inv, "x1", "x1").map(S_inv, "x2", "x2").tensor("b x2 x1")
 
         H_out = variant(H, "op")
         spaces = (alg, H_out.alg, H_out.alg)
@@ -220,12 +229,13 @@ class CanonicalElements:
     """The comparison elements attached to comodule-algebra data.
 
     For a left comodule algebra these are p (built from the reassociator
-    and beta) and q (from its inverse and alpha), both in H x B; for a
-    right comodule algebra the element q_r in A x H.  ``report`` carries
-    the exhaustive verification of their defining identities.
+    and beta) and q (from its inverse and alpha), both tensors in H x B;
+    for a right comodule algebra the element q_r in A x H.  Each is None
+    where its side is missing.  ``report`` carries the exhaustive
+    verification of their defining identities.
     """
 
-    def __init__(self, p=None, q=None, q_right=None, report=None):
+    def __init__(self, p, q, q_right, report):
         self.p = p
         self.q = q
         self.q_right = q_right
@@ -243,63 +253,64 @@ def canonical_elements(X, verify: bool = True) -> CanonicalElements:
         left, right = None, X
     H = X.H
     S, S_inv = H.antipode, H.antipode_inv
-    alpha_el = El((H.alg,), H.alpha)
-    beta_el = El((H.alg,), H.beta)
     report = CheckReport("canonical elements %s" % (getattr(X, "name", "") or ""))
 
     p = q = q_right = None
     if right is not None:
-        q_right = right.re_el().premul_embedded(alpha_el, (2,)).map(S_inv, 2).merge(2, 1)
+        # xA (x) S^-1(alpha x3) x2
+        q_right = H.el(H.alpha, "x3").mul(right.re_el("a x2 x3")).map(S_inv, "x3", "x3")
+        q_right = q_right.merge("x3", "x2").tensor("a x3")
     if left is not None:
-        p = left.re_el().mul_embedded(beta_el, (0,)).map(S_inv, 0).merge(1, 0)  # [H, B]
-        q = left.re_inv_el().map(S, 0).mul_embedded(alpha_el, (0,)).merge(0, 1)  # [H, B]
+        # x2 S^-1(x1 beta) (x) xB and S(x1) alpha x2 (x) xB
+        p = left.re_el("x1 x2 b").mul(H.el(H.beta, "x1")).map(S_inv, "x1", "x1")
+        p = p.merge("x2", "x1").tensor("x2 b")
+        q = left.re_inv_el("x1 x2 b").map(S, "x1", "x1").mul(H.el(H.alpha, "x1"))
+        q = q.merge("x1", "x2").tensor("x1 b")
     if not verify:
-        return CanonicalElements(p=p, q=q, q_right=q_right, report=report)
+        return CanonicalElements(p, q, q_right, report)
     if left is not None:
         alg = left.alg
         lam = left.coaction
         sp2 = (H.alg, alg)
         unit2 = unit_tensor(sp2)
 
-        # b-1, b0-1, b00 of every basis element b at once, b's index on
-        # the leading leg; the identity's second leg is b itself
+        el = functools.partial(El, sp2)
+        # b-1 (x) b0-1 (x) b00 of every basis element u at once, u's index
+        # on the leading leg; the identity's second leg is u itself
         ident = _identity(X.field, alg.dim)
-        b3 = El((alg,) + lam.dst_spaces, lam.as_tensor()).map(lam, 2)
+        b3 = El((alg,) + lam.dst_spaces, lam.as_tensor(), "u c b").map(lam, "b", "h b")
         sp3 = (alg,) + sp2
-        report.sweep_all("coaction-slides-through-p", (alg.dim,),
-                         b3.mul_embedded(p, (2, 3)).map(S_inv, 1).merge(2, 1).t,
-                         multiply(sp3, p.t, ident, x_legs=(1, 2), y_legs=(0, 2)))
-        report.sweep_all("coaction-slides-through-q", (alg.dim,),
-                         b3.map(S, 1).premul_embedded(q, (2, 3)).merge(1, 2).t,
-                         multiply(sp3, ident, q.t, x_legs=(0, 2), y_legs=(1, 2)))
+        slid = b3.mul(el(p, "h b")).map(S_inv, "c", "c").merge("h", "c")
+        report.sweep_all("coaction-slides-through-p", (alg.dim,), slid.tensor("u h b"),
+                         multiply(sp3, p, ident, x_legs=(1, 2), y_legs=(0, 2)))
+        slid = el(q, "h b").mul(b3.map(S, "c", "c")).merge("c", "h")
+        report.sweep_all("coaction-slides-through-q", (alg.dim,), slid.tensor("u c b"),
+                         multiply(sp3, ident, q, x_legs=(0, 2), y_legs=(1, 2)))
 
-        e = q.map(lam, 1).mul_embedded(p, (1, 2)).map(S_inv, 0).merge(1, 0)
-        report.compare("q-then-p-cancels", e.t, unit2)
-        e = p.map(lam, 1).premul_embedded(q, (1, 2)).map(S, 0).merge(0, 1)
-        report.compare("p-then-q-cancels", e.t, unit2)
+        e = el(q, "c b").map(lam, "b", "h b").mul(el(p, "h b")).map(S_inv, "c", "c")
+        report.compare("q-then-p-cancels", e.merge("h", "c").tensor("h b"), unit2)
+        e = el(q, "h b").mul(el(p, "c b").map(lam, "b", "h b")).map(S, "c", "c")
+        report.compare("p-then-q-cancels", e.merge("c", "h").tensor("c b"), unit2)
 
         twist = drinfeld_twist(H)
-        g_el = El(H.spaces(2), twist.inv)
-        f_el = El(H.spaces(2), twist.t)
 
-        # pentagon-type identity for p
-        lhs = left.re_inv_el().mul(p.map(lam, 1)).mul_embedded(p, (1, 2))
-        e = left.re_el().map(lam, 2)
-        e = e.mul_embedded(p, (2, 3))
-        e = e.map(H.comult, 2)
-        e = e.mul_embedded(g_el, (0, 1)).map(S_inv, 1).map(S_inv, 0)
-        rhs = e.merge(2, 1).merge(2, 0)
-        report.compare("p-coherence", lhs.t, rhs.t)
+        # pentagon-type identity for p: D1 S^-1(x2 g2) (x) D2 S^-1(x1 g1) (x) xB0 pB
+        # for Delta(xB-1 pH) = D1 (x) D2
+        lhs = left.re_inv_el("a b c").mul(el(p, "a c").map(lam, "c", "b c")).mul(el(p, "b c"))
+        e = left.re_el("x1 x2 b").map(lam, "b", "d b").mul(el(p, "d b"))
+        e = e.map(H.comult, "d", "d1 d2").mul(H.el(twist.inv, "x1 x2"))
+        e = e.map(S_inv, "x2", "x2").map(S_inv, "x1", "x1")
+        rhs = e.merge("d1", "x2").merge("d2", "x1")
+        report.compare("p-coherence", lhs.tensor("a b c"), rhs.tensor("d1 d2 b"))
 
-        # pentagon-type identity for q
-        lhs = q.map(lam, 1).premul_embedded(q, (1, 2)).mul(left.re_el())
-        e = left.re_inv_el().map(lam, 2).premul_embedded(q, (2, 3))  # q1*L1, qB*L2
-        e = e.map(H.comult, 2)
-        e = e.premul_embedded(f_el, (2, 3))      # f1*D1, f2*D2
-        e = e.map(S, 0).map(S, 1)
-        e = e.merge(1, 2).merge(0, 2)
-        rhs = e.perm((1, 0, 2))
-        report.compare("q-coherence", lhs.t, rhs.t)
+        # pentagon-type identity for q: S(x2) f1 D1 (x) S(x1) f2 D2 (x) qB xB0
+        # for Delta(qH xB-1) = D1 (x) D2
+        lhs = el(q, "b c").mul(el(q, "a c").map(lam, "c", "b c")).mul(left.re_el("a b c"))
+        e = el(q, "d b").mul(left.re_inv_el("x1 x2 b").map(lam, "b", "d b"))
+        e = H.el(twist.t, "d1 d2").mul(e.map(H.comult, "d", "d1 d2"))
+        e = e.map(S, "x1", "x1").map(S, "x2", "x2")
+        rhs = e.merge("x2", "d1").merge("x1", "d2")
+        report.compare("q-coherence", lhs.tensor("a b c"), rhs.tensor("x2 x1 b"))
 
     if right is not None:
         alg = right.alg
@@ -316,9 +327,9 @@ def canonical_elements(X, verify: bool = True) -> CanonicalElements:
                     direct.data[(a_i, k)] = cur
                 else:
                     direct.data.pop((a_i, k), None)
-        report.compare("q-right-definition", q_right.t, direct)
+        report.compare("q-right-definition", q_right, direct)
 
-    return CanonicalElements(p=p, q=q, q_right=q_right, report=report)
+    return CanonicalElements(p, q, q_right, report)
 
 
 class BicomoduleAlgebra:
@@ -363,11 +374,8 @@ class BicomoduleAlgebra:
     def mixed_spaces(self):
         return (self.H.alg, self.alg, self.H.alg)
 
-    def mixed_el(self) -> El:
-        return El(self.mixed_spaces(), self.reassoc_mixed)
-
-    def mixed_inv_el(self) -> El:
-        return El(self.mixed_spaces(), self.reassoc_mixed_inv)
+    def mixed_el(self, legs) -> El:
+        return El(self.mixed_spaces(), self.reassoc_mixed, legs)
 
     def __repr__(self):
         return "BicomoduleAlgebra(dim=%d%s)" % (
@@ -380,36 +388,39 @@ def verify_bicomodule_algebra(A: BicomoduleAlgebra) -> CheckReport:
     report.extend(verify_comodule_algebra(A.right()), prefix="right:")
     H, alg = A.H, A.alg
     sp = A.mixed_spaces()
-    mixed, mixed_inv = A.mixed_el(), A.mixed_inv_el()
-    unit3 = El.unit(sp)
-    report.compare_all("mixed-invertible", ((mixed.mul(mixed_inv).t, unit3.t),
-                                            (mixed_inv.mul(mixed).t, unit3.t)))
+    mixed = A.mixed_el("l a r")
+    mixed_inv = El(sp, A.reassoc_mixed_inv, "l a r")
+    unit3 = unit_tensor(sp)
+    report.compare_all("mixed-invertible", ((mixed.mul(mixed_inv).t, unit3),
+                                            (mixed_inv.mul(mixed).t, unit3)))
 
     # both coactions of every basis element u at once, u's index on the
     # leading leg
-    u = El((alg, alg), _identity(A.field, alg.dim))
+    u = El((alg, alg), _identity(A.field, alg.dim), "u a")
     report.sweep_all("mixed-intertwine", (alg.dim,),
-                     u.map(A.right_coaction, 1).map(A.left_coaction, 1).premul_embedded(
-                         mixed, (1, 2, 3)).t,
-                     u.map(A.left_coaction, 1).map(A.right_coaction, 2).mul_embedded(
-                         mixed, (1, 2, 3)).t)
+                     mixed.mul(u.map(A.right_coaction, "a", "a r").map(
+                         A.left_coaction, "a", "l a")).tensor("u l a r"),
+                     u.map(A.left_coaction, "a", "l a").map(A.right_coaction, "a", "a r").mul(
+                         mixed).tensor("u l a r"))
 
-    left_el = El((H.alg, H.alg, alg), A.reassoc_left)
-    right_el = El((alg, H.alg, H.alg), A.reassoc_right)
+    left_el = functools.partial(El, (H.alg, H.alg, alg), A.reassoc_left)
+    right_el = functools.partial(El, (alg, H.alg, H.alg), A.reassoc_right)
+    # on the legs a b c d, the carrier's leg c (left) or b (right)
+    lhs = A.mixed_el("b c d").mul(A.mixed_el("a c d").map(A.left_coaction, "c", "b c"))
+    rhs = left_el("a b c").map(A.right_coaction, "c", "c d").mul(
+        A.mixed_el("a c d").map(H.comult, "a", "a b"))
+    report.compare("mixed-pentagon-left", lhs.mul(left_el("a b c")).tensor("a b c d"),
+                   rhs.tensor("a b c d"))
 
-    lhs = mixed.map(A.left_coaction, 1).premul_embedded(mixed, (1, 2, 3)).mul_embedded(
-        left_el, (0, 1, 2))
-    rhs = left_el.map(A.right_coaction, 2).mul(mixed.map(H.comult, 0))
-    report.compare("mixed-pentagon-left", lhs.t, rhs.t)
+    lhs = right_el("b c d").mul(A.mixed_el("a b d").map(A.right_coaction, "b", "b c"))
+    rhs = A.mixed_el("a b c").map(H.comult, "c", "c d").mul(
+        right_el("b c d").map(A.left_coaction, "b", "a b"))
+    report.compare("mixed-pentagon-right", lhs.mul(A.mixed_el("a b c")).tensor("a b c d"),
+                   rhs.tensor("a b c d"))
 
-    lhs = mixed.map(A.right_coaction, 1).premul_embedded(right_el, (1, 2, 3)).mul_embedded(
-        mixed, (0, 1, 2))
-    rhs = mixed.map(H.comult, 2).mul(right_el.map(A.left_coaction, 0))
-    report.compare("mixed-pentagon-right", lhs.t, rhs.t)
-
-    report.compare("mixed-counit-right", mixed.map(H.counit, (2,)).t,
+    report.compare("mixed-counit-right", mixed.map(H.counit, "r", "").t,
                    unit_tensor((H.alg, alg)))
-    report.compare("mixed-counit-left", mixed.map(H.counit, (0,)).t,
+    report.compare("mixed-counit-left", mixed.map(H.counit, "l", "").t,
                    unit_tensor((alg, H.alg)))
     return report
 
@@ -596,16 +607,17 @@ def right_realization(A: BicomoduleAlgebra, k: int) -> ComoduleAlgebra:
         coact = apply_linear_map(A.left_coaction, A.right_coaction.as_tensor(), (1,))
 
         def reassoc(phi_r, phi_l_inv, theta_inv, f):
-            e = El(sp_r, phi_r).times(El(sp_l, phi_l_inv))
-            e = e.times(El(sp_m, theta_inv)).times(El(H.spaces(2), f))
-            e = e.map(A.left_coaction, 0)
-            e = e.map(H.comult, 0)
-            e = e.map(A.left_coaction, 9)
-            e = e.merge(2, 7).merge(2, 9)
-            e = e.merge(11, 1).merge(10, 5).merge(9, 6).map(S_inv, 8)
-            e = e.merge(2, 6)
-            e = e.merge(6, 0).merge(5, 3).merge(4, 3).map(S_inv, 3)
-            return e.perm((0, 4, 1, 3, 2)).t.fuse([[0], [1, 2], [3, 4]])
+            # x y t (x) (S^-1(f2 a2 y2 s), x2 t3) (x) (S^-1(f1 a1 y1 t1), x3) for
+            # x = phi_r, y = phi_l_inv, t = theta_inv, their carrier legs x, y, t
+            # and the left coaction a (x) x and s (x) t of x and t, a1 (x) a2 = Delta(a)
+            e = El(sp_r, phi_r, "x x2 x3").times(El(sp_l, phi_l_inv, "y1 y2 y"))
+            e = e.times(El(sp_m, theta_inv, "t1 t t3")).times(El(H.spaces(2), f, "f1 f2"))
+            e = e.map(A.left_coaction, "x", "a x").map(H.comult, "a", "a1 a2")
+            e = e.map(A.left_coaction, "t", "s t").merge("x", "y").merge("x", "t")
+            e = e.merge("f2", "a2").merge("f2", "y2").merge("f2", "s").merge("x2", "t3")
+            e = e.merge("f1", "a1").merge("f1", "y1").merge("f1", "t1").map(S_inv, "f1", "f1")
+            e = e.map(S_inv, "f2", "f2").tensor("x f2 x2 f1 x3")
+            return e.fuse([[0], [1, 2], [3, 4]])
 
         units = (sp_r, sp_l, sp_m, H.spaces(2))
         factors = (A.reassoc_right, A.reassoc_left_inv, A.reassoc_mixed_inv, twist.t)
@@ -614,17 +626,17 @@ def right_realization(A: BicomoduleAlgebra, k: int) -> ComoduleAlgebra:
         coact = apply_linear_map(A.right_coaction, A.left_coaction.as_tensor(), (2,))
 
         def reassoc(phi_l_inv, phi_r, theta, f):
-            e = El(sp_l, phi_l_inv).times(El(sp_r, phi_r))
-            e = e.times(El(sp_m, theta)).times(El(H.spaces(2), f))
-            e = e.map(A.right_coaction, 2)
-            e = e.map(H.comult, 3)
-            e = e.map(A.right_coaction, 9)
-            e = e.merge(2, 5).merge(2, 8)
-            e = e.merge(11, 1).merge(10, 6).map(S_inv, 9)
-            e = e.merge(2, 4).merge(2, 5)
-            e = e.merge(6, 0).map(S_inv, 5)
-            e = e.merge(2, 3).merge(2, 3)
-            return e.perm((0, 4, 1, 3, 2)).t.fuse([[0], [1, 2], [3, 4]])
+            # y x t (x) (S^-1(f2 y2 t1), b1 x2 s) (x) (S^-1(f1 y1), b2 x3 t3) for
+            # y = phi_l_inv, x = phi_r, t = theta, their carrier legs y, x, t and
+            # the right coaction y (x) b and t (x) s of y and t, b1 (x) b2 = Delta(b)
+            e = El(sp_l, phi_l_inv, "y1 y2 y").times(El(sp_r, phi_r, "x x2 x3"))
+            e = e.times(El(sp_m, theta, "t1 t t3")).times(El(H.spaces(2), f, "f1 f2"))
+            e = e.map(A.right_coaction, "y", "y b").map(H.comult, "b", "b1 b2")
+            e = e.map(A.right_coaction, "t", "t s").merge("y", "x").merge("y", "t")
+            e = e.merge("f2", "y2").merge("f2", "t1").merge("b1", "x2").merge("b1", "s")
+            e = e.merge("f1", "y1").merge("b2", "x3").merge("b2", "t3").map(S_inv, "f1", "f1")
+            e = e.map(S_inv, "f2", "f2").tensor("y f2 b1 f1 b2")
+            return e.fuse([[0], [1, 2], [3, 4]])
 
         units = (sp_l, sp_r, sp_m, H.spaces(2))
         factors = (A.reassoc_left_inv, A.reassoc_right, A.reassoc_mixed, twist.t)
@@ -644,8 +656,8 @@ def right_realization(A: BicomoduleAlgebra, k: int) -> ComoduleAlgebra:
 def _sigma_mixed(A: BicomoduleAlgebra, t: Tensor) -> Tensor:
     """Reshuffle an element of H x A x H into A x (H^op x H) with the
     antipode inverse on the first leg."""
-    e = El(A.mixed_spaces(), t).map(A.H.antipode_inv, 0).perm((1, 0, 2))
-    return e.t.fuse([[0], [1, 2]])
+    e = El(A.mixed_spaces(), t, "l a r").map(A.H.antipode_inv, "l", "l")
+    return e.tensor("a l r").fuse([[0], [1, 2]])
 
 
 def realization_twist_witness(A: BicomoduleAlgebra, first: ComoduleAlgebra,
@@ -690,22 +702,23 @@ class InternalCoalgebra:
         self.source = source
         H, B = source.H, source.alg
         self.carrier_dims = (B.dim, H.dim)
-        id_B = El((B, B), _identity(source.field, B.dim))
+        id_B = _identity(source.field, B.dim)
 
         # (b, h) -> X1 h1 (x) XB b (x) X2 h2, for every b and h at once
-        e = id_B.times(El((H.alg,) * 3, H.comult.as_tensor()))   # b b h h1 h2
-        e = e.premul_embedded(source.re_el(), (3, 4, 1))
-        self.comult = LinMap.from_tensor(e.perm((0, 2, 3, 1, 4)).t, 2)
+        e = El((B, B), id_B, "b xb").times(El((H.alg,) * 3, H.comult.as_tensor(), "h x1 x2"))
+        e = source.re_el("x1 x2 xb").mul(e)
+        self.comult = LinMap.from_tensor(e.tensor("b h x1 xb x2"), 2)
 
         # (b, h) -> eps(h) b
         self.counit = LinMap.from_tensor(
-            switch_legs(id_B.t.outer(H.counit.as_tensor()), (0, 2, 1)), 2)
+            switch_legs(id_B.outer(H.counit.as_tensor()), (0, 2, 1)), 2)
 
-        # (b, b2, h) -> (b0 b2, b-1 h)
-        e = El((B,) + source.coaction.dst_spaces, source.coaction.as_tensor())
-        e = e.times(id_B).times(El((H.alg,) * 2, _identity(source.field, H.dim)))
-        e = e.merge(2, 4).merge(1, 5)         # b b-1h b0b2 b2 h
-        self.left_action = LinMap.from_tensor(e.perm((0, 3, 4, 2, 1)).t, 3)
+        # (b, c, h) -> (b0 c, b-1 h)
+        e = El((B,) + source.coaction.dst_spaces, source.coaction.as_tensor(), "b k b0")
+        e = e.times(El((B, B), id_B, "c c0")).times(
+            El((H.alg,) * 2, _identity(source.field, H.dim), "h h0"))
+        e = e.merge("b0", "c0").merge("k", "h0")
+        self.left_action = LinMap.from_tensor(e.tensor("b c h b0 k"), 3)
 
         # (b, h, b2, h2) -> (b b2, h h2)
         self.right_action = LinMap.from_tensor(switch_legs(

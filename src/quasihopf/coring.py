@@ -62,10 +62,9 @@ class Coring:
             raise ShapeMismatch("coring carrier must be free over the base ring "
                                 "on the right or on the left")
 
-    def act_left(self, r_idx: int, vec: Tensor, leg=0) -> Tensor:
+    def act_left(self, r_idx: int, vec: Tensor) -> Tensor:
         basis_r = Tensor.basis(self.field, (self.R.dim,), (r_idx,))
-        return apply_linear_map(self.left_action, basis_r.outer(vec),
-                                (0, leg + 1), at=leg)
+        return apply_linear_map(self.left_action, basis_r.outer(vec), (0, 1))
 
     def act_right(self, vec: Tensor, r_idx: int, leg=0) -> Tensor:
         basis_r = Tensor.basis(self.field, (self.R.dim,), (r_idx,))
@@ -140,7 +139,7 @@ def verify_coring(X: Coring) -> CheckReport:
         side, r, c = item
         if side == "left":
             lhs = apply_linear_map(X.comult, X.act_left(r, basis(c)), (0,))
-            rhs = X.act_left(r, X.comult.column((c,)), leg=0)
+            rhs = X.act_left(r, X.comult.column((c,)))
         else:
             lhs = apply_linear_map(X.comult, X.act_right(basis(c), r), (0,))
             rhs = X.act_right(X.comult.column((c,)), r, leg=1)
@@ -212,23 +211,19 @@ def _coring_bc(B: ComoduleAlgebra, C: ModuleCoalgebra) -> Coring:
     # r . (b, c) = (r b, c): the product of B tensored with id_C
     left = LinMap.from_tensor(B.alg.mult.as_tensor().outer(id_C).fuse([[0], [1, 3], [2, 4]]), 2)
 
-    # every basis pair (b, c) at once, on the leading legs
-    pairs = El((B.alg,) * 2, id_B).times(El((C.space,) * 2, id_C))
+    # every basis pair (b, c) at once, on the leading legs b c; its
+    # image on the legs b2 c2
+    pairs = El((B.alg,) * 2, id_B, "b b2").times(El((C.space,) * 2, id_C, "c c2"))
     # (b, c) . r = (b r0, c . r-1)
-    e = pairs.times(El((B.alg,) + B.coaction.dst_spaces, B.coaction.as_tensor()))
-    e = e.merge(1, 6)                          # b br0 c c r r-1
-    e = e.map(C.right_action, (3, 5), at=4)    # b br0 c r c.r-1
-    right = LinMap.from_tensor(e.perm((0, 2, 3, 1, 4)).t.fuse([[0, 1], [2], [3, 4]]), 2)
+    e = pairs.times(El((B.alg,) + B.coaction.dst_spaces, B.coaction.as_tensor(), "r h r0"))
+    e = e.merge("b2", "r0").map(C.right_action, "c2 h", "c2")
+    right = LinMap.from_tensor(e.tensor("b c r b2 c2").fuse([[0, 1], [2], [3, 4]]), 2)
 
     # (b x3 (x) c2 . x2) (x) (1 (x) c1 . x1)
-    e = pairs.times(B.re_inv_el())             # b b c c x1 x2 xB
-    e = e.map(C.comult, 3)                     # b b c c1 c2 x1 x2 xB
-    e = e.merge(1, 7)                          # b . x3 -> b bx3 c c1 c2 x1 x2
-    e = e.map(C.right_action, (4, 6), at=4)    # c2 . x2 -> b bx3 c c1 c2x2 x1
-    e = e.map(C.right_action, (3, 5), at=3)    # c1 . x1 -> b bx3 c c1x1 c2x2
-    # bx3 c2x2 (x) 1 c1x1
-    comult = switch_legs(e.t.outer(B.alg.unit), (0, 2, 1, 4, 5, 3))
-    comult = LinMap.from_tensor(comult.fuse([[0, 1], [2, 3], [4, 5]]), 1)
+    e = pairs.times(B.re_inv_el("x1 x2 x")).map(C.comult, "c2", "c1 c2").merge("b2", "x")
+    e = e.map(C.right_action, "c2 x2", "c2").map(C.right_action, "c1 x1", "c1")
+    e = e.times(El((B.alg,), B.alg.unit, "one"))
+    comult = LinMap.from_tensor(e.tensor("b c b2 c2 one c1").fuse([[0, 1], [2, 3], [4, 5]]), 1)
 
     # id_B (x) eps on the fused pair (b, c)
     counit = LinMap.from_tensor(id_B.outer(C.counit.as_tensor()).fuse([[0, 2], [1]]), 1)

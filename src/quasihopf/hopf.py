@@ -40,11 +40,8 @@ class QuasiBialgebra:
     def spaces(self, n: int):
         return (self.alg,) * n
 
-    def el(self, t: Tensor) -> El:
-        return El(self.spaces(t.arity), t)
-
-    def unit_el(self, n: int) -> El:
-        return El.unit(self.spaces(n))
+    def el(self, t: Tensor, legs) -> El:
+        return El(self.spaces(t.arity), t, legs)
 
     def counit_scalar(self, i: int):
         return self.counit.column((i,)).get(())
@@ -170,12 +167,11 @@ def verify_quasi_bialgebra(H: QuasiBialgebra) -> CheckReport:
     _algebra_map_records(report, H, H.comult, unit_tensor(H.spaces(2)), "comult")
     _algebra_map_records(report, H, H.counit, Tensor.scalar(H.field, H.field.one), "counit")
 
-    phi = H.el(H.reassoc)
-    phi_inv = H.el(H.reassoc_inv)
-    unit3 = H.unit_el(3)
+    phi = H.el(H.reassoc, "x1 x2 x3")
     # a right inverse in a finite-dimensional associative algebra is also a
     # left inverse, and "mult-associative" is a fatal check of this report
-    report.compare("reassoc-invertible", phi.mul(phi_inv).t, unit3.t)
+    report.compare("reassoc-invertible", phi.mul(H.el(H.reassoc_inv, "x1 x2 x3")).t,
+                   unit_tensor(H.spaces(3)))
 
     # comultiplication is coassociative after conjugating by the reassociator:
     # (id x Delta)Delta(h) = Phi (Delta x id)Delta(h) Phi^-1, checked multiplied
@@ -183,22 +179,25 @@ def verify_quasi_bialgebra(H: QuasiBialgebra) -> CheckReport:
     # Phi^-1 is a two-sided inverse (by "reassoc-invertible" and associativity),
     # and a report passes only if every fatal check does.
     # (id x Delta) Delta Phi against Phi (Delta x id) Delta
-    h2 = El((alg,) * 3, H.comult.as_tensor())
+    h = El((alg,) * 3, H.comult.as_tensor(), "h x1 x3")
     report.sweep_all("quasi-coassoc", (d,),
-                     h2.map(H.comult, 2).mul_embedded(phi, (1, 2, 3)).t,
-                     h2.map(H.comult, 1).premul_embedded(phi, (1, 2, 3)).t)
+                     h.map(H.comult, "x3", "x2 x3").mul(phi).tensor("h x1 x2 x3"),
+                     phi.mul(h.map(H.comult, "x1", "x1 x2")).tensor("h x1 x2 x3"))
 
     _counit_comult_record(report, H.comult, H.counit)
 
-    # the reassociator is a normalized 3-cocycle
-    lhs = phi.map(H.comult, 1).premul_embedded(phi, (1, 2, 3)).mul_embedded(phi, (0, 1, 2))
-    rhs = phi.map(H.comult, 2).mul(phi.map(H.comult, 0))
-    report.compare("cocycle", lhs.t, rhs.t)
+    # the reassociator is a normalized 3-cocycle:
+    # (1 x Phi)(id x Delta x id)(Phi)(Phi x 1) = (id x id x Delta)(Phi)(Delta x id x id)(Phi)
+    lhs = H.el(H.reassoc, "b c d").mul(H.el(H.reassoc, "a b d").map(H.comult, "b", "b c"))
+    lhs = lhs.mul(H.el(H.reassoc, "a b c"))
+    rhs = H.el(H.reassoc, "a b c").map(H.comult, "c", "c d").mul(
+        H.el(H.reassoc, "a c d").map(H.comult, "a", "a b"))
+    report.compare("cocycle", lhs.tensor("a b c d"), rhs.tensor("a b c d"))
 
-    unit2 = H.unit_el(2).t
-    report.compare("reassoc-counit-middle", phi.map(H.counit, (1,)).t, unit2)
-    report.compare("reassoc-counit-left", phi.map(H.counit, (0,)).t, unit2)
-    report.compare("reassoc-counit-right", phi.map(H.counit, (2,)).t, unit2)
+    unit2 = unit_tensor(H.spaces(2))
+    report.compare("reassoc-counit-middle", phi.map(H.counit, "x2", "").t, unit2)
+    report.compare("reassoc-counit-left", phi.map(H.counit, "x1", "").t, unit2)
+    report.compare("reassoc-counit-right", phi.map(H.counit, "x3", "").t, unit2)
     return report
 
 
@@ -217,28 +216,25 @@ def verify_quasi_hopf(H: QuasiHopfAlgebra) -> CheckReport:
     report.compare("antipode-unital", apply_linear_map(S, alg.unit, (0,)), alg.unit)
     report.add("antipode-invertible", S.is_invertible())
 
-    alpha_el = El((alg,), H.alpha)
-    beta_el = El((alg,), H.beta)
-
     # S(h1) alpha h2 = eps(h) alpha and h1 beta S(h2) = eps(h) beta, h on
     # the leading leg
-    h2 = El((alg,) * 3, H.comult.as_tensor())
+    h = El((alg,) * 3, H.comult.as_tensor(), "h h1 h2")
     eps = H.counit.as_tensor()
-    for check_id, leg, factor in (("antipode-cancel-left", 1, alpha_el),
-                                  ("antipode-cancel-right", 2, beta_el)):
+    for check_id, leg, factor in (("antipode-cancel-left", "h1", H.alpha),
+                                  ("antipode-cancel-right", "h2", H.beta)):
         report.sweep_all(check_id, (d,),
-                         h2.map(S, leg).mul_embedded(factor, (1,)).merge(1, 2).t,
-                         eps.outer(factor.t))
+                         h.map(S, leg, leg).mul(H.el(factor, "h1")).merge("h1", "h2").t,
+                         eps.outer(factor))
 
-    phi = H.el(H.reassoc)
-    zig = phi.map(S, 1).mul_embedded(beta_el, (0,)).merge(0, 1)
-    zig = zig.mul_embedded(alpha_el, (0,)).merge(0, 1)
+    # X1 beta S(X2) alpha X3 = 1
+    zig = H.el(H.reassoc, "x1 x2 x3").map(S, "x2", "x2").mul(H.el(H.beta, "x1"))
+    zig = zig.merge("x1", "x2").mul(H.el(H.alpha, "x1")).merge("x1", "x3")
     report.compare("zigzag-forward", zig.t, H.alg.unit)
 
-    phi_inv = H.el(H.reassoc_inv)
-    zag = phi_inv.map(S, 0).map(S, 2).mul_embedded(alpha_el, (0,)).merge(0, 1)
-    zag = zag.mul_embedded(beta_el, (0,)).merge(0, 1)
-    report.compare("zigzag-backward", zag.t, H.alg.unit)
+    # S(x1) alpha x2 beta S(x3) = 1
+    zag = H.el(H.reassoc_inv, "x1 x2 x3").map(S, "x1", "x1").map(S, "x3", "x3")
+    zag = zag.mul(H.el(H.alpha, "x1")).merge("x1", "x2").mul(H.el(H.beta, "x1"))
+    report.compare("zigzag-backward", zag.merge("x1", "x3").t, H.alg.unit)
 
     norm = H.eps(H.alpha) * H.eps(H.beta)
     report.add("alpha-beta-normalized", norm == H.field.one, fatal=False,
@@ -266,28 +262,28 @@ def gauge_twist(H: QuasiHopfAlgebra, F: GaugeTransformation) -> QuasiHopfAlgebra
                        or G.counit != H.counit):
         raise ShapeMismatch("gauge lives over a different structure")
     alg = H.alg
-    f, g = H.el(F.t), H.el(F.inv)
+    S = H.antipode
 
     # F Delta(h) F^-1 for every h at once, h on the leading leg
-    comult = El((alg,) * 3, H.comult.as_tensor()).premul_embedded(f, (1, 2)).mul_embedded(
-        g, (1, 2))
-    comult = LinMap.from_tensor(comult.t, 1, (alg, alg))
+    comult = H.el(F.t, "h1 h2").mul(El((alg,) * 3, H.comult.as_tensor(), "h h1 h2"))
+    comult = LinMap.from_tensor(comult.mul(H.el(F.inv, "h1 h2")).t, 1, (alg, alg))
 
     # the twisted reassociator (1 x F)(id x Delta)(F) Phi (Delta x id)(F^-1)(F^-1 x 1);
     # the untwisted comultiplication throughout
-    phi_f = f.map(H.comult, 1).premul_embedded(f, (1, 2)).mul(H.el(H.reassoc)).mul(
-        g.map(H.comult, 0)).mul_embedded(g, (0, 1))
+    phi_f = H.el(F.t, "b c").mul(H.el(F.t, "a b").map(H.comult, "b", "b c"))
+    phi_f = phi_f.mul(H.el(H.reassoc, "a b c")).mul(
+        H.el(F.inv, "a c").map(H.comult, "a", "a b")).mul(H.el(F.inv, "a b"))
     # inverse by the reversed product of inverses
-    phi_f_inv = f.map(H.comult, 0).premul_embedded(f, (0, 1)).mul(H.el(H.reassoc_inv)).mul(
-        g.map(H.comult, 1)).mul_embedded(g, (1, 2))
+    phi_f_inv = H.el(F.t, "a b").mul(H.el(F.t, "a c").map(H.comult, "a", "a b"))
+    phi_f_inv = phi_f_inv.mul(H.el(H.reassoc_inv, "a b c")).mul(
+        H.el(F.inv, "a b").map(H.comult, "b", "b c")).mul(H.el(F.inv, "b c"))
 
-    alpha_el = El((alg,), H.alpha)
-    beta_el = El((alg,), H.beta)
-    alpha_f = g.map(H.antipode, 0).mul_embedded(alpha_el, (0,)).merge(0, 1).t
-    beta_f = f.map(H.antipode, 1).mul_embedded(beta_el, (0,)).merge(0, 1).t
+    # S(G1) alpha G2 and F1 beta S(F2)
+    alpha_f = H.el(F.inv, "a b").map(S, "a", "a").mul(H.el(H.alpha, "a")).merge("a", "b").t
+    beta_f = H.el(F.t, "a b").map(S, "b", "b").mul(H.el(H.beta, "a")).merge("a", "b").t
 
-    return QuasiHopfAlgebra(alg, comult, H.counit, phi_f.t, H.antipode,
-                            alpha_f, beta_f, reassoc_inv=phi_f_inv.t,
+    return QuasiHopfAlgebra(alg, comult, H.counit, phi_f.tensor("a b c"), H.antipode,
+                            alpha_f, beta_f, reassoc_inv=phi_f_inv.tensor("a b c"),
                             name=(H.name + "_twisted") if H.name else "")
 
 
@@ -383,44 +379,40 @@ def drinfeld_twist(H: QuasiHopfAlgebra) -> GaugeTransformation:
 
 
 def _drinfeld_twist(H: QuasiHopfAlgebra):
-    alg = H.alg
     S = H.antipode
-    alpha_el = El((alg,), H.alpha)
-    beta_el = El((alg,), H.beta)
-    phi, phi_inv = H.el(H.reassoc), H.el(H.reassoc_inv)
 
-    # four-leg combinations of the reassociator and its inverse
-    phi_inv_d = phi_inv.map(H.comult, 0)
-    a4 = phi_inv_d.premul_embedded(phi, (0, 1, 2))
-    b4 = phi.map(H.comult, 0).mul_embedded(phi_inv, (0, 1, 2))
+    # four-leg combinations of the reassociator and its inverse: x1 x2
+    # are the two legs of Delta(x1), and A = (Phi x 1)(Delta x id x id)(Phi^-1),
+    # B = (Delta x id x id)(Phi)(Phi^-1 x 1)
+    phi_inv_d = H.el(H.reassoc_inv, "x1 x3 x4").map(H.comult, "x1", "x1 x2")
+    a4 = H.el(H.reassoc, "x1 x2 x3").mul(phi_inv_d)
+    b4 = H.el(H.reassoc, "x1 x3 x4").map(H.comult, "x1", "x1 x2").mul(
+        H.el(H.reassoc_inv, "x1 x2 x3"))
 
-    # gamma = S(A2) alpha A3 (x) S(A1) alpha A4
-    gamma = a4.map(S, 0).map(S, 1)
-    gamma = gamma.mul_embedded(alpha_el, (1,)).merge(1, 2)  # S(A2) alpha A3
-    gamma = gamma.mul_embedded(alpha_el, (0,)).merge(0, 2)  # S(A1) alpha A4
-    gamma = gamma.perm((1, 0))
+    # gamma = S(A1) alpha A4 (x) S(A2) alpha A3, on the legs x1 x2
+    gamma = a4.map(S, "x1", "x1").map(S, "x2", "x2")
+    gamma = gamma.mul(H.el(H.alpha, "x2")).merge("x2", "x3")
+    gamma = gamma.mul(H.el(H.alpha, "x1")).merge("x1", "x4")
 
-    # delta = B1 beta S(B4) (x) B2 beta S(B3)
-    delta = b4.map(S, 2).map(S, 3)
-    delta = delta.mul_embedded(beta_el, (0,)).merge(0, 3)   # B1 beta S(B4)
-    delta = delta.mul_embedded(beta_el, (1,)).merge(1, 2)   # B2 beta S(B3)
+    # delta = B1 beta S(B4) (x) B2 beta S(B3), on the legs x1 x2
+    delta = b4.map(S, "x3", "x3").map(S, "x4", "x4")
+    delta = delta.mul(H.el(H.beta, "x1")).merge("x1", "x4")
+    delta = delta.mul(H.el(H.beta, "x2")).merge("x2", "x3")
 
-    # f = (S x S)(flip Delta(x1)) gamma Delta(x2 beta S(x3))
-    e = phi_inv_d.perm((1, 0, 2, 3))
-    e = e.map(S, 0).map(S, 1)
-    e = e.map(S, 3).mul_embedded(beta_el, (2,)).merge(2, 3)  # x2 beta S(x3)
-    e = e.map(H.comult, 2)                                  # S(x1_2) S(x1_1) D1 D2
-    e = e.mul_embedded(gamma, (0, 1))
-    twist = e.merge(0, 2).merge(1, 2)
+    # f = (S x S)(flip Delta(x1)) gamma Delta(x2 beta S(x3)):
+    # S(x1_2) gamma2 D1 (x) S(x1_1) gamma1 D2
+    e = phi_inv_d.map(S, "x1", "x1").map(S, "x2", "x2").map(S, "x4", "x4")
+    e = e.mul(H.el(H.beta, "x3")).merge("x3", "x4").map(H.comult, "x3", "d1 d2")
+    twist = e.mul(gamma).merge("x2", "d1").merge("x1", "d2")
 
-    # f^-1 = Delta(S(x1) alpha x2) delta (S x S)(flip Delta(x3))
-    e = phi_inv.map(S, 0).mul_embedded(alpha_el, (0,)).merge(0, 1)  # S(x1) alpha x2, x3
-    e = e.map(H.comult, 0)                                  # D1 D2 x3
-    e = e.map(H.comult, 2).perm((0, 1, 3, 2)).map(S, 2).map(S, 3)
-    e = e.mul_embedded(delta, (0, 1))
-    twist_inv = e.merge(0, 2).merge(1, 2)
+    # f^-1 = Delta(S(x1) alpha x2) delta (S x S)(flip Delta(x3)):
+    # D1 delta1 S(x3_2) (x) D2 delta2 S(x3_1)
+    e = H.el(H.reassoc_inv, "x1 x2 x3").map(S, "x1", "x1").mul(H.el(H.alpha, "x1"))
+    e = e.merge("x1", "x2").map(H.comult, "x1", "x1 x2").map(H.comult, "x3", "x3 x4")
+    e = e.map(S, "x3", "x3").map(S, "x4", "x4").mul(delta)
+    twist_inv = e.merge("x1", "x4").merge("x2", "x3")
 
-    return twist.t, twist_inv.t
+    return twist.tensor("x2 x1"), twist_inv.tensor("x1 x2")
 
 
 def tensor_qha(H1: QuasiHopfAlgebra, H2: QuasiHopfAlgebra, name="") -> QuasiHopfAlgebra:

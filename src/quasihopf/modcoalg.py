@@ -191,9 +191,9 @@ def verify_module_coalgebra(C: ModuleCoalgebra) -> CheckReport:
 
     # coassociativity up to the reassociator acting through the actions
     def coassoc(idx):
-        two = El((C.space,) * 2, C.comult.column(idx))
-        return (_reassociate(C, two.map(C.comult, 0).t),    # (comult x id)
-                two.map(C.comult, 1).t)                     # (id x comult)
+        two = El((C.space,) * 2, C.comult.column(idx), "c1 c3")
+        return (_reassociate(C, two.map(C.comult, "c1", "c1 c2").tensor("c1 c2 c3")),
+                two.map(C.comult, "c3", "c2 c3").tensor("c1 c2 c3"))
 
     report.sweep("coassoc-upto-reassoc", all_indices((C.dim,)), coassoc)
 

@@ -149,17 +149,14 @@ def generalized_smash(A: ModuleAlgebra, B: ComoduleAlgebra) -> ProductAlgebra:
     @functools.cache
     def reads_only_ij(i, j):
         # the part of the pipeline before a2 is first read, once per (i, j)
-        e = B.re_inv_el()
-        e = e.times(El.basis((A.alg,), (i,))).times(El.basis((B.alg,), (j,)))
-        e = e.map(B.coaction, 4)          # x1 x2 xB a b-1 b0
-        e = e.map(act, (0, 3), at=0)      # (x1 . a)
-        return e.merge(1, 3)              # x2 b-1
+        e = B.re_inv_el("x1 x2 x").times(El.basis((A.alg,), (i,), "a"))
+        e = e.times(El.basis((B.alg,), (j,), "b")).map(B.coaction, "b", "h b")
+        return e.map(act, "x1 a", "a").merge("x2", "h")    # x1 . a, x2 b-1
 
     def mult_fn(i, j, k):
-        e = reads_only_ij(i, j).times(El.basis((A.alg,), (k,)))
-        e = e.map(act, (1, 4), at=1)      # (x2 b-1 . a2)
-        e = e.merge(0, 1)                 # product in A
-        return e.merge(1, 2).t            # xB b0, then b2 on the right
+        e = reads_only_ij(i, j).times(El.basis((A.alg,), (k,), "a2"))
+        e = e.map(act, "x2 a2", "a2").merge("a", "a2")     # (x1 . a)(x2 b-1 . a2)
+        return e.merge("x", "b").tensor("a x")             # xB b0, then b2 on the right
 
     unit = A.alg.unit.outer(B.alg.unit)
     emb = _unit_embedding(B.alg, A.alg, first=False)
@@ -190,16 +187,12 @@ def stgsm_product(A: ComoduleAlgebra, C: ModuleCoalgebra) -> ProductAlgebra:
     dual, act = D.alg.opposite(), D.left_action    # the flipped convolution
 
     def mult_fn(f, g, k):
-        e = A.re_el()                     # XA X2 X3
-        e = e.times(El.basis((dual,), (f,))).times(El.basis((dual,), (g,)))
-        e = e.times(El.basis((A.alg,), (k,)))
-        e = e.map(A.coaction, 5)          # XA X2 X3 f g u20 u21
-        e = e.merge(1, 6)                 # X2 u21
-        e = e.map(act, (1, 3), at=1)      # . f
-        e = e.map(act, (2, 3), at=2)      # X3 . g
-        e = e.merge(1, 2)                 # functional product
-        e = e.merge(0, 2)                 # XA u20, then u on the right
-        return e.perm((1, 0)).t
+        e = A.re_el("x x2 x3").times(El.basis((dual,), (f,), "f"))
+        e = e.times(El.basis((dual,), (g,), "g")).times(El.basis((A.alg,), (k,), "u"))
+        e = e.map(A.coaction, "u", "u u1").merge("x2", "u1")   # X2 u21
+        e = e.map(act, "x2 f", "f").map(act, "x3 g", "g")      # X2 u21 . f, X3 . g
+        e = e.merge("f", "g").merge("x", "u")   # functional product; XA u20, then u on the right
+        return e.tensor("f x")
 
     return _product_from_pairs(mult_fn, (1, A.alg, "right"), dual.unit.outer(A.alg.unit),
                                "stgsm(%s,%s)" % (A.name or "A", C.name or "C"))
@@ -214,20 +207,17 @@ def koppinen_smash(C: ModuleCoalgebra, B: ComoduleAlgebra) -> ProductAlgebra:
     field, dC = C.field, C.dim
 
     # <e^f, .>: the entries at index f of a coalgebra leg
-    evals = [LinMap(field, (dC,), (), {(f,): {(): field.one}}) for f in range(dC)]
+    evals = [LinMap(field, (dC,), (), {(f,): {(): field.one}}, dst_spaces=())
+             for f in range(dC)]
     # c1 c2 of every basis element m of C, m on the leading leg
-    comult = El((C.space,) * 3, C.comult.as_tensor())
+    comult = El((C.space,) * 3, C.comult.as_tensor(), "m c1 c2")
 
     def mult_fn(i, j, k):
-        e = comult.times(B.re_inv_el())   # m c1 c2 x1 x2 xB
-        e = e.map(C.right_action, (1, 3), at=1)   # m c1.x1 c2 x2 xB
-        e = e.map(evals[i], (1,), out_spaces=())  # <e^i, .>
-        e = e.times(El.basis((B.alg,), (j,)))     # m c2 x2 xB bj
-        e = e.map(B.coaction, 4)          # m c2 x2 xB bj-1 bj0
-        e = e.merge(2, 4)                 # x2 bj-1
-        e = e.map(C.right_action, (1, 2), at=1)   # m c2.x2bj-1 xB bj0
-        e = e.map(evals[k], (1,), out_spaces=())  # <e^k, .>
-        return e.merge(1, 2).t            # m, xB bj0, then bl on the right
+        e = comult.times(B.re_inv_el("x1 x2 x")).map(C.right_action, "c1 x1", "c1")
+        e = e.map(evals[i], "c1", "").times(El.basis((B.alg,), (j,), "b"))   # <e^i, c1 . x1>
+        e = e.map(B.coaction, "b", "h b").merge("x2", "h")                 # x2 bj-1
+        e = e.map(C.right_action, "c2 x2", "c2").map(evals[k], "c2", "")   # <e^k, c2 . x2 bj-1>
+        return e.merge("x", "b").tensor("m x")    # m, xB bj0, then bl on the right
 
     full_unit = C.counit.as_tensor().outer(B.alg.unit)
     return _product_from_pairs(mult_fn, (3, B.alg, "right"), full_unit,
@@ -273,27 +263,24 @@ def phi_isomorphism(C: ModuleCoalgebra):
     target = stgsm_product(right_reg, C)
 
     twist = drinfeld_twist(H)
-    g_el = El(H.spaces(2), twist.inv)
-    elements_left = canonical_elements(left_reg, verify=False)
-    elements_right = canonical_elements(right_reg, verify=False)
-    q_lambda = El(H.spaces(2), elements_left.q.t)
-    q_rho = El(H.spaces(2), elements_right.q_right.t)
+    q_lambda = canonical_elements(left_reg, verify=False).q
+    q_rho = canonical_elements(right_reg, verify=False).q_right
     dC, dH = C.dim, H.dim
 
-    # every basis element (f, h) of the carrier at once, f and h on the
-    # leading legs
-    dual_basis = El((dual.alg,) * 2, _identity(field, dC))
-    comult = El((H.alg,) * 3, H.comult.as_tensor())
-
+    comult = functools.partial(El, (H.alg,) * 3, H.comult.as_tensor())
     def acting_on_dual(e):
-        # the first leg of e (after h) acts on the dual basis vector e^f
-        e = dual_basis.times(e).map(dual.left_action, (3, 1), at=2)   # f h e1.e^f e2
-        return LinMap.from_tensor(e.t.fuse([[0, 1], [2, 3]]), 1)
+        # e1 acts on the dual basis vector e^f, for every basis element
+        # (f, h) of the carrier at once, f and h on the leading legs
+        e = El((dual.alg,) * 2, _identity(field, dC), "f d").times(e)
+        e = e.map(dual.left_action, "e1 d", "d")
+        return LinMap.from_tensor(e.tensor("f h d e2").fuse([[0, 1], [2, 3]]), 1)
 
-    e = comult.premul_embedded(q_lambda, (1, 2)).mul_embedded(g_el, (1, 2))
-    phi = acting_on_dual(e.map(S_inv, 1).map(S_inv, 2))   # S^-1(q1 h1 g1), S^-1(q2 h2 g2)
-    e = comult.premul_embedded(q_rho, (1, 2)).map(S, 1).map(S, 2)   # S(qa h1), S(q2 h2)
-    phi_inv = acting_on_dual(e.perm((0, 2, 1)).premul_embedded(g_el, (1, 2)))
+    # S^-1(q1 h1 g1), S^-1(q2 h2 g2)
+    e = H.el(q_lambda, "e1 e2").mul(comult("h e1 e2")).mul(H.el(twist.inv, "e1 e2"))
+    phi = acting_on_dual(e.map(S_inv, "e1", "e1").map(S_inv, "e2", "e2"))
+    # g1 S(q2 h2), g2 S(qa h1)
+    e = H.el(q_rho, "e2 e1").mul(comult("h e2 e1")).map(S, "e1", "e1").map(S, "e2", "e2")
+    phi_inv = acting_on_dual(H.el(twist.inv, "e1 e2").mul(e))
     dim = dC * dH
 
     report = CheckReport("smash comparison iso %s" % (C.name or "C"))
@@ -341,9 +328,9 @@ class OmegaData:
         H = self.A.H
         S_inv = H.antipode_inv
         sp5 = (H.alg, H.alg, self.A.alg, H.alg, H.alg)
-        e = El(sp5, self.psi_inv).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
+        e = El(sp5, self.psi_inv, "a b c d e").map(S_inv, "a", "a").map(S_inv, "b", "b")
         f_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, drinfeld_twist(H).t, (0,)), (1,))
-        return multiply(sp5, e.t, f_corr, y_legs=(0, 1))
+        return e.mul(H.el(f_corr, "a b")).tensor("a b c d e")
 
 
 def _exchange_data(A: BicomoduleAlgebra):
@@ -358,12 +345,13 @@ def _exchange_data(A: BicomoduleAlgebra):
     delta = apply_linear_map(A.left_coaction, A.right_coaction.as_tensor(), (1,))
 
     def exchange(theta, phi_right, phi_left, reverse):
-        theta = El(A.mixed_spaces(), theta)            # Theta x 1 in H A H H
-        inner = El((alg, H.alg, H.alg), phi_right).map(A.left_coaction, 0)
-        e = (inner.mul_embedded if reverse else inner.premul_embedded)(theta, (0, 1, 2))
-        e = e.map(A.left_coaction, 1)                 # H H A H H
-        outer = El((H.alg, H.alg, alg), phi_left)
-        return (e.premul_embedded if reverse else e.mul_embedded)(outer, (0, 1, 2)).t
+        # on the legs a b c d e in H H A H H, the product of phi_left at a b c,
+        # the left coaction of theta at a c d and of phi_right at c d e
+        theta = El(A.mixed_spaces(), theta, "a c d")
+        inner = El((alg, H.alg, H.alg), phi_right, "c d e").map(A.left_coaction, "c", "a c")
+        e = (inner.mul(theta) if reverse else theta.mul(inner)).map(A.left_coaction, "c", "b c")
+        outer = El((H.alg, H.alg, alg), phi_left, "a b c")
+        return (outer.mul(e) if reverse else e.mul(outer)).tensor("a b c d e")
 
     return (delta, exchange(A.reassoc_mixed, A.reassoc_right_inv, A.reassoc_left, False),
             exchange(A.reassoc_mixed_inv, A.reassoc_right, A.reassoc_left_inv, True))
@@ -387,9 +375,9 @@ def build_omega(A: BicomoduleAlgebra, kind: str) -> OmegaData:
 
     S_inv = H.antipode_inv
     sp5 = (H.alg, H.alg, A.alg, H.alg, H.alg)
-    e = El(sp5, psi).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
+    e = El(sp5, psi, "a b c d e").map(S_inv, "a", "a").map(S_inv, "b", "b")
     g_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, drinfeld_twist(H).inv, (0,)), (1,))
-    omega_right = multiply(sp5, g_corr, e.t, x_legs=(0, 1))
+    omega_right = H.el(g_corr, "a b").mul(e).tensor("a b c d e")
     return OmegaData(kind, A, delta, psi, psi_inv, omega_right)
 
 
@@ -424,26 +412,22 @@ def _diagonal_product(M: ModuleAlgebra, data: OmegaData) -> ProductAlgebra:
     A = data.A
     H = A.H
     S_inv = H.antipode_inv
-    om = El((H.alg, H.alg, A.alg, H.alg, H.alg), data.omega_right)
+    om = El((H.alg, H.alg, A.alg, H.alg, H.alg), data.omega_right, "o1 o2 o3 o4 o5")
     lact, ract = M.left_action, M.right_action
 
     @functools.cache
     def reads_only_u(k):
-        # the part of the pipeline before m_j is first read, once per k
-        e = om.times(El.basis((A.alg,), (k,))).map(data.delta, 5)   # O1..O5 u2-1 u200 u21
-        e = e.merge(6, 2)                 # u200 O3 -> O1 O2 O4 O5 u2-1 u2O3 u21
-        e = e.map(S_inv, 4)
-        return e.merge(1, 4)              # O2 S^-1(u2-1) -> O1 O2 O4 O5 u2O3 u21
+        # the part of the pipeline before m_j is first read, once per k;
+        # delta sends u to s u r = (u0)-1 (u0)0 u1
+        e = om.times(El.basis((A.alg,), (k,), "u")).map(data.delta, "u", "s u r")
+        return e.merge("u", "o3").map(S_inv, "s", "s").merge("o2", "s")   # u O3, O2 S^-1(s)
 
     def mult_fn(j, k, l):
-        e = reads_only_u(k).times(El.basis((M.alg,), (j,))).times(El.basis((M.alg,), (l,)))
-        e = e.map(lact, (1, 6), at=4)     # O1 O4 O5 u2O3 phi2 u21 psi
-        e = e.merge(5, 1)                 # u21 O4 -> O1 O5 u2O3 phi2 u21O4 psi
-        e = e.map(ract, (3, 4), at=3)     # O1 O5 u2O3 phi3 psi
-        e = e.map(lact, (0, 4), at=3)     # O5 u2O3 phi3 psi2
-        e = e.map(ract, (3, 0), at=2)     # u2O3 phi3 psi3
-        e = e.merge(1, 2)                 # product in M
-        return e.t                        # u on the left of u2O3
+        e = reads_only_u(k).times(El.basis((M.alg,), (j,), "m"))
+        e = e.times(El.basis((M.alg,), (l,), "n")).merge("r", "o4")        # r O4
+        e = e.map(lact, "o2 m", "m").map(ract, "m r", "m")     # (O2 S^-1(s) . m) . r O4
+        e = e.map(lact, "o1 n", "n").map(ract, "n o5", "n")    # (O1 . n) . O5
+        return e.merge("m", "n").tensor("u m")                 # u on the left of u O3
 
     return _product_from_pairs(mult_fn, (0, A.alg, "left"),
                                A.alg.unit.outer(M.alg.unit), "diagonal-right-%s(%s,%s)" % (

@@ -16,13 +16,15 @@ of algebras (one per leg) turn tensor powers into componentwise
 algebras, which is where all of the displayed element identities of the
 domain live.
 
-The ``El`` wrapper pairs a tensor with its per-leg spaces and provides
-the small calculus (merge, map, outer product, permute) used to
-transcribe multi-term Sweedler formulas leg by leg.
+The ``El`` wrapper pairs a tensor with a name and a space per leg and
+provides the small calculus (map, merge, outer and componentwise
+product) in which multi-term Sweedler formulas are written over leg
+names.
 """
 
 from __future__ import annotations
 
+import functools
 from operator import itemgetter
 
 from . import linalg
@@ -306,16 +308,6 @@ class LinMap:
             self._raw = den, {idx: tuple((j, raw_over(v, den)) for j, v in img.items())
                               for idx, img in self.cols.items()}
         return self._raw
-
-    @classmethod
-    def from_function(cls, field, src, dst, fn, dst_spaces=None):
-        cols = {}
-        for idx in all_indices(src):
-            img = fn(idx)
-            if isinstance(img, Tensor):
-                img = img.data
-            cols[idx] = img
-        return cls(field, src, dst, cols, dst_spaces)
 
     @classmethod
     def identity(cls, field, dims, spaces=None):
@@ -656,30 +648,6 @@ def unit_tensor(spaces) -> Tensor:
     return out
 
 
-def embed_legs(spaces, x: Tensor, positions) -> Tensor:
-    """Place ``x``'s legs at ``positions`` in the ambient tensor power,
-    filling every other leg with that algebra's unit."""
-    positions = tuple(positions)
-    if len(set(positions)) != len(positions):
-        raise ShapeMismatch("position collision in %r" % (positions,))
-    if len(positions) != x.arity:
-        raise ShapeMismatch("%d positions for arity %d" % (len(positions), x.arity))
-    for pos, d in zip(positions, x.dims):
-        if not 0 <= pos < len(spaces):
-            raise ShapeMismatch("position %d out of range" % pos)
-        if spaces[pos].dim != d:
-            raise ShapeMismatch("leg dim %d does not match space at position %d" % (d, pos))
-    rest = [i for i in range(len(spaces)) if i not in positions]
-    out = x
-    for i in rest:
-        out = out.outer(spaces[i].unit)
-    order = list(positions) + rest
-    inverse = [0] * len(spaces)
-    for new_pos, old_pos in enumerate(order):
-        inverse[old_pos] = new_pos
-    return switch_legs(out, inverse)
-
-
 def _leaves(t: Tensor, leg: int, den: int):
     """``t``'s entries on ``leg`` grouped by their indices on the other
     legs: prefix -> {index on leg: integer numerator over ``den``}."""
@@ -727,7 +695,8 @@ def multiply(spaces, x: Tensor, y: Tensor, x_legs=None, y_legs=None) -> Tensor:
     own leg order) and stands for itself with the unit on every other
     leg, where the other factor's index passes through unchanged; every
     leg must belong to a factor.  So ``multiply(spaces, x, f, y_legs=L)``
-    is x times ``embed_legs(spaces, f, L)`` without building that tensor.
+    is x times f placed on the legs L with units elsewhere, without
+    building that tensor.
     The missing legs are read as 1·y = y and x·1 = x, so on an algebra
     leg this equals the unit-padded product only where that algebra's
     unit law holds; where it fails (a bumped unit or multiplication),
@@ -940,100 +909,116 @@ def invert_element(spaces, x: Tensor) -> Tensor:
     return u
 
 
+@functools.lru_cache(maxsize=None)
+def _names(legs: str) -> tuple:
+    """The leg names of a whitespace-separated string, each distinct."""
+    names = tuple(legs.split())
+    if len(set(names)) != len(names):
+        raise ShapeMismatch("repeated leg name in %r" % (legs,))
+    return names
+
+
+def _el(spaces: tuple, t: Tensor, legs: tuple) -> "El":
+    """An ``El`` of parts that its maker has checked."""
+    out = object.__new__(El)
+    out.spaces, out.t, out.legs = spaces, t, legs
+    return out
+
+
 class El:
-    """A tensor together with its per-leg spaces; chainable leg calculus.
+    """A tensor with a name and a space for each leg: the calculus in
+    which the Sweedler formulas are transcribed.
 
-    Every method returns a fresh ``El``.  ``merge(i, j)`` multiplies leg j
-    into leg i (product taken in that order, result at slot i), ``map``
-    applies a LinMap to chosen legs, ``times`` is the outer product.
-
-    ``times`` only adds new legs.  A factor whose legs land one for one on
-    legs already present goes in where it lands, by one ``multiply``:
-    ``mul_embedded`` on the right, ``premul_embedded`` on the left, with
-    the other legs passing through.  ``x.times(f).merge(i, n)`` with f
-    one-legged is ``x.mul_embedded(f, (i,))`` without the outer product.
+    ``legs`` names the legs, a whitespace-separated string with one
+    distinct name per leg.  Every method returns a fresh ``El`` and
+    names every leg it makes; the leg order is bookkeeping, read only
+    through ``tensor(order)`` (``.t`` is the tensor in the current
+    order).  ``map(m, src, dst)`` applies ``m`` to the legs ``src`` and
+    names its target legs ``dst``; ``merge(a, b)`` is a·b, kept as
+    ``a``; ``times`` is the outer product of two ``El``s that share no
+    name.  ``mul`` is the componentwise product, legs matched by name:
+    the factor with fewer legs stands for itself with the unit on the
+    others and goes in where it lands, by one ``multiply``, with no outer
+    product (see ``multiply`` for where this equals the unit-padded
+    product), so ``x.mul(f)`` is x·f and ``f.mul(x)`` is f·x.  Neither
+    ``mul`` nor ``tensor`` copies a tensor whose legs are in order.
     """
 
-    __slots__ = ("spaces", "t")
+    __slots__ = ("spaces", "t", "legs")
 
-    def __init__(self, spaces, t: Tensor):
+    def __init__(self, spaces, t: Tensor, legs: str):
         self.spaces = tuple(spaces)
-        if tuple(s.dim for s in self.spaces) != t.dims:
-            raise ShapeMismatch("spaces %r do not match tensor dims %r"
-                                % (tuple(s.dim for s in self.spaces), t.dims))
+        self.legs = _names(legs)
+        if tuple([s.dim for s in self.spaces]) != t.dims or len(self.legs) != t.arity:
+            raise ShapeMismatch("spaces %r and legs %r do not match tensor dims %r"
+                                % (tuple([s.dim for s in self.spaces]), legs, t.dims))
         self.t = t
 
     @classmethod
-    def unit(cls, spaces):
-        return cls(spaces, unit_tensor(spaces))
-
-    @classmethod
-    def basis(cls, spaces, idx):
+    def basis(cls, spaces, idx, legs: str):
         field = spaces[0].field
-        return cls(spaces, Tensor.basis(field, tuple(s.dim for s in spaces), idx))
+        return cls(spaces, Tensor.basis(field, tuple([s.dim for s in spaces]), idx), legs)
 
-    def map(self, m: LinMap, legs, at=None, out_spaces=None) -> "El":
-        legs = (legs,) if isinstance(legs, int) else tuple(legs)
-        if out_spaces is None:
-            out_spaces = m.dst_spaces
-            if out_spaces is None:
-                raise ShapeMismatch("map carries no target spaces; pass out_spaces")
-        remaining = [l for l in range(len(self.spaces)) if l not in legs]
-        slot = at if at is not None else sum(1 for l in remaining if l < legs[0])
-        spaces = tuple(self.spaces[l] for l in remaining[:slot]) + tuple(out_spaces) \
-            + tuple(self.spaces[l] for l in remaining[slot:])
-        return El(spaces, apply_linear_map(m, self.t, legs, at=at))
+    def _at(self, names) -> tuple:
+        """The positions of the legs ``names`` (a string or a tuple of
+        names), in that order."""
+        try:
+            return tuple([self.legs.index(name) for name in (
+                _names(names) if isinstance(names, str) else names)])
+        except ValueError:
+            raise ShapeMismatch("no leg %r among %r" % (names, " ".join(self.legs))) from None
 
-    def merge(self, i: int, j: int) -> "El":
-        if self.spaces[i] is not self.spaces[j]:
-            raise ShapeMismatch("legs %d and %d live in different algebras" % (i, j))
+    def map(self, m: LinMap, src: str, dst: str) -> "El":
+        return self._map(m, self._at(src), _names(dst))
+
+    def _map(self, m: LinMap, at: tuple, dst: tuple) -> "El":
+        if m.dst_spaces is None or len(dst) != len(m.dst_spaces):
+            raise ShapeMismatch("map with target spaces %r names target legs %r"
+                                % (m.dst_spaces, dst))
+        # the target legs go where the first source leg was
+        first = at[0]
+        keep = [l for l in range(len(self.legs)) if l not in at]
+        legs = tuple([self.legs[l] for l in keep])
+        if not set(dst).isdisjoint(legs):
+            raise ShapeMismatch("target legs %r are already named" % (dst,))
+        slot = first - len([l for l in at if l < first])
+        spaces = tuple([self.spaces[l] for l in keep])
+        return _el(spaces[:slot] + m.dst_spaces + spaces[slot:],
+                   apply_linear_map(m, self.t, at), legs[:slot] + dst + legs[slot:])
+
+    def merge(self, a: str, b: str) -> "El":
+        i, j = self._at((a, b))
         alg = self.spaces[i]
+        if self.spaces[j] is not alg:
+            raise ShapeMismatch("legs %r and %r live in different algebras" % (a, b))
         if not isinstance(alg, FinAlgebra):
-            raise ShapeMismatch("leg %d is not an algebra leg" % i)
-        slot = i if i < j else i - 1
-        return self.map(alg.mult, (i, j), at=slot, out_spaces=(alg,))
+            raise ShapeMismatch("leg %r is not an algebra leg" % (a,))
+        return self._map(alg.mult, (i, j), (a,))
 
-    def times(self, other) -> "El":
-        if isinstance(other, El):
-            return El(self.spaces + other.spaces, self.t.outer(other.t))
-        raise ShapeMismatch("outer product needs an El")
+    def times(self, other: "El") -> "El":
+        legs = self.legs + other.legs
+        if len(set(legs)) != len(legs):
+            raise ShapeMismatch("factors share a leg name in %r" % (" ".join(legs),))
+        return _el(self.spaces + other.spaces, self.t.outer(other.t), legs)
 
     def mul(self, other: "El") -> "El":
-        if len(self.spaces) != len(other.spaces) or any(
-                a is not b for a, b in zip(self.spaces, other.spaces)):
-            raise ShapeMismatch("componentwise product needs identical spaces")
-        return El(self.spaces, multiply(self.spaces, self.t, other.t))
+        whole = self if len(self.legs) >= len(other.legs) else other
+        part = other if whole is self else self
+        at = whole._at(part.legs)
+        for l, s in zip(at, part.spaces):
+            if whole.spaces[l] is not s:
+                raise ShapeMismatch("leg %r lives in different algebras" % (whole.legs[l],))
+        if whole is self:
+            t = multiply(self.spaces, self.t, other.t, y_legs=at)
+        else:
+            t = multiply(other.spaces, self.t, other.t, x_legs=at)
+        return _el(whole.spaces, t, whole.legs)
 
-    def _fits(self, other: "El", positions) -> tuple:
-        positions = tuple(positions)
-        if len(positions) != len(other.spaces) or any(
-                not 0 <= l < len(self.spaces) or self.spaces[l] is not s
-                for l, s in zip(positions, other.spaces)):
-            raise ShapeMismatch("factor spaces do not sit at legs %r" % (positions,))
-        return positions
-
-    def mul_embedded(self, other: "El", positions) -> "El":
-        """self times ``other`` at legs ``positions``, the unit elsewhere."""
-        return El(self.spaces, multiply(self.spaces, self.t, other.t,
-                                        y_legs=self._fits(other, positions)))
-
-    def premul_embedded(self, other: "El", positions) -> "El":
-        """``other`` at legs ``positions``, the unit elsewhere, times self."""
-        return El(self.spaces, multiply(self.spaces, other.t, self.t,
-                                        x_legs=self._fits(other, positions)))
-
-    def perm(self, order) -> "El":
-        order = tuple(order)
-        return El(tuple(self.spaces[p] for p in order), switch_legs(self.t, order))
-
-    def __eq__(self, other):
-        if not isinstance(other, El):
-            return NotImplemented
-        return self.t == other.t and tuple(s.dim for s in self.spaces) == tuple(
-            s.dim for s in other.spaces)
-
-    def __hash__(self):
-        return hash(self.t)
+    def tensor(self, legs: str) -> Tensor:
+        order = self._at(legs)
+        if len(order) != len(self.legs):
+            raise ShapeMismatch("order %r leaves out legs of %r" % (legs, " ".join(self.legs)))
+        return self.t if order == tuple(range(len(order))) else switch_legs(self.t, order)
 
     def __repr__(self):
-        return "El(%r)" % (self.t,)
+        return "El(%s: %r)" % (" ".join(self.legs), self.t)

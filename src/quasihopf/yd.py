@@ -37,7 +37,7 @@ class YetterDrinfeldContext:
 def verify_yd(M: FiniteModule, context: YetterDrinfeldContext) -> CheckReport:
     """Counit law, the mixed coassociativity law, and the crossed
     compatibility, on every basis element."""
-    A, C = context.A, context.C
+    A, C, H = context.A, context.C, context.H
     field = context.field
     report = CheckReport("yetter-drinfeld %s" % (M.name or ""))
     if M.action_side != "left" or M.coaction_side != "right":
@@ -49,27 +49,25 @@ def verify_yd(M: FiniteModule, context: YetterDrinfeldContext) -> CheckReport:
                      apply_linear_map(C.counit, M.coaction.as_tensor(), (2,)),
                      _identity(field, M.dim))
 
+    coaction = M.coaction.rebind((M.space, C.space))
+    mixed_inv = El(A.mixed_spaces(), A.reassoc_mixed_inv, "t1 t t3")
+    left_inv = El((H.alg, H.alg, A.alg), A.reassoc_left_inv, "x1 x2 x")
+    right_inv = El((A.alg, H.alg, H.alg), A.reassoc_right_inv, "y y2 y3")
+
     def mixed_coassoc(idx):
-        # left side: t2 acts on the module before the second coaction,
-        # t1 and t3 on the fresh and the old coaction leg
-        lhs = A.reassoc_mixed_inv.outer(M.coaction.column(idx))  # t1 t2 t3 m c
-        lhs = apply_linear_map(M.action, lhs, (1, 3), at=0)      # m t1 t3 c
-        lhs = apply_linear_map(M.coaction, lhs, (0,))            # m0 c' t1 t3 c
-        lhs = apply_linear_map(C.right_action, lhs, (1, 2), at=1)  # m0 c'.t1 t3 c
-        lhs = apply_linear_map(C.left_action, lhs, (2, 3))       # m0 c'.t1 t3.c
-        # right side: xB acts before the coaction, yA after it; on each
+        # left side: t acts on the module before the second coaction, t1
+        # and t3 on the fresh and the old coaction leg
+        lhs = mixed_inv.times(El((M.space, C.space), M.coaction.column(idx), "m c"))
+        lhs = lhs.map(M.action, "t m", "m").map(coaction, "m", "m b")
+        lhs = lhs.map(C.right_action, "b t1", "b").map(C.left_action, "t3 c", "c")
+        # right side: x acts before the coaction, y after it; on each
         # coalgebra leg y acts from the left before x from the right
-        rhs = A.reassoc_left_inv.outer(Tensor.basis(field, (M.dim,), idx))
-        rhs = apply_linear_map(M.action, rhs, (2, 3))           # x1 x2 m
-        rhs = apply_linear_map(M.coaction, rhs, (2,))           # x1 x2 m0 c
-        rhs = apply_linear_map(C.comult, rhs, (3,))             # x1 x2 m0 c1 c2
-        rhs = A.reassoc_right_inv.outer(rhs)     # yA y2 y3 x1 x2 m0 c1 c2
-        rhs = apply_linear_map(M.action, rhs, (0, 5), at=4)     # y2 y3 x1 x2 m c1 c2
-        rhs = apply_linear_map(C.left_action, rhs, (0, 5), at=4)   # y3 x1 x2 m c1 c2
-        rhs = apply_linear_map(C.right_action, rhs, (4, 1), at=3)  # y3 x2 m c1 c2
-        rhs = apply_linear_map(C.left_action, rhs, (0, 4), at=3)   # x2 m c1 c2
-        rhs = apply_linear_map(C.right_action, rhs, (3, 0))        # m c1 c2
-        return lhs, rhs
+        rhs = left_inv.times(El((M.space,), Tensor.basis(field, (M.dim,), idx), "m"))
+        rhs = rhs.map(M.action, "x m", "m").map(coaction, "m", "m c").map(C.comult, "c", "c1 c2")
+        rhs = right_inv.times(rhs).map(M.action, "y m", "m")
+        rhs = rhs.map(C.left_action, "y2 c1", "c1").map(C.right_action, "c1 x1", "c1")
+        rhs = rhs.map(C.left_action, "y3 c2", "c2").map(C.right_action, "c2 x2", "c2")
+        return lhs.tensor("m b c"), rhs.tensor("m c1 c2")
 
     report.sweep("mixed-coassoc", basis, mixed_coassoc)
 
@@ -101,7 +99,7 @@ def yd_to_doihopf(M: FiniteModule, context: YetterDrinfeldContext) -> FiniteModu
     """Keep the action, replace the coaction using the canonical left
     comparison element; lands in the square-base Doi-Hopf context."""
     A = context.A
-    p = canonical_elements(A.left(), verify=False).p.t      # H x A
+    p = canonical_elements(A.left(), verify=False).p      # H x A
     t = _coact_acted(M, context.C, p, _identity(context.field, M.dim))    # m m0 c
     coaction = LinMap.from_tensor(t, 1)
     return FiniteModule(M.dim, A.alg, M.action, "left", coaction, "right",
@@ -112,14 +110,13 @@ def doihopf_to_yd(M: FiniteModule, context: YetterDrinfeldContext) -> FiniteModu
     """Inverse direction using the other canonical comparison element and
     the right coaction of the carrier."""
     A, C, H = context.A, context.C, context.H
-    q = El((H.alg, A.alg), canonical_elements(A.left(), verify=False).q.t)
-    q = q.map(H.antipode_inv, 0).map(A.right_coaction, 1)   # S^-1(q1) qA0 qA1
+    q = El((H.alg, A.alg), canonical_elements(A.left(), verify=False).q, "h a")
+    q = q.map(H.antipode_inv, "h", "h").map(A.right_coaction, "a", "a r")   # S^-1(q1) qA0 qA1
     # qA0 acts on the carrier, then (qA1 . c) . S^-1(q1) on the coalgebra
-    # leg, for every m at once
-    t = M.coaction.as_tensor().outer(q.t)                   # m m c r a l
-    t = apply_linear_map(M.action, t, (4, 1), at=1)         # m m c r l
-    t = apply_linear_map(C.left_action, t, (4, 2), at=2)    # m m l.c r
-    coaction = LinMap.from_tensor(apply_linear_map(C.right_action, t, (2, 3)), 1)
+    # leg, for every u at once
+    t = El((M.space, M.space, C.space), M.coaction.as_tensor(), "u m c").times(q)
+    t = t.map(M.action, "a m", "m").map(C.left_action, "r c", "c").map(C.right_action, "c h", "c")
+    coaction = LinMap.from_tensor(t.tensor("u m c"), 1)
     return FiniteModule(M.dim, A.alg, M.action, "left", coaction, "right",
                         name=(M.name or "M"))
 

@@ -70,7 +70,7 @@ def reference_verify_coring(X):
         side, r, c = item
         if side == "left":
             lhs = apply_linear_map(X.comult, X.act_left(r, basis(c)), (0,))
-            rhs = X.act_left(r, X.comult.column((c,)), leg=0)
+            rhs = X.act_left(r, X.comult.column((c,)))
         else:
             lhs = apply_linear_map(X.comult, X.act_right(basis(c), r), (0,))
             rhs = X.act_right(X.comult.column((c,)), r, leg=1)

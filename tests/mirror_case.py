@@ -28,10 +28,10 @@ from quasihopf.comodule import ComoduleAlgebra, _reassoc_pair
 from quasihopf.coring import Coring
 from quasihopf.hopf import drinfeld_twist, tensor_op
 from quasihopf.smash import _unit_embedding, build_omega
-from quasihopf.tensor import (El, LinMap, Tensor, apply_linear_map, embed_legs, multiply,
-                              switch_legs)
+from quasihopf.tensor import LinMap, Tensor, apply_linear_map, multiply, switch_legs
 
 from smash_case import reference_product_from_pairs
+from tensor_case import PositionalEl, embed_legs, from_function
 
 
 def reference_right_generalized_smash(A, P):
@@ -42,9 +42,9 @@ def reference_right_generalized_smash(A, P):
     def mult_fn(x, y):
         i, j = x
         k, l = y
-        e = A.re_inv_el()                 # xA x2 x3
-        e = e.times(El.basis((A.alg,), (i,))).times(El.basis((P.alg,), (j,)))
-        e = e.times(El.basis((A.alg,), (k,))).times(El.basis((P.alg,), (l,)))
+        e = PositionalEl(A.reassoc_spaces(), A.reassoc_inv)                 # xA x2 x3
+        e = e.times(PositionalEl.basis((A.alg,), (i,))).times(PositionalEl.basis((P.alg,), (j,)))
+        e = e.times(PositionalEl.basis((A.alg,), (k,))).times(PositionalEl.basis((P.alg,), (l,)))
         e = e.map(A.coaction, 5)          # xA x2 x3 u p u20 u21 p2
         e = e.merge(3, 5)                 # u u20
         e = e.merge(3, 0)                 # . xA  -> x2 x3 uu2xA p u21 p2
@@ -69,8 +69,8 @@ def reference_coring_ca(A, C, name=None):
     def left_fn(idx):
         r, n = idx
         c, a = divmod(n, dA)
-        e = El.basis((A.alg,), (r,)).map(A.coaction, 0)   # r0 r1
-        e = e.times(El.basis((C.space,), (c,))).times(El.basis((A.alg,), (a,)))
+        e = PositionalEl.basis((A.alg,), (r,)).map(A.coaction, 0)   # r0 r1
+        e = e.times(PositionalEl.basis((C.space,), (c,))).times(PositionalEl.basis((A.alg,), (a,)))
         e = e.map(C.left_action, (1, 2), at=1)            # r0 (r1.c) a
         e = e.merge(0, 2)                                 # r0 a
         return e.perm((1, 0)).t.fuse([[0, 1]])
@@ -83,8 +83,8 @@ def reference_coring_ca(A, C, name=None):
 
     def comult_rep(idx):
         c, a = divmod(idx[0], dA)
-        e = A.re_inv_el()                 # xA x2 x3
-        e = e.times(El.basis((C.space,), (c,))).times(El.basis((A.alg,), (a,)))
+        e = PositionalEl(A.reassoc_spaces(), A.reassoc_inv)                 # xA x2 x3
+        e = e.times(PositionalEl.basis((C.space,), (c,))).times(PositionalEl.basis((A.alg,), (a,)))
         e = e.map(C.comult, 3)            # xA x2 x3 c1 c2 a
         e = e.map(C.left_action, (2, 4), at=2)   # x3 . c2 -> xA x2 c2' c1 a
         e = e.map(C.left_action, (1, 3), at=1)   # x2 . c1 -> xA c1' c2' a
@@ -98,10 +98,10 @@ def reference_coring_ca(A, C, name=None):
         return {(a,): eps} if eps else {}
 
     return Coring(A.alg, N,
-                  LinMap.from_function(field, (dA, N), (N,), left_fn),
-                  LinMap.from_function(field, (N, dA), (N,), right_fn),
-                  LinMap.from_function(field, (N,), (N, N), comult_rep),
-                  LinMap.from_function(field, (N,), (dA,), counit_fn),
+                  from_function(field, (dA, N), (N,), left_fn),
+                  from_function(field, (N, dA), (N,), right_fn),
+                  from_function(field, (N,), (N, N), comult_rep),
+                  from_function(field, (N,), (dA,), counit_fn),
                   name=name or "CA(%s,%s)" % (A.name or "A", C.name or "C"))
 
 
@@ -112,7 +112,7 @@ def reference_omega_left(A, data):
     H = A.H
     sp5 = (H.alg, H.alg, A.alg, H.alg, H.alg)
     S_inv = H.antipode_inv
-    e = El(sp5, data.psi_inv).map(S_inv, 3, at=3).map(S_inv, 4, at=4)
+    e = PositionalEl(sp5, data.psi_inv).map(S_inv, 3, at=3).map(S_inv, 4, at=4)
     twist = drinfeld_twist(H).t
     f_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, twist, (0,)), (1,))
     return multiply(sp5, e.t, embed_legs(sp5, f_corr, (3, 4)))
@@ -123,8 +123,8 @@ def reference_left_diagonal(A, M, order):
     ("l" or "r"), carrier ordered (module, bicomodule)."""
     H = A.H
     S_inv = H.antipode_inv
-    om = El((H.alg, H.alg, A.alg, H.alg, H.alg),
-            reference_omega_left(A, build_omega(A, order)))
+    om = PositionalEl((H.alg, H.alg, A.alg, H.alg, H.alg),
+                      reference_omega_left(A, build_omega(A, order)))
     lact, ract = M.left_action, M.right_action
 
     def expand(e, leg):
@@ -135,8 +135,8 @@ def reference_left_diagonal(A, M, order):
     def mult_fn(x, y):
         i, j = x
         k, l = y
-        e = om.times(El.basis((M.alg,), (i,))).times(El.basis((A.alg,), (j,)))
-        e = e.times(El.basis((M.alg,), (k,))).times(El.basis((A.alg,), (l,)))
+        e = om.times(PositionalEl.basis((M.alg,), (i,))).times(PositionalEl.basis((A.alg,), (j,)))
+        e = e.times(PositionalEl.basis((M.alg,), (k,))).times(PositionalEl.basis((A.alg,), (l,)))
         e = expand(e, 6)              # O1..O5 phi u-1 u0 u1 psi u2
         e = e.map(lact, (0, 5), at=4)     # O2 O3 O4 O5 O1phi u-1 u0 u1 psi u2
         e = e.map(ract, (4, 3), at=3)     # O2 O3 O4 phi' u-1 u0 u1 psi u2
@@ -166,18 +166,18 @@ def reference_left_tensor_op(A, base=None):
     twist = drinfeld_twist(H)
 
     def lam1(idx):
-        e = El.basis((alg,), idx).map(A.right_coaction, 0).map(A.left_coaction, 0)
+        e = PositionalEl.basis((alg,), idx).map(A.right_coaction, 0).map(A.left_coaction, 0)
         return e.map(S_inv, 2).perm((0, 2, 1)).t.fuse([[0, 1], [2]])
 
     def lam2(idx):
-        e = El.basis((alg,), idx).map(A.left_coaction, 0).map(A.right_coaction, 1)
+        e = PositionalEl.basis((alg,), idx).map(A.left_coaction, 0).map(A.right_coaction, 1)
         return e.map(S_inv, 2).perm((0, 2, 1)).t.fuse([[0, 1], [2]])
 
     sp_l, sp_r, sp_m = (H.alg, H.alg, alg), (alg, H.alg, H.alg), A.mixed_spaces()
 
     def reassoc1(theta, phi_l, phi_r_inv, g):
-        e = El(sp_m, theta).times(El(sp_l, phi_l))
-        e = e.times(El(sp_r, phi_r_inv)).times(El(H.spaces(2), g))
+        e = PositionalEl(sp_m, theta).times(PositionalEl(sp_l, phi_l))
+        e = e.times(PositionalEl(sp_r, phi_r_inv)).times(PositionalEl(H.spaces(2), g))
         e = e.map(A.left_coaction, 1)         # Theta2 -> [-1],[0]
         e = e.map(A.left_coaction, 7)         # x_rho^1 -> [-1],[0]
         e = e.map(H.comult, 7)
@@ -189,8 +189,8 @@ def reference_left_tensor_op(A, base=None):
         return e.perm((0, 4, 1, 3, 2)).t.fuse([[0, 1], [2, 3], [4]])
 
     def reassoc2(phi_l, theta_inv, phi_r_inv, g):
-        e = El(sp_l, phi_l).times(El(sp_m, theta_inv))
-        e = e.times(El(sp_r, phi_r_inv)).times(El(H.spaces(2), g))
+        e = PositionalEl(sp_l, phi_l).times(PositionalEl(sp_m, theta_inv))
+        e = e.times(PositionalEl(sp_r, phi_r_inv)).times(PositionalEl(H.spaces(2), g))
         e = e.map(A.right_coaction, 2)        # Y3 -> <0>,<1>
         e = e.map(H.comult, 3)
         e = e.map(A.right_coaction, 6)        # theta2 -> <0>,<1>
@@ -214,10 +214,10 @@ def reference_left_tensor_op(A, base=None):
 
     dst = (HHop.dim, alg.dim)
     first = ComoduleAlgebra(HHop, "left", alg,
-                            LinMap.from_function(A.field, (alg.dim,), dst, lam1),
+                            from_function(A.field, (alg.dim,), dst, lam1),
                             re1, re1_inv, name=(A.name + ":lam1") if A.name else "")
     second = ComoduleAlgebra(HHop, "left", alg,
-                             LinMap.from_function(A.field, (alg.dim,), dst, lam2),
+                             from_function(A.field, (alg.dim,), dst, lam2),
                              re2, re2_inv, name=(A.name + ":lam2") if A.name else "")
     return first, second, HHop
 
@@ -234,20 +234,20 @@ def reference_exchange_right(A):
     delta = apply_linear_map(A.right_coaction, A.left_coaction.as_tensor(), (2,))
 
     def exchange(theta_inv, phi_left, phi_right_inv, reverse):
-        theta_inv = El(A.mixed_spaces(), theta_inv)    # 1 x Theta^-1 in H H A H
-        inner = El((H.alg, H.alg, alg), phi_left).map(A.right_coaction, 2)
+        theta_inv = PositionalEl(A.mixed_spaces(), theta_inv)    # 1 x Theta^-1 in H H A H
+        inner = PositionalEl((H.alg, H.alg, alg), phi_left).map(A.right_coaction, 2)
         e = (inner.mul_embedded if reverse else inner.premul_embedded)(theta_inv, (1, 2, 3))
         e = e.map(A.right_coaction, 2)                # H H A H H
-        outer = El((alg, H.alg, H.alg), phi_right_inv)
+        outer = PositionalEl((alg, H.alg, H.alg), phi_right_inv)
         return (e.premul_embedded if reverse else e.mul_embedded)(outer, (2, 3, 4)).t
 
     psi = exchange(A.reassoc_mixed_inv, A.reassoc_left, A.reassoc_right_inv, False)
     psi_inv = exchange(A.reassoc_mixed, A.reassoc_left_inv, A.reassoc_right, True)
     sp5 = (H.alg, H.alg, alg, H.alg, H.alg)
     twist = drinfeld_twist(H)
-    e = El(sp5, psi).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
+    e = PositionalEl(sp5, psi).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
     g_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, twist.inv, (0,)), (1,))
-    e_inv = El(sp5, psi_inv).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
+    e_inv = PositionalEl(sp5, psi_inv).map(S_inv, 0, at=0).map(S_inv, 1, at=1)
     f_corr = apply_linear_map(S_inv, apply_linear_map(S_inv, twist.t, (0,)), (1,))
     return {"delta": LinMap.from_tensor(delta, 1), "psi": psi, "psi_inv": psi_inv,
             "omega_right": multiply(sp5, g_corr, e.t, x_legs=(0, 1)),

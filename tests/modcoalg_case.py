@@ -14,6 +14,8 @@ linear dual reads them.
 
 from quasihopf.tensor import LinMap, Tensor, all_indices, apply_linear_map
 
+from tensor_case import from_function
+
 
 def reference_act_many(action, dH, element, target, left):
     """Sum over the entries of ``element`` of its basis elements acting
@@ -100,7 +102,7 @@ def reference_gauge_comult(C, F):
             out = out + term.scale(v)
         return out
 
-    return LinMap.from_function(C.field, (C.dim,), (C.dim, C.dim), comult_fn)
+    return from_function(C.field, (C.dim,), (C.dim, C.dim), comult_fn)
 
 
 def reference_dual_maps(C):

@@ -6,8 +6,10 @@ gamma, delta, a gauge) and merges that factor's legs back into the
 running element one ``merge`` at a time, and each unit-padded product
 (Phi (x) 1, a gauge at two of three legs) builds the padded tensor with
 ``embed_legs`` first.  The library multiplies every such factor in where
-it lands, with ``El.mul_embedded`` and ``El.premul_embedded``; the tests
-in ``test_qha_reference.py`` compare the two record for record.
+it lands, with one ``El.mul`` whose factor covers a subset of the legs;
+the tests in ``test_qha_reference.py`` compare the two record for
+record.  The references run on ``PositionalEl``, the leg calculus with
+positions for names.
 
 The reference verifier also keeps the per-item sweeps: one small
 pipeline per basis element or basis pair, through ``CheckReport.sweep``.
@@ -17,13 +19,14 @@ map, the item on a leading leg, through ``CheckReport.sweep_all``.
 
 from quasihopf.hopf import GaugeTransformation, QuasiHopfAlgebra
 from quasihopf.report import CheckReport
-from quasihopf.tensor import (El, LinMap, Tensor, all_indices, apply_linear_map,
-                              embed_legs, multiply, unit_tensor)
+from quasihopf.tensor import Tensor, all_indices, apply_linear_map, multiply, unit_tensor
+
+from tensor_case import PositionalEl, embed_legs, from_function, positional
 
 
 def basis_el(H, i):
-    """The basis element e_i of the base as a one-leg ``El``."""
-    return El.basis((H.alg,), (i,))
+    """The basis element e_i of the base as a one-leg ``PositionalEl``."""
+    return PositionalEl.basis((H.alg,), (i,))
 
 
 def _algebra_map_records(report, H, fn, unit_image, tag):
@@ -72,9 +75,9 @@ def reference_verify_quasi_hopf(H) -> CheckReport:
                          unit_tensor(H.spaces(2)), "comult")
     _algebra_map_records(report, H, lambda x: apply_linear_map(H.counit, x, (0,)),
                          Tensor.scalar(H.field, H.field.one), "counit")
-    phi = H.el(H.reassoc)
-    phi_inv = H.el(H.reassoc_inv)
-    report.compare("reassoc-invertible", phi.mul(phi_inv).t, H.unit_el(3).t)
+    phi = positional(H, H.reassoc)
+    phi_inv = positional(H, H.reassoc_inv)
+    report.compare("reassoc-invertible", phi.mul(phi_inv).t, PositionalEl.unit(H.spaces(3)).t)
     basis = all_indices((alg.dim,))
 
     def coassoc(idx):
@@ -91,11 +94,11 @@ def reference_verify_quasi_hopf(H) -> CheckReport:
 
     report.sweep("counit-comult", basis, counit_law)
     sp4 = H.spaces(4)
-    lhs = H.el(embed_legs(sp4, H.reassoc, (1, 2, 3))).mul(phi.map(H.comult, 1))
-    lhs = lhs.mul(H.el(embed_legs(sp4, H.reassoc, (0, 1, 2))))
+    lhs = positional(H, embed_legs(sp4, H.reassoc, (1, 2, 3))).mul(phi.map(H.comult, 1))
+    lhs = lhs.mul(positional(H, embed_legs(sp4, H.reassoc, (0, 1, 2))))
     rhs = phi.map(H.comult, 2).mul(phi.map(H.comult, 0))
     report.compare("cocycle", lhs.t, rhs.t)
-    unit2 = H.unit_el(2).t
+    unit2 = PositionalEl.unit(H.spaces(2)).t
     report.compare("reassoc-counit-middle", phi.map(H.counit, (1,)).t, unit2)
     report.compare("reassoc-counit-left", phi.map(H.counit, (0,)).t, unit2)
     report.compare("reassoc-counit-right", phi.map(H.counit, (2,)).t, unit2)
@@ -109,8 +112,8 @@ def reference_verify_quasi_hopf(H) -> CheckReport:
                  antimultiplicative)
     report.compare("antipode-unital", apply_linear_map(S, alg.unit, (0,)), alg.unit)
     report.add("antipode-invertible", S.is_invertible())
-    alpha_el = El((alg,), H.alpha)
-    beta_el = El((alg,), H.beta)
+    alpha_el = PositionalEl((alg,), H.alpha)
+    beta_el = PositionalEl((alg,), H.beta)
 
     def cancel(leg, factor):
         def law(idx):
@@ -153,21 +156,22 @@ def reference_gauge_twist(H, F) -> QuasiHopfAlgebra:
     """``hopf.gauge_twist`` with padded gauges and outer-product alpha_F
     and beta_F."""
     alg = H.alg
-    f, g = H.el(F.t), H.el(F.inv)
+    f, g = positional(H, F.t), positional(H, F.inv)
 
     def comult_f(idx):
         return f.mul(basis_el(H, idx[0]).map(H.comult, 0)).mul(g).t
 
-    comult = LinMap.from_function(H.field, (alg.dim,), (alg.dim, alg.dim),
-                                  comult_f, dst_spaces=(alg, alg))
+    comult = from_function(H.field, (alg.dim,), (alg.dim, alg.dim),
+                           comult_f, dst_spaces=(alg, alg))
     sp3 = H.spaces(3)
-    phi_f = H.el(embed_legs(sp3, F.t, (1, 2))).mul(f.map(H.comult, 1)).mul(
-        H.el(H.reassoc)).mul(g.map(H.comult, 0)).mul(H.el(embed_legs(sp3, F.inv, (0, 1))))
-    phi_f_inv = H.el(embed_legs(sp3, F.t, (0, 1))).mul(f.map(H.comult, 0)).mul(
-        H.el(H.reassoc_inv)).mul(g.map(H.comult, 1)).mul(
-        H.el(embed_legs(sp3, F.inv, (1, 2))))
-    alpha_f = g.map(H.antipode, 0).times(El((alg,), H.alpha)).merge(0, 2).merge(0, 1).t
-    beta_f = f.map(H.antipode, 1).times(El((alg,), H.beta)).merge(0, 2).merge(0, 1).t
+    phi_f = positional(H, embed_legs(sp3, F.t, (1, 2))).mul(f.map(H.comult, 1)).mul(
+        positional(H, H.reassoc)).mul(g.map(H.comult, 0)).mul(
+        positional(H, embed_legs(sp3, F.inv, (0, 1))))
+    phi_f_inv = positional(H, embed_legs(sp3, F.t, (0, 1))).mul(f.map(H.comult, 0)).mul(
+        positional(H, H.reassoc_inv)).mul(g.map(H.comult, 1)).mul(
+        positional(H, embed_legs(sp3, F.inv, (1, 2))))
+    alpha_f = g.map(H.antipode, 0).times(PositionalEl((alg,), H.alpha)).merge(0, 2).merge(0, 1).t
+    beta_f = f.map(H.antipode, 1).times(PositionalEl((alg,), H.beta)).merge(0, 2).merge(0, 1).t
     return QuasiHopfAlgebra(alg, comult, H.counit, phi_f.t, H.antipode,
                             alpha_f, beta_f, reassoc_inv=phi_f_inv.t,
                             name=(H.name + "_twisted") if H.name else "")
@@ -178,13 +182,13 @@ def reference_drinfeld_twist(H) -> GaugeTransformation:
     delta and x2 beta S(x3) factors merged in after an outer product;
     not cached."""
     alg, S = H.alg, H.antipode
-    alpha_el = El((alg,), H.alpha)
-    beta_el = El((alg,), H.beta)
+    alpha_el = PositionalEl((alg,), H.alpha)
+    beta_el = PositionalEl((alg,), H.beta)
     sp4 = H.spaces(4)
-    a4 = H.el(embed_legs(sp4, H.reassoc, (0, 1, 2))).mul(
-        H.el(H.reassoc_inv).map(H.comult, 0))
-    b4 = H.el(H.reassoc).map(H.comult, 0).mul(
-        H.el(embed_legs(sp4, H.reassoc_inv, (0, 1, 2))))
+    a4 = positional(H, embed_legs(sp4, H.reassoc, (0, 1, 2))).mul(
+        positional(H, H.reassoc_inv).map(H.comult, 0))
+    b4 = positional(H, H.reassoc).map(H.comult, 0).mul(
+        positional(H, embed_legs(sp4, H.reassoc_inv, (0, 1, 2))))
     gamma = a4.map(S, 0).map(S, 1)
     gamma = gamma.times(alpha_el).merge(1, 4).merge(1, 2)
     gamma = gamma.times(alpha_el).merge(0, 3).merge(0, 2)
@@ -192,7 +196,7 @@ def reference_drinfeld_twist(H) -> GaugeTransformation:
     delta = b4.map(S, 2).map(S, 3)
     delta = delta.times(beta_el).merge(0, 4).merge(0, 3)
     delta = delta.times(beta_el).merge(1, 3).merge(1, 2)
-    phi_inv = H.el(H.reassoc_inv)
+    phi_inv = positional(H, H.reassoc_inv)
     e = phi_inv.map(H.comult, 0).perm((1, 0, 2, 3))
     e = e.map(S, 0).map(S, 1)
     e = e.map(S, 3).times(beta_el).merge(2, 4).merge(2, 3)

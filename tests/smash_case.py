@@ -15,7 +15,9 @@ only the comodule-algebra index k once per k;
 """
 
 from quasihopf.smash import ProductAlgebra, _product_from_pairs, _unit_embedding
-from quasihopf.tensor import El, FinAlgebra, LinMap, Tensor, all_indices
+from quasihopf.tensor import FinAlgebra, LinMap, Tensor, all_indices
+
+from tensor_case import PositionalEl, from_function
 
 
 def reference_product_from_pairs(field, d1, d2, mult_fn, unit: Tensor, provenance,
@@ -37,9 +39,9 @@ def reference_generalized_smash(A, B) -> ProductAlgebra:
     def mult_fn(x, y):
         i, j = x
         k, l = y
-        e = B.re_inv_el()
-        e = e.times(El.basis((A.alg,), (i,))).times(El.basis((B.alg,), (j,)))
-        e = e.times(El.basis((A.alg,), (k,))).times(El.basis((B.alg,), (l,)))
+        e = PositionalEl(B.reassoc_spaces(), B.reassoc_inv)
+        e = e.times(PositionalEl.basis((A.alg,), (i,))).times(PositionalEl.basis((B.alg,), (j,)))
+        e = e.times(PositionalEl.basis((A.alg,), (k,))).times(PositionalEl.basis((B.alg,), (l,)))
         e = e.map(B.coaction, 4)          # x1 x2 xB a b-1 b0 a2 b2
         e = e.map(act, (0, 3), at=0)      # (x1 . a)
         e = e.merge(1, 3)                 # x2 b-1
@@ -61,9 +63,9 @@ def reference_stgsm_product(A, C, D) -> ProductAlgebra:
     def mult_fn(x, y):
         f, i = x
         g, k = y
-        e = A.re_el()                     # XA X2 X3
-        e = e.times(El.basis((dual,), (f,))).times(El.basis((A.alg,), (i,)))
-        e = e.times(El.basis((dual,), (g,))).times(El.basis((A.alg,), (k,)))
+        e = PositionalEl(A.reassoc_spaces(), A.reassoc)                     # XA X2 X3
+        e = e.times(PositionalEl.basis((dual,), (f,))).times(PositionalEl.basis((A.alg,), (i,)))
+        e = e.times(PositionalEl.basis((dual,), (g,))).times(PositionalEl.basis((A.alg,), (k,)))
         e = e.map(A.coaction, 6)          # XA X2 X3 f u g u20 u21
         e = e.merge(1, 7)                 # X2 u21
         e = e.map(act, (1, 3), at=1)      # . f
@@ -81,8 +83,8 @@ def reference_stgsm_product(A, C, D) -> ProductAlgebra:
 def reference_koppinen_smash(C, B) -> ProductAlgebra:
     field = C.field
     dC, dB = C.dim, B.alg.dim
-    evals = [LinMap.from_function(field, (dC,), (),
-                                  lambda idx, f=f: {(): field.one} if idx[0] == f else {})
+    evals = [from_function(field, (dC,), (),
+                           lambda idx, f=f: {(): field.one} if idx[0] == f else {})
              for f in range(dC)]
 
     def mult_fn(x, y):
@@ -90,17 +92,17 @@ def reference_koppinen_smash(C, B) -> ProductAlgebra:
         k, l = y
         out = Tensor(field, (dC, dB))
         for m in range(dC):
-            e = El.basis((C.space,), (m,)).map(C.comult, 0)
-            e = e.times(B.re_inv_el())    # c1 c2 x1 x2 xB
+            e = PositionalEl.basis((C.space,), (m,)).map(C.comult, 0)
+            e = e.times(PositionalEl(B.reassoc_spaces(), B.reassoc_inv))    # c1 c2 x1 x2 xB
             e = e.map(C.right_action, (0, 2), at=0)   # c1.x1 c2 x2 xB
             e = e.map(evals[i], (0,), out_spaces=())  # <e^i, .>
-            e = e.times(El.basis((B.alg,), (j,)))     # c2 x2 xB bj
+            e = e.times(PositionalEl.basis((B.alg,), (j,)))     # c2 x2 xB bj
             e = e.map(B.coaction, 3)      # c2 x2 xB bj-1 bj0
             e = e.merge(1, 3)             # x2 bj-1
             e = e.map(C.right_action, (0, 1), at=0)   # c2.x2bj-1 xB bj0
             e = e.map(evals[k], (0,), out_spaces=())  # <e^k, .>
             e = e.merge(0, 1)             # xB bj0
-            e = e.mul_embedded(El.basis((B.alg,), (l,)), (0,))
+            e = e.mul_embedded(PositionalEl.basis((B.alg,), (l,)), (0,))
             out = out + Tensor.basis(field, (dC,), (m,)).outer(e.t)
         return out
 
@@ -115,7 +117,7 @@ def reference_diagonal_product(A, M, data) -> ProductAlgebra:
     H = A.H
     order = data.kind
     S_inv = H.antipode_inv
-    om = El((H.alg, H.alg, A.alg, H.alg, H.alg), data.omega_right)
+    om = PositionalEl((H.alg, H.alg, A.alg, H.alg, H.alg), data.omega_right)
     lact, ract = M.left_action, M.right_action
 
     def expand(e, leg):
@@ -126,8 +128,8 @@ def reference_diagonal_product(A, M, data) -> ProductAlgebra:
     def mult_fn(x, y):
         i, j = x
         k, l = y
-        e = om.times(El.basis((A.alg,), (i,))).times(El.basis((M.alg,), (j,)))
-        e = e.times(El.basis((A.alg,), (k,))).times(El.basis((M.alg,), (l,)))
+        e = om.times(PositionalEl.basis((A.alg,), (i,))).times(PositionalEl.basis((M.alg,), (j,)))
+        e = e.times(PositionalEl.basis((A.alg,), (k,))).times(PositionalEl.basis((M.alg,), (l,)))
         e = expand(e, 7)                  # O1..O5 u phi u2-1 u200 u21 psi
         e = e.merge(5, 8)                 # u u200
         e = e.merge(5, 2)                 # . O3 -> O1 O2 O4 O5 uu2O3 phi u2-1 u21 psi
@@ -154,7 +156,7 @@ def reference_diagonal_product_by_triple(A, M, data) -> ProductAlgebra:
     H = A.H
     order = data.kind
     S_inv = H.antipode_inv
-    om = El((H.alg, H.alg, A.alg, H.alg, H.alg), data.omega_right)
+    om = PositionalEl((H.alg, H.alg, A.alg, H.alg, H.alg), data.omega_right)
     lact, ract = M.left_action, M.right_action
 
     def expand(e, leg):
@@ -163,8 +165,8 @@ def reference_diagonal_product_by_triple(A, M, data) -> ProductAlgebra:
         return e.map(A.left_coaction, leg).map(A.right_coaction, leg + 1)
 
     def mult_fn(j, k, l):
-        e = om.times(El.basis((M.alg,), (j,))).times(El.basis((A.alg,), (k,)))
-        e = e.times(El.basis((M.alg,), (l,)))
+        e = om.times(PositionalEl.basis((M.alg,), (j,))).times(PositionalEl.basis((A.alg,), (k,)))
+        e = e.times(PositionalEl.basis((M.alg,), (l,)))
         e = expand(e, 6)                  # O1..O5 phi u2-1 u200 u21 psi
         e = e.merge(7, 2)                 # u200 O3 -> O1 O2 O4 O5 phi u2-1 u2O3 u21 psi
         e = e.map(S_inv, 5)

@@ -10,7 +10,9 @@ side.  These are the per-item forms, one function per shape of check,
 each adding the record that the per-item sweep makes to ``report``.
 """
 
-from quasihopf.tensor import El, Tensor, act_legwise, all_indices, apply_linear_map
+from quasihopf.tensor import Tensor, act_legwise, all_indices, apply_linear_map
+
+from tensor_case import PositionalEl
 
 
 def reference_multiplicative(report, check_id, src_alg, m, product):
@@ -126,10 +128,10 @@ def reference_coaction_quasi_coassoc(report, X):
     """A comodule algebra's "coaction-quasi-coassoc", one basis element's
     coaction image at a time, multiplied by the reassociator."""
     H, alg = X.H, X.alg
-    re = X.re_el()
+    re = PositionalEl(X.reassoc_spaces(), X.reassoc)
 
     def coassoc(idx):
-        c = El.basis((alg,), idx).map(X.coaction, 0)
+        c = PositionalEl.basis((alg,), idx).map(X.coaction, 0)
         if X.side == "right":
             return re.mul(c.map(X.coaction, 0)).t, c.map(H.comult, 1).mul(re).t
         return c.map(X.coaction, 1).mul(re).t, re.mul(c.map(H.comult, 0)).t
@@ -139,19 +141,20 @@ def reference_coaction_quasi_coassoc(report, X):
 
 def reference_slides(report, left, p, q):
     """"coaction-slides-through-p" and "-q" of a left comodule algebra with
-    canonical elements ``p`` and ``q`` (``El``s over [H, B]), one basis
+    canonical elements ``p`` and ``q`` (tensors over [H, B]), one basis
     element b at a time."""
     H, alg, lam = left.H, left.alg, left.coaction
     S, S_inv = H.antipode, H.antipode_inv
+    p, q = PositionalEl((H.alg, alg), p), PositionalEl((H.alg, alg), q)
 
     def slides_p(idx):
-        b = El.basis((alg,), idx)
+        b = PositionalEl.basis((alg,), idx)
         b3 = b.map(lam, 0).map(lam, 1)                     # b-1, b0-1, b00
         return (b3.mul_embedded(p, (1, 2)).map(S_inv, 0).merge(1, 0).t,
                 p.mul_embedded(b, (1,)).t)
 
     def slides_q(idx):
-        b = El.basis((alg,), idx)
+        b = PositionalEl.basis((alg,), idx)
         b3 = b.map(lam, 0).map(lam, 1)
         return (b3.map(S, 0).premul_embedded(q, (1, 2)).merge(0, 1).t,
                 q.premul_embedded(b, (1,)).t)
@@ -164,10 +167,10 @@ def reference_slides(report, left, p, q):
 def reference_mixed_intertwine(report, A):
     """A bicomodule algebra's "mixed-intertwine", one basis element u at a
     time: the mixed reassociator times both coactions of u, each order."""
-    mixed = A.mixed_el()
+    mixed = PositionalEl(A.mixed_spaces(), A.reassoc_mixed)
 
     def intertwine(idx):
-        u = El.basis((A.alg,), idx)
+        u = PositionalEl.basis((A.alg,), idx)
         return (mixed.mul(u.map(A.right_coaction, 0).map(A.left_coaction, 0)).t,
                 u.map(A.left_coaction, 0).map(A.right_coaction, 1).mul(mixed).t)
 
@@ -178,7 +181,7 @@ def reference_counit_comult(report, C):
     """A module coalgebra's "counit-comult": the left counit law at each
     basis element, or the right one where the left one holds."""
     def counit_law(idx):
-        two = El.basis((C.space,), idx).map(C.comult, 0)
+        two = PositionalEl.basis((C.space,), idx).map(C.comult, 0)
         want = Tensor.basis(C.field, (C.dim,), idx)
         left = two.map(C.counit, (0,)).t
         return left if left != want else two.map(C.counit, (1,)).t, want
@@ -197,8 +200,8 @@ def reference_action_compat(report, C, left_items=None):
         def comult_law(idx):
             h, i = idx if side == "left" else idx[::-1]
             lhs = apply_linear_map(C.comult, action.column(idx), (0,))
-            pair = El.basis((H.alg,), (h,)).map(H.comult, 0).times(
-                El.basis((C.space,), (i,)).map(C.comult, 0))
+            pair = PositionalEl.basis((H.alg,), (h,)).map(H.comult, 0).times(
+                PositionalEl.basis((C.space,), (i,)).map(C.comult, 0))
             if side == "left":
                 rhs = pair.map(action, (0, 2), at=0).map(action, (1, 2), at=1)
             else:
@@ -235,9 +238,9 @@ def reference_distributive(report, A):
         def law(item):
             h, i, j = item
             h_basis = Tensor.basis(field, (H.dim,), (h,))
-            hh = El.basis((H.alg,), (h,)).map(H.comult, 0)
+            hh = PositionalEl.basis((H.alg,), (h,)).map(H.comult, 0)
             prod = alg.basis_product(i, j)
-            e_i, e_j = El.basis((alg,), (i,)), El.basis((alg,), (j,))
+            e_i, e_j = PositionalEl.basis((alg,), (i,)), PositionalEl.basis((alg,), (j,))
             if side == "left":
                 acted = apply_linear_map(action, h_basis.outer(prod), (0, 1))
                 split = hh.times(e_i).times(e_j)

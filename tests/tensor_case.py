@@ -12,10 +12,158 @@ the kernel tests compare ``tensor.multiply`` and
 and ``reference_to_matrix`` walk a map's columns (or a tensor's entries)
 one by one, where the library re-indexes the tensor form of the map
 with leg operations; the tests compare the two entry for entry.
+
+``PositionalEl`` is the leg calculus as it was before its legs had
+names: every leg is named by its position, which each call shifts.
+The ``*_case.py`` references keep their pipelines on it, so each named
+pipeline of the library is compared with an independent positional
+form.  ``embed_legs`` builds the unit-padded factor that
+``multiply``'s ``x_legs``/``y_legs`` stand for, and ``from_function``
+builds a map column by column from a function of the basis index; the
+library uses neither.
 """
 
 from quasihopf import linalg
-from quasihopf.tensor import LinMap, Tensor, all_indices
+from quasihopf.errors import ShapeMismatch
+from quasihopf.tensor import (FinAlgebra, LinMap, Tensor, all_indices, apply_linear_map, multiply,
+                              switch_legs, unit_tensor)
+
+
+def from_function(field, src, dst, fn, dst_spaces=None):
+    """The map whose column at each source basis index ``idx`` is
+    ``fn(idx)``, a ``Tensor`` or its data."""
+    cols = {}
+    for idx in all_indices(src):
+        img = fn(idx)
+        if isinstance(img, Tensor):
+            img = img.data
+        cols[idx] = img
+    return LinMap(field, src, dst, cols, dst_spaces)
+
+
+def embed_legs(spaces, x: Tensor, positions) -> Tensor:
+    """Place ``x``'s legs at ``positions`` in the ambient tensor power,
+    filling every other leg with that algebra's unit."""
+    positions = tuple(positions)
+    if len(set(positions)) != len(positions):
+        raise ShapeMismatch("position collision in %r" % (positions,))
+    if len(positions) != x.arity:
+        raise ShapeMismatch("%d positions for arity %d" % (len(positions), x.arity))
+    for pos, d in zip(positions, x.dims):
+        if not 0 <= pos < len(spaces):
+            raise ShapeMismatch("position %d out of range" % pos)
+        if spaces[pos].dim != d:
+            raise ShapeMismatch("leg dim %d does not match space at position %d" % (d, pos))
+    rest = [i for i in range(len(spaces)) if i not in positions]
+    out = x
+    for i in rest:
+        out = out.outer(spaces[i].unit)
+    order = list(positions) + rest
+    inverse = [0] * len(spaces)
+    for new_pos, old_pos in enumerate(order):
+        inverse[old_pos] = new_pos
+    return switch_legs(out, inverse)
+
+
+class PositionalEl:
+    """A tensor together with its per-leg spaces; chainable leg calculus.
+
+    Every method returns a fresh ``El``.  ``merge(i, j)`` multiplies leg j
+    into leg i (product taken in that order, result at slot i), ``map``
+    applies a LinMap to chosen legs, ``times`` is the outer product.
+
+    ``times`` only adds new legs.  A factor whose legs land one for one on
+    legs already present goes in where it lands, by one ``multiply``:
+    ``mul_embedded`` on the right, ``premul_embedded`` on the left, with
+    the other legs passing through.  ``x.times(f).merge(i, n)`` with f
+    one-legged is ``x.mul_embedded(f, (i,))`` without the outer product.
+    """
+
+    __slots__ = ("spaces", "t")
+
+    def __init__(self, spaces, t: Tensor):
+        self.spaces = tuple(spaces)
+        if tuple(s.dim for s in self.spaces) != t.dims:
+            raise ShapeMismatch("spaces %r do not match tensor dims %r"
+                                % (tuple(s.dim for s in self.spaces), t.dims))
+        self.t = t
+
+    @classmethod
+    def unit(cls, spaces):
+        return cls(spaces, unit_tensor(spaces))
+
+    @classmethod
+    def basis(cls, spaces, idx):
+        field = spaces[0].field
+        return cls(spaces, Tensor.basis(field, tuple(s.dim for s in spaces), idx))
+
+    def map(self, m: LinMap, legs, at=None, out_spaces=None) -> "PositionalEl":
+        legs = (legs,) if isinstance(legs, int) else tuple(legs)
+        if out_spaces is None:
+            out_spaces = m.dst_spaces
+            if out_spaces is None:
+                raise ShapeMismatch("map carries no target spaces; pass out_spaces")
+        remaining = [l for l in range(len(self.spaces)) if l not in legs]
+        slot = at if at is not None else sum(1 for l in remaining if l < legs[0])
+        spaces = tuple(self.spaces[l] for l in remaining[:slot]) + tuple(out_spaces) \
+            + tuple(self.spaces[l] for l in remaining[slot:])
+        return PositionalEl(spaces, apply_linear_map(m, self.t, legs, at=at))
+
+    def merge(self, i: int, j: int) -> "PositionalEl":
+        if self.spaces[i] is not self.spaces[j]:
+            raise ShapeMismatch("legs %d and %d live in different algebras" % (i, j))
+        alg = self.spaces[i]
+        if not isinstance(alg, FinAlgebra):
+            raise ShapeMismatch("leg %d is not an algebra leg" % i)
+        slot = i if i < j else i - 1
+        return self.map(alg.mult, (i, j), at=slot, out_spaces=(alg,))
+
+    def times(self, other) -> "PositionalEl":
+        if isinstance(other, PositionalEl):
+            return PositionalEl(self.spaces + other.spaces, self.t.outer(other.t))
+        raise ShapeMismatch("outer product needs an El")
+
+    def mul(self, other: "PositionalEl") -> "PositionalEl":
+        if len(self.spaces) != len(other.spaces) or any(
+                a is not b for a, b in zip(self.spaces, other.spaces)):
+            raise ShapeMismatch("componentwise product needs identical spaces")
+        return PositionalEl(self.spaces, multiply(self.spaces, self.t, other.t))
+
+    def _fits(self, other: "PositionalEl", positions) -> tuple:
+        positions = tuple(positions)
+        if len(positions) != len(other.spaces) or any(
+                not 0 <= l < len(self.spaces) or self.spaces[l] is not s
+                for l, s in zip(positions, other.spaces)):
+            raise ShapeMismatch("factor spaces do not sit at legs %r" % (positions,))
+        return positions
+
+    def mul_embedded(self, other: "PositionalEl", positions) -> "PositionalEl":
+        """self times ``other`` at legs ``positions``, the unit elsewhere."""
+        return PositionalEl(self.spaces, multiply(self.spaces, self.t, other.t,
+                                        y_legs=self._fits(other, positions)))
+
+    def premul_embedded(self, other: "PositionalEl", positions) -> "PositionalEl":
+        """``other`` at legs ``positions``, the unit elsewhere, times self."""
+        return PositionalEl(self.spaces, multiply(self.spaces, other.t, self.t,
+                                        x_legs=self._fits(other, positions)))
+
+    def perm(self, order) -> "PositionalEl":
+        order = tuple(order)
+        return PositionalEl(tuple(self.spaces[p] for p in order), switch_legs(self.t, order))
+
+    def __eq__(self, other):
+        if not isinstance(other, PositionalEl):
+            return NotImplemented
+        return self.t == other.t and tuple(s.dim for s in self.spaces) == tuple(
+            s.dim for s in other.spaces)
+
+    def __hash__(self):
+        return hash(self.t)
+
+    def __repr__(self):
+        return "PositionalEl(%r)" % (self.t,)
+
+
 
 
 def naive_multiply(spaces, x, y):
@@ -107,3 +255,8 @@ def reference_to_matrix(m):
         for j, v in m.cols.get(idx, {}).items():
             out[rows[j]][c] = v
     return out
+
+
+def positional(H, t):
+    """``t`` as a ``PositionalEl`` over the base ``H``, one leg per factor."""
+    return PositionalEl(H.spaces(t.arity), t)

@@ -31,10 +31,11 @@ from quasihopf.smash import (alpha_morphism, check_prop_3_10,
                              koppinen_smash, phi_isomorphism,
                              right_generalized_smash, stgsm_product,
                              verify_product_algebra)
-from quasihopf.tensor import (El, LinMap, Tensor, apply_linear_map, multiply,
-                              switch_legs, unit_tensor)
+from quasihopf.tensor import LinMap, Tensor, apply_linear_map, multiply, switch_legs, unit_tensor
 from quasihopf.yd import (YetterDrinfeldContext, doihopf_to_yd, induce_yd,
                           verify_yd, yd_to_doihopf)
+
+from tensor_case import PositionalEl, from_function
 
 
 class criterion:
@@ -201,8 +202,8 @@ def test_criterion_drinfeld_twist(field):
             expect = apply_linear_map(H.antipode, expect, (leg,), at=leg)
         assert twisted.reassoc == expect
         # inverse-component identity through the backwards antipode
-        e = El(H.spaces(2), twist.inv).map(H.antipode_inv, 0)
-        e = e.times(El((H.alg,), H.alpha)).merge(1, 2).merge(1, 0)
+        e = PositionalEl(H.spaces(2), twist.inv).map(H.antipode_inv, 0)
+        e = e.times(PositionalEl((H.alg,), H.alpha)).merge(1, 2).merge(1, 0)
         assert e.t == apply_linear_map(H.antipode_inv, H.beta, (0,))
 
 
@@ -263,7 +264,7 @@ def test_criterion_rationality_roundtrip(field):
         C = c2(field, H)
         ctx = DoiHopfContext("right-left", B, C)
         seeds = [trivial_module(ctx)]
-        eps_action = LinMap.from_function(
+        eps_action = from_function(
             field, (1, B.alg.dim), (1,),
             lambda idx: {(0,): H.counit_scalar(idx[1])})
         seeds.append(FiniteModule(1, B.alg, eps_action, "right", name="char"))
@@ -309,7 +310,7 @@ def test_criterion_coring_suite(field):
         B = regular_comodule_algebra(H, "left")
         A = regular_comodule_algebra(H, "right")
         C = c2(field, H)
-        left_action = LinMap.from_function(
+        left_action = from_function(
             field, (H.dim, 2), (2,),
             lambda idx: {(idx[1],): H.counit_scalar(idx[0])})
         C_left = ModuleCoalgebra(H, "left", 2, C.comult, C.counit,
@@ -354,7 +355,7 @@ def test_criterion_degeneration_oracle(field):
                      hopf_case.classical_smash_table(dual_C, B))
         assert_table(koppinen_smash(C, B),
                      hopf_case.classical_koppinen_table(C, B))
-        left_action = LinMap.from_function(
+        left_action = from_function(
             field, (H.dim, 2), (2,),
             lambda idx: {(idx[1],): H.counit_scalar(idx[0])})
         C_left = ModuleCoalgebra(H, "left", 2, C.comult, C.counit,

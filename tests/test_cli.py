@@ -93,6 +93,8 @@ NO_DEFAULT = {
     "fixtures._all_ones_counit": ("dim",),
     "modcoalg.dualize": ("name",),
     "tensor.LinMap.from_matrix": ("dst_spaces",),
+    "comodule.CanonicalElements.__init__": ("p", "q", "q_right", "report"),
+    "coring.Coring.act_left": ("leg",),
 }
 
 
@@ -107,7 +109,7 @@ def test_removed_defaults_stay_removed():
                     {a.arg for a in positional[len(positional) - len(args.defaults):]}
                     | {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
                        if d is not None})
-    assert sum(len(names) for names in NO_DEFAULT.values()) == 24
+    assert sum(len(names) for names in NO_DEFAULT.values()) == 29
     assert {fn: sorted(defaulted[fn] & set(names)) for fn, names in NO_DEFAULT.items()} \
         == {fn: [] for fn in NO_DEFAULT}
 
@@ -127,6 +129,7 @@ REMOVED_PARAMETERS = {
     "comodule._swap_square_factors": ("base",),
     "cli._two_sided_inverse": ("spaces",),
     "cli._emit_over_base": ("base",),
+    "tensor.El.map": ("at", "out_spaces"),
 }
 
 
@@ -138,9 +141,32 @@ def test_removed_parameters_stay_removed():
                 args = node.args
                 params[scope + "." + node.name] = {
                     a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
-    assert sum(len(names) for names in REMOVED_PARAMETERS.values()) == 13
+    assert sum(len(names) for names in REMOVED_PARAMETERS.values()) == 15
     assert {fn: sorted(params[fn] & set(names)) for fn, names in REMOVED_PARAMETERS.items()} \
         == {fn: [] for fn in REMOVED_PARAMETERS}
+
+
+def test_every_el_leg_is_named():
+    # every El pipeline is written over leg names: El keeps no positional
+    # method, and no call outside tensor.py names a leg by its position
+    trees = dict(package_trees())
+    el = next(node for node in ast.walk(trees["tensor"])
+              if isinstance(node, ast.ClassDef) and node.name == "El")
+    methods = {node.name: node.args for node in el.body if isinstance(node, ast.FunctionDef)}
+    assert {"perm", "mul_embedded", "premul_embedded"} & set(methods) == set()
+    assert {"at", "out_spaces"} & {a.arg for a in methods["map"].args
+                                   + methods["map"].kwonlyargs} == set()
+
+    def position(arg):
+        return isinstance(arg, ast.Constant) and isinstance(arg.value, int) or (
+            isinstance(arg, ast.Tuple) and arg.elts != [] and all(map(position, arg.elts)))
+
+    positional = ["%s:%d" % (module, node.lineno) for module, tree in trees.items()
+                  if module != "tensor" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) in ("map", "merge", "tensor")
+                  and any(map(position, node.args[node.func.attr == "map":]))]
+    assert positional == []
 
 
 def test_per_item_sweeps_are_the_pinned_checks():
@@ -1034,28 +1060,15 @@ def test_square_base_commands_build_one_square(tmp_path, monkeypatch, field_tag)
         assert len(calls) == 1, argv
 
 
-@pytest.mark.parametrize("field_tag", FIELD_TAGS)
-def test_commands_build_no_map_column_by_column(tmp_path, monkeypatch, field_tag):
+def test_package_builds_no_map_column_by_column():
     # every derived map is built in one pass on the tensor form of its
-    # input: no command of the README pipeline or of EXTRA_COMMANDS
-    # collects a map's columns one basis vector at a time
-    original = LinMap.from_function.__func__
-    calls = []
-
-    def counted(cls, field, src, dst, fn, dst_spaces=None):
-        calls.append((src, dst))
-        return original(cls, field, src, dst, fn, dst_spaces)
-
-    monkeypatch.setattr(LinMap, "from_function", classmethod(counted))
-    for name, commands in (("readme", readme_commands()), ("extra", EXTRA_COMMANDS)):
-        (tmp_path / name).mkdir()
-        monkeypatch.chdir(tmp_path / name)
-        for argv in commands:
-            if argv[:2] == ["fixture", "emit"]:
-                argv = argv + ["--field", field_tag]
-            run(argv)
-            assert calls == [], argv
-    assert len(readme_commands()) + len(EXTRA_COMMANDS) == 32
+    # input: the column-by-column builder is a test reference only
+    # (tests/tensor_case.py), and no module of the package defines one
+    assert not hasattr(LinMap, "from_function")
+    defined = [scope for module, tree in package_trees()
+               for scope, node in scoped_nodes(tree, module)
+               if isinstance(node, ast.FunctionDef) and node.name == "from_function"]
+    assert defined == []
 
 
 if __name__ == "__main__":

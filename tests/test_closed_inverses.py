@@ -24,9 +24,9 @@ from quasihopf.fields import QQ, PrimeField
 from quasihopf.fixtures import h2, h2_bimodule_coalgebra, hh_bicomodule
 from quasihopf.hopf import GaugeTransformation, gauge_twist, tensor_qha
 from quasihopf.smash import build_omega, check_prop_3_10
-from quasihopf.tensor import (Tensor, embed_legs, invert_element, multiply,
-                              switch_legs, unit_tensor)
+from quasihopf.tensor import Tensor, invert_element, multiply, switch_legs, unit_tensor
 
+from tensor_case import embed_legs
 from test_hopf import sweedler
 
 F = PrimeField(10007)

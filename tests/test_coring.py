@@ -9,10 +9,12 @@ from quasihopf.fixtures import (c2, h2, h2_bimodule_coalgebra, hh_bicomodule,
 from quasihopf.modcoalg import ModuleCoalgebra
 from quasihopf.tensor import LinMap, Tensor
 
+from tensor_case import from_function
+
 
 def left_trivial_coalgebra(field, H):
     base = c2(field, H)
-    action = LinMap.from_function(
+    action = from_function(
         field, (H.dim, 2), (2,),
         lambda idx: {(idx[1],): H.counit_scalar(idx[0])})
     return ModuleCoalgebra(H, "left", 2, base.comult, base.counit,
@@ -81,7 +83,7 @@ def test_perturbed_comultiplication_fails():
         return col
 
     broken = Coring(X.R, X.dim, X.left_action, X.right_action,
-                    LinMap.from_function(QQ, (X.dim,), (X.dim, X.dim), bad_comult),
+                    from_function(QQ, (X.dim,), (X.dim, X.dim), bad_comult),
                     X.counit)
     report = verify_coring(broken)
     assert not report.passed

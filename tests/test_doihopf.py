@@ -15,6 +15,7 @@ from quasihopf.fixtures import (c2, h2, h2_bimodule_coalgebra, hh_bicomodule,
 from quasihopf.modcoalg import ModuleCoalgebra
 from quasihopf.tensor import LinMap, Tensor
 
+from tensor_case import from_function
 from test_hopf import sweedler
 from test_modcoalg import regular_module_coalgebra
 
@@ -29,7 +30,7 @@ def right_left_context(field, make=h2):
 def c2_left(field, H):
     """c2 as a left module coalgebra, H acting through its counit."""
     base = c2(field, H)
-    action = LinMap.from_function(
+    action = from_function(
         field, (H.dim, 2), (2,),
         lambda idx: {(idx[1],): H.counit_scalar(idx[0])})
     return ModuleCoalgebra(H, "left", 2, base.comult, base.counit,
@@ -164,7 +165,7 @@ def test_compute_rat_zero_module(field):
     # the zero action on a one-dimensional space is not unital, so use
     # the smallest honest module: the zero-dimensional case is excluded
     # by construction, so take the quotient-like trivial action instead
-    eps_action = LinMap.from_function(
+    eps_action = from_function(
         field, (1, smash.carrier.dim), (1,),
         lambda idx: {(0,): _counit_of_smash(smash, ctx, idx[1])})
     triv = FiniteModule(1, smash, eps_action, "right", name="eps")
@@ -223,7 +224,7 @@ def test_direct_sum_rational_splits(field):
     collapsed, smash = to_smash_module(M, ctx)
     two = FiniteModule(
         2 * M.dim, smash,
-        LinMap.from_function(
+        from_function(
             field, (2 * M.dim, smash.carrier.dim), (2 * M.dim,),
             lambda idx: _direct_sum_action(collapsed, M.dim, idx)),
         "right", name="M+M")

@@ -6,14 +6,14 @@ from quasihopf import linalg
 from quasihopf.errors import GaugeNotNormalized, NotInvertible, ShapeMismatch
 from quasihopf.fields import QQ
 from quasihopf.fixtures import h2, kz2
-from quasihopf.hopf import (El, GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra,
-                            drinfeld_twist, gauge_product, gauge_twist,
-                            normalize_antipode, op_tensor, tensor_op, tensor_qha,
-                            variant, verify_quasi_bialgebra,
-                            verify_quasi_hopf)
+from quasihopf.hopf import (GaugeTransformation, QuasiBialgebra, QuasiHopfAlgebra, drinfeld_twist,
+                            gauge_product, gauge_twist, normalize_antipode, op_tensor, tensor_op,
+                            tensor_qha, variant, verify_quasi_bialgebra, verify_quasi_hopf)
 from quasihopf.tensor import (FinAlgebra, LinMap, Tensor, all_indices, apply_linear_map,
                               invert_element, multiply, switch_legs,
                               unit_tensor)
+
+from tensor_case import PositionalEl, from_function, positional
 
 
 def test_kz2_passes_quasi_hopf(field):
@@ -29,7 +29,7 @@ def test_h2_passes_quasi_hopf(field):
 def test_broken_counit_fails_with_witness():
     H = kz2(QQ)
     # comultiplication sending the generator to g x 1 violates the counit law
-    bad_comult = LinMap.from_function(
+    bad_comult = from_function(
         QQ, (2,), (2, 2),
         lambda idx: {(idx[0], 0): QQ.one}, dst_spaces=(H.alg, H.alg))
     bad = QuasiHopfAlgebra(H.alg, bad_comult, H.counit, H.reassoc, H.antipode,
@@ -336,9 +336,9 @@ def test_drinfeld_inverse_identity(field):
     # g2 alpha S^-1(g1) = S^-1(beta) for the inverse gauge components
     H = h2(field)
     twist = drinfeld_twist(H)
-    e = El(H.spaces(2), twist.inv)
+    e = PositionalEl(H.spaces(2), twist.inv)
     e = e.map(H.antipode_inv, 0)
-    e = e.times(El((H.alg,), H.alpha)).merge(1, 2).merge(1, 0)
+    e = e.times(PositionalEl((H.alg,), H.alpha)).merge(1, 2).merge(1, 0)
     expect = apply_linear_map(H.antipode_inv, H.beta, (0,))
     assert e.t == expect
 
@@ -491,9 +491,9 @@ def seeded_gauge(H, seed):
 def conjugated_coassoc_witness(H):
     """First basis index where (id x Delta)Delta(h) differs from
     Phi (Delta x id)Delta(h) Phi^-1, or None."""
-    phi, phi_inv = H.el(H.reassoc), H.el(H.reassoc_inv)
+    phi, phi_inv = positional(H, H.reassoc), positional(H, H.reassoc_inv)
     for i in range(H.dim):
-        h2 = El.basis((H.alg,), (i,)).map(H.comult, 0)
+        h2 = PositionalEl.basis((H.alg,), (i,)).map(H.comult, 0)
         if h2.map(H.comult, 1) != phi.mul(h2.map(H.comult, 0)).mul(phi_inv):
             return (i,)
     return None
@@ -515,7 +515,7 @@ def test_quasi_coassoc_oracle_on_twisted_sweedler(field):
     assert not record.passed
     assert record.witness == conjugated_coassoc_witness(broken)
     # a failure shows the two multiplied-through sides
-    h2 = El.basis((broken.alg,), record.witness[:1]).map(broken.comult, 0)
+    h2 = PositionalEl.basis((broken.alg,), record.witness[:1]).map(broken.comult, 0)
     assert record.lhs == h2.map(broken.comult, 1).t
     assert record.rhs == h2.map(broken.comult, 0).t
 

@@ -176,8 +176,8 @@ def test_module_hom_conditions_are_the_per_basis_rows(name, monkeypatch):
 def test_smash_maps(name):
     w = world(name)
     phi, phi_inv, _, _, report = phi_isomorphism(w.C_r)
-    q_lambda = canonical_elements(regular_comodule_algebra(w.H, "left"), verify=False).q.t
-    q_rho = canonical_elements(regular_comodule_algebra(w.H, "right"), verify=False).q_right.t
+    q_lambda = canonical_elements(regular_comodule_algebra(w.H, "left"), verify=False).q
+    q_rho = canonical_elements(regular_comodule_algebra(w.H, "right"), verify=False).q_right
     want, want_inv = ref.phi_maps(w.C_r, q_lambda, q_rho)
     same(phi, want)
     same(phi_inv, want_inv)

@@ -9,6 +9,7 @@ from quasihopf.modcoalg import (ModuleCoalgebra,
                                 verify_module_algebra, verify_module_coalgebra)
 from quasihopf.tensor import LinMap, Tensor, unit_tensor
 
+from tensor_case import from_function
 from test_hopf import sweedler
 
 
@@ -48,7 +49,7 @@ def test_left_module_coalgebra_as_right_over_op(field):
     # the comultiplication data with the source
     H = h2(field)
     C0 = c2(field, H)
-    left = LinMap.from_function(
+    left = from_function(
         field, (H.dim, 2), (2,),
         lambda idx: {(idx[1],): H.counit_scalar(idx[0])})
     C_left = ModuleCoalgebra(H, "left", 2, C0.comult, C0.counit, left_action=left)
@@ -159,7 +160,7 @@ def test_gauge_twist_module_coalgebra_passes(field):
     # left regular action makes the base a left module coalgebra only in
     # the cop-reflected world; the trivial-action coalgebra works always
     C0 = c2(field, H)
-    left = LinMap.from_function(
+    left = from_function(
         field, (H.dim, 2), (2,),
         lambda idx: {(idx[1],): H.counit_scalar(idx[0])})
     C = ModuleCoalgebra(H, "left", 2, C0.comult, C0.counit, left_action=left)

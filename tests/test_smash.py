@@ -14,6 +14,8 @@ from quasihopf.smash import (alpha_morphism, build_omega, check_prop_3_10,
                              verify_product_algebra)
 from quasihopf.tensor import LinMap, Tensor, apply_linear_map, unit_tensor
 
+from tensor_case import from_function
+
 
 def smash_inputs(field, make):
     H = make(field)
@@ -54,7 +56,7 @@ def test_right_generalized_smash_associative(field, make):
     # trivial-action coalgebra works on either side
     from quasihopf.modcoalg import ModuleCoalgebra
     from quasihopf.tensor import LinMap
-    left = LinMap.from_function(
+    left = from_function(
         field, (H.dim, 2), (2,),
         lambda idx: {(idx[1],): H.counit_scalar(idx[0])})
     C_left = ModuleCoalgebra(H, "left", 2, C.comult, C.counit, left_action=left)
@@ -231,7 +233,7 @@ def test_diagonal_crossed_product_hopf_case_is_double_multiplication(field):
     A = hh_bicomodule(field, H)
     M = dualize(h2_bimodule_coalgebra(field, H))
     P = diagonal_crossed_product(A, M, "left-l")
-    from quasihopf.tensor import LinMap, apply_linear_map
+    from quasihopf.tensor import (LinMap, apply_linear_map)
 
     def classical(x, y):
         (i, j), (k, l) = x, y

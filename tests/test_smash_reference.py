@@ -119,10 +119,10 @@ def test_diagonal_products_read_each_u_once(monkeypatch, base):
         real = El.basis.__func__
         read = []
 
-        def counted(cls, spaces, idx):
+        def counted(cls, spaces, idx, legs):
             if spaces == (A.alg,):
                 read.append(idx)
-            return real(cls, spaces, idx)
+            return real(cls, spaces, idx, legs)
 
         monkeypatch.setattr(El, "basis", classmethod(counted))
         got = parts(smash._diagonal_product(M, data))

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 from quasihopf.errors import NotInvertible, ShapeMismatch
 from quasihopf.fields import QQ, FpElement, PrimeField
 from quasihopf.fixtures import h2, kz2
+from quasihopf.hopf import gauge_twist
 from quasihopf.tensor import (El, FinAlgebra, LinMap, Tensor, VectorSpace, _densest_leg,
                               act_legwise, all_indices, apply_linear_map, build_tensor_algebra,
-                              embed_legs, interleave, invert_element, multiply,
-                              swap_factors, switch_legs, unit_tensor)
+                              interleave, invert_element, multiply, swap_factors, switch_legs,
+                              unit_tensor)
 
-from tensor_case import (naive_apply_linear_map, naive_multiply, reference_compose,
-                         reference_interleave, reference_permute, reference_to_matrix)
-from test_hopf import sweedler
+from tensor_case import (PositionalEl, embed_legs, naive_apply_linear_map, naive_multiply,
+                         reference_compose, reference_interleave, reference_permute,
+                         reference_to_matrix)
+from test_hopf import seeded_gauge, sweedler
 
 FP = PrimeField(10007)
 
@@ -273,23 +275,88 @@ def test_apply_linear_map_bilinear(x, y, a, b):
 def test_el_merge_matches_algebra_product(field):
     A = z2_algebra(field)
     g = Tensor.basis(field, (2,), (1,))
-    e = El((A,), g).times(El((A,), g)).merge(0, 1)
+    e = El((A,), g, "a").times(El((A,), g, "b")).merge("a", "b")
     assert e.t == A.unit
 
 
 def test_el_embedded_products_match_outer_product_and_merge(field):
-    # x.times(f).merge(i, n)... is x.mul_embedded(f, (i, ...)), and the
-    # factor on the left is premul_embedded; the triangular leg does not
-    # commute, so a product taken in the wrong order shows
+    # x.mul(f) with f on some of x's legs is x times f merged in leg by
+    # leg, and f.mul(x) merges f's legs on the left; the triangular leg
+    # does not commute, so a product taken in the wrong order shows
     A, T = z2_algebra(field), triangular_algebra(field)
     x = El((T, A, T), Tensor(field, (3, 2, 3), {(0, 1, 1): field.one,
-                                                (1, 0, 2): field.from_int(3)}))
-    f = El((T, T), Tensor(field, (3, 3), {(1, 0): field.one, (2, 1): field.from_int(-2)}))
-    assert x.mul_embedded(f, (2, 0)) == x.times(f).merge(2, 3).merge(0, 3)
-    assert x.premul_embedded(f, (2, 0)) == x.times(f).merge(3, 2).merge(3, 0).perm((2, 0, 1))
-    for positions in ((0, 1), (0,), (0, 3), (2, 2)):
+                                                (1, 0, 2): field.from_int(3)}), "a b c")
+    f = Tensor(field, (3, 3), {(1, 0): field.one, (2, 1): field.from_int(-2)})
+    outer = x.times(El((T, T), f, "c2 a2"))
+    assert x.mul(El((T, T), f, "c a")).t == outer.merge("c", "c2").merge("a", "a2").t
+    assert El((T, T), f, "c a").mul(x).t == \
+        outer.merge("c2", "c").merge("a2", "a").tensor("a2 b c2")
+    for legs in ("a b", "a z", "c c"):
         with pytest.raises(ShapeMismatch):
-            x.mul_embedded(f, positions)
+            x.mul(El((T, T), f, legs))
+
+
+def twisted_sweedler_els(field):
+    """Sweedler's algebra twisted by a seeded gauge: its reassociator,
+    the inverse and the gauge as named ``El``s and as ``PositionalEl``s.
+    Neither the product nor the reassociator is symmetric, so a swapped
+    factor or leg shows."""
+    H = sweedler(field)
+    F = seeded_gauge(H, 7)
+    T = gauge_twist(H, F)
+    sp2, sp3 = T.spaces(2), T.spaces(3)
+    return (T, El(sp3, T.reassoc, "a b c"), El(sp3, T.reassoc_inv, "a b c"),
+            PositionalEl(sp3, T.reassoc), PositionalEl(sp3, T.reassoc_inv), F.t)
+
+
+def test_named_legs_match_the_positional_calculus(field):
+    T, phi, phi_inv, pos, pos_inv, f = twisted_sweedler_els(field)
+    alg, sp2, sp3 = T.alg, T.spaces(2), T.spaces(3)
+    # map: the target legs where the first source leg was, by name
+    assert phi.map(T.comult, "b", "b1 b2").tensor("a b1 b2 c") == pos.map(T.comult, 1).t
+    assert phi.map(alg.mult, "c a", "m").tensor("b m") == pos.map(alg.mult, (2, 0)).t
+    assert phi.map(T.counit, "a", "").tensor("b c") == pos.map(T.counit, (0,)).t
+    # merge: c times a, in that order, kept as c
+    assert phi.merge("c", "a").tensor("b c") == pos.merge(2, 0).t
+    assert phi.merge("a", "c").tensor("a b") == pos.merge(0, 2).t
+    assert phi.merge("a", "c").t != phi.merge("c", "a").tensor("c b")
+    # times: the outer product, in either order of naming
+    g = El(sp2, f, "d e")
+    assert phi.times(g).tensor("a b c d e") == pos.times(PositionalEl(sp2, f)).t
+    assert g.times(phi).tensor("a b c d e") == pos.times(PositionalEl(sp2, f)).t
+    # mul: legs matched by name, the factor with fewer legs on a subset
+    assert phi.mul(phi_inv).t == pos.mul(pos_inv).t
+    assert phi.mul(El(sp3, T.reassoc_inv, "c a b")).t == \
+        pos.mul(PositionalEl(sp3, switch_legs(T.reassoc_inv, (1, 2, 0)))).t
+    assert phi.mul(El(sp2, f, "c a")).t == pos.mul_embedded(PositionalEl(sp2, f), (2, 0)).t
+    assert El(sp2, f, "c a").mul(phi).t == pos.premul_embedded(PositionalEl(sp2, f), (2, 0)).t
+    assert phi.mul(El(sp2, f, "c a")).t != El(sp2, f, "c a").mul(phi).t
+    # tensor: the legs in the order asked for, with no copy of an order
+    # already held
+    assert phi.tensor("c a b") == pos.perm((2, 0, 1)).t
+    assert phi.tensor("a b c") is phi.t
+
+
+def test_named_legs_are_checked(field):
+    T, phi, _, _, _, f = twisted_sweedler_els(field)
+    alg, sp2 = T.alg, T.spaces(2)
+    other = alg.opposite()
+    cases = [
+        lambda: phi.map(T.comult, "z", "z1 z2"),            # an unknown name
+        lambda: phi.merge("a", "z"),
+        lambda: phi.tensor("a b z"),
+        lambda: phi.tensor("a b"),                          # a leg left out
+        lambda: El(T.spaces(3), T.reassoc, "a b a"),        # a repeated name
+        lambda: phi.map(T.comult, "b", "a b"),
+        lambda: phi.map(T.comult, "b", "b"),                # a name per target leg
+        lambda: phi.times(El(sp2, f, "c d")),               # a shared name
+        lambda: phi.mul(El((alg, other), f, "a b")),        # across two algebras
+        lambda: El((alg, other, alg), T.reassoc, "a b c").merge("a", "b"),
+        lambda: El((alg, other), f, "a b").mul(phi),
+    ]
+    for case in cases:
+        with pytest.raises(ShapeMismatch):
+            case()
 
 
 def test_linmap_matrix_roundtrip():

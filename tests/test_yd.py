@@ -7,6 +7,7 @@ from quasihopf.tensor import LinMap, Tensor, apply_linear_map
 from quasihopf.yd import (YetterDrinfeldContext, doihopf_to_yd, induce_yd,
                           verify_yd, yd_adjunction_maps, yd_to_doihopf)
 
+from tensor_case import from_function
 from test_doihopf import (ADJUNCTION_CHECKS, assert_only_unit_roundtrip_fails,
                           doubled_coaction)
 
@@ -37,7 +38,7 @@ def test_induced_one_dimensional_module(field):
     # the trivial one-dimensional module through the counit character
     ctx = make_context(field)
     H = ctx.H
-    eps_action = LinMap.from_function(
+    eps_action = from_function(
         field, (ctx.A.alg.dim, 1), (1,),
         lambda idx: {(0,): H.counit_scalar(idx[0])})
     one = FiniteModule(1, ctx.A.alg, eps_action, "left", name="char")
@@ -135,10 +136,10 @@ def test_module_coalgebra_special_case_reduces_to_doihopf(field):
     from quasihopf.fixtures import c2
     from quasihopf.modcoalg import ModuleCoalgebra
     base = c2(field, H)
-    left = LinMap.from_function(
+    left = from_function(
         field, (H.dim, 2), (2,),
         lambda idx: {(idx[1],): H.counit_scalar(idx[0])})
-    right = LinMap.from_function(
+    right = from_function(
         field, (2, H.dim), (2,),
         lambda idx: {(idx[0],): H.counit_scalar(idx[1])})
     C = ModuleCoalgebra(H, "bi", 2, base.comult, base.counit,

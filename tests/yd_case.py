@@ -17,7 +17,9 @@ from quasihopf.comodule import canonical_elements
 from quasihopf.doihopf import FiniteModule, verify_module_law
 from quasihopf.hopf import drinfeld_twist
 from quasihopf.report import CheckReport
-from quasihopf.tensor import El, LinMap, Tensor, all_indices, apply_linear_map
+from quasihopf.tensor import Tensor, all_indices, apply_linear_map
+
+from tensor_case import PositionalEl, from_function
 
 
 def _act_left(action, dim, idx, t, leg):
@@ -106,13 +108,13 @@ def reference_yd_comult(A, C, idx):
     field = A.field
     dA = A.alg.dim
     S_inv = H.antipode_inv
-    g_el = El(H.spaces(2), drinfeld_twist(H).inv)
+    g_el = PositionalEl(H.spaces(2), drinfeld_twist(H).inv)
     c, a = divmod(idx[0], dA)
-    e = A.mixed_inv_el()              # t1 t2 t3 : H A H
-    e = e.times(El((A.alg, H.alg, H.alg), A.reassoc_right_inv))   # yA y2 y3
-    e = e.times(El((H.alg, H.alg, A.alg), A.reassoc_left))        # X1 X2 XB
+    e = PositionalEl(A.mixed_spaces(), A.reassoc_mixed_inv)              # t1 t2 t3 : H A H
+    e = e.times(PositionalEl((A.alg, H.alg, H.alg), A.reassoc_right_inv))   # yA y2 y3
+    e = e.times(PositionalEl((H.alg, H.alg, A.alg), A.reassoc_left))        # X1 X2 XB
     e = e.times(g_el)                 # g1 g2
-    e = e.times(El.basis((C.space,), (c,))).times(El.basis((A.alg,), (a,)))
+    e = e.times(PositionalEl.basis((C.space,), (c,))).times(PositionalEl.basis((A.alg,), (a,)))
     # legs: t1(0) t2(1,A) t3(2) yA(3,A) y2(4) y3(5) X1(6) X2(7) XB(8,A)
     #       g1(9) g2(10) c(11,C) a(12,A)
     e = e.map(A.right_coaction, 8)    # XB -> XB0(8,A) XB1(9,H)
@@ -165,16 +167,16 @@ def reference_yd_left_action(A, C):
     def left_fn(idx):
         r, n = idx
         c, a = divmod(n, dA)
-        e = El.basis((A.alg,), (r,)).map(A.left_coaction, 0)
+        e = PositionalEl.basis((A.alg,), (r,)).map(A.left_coaction, 0)
         e = e.map(A.right_coaction, 1)    # r-1 r00 r01
-        e = e.times(El.basis((C.space,), (c,))).times(El.basis((A.alg,), (a,)))
+        e = e.times(PositionalEl.basis((C.space,), (c,))).times(PositionalEl.basis((A.alg,), (a,)))
         e = e.map(C.left_action, (2, 3), at=2)    # r-1 r00 (r01.c) a
         e = e.map(S_inv, 0)
         e = e.map(C.right_action, (2, 0), at=1)   # r00 c' a
         e = e.merge(0, 2)                 # r00 a
         return e.perm((1, 0)).t.fuse([[0, 1]])
 
-    return LinMap.from_function(field, (dA, C.dim * dA), (C.dim * dA,), left_fn)
+    return from_function(field, (dA, C.dim * dA), (C.dim * dA,), left_fn)
 
 
 def _yd_structure(A, C, legs):
@@ -188,8 +190,9 @@ def _yd_structure(A, C, legs):
     A = t20 yA W0, L1 = t21 y2 W11, L2 = t3 y3 W12.  Entry c of the
     result has legs (A, L1 . c1 . R1, L2 . c2 . R2)."""
     H = A.H
-    p = A.mixed_inv_el().map(A.right_coaction, 1)   # t1 t20 t21 t3
-    p = p.times(El((A.alg, H.alg, H.alg), A.reassoc_right_inv))
+    p = PositionalEl(A.mixed_spaces(), A.reassoc_mixed_inv)
+    p = p.map(A.right_coaction, 1)                  # t1 t20 t21 t3
+    p = p.times(PositionalEl((A.alg, H.alg, H.alg), A.reassoc_right_inv))
     p = p.merge(1, 4).merge(2, 4).merge(3, 4)       # t1 t20yA t21y2 t3y3
     e = legs.times(p).merge(3, 1).map(H.antipode_inv, 2)   # R2 W R1 PA PL1 PL2
     e = e.map(A.right_coaction, 1).map(H.comult, 2)    # R2 w0 w11 w12 R1 ...
@@ -215,22 +218,22 @@ def reference_induce_yd(N, context):
 
     def act_fn(idx):
         a, n = idx
-        e = El.basis((A.alg,), (a,)).map(A.left_coaction, 0)
+        e = PositionalEl.basis((A.alg,), (a,)).map(A.left_coaction, 0)
         e = e.map(A.right_coaction, 1).map(S_inv, 0)   # S^-1(a-1) a00 a01
         t = e.t.outer(Tensor.basis(field, (dN, dC), divmod(n, dC)))   # r a l m c
         t = apply_linear_map(N.action, t, (1, 3), at=0)               # m r l c
         t = apply_linear_map(C.left_action, t, (2, 3))                # m r l.c
         return apply_linear_map(C.right_action, t, (2, 1)).fuse([[0, 1]])
 
-    action = LinMap.from_function(field, (A.alg.dim, dim), (dim,), act_fn)
+    action = from_function(field, (A.alg.dim, dim), (dim,), act_fn)
 
     # the legs (R2, V, W) = (S^-1(q1 X1 g1), qA-1 X2 g2, qA0 XB)
-    e = El((H.alg, A.alg), canonical_elements(A.left(), verify=False).q.t)
+    e = PositionalEl((H.alg, A.alg), canonical_elements(A.left(), verify=False).q)
     e = e.map(A.left_coaction, 1)                 # q1 qA-1 qA0
-    e = e.times(El((H.alg, H.alg, A.alg), A.reassoc_left))
+    e = e.times(PositionalEl((H.alg, H.alg, A.alg), A.reassoc_left))
     e = e.merge(2, 5)                             # W = qA0 XB
     e = e.merge(0, 3).merge(1, 3)                 # q1 X1, qA-1 X2
-    e = e.times(El(H.spaces(2), drinfeld_twist(H).inv))
+    e = e.times(PositionalEl(H.spaces(2), drinfeld_twist(H).inv))
     e = e.merge(0, 3).merge(1, 3).map(S_inv, 0)   # R2 V W
     parts = _yd_structure(A, C, e)
 
@@ -239,6 +242,6 @@ def reference_induce_yd(N, context):
         t = parts[c].outer(Tensor.basis(field, (dN,), (m,)))    # A o1 o2 m
         return apply_linear_map(N.action, t, (0, 3)).fuse([[0, 1], [2]])
 
-    coaction = LinMap.from_function(field, (dim,), (dim, dC), coact_fn)
+    coaction = from_function(field, (dim,), (dim, dC), coact_fn)
     return FiniteModule(dim, A.alg, action, "left", coaction, "right",
                         name="induced-yd(%s)" % (N.name or "N"))
